@@ -810,8 +810,7 @@ def run_adaptive_join_trial(seed: int, speculation: bool = False,
                             verbose: bool = False) -> TrialResult:
     """One seeded adaptive multi-way join under chaos, audited exactly.
 
-    A 3-way star join runs with ``JOIN_REORDER`` and
-    ``ADAPTIVE_EXECUTION`` on while restarts and link faults fire.  The
+    A 3-way star join runs while restarts and link faults fire.  The
     fact table's statistics are deliberately stale (ANALYZEd at 1/15th
     of its final size), so the reordered plan builds on a side that
     balloons at runtime and the join operators must replan mid-query.
@@ -854,8 +853,6 @@ def run_adaptive_join_trial(seed: int, speculation: bool = False,
         session.execute(f"ANALYZE {table}")
     session.execute(f"INSERT INTO {ADAPTIVE_FACT} VALUES "
                     + fact_values(ADAPTIVE_ANALYZED, ADAPTIVE_FACT_ROWS))
-    session.execute("SET JOIN_REORDER on")
-    session.execute("SET ADAPTIVE_EXECUTION on")
     session.close()
     checker = InvariantChecker(fabric.vertica)
     schedule = ChaosSchedule.random(

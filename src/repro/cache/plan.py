@@ -7,14 +7,15 @@ Two levels, both bounded LRU:
   and parser entirely; the parsed statement is stamped with its
   canonical key (``cache_key``) and literal-normalized shape
   (``cache_shape``) so downstream tiers key off the same normalization.
-- **Plan cache** — (canonical text, catalog version, join-strategy
-  override, join-reorder flag, stats-corrections version) → optimized
+- **Plan cache** — (canonical text, database versions, the issuing
+  session's ``PlanContext.fingerprint``) → optimized
   :class:`~repro.vertica.plan.logical.LogicalPlan`.
-  A repeated SELECT skips bind → optimize.  The catalog version is
-  bumped by DDL, TRUNCATE, and ANALYZE, so schema or statistics changes
-  can never serve a stale plan; estimation reads only catalog
-  statistics plus the feedback corrections named in the key, which makes
-  a cached plan bit-identical to a fresh optimize at the same versions.
+  A repeated SELECT skips bind → optimize.  The versions are the
+  catalog's (bumped by DDL, TRUNCATE, and ANALYZE) and the feedback
+  corrections'; estimation reads nothing else, so a cached plan is
+  bit-identical to a fresh optimize at the same key.  The fingerprint
+  holds every plan-relevant session setting, so a plan built under one
+  session's settings is never served to a session with different ones.
 
 Literals stay in the plan key on purpose: constant folding, predicate
 pushdown, and hash-range segment pruning bake them into the plan, so a
@@ -26,7 +27,7 @@ what a prepared-statement workload shows up as.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro import telemetry
 from repro.cache.keys import canonical_sql, canonical_tokens, statement_shape
@@ -34,7 +35,7 @@ from repro.cache.keys import canonical_sql, canonical_tokens, statement_shape
 #: default entry cap for each level (parsed statements, optimized plans)
 DEFAULT_PLAN_CACHE_ENTRIES = 256
 
-PlanKey = Tuple[str, int, str, bool, int]
+PlanKey = Tuple[str, Hashable, Hashable]
 
 
 class PlanCache:
@@ -94,26 +95,21 @@ class PlanCache:
 
     # -- plan level --------------------------------------------------------------
     def lookup_plan(
-        self,
-        statement: Any,
-        catalog_version: int,
-        join_strategy: str,
-        join_reorder: bool = False,
-        corrections_version: int = 0,
+        self, statement: Any, versions: Hashable, fingerprint: Hashable
     ) -> Optional[Any]:
         """The cached optimized plan for ``statement``, or None.
 
-        ``join_reorder`` and ``corrections_version`` key the adaptive
-        feedback state: the plan optimized before any feedback landed
-        (version 0) stays cached and pristine, while plans optimized
-        against later correction factors get their own entries — replans
-        never poison an earlier key.
+        ``versions`` is the database state the plan was optimized
+        against (catalog version, stats-corrections version) and
+        ``fingerprint`` the session's plan-relevant settings.  The plan
+        optimized before any feedback landed stays cached and pristine,
+        while plans optimized against later correction factors get their
+        own entries — replans never poison an earlier key.
         """
         canonical = getattr(statement, "cache_key", None)
         if canonical is None:
             return None
-        key = (canonical, catalog_version, join_strategy,
-               join_reorder, corrections_version)
+        key = (canonical, versions, fingerprint)
         plan = self._plans.get(key)
         if plan is None:
             telemetry.counter(f"{self.name}.misses").inc()
@@ -123,19 +119,13 @@ class PlanCache:
         return plan
 
     def store_plan(
-        self,
-        statement: Any,
-        catalog_version: int,
-        join_strategy: str,
+        self, statement: Any, versions: Hashable, fingerprint: Hashable,
         plan: Any,
-        join_reorder: bool = False,
-        corrections_version: int = 0,
     ) -> bool:
         canonical = getattr(statement, "cache_key", None)
         if canonical is None:
             return False
-        self._plans[(canonical, catalog_version, join_strategy,
-                     join_reorder, corrections_version)] = plan
+        self._plans[(canonical, versions, fingerprint)] = plan
         while len(self._plans) > self.capacity:
             self._plans.popitem(last=False)
             telemetry.counter(f"{self.name}.evictions").inc()

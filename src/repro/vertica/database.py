@@ -59,9 +59,6 @@ class VerticaDatabase:
         self.dfs = DistributedFileSystem(self.node_names)
         self.node_states: Dict[str, str] = {name: "UP" for name in self.node_names}
         self._session_counts: Dict[str, int] = {name: 0 for name in self.node_names}
-        #: join-strategy override (SET JOIN_STRATEGY): 'auto' lets the cost
-        #: model pick; 'hash'/'merge'/'nested-loop' force one for debugging
-        self.join_strategy = "auto"
         #: prepared-statement / optimized-plan cache (always on: keyed by
         #: canonical text + catalog version, so reuse is always exact)
         self.plan_cache = PlanCache()
@@ -70,14 +67,8 @@ class VerticaDatabase:
         #: default RESULT_CACHE setting new sessions start with; individual
         #: sessions override it via ``SET RESULT_CACHE = 'on'|'off'``
         self.result_cache_default = False
-        #: cost-based join reordering (SET JOIN_REORDER): replace the
-        #: binder's left-deep join order with a greedy cheapest-pair order
-        self.join_reorder = False
-        #: adaptive execution (SET ADAPTIVE_EXECUTION): join operators may
-        #: replan mid-query from observed row counts, and executed queries
-        #: feed estimated-vs-actual deltas back into ``stats_corrections``
-        self.adaptive_execution = False
-        #: per-table cardinality correction factors from the feedback loop
+        #: per-table cardinality correction factors: every executed query
+        #: feeds its estimated-vs-actual scan counts back into the estimator
         from repro.vertica.stats.feedback import CorrectionStore
 
         self.stats_corrections = CorrectionStore()
@@ -152,7 +143,7 @@ class VerticaDatabase:
         )
         session = Session(self, target)
         if resource_pool is not None:
-            session.set_resource_pool(resource_pool)
+            session.set_option("RESOURCE_POOL", resource_pool)
         return session
 
     def _release_connection(self, node: str) -> None:

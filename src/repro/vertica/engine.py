@@ -34,6 +34,7 @@ from repro.vertica.expr import (
     Literal,
 )
 from repro.vertica.hashring import HASH_SPACE
+from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.storage import RosContainer
 from repro.vertica.txn import Transaction
@@ -289,34 +290,36 @@ class Engine:
         statement,
         txn: Transaction,
         initiator: str,
+        context: PlanContext,
         copy_data=None,
-        resource_pool: Optional[str] = None,
-        use_result_cache: bool = False,
     ) -> Tuple[ResultSet, Optional[Any]]:
         """Run one parsed DML/query statement; returns (result, copy_result).
 
         The single entry point the session layer dispatches through, so
         every statement's :class:`CostReport` is stamped with the resource
         pool it ran in (``copy_result`` is non-None only for COPY).
-        ``use_result_cache`` carries the session's RESULT_CACHE setting;
-        only top-level SELECT/EXPLAIN/PROFILE consult the cache (never the
-        inner query of INSERT ... SELECT, which must see staged writes).
+        ``context`` is the issuing session's settings.  Only top-level
+        SELECT/EXPLAIN/PROFILE honour its RESULT_CACHE (never the inner
+        query of INSERT ... SELECT, which must see staged writes).
         """
         copy_result = None
         if isinstance(statement, ast.Select):
-            result = self.select(statement, txn, initiator, use_cache=use_result_cache)
+            result = self._run_select(
+                statement, txn, initiator, context,
+                use_cache=context.result_cache,
+            )[0]
         elif isinstance(statement, ast.Explain):
-            result = self.explain(statement, txn, initiator, use_cache=use_result_cache)
+            result = self.explain(statement, txn, initiator, context)
         elif isinstance(statement, ast.Profile):
-            result = self.profile(statement, txn, initiator, use_cache=use_result_cache)
+            result = self.profile(statement, txn, initiator, context)
         elif isinstance(statement, ast.InsertValues):
             result = self.insert_values(statement, txn, initiator)
         elif isinstance(statement, ast.InsertSelect):
-            result = self.insert_select(statement, txn, initiator)
+            result = self.insert_select(statement, txn, initiator, context)
         elif isinstance(statement, ast.Update):
-            result = self.update(statement, txn, initiator)
+            result = self.update(statement, txn, initiator, context)
         elif isinstance(statement, ast.Delete):
-            result = self.delete(statement, txn, initiator)
+            result = self.delete(statement, txn, initiator, context)
         elif isinstance(statement, ast.Analyze):
             result = self.analyze(statement)
         elif isinstance(statement, ast.CopyStatement):
@@ -325,7 +328,7 @@ class Engine:
             result, copy_result = run_copy(self, statement, txn, copy_data)
         else:
             raise SqlError(f"unhandled statement {type(statement).__name__}")
-        result.cost.resource_pool = resource_pool
+        result.cost.resource_pool = context.resource_pool
         return result, copy_result
 
     # ------------------------------------------------------------------ scans
@@ -413,11 +416,12 @@ class Engine:
         statement: ast.Select,
         txn: Transaction,
         initiator: str,
+        context: PlanContext,
         cost: Optional[CostReport] = None,
-        use_cache: bool = False,
     ) -> ResultSet:
-        """Run one SELECT through the bind → optimize → execute pipeline."""
-        return self._run_select(statement, txn, initiator, cost, use_cache)[0]
+        """Run one nested SELECT (a view body, INSERT ... SELECT's query)
+        through bind → optimize → execute; never consults the result cache."""
+        return self._run_select(statement, txn, initiator, context, cost)[0]
 
     def _cache_bypass_reason(
         self, txn: Transaction, canonical: str
@@ -444,6 +448,7 @@ class Engine:
         statement: ast.Select,
         txn: Transaction,
         initiator: str,
+        context: PlanContext,
         cost: Optional[CostReport] = None,
         use_cache: bool = False,
     ):
@@ -497,7 +502,7 @@ class Engine:
         from repro.vertica.plan import execute_select
 
         result, execution = execute_select(
-            self, statement, txn, initiator, snapshot, cost
+            self, statement, txn, initiator, snapshot, cost, context
         )
         result.snapshot_epoch = snapshot
         if cacheable:
@@ -516,7 +521,7 @@ class Engine:
         statement: ast.Explain,
         txn: Transaction,
         initiator: str,
-        use_cache: bool = False,
+        context: PlanContext,
     ) -> ResultSet:
         """Render the optimized plan: access path, pruning, pushdowns.
 
@@ -528,9 +533,9 @@ class Engine:
         """
         from repro.vertica.plan import explain_lines
 
-        lines = explain_lines(self, statement.query, initiator)
+        lines = explain_lines(self, statement.query, initiator, context)
         canonical = getattr(statement.query, "cache_key", None)
-        if use_cache and canonical is not None:
+        if context.result_cache and canonical is not None:
             from repro.cache.keys import statement_digest
 
             db = self.database
@@ -550,7 +555,7 @@ class Engine:
         statement: ast.Profile,
         txn: Transaction,
         initiator: str,
-        use_cache: bool = False,
+        context: PlanContext,
     ) -> ResultSet:
         """Execute the query and report per-operator execution stats.
 
@@ -566,7 +571,8 @@ class Engine:
 
         telemetry.counter("vertica.queries.profile").inc()
         result, execution = self._run_select(
-            statement.query, txn, initiator, use_cache=use_cache
+            statement.query, txn, initiator, context,
+            use_cache=context.result_cache,
         )
         if execution is None:
             cost = result.cost
@@ -608,9 +614,7 @@ class Engine:
         db.catalog.statistics[table.name] = stats
         # Fresh statistics supersede any feedback correction accumulated
         # against the stale ones.
-        corrections = getattr(db, "stats_corrections", None)
-        if corrections is not None:
-            corrections.forget(table.name)
+        db.stats_corrections.forget(table.name)
         # New statistics change plan choice without advancing an epoch:
         # bump the catalog version so plan/result caches re-key.
         db.catalog.bump_version()
@@ -681,12 +685,16 @@ class Engine:
         return ResultSet(rowcount=count, cost=cost)
 
     def insert_select(
-        self, statement: ast.InsertSelect, txn: Transaction, initiator: str
+        self,
+        statement: ast.InsertSelect,
+        txn: Transaction,
+        initiator: str,
+        context: PlanContext,
     ) -> ResultSet:
         table = self.database.catalog.table(statement.table)
         telemetry.counter("vertica.queries.insert").inc()
         cost = CostReport()
-        result = self.select(statement.query, txn, initiator, cost=cost)
+        result = self.select(statement.query, txn, initiator, context, cost=cost)
         target_columns = (
             [c.upper() for c in statement.columns]
             if statement.columns
@@ -702,7 +710,11 @@ class Engine:
         return ResultSet(rowcount=count, cost=cost)
 
     def update(
-        self, statement: ast.Update, txn: Transaction, initiator: str
+        self,
+        statement: ast.Update,
+        txn: Transaction,
+        initiator: str,
+        context: PlanContext,
     ) -> ResultSet:
         db = self.database
         table = db.catalog.table(statement.table)
@@ -719,7 +731,8 @@ class Engine:
         matched: List[Dict[str, Any]] = []
         seen_keys = set()
         for scan_row in dml_matching_rows(
-            self, table.name, statement.where, txn, initiator, snapshot, cost
+            self, table.name, statement.where, txn, initiator, snapshot, cost,
+            context,
         ):
             if scan_row.container is not None:
                 txn.stage_delete(scan_row.container, scan_row.row_index)
@@ -738,7 +751,11 @@ class Engine:
         return ResultSet(rowcount=len(matched), cost=cost)
 
     def delete(
-        self, statement: ast.Delete, txn: Transaction, initiator: str
+        self,
+        statement: ast.Delete,
+        txn: Transaction,
+        initiator: str,
+        context: PlanContext,
     ) -> ResultSet:
         db = self.database
         table = db.catalog.table(statement.table)
@@ -751,7 +768,8 @@ class Engine:
         count = 0
         seen_keys = set()
         for scan_row in dml_matching_rows(
-            self, table.name, statement.where, txn, initiator, snapshot, cost
+            self, table.name, statement.where, txn, initiator, snapshot, cost,
+            context,
         ):
             if scan_row.container is not None:
                 txn.stage_delete(scan_row.container, scan_row.row_index)

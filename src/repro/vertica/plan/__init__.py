@@ -19,9 +19,9 @@ The Vertica execution path is three explicit layers (Shark-style):
 ``EXPLAIN`` (the real optimized operator tree) and ``PROFILE`` (the tree
 annotated with per-operator execution stats).
 :mod:`repro.vertica.plan.adaptive` carries the per-query runtime
-replanning state (``SET ADAPTIVE_EXECUTION``): join operators checkpoint
-against it after materializing their inputs and may swap build sides or
-switch algorithms mid-query.  See ``docs/ENGINE.md``.
+replanning state: join operators checkpoint against it after
+materializing their inputs and may swap build sides or switch
+algorithms mid-query.  See ``docs/ENGINE.md``.
 """
 
 from repro.vertica.plan.adaptive import AdaptiveContext, ReplanEvent

@@ -60,17 +60,16 @@ class ReplanEvent:
 class AdaptiveContext:
     """Per-query adaptive-execution state threaded through the operators.
 
-    One context is created per executed SELECT; it carries whether
-    adaptivity is enabled, whether a session-level ``SET JOIN_STRATEGY``
-    override pins the algorithm (overrides are always respected — the
-    executor never second-guesses an explicit strategy), and the list of
-    replan events the query accumulated.
+    One context is created per executed SELECT; it carries whether the
+    session's ``SET JOIN_STRATEGY`` override pins the algorithm
+    (overrides are always respected — the executor never second-guesses
+    an explicit strategy) and the list of replan events the query
+    accumulated.
     """
 
-    def __init__(self, enabled: bool = False, strategy_override: str = "auto",
+    def __init__(self, strategy_override: str = "auto",
                  memory_rows: int = JOIN_BUILD_MEMORY_ROWS,
                  misestimate_factor: int = MISESTIMATE_FACTOR):
-        self.enabled = enabled
         self.strategy_override = strategy_override
         self.memory_rows = memory_rows
         self.misestimate_factor = misestimate_factor
@@ -78,8 +77,8 @@ class AdaptiveContext:
 
     @property
     def active(self) -> bool:
-        """Replanning applies only when enabled and the strategy is free."""
-        return self.enabled and self.strategy_override == "auto"
+        """Replanning applies only while the strategy is free."""
+        return self.strategy_override == "auto"
 
     def record(self, join: Any, trigger: str, action: str,
                estimated_rows: Optional[int], observed_rows: int) -> None:
@@ -98,6 +97,13 @@ class AdaptiveContext:
             "right": getattr(join.right, "estimated_rows", None),
         }
         return observed, estimated
+
+    def checkpoint(self, join: Any, observed_left: int,
+                   observed_right: int) -> Tuple[str, str]:
+        """The runtime (build side, algorithm) for a planned equi-join."""
+        revise = (self.checkpoint_merge if join.strategy == "merge"
+                  else self.checkpoint_hash)
+        return revise(join, observed_left, observed_right)
 
     def checkpoint_hash(self, join: Any, observed_left: int,
                         observed_right: int) -> Tuple[str, str]:

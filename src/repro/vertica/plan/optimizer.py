@@ -49,6 +49,7 @@ from repro.vertica.expr import (
 )
 from repro.vertica.plan import logical
 from repro.vertica.plan.logical import LogicalPlan, TableScan
+from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 
 RULE_CONSTANT_FOLDING = "constant folding"
@@ -62,8 +63,12 @@ RULE_JOIN_STRATEGY = "join-strategy selection"
 JOIN_BUILD_MEMORY_ROWS = 65_536
 
 
-def optimize(plan: LogicalPlan, database) -> LogicalPlan:
-    """Apply all rules in order, recording the ones that fired."""
+def optimize(plan: LogicalPlan, database, context: PlanContext) -> LogicalPlan:
+    """Apply all rules in order, recording the ones that fired.
+
+    ``context`` is the issuing session's settings; ``database`` supplies
+    catalog statistics and feedback corrections only.
+    """
     if _fold_plan(plan):
         plan.rules_applied.append(RULE_CONSTANT_FOLDING)
     if _tighten_hash_range(plan):
@@ -73,12 +78,10 @@ def optimize(plan: LogicalPlan, database) -> LogicalPlan:
     if _prune_columns(plan):
         plan.rules_applied.append(RULE_PROJECTION_PRUNING)
     _estimate_node(plan.root, database)
-    if getattr(database, "join_reorder", False) and _reorder_joins(
-        plan, database
-    ):
+    if _reorder_joins(plan, database, context.join_strategy):
         plan.rules_applied.append(RULE_JOIN_REORDER)
         _estimate_node(plan.root, database)  # re-stamp the new shape
-    if _plan_joins(plan, database):
+    if _plan_joins(plan, context.join_strategy):
         plan.rules_applied.append(RULE_JOIN_STRATEGY)
     return plan
 
@@ -693,11 +696,9 @@ def _estimate_rows(node: logical.LogicalNode, database) -> Optional[int]:
             if stats is not None
             else _table_base_rows(database, node.table)
         )
-        corrections = getattr(database, "stats_corrections", None)
-        if corrections is not None:
-            # feedback loop: scale stale statistics by the blended
-            # actual/estimated ratio observed on earlier executions
-            base *= corrections.factor(node.table.name)
+        # feedback loop: scale stale statistics by the blended
+        # actual/estimated ratio observed on earlier executions
+        base *= database.stats_corrections.factor(node.table.name)
         if (
             node.hash_range is not None
             and not node.hash_range.is_full
@@ -831,9 +832,8 @@ def _condition_safe(join: logical.Join) -> bool:
     return _never_raises(join.condition, _scan_type_classes(scans))
 
 
-def _plan_joins(plan: LogicalPlan, database) -> bool:
+def _plan_joins(plan: LogicalPlan, override: str) -> bool:
     """Annotate every Join with strategy, build side, keys, co-location."""
-    override = getattr(database, "join_strategy", "auto")
     changed = False
     for node in plan.nodes():
         if not isinstance(node, logical.Join):
@@ -876,7 +876,7 @@ def _plan_joins(plan: LogicalPlan, database) -> bool:
 
 
 # ----------------------------------------------------- join reordering
-def _reorder_joins(plan: LogicalPlan, database) -> bool:
+def _reorder_joins(plan: LogicalPlan, database, override: str) -> bool:
     """Greedily reorder multi-way equi-join chains by estimated rows.
 
     The binder emits joins in FROM-list order (a left-deep "accident");
@@ -891,7 +891,6 @@ def _reorder_joins(plan: LogicalPlan, database) -> bool:
     pass leaves behind (``reorder_chain`` / ``restore_order``), keeping
     reordered plans byte-identical to the legacy oracle.
     """
-    override = getattr(database, "join_strategy", "auto")
     if override == "nested-loop":
         return False  # a forced nested loop cannot track provenance
     parent_ids: Set[int] = set()

@@ -33,13 +33,15 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ordering import null_last_key
 from repro.vertica.engine import CostReport, _value_bytes
 from repro.vertica.errors import SqlError
 from repro.vertica.expr import ColumnRef, predicate_holds
 from repro.vertica.plan import logical
+from repro.vertica.plan.adaptive import AdaptiveContext
+from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.txn import Transaction
 
@@ -119,6 +121,8 @@ class PhysicalOperator:
     """Base operator: ``batches()`` wraps ``_run`` with stats timing."""
 
     kind = "op"
+    #: the logical node this operator executes (set by every subclass)
+    logical: Any
 
     def __init__(self) -> None:
         self.stats = OperatorStats()
@@ -336,6 +340,7 @@ class ViewScanOp(PhysicalOperator):
         initiator: str,
         snapshot: int,
         cost: CostReport,
+        context: PlanContext,
     ):
         super().__init__()
         self.engine = engine
@@ -344,6 +349,7 @@ class ViewScanOp(PhysicalOperator):
         self.initiator = initiator
         self.snapshot = snapshot
         self.cost = cost
+        self.context = context
 
     def label(self) -> str:
         return self.logical.label()
@@ -367,7 +373,7 @@ class ViewScanOp(PhysicalOperator):
                 at_epoch=self.snapshot,
             )
         result = self.engine.select(
-            query, self.txn, self.initiator, cost=self.cost
+            query, self.txn, self.initiator, self.context, cost=self.cost
         )
         ring = synthetic_ring(db.node_names)
         plain = list(dict.fromkeys(result.columns))
@@ -452,21 +458,29 @@ class JoinOp(PhysicalOperator):
                     if predicate_holds(condition, merged):
                         pending.append((node, merged))
                         if len(pending) >= BATCH_ROWS:
-                            yield self._build(names, pending)
+                            yield _rows_batch(names, pending)
                             pending = []
         if pending and names is not None:
-            yield self._build(names, pending)
+            yield _rows_batch(names, pending)
         # The nested loop broadcasts the (materialized) right side to every
         # node holding probe rows; co-located joins move nothing.
         if not self.logical.colocated:
             for node in right_nodes:
                 self.stats.rows_shuffled += len(left_node_set - {node})
 
-    def _build(
-        self, names: List[str], rows: List[Tuple[str, Dict[str, Any]]]
-    ) -> ColumnBatch:
-        columns = [[row[name] for __, row in rows] for name in names]
-        return ColumnBatch(names, columns, [node for node, __ in rows])
+
+def _rows_batch(
+    names: List[str], rows: List[Tuple[str, Dict[str, Any]]]
+) -> ColumnBatch:
+    """Transpose (producing node, merged row) pairs into one batch."""
+    columns = [[row[name] for __, row in rows] for name in names]
+    return ColumnBatch(names, columns, [node for node, __ in rows])
+
+
+#: relation alias -> that relation's materialization index, one per row
+Provenance = Dict[str, Sequence[int]]
+#: relation alias -> (0 = left input / 1 = right input, its index column)
+Sources = Dict[str, Tuple[int, Sequence[int]]]
 
 
 class _EquiJoinOp(PhysicalOperator):
@@ -479,7 +493,7 @@ class _EquiJoinOp(PhysicalOperator):
     emit in left-major order (left stream order, right materialization
     order), exactly the order the legacy nested loop produced.
 
-    Two optional layers ride on top of that core:
+    Two layers ride on top of that core:
 
     - **Adaptive checkpoint** — after both inputs are materialized but
       before the join algorithm starts (its "unstarted subtree"), the
@@ -489,36 +503,31 @@ class _EquiJoinOp(PhysicalOperator):
       row counts.  Output order is pair-sorted, so the decision cannot
       change the emitted bytes — only how much work finding them takes.
     - **Provenance tracking** — joins inside a cost-reordered chain
-      (``logical.reorder_chain``) record, per output row, each base
-      relation's materialization index.  The chain root uses them to
-      sort its pairs back into the binder's lexicographic order and to
-      re-attribute every output row to the binder-leftmost relation's
-      producing node, keeping rows *and* per-node cost attribution
-      byte-identical to the unreordered plan.
+      (``logical.reorder_chain``) record each base relation's
+      materialization index for every output row, column-major like
+      every other column: one index list per relation alias.  The chain
+      root uses them to sort its pairs back into the binder's
+      lexicographic order and to re-attribute every output row to the
+      binder-leftmost relation's producing node, keeping rows *and*
+      per-node cost attribution byte-identical to the unreordered plan.
     """
-
-    #: per-query adaptive-execution context, set by ``build_operator``
-    adaptive = None
-    #: the algorithm the planner picked (checkpoints may revise it)
-    planned_strategy = "hash"
 
     def __init__(
         self,
         node: logical.Join,
         left: PhysicalOperator,
         right: PhysicalOperator,
+        adaptive: AdaptiveContext,
     ):
         super().__init__()
         self.logical = node
         self.left = left
         self.right = right
         self.children = [left, right]
-        tracking = getattr(node, "reorder_chain", False)
-        #: per-output-row {alias: leaf materialization index}, reordered
-        #: chains only (None disables all provenance work)
-        self.output_provenance: Optional[List[Dict[str, int]]] = (
-            [] if tracking else None
-        )
+        self.adaptive = adaptive
+        #: alias -> that relation's materialization index per output row;
+        #: filled by a chain join below the root for the join above it
+        self.output_provenance: Provenance = {}
         #: alias -> that leaf scan's materialized node list (chains only)
         self.leaf_nodes: Dict[str, List[str]] = {}
 
@@ -526,9 +535,8 @@ class _EquiJoinOp(PhysicalOperator):
         return self.logical.label()
 
     def _materialize(
-        self, operator: PhysicalOperator
-    ) -> Tuple[List[str], List[Dict[str, Any]], List[str],
-               Optional[List[Dict[str, int]]]]:
+        self, operator: PhysicalOperator, slot: int, sources: Sources
+    ) -> Tuple[List[str], List[Dict[str, Any]], List[str]]:
         names: List[str] = []
         rows: List[Dict[str, Any]] = []
         nodes: List[str] = []
@@ -538,20 +546,17 @@ class _EquiJoinOp(PhysicalOperator):
             for i in range(batch.num_rows):
                 rows.append(dict(RowView(batch, i)))
                 nodes.append(batch.nodes[i])
-        prov: Optional[List[Dict[str, int]]] = None
-        if self.output_provenance is not None:
-            child_prov = getattr(operator, "output_provenance", None)
-            if child_prov is not None:
+        if self.logical.reorder_chain:
+            if isinstance(operator, _EquiJoinOp):
                 # a chain join below us: adopt its provenance wholesale
-                prov = child_prov
-                self.leaf_nodes.update(getattr(operator, "leaf_nodes", {}))
-            else:
-                alias = getattr(
-                    getattr(operator, "logical", None), "alias", ""
-                )
-                prov = [{alias: i} for i in range(len(rows))]
-                self.leaf_nodes[alias] = nodes
-        return names, rows, nodes, prov
+                provenance = operator.output_provenance
+                self.leaf_nodes.update(operator.leaf_nodes)
+            else:  # a leaf scan: row i of the input is row i of the leaf
+                provenance = {operator.logical.alias: range(len(rows))}
+                self.leaf_nodes[operator.logical.alias] = nodes
+            for alias, column in provenance.items():
+                sources[alias] = (slot, column)
+        return names, rows, nodes
 
     @staticmethod
     def _key_of(
@@ -573,25 +578,21 @@ class _EquiJoinOp(PhysicalOperator):
         for node in build_nodes:
             self.stats.rows_shuffled += len(probe_set - {node})
 
-    def _checkpoint(
-        self, observed_left: int, observed_right: int
-    ) -> Tuple[str, str]:
-        """The runtime (build side, algorithm) decision for this join."""
-        raise NotImplementedError
-
     def _run(self) -> Iterator[ColumnBatch]:
         keys = self.logical.equi_keys
-        left_names, left_rows, left_nodes, left_prov = self._materialize(
-            self.left
+        sources: Sources = {}
+        left_names, left_rows, left_nodes = self._materialize(
+            self.left, 0, sources
         )
-        right_names, right_rows, right_nodes, right_prov = self._materialize(
-            self.right
+        right_names, right_rows, right_nodes = self._materialize(
+            self.right, 1, sources
         )
         names = list(right_names) + [
             n for n in left_names if n not in right_names
         ]
-        build_side, strategy = self._checkpoint(len(left_rows),
-                                                len(right_rows))
+        build_side, strategy = self.adaptive.checkpoint(
+            self.logical, len(left_rows), len(right_rows)
+        )
         if build_side == "left":
             self._charge_shuffle(left_nodes, right_nodes)
         else:
@@ -606,10 +607,9 @@ class _EquiJoinOp(PhysicalOperator):
             pairs = self._hash_pairs(
                 left_rows, right_rows, left_refs, right_refs, build_side
             )
-        self._order_pairs(pairs, left_prov, right_prov)
+        self._order_pairs(pairs, sources)
         yield from self._emit(
-            pairs, names, left_rows, right_rows, left_nodes,
-            left_prov, right_prov,
+            pairs, names, left_rows, right_rows, left_nodes, sources
         )
 
     def _hash_pairs(
@@ -691,25 +691,19 @@ class _EquiJoinOp(PhysicalOperator):
         return keyed
 
     def _order_pairs(
-        self,
-        pairs: List[Tuple[int, int]],
-        left_prov: Optional[List[Dict[str, int]]],
-        right_prov: Optional[List[Dict[str, int]]],
+        self, pairs: List[Tuple[int, int]], sources: Sources
     ) -> None:
-        restore = getattr(self.logical, "restore_order", None)
-        if restore is None or left_prov is None or right_prov is None:
+        restore = self.logical.restore_order
+        if restore is None:
             pairs.sort()  # the nested loop's left-major output order
             return
-
         # Chain root: sort back into the binder's lexicographic order —
         # exactly the (a, b, c, ...) enumeration the legacy nested loops
         # over the original FROM order would have produced.
-        def binder_key(pair: Tuple[int, int]) -> Tuple[int, ...]:
-            merged = dict(left_prov[pair[0]])
-            merged.update(right_prov[pair[1]])
-            return tuple(merged[alias] for alias in restore)
-
-        pairs.sort(key=binder_key)
+        columns = [sources[alias] for alias in restore]
+        pairs.sort(
+            key=lambda pair: tuple(col[pair[slot]] for slot, col in columns)
+        )
 
     def _emit(
         self,
@@ -718,64 +712,49 @@ class _EquiJoinOp(PhysicalOperator):
         left_rows: List[Dict[str, Any]],
         right_rows: List[Dict[str, Any]],
         left_nodes: List[str],
-        left_prov: Optional[List[Dict[str, int]]] = None,
-        right_prov: Optional[List[Dict[str, int]]] = None,
+        sources: Sources,
     ) -> Iterator[ColumnBatch]:
         condition = self.logical.condition
-        restore = getattr(self.logical, "restore_order", None)
-        anchor_alias = restore[0] if restore else None
-        anchor_nodes = (
-            self.leaf_nodes.get(anchor_alias) if anchor_alias else None
-        )
-        tracking = (
-            self.output_provenance is not None
-            and left_prov is not None
-            and right_prov is not None
-        )
+        restore = self.logical.restore_order
+        if restore is not None:
+            # legacy attribution: the binder-leftmost relation's row
+            # produced the joined row
+            anchor_slot, anchor = sources[restore[0]]
+            anchor_nodes = self.leaf_nodes[restore[0]]
+        # a chain join below the root hands its kept pairs' provenance up
+        tracking = self.logical.reorder_chain and restore is None
+        kept: List[Tuple[int, int]] = []
         pending: List[Tuple[str, Dict[str, Any]]] = []
-        for left_index, right_index in pairs:
+        for pair in pairs:
+            left_index, right_index = pair
             right_row = right_rows[right_index]
             merged = dict(right_row)
             merged.update(left_rows[left_index])  # left wins on ambiguity
             merged.update({k: v for k, v in right_row.items() if "." in k})
             if predicate_holds(condition, merged):
-                node = left_nodes[left_index]
+                if restore is not None:
+                    node = anchor_nodes[anchor[pair[anchor_slot]]]
+                else:
+                    node = left_nodes[left_index]
                 if tracking:
-                    prov = dict(left_prov[left_index])
-                    prov.update(right_prov[right_index])
-                    self.output_provenance.append(prov)
-                    if anchor_nodes is not None:
-                        # legacy attribution: the binder-leftmost
-                        # relation's row produced the joined row
-                        node = anchor_nodes[prov[anchor_alias]]
+                    kept.append(pair)
                 pending.append((node, merged))
                 if len(pending) >= BATCH_ROWS:
-                    yield self._build(names, pending)
+                    yield _rows_batch(names, pending)
                     pending = []
         if pending:
-            yield self._build(names, pending)
-
-    def _build(
-        self, names: List[str], rows: List[Tuple[str, Dict[str, Any]]]
-    ) -> ColumnBatch:
-        columns = [[row[name] for __, row in rows] for name in names]
-        return ColumnBatch(names, columns, [node for node, __ in rows])
+            yield _rows_batch(names, pending)
+        if tracking:
+            self.output_provenance = {
+                alias: [column[pair[slot]] for pair in kept]
+                for alias, (slot, column) in sources.items()
+            }
 
 
 class HashJoinOp(_EquiJoinOp):
     """Equi-join via a hash table on the (estimated) smaller build side."""
 
     kind = "join-hash"
-    planned_strategy = "hash"
-
-    def _checkpoint(
-        self, observed_left: int, observed_right: int
-    ) -> Tuple[str, str]:
-        if self.adaptive is not None:
-            return self.adaptive.checkpoint_hash(
-                self.logical, observed_left, observed_right
-            )
-        return self.logical.build_side or "right", "hash"
 
 
 class MergeJoinOp(_EquiJoinOp):
@@ -787,16 +766,6 @@ class MergeJoinOp(_EquiJoinOp):
     """
 
     kind = "join-merge"
-    planned_strategy = "merge"
-
-    def _checkpoint(
-        self, observed_left: int, observed_right: int
-    ) -> Tuple[str, str]:
-        if self.adaptive is not None:
-            return self.adaptive.checkpoint_merge(
-                self.logical, observed_left, observed_right
-            )
-        return self.logical.build_side or "right", "merge"
 
 
 class FilterOp(PhysicalOperator):

@@ -25,6 +25,7 @@ from repro.vertica.plan.adaptive import AdaptiveContext
 from repro.vertica.plan.binder import bind_dml_scan, bind_select
 from repro.vertica.plan.logical import LogicalPlan
 from repro.vertica.plan.optimizer import optimize
+from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.txn import Transaction
 
@@ -36,13 +37,14 @@ def build_operator(
     initiator: str,
     snapshot: int,
     cost: CostReport,
-    adaptive: Optional[AdaptiveContext] = None,
+    context: PlanContext,
+    adaptive: AdaptiveContext,
 ) -> physical.PhysicalOperator:
     """Translate one logical node (and its subtree) into operators."""
 
     def build(child: logical.LogicalNode) -> physical.PhysicalOperator:
         return build_operator(
-            engine, child, txn, initiator, snapshot, cost, adaptive
+            engine, child, txn, initiator, snapshot, cost, context, adaptive
         )
 
     if isinstance(node, logical.ConstantRelation):
@@ -52,19 +54,16 @@ def build_operator(
     if isinstance(node, (logical.SystemTableScan, logical.StorageContainersScan)):
         return physical.SystemScanOp(engine, node, initiator)
     if isinstance(node, logical.ViewScan):
-        return physical.ViewScanOp(engine, node, txn, initiator, snapshot, cost)
+        return physical.ViewScanOp(
+            engine, node, txn, initiator, snapshot, cost, context
+        )
     if isinstance(node, logical.Join):
         left, right = build(node.left), build(node.right)
         if node.strategy == "hash":
-            op: physical.PhysicalOperator = physical.HashJoinOp(
-                node, left, right
-            )
-        elif node.strategy == "merge":
-            op = physical.MergeJoinOp(node, left, right)
-        else:
-            return physical.JoinOp(node, left, right)
-        op.adaptive = adaptive
-        return op
+            return physical.HashJoinOp(node, left, right, adaptive)
+        if node.strategy == "merge":
+            return physical.MergeJoinOp(node, left, right, adaptive)
+        return physical.JoinOp(node, left, right)
     if isinstance(node, logical.Filter):
         return physical.FilterOp(node, build(node.child))
     if isinstance(node, logical.Project):
@@ -85,7 +84,7 @@ class PipelineExecution:
         self,
         plan: LogicalPlan,
         root: physical.PhysicalOperator,
-        adaptive: Optional[AdaptiveContext] = None,
+        adaptive: AdaptiveContext,
     ):
         self.plan = plan
         self.root = root
@@ -104,41 +103,30 @@ class PipelineExecution:
         return out
 
 
-def optimized_plan(engine, statement: ast.Select) -> LogicalPlan:
+def optimized_plan(
+    engine, statement: ast.Select, context: PlanContext
+) -> LogicalPlan:
     """Bind + optimize through the plan cache.
 
-    Cached plans are keyed by (canonical statement, catalog version,
-    join-strategy override, join-reorder flag, stats-corrections
-    version).  Estimation reads only catalog statistics plus the
-    feedback corrections — all covered by the versions in the key — so a
-    cached plan is identical to a fresh optimize at the same key; the
-    statement just skips bind → optimize.  Keying the corrections
-    version separately means adaptive feedback never poisons the
+    Cached plans are keyed by (canonical statement, (catalog version,
+    stats-corrections version), ``context.fingerprint``).  Estimation
+    reads only catalog statistics plus the feedback corrections — both
+    covered by the versions — and the optimizer reads settings only from
+    ``context``, so a cached plan is identical to a fresh optimize at the
+    same key; the statement just skips bind → optimize.  Keying the
+    corrections version means feedback never poisons the
     initially-cached plan: the version-0 entry survives untouched while
     better-estimated plans earn their own entries.  Statements without a
     stamped ``cache_key`` (built programmatically, not through a session
     parse) take the cold path every time.
     """
     db = engine.database
-    cache = getattr(db, "plan_cache", None)
-    version = db.catalog.version
-    strategy = db.join_strategy
-    reorder = bool(getattr(db, "join_reorder", False))
-    corrections = getattr(db, "stats_corrections", None)
-    corrections_version = 0 if corrections is None else corrections.version
-    if cache is not None:
-        plan = cache.lookup_plan(
-            statement, version, strategy,
-            join_reorder=reorder, corrections_version=corrections_version,
-        )
-        if plan is not None:
-            return plan
-    plan = optimize(bind_select(db, statement), db)
-    if cache is not None:
-        cache.store_plan(
-            statement, version, strategy, plan,
-            join_reorder=reorder, corrections_version=corrections_version,
-        )
+    versions = (db.catalog.version, db.stats_corrections.version)
+    fingerprint = context.fingerprint
+    plan = db.plan_cache.lookup_plan(statement, versions, fingerprint)
+    if plan is None:
+        plan = optimize(bind_select(db, statement), db, context)
+        db.plan_cache.store_plan(statement, versions, fingerprint, plan)
     return plan
 
 
@@ -149,16 +137,13 @@ def execute_select(
     initiator: str,
     snapshot: int,
     cost: CostReport,
+    context: PlanContext,
 ) -> Tuple[ResultSet, PipelineExecution]:
     """Bind, optimize and run one SELECT through physical operators."""
-    db = engine.database
-    plan = optimized_plan(engine, statement)
-    adaptive = AdaptiveContext(
-        enabled=bool(getattr(db, "adaptive_execution", False)),
-        strategy_override=getattr(db, "join_strategy", "auto"),
-    )
+    plan = optimized_plan(engine, statement, context)
+    adaptive = AdaptiveContext(strategy_override=context.join_strategy)
     root = build_operator(
-        engine, plan.root, txn, initiator, snapshot, cost, adaptive
+        engine, plan.root, txn, initiator, snapshot, cost, context, adaptive
     )
     rows: List[Tuple[Any, ...]] = []
     for batch in root.batches():
@@ -173,30 +158,36 @@ def execute_select(
             telemetry.counter("vertica.plan.join.rows_shuffled").inc(
                 op.stats.rows_shuffled
             )
-    if adaptive.enabled:
-        _record_feedback(db, execution)
+    _record_feedback(engine.database, execution)
     return ResultSet(plan.output_columns, rows, cost=cost), execution
 
 
 def _record_feedback(db, execution: PipelineExecution) -> None:
-    """Feed each scan's estimated-vs-actual delta into the stats store.
+    """Feed full-table scans' estimated-vs-actual deltas into the stats store.
 
     This is the loop's write side: PROFILE-grade observed row counts
     blend into per-table correction factors the estimator consults on
     the next optimize, so a repeat of the same query gets a strictly
     better-estimated plan even before anyone re-runs ANALYZE.
     """
-    corrections = getattr(db, "stats_corrections", None)
-    if corrections is None:
-        return
     for __, op in execution.operators():
         if not isinstance(op, physical.TableScanOp):
             continue
-        estimated = op.logical.estimated_rows
-        if estimated is None:
+        scan = op.logical
+        # The factor corrects a stale ANALYZE row count, so only an
+        # unfiltered scan of every segment of an analyzed table observes
+        # it.  Anything else would blend selectivity error (or, without
+        # statistics, deleted-row bloat) into the factor, and with every
+        # query recording, alternating query shapes would move it — and
+        # re-key every cached plan — each time.
+        if (
+            scan.table.name not in db.catalog.statistics
+            or scan.predicate is not None
+            or not (scan.hash_range is None or scan.hash_range.is_full)
+        ):
             continue
-        corrections.record(
-            op.logical.table.name, estimated, op.stats.rows_out
+        db.stats_corrections.record(
+            scan.table.name, scan.estimated_rows, op.stats.rows_out
         )
 
 
@@ -209,6 +200,7 @@ def dml_matching_rows(
     initiator: str,
     snapshot: int,
     cost: CostReport,
+    context: PlanContext,
 ) -> Iterator[Any]:
     """Matching rows of an UPDATE/DELETE, through the same pipeline.
 
@@ -218,7 +210,8 @@ def dml_matching_rows(
     predicate — pruning would change the statement's CostReport.
     """
     plan = optimize(
-        bind_dml_scan(engine.database, table_name, where), engine.database
+        bind_dml_scan(engine.database, table_name, where), engine.database,
+        context,
     )
     assert isinstance(plan.root, logical.TableScan)
     op = physical.DmlScanOp(engine, plan.root, txn, initiator, snapshot, cost)
@@ -226,10 +219,12 @@ def dml_matching_rows(
 
 
 # -------------------------------------------------------------------- EXPLAIN
-def explain_lines(engine, query: ast.Select, initiator: str) -> List[str]:
+def explain_lines(
+    engine, query: ast.Select, initiator: str, context: PlanContext
+) -> List[str]:
     """Render the optimized plan tree; binds but never executes."""
     db = engine.database
-    plan = optimized_plan(engine, query)
+    plan = optimized_plan(engine, query, context)
     snapshot = query.at_epoch if query.at_epoch is not None else db.epochs.current
     lines: List[str] = []
 
@@ -338,8 +333,7 @@ class PlanProfile:
     @property
     def replans(self) -> List[Any]:
         """Replan events the adaptive executor recorded for this query."""
-        adaptive = getattr(self.execution, "adaptive", None)
-        return list(adaptive.events) if adaptive is not None else []
+        return list(self.execution.adaptive.events)
 
     def operator_rows(self) -> List[Tuple[str, int, int]]:
         """(kind, rows_in, rows_out) per operator, root first."""

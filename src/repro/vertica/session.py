@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from typing import Any, Optional, Union
 
+from repro.vertica import settings
 from repro.vertica.copyload import CopyResult
 from repro.vertica.engine import ResultSet
-from repro.vertica.errors import SqlError, TransactionError, VerticaError
+from repro.vertica.errors import TransactionError, VerticaError
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.sql.parser import parse_statement
 from repro.vertica.txn import ACTIVE, Transaction
@@ -42,11 +43,8 @@ class Session:
         self._txn: Optional[Transaction] = None
         self._explicit = False
         self._closed = False
-        #: the WLM pool this session's statements admit through
-        self.resource_pool = "GENERAL"
-        #: whether SELECTs consult the server-side result cache
-        #: (``SET RESULT_CACHE = 'on'|'off'``; default from the database)
-        self.result_cache_enabled = database.result_cache_default
+        #: every ``SET``-able value of this connection (see ``settings``)
+        self.context = settings.defaults(database)
         self.last_result: Optional[ResultSet] = None
         self.last_copy_result: Optional[CopyResult] = None
 
@@ -63,24 +61,29 @@ class Session:
     def reset(self) -> None:
         """Return the session to its just-connected state (pool checkin).
 
-        Aborts any open transaction and restores the default resource
-        pool, so a pooled session handed to the next tenant carries no
-        state from the previous one.
+        Aborts any open transaction and restores every setting to its
+        default, so a pooled session handed to the next tenant carries
+        no state from the previous one.
         """
         self._require_open()
         if self._txn is not None and self._txn.status == ACTIVE:
             self._txn.abort()
         self._txn = None
         self._explicit = False
-        self.resource_pool = "GENERAL"
-        self.result_cache_enabled = self.database.result_cache_default
+        self.context = settings.defaults(self.database)
         self.last_result = None
         self.last_copy_result = None
 
-    def set_resource_pool(self, name: str) -> None:
-        """Switch the session's WLM pool (``SET RESOURCE_POOL``)."""
-        pool = self.database.catalog.resource_pool(name)  # validates
-        self.resource_pool = pool.name
+    def set_option(self, name: str, value: Any) -> None:
+        """``SET name = value`` for this connection only."""
+        self.context = settings.with_setting(
+            self.context, self.database.catalog, name, value
+        )
+
+    @property
+    def resource_pool(self) -> str:
+        """The WLM pool this session's statements admit through."""
+        return self.context.resource_pool
 
     def __enter__(self) -> "Session":
         return self
@@ -129,7 +132,7 @@ class Session:
             self.last_result = ResultSet()
             return self.last_result
         if isinstance(statement, ast.SetOption):
-            self._set_option(statement)
+            self.set_option(statement.name, statement.value)
             self.last_result = ResultSet()
             return self.last_result
 
@@ -147,9 +150,8 @@ class Session:
                 statement,
                 txn,
                 self.node,
+                self.context,
                 copy_data=copy_data,
-                resource_pool=self.resource_pool,
-                use_result_cache=self.result_cache_enabled,
             )
             if copy_result is not None:
                 self.last_copy_result = copy_result
@@ -163,49 +165,6 @@ class Session:
             self._finish(commit=True)
         self.last_result = result
         return result
-
-    def _set_option(self, statement: ast.SetOption) -> None:
-        name = statement.name.upper()
-        if name == "RESOURCE_POOL":
-            self.set_resource_pool(str(statement.value))
-            return
-        if name == "JOIN_STRATEGY":
-            value = str(statement.value).lower()
-            if value not in ("auto", "hash", "merge", "nested-loop"):
-                raise SqlError(
-                    f"invalid JOIN_STRATEGY {statement.value!r} "
-                    "(expected auto, hash, merge, or nested-loop)"
-                )
-            self.database.join_strategy = value
-            return
-        if name == "RESULT_CACHE":
-            value = str(statement.value).lower()
-            if value not in ("on", "off"):
-                raise SqlError(
-                    f"invalid RESULT_CACHE {statement.value!r} "
-                    "(expected 'on' or 'off')"
-                )
-            self.result_cache_enabled = value == "on"
-            return
-        if name == "JOIN_REORDER":
-            value = str(statement.value).lower()
-            if value not in ("on", "off"):
-                raise SqlError(
-                    f"invalid JOIN_REORDER {statement.value!r} "
-                    "(expected 'on' or 'off')"
-                )
-            self.database.join_reorder = value == "on"
-            return
-        if name == "ADAPTIVE_EXECUTION":
-            value = str(statement.value).lower()
-            if value not in ("on", "off"):
-                raise SqlError(
-                    f"invalid ADAPTIVE_EXECUTION {statement.value!r} "
-                    "(expected 'on' or 'off')"
-                )
-            self.database.adaptive_execution = value == "on"
-            return
-        raise SqlError(f"unknown session option {statement.name!r}")
 
     def _finish(self, commit: bool) -> None:
         txn = self._txn

@@ -64,7 +64,7 @@ class SessionPool:
                 reused = True
                 telemetry.counter("wlm.sessions.failover_checkouts").inc()
         if resource_pool is not None:
-            session.set_resource_pool(resource_pool)
+            session.set_option("RESOURCE_POOL", resource_pool)
         return session, reused
 
     def _reuse(self, node: str) -> Optional[Session]:

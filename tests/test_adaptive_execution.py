@@ -2,15 +2,15 @@
 
 Three layers, matching the three pieces of the subsystem:
 
-- **Reordering** — ``SET JOIN_REORDER on`` lets the optimizer re-sequence
-  multi-way equi-join chains by estimated cardinality.  The differential
-  matrix proves the answer (rows, order, per-node cost attribution) stays
-  byte-identical to the legacy oracle for 3–5-way joins under every
-  combination of reorder/adaptive flags and strategy overrides.
-- **Replanning** — ``SET ADAPTIVE_EXECUTION on`` lets join operators
-  revise build side / algorithm at their materialization checkpoint.  A
-  deliberately stale ANALYZE forces an order-of-magnitude misestimate and
-  the recorded ``ReplanEvent`` must show up in PROFILE.
+- **Reordering** — the optimizer re-sequences multi-way equi-join
+  chains by estimated cardinality.  The differential matrix proves the
+  answer (rows, order, per-node cost attribution) stays byte-identical
+  to the legacy oracle for 3–5-way joins under every ``JOIN_STRATEGY``
+  override, with stale and with fresh statistics.
+- **Replanning** — join operators revise build side / algorithm at
+  their materialization checkpoint.  A deliberately stale ANALYZE forces
+  an order-of-magnitude misestimate and the recorded ``ReplanEvent``
+  must show up in PROFILE.
 - **Feedback** — executed queries blend estimated-vs-actual scan counts
   into :class:`~repro.vertica.stats.feedback.CorrectionStore`; the second
   optimization of the same query must be strictly better-estimated and
@@ -27,22 +27,9 @@ from repro.vertica.plan import bind_select, optimize
 from repro.vertica.plan.adaptive import AdaptiveContext
 from repro.vertica.plan.logical import Join, TableScan
 from repro.vertica.plan.optimizer import RULE_JOIN_REORDER
+from repro.vertica.settings import SETTINGS, PlanContext
 from repro.vertica.sql.parser import parse_statement
-from tests.test_plan_differential import assert_identical
-
-
-def set_flags(db, reorder=False, adaptive=False, strategy="auto"):
-    db.join_reorder = reorder
-    db.adaptive_execution = adaptive
-    db.join_strategy = strategy
-
-
-def assert_identical_with_flags(db, sql, reorder, adaptive, strategy="auto"):
-    set_flags(db, reorder, adaptive, strategy)
-    try:
-        assert_identical(db, sql)
-    finally:
-        set_flags(db)
+from tests.test_plan_differential import STRATEGIES, assert_identical
 
 
 def plan_text(session, sql):
@@ -135,38 +122,27 @@ STAR_MATRIX = [
 
 
 class TestAdaptiveDifferential:
-    """Rows/order/cost stay byte-identical with every adaptivity flag."""
+    """Rows/order/cost stay byte-identical through reorder and replans."""
 
-    @pytest.mark.parametrize("adaptive", [False, True])
-    @pytest.mark.parametrize("reorder", [False, True])
     @pytest.mark.parametrize("sql", STAR_MATRIX)
-    def test_star_matrix(self, star_db, sql, reorder, adaptive):
-        assert_identical_with_flags(star_db, sql, reorder, adaptive)
+    def test_star_matrix(self, star_db, sql):
+        assert_identical(star_db, sql)
 
-    @pytest.mark.parametrize(
-        "strategy", ["auto", "hash", "merge", "nested-loop"]
-    )
-    @pytest.mark.parametrize("reorder", [False, True])
-    def test_five_way_under_strategy_override(self, star_db, reorder, strategy):
-        assert_identical_with_flags(
-            star_db, FIVE_WAY, reorder, adaptive=True, strategy=strategy
-        )
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("stale", [False, True])
+    def test_five_way_under_strategy_override(self, stale, strategy):
+        # stale statistics make the checkpoints replan; fresh ones do not
+        assert_identical(make_star_db(stale=stale), FIVE_WAY, strategy=strategy)
 
     def test_fresh_stats_matrix(self):
-        db = make_star_db(stale=False)
-        for sql in (THREE_WAY, FIVE_WAY):
-            assert_identical_with_flags(db, sql, reorder=True, adaptive=True)
+        assert_identical(make_star_db(stale=False), THREE_WAY)
 
 
 # ----------------------------------------------------------- reordering plan
 class TestJoinReorderPlan:
     def test_explain_renders_join_order(self, star_db):
         session = star_db.connect()
-        session.execute("SET JOIN_REORDER on")
-        try:
-            plan = plan_text(session, f"EXPLAIN {FIVE_WAY}")
-        finally:
-            session.execute("SET JOIN_REORDER off")
+        plan = plan_text(session, f"EXPLAIN {FIVE_WAY}")
         assert "JOIN ORDER:" in plan
         assert "(reordered from" in plan
         assert "step 1:" in plan
@@ -176,31 +152,24 @@ class TestJoinReorderPlan:
         # dimd keeps only 2/5 of kd values; a cardinality-greedy order
         # must join it before the wider dima/dimb dims.
         session = star_db.connect()
-        session.execute("SET JOIN_REORDER on")
-        try:
-            plan = plan_text(session, f"EXPLAIN {FIVE_WAY}")
-        finally:
-            session.execute("SET JOIN_REORDER off")
+        plan = plan_text(session, f"EXPLAIN {FIVE_WAY}")
         order_line = next(
             line for line in plan.splitlines() if "JOIN ORDER:" in line
         )
         assert order_line.index("DIMD") < order_line.index("DIMA")
 
-    def test_reorder_off_keeps_binder_order(self, star_db):
+    def test_nested_loop_keeps_binder_order(self, star_db):
         session = star_db.connect()
+        session.execute("SET JOIN_STRATEGY = 'nested-loop'")
         plan = plan_text(session, f"EXPLAIN {FIVE_WAY}")
         assert "JOIN ORDER:" not in plan
         assert RULE_JOIN_REORDER not in plan
 
     def test_two_way_join_never_reordered(self, star_db):
         session = star_db.connect()
-        session.execute("SET JOIN_REORDER on")
-        try:
-            plan = plan_text(
-                session, "EXPLAIN SELECT v, a_val FROM f JOIN dima ON ka = a_id"
-            )
-        finally:
-            session.execute("SET JOIN_REORDER off")
+        plan = plan_text(
+            session, "EXPLAIN SELECT v, a_val FROM f JOIN dima ON ka = a_id"
+        )
         assert "JOIN ORDER:" not in plan
 
     def test_colocated_chain_stays_shuffle_free(self):
@@ -229,7 +198,6 @@ class TestJoinReorderPlan:
         session.execute("INSERT INTO d2 VALUES (0, 0), (1, 1)")
         for name in ("ft", "d1", "d2"):
             session.execute(f"ANALYZE {name}")
-        session.execute("SET JOIN_REORDER on")
         sql = (
             "PROFILE SELECT fv, x1, x2 FROM ft JOIN d1 ON fk = k1 "
             "JOIN d2 ON fk = k2"
@@ -280,38 +248,29 @@ JOIN_SQL = "SELECT fv, dv FROM fact JOIN dim ON fk = dk"
 class TestMidQueryReplanning:
     def test_swap_build_recorded_in_profile(self):
         db = make_misestimated_db()
-        session = db.connect()
-        session.execute("SET ADAPTIVE_EXECUTION on")
-        report = plan_text(session, f"PROFILE {JOIN_SQL}")
+        report = plan_text(db.connect(), f"PROFILE {JOIN_SQL}")
         assert "REPLAN:" in report
         assert "swap-build" in report
         assert "misestimate" in report
 
     def test_adaptive_rows_match_frozen_rows(self):
-        frozen = make_misestimated_db().connect().execute(JOIN_SQL)
-        adaptive_db = make_misestimated_db()
-        session = adaptive_db.connect()
-        session.execute("SET ADAPTIVE_EXECUTION on")
-        adaptive = session.execute(JOIN_SQL)
+        pinned = make_misestimated_db().connect()
+        pinned.execute("SET JOIN_STRATEGY hash")  # never replans
+        frozen = pinned.execute(JOIN_SQL)
+        adaptive = make_misestimated_db().connect().execute(JOIN_SQL)
         assert adaptive.rows == frozen.rows
         assert adaptive.columns == frozen.columns
-
-    def test_no_replan_when_adaptivity_off(self):
-        db = make_misestimated_db()
-        report = plan_text(db.connect(), f"PROFILE {JOIN_SQL}")
-        assert "REPLAN:" not in report
 
     def test_strategy_override_pins_algorithm(self):
         # An explicit SET JOIN_STRATEGY is never second-guessed.
         db = make_misestimated_db()
         session = db.connect()
-        session.execute("SET ADAPTIVE_EXECUTION on")
         session.execute("SET JOIN_STRATEGY hash")
         report = plan_text(session, f"PROFILE {JOIN_SQL}")
         assert "REPLAN:" not in report
 
     def test_checkpoint_swap_then_demote(self):
-        context = AdaptiveContext(enabled=True, memory_rows=100)
+        context = AdaptiveContext(memory_rows=100)
         join = Join(
             left=_scan_stub(estimated=20),
             right=_scan_stub(estimated=500),
@@ -326,7 +285,7 @@ class TestMidQueryReplanning:
         assert actions == ["swap-build", "demote-merge"]
 
     def test_checkpoint_promote_hash(self):
-        context = AdaptiveContext(enabled=True, memory_rows=100)
+        context = AdaptiveContext(memory_rows=100)
         join = Join(
             left=_scan_stub(estimated=5),
             right=_scan_stub(estimated=100_000),
@@ -339,7 +298,7 @@ class TestMidQueryReplanning:
         assert [event.action for event in context.events] == ["promote-hash"]
 
     def test_inactive_context_never_replans(self):
-        context = AdaptiveContext(enabled=True, strategy_override="merge")
+        context = AdaptiveContext(strategy_override="merge")
         assert not context.active
         join = Join(
             left=_scan_stub(estimated=1), right=_scan_stub(estimated=1),
@@ -367,7 +326,7 @@ def _condition_stub():
 
 # ------------------------------------------------------------ feedback loop
 def scan_estimate(db, sql, table):
-    plan = optimize(bind_select(db, parse_statement(sql)), db)
+    plan = optimize(bind_select(db, parse_statement(sql)), db, PlanContext())
     for node in plan.nodes():
         if isinstance(node, TableScan) and node.table.name == table:
             return node.estimated_rows
@@ -381,7 +340,6 @@ class TestFeedbackLoop:
         actual = 400
         before = scan_estimate(db, JOIN_SQL, table)
         session = db.connect()
-        session.execute("SET ADAPTIVE_EXECUTION on")
         session.execute(JOIN_SQL)
         after = scan_estimate(db, JOIN_SQL, table)
         assert abs(after - actual) < abs(before - actual)
@@ -391,18 +349,30 @@ class TestFeedbackLoop:
     def test_feedback_does_not_poison_plan_cache(self):
         db = make_misestimated_db()
         session = db.connect()
-        session.execute("SET ADAPTIVE_EXECUTION on")
         session.execute(JOIN_SQL)  # optimized at corrections_version=0
         version_zero_plans = db.plan_cache.plan_count
         session.execute(JOIN_SQL)  # re-optimized against the correction
         assert db.stats_corrections.version > 0
         assert db.plan_cache.plan_count == version_zero_plans + 1
 
+    def test_only_full_scans_of_analyzed_tables_record(self):
+        # anything else would move the factor (and re-key every cached
+        # plan) whenever the query shape changes, now that every query records
+        db = make_misestimated_db()
+        session = db.connect()
+        session.execute("CREATE TABLE loose (x INTEGER)")
+        session.execute("INSERT INTO loose VALUES (1), (2)")
+        for sql in ("SELECT fv FROM fact WHERE fv > 9", "SELECT x FROM loose",
+                    "SELECT fv FROM fact WHERE HASH(fk) >= 0 AND HASH(fk) < 99"):
+            session.execute(sql)
+        assert db.stats_corrections.recorded == 0
+        session.execute("SELECT fv FROM fact")
+        assert db.stats_corrections.recorded == 1
+
     def test_analyze_forgets_correction(self):
         db = make_misestimated_db()
         table = db.catalog.table("fact").name
         session = db.connect()
-        session.execute("SET ADAPTIVE_EXECUTION on")
         session.execute(JOIN_SQL)
         assert db.stats_corrections.factor(table) > 1.0
         session.execute("ANALYZE fact")
@@ -432,28 +402,16 @@ class TestFeedbackLoop:
 # ------------------------------------------------------------- SET options
 class TestSetOptionValidation:
     @pytest.mark.parametrize(
-        "option, good",
-        [
-            ("JOIN_REORDER", "on"),
-            ("ADAPTIVE_EXECUTION", "on"),
-        ],
-    )
-    def test_flags_round_trip(self, option, good):
-        db = VerticaDatabase(num_nodes=2)
-        session = db.connect()
-        attr = option.lower()
-        session.execute(f"SET {option} {good}")
-        assert getattr(db, attr) is True
-        session.execute(f"SET {option} off")
-        assert getattr(db, attr) is False
-
-    @pytest.mark.parametrize(
         "statement, fragments",
         [
             ("SET JOIN_STRATEGY sideways",
-             ["SIDEWAYS", "auto", "hash", "merge", "nested-loop"]),
-            ("SET JOIN_REORDER maybe", ["MAYBE", "on", "off"]),
-            ("SET ADAPTIVE_EXECUTION definitely", ["DEFINITELY", "on", "off"]),
+             ["invalid JOIN_STRATEGY", "SIDEWAYS",
+              "auto", "hash", "merge", "nested-loop"]),
+            # reordering and adaptive execution are the only path, not options
+            ("SET JOIN_REORDER on",
+             ["unknown session option", "JOIN_REORDER", *SETTINGS]),
+            ("SET ADAPTIVE_EXECUTION off",
+             ["unknown session option", "ADAPTIVE_EXECUTION", *SETTINGS]),
         ],
     )
     def test_invalid_value_names_value_and_choices(self, statement, fragments):
@@ -470,12 +428,11 @@ class TestRandomizedStaleStats:
         analyzed=st.integers(min_value=1, max_value=8),
         growth=st.integers(min_value=1, max_value=30),
         dims=st.integers(min_value=1, max_value=8),
-        reorder=st.booleans(),
         strategy=st.sampled_from(["auto", "hash", "merge"]),
     )
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_stale_stats_never_change_answers(
-        self, analyzed, growth, dims, reorder, strategy
+        self, analyzed, growth, dims, strategy
     ):
         db = VerticaDatabase(num_nodes=3)
         session = db.connect()
@@ -511,6 +468,4 @@ class TestRandomizedStaleStats:
                 + ", ".join(f"({i % 7}, {i})" for i in range(analyzed, total))
             )
         sql = "SELECT m, n, p FROM sf JOIN sd ON k = k2 JOIN se ON k = k3"
-        assert_identical_with_flags(
-            db, sql, reorder=reorder, adaptive=True, strategy=strategy
-        )
+        assert_identical(db, sql, strategy=strategy)

@@ -2,11 +2,13 @@
 
 Two levels under test: the *parse* cache (canonical SQL text → shared
 AST, skipping the lexer/parser on repeats) and the *plan* cache
-(canonical statement + catalog version + join strategy → optimized
-plan, skipping bind/optimize).  Invalidation is by catalog version:
-DDL and ANALYZE bump it, so a cached plan can never outlive the schema
-or statistics it was optimized against.
+(canonical statement + database versions + the session's PlanContext
+fingerprint → optimized plan, skipping bind/optimize).  Invalidation is
+by catalog version: DDL and ANALYZE bump it, so a cached plan can never
+outlive the schema or statistics it was optimized against.
 """
+
+import dataclasses
 
 import pytest
 
@@ -14,6 +16,9 @@ from repro import telemetry
 from repro.cache import PlanCache, canonical_sql, statement_digest, statement_shape
 from repro.telemetry import MetricsRegistry
 from repro.vertica import VerticaDatabase
+from repro.vertica.plan import optimized_plan
+from repro.vertica.settings import PlanContext
+from repro.vertica.sql.parser import parse_statement
 
 QUERY = "SELECT grp, COUNT(*) FROM events GROUP BY grp ORDER BY grp"
 
@@ -110,16 +115,23 @@ class TestPlanCacheHits:
         session.execute(QUERY)
         assert registry.counter("vertica.cache.plan.misses").value > misses_before
 
-    def test_join_strategy_rekeys(self, registry):
-        db, session = make_db()
-        session.execute(QUERY)
-        session.execute(QUERY)
-        session.execute("SET JOIN_STRATEGY = 'merge'")
-        misses_before = registry.counter("vertica.cache.plan.misses").value
-        plans_before = db.plan_cache.plan_count
-        session.execute(QUERY)
-        assert registry.counter("vertica.cache.plan.misses").value > misses_before
-        assert db.plan_cache.plan_count == plans_before + 1
+    def test_plan_context_fields_rekey_iff_plan_relevant(self, registry):
+        # A PlanContext field added without a flipped value here fails the
+        # lookup below: its author must declare whether it shapes plans.
+        flipped = {
+            "join_strategy": "merge",
+            "result_cache": True,
+            "resource_pool": "PREMIUM",
+        }
+        db, __ = make_db()
+        statement = db.plan_cache.parse(QUERY, parse_statement)
+        optimized_plan(db.engine, statement, PlanContext())
+        misses = registry.counter("vertica.cache.plan.misses")
+        for field in dataclasses.fields(PlanContext):
+            context = PlanContext(**{field.name: flipped[field.name]})
+            before = misses.value
+            optimized_plan(db.engine, statement, context)
+            assert (misses.value > before) == field.metadata["plan"], field.name
 
     def test_cached_plan_answers_are_identical(self):
         db, session = make_db()
@@ -155,8 +167,6 @@ class TestPlanCacheUnit:
         assert cache.plan_count == 0
 
     def test_explain_shares_the_inner_query_key(self):
-        from repro.vertica.sql.parser import parse_statement
-
         cache = PlanCache(name="test.plan")
         plain = cache.parse(QUERY, parse_statement)
         explain = cache.parse(f"EXPLAIN {QUERY}", parse_statement)

