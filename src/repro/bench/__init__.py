@@ -1,30 +1,12 @@
-"""The benchmark harness regenerating every table and figure of §4."""
+"""The benchmark harness regenerating every table and figure of §4.
 
+``python -m repro.bench.grid`` is the one entry point; see
+:mod:`repro.bench.grid` (machinery), :mod:`repro.bench.area` (what an
+area is) and :mod:`repro.bench.areas` (one module per figure/table).
+"""
+
+from repro.bench.area import BenchArea, ParameterGrid
 from repro.bench.fabric import Fabric
 from repro.bench.report import ExperimentReport
 
-__all__ = [
-    "AREAS",
-    "BenchArea",
-    "ExperimentReport",
-    "Fabric",
-    "GridRunner",
-    "ParameterGrid",
-    "ResultsStore",
-    "compare_artifacts",
-]
-
-_GRID_EXPORTS = (
-    "AREAS", "BenchArea", "GridRunner", "ParameterGrid",
-    "ResultsStore", "compare_artifacts",
-)
-
-
-def __getattr__(name):
-    # Lazy so that `python -m repro.bench.grid` does not import the grid
-    # module twice (runpy would warn about the stale sys.modules entry).
-    if name in _GRID_EXPORTS:
-        from repro.bench import grid
-
-        return getattr(grid, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["BenchArea", "ExperimentReport", "Fabric", "ParameterGrid"]

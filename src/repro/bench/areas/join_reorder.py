@@ -1,0 +1,158 @@
+"""Adaptive star joins: reordering + replanning over stale statistics.
+
+Wall-clock only (the sim clock cannot see join work yet — ROADMAP item 2),
+so nothing is banded; the checks are that every plan shows its JOIN ORDER
+and records a replan.
+"""
+
+import time
+from typing import Dict, Tuple
+
+from repro.bench.area import BenchArea, GridCellError
+from repro.vertica import VerticaDatabase
+
+STAR_WIDE_KEYS = ("ka", "kb", "kc")
+
+
+def star_sizes(fact_rows: int) -> Dict[str, int]:
+    """Derived star-schema sizes for one ``fact_rows`` scale.
+
+    The fact is ANALYZEd at 1% of its final size, so its estimate is two
+    orders of magnitude stale; the selective dim keeps 5% of fact rows;
+    the wide dims are sized inside the swap window — larger than the
+    (stale) intermediate estimate but smaller than its observed size —
+    so the plan builds on the wrong side and the run records a swap.
+    """
+    return {
+        "analyzed_rows": max(fact_rows // 100, 10),
+        "wide_rows": max(fact_rows // 100, 10),
+        "sel_rows": max(fact_rows // 10, 20),
+        "sel_keep": max(fact_rows // 200, 1),
+    }
+
+
+def load_star_tables(session, fact_rows: int, relations: int,
+                     chunk: int = 2_000) -> Dict[str, int]:
+    """Create/populate the star bench's fact, wide dims and selective dim.
+
+    Every fact row matches exactly one row in each wide dim (joins there
+    never shrink the stream); the selective dim sits *last* in FROM
+    order and its pushed-down predicate keeps ``sel_keep`` of
+    ``sel_rows`` keys.  Only the fact's statistics are stale.
+    """
+    sizes = star_sizes(fact_rows)
+    session.execute(
+        "CREATE TABLE sfact (ka INTEGER, kb INTEGER, kc INTEGER, "
+        "kd INTEGER, fv FLOAT) SEGMENTED BY HASH(ka) ALL NODES"
+    )
+    wide = sizes["wide_rows"]
+    for idx in range(relations - 2):
+        session.execute(
+            f"CREATE TABLE dwide{idx} (w{idx}_id INTEGER, w{idx}_pay INTEGER) "
+            f"SEGMENTED BY HASH(w{idx}_id) ALL NODES"
+        )
+        for start in range(0, wide, chunk):
+            values = ", ".join(
+                f"({i}, {i + idx})" for i in range(start, min(start + chunk, wide))
+            )
+            session.execute(f"INSERT INTO dwide{idx} VALUES {values}")
+    sel = sizes["sel_rows"]
+    session.execute(
+        "CREATE TABLE dsel (sel_id INTEGER, sel_pay INTEGER) "
+        "SEGMENTED BY HASH(sel_id) ALL NODES"
+    )
+    for start in range(0, sel, chunk):
+        values = ", ".join(
+            f"({i}, {i})" for i in range(start, min(start + chunk, sel))
+        )
+        session.execute(f"INSERT INTO dsel VALUES {values}")
+
+    def fact_values(start, stop):
+        return ", ".join(
+            f"({i % wide}, {i % wide}, {i % wide}, {i % sel}, {float(i % 89)})"
+            for i in range(start, stop)
+        )
+
+    analyzed = sizes["analyzed_rows"]
+    for start in range(0, analyzed, chunk):
+        session.execute("INSERT INTO sfact VALUES "
+                        + fact_values(start, min(start + chunk, analyzed)))
+    for idx in range(relations - 2):
+        session.execute(f"ANALYZE dwide{idx}")
+    session.execute("ANALYZE dsel")
+    session.execute("ANALYZE sfact")  # deliberately before the bulk load
+    for start in range(analyzed, fact_rows, chunk):
+        session.execute("INSERT INTO sfact VALUES "
+                        + fact_values(start, min(start + chunk, fact_rows)))
+    return sizes
+
+
+def star_join_sql(relations: int, sizes: Dict[str, int]) -> Tuple[str, int]:
+    """The ``relations``-way star COUNT(*) and its expected value."""
+    joins = [
+        f"JOIN dwide{idx} ON {STAR_WIDE_KEYS[idx]} = w{idx}_id"
+        for idx in range(relations - 2)
+    ]
+    joins.append("JOIN dsel ON kd = sel_id")
+    sql = ("SELECT COUNT(*) FROM sfact " + " ".join(joins)
+           + f" WHERE sel_pay < {sizes['sel_keep']}")
+    return sql, sizes["expected_rows"]
+
+
+def run_cell(params, config):
+    db = VerticaDatabase(num_nodes=config["num_nodes"])
+    session = db.connect()
+    fact_rows = params["fact_rows"]
+    sizes = load_star_tables(session, fact_rows, params["relations"])
+    sizes["expected_rows"] = sum(
+        1 for i in range(fact_rows) if i % sizes["sel_rows"] < sizes["sel_keep"]
+    )
+    sql, expected = star_join_sql(params["relations"], sizes)
+    # Cold PROFILE first: it captures the replans triggered by the stale
+    # estimates before the feedback loop corrects them for the timed runs.
+    report = session.execute("PROFILE " + sql)
+    replans = len(report.profile.replans)
+    reordered = any("JOIN ORDER:" in row[0] for row in report.rows)
+    shuffled = sum(
+        op.stats.rows_shuffled for __, op in report.profile.operators()
+    )
+    best = float("inf")
+    rows_out = None
+    for __ in range(config["repeats"]):
+        started = time.perf_counter()
+        rows_out = session.execute(sql).scalar()
+        best = min(best, time.perf_counter() - started)
+    if rows_out != expected:
+        raise GridCellError(
+            f"star join returned {rows_out} rows, wanted {expected}"
+        )
+    return {"sim_seconds": None,
+            "join_seconds": round(best, 4),
+            "replans": replans,
+            "reordered": reordered,
+            "rows_shuffled": shuffled,
+            "rows_out": rows_out}
+
+
+def checks(cells):
+    out = []
+    for cell in cells:
+        relations = cell["params"]["relations"]
+        out += [
+            (f"{relations}-way plan shows its JOIN ORDER",
+             bool(cell["metrics"]["reordered"])),
+            (f"{relations}-way recorded >=1 replan",
+             cell["metrics"]["replans"] >= 1),
+        ]
+    return out
+
+
+AREA = BenchArea(
+    "join_reorder",
+    "Adaptive star joins: reorder + replanning over stale statistics",
+    axes={"relations": (3, 5), "fact_rows": (100_000,)},
+    smoke_axes={"relations": (3, 5), "fact_rows": (4_000,)},
+    runner=run_cell,
+    config={"num_nodes": 4, "repeats": 3},
+    checks=checks,
+)

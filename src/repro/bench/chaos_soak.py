@@ -1,11 +1,13 @@
 """Chaos soak harness: many seeded fault schedules, one invariant bar.
 
 Each *trial* builds a fresh fabric, derives a :class:`~repro.chaos.
-ChaosSchedule` from one integer seed, runs a full connector workload
-(S2V save in overwrite/append × speculation on/off, or a V2S scan)
-under that schedule, and audits the database with the
-:class:`~repro.chaos.InvariantChecker`.  A trial passes when every
-invariant holds — whether the workload succeeded or failed cleanly.
+ChaosSchedule` from one integer seed, runs one workload from the
+:data:`TRIALS` table (S2V saves, V2S scans, pushed aggregates, WLM
+admission, EXPLAIN/PROFILE, the staging transport, result-cache
+coherence, adaptive joins) under that schedule, and audits the database
+with the :class:`~repro.chaos.InvariantChecker`.  Every workload shares
+one skeleton (:func:`run_trial`); a trial passes when every invariant
+holds — whether the workload succeeded or failed cleanly.
 
 Reproducibility is the contract: a failing trial is replayed from its
 printed seed alone::
@@ -23,7 +25,9 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.bench.fabric import Fabric
@@ -35,8 +39,10 @@ from repro.chaos import (
 )
 from repro.connector.costmodel import VerticaCostModel
 from repro.connector.s2v import FINAL_STATUS_TABLE, S2VWriter
+from repro.connector.v2s import VerticaRelation
 from repro.spark.row import StructField, StructType
 from repro.vertica.errors import VerticaError
+from repro.wlm import GENERAL, ResourcePool
 
 #: small-but-nonzero latencies: enough clock movement for rich fault
 #: interleavings (crashes mid-COPY, storms overlapping phase 5) while a
@@ -119,382 +125,157 @@ class TrialResult:
             f"\nreplay: {self.replay_command()}"
 
 
-def _fabric(speculation: bool, wlm: bool = False,
-            session_pool_size: int = 0, with_hdfs: bool = False) -> Fabric:
-    return Fabric(
-        num_vertica=3,
-        num_spark=4,
-        cost_model=SOAK_COST_MODEL,
-        speculation=speculation,
-        telemetry=True,
-        failover_connect=True,
-        wlm=wlm,
-        session_pool_size=session_pool_size,
-        with_hdfs=with_hdfs,
-        hdfs_nodes=3,
+# ------------------------------------------------------------------- trials
+@dataclass(frozen=True)
+class Trial:
+    """What differs between workloads around :func:`run_trial`'s skeleton.
+
+    ``prepare(run)`` loads tables before the schedule is attached;
+    ``start(run)`` builds the workload under the attached schedule and
+    returns the thunk whose exception (if any) is the trial's ``raised``;
+    ``audit(run, checker, raised, report)`` merges the workload's
+    invariants after the clock has drained.  ``run`` is a scratch
+    namespace carrying ``fabric``, ``seed``, ``mode`` and ``verbose``.
+    """
+
+    prepare: Callable
+    start: Callable
+    audit: Callable
+    #: added to the soak seed (a prime), so one soak seed derives nine
+    #: unrelated schedules
+    seed_offset: int
+    #: extra :class:`Fabric` arguments (wlm, session pool, hdfs)
+    fabric: Dict[str, Any] = field(default_factory=dict)
+    #: extra :meth:`ChaosSchedule.random` arguments
+    schedule: Dict[str, Any] = field(default_factory=dict)
+    #: the mode the result reports; ``None`` = the caller's save mode
+    mode: Optional[str] = "-"
+    #: whether the result carries S2V's swallowed-teardown-error count
+    counts_cleanup: bool = False
+
+
+def run_trial(workload: str, seed: int, mode: str = "overwrite",
+              speculation: bool = False, verbose: bool = False) -> TrialResult:
+    """One seeded ``workload`` trial under chaos, audited."""
+    trial = TRIALS[workload]
+    fabric = Fabric(
+        num_vertica=3, num_spark=4, cost_model=SOAK_COST_MODEL,
+        speculation=speculation, telemetry=True, failover_connect=True,
+        hdfs_nodes=3, **trial.fabric,
     )
-
-
-def _cleanup_failures() -> int:
-    """How many teardown errors S2V swallowed during the current fabric."""
-    return int(telemetry.counter("s2v.cleanup_failures").value)
-
-
-def _drain(fabric: Fabric, report: InvariantReport) -> None:
-    """Run the clock to exhaustion (zombies, heals, restarts)."""
+    run = SimpleNamespace(fabric=fabric, seed=seed, verbose=verbose,
+                          mode=trial.mode or mode)
+    trial.prepare(run)
+    checker = InvariantChecker(fabric.vertica)
+    schedule = ChaosSchedule.random(
+        seed,
+        spark_nodes=[worker.name for worker in fabric.spark.workers],
+        vertica_nodes=fabric.vertica.node_names,
+        link_names=sorted(fabric.all_links()),
+        horizon=HORIZON,
+        **{"events": 4, **trial.schedule},
+    )
+    controller = fabric.attach_chaos(schedule)
+    if verbose:
+        print("\n".join(schedule.describe()))
+    workload_thunk = trial.start(run)
+    raised: Optional[BaseException] = None
+    try:
+        workload_thunk()
+    except Exception as exc:  # noqa: BLE001 - the audit decides if this is fine
+        raised = exc
+    report = InvariantReport(f"{workload} seed={seed}")
+    # Run the clock to exhaustion (zombies, heals, restarts).
     try:
         fabric.env.run()
         report.passed("clean-drain")
     except BaseException as exc:  # noqa: BLE001 - audited, not swallowed
         report.violated("clean-drain", f"draining the run raised {exc!r}")
+    trial.audit(run, checker, raised, report)
+    if verbose:
+        for record in controller.injections:
+            print(record)
+        print(report.describe())
+    cleanup_failures = (
+        int(telemetry.counter("s2v.cleanup_failures").value)
+        if trial.counts_cleanup else 0
+    )
+    return TrialResult(workload, seed, run.mode, speculation, raised, report,
+                       len(controller.injections), cleanup_failures)
 
 
-def run_s2v_trial(seed: int, mode: str = "overwrite",
-                  speculation: bool = False, verbose: bool = False) -> TrialResult:
-    """One seeded S2V save under chaos, audited."""
-    fabric = _fabric(speculation)
-    checker = InvariantChecker(fabric.vertica)
-    prior: List = []
-    if mode == "append":
-        prior = list(PRIOR_ROWS)
-        session = fabric.vertica.db.connect()
+def _load_source(run) -> None:
+    """The static scan source every read-side trial audits against."""
+    session = run.fabric.vertica.db.connect()
+    session.execute(
+        f"CREATE TABLE {SOURCE} (id INTEGER, v FLOAT) SEGMENTED BY HASH(id)"
+    )
+    values = ", ".join(f"({i}, {v})" for i, v in ROWS)
+    session.execute(f"INSERT INTO {SOURCE} VALUES {values}")
+    session.close()
+
+
+#: the read-side fault mix: nothing that targets S2V's commit statements
+SCAN_CHAOS = dict(
+    families=("executor_crash", "link_degrade", "vertica_restart",
+              "connection_sever", "task_kill"),
+    sever_keywords=("AT",),
+)
+#: faults for single-connection statement workloads (no Spark tasks)
+STATEMENT_FAMILIES = ("link_degrade", "vertica_restart", "connection_sever")
+#: the staging transport's extra S2V / V2S options
+STAGING = dict(transport="staging", staging_root="/staging")
+
+
+# -- s2v / staged-s2v / wlm: exactly-once saves -------------------------------
+def _load_prior(run) -> None:
+    run.prior = []
+    if run.mode == "append":
+        run.prior = list(PRIOR_ROWS)
+        session = run.fabric.vertica.db.connect()
         session.execute(f"CREATE TABLE {TARGET} (id INTEGER, v FLOAT)")
-        values = ", ".join(f"({i}, {v})" for i, v in prior)
+        values = ", ".join(f"({i}, {v})" for i, v in run.prior)
         session.execute(f"INSERT INTO {TARGET} VALUES {values}")
         session.close()
-    schedule = ChaosSchedule.random(
-        seed,
-        spark_nodes=[worker.name for worker in fabric.spark.workers],
-        vertica_nodes=fabric.vertica.node_names,
-        link_names=sorted(fabric.all_links()),
-        tables=(FINAL_STATUS_TABLE, TARGET.upper()),
-        horizon=HORIZON,
-        events=4,
-    )
-    controller = fabric.attach_chaos(schedule)
-    if verbose:
-        print("\n".join(schedule.describe()))
-    df = fabric.spark.create_dataframe(ROWS, SCHEMA, num_partitions=NUM_TASKS)
-    writer = S2VWriter(
-        fabric.spark, mode,
-        {"db": fabric.vertica, "table": TARGET, "numpartitions": NUM_TASKS,
-         "scale_factor": SCALE},
-        df,
-    )
-    raised: Optional[BaseException] = None
-    try:
-        writer.save()
-    except Exception as exc:  # noqa: BLE001 - the audit decides if this is fine
-        raised = exc
-    report = InvariantReport(f"s2v seed={seed}")
-    _drain(fabric, report)
+
+
+def _start_save(**options) -> Callable:
+    def start(run):
+        fabric = run.fabric
+        extra = dict(options)
+        if "transport" in extra:
+            extra["staging_fs"] = fabric.hdfs
+        df = fabric.spark.create_dataframe(ROWS, SCHEMA,
+                                           num_partitions=NUM_TASKS)
+        run.writer = S2VWriter(
+            fabric.spark, run.mode,
+            {"db": fabric.vertica, "table": TARGET,
+             "numpartitions": NUM_TASKS, "scale_factor": SCALE, **extra},
+            df,
+        )
+        return run.writer.save
+
+    return start
+
+
+def _audit_save(run, checker, raised, report) -> None:
     report.merge(checker.check_s2v_save(
-        writer.job_name, TARGET, ROWS,
-        mode=mode, prior_rows=prior, raised=raised,
+        run.writer.job_name, TARGET, ROWS,
+        mode=run.mode, prior_rows=getattr(run, "prior", []), raised=raised,
     ))
+    if run.fabric.hdfs is not None:
+        # loser attempts, partial files and manifests must all be swept
+        report.merge(checker.check_no_orphaned_staging(run.fabric.hdfs))
     report.merge(checker.check_cleanup_failures())
-    if verbose:
-        for record in controller.injections:
-            print(record)
-        print(report.describe())
-    return TrialResult(
-        "s2v", seed, mode, speculation, raised, report,
-        len(controller.injections), cleanup_failures=_cleanup_failures(),
-    )
-
-
-def run_v2s_trial(seed: int, speculation: bool = False,
-                  verbose: bool = False) -> TrialResult:
-    """One seeded V2S scan under chaos, audited against its pinned epoch."""
-    from repro.connector.v2s import VerticaRelation
-
-    fabric = _fabric(speculation)
-    session = fabric.vertica.db.connect()
-    session.execute(
-        f"CREATE TABLE {SOURCE} (id INTEGER, v FLOAT) SEGMENTED BY HASH(id)"
-    )
-    values = ", ".join(f"({i}, {v})" for i, v in ROWS)
-    session.execute(f"INSERT INTO {SOURCE} VALUES {values}")
-    session.close()
-    checker = InvariantChecker(fabric.vertica)
-    schedule = ChaosSchedule.random(
-        seed,
-        spark_nodes=[worker.name for worker in fabric.spark.workers],
-        vertica_nodes=fabric.vertica.node_names,
-        link_names=sorted(fabric.all_links()),
-        horizon=HORIZON,
-        events=4,
-        families=("executor_crash", "link_degrade", "vertica_restart",
-                  "connection_sever", "task_kill"),
-        sever_keywords=("AT",),
-    )
-    controller = fabric.attach_chaos(schedule)
-    if verbose:
-        print("\n".join(schedule.describe()))
-    relation = VerticaRelation(fabric.spark, {
-        "db": fabric.vertica, "table": SOURCE, "numpartitions": NUM_TASKS,
-        "scale_factor": SCALE,
-    })
-    rdd = relation.build_scan()
-    raised: Optional[BaseException] = None
-    rows: List = []
-    try:
-        for partition in fabric.spark.run_job(rdd, name=f"chaos_v2s_{seed}"):
-            rows.extend(partition)
-    except Exception as exc:  # noqa: BLE001 - the audit decides if this is fine
-        raised = exc
-    report = InvariantReport(f"v2s seed={seed}")
-    _drain(fabric, report)
-    if raised is None:
-        report.merge(checker.check_v2s_scan(SOURCE, rdd.epoch, rows))
-    else:
-        report.merge(checker.check_no_leaks())
-    if verbose:
-        for record in controller.injections:
-            print(record)
-        print(report.describe())
-    return TrialResult(
-        "v2s", seed, "-", speculation, raised, report,
-        len(controller.injections),
-    )
-
-
-def run_staged_s2v_trial(seed: int, mode: str = "overwrite",
-                         speculation: bool = False,
-                         verbose: bool = False) -> TrialResult:
-    """One seeded *staging-transport* S2V save under chaos, audited.
-
-    Tasks write attempt-named columnar files to the staging FS before
-    claiming their status rows, the winner writes the ``_MANIFEST``, and
-    the driver bulk-loads the manifested files — so the chaos probes at
-    ``s2v:staged_before_file_write`` / ``after_file_write`` and
-    ``staged_before_manifest`` / ``after_manifest`` exercise crashes
-    mid-write and severs on either side of the commit record.  Beyond the
-    usual exactly-once audit, the staging FS itself must be empty after
-    the run: loser attempts, partial files and manifests are all swept.
-    """
-    fabric = _fabric(speculation, with_hdfs=True)
-    checker = InvariantChecker(fabric.vertica)
-    prior: List = []
-    if mode == "append":
-        prior = list(PRIOR_ROWS)
-        session = fabric.vertica.db.connect()
-        session.execute(f"CREATE TABLE {TARGET} (id INTEGER, v FLOAT)")
-        values = ", ".join(f"({i}, {v})" for i, v in prior)
-        session.execute(f"INSERT INTO {TARGET} VALUES {values}")
-        session.close()
-    schedule = ChaosSchedule.random(
-        seed,
-        spark_nodes=[worker.name for worker in fabric.spark.workers],
-        vertica_nodes=fabric.vertica.node_names,
-        link_names=sorted(fabric.all_links()),
-        tables=(FINAL_STATUS_TABLE, TARGET.upper()),
-        horizon=HORIZON,
-        events=4,
-    )
-    controller = fabric.attach_chaos(schedule)
-    if verbose:
-        print("\n".join(schedule.describe()))
-    df = fabric.spark.create_dataframe(ROWS, SCHEMA, num_partitions=NUM_TASKS)
-    writer = S2VWriter(
-        fabric.spark, mode,
-        {"db": fabric.vertica, "table": TARGET, "numpartitions": NUM_TASKS,
-         "scale_factor": SCALE, "transport": "staging",
-         "staging_fs": fabric.hdfs, "staging_root": "/staging"},
-        df,
-    )
-    raised: Optional[BaseException] = None
-    try:
-        writer.save()
-    except Exception as exc:  # noqa: BLE001 - the audit decides if this is fine
-        raised = exc
-    report = InvariantReport(f"staged-s2v seed={seed}")
-    _drain(fabric, report)
-    report.merge(checker.check_s2v_save(
-        writer.job_name, TARGET, ROWS,
-        mode=mode, prior_rows=prior, raised=raised,
-    ))
-    report.merge(checker.check_no_orphaned_staging(fabric.hdfs))
-    report.merge(checker.check_cleanup_failures())
-    if verbose:
-        for record in controller.injections:
-            print(record)
-        print(report.describe())
-    return TrialResult(
-        "staged-s2v", seed, mode, speculation, raised, report,
-        len(controller.injections), cleanup_failures=_cleanup_failures(),
-    )
-
-
-def run_staged_v2s_trial(seed: int, speculation: bool = False,
-                         verbose: bool = False) -> TrialResult:
-    """One seeded staging-transport V2S scan under chaos, audited.
-
-    The relation exports segment-local columnar files to the staging FS
-    at a pinned epoch, then scan tasks read them block-locally.  Whatever
-    the chaos does, a successful scan must equal the ``AT EPOCH``
-    snapshot, and after ``cleanup_staging()`` the staging FS must hold
-    nothing — including when the export itself died part-way.
-    """
-    from repro.connector.v2s import VerticaRelation
-
-    fabric = _fabric(speculation, with_hdfs=True)
-    session = fabric.vertica.db.connect()
-    session.execute(
-        f"CREATE TABLE {SOURCE} (id INTEGER, v FLOAT) SEGMENTED BY HASH(id)"
-    )
-    values = ", ".join(f"({i}, {v})" for i, v in ROWS)
-    session.execute(f"INSERT INTO {SOURCE} VALUES {values}")
-    session.close()
-    checker = InvariantChecker(fabric.vertica)
-    schedule = ChaosSchedule.random(
-        seed,
-        spark_nodes=[worker.name for worker in fabric.spark.workers],
-        vertica_nodes=fabric.vertica.node_names,
-        link_names=sorted(fabric.all_links()),
-        horizon=HORIZON,
-        events=4,
-        families=("executor_crash", "link_degrade", "vertica_restart",
-                  "connection_sever", "task_kill"),
-        sever_keywords=("AT",),
-    )
-    controller = fabric.attach_chaos(schedule)
-    if verbose:
-        print("\n".join(schedule.describe()))
-    relation = VerticaRelation(fabric.spark, {
-        "db": fabric.vertica, "table": SOURCE, "numpartitions": NUM_TASKS,
-        "scale_factor": SCALE, "transport": "staging",
-        "staging_fs": fabric.hdfs, "staging_root": "/staging",
-    })
-    raised: Optional[BaseException] = None
-    rows: List = []
-    epoch: Optional[int] = None
-    try:
-        rdd = relation.build_scan()
-        epoch = rdd.epoch
-        for partition in fabric.spark.run_job(
-                rdd, name=f"chaos_staged_v2s_{seed}"):
-            rows.extend(partition)
-    except Exception as exc:  # noqa: BLE001 - the audit decides if this is fine
-        raised = exc
-    report = InvariantReport(f"staged-v2s seed={seed}")
-    _drain(fabric, report)
-    relation.cleanup_staging()
-    if raised is None and epoch is not None:
-        report.merge(checker.check_v2s_scan(SOURCE, epoch, rows))
-    else:
-        report.merge(checker.check_no_leaks())
-    report.merge(checker.check_no_orphaned_staging(fabric.hdfs))
-    if verbose:
-        for record in controller.injections:
-            print(record)
-        print(report.describe())
-    return TrialResult(
-        "staged-v2s", seed, "-", speculation, raised, report,
-        len(controller.injections),
-    )
-
-
-#: the aggregates the agg-scan trial pushes down (id is NULL-free, so the
-#: expected values are computable exactly from ROWS)
-AGG_SPECS = (("*", "count"), ("id", "sum"), ("id", "min"), ("id", "max"),
-             ("id", "avg"))
-
-
-def _expected_aggregates() -> List[Tuple]:
-    groups: dict = {}
-    for i, v in ROWS:
-        groups.setdefault(v, []).append(i)
-    return [
-        (v, len(ids), sum(ids), min(ids), max(ids), sum(ids) / len(ids))
-        for v, ids in groups.items()
-    ]
-
-
-def run_agg_trial(seed: int, speculation: bool = False,
-                  verbose: bool = False) -> TrialResult:
-    """One seeded pushed-down aggregate scan under chaos, audited.
-
-    The scan compiles ``group_by("v").agg(...)`` into per-hash-range
-    partial GROUP BY queries at one pinned epoch; whatever the chaos
-    does to tasks and connections, a successful job must produce exactly
-    the aggregates of the static source rows.
-    """
-    fabric = _fabric(speculation)
-    session = fabric.vertica.db.connect()
-    session.execute(
-        f"CREATE TABLE {SOURCE} (id INTEGER, v FLOAT) SEGMENTED BY HASH(id)"
-    )
-    values = ", ".join(f"({i}, {v})" for i, v in ROWS)
-    session.execute(f"INSERT INTO {SOURCE} VALUES {values}")
-    session.close()
-    checker = InvariantChecker(fabric.vertica)
-    schedule = ChaosSchedule.random(
-        seed,
-        spark_nodes=[worker.name for worker in fabric.spark.workers],
-        vertica_nodes=fabric.vertica.node_names,
-        link_names=sorted(fabric.all_links()),
-        horizon=HORIZON,
-        events=4,
-        families=("executor_crash", "link_degrade", "vertica_restart",
-                  "connection_sever", "task_kill"),
-        sever_keywords=("AT",),
-    )
-    controller = fabric.attach_chaos(schedule)
-    if verbose:
-        print("\n".join(schedule.describe()))
-    df = fabric.spark.read.format("vertica").options(
-        db=fabric.vertica, table=SOURCE, numpartitions=NUM_TASKS,
-        scale_factor=SCALE,
-    ).load()
-    raised: Optional[BaseException] = None
-    rows: List = []
-    try:
-        rows = df.group_by("v").agg(*AGG_SPECS).collect()
-    except Exception as exc:  # noqa: BLE001 - the audit decides if this is fine
-        raised = exc
-    report = InvariantReport(f"agg seed={seed}")
-    _drain(fabric, report)
-    if raised is None:
-        expected = sorted(map(repr, _expected_aggregates()))
-        actual = sorted(map(repr, rows))
-        if actual == expected:
-            report.passed("agg-exactly-once")
-        else:
-            report.violated(
-                "agg-exactly-once",
-                f"pushed aggregation produced {len(rows)} group rows that "
-                f"do not match the {len(expected)} expected groups",
-            )
-    report.merge(checker.check_no_leaks())
-    if verbose:
-        for record in controller.injections:
-            print(record)
-        print(report.describe())
-    return TrialResult(
-        "agg", seed, "-", speculation, raised, report,
-        len(controller.injections),
-    )
 
 
 #: the WLM trial's deliberately starved ingest pool
 INGEST_POOL = "SOAK_INGEST"
 
 
-def run_wlm_trial(seed: int, speculation: bool = False,
-                  verbose: bool = False) -> TrialResult:
-    """One seeded S2V save through starved WLM pools, under pool storms.
-
-    The save is admitted through a two-slot ingest pool (cascading to an
-    equally tight GENERAL) while seeded ``pool_storm`` noisy neighbours
-    claim the same slots, alongside the regular fault families.  Whether
-    the save lands or times out queueing, exactly-once must hold and no
-    admission slot, memory grant or pooled session may leak.
-    """
-    from repro.wlm import GENERAL, ResourcePool
-
-    fabric = _fabric(speculation, wlm=True, session_pool_size=2)
-    db = fabric.vertica.db
+def _starve_pools(run) -> None:
+    """A two-slot ingest pool cascading to an equally tight GENERAL."""
+    db = run.fabric.vertica.db
     db.create_resource_pool(
         ResourcePool(GENERAL, memory_mb=2048, planned_concurrency=2,
                      max_concurrency=2, queue_timeout=0.8),
@@ -504,49 +285,134 @@ def run_wlm_trial(seed: int, speculation: bool = False,
         ResourcePool(INGEST_POOL, memory_mb=2048, planned_concurrency=2,
                      max_concurrency=2, queue_timeout=0.6, cascade=GENERAL)
     )
-    checker = InvariantChecker(fabric.vertica)
-    schedule = ChaosSchedule.random(
-        seed,
-        spark_nodes=[worker.name for worker in fabric.spark.workers],
-        vertica_nodes=fabric.vertica.node_names,
-        link_names=sorted(fabric.all_links()),
-        tables=(FINAL_STATUS_TABLE, TARGET.upper()),
-        horizon=HORIZON,
-        events=5,
-        families=ALL_FAMILIES,
-        pools=(INGEST_POOL, GENERAL),
-    )
-    controller = fabric.attach_chaos(schedule)
-    if verbose:
-        print("\n".join(schedule.describe()))
-    df = fabric.spark.create_dataframe(ROWS, SCHEMA, num_partitions=NUM_TASKS)
-    writer = S2VWriter(
-        fabric.spark, "overwrite",
-        {"db": fabric.vertica, "table": TARGET, "numpartitions": NUM_TASKS,
-         "scale_factor": SCALE, "resource_pool": INGEST_POOL},
-        df,
-    )
-    raised: Optional[BaseException] = None
-    try:
-        writer.save()
-    except Exception as exc:  # noqa: BLE001 - the audit decides if this is fine
-        raised = exc
-    report = InvariantReport(f"wlm seed={seed}")
-    _drain(fabric, report)
-    if fabric.vertica.session_pool is not None:
-        fabric.vertica.session_pool.close_all()
-    report.merge(checker.check_s2v_save(
-        writer.job_name, TARGET, ROWS, mode="overwrite", raised=raised,
-    ))
-    report.merge(checker.check_cleanup_failures())
-    if verbose:
-        for record in controller.injections:
-            print(record)
-        print(report.describe())
-    return TrialResult(
-        "wlm", seed, "overwrite", speculation, raised, report,
-        len(controller.injections), cleanup_failures=_cleanup_failures(),
-    )
+
+
+def _audit_wlm_save(run, checker, raised, report) -> None:
+    # Park nothing across the audit: whether the save landed or timed out
+    # queueing, no admission slot, grant or pooled session may leak.
+    run.fabric.vertica.session_pool.close_all()
+    _audit_save(run, checker, raised, report)
+
+
+# -- v2s / staged-v2s: scans audited against their pinned epoch ----------------
+def _start_scan(**options) -> Callable:
+    def start(run):
+        fabric = run.fabric
+        extra = dict(options)
+        staged = "transport" in extra
+        if staged:
+            extra["staging_fs"] = fabric.hdfs
+        run.relation = VerticaRelation(fabric.spark, {
+            "db": fabric.vertica, "table": SOURCE, "numpartitions": NUM_TASKS,
+            "scale_factor": SCALE, **extra,
+        })
+        run.rows, run.epoch = [], None
+        # A direct scan is planned up front; a staged scan's export is part
+        # of the workload, because it can itself die under chaos.
+        planned = None if staged else run.relation.build_scan()
+
+        def scan():
+            rdd = run.relation.build_scan() if staged else planned
+            run.epoch = rdd.epoch
+            name = f"chaos_{'staged_' if staged else ''}v2s_{run.seed}"
+            for partition in fabric.spark.run_job(rdd, name=name):
+                run.rows.extend(partition)
+
+        return scan
+
+    return start
+
+
+def _audit_scan(run, checker, raised, report) -> None:
+    if run.fabric.hdfs is not None:
+        run.relation.cleanup_staging()
+    if raised is None and run.epoch is not None:
+        report.merge(checker.check_v2s_scan(SOURCE, run.epoch, run.rows))
+    else:
+        report.merge(checker.check_no_leaks())
+    if run.fabric.hdfs is not None:
+        # the staging FS must hold nothing, even if the export died part-way
+        report.merge(checker.check_no_orphaned_staging(run.fabric.hdfs))
+
+
+# -- agg: pushed-down partial aggregation --------------------------------------
+#: the aggregates the agg-scan trial pushes down (id is NULL-free, so the
+#: expected values are computable exactly from ROWS)
+AGG_SPECS = (("*", "count"), ("id", "sum"), ("id", "min"), ("id", "max"),
+             ("id", "avg"))
+
+
+def _ids_by_v() -> Dict[float, List[int]]:
+    groups: Dict[float, List[int]] = {}
+    for i, v in ROWS:
+        groups.setdefault(v, []).append(i)
+    return groups
+
+
+def _start_agg(run) -> Callable:
+    df = run.fabric.spark.read.format("vertica").options(
+        db=run.fabric.vertica, table=SOURCE, numpartitions=NUM_TASKS,
+        scale_factor=SCALE,
+    ).load()
+
+    def collect():
+        run.rows = df.group_by("v").agg(*AGG_SPECS).collect()
+
+    return collect
+
+
+def _audit_agg(run, checker, raised, report) -> None:
+    if raised is None:
+        expected = sorted(
+            repr((v, len(ids), sum(ids), min(ids), max(ids),
+                  sum(ids) / len(ids)))
+            for v, ids in _ids_by_v().items()
+        )
+        if sorted(map(repr, run.rows)) == expected:
+            report.passed("agg-exactly-once")
+        else:
+            report.violated(
+                "agg-exactly-once",
+                f"pushed aggregation produced {len(run.rows)} group rows "
+                f"that do not match the {len(expected)} expected groups",
+            )
+    report.merge(checker.check_no_leaks())
+
+
+# -- profile / adaptive: EXPLAIN + PROFILE over a data-plane connection --------
+def _start_explain_profile(select: str, name: str) -> Callable:
+    """EXPLAIN then PROFILE ``select`` from a client node, so statement
+    severs apply while restarts and link faults fire."""
+    def start(run):
+        fabric = run.fabric
+
+        def workload():
+            with fabric.vertica.connect(
+                client_node=fabric.spark.workers[0]
+            ) as connection:
+                plan = yield from connection.execute(
+                    "EXPLAIN " + select, weight=SCALE
+                )
+                run.plan = [row[0] for row in plan.rows]
+                run.profiled = yield from connection.execute(
+                    "PROFILE " + select, weight=SCALE
+                )
+
+        return lambda: fabric.vertica.run(workload(),
+                                          name=f"chaos_{name}_{run.seed}")
+
+    return start
+
+
+def _audit_answer(report, check: str, what: str, actual, expected) -> None:
+    if actual == expected:
+        report.passed(check)
+    else:
+        report.violated(
+            check,
+            f"{what} produced {len(actual)} group rows that do "
+            f"not match the {len(expected)} expected groups",
+        )
 
 
 #: the profile trial's query: a grouped aggregation whose exact answer is
@@ -556,81 +422,13 @@ PROFILE_SELECT = (
 )
 
 
-def _expected_profile_groups() -> List[tuple]:
-    groups: dict = {}
-    for i, v in ROWS:
-        groups.setdefault(v, []).append(i)
-    return [
-        (v, len(ids), sum(ids)) for v, ids in sorted(groups.items())
-    ]
-
-
-def run_profile_trial(seed: int, speculation: bool = False,
-                      verbose: bool = False) -> TrialResult:
-    """One seeded EXPLAIN + PROFILE of a grouped query under chaos.
-
-    The statements run over a data-plane connection (client node set, so
-    statement severs apply) while restarts and link faults fire.  When
-    the profiled query completes it must return exactly the aggregates
-    of the static source rows, its per-operator stats must reconcile
-    with the statement's CostReport, and — success or clean failure —
-    no session or lock may leak.
-    """
-    fabric = _fabric(speculation)
-    session = fabric.vertica.db.connect()
-    session.execute(
-        f"CREATE TABLE {SOURCE} (id INTEGER, v FLOAT) SEGMENTED BY HASH(id)"
-    )
-    values = ", ".join(f"({i}, {v})" for i, v in ROWS)
-    session.execute(f"INSERT INTO {SOURCE} VALUES {values}")
-    session.close()
-    checker = InvariantChecker(fabric.vertica)
-    schedule = ChaosSchedule.random(
-        seed,
-        spark_nodes=[worker.name for worker in fabric.spark.workers],
-        vertica_nodes=fabric.vertica.node_names,
-        link_names=sorted(fabric.all_links()),
-        horizon=HORIZON,
-        events=4,
-        families=("link_degrade", "vertica_restart", "connection_sever"),
-        sever_keywords=("PROFILE", "EXPLAIN"),
-    )
-    controller = fabric.attach_chaos(schedule)
-    if verbose:
-        print("\n".join(schedule.describe()))
-    outcome: dict = {}
-
-    def workload():
-        with fabric.vertica.connect(
-            client_node=fabric.spark.workers[0]
-        ) as connection:
-            plan = yield from connection.execute(
-                "EXPLAIN " + PROFILE_SELECT, weight=SCALE
-            )
-            outcome["plan"] = [row[0] for row in plan.rows]
-            outcome["profile"] = yield from connection.execute(
-                "PROFILE " + PROFILE_SELECT, weight=SCALE
-            )
-
-    raised: Optional[BaseException] = None
-    try:
-        fabric.vertica.run(workload(), name=f"chaos_profile_{seed}")
-    except Exception as exc:  # noqa: BLE001 - the audit decides if this is fine
-        raised = exc
-    report = InvariantReport(f"profile seed={seed}")
-    _drain(fabric, report)
+def _audit_profile(run, checker, raised, report) -> None:
     if raised is None:
-        profiled = outcome["profile"]
-        expected = _expected_profile_groups()
-        actual = list(profiled.query_result.rows)
-        if actual == expected:
-            report.passed("profile-exact-answer")
-        else:
-            report.violated(
-                "profile-exact-answer",
-                f"profiled query produced {len(actual)} group rows that do "
-                f"not match the {len(expected)} expected groups",
-            )
+        profiled = run.profiled
+        expected = [(v, len(ids), sum(ids))
+                    for v, ids in sorted(_ids_by_v().items())]
+        _audit_answer(report, "profile-exact-answer", "profiled query",
+                      list(profiled.query_result.rows), expected)
         stats = {
             kind: (rows_in, rows_out)
             for kind, rows_in, rows_out in profiled.profile.operator_rows()
@@ -645,132 +443,16 @@ def run_profile_trial(seed: int, speculation: bool = False,
                 f"operator stats {stats} disagree with cost "
                 f"rows_scanned={profiled.cost.rows_scanned}",
             )
-        plan = outcome.get("plan", [])
-        if any("SCAN" in line for line in plan) and \
-                any("GROUP BY" in line.upper() for line in plan):
+        if any("SCAN" in line for line in run.plan) and \
+                any("GROUP BY" in line.upper() for line in run.plan):
             report.passed("explain-renders")
         else:
             report.violated(
                 "explain-renders",
-                f"EXPLAIN output is missing its scan/aggregate nodes: {plan}",
+                f"EXPLAIN output is missing its scan/aggregate nodes: "
+                f"{run.plan}",
             )
     report.merge(checker.check_no_leaks())
-    if verbose:
-        for record in controller.injections:
-            print(record)
-        print(report.describe())
-    return TrialResult(
-        "profile", seed, "-", speculation, raised, report,
-        len(controller.injections),
-    )
-
-
-#: the cache-coherence trial's serving table and mix
-CACHE_SOURCE = "chaos_cache_src"
-CACHE_GROUPS = 8
-CACHE_READERS = 3
-CACHE_READS = 12
-CACHE_WRITES = 12
-
-
-def run_cache_trial(seed: int, speculation: bool = False,
-                    verbose: bool = False) -> TrialResult:
-    """One seeded result-cache coherence trial under chaos, audited.
-
-    Readers hammer point queries over a result-cached table while a
-    writer advances the epoch with INSERTs and faults sever connections
-    and restart nodes.  Every answer a reader accepted — hit or miss —
-    is recorded with its pinned snapshot epoch, and the audit replays
-    each one ``AT EPOCH`` with the cache forced off: a single divergent
-    row is a stale read, the violation the (digest, epoch, catalog
-    version) key exists to prevent.
-    """
-    fabric = _fabric(speculation)
-    db = fabric.vertica.db
-    session = db.connect()
-    session.execute(
-        f"CREATE TABLE {CACHE_SOURCE} (id INTEGER, grp INTEGER, v FLOAT) "
-        f"SEGMENTED BY HASH(id)"
-    )
-    values = ", ".join(
-        f"({i}, {i % CACHE_GROUPS}, {float((i * 7) % 31)})"
-        for i in range(200)
-    )
-    session.execute(f"INSERT INTO {CACHE_SOURCE} VALUES {values}")
-    session.close()
-    db.result_cache_default = True
-    checker = InvariantChecker(fabric.vertica)
-    schedule = ChaosSchedule.random(
-        seed,
-        spark_nodes=[worker.name for worker in fabric.spark.workers],
-        vertica_nodes=fabric.vertica.node_names,
-        link_names=sorted(fabric.all_links()),
-        horizon=HORIZON,
-        events=4,
-        families=("link_degrade", "vertica_restart", "connection_sever"),
-        sever_keywords=("SELECT", "INSERT"),
-    )
-    controller = fabric.attach_chaos(schedule)
-    if verbose:
-        print("\n".join(schedule.describe()))
-    observations: List[tuple] = []
-    hits = [0]
-
-    def reader(reader_id: int):
-        rng = random.Random(seed * 7919 + reader_id)
-        node_names = fabric.vertica.node_names
-        for __ in range(CACHE_READS):
-            yield fabric.env.timeout(0.05 + 0.25 * rng.random())
-            grp = rng.randrange(CACHE_GROUPS)
-            sql = (f"SELECT COUNT(*), SUM(v) FROM {CACHE_SOURCE} "
-                   f"WHERE grp = {grp}")
-            try:
-                with fabric.vertica.connect(
-                    node_names[reader_id % len(node_names)]
-                ) as conn:
-                    result = yield from conn.execute(sql, weight=SCALE)
-            except VerticaError:
-                continue  # severed / node down: the read never answered
-            observations.append(
-                (sql, result.snapshot_epoch, list(result.rows))
-            )
-            if getattr(result.cost, "cache_hit", False):
-                hits[0] += 1
-
-    def writer():
-        rng = random.Random(seed * 104729 + 1)
-        for index in range(CACHE_WRITES):
-            yield fabric.env.timeout(0.1 + 0.2 * rng.random())
-            try:
-                with fabric.vertica.connect() as conn:
-                    yield from conn.execute(
-                        f"INSERT INTO {CACHE_SOURCE} VALUES "
-                        f"({10_000 + index}, {rng.randrange(CACHE_GROUPS)}, "
-                        f"{float(index)})"
-                    )
-            except VerticaError:
-                continue  # a failed write is fine; staleness is not
-
-    for reader_id in range(CACHE_READERS):
-        fabric.env.process(reader(reader_id), name=f"cache_reader{reader_id}")
-    fabric.env.process(writer(), name="cache_writer")
-    report = InvariantReport(f"cache seed={seed}")
-    _drain(fabric, report)
-    if observations:
-        report.passed("progress")
-    else:
-        report.violated("progress", "no reader recorded a single answer")
-    report.merge(checker.check_no_stale_reads(observations))
-    report.merge(checker.check_no_leaks())
-    if verbose:
-        for record in controller.injections:
-            print(record)
-        print(f"observations={len(observations)} cache_hits={hits[0]}")
-        print(report.describe())
-    return TrialResult(
-        "cache", seed, "-", speculation, None, report,
-        len(controller.injections),
-    )
 
 
 #: the adaptive-join trial's star schema: fact stats are deliberately
@@ -796,32 +478,8 @@ ADAPTIVE_SELECT = (
 )
 
 
-def _expected_adaptive_groups() -> List[tuple]:
-    groups: dict = {}
-    for i in range(ADAPTIVE_FACT_ROWS):
-        if (i % ADAPTIVE_B_KEYS) * 2 >= ADAPTIVE_B_CUTOFF:
-            continue
-        groups.setdefault((i % ADAPTIVE_A_KEYS) * 2, []).append(float(i))
-    return [(a_val, len(vals), sum(vals))
-            for a_val, vals in sorted(groups.items())]
-
-
-def run_adaptive_join_trial(seed: int, speculation: bool = False,
-                            verbose: bool = False) -> TrialResult:
-    """One seeded adaptive multi-way join under chaos, audited exactly.
-
-    A 3-way star join runs while restarts and link faults fire.  The
-    fact table's statistics are deliberately stale (ANALYZEd at 1/15th
-    of its final size), so the reordered plan builds on a side that
-    balloons at runtime and the join operators must replan mid-query.
-    If the query completes it must return exactly the aggregates of the
-    static rows — reordering, build-side swaps and the feedback loop may
-    never change an answer — EXPLAIN must show the reordered join order,
-    PROFILE must record at least one replan, and no session or lock may
-    leak either way.
-    """
-    fabric = _fabric(speculation)
-    session = fabric.vertica.db.connect()
+def _load_star(run) -> None:
+    session = run.fabric.vertica.db.connect()
     session.execute(
         f"CREATE TABLE {ADAPTIVE_FACT} (fk1 INTEGER, fk2 INTEGER, fv FLOAT) "
         f"SEGMENTED BY HASH(fk1)"
@@ -854,61 +512,28 @@ def run_adaptive_join_trial(seed: int, speculation: bool = False,
     session.execute(f"INSERT INTO {ADAPTIVE_FACT} VALUES "
                     + fact_values(ADAPTIVE_ANALYZED, ADAPTIVE_FACT_ROWS))
     session.close()
-    checker = InvariantChecker(fabric.vertica)
-    schedule = ChaosSchedule.random(
-        seed,
-        spark_nodes=[worker.name for worker in fabric.spark.workers],
-        vertica_nodes=fabric.vertica.node_names,
-        link_names=sorted(fabric.all_links()),
-        horizon=HORIZON,
-        events=4,
-        families=("link_degrade", "vertica_restart", "connection_sever"),
-        sever_keywords=("PROFILE", "SELECT"),
-    )
-    controller = fabric.attach_chaos(schedule)
-    if verbose:
-        print("\n".join(schedule.describe()))
-    outcome: dict = {}
 
-    def workload():
-        with fabric.vertica.connect(
-            client_node=fabric.spark.workers[0]
-        ) as connection:
-            plan = yield from connection.execute(
-                "EXPLAIN " + ADAPTIVE_SELECT, weight=SCALE
-            )
-            outcome["plan"] = [row[0] for row in plan.rows]
-            outcome["profile"] = yield from connection.execute(
-                "PROFILE " + ADAPTIVE_SELECT, weight=SCALE
-            )
 
-    raised: Optional[BaseException] = None
-    try:
-        fabric.vertica.run(workload(), name=f"chaos_adaptive_{seed}")
-    except Exception as exc:  # noqa: BLE001 - the audit decides if this is fine
-        raised = exc
-    report = InvariantReport(f"adaptive seed={seed}")
-    _drain(fabric, report)
+def _audit_adaptive(run, checker, raised, report) -> None:
+    # Reordering, build-side swaps and the feedback loop may never change
+    # an answer; EXPLAIN must show the order, PROFILE at least one replan.
     if raised is None:
-        profiled = outcome["profile"]
-        expected = _expected_adaptive_groups()
-        actual = list(profiled.query_result.rows)
-        if actual == expected:
-            report.passed("adaptive-exact-answer")
-        else:
-            report.violated(
-                "adaptive-exact-answer",
-                f"adaptive join produced {len(actual)} group rows that do "
-                f"not match the {len(expected)} expected groups",
-            )
-        if any("JOIN ORDER:" in line for line in outcome.get("plan", [])):
+        groups: Dict[int, List[float]] = {}
+        for i in range(ADAPTIVE_FACT_ROWS):
+            if (i % ADAPTIVE_B_KEYS) * 2 < ADAPTIVE_B_CUTOFF:
+                groups.setdefault((i % ADAPTIVE_A_KEYS) * 2, []).append(float(i))
+        expected = [(a_val, len(vals), sum(vals))
+                    for a_val, vals in sorted(groups.items())]
+        _audit_answer(report, "adaptive-exact-answer", "adaptive join",
+                      list(run.profiled.query_result.rows), expected)
+        if any("JOIN ORDER:" in line for line in run.plan):
             report.passed("explain-join-order")
         else:
             report.violated(
                 "explain-join-order",
                 "EXPLAIN did not render the reordered join order",
             )
-        if profiled.profile.replans:
+        if run.profiled.profile.replans:
             report.passed("replan-recorded")
         else:
             report.violated(
@@ -916,15 +541,137 @@ def run_adaptive_join_trial(seed: int, speculation: bool = False,
                 "stale fact statistics produced no recorded replan",
             )
     report.merge(checker.check_no_leaks())
-    if verbose:
-        for record in controller.injections:
-            print(record)
-        print(report.describe())
-    return TrialResult(
-        "adaptive", seed, "-", speculation, raised, report,
-        len(controller.injections),
-    )
 
+
+# -- cache: result-cache coherence under churn ---------------------------------
+CACHE_SOURCE = "chaos_cache_src"
+CACHE_GROUPS = 8
+CACHE_READERS = 3
+CACHE_READS = 12
+CACHE_WRITES = 12
+
+
+def _load_cache_source(run) -> None:
+    db = run.fabric.vertica.db
+    session = db.connect()
+    session.execute(
+        f"CREATE TABLE {CACHE_SOURCE} (id INTEGER, grp INTEGER, v FLOAT) "
+        f"SEGMENTED BY HASH(id)"
+    )
+    values = ", ".join(
+        f"({i}, {i % CACHE_GROUPS}, {float((i * 7) % 31)})"
+        for i in range(200)
+    )
+    session.execute(f"INSERT INTO {CACHE_SOURCE} VALUES {values}")
+    session.close()
+    db.result_cache_default = True
+
+
+def _start_cache(run) -> Callable:
+    """Readers hammer result-cached point queries while a writer advances
+    the epoch; every accepted answer is recorded with its pinned epoch."""
+    fabric = run.fabric
+    run.observations, run.hits = [], 0
+
+    def reader(reader_id: int):
+        rng = random.Random(run.seed * 7919 + reader_id)
+        node_names = fabric.vertica.node_names
+        for __ in range(CACHE_READS):
+            yield fabric.env.timeout(0.05 + 0.25 * rng.random())
+            grp = rng.randrange(CACHE_GROUPS)
+            sql = (f"SELECT COUNT(*), SUM(v) FROM {CACHE_SOURCE} "
+                   f"WHERE grp = {grp}")
+            try:
+                with fabric.vertica.connect(
+                    node_names[reader_id % len(node_names)]
+                ) as conn:
+                    result = yield from conn.execute(sql, weight=SCALE)
+            except VerticaError:
+                continue  # severed / node down: the read never answered
+            run.observations.append(
+                (sql, result.snapshot_epoch, list(result.rows))
+            )
+            if getattr(result.cost, "cache_hit", False):
+                run.hits += 1
+
+    def writer():
+        rng = random.Random(run.seed * 104729 + 1)
+        for index in range(CACHE_WRITES):
+            yield fabric.env.timeout(0.1 + 0.2 * rng.random())
+            try:
+                with fabric.vertica.connect() as conn:
+                    yield from conn.execute(
+                        f"INSERT INTO {CACHE_SOURCE} VALUES "
+                        f"({10_000 + index}, {rng.randrange(CACHE_GROUPS)}, "
+                        f"{float(index)})"
+                    )
+            except VerticaError:
+                continue  # a failed write is fine; staleness is not
+
+    for reader_id in range(CACHE_READERS):
+        fabric.env.process(reader(reader_id), name=f"cache_reader{reader_id}")
+    fabric.env.process(writer(), name="cache_writer")
+    return lambda: None  # the processes run when the trial drains the clock
+
+
+def _audit_cache(run, checker, raised, report) -> None:
+    if run.observations:
+        report.passed("progress")
+    else:
+        report.violated("progress", "no reader recorded a single answer")
+    # Replay each answer AT EPOCH with the cache forced off: one divergent
+    # row is a stale read, the violation the (digest, epoch, catalog
+    # version) cache key exists to prevent.
+    report.merge(checker.check_no_stale_reads(run.observations))
+    report.merge(checker.check_no_leaks())
+    if run.verbose:
+        print(f"observations={len(run.observations)} cache_hits={run.hits}")
+
+
+S2V_TABLES = dict(tables=(FINAL_STATUS_TABLE, TARGET.upper()))
+
+#: every soak workload, in the order a soak seed runs them
+TRIALS: Dict[str, Trial] = {
+    # exactly-once S2V save (overwrite/append x speculation)
+    "s2v": Trial(_load_prior, _start_save(), _audit_save, 0,
+                 schedule=S2V_TABLES, mode=None, counts_cleanup=True),
+    # V2S scan: a successful scan must equal its AT EPOCH snapshot
+    "v2s": Trial(_load_source, _start_scan(), _audit_scan, 7919,
+                 schedule=SCAN_CHAOS),
+    # group_by().agg() pushed down as per-hash-range partial GROUP BYs
+    "agg": Trial(_load_source, _start_agg, _audit_agg, 104729,
+                 schedule=SCAN_CHAOS),
+    # the save admitted through starved pools while pool_storm noisy
+    # neighbours claim the same slots
+    "wlm": Trial(_starve_pools, _start_save(resource_pool=INGEST_POOL),
+                 _audit_wlm_save, 1299709,
+                 fabric=dict(wlm=True, session_pool_size=2),
+                 schedule=dict(S2V_TABLES, events=5, families=ALL_FAMILIES,
+                               pools=(INGEST_POOL, GENERAL)),
+                 mode="overwrite", counts_cleanup=True),
+    # EXPLAIN + PROFILE: exact answer, operator stats == CostReport
+    "profile": Trial(_load_source,
+                     _start_explain_profile(PROFILE_SELECT, "profile"),
+                     _audit_profile, 15485863,
+                     schedule=dict(families=STATEMENT_FAMILIES,
+                                   sever_keywords=("PROFILE", "EXPLAIN"))),
+    # staging transport: crashes mid-file-write, severs around the manifest
+    "staged-s2v": Trial(_load_prior, _start_save(**STAGING), _audit_save,
+                        32452843, fabric=dict(with_hdfs=True),
+                        schedule=S2V_TABLES, mode=None, counts_cleanup=True),
+    "staged-v2s": Trial(_load_source, _start_scan(**STAGING), _audit_scan,
+                        49979687, fabric=dict(with_hdfs=True),
+                        schedule=SCAN_CHAOS),
+    "cache": Trial(_load_cache_source, _start_cache, _audit_cache, 86028121,
+                   schedule=dict(families=STATEMENT_FAMILIES,
+                                 sever_keywords=("SELECT", "INSERT"))),
+    # 3-way star join over stale statistics: must replan, never mis-answer
+    "adaptive": Trial(_load_star,
+                      _start_explain_profile(ADAPTIVE_SELECT, "adaptive"),
+                      _audit_adaptive, 179424673,
+                      schedule=dict(families=STATEMENT_FAMILIES,
+                                    sever_keywords=("PROFILE", "SELECT"))),
+}
 
 #: the S2V configuration rotation: both commit paths × speculation
 S2V_CONFIGS = (
@@ -937,52 +684,17 @@ S2V_CONFIGS = (
 
 def run_soak(num_seeds: int = 25, base_seed: int = 0,
              verbose: bool = False) -> List[TrialResult]:
-    """Run ``num_seeds`` S2V trials (rotating configs) plus V2S scan,
-    pushed-aggregate, WLM-admission, EXPLAIN/PROFILE, staging-transport
-    (S2V and V2S over the distributed FS), result-cache-coherence and
-    adaptive-join trials."""
+    """Run every :data:`TRIALS` workload once per seed, rotating the S2V
+    configuration."""
     trials: List[TrialResult] = []
     for index in range(num_seeds):
-        seed = base_seed + index
         mode, speculation = S2V_CONFIGS[index % len(S2V_CONFIGS)]
-        trials.append(run_s2v_trial(seed, mode, speculation))
-        if verbose:
-            print(trials[-1].describe())
-        trials.append(run_v2s_trial(seed + 7919, speculation=speculation))
-        if verbose:
-            print(trials[-1].describe())
-        trials.append(run_agg_trial(seed + 104729, speculation=speculation))
-        if verbose:
-            print(trials[-1].describe())
-        trials.append(run_wlm_trial(seed + 1299709, speculation=speculation))
-        if verbose:
-            print(trials[-1].describe())
-        trials.append(
-            run_profile_trial(seed + 15485863, speculation=speculation)
-        )
-        if verbose:
-            print(trials[-1].describe())
-        trials.append(
-            run_staged_s2v_trial(seed + 32452843, mode, speculation)
-        )
-        if verbose:
-            print(trials[-1].describe())
-        trials.append(
-            run_staged_v2s_trial(seed + 49979687, speculation=speculation)
-        )
-        if verbose:
-            print(trials[-1].describe())
-        trials.append(
-            run_cache_trial(seed + 86028121, speculation=speculation)
-        )
-        if verbose:
-            print(trials[-1].describe())
-        trials.append(
-            run_adaptive_join_trial(seed + 179424673,
-                                    speculation=speculation)
-        )
-        if verbose:
-            print(trials[-1].describe())
+        for workload, trial in TRIALS.items():
+            trials.append(run_trial(
+                workload, base_seed + index + trial.seed_offset,
+                mode, speculation))
+            if verbose:
+                print(trials[-1].describe())
     return trials
 
 
@@ -1014,15 +726,11 @@ def summarize(trials: Sequence[TrialResult]) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=25,
-                        help="number of soak seeds (9 trials per seed)")
+                        help=f"number of soak seeds ({len(TRIALS)} trials per seed)")
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--replay-seed", type=int, default=None,
                         help="replay one trial with full fault/audit output")
-    parser.add_argument("--workload",
-                        choices=("s2v", "v2s", "agg", "wlm", "profile",
-                                 "staged-s2v", "staged-v2s", "cache",
-                                 "adaptive"),
-                        default="s2v")
+    parser.add_argument("--workload", choices=tuple(TRIALS), default="s2v")
     parser.add_argument("--mode", choices=("overwrite", "append"),
                         default="overwrite")
     parser.add_argument("--speculation", action="store_true")
@@ -1030,33 +738,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.replay_seed is not None:
-        if args.workload == "s2v":
-            trial = run_s2v_trial(args.replay_seed, args.mode,
-                                  args.speculation, verbose=True)
-        elif args.workload == "agg":
-            trial = run_agg_trial(args.replay_seed, args.speculation,
-                                  verbose=True)
-        elif args.workload == "wlm":
-            trial = run_wlm_trial(args.replay_seed, args.speculation,
-                                  verbose=True)
-        elif args.workload == "profile":
-            trial = run_profile_trial(args.replay_seed, args.speculation,
-                                      verbose=True)
-        elif args.workload == "staged-s2v":
-            trial = run_staged_s2v_trial(args.replay_seed, args.mode,
-                                         args.speculation, verbose=True)
-        elif args.workload == "staged-v2s":
-            trial = run_staged_v2s_trial(args.replay_seed, args.speculation,
-                                         verbose=True)
-        elif args.workload == "cache":
-            trial = run_cache_trial(args.replay_seed, args.speculation,
-                                    verbose=True)
-        elif args.workload == "adaptive":
-            trial = run_adaptive_join_trial(args.replay_seed,
-                                            args.speculation, verbose=True)
-        else:
-            trial = run_v2s_trial(args.replay_seed, args.speculation,
-                                  verbose=True)
+        trial = run_trial(args.workload, args.replay_seed, args.mode,
+                          args.speculation, verbose=True)
         print(trial.describe())
         return 0 if trial.ok else 1
 

@@ -1,41 +1,32 @@
-"""Multi-tenant concurrent serving benchmark for the WLM subsystem.
+"""Multi-tenant concurrent serving drivers for the WLM and caching tiers.
 
-N tenants share one fabric and concurrently run a mixed workload — V2S
-scans, S2V saves and in-database model scoring (MD) — while every
-statement passes through :mod:`repro.wlm` admission control and a
-client-side session pool.  The driver reports per-tenant p50/p95
-latency, throughput, queue time and rejections, then audits the fabric
-with the :class:`~repro.chaos.InvariantChecker`: whatever the admission
-queueing did, no slot, memory grant or session may leak.
+:func:`run_serve`: N tenants share one fabric and concurrently run a
+mixed workload — V2S scans, S2V saves and in-database model scoring (MD)
+— while every statement passes through :mod:`repro.wlm` admission
+control and a client-side session pool.  The run reports per-tenant
+p50/p95 latency, throughput, queue time and rejections, then audits the
+fabric with the :class:`~repro.chaos.InvariantChecker`: whatever the
+admission queueing did, no slot, memory grant or session may leak.  With
+``premium=True`` tenant 0 moves from the deliberately congested GENERAL
+pool to a dedicated high-priority PREMIUM pool, and its p95 must drop.
 
-The headline experiment is isolation: the same tenant mix runs twice,
-once with everyone crammed into a deliberately congested GENERAL pool
-and once with tenant 0 moved to a dedicated high-priority PREMIUM pool.
-Tenant 0's p95 must drop — that is workload management doing its job::
+:func:`run_zipf_serve`: a Zipf-skewed, read-mostly point-query workload
+over the caching tiers (:mod:`repro.cache`).  Writes advance the epoch
+and therefore invalidate every cached answer, so the hit rate is earned
+against real churn, not a static table.
 
-    PYTHONPATH=src python -m repro.bench.concurrent_serve
-    PYTHONPATH=src python -m repro.bench.concurrent_serve \\
-        --tenants 6 --ops 8 --mode pools
+Both are measured by the grid harness — the shared-vs-PREMIUM comparison
+is the ``wlm`` area, result cache off-vs-on the ``serving`` area::
 
-The second experiment is the caching tiers (:mod:`repro.cache`): a
-Zipf-skewed, read-mostly point-query workload (``--mode zipf``) runs the
-same client mix twice, result cache off then on, and reports per-tier
-hit rates next to read p50/p95.  Writes advance the epoch and therefore
-invalidate every cached answer, so the hit rate is earned against real
-churn, not a static table::
-
-    PYTHONPATH=src python -m repro.bench.concurrent_serve --mode zipf \\
-        --skew 1.2 --read-fraction 0.9
+    PYTHONPATH=src python -m repro.bench.grid wlm serving
 """
 
 from __future__ import annotations
 
-import argparse
 import bisect
 import itertools
 import random
-import sys
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Generator, List, Sequence
 
 from repro.bench.fabric import Fabric
 from repro.chaos import InvariantChecker, InvariantReport
@@ -373,11 +364,6 @@ class ZipfServeReport:
     def read_p95(self) -> float:
         return _percentile(self.read_latencies, 0.95)
 
-    @property
-    def write_p50(self) -> float:
-        writes = [w for s in self.clients for w in s.write_latencies]
-        return _percentile(writes, 0.50)
-
     def _hit_rate(self, prefix: str, hit: str, miss: str) -> float:
         counters = self.snapshot.counters
         hits = counters.get(f"{prefix}.{hit}", 0.0)
@@ -391,34 +377,6 @@ class ZipfServeReport:
     @property
     def plan_hit_rate(self) -> float:
         return self._hit_rate("vertica.cache.plan", "hits", "misses")
-
-    @property
-    def parse_hit_rate(self) -> float:
-        return self._hit_rate("vertica.cache.plan", "parse_hits",
-                              "parse_misses")
-
-    def describe(self) -> str:
-        counters = self.snapshot.counters
-        reads = len(self.read_latencies)
-        writes = sum(len(s.write_latencies) for s in self.clients)
-        rejected = sum(s.rejections for s in self.clients)
-        failed = sum(s.failures for s in self.clients)
-        lines = [
-            f"zipf serve [{'warm' if self.result_cache else 'cold'}]: "
-            f"{len(self.clients)} clients, skew={self.skew:g} "
-            f"read_fraction={self.read_fraction:g}, "
-            f"{self.elapsed:.3f}s simulated",
-            f"  reads: {reads} p50={self.read_p50:.4f}s "
-            f"p95={self.read_p95:.4f}s; writes: {writes} "
-            f"p50={self.write_p50:.4f}s rejected={rejected} failed={failed}",
-            f"  result cache: hit_rate={self.result_hit_rate:.2f} "
-            f"stores={counters.get('vertica.cache.result.stores', 0):.0f} "
-            f"evictions={counters.get('vertica.cache.result.evictions', 0):.0f}",
-            f"  plan cache: hit_rate={self.plan_hit_rate:.2f} "
-            f"parse_hit_rate={self.parse_hit_rate:.2f}",
-            "  " + self.report.describe().replace("\n", "\n  "),
-        ]
-        return "\n".join(lines)
 
 
 def _zipf_client(fabric: Fabric, stats: ZipfClientStats, ops: int,
@@ -507,93 +465,3 @@ def run_zipf_serve(clients: int = 6, ops: int = 60, skew: float = 1.2,
         report.passed("progress")
     return ZipfServeReport(skew, read_fraction, result_cache, stats,
                            elapsed, report, fabric.metrics_snapshot())
-
-
-def run_zipf_comparison(clients: int = 6, ops: int = 60, skew: float = 1.2,
-                        read_fraction: float = 0.95,
-                        seed: int = 11) -> Dict[str, ZipfServeReport]:
-    """The caching experiment: same Zipf mix, result cache off vs on."""
-    return {
-        "cold": run_zipf_serve(clients, ops, skew, read_fraction,
-                               result_cache=False, seed=seed),
-        "warm": run_zipf_serve(clients, ops, skew, read_fraction,
-                               result_cache=True, seed=seed),
-    }
-
-
-def run_comparison(tenants: int = 4, ops: int = 6,
-                   session_pool_size: int = 4) -> Dict[str, ServeReport]:
-    """The isolation experiment: same mix, shared GENERAL vs PREMIUM."""
-    return {
-        "shared": run_serve(tenants, ops, premium=False,
-                            session_pool_size=session_pool_size),
-        "pools": run_serve(tenants, ops, premium=True,
-                           session_pool_size=session_pool_size),
-    }
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tenants", type=int, default=4)
-    parser.add_argument("--ops", type=int, default=6,
-                        help="operations per tenant")
-    parser.add_argument("--session-pool", type=int, default=4,
-                        help="max idle pooled sessions per node (0 disables)")
-    parser.add_argument("--mode",
-                        choices=("shared", "pools", "compare", "zipf"),
-                        default="compare")
-    parser.add_argument("--clients", type=int, default=6,
-                        help="concurrent clients (zipf mode)")
-    parser.add_argument("--skew", type=float, default=1.2,
-                        help="Zipf exponent over group ranks (zipf mode)")
-    parser.add_argument("--read-fraction", type=float, default=0.95,
-                        help="probability an op is a read (zipf mode)")
-    parser.add_argument("--seed", type=int, default=11)
-    args = parser.parse_args(argv)
-
-    if args.mode == "zipf":
-        ops = args.ops if args.ops != 6 else 60  # zipf default is longer
-        reports = run_zipf_comparison(args.clients, ops, args.skew,
-                                      args.read_fraction, args.seed)
-        failed = False
-        for report in reports.values():
-            print(report.describe())
-            failed = failed or not report.ok
-        cold_p50 = reports["cold"].read_p50
-        warm_p50 = reports["warm"].read_p50
-        speedup = cold_p50 / warm_p50 if warm_p50 > 0 else float("inf")
-        print(f"read p50: cold={cold_p50:.4f}s warm={warm_p50:.4f}s "
-              f"({speedup:.1f}x)")
-        if args.skew >= 1.0 and warm_p50 * 5.0 > cold_p50:
-            print("warm p50 did not beat cold by >=5x at this skew",
-                  file=sys.stderr)
-            failed = True
-        return 1 if failed else 0
-
-    if args.mode != "compare":
-        report = run_serve(args.tenants, args.ops,
-                           premium=args.mode == "pools",
-                           session_pool_size=args.session_pool)
-        print(report.describe())
-        return 0 if report.ok else 1
-
-    reports = run_comparison(args.tenants, args.ops, args.session_pool)
-    failed = False
-    for report in reports.values():
-        print(report.describe())
-        failed = failed or not report.ok
-    shared_p95 = reports["shared"].tenant(0).p95
-    premium_p95 = reports["pools"].tenant(0).p95
-    print(
-        f"tenant 0 p95: shared={shared_p95:.3f}s premium={premium_p95:.3f}s "
-        f"({'isolated' if premium_p95 < shared_p95 else 'NOT ISOLATED'})"
-    )
-    if premium_p95 >= shared_p95:
-        print("premium pool failed to improve tenant 0 latency",
-              file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,6 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro import telemetry as _telemetry
 from repro.baselines.hdfs_source import SimHdfsCluster
+from repro.bench.area import GridCellError
 from repro.connector import PAPER_COST_MODEL, SimVerticaCluster
 from repro.sim import Environment
 from repro.sim.cluster import SimCluster
@@ -289,3 +290,22 @@ class Fabric:
         start = self.env.now
         rows = df.collect()
         return self.env.now - start, len(rows)
+
+
+def transfer(direction: str, dataset: Dataset, partitions: int,
+             fabric: Optional[Fabric] = None, **options) -> float:
+    """Sim seconds of one V2S load (``"v2s"``) or S2V save of ``dataset``.
+
+    The measurement most paper figures are made of; runs on ``fabric``
+    (default: a fresh paper-calibrated one) and checks a load returned
+    every real row.
+    """
+    fabric = fabric or Fabric()
+    if direction != "v2s":
+        return fabric.s2v_save(dataset, "d1_out", partitions, **options)
+    fabric.populate(dataset, "d1")
+    elapsed, rows = fabric.v2s_load("d1", partitions, dataset.scale, **options)
+    if rows != dataset.real_rows:
+        raise GridCellError(
+            f"V2S returned {rows} rows, wanted {dataset.real_rows}")
+    return elapsed

@@ -1,11 +1,14 @@
 """Resumable experiment-grid harness with a persisted perf trajectory.
 
 The paper's evidence is a parameter grid — Figures 6-12 sweep partitions
-× cluster size × data scale × transport — so the harness makes grids a
-first-class object instead of ad-hoc loops inside benchmark scripts:
+× cluster size × data scale × transport, Tables 2-4 are two- and
+three-cell grids — so this harness is the one way a paper figure, table
+or ablation is produced.  What an area *is* (its
+:class:`~repro.bench.area.ParameterGrid`, cell runner, shape checks,
+paper values) lives in :mod:`repro.bench.area`; the areas themselves are
+one module each under :mod:`repro.bench.areas`.  This module is the
+machinery that runs them:
 
-- a :class:`ParameterGrid` declares the axes (cluster shape, partitions,
-  transport, ...); its cross product is the set of *cells*;
 - a :class:`ResultsStore` persists one record per cell with a status
   (``PENDING/RUNNING/DONE/FAILED``) into an append-only JSONL journal, so
   an interrupted sweep **resumes** instead of restarting — and publishes
@@ -17,14 +20,16 @@ first-class object instead of ad-hoc loops inside benchmark scripts:
 - each area emits a schema-versioned ``BENCH_<area>.json`` artifact
   (routed through :class:`~repro.bench.report.ExperimentReport`'s JSON
   sidecar) carrying the cost-model fingerprint plus per-cell sim and
-  wall seconds;
+  wall seconds, next to the paper-vs-measured ``BENCH_<area>.txt`` table;
 - :func:`compare_artifacts` is the CI perf gate: a fresh artifact is
   compared against the committed baseline with tolerance bands, and any
-  regression (or stale grid/cost-model fingerprint) fails the job.
+  regression (or stale grid/cost-model fingerprint) fails the job;
+- ``--update-baselines`` appends one record per area to
+  ``trajectory.jsonl``, which ``--trajectory`` renders across PRs.
 
 Command line::
 
-    python -m repro.bench.grid                  # smoke grid, all areas
+    python -m repro.bench.grid                  # every area (CI runs this)
     python -m repro.bench.grid fig06 staging    # selected areas
     python -m repro.bench.grid --full           # the full (large) grids
     python -m repro.bench.grid --gate           # compare vs baselines
@@ -39,30 +44,29 @@ PENDING and re-run.  ``--fresh`` discards the journal and restarts.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro import telemetry
-from repro.bench.fabric import Fabric
-from repro.bench.report import (
-    REPORT_SCHEMA_VERSION,
-    ExperimentReport,
-    append_jsonl,
-    config_fingerprint,
+from repro.bench.area import (
+    DONE,
+    FAILED,
+    PENDING,
+    RUNNING,
+    BenchArea,
+    GridError,
+    ParameterGrid,
 )
+from repro.bench.areas import AREAS
+from repro.bench.fabric import Fabric
+from repro.bench.report import ExperimentReport, append_jsonl, config_fingerprint
 from repro.connector.costmodel import NULL_COST_MODEL, PAPER_COST_MODEL
+from repro.connector.jdbc import SimVerticaConnection
+from repro.hdfs.filesystem import HdfsCluster
 from repro.spark.row import StructField, StructType
-from repro.vertica import VerticaDatabase
-from repro.workloads.datasets import make_d1, make_d1_with_int_column
-
-# ------------------------------------------------------------------ statuses
-PENDING = "PENDING"
-RUNNING = "RUNNING"
-DONE = "DONE"
-FAILED = "FAILED"
 
 #: the Vertica table the results store publishes finished cells into
 RESULTS_TABLE = "bench_results"
@@ -76,53 +80,10 @@ RESULTS_SCHEMA = StructType([
 ])
 
 
-class GridError(Exception):
-    """Harness-level failure (mismatched journal, malformed artifact)."""
-
-
-class GridCellError(Exception):
-    """A cell's measurement produced an invalid result."""
-
-
 def cost_model_fingerprint(cost_model=PAPER_COST_MODEL) -> str:
     """Digest of every cost-model knob; baselines are only comparable
     against runs calibrated identically."""
     return config_fingerprint(vars(cost_model))
-
-
-# --------------------------------------------------------------------- grids
-class ParameterGrid:
-    """A named cross product of axes; iteration order is deterministic."""
-
-    def __init__(self, area: str, axes: Mapping[str, Sequence[Any]]):
-        if not axes:
-            raise GridError(f"grid {area!r} declares no axes")
-        self.area = area
-        self.axes: Dict[str, Tuple[Any, ...]] = {
-            name: tuple(values) for name, values in axes.items()
-        }
-        for name, values in self.axes.items():
-            if not values:
-                raise GridError(f"grid {area!r} axis {name!r} is empty")
-
-    def cells(self) -> List[Dict[str, Any]]:
-        """Every cell's parameters, in row-major axis order."""
-        out: List[Dict[str, Any]] = [{}]
-        for name, values in self.axes.items():
-            out = [dict(cell, **{name: v}) for cell in out for v in values]
-        return out
-
-    def cell_id(self, params: Mapping[str, Any]) -> str:
-        return ",".join(f"{name}={params[name]}" for name in self.axes)
-
-    def fingerprint(self) -> str:
-        return config_fingerprint({"area": self.area, "axes": self.axes})
-
-    def __len__(self) -> int:
-        n = 1
-        for values in self.axes.values():
-            n *= len(values)
-        return n
 
 
 # ------------------------------------------------------------- results store
@@ -227,7 +188,7 @@ class ResultsStore:
         self._append({
             "event": "done",
             "cell_id": cell_id,
-            "sim_seconds": sim,
+            "sim_seconds": None if sim is None else round(sim, 3),
             "wall_seconds": round(wall_seconds, 4),
             "metrics": metrics,
         })
@@ -319,6 +280,18 @@ def read_results(fabric: Fabric) -> List[Tuple]:
 
 
 # -------------------------------------------------------------------- runner
+def restart_id_counters() -> None:
+    """Make a cell's sim seconds independent of the cells run before it.
+
+    JDBC connections are salted from, and HDFS replicas placed by, two
+    process-wide id counters; left running, a cell's S2V time wobbles ~5%
+    and its HDFS time ~25% with process history (resume, area selection) —
+    past the gate's band as soon as the set of areas changes.
+    """
+    SimVerticaConnection._salts = itertools.count(1)
+    HdfsCluster._block_ids = itertools.count(1)
+
+
 class GridRunner:
     """Executes a grid's pending cells through one cell runner."""
 
@@ -352,6 +325,7 @@ class GridRunner:
                 summary["skipped"] += 1
                 continue
             self.store.begin(cell_id)
+            restart_id_counters()
             started = time.perf_counter()
             try:
                 metrics = self.runner(dict(params))
@@ -373,622 +347,6 @@ class GridRunner:
         return summary
 
 
-# --------------------------------------------------------------------- areas
-class BenchArea:
-    """One benchmark area: a grid, a cell runner, checks and a gate policy."""
-
-    def __init__(self, name: str, title: str,
-                 axes: Mapping[str, Sequence[Any]],
-                 smoke_axes: Mapping[str, Sequence[Any]],
-                 runner: Callable[[Dict[str, Any], Dict[str, Any]],
-                                  Dict[str, Any]],
-                 config: Optional[Dict[str, Any]] = None,
-                 checks: Optional[Callable[[List[Dict[str, Any]]],
-                                           List[Tuple[str, bool]]]] = None,
-                 gate: Optional[Dict[str, Any]] = None):
-        self.name = name
-        self.title = title
-        self.full_axes = dict(axes)
-        self.smoke_axes = dict(smoke_axes)
-        self.runner = runner
-        self.config = dict(config or {})
-        self.checks = checks or (lambda cells: [])
-        #: gate policy copied into the artifact; the CI gate reads it from
-        #: the *baseline*, so loosening a band requires a baseline commit
-        self.gate = dict(gate or {})
-
-    def grid(self, smoke: bool = True) -> ParameterGrid:
-        return ParameterGrid(self.name,
-                             self.smoke_axes if smoke else self.full_axes)
-
-    def run_cell(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        return self.runner(params, self.config)
-
-
-# -- fig06: the parallelism bowl ------------------------------------------------
-def _run_fig06_cell(params: Dict[str, Any],
-                    config: Dict[str, Any]) -> Dict[str, Any]:
-    fabric = Fabric()
-    dataset = make_d1(real_rows=config["real_rows"])
-    if params["direction"] == "v2s":
-        fabric.populate(dataset, "d1")
-        elapsed, rows = fabric.v2s_load(
-            "d1", params["partitions"], dataset.scale
-        )
-        if rows != config["real_rows"]:
-            raise GridCellError(f"V2S returned {rows} rows, "
-                                f"wanted {config['real_rows']}")
-    else:
-        elapsed = fabric.s2v_save(dataset, "d1_out", params["partitions"])
-    return {"sim_seconds": round(elapsed, 3)}
-
-
-def _fig06_checks(cells: List[Dict[str, Any]]) -> List[Tuple[str, bool]]:
-    done = [c for c in cells if c["status"] == DONE]
-    times = {(c["params"]["direction"], c["params"]["partitions"]):
-             c["sim_seconds"] for c in done}
-    v2s = {p: t for (d, p), t in times.items() if d == "v2s"}
-    s2v = {p: t for (d, p), t in times.items() if d == "s2v"}
-    checks: List[Tuple[str, bool]] = [
-        ("all cells DONE", len(done) == len(cells)),
-    ]
-    if v2s and s2v:
-        checks += [
-            ("bowl: V2S @4 partitions slower than its best",
-             4 in v2s and v2s[4] > min(v2s.values())),
-            ("bowl: S2V @4 partitions slower than its best",
-             4 in s2v and s2v[4] > min(s2v.values())),
-            ("S2V best occurs at high parallelism (>= 64)",
-             min(s2v, key=s2v.get) >= 64),
-            ("S2V best is faster than V2S best",
-             min(s2v.values()) < min(v2s.values())),
-        ]
-    return checks
-
-
-# -- scan throughput: plan pipeline vs the legacy floor --------------------------
-SCAN_QUERIES = {
-    "full_scan": "SELECT id, grp, v, name FROM big",
-    "filtered_scan": "SELECT id, v FROM big WHERE v > 50.0",
-    "grouped_agg": (
-        "SELECT grp, COUNT(*), SUM(v), MIN(v), MAX(v) FROM big GROUP BY grp"
-    ),
-}
-
-
-def load_scan_table(session, rows: int, chunk: int = 2_000) -> None:
-    """Create and populate the scan bench's ``big`` table."""
-    session.execute(
-        "CREATE TABLE big (id INTEGER, grp INTEGER, v FLOAT, "
-        "name VARCHAR(20)) SEGMENTED BY HASH(id) ALL NODES"
-    )
-    for start in range(0, rows, chunk):
-        values = ", ".join(
-            f"({i}, {i % 37}, {float(i % 101)}, 'n{i % 50}')"
-            for i in range(start, min(start + chunk, rows))
-        )
-        session.execute(f"INSERT INTO big VALUES {values}")
-
-
-def _run_scan_cell(params: Dict[str, Any],
-                   config: Dict[str, Any]) -> Dict[str, Any]:
-    db = VerticaDatabase(num_nodes=config["num_nodes"])
-    session = db.connect()
-    load_scan_table(session, config["rows"])
-    sql = SCAN_QUERIES[params["workload"]]
-    best = float("inf")
-    result = None
-    for __ in range(config["repeats"]):
-        started = time.perf_counter()
-        result = session.execute(sql)
-        best = min(best, time.perf_counter() - started)
-    if result.cost.rows_scanned != config["rows"]:
-        raise GridCellError(
-            f"scanned {result.cost.rows_scanned} rows, wanted {config['rows']}"
-        )
-    # Wall-clock throughput is machine-dependent: recorded per cell, gated
-    # only against the baseline's *floor*, never a tolerance band.
-    return {"sim_seconds": None,
-            "rows_per_sec": round(config["rows"] / best)}
-
-
-def _scan_checks(cells: List[Dict[str, Any]]) -> List[Tuple[str, bool]]:
-    done = [c for c in cells if c["status"] == DONE]
-    checks: List[Tuple[str, bool]] = [
-        ("all cells DONE", len(done) == len(cells)),
-    ]
-    for cell in done:
-        rate = cell["metrics"].get("rows_per_sec", 0)
-        checks.append((
-            f"{cell['params']['workload']} above the 20k rows/s smoke floor",
-            rate > 20_000,
-        ))
-    return checks
-
-
-# -- staging transport vs direct JDBC --------------------------------------------
-def _run_staging_cell(params: Dict[str, Any],
-                      config: Dict[str, Any]) -> Dict[str, Any]:
-    fabric = Fabric(with_hdfs=True)
-    dataset = make_d1(config["real_rows"], config["virtual_rows"],
-                      config["num_cols"], config["seed"])
-    options: Dict[str, Any] = {}
-    if params["transport"] == "staged":
-        options = {"transport": "staging", "staging_root": "/staging",
-                   "staging_fs": fabric.hdfs}
-    if params["direction"] == "s2v":
-        elapsed = fabric.s2v_save(dataset, "staging_bench",
-                                  params["partitions"], **options)
-    else:
-        fabric.populate(dataset, "staging_bench")
-        elapsed, rows = fabric.v2s_load(
-            "staging_bench", params["partitions"], dataset.scale, **options
-        )
-        if rows != config["real_rows"]:
-            raise GridCellError(f"V2S returned {rows} rows, "
-                                f"wanted {config['real_rows']}")
-    return {"sim_seconds": round(elapsed, 3)}
-
-
-def _staging_checks(cells: List[Dict[str, Any]]) -> List[Tuple[str, bool]]:
-    done = [c for c in cells if c["status"] == DONE]
-    times = {(c["params"]["direction"], c["params"]["transport"],
-              c["params"]["partitions"]): c["sim_seconds"] for c in done}
-    checks: List[Tuple[str, bool]] = [
-        ("all cells DONE", len(done) == len(cells)),
-    ]
-    gate_partitions = AREAS["staging"].config["gate_partitions"]
-    for (direction, transport, partitions), staged in sorted(
-            times.items(), key=lambda item: str(item[0])):
-        if transport != "staged" or partitions < gate_partitions:
-            continue
-        direct = times.get((direction, "direct", partitions))
-        if direct is None:
-            continue
-        checks.append((
-            f"{direction} staged beats direct at {partitions} partitions",
-            staged < direct,
-        ))
-    return checks
-
-
-# -- join strategies: hash/merge vs the nested-loop floor ------------------------
-def load_join_tables(session, probe_rows: int, build_rows: int,
-                     colocated: bool, chunk: int = 2_000) -> None:
-    """Create and populate the join bench's ``probe``/``build`` pair.
-
-    Every probe key hits exactly one build row.  The co-located variant
-    segments both tables on the join key; the other segments ``build`` on
-    its payload column, so the same ring places matching rows on
-    different nodes and the join must move build rows.
-    """
-    session.execute(
-        "CREATE TABLE probe (k INTEGER, pv FLOAT) "
-        "SEGMENTED BY HASH(k) ALL NODES"
-    )
-    seg = "k2" if colocated else "pay"
-    session.execute(
-        f"CREATE TABLE build (k2 INTEGER, pay INTEGER) "
-        f"SEGMENTED BY HASH({seg}) ALL NODES"
-    )
-    for start in range(0, probe_rows, chunk):
-        values = ", ".join(
-            f"({i % build_rows}, {float(i % 97)})"
-            for i in range(start, min(start + chunk, probe_rows))
-        )
-        session.execute(f"INSERT INTO probe VALUES {values}")
-    for start in range(0, build_rows, chunk):
-        values = ", ".join(
-            f"({i}, {i + 7})"
-            for i in range(start, min(start + chunk, build_rows))
-        )
-        session.execute(f"INSERT INTO build VALUES {values}")
-
-
-def _run_join_cell(params: Dict[str, Any],
-                   config: Dict[str, Any]) -> Dict[str, Any]:
-    db = VerticaDatabase(num_nodes=config["num_nodes"])
-    session = db.connect()
-    load_join_tables(session, params["probe_rows"], params["build_rows"],
-                     params["colocated"])
-    session.execute("ANALYZE probe")
-    session.execute("ANALYZE build")
-    session.execute(f"SET JOIN_STRATEGY = '{params['strategy']}'")
-    sql = "SELECT COUNT(*) FROM probe JOIN build ON k = k2"
-    repeats = 1 if params["strategy"] == "nested-loop" else config["repeats"]
-    best = float("inf")
-    for __ in range(repeats):
-        started = time.perf_counter()
-        rows_out = session.execute(sql).scalar()
-        best = min(best, time.perf_counter() - started)
-    if rows_out != params["probe_rows"]:
-        raise GridCellError(
-            f"join returned {rows_out} rows, wanted {params['probe_rows']}"
-        )
-    profile = session.execute("PROFILE " + sql).profile
-    shuffled = sum(op.stats.rows_shuffled for __, op in profile.operators())
-    return {"sim_seconds": None,
-            "join_seconds": round(best, 4),
-            "rows_shuffled": shuffled,
-            "rows_out": rows_out}
-
-
-def _join_checks(cells: List[Dict[str, Any]]) -> List[Tuple[str, bool]]:
-    done = [c for c in cells if c["status"] == DONE]
-    checks: List[Tuple[str, bool]] = [
-        ("all cells DONE", len(done) == len(cells)),
-    ]
-    times = {(c["params"]["strategy"], c["params"]["colocated"]):
-             c["metrics"].get("join_seconds") for c in done}
-    shuffles = {(c["params"]["strategy"], c["params"]["colocated"]):
-                c["metrics"].get("rows_shuffled") for c in done}
-    for colocated in (True, False):
-        loop = times.get(("nested-loop", colocated))
-        hashed = times.get(("hash", colocated))
-        if loop is not None and hashed is not None:
-            checks.append((
-                f"hash join >=5x faster than nested loop "
-                f"(colocated={colocated})",
-                hashed * 5.0 <= loop,
-            ))
-    for strategy in ("hash", "merge"):
-        if (strategy, True) in shuffles:
-            checks.append((
-                f"co-located {strategy} join moves 0 cross-node rows",
-                shuffles[(strategy, True)] == 0,
-            ))
-        if (strategy, False) in shuffles:
-            checks.append((
-                f"non-co-located {strategy} join moves build rows",
-                (shuffles[(strategy, False)] or 0) > 0,
-            ))
-    return checks
-
-
-# -- agg: aggregate pushdown vs driver-side aggregation --------------------------
-AGG_AGGREGATES = [("*", "count"), ("c000", "sum"), ("c001", "avg"),
-                  ("c002", "min"), ("c003", "max")]
-
-
-def _run_agg_cell(params: Dict[str, Any],
-                  config: Dict[str, Any]) -> Dict[str, Any]:
-    # A fresh telemetry-enabled fabric installs a fresh global registry,
-    # so the wire-row counters below start at zero for this cell.
-    fabric = Fabric(telemetry=True)
-    dataset = make_d1_with_int_column(real_rows=config["real_rows"])
-    fabric.populate(dataset, "d1int")
-    pushdown = params["mode"] == "pushdown"
-    elapsed, groups = fabric.v2s_aggregate(
-        "d1int", config["partitions"], dataset.scale, ["ikey"],
-        AGG_AGGREGATES, agg_pushdown=pushdown,
-    )
-    wire_rows = telemetry.counter(
-        "v2s.agg_pushdown.partial_rows" if pushdown else "v2s.rows_fetched"
-    ).value
-    return {
-        "sim_seconds": round(elapsed, 3),
-        "groups": int(groups),
-        "wire_rows": int(wire_rows),
-        "external_gb": round(fabric.vertica.external_bytes() / 1e9, 6),
-    }
-
-
-def _agg_checks(cells: List[Dict[str, Any]]) -> List[Tuple[str, bool]]:
-    done = [c for c in cells if c["status"] == DONE]
-    checks: List[Tuple[str, bool]] = [
-        ("all cells DONE", len(done) == len(cells)),
-    ]
-    by_mode = {c["params"]["mode"]: c for c in done}
-    push = by_mode.get("pushdown")
-    base = by_mode.get("driver")
-    if push is None or base is None:
-        return checks
-    checks += [
-        ("both modes produce the same number of groups",
-         push["metrics"].get("groups") == base["metrics"].get("groups")),
-        ("pushdown ships fewer rows over the wire",
-         push["metrics"].get("wire_rows", 1 << 62)
-         < base["metrics"].get("wire_rows", 0)),
-        ("pushdown moves <1% of driver-side external bytes",
-         push["metrics"].get("external_gb", 1e9)
-         < 0.01 * base["metrics"].get("external_gb", 0.0)),
-        ("pushdown is >5x faster end-to-end (sim)",
-         push["sim_seconds"] * 5 < base["sim_seconds"]),
-    ]
-    return checks
-
-
-# -- join_reorder: adaptive star joins over stale statistics --------------------
-STAR_WIDE_KEYS = ("ka", "kb", "kc")
-
-
-def star_sizes(fact_rows: int) -> Dict[str, int]:
-    """Derived star-schema sizes for one ``fact_rows`` scale.
-
-    The fact is ANALYZEd at 1% of its final size, so its estimate is two
-    orders of magnitude stale; the selective dim keeps 5% of fact rows;
-    the wide dims are sized inside the swap window — larger than the
-    (stale) intermediate estimate but smaller than its observed size —
-    so the plan builds on the wrong side and the run records a swap.
-    """
-    return {
-        "analyzed_rows": max(fact_rows // 100, 10),
-        "wide_rows": max(fact_rows // 100, 10),
-        "sel_rows": max(fact_rows // 10, 20),
-        "sel_keep": max(fact_rows // 200, 1),
-    }
-
-
-def load_star_tables(session, fact_rows: int, relations: int,
-                     chunk: int = 2_000) -> Dict[str, int]:
-    """Create/populate the star bench's fact, wide dims and selective dim.
-
-    Every fact row matches exactly one row in each wide dim (joins there
-    never shrink the stream); the selective dim sits *last* in FROM
-    order and its pushed-down predicate keeps ``sel_keep`` of
-    ``sel_rows`` keys.  Only the fact's statistics are stale.
-    """
-    sizes = star_sizes(fact_rows)
-    session.execute(
-        "CREATE TABLE sfact (ka INTEGER, kb INTEGER, kc INTEGER, "
-        "kd INTEGER, fv FLOAT) SEGMENTED BY HASH(ka) ALL NODES"
-    )
-    wide = sizes["wide_rows"]
-    for idx in range(relations - 2):
-        session.execute(
-            f"CREATE TABLE dwide{idx} (w{idx}_id INTEGER, w{idx}_pay INTEGER) "
-            f"SEGMENTED BY HASH(w{idx}_id) ALL NODES"
-        )
-        for start in range(0, wide, chunk):
-            values = ", ".join(
-                f"({i}, {i + idx})" for i in range(start, min(start + chunk, wide))
-            )
-            session.execute(f"INSERT INTO dwide{idx} VALUES {values}")
-    sel = sizes["sel_rows"]
-    session.execute(
-        "CREATE TABLE dsel (sel_id INTEGER, sel_pay INTEGER) "
-        "SEGMENTED BY HASH(sel_id) ALL NODES"
-    )
-    for start in range(0, sel, chunk):
-        values = ", ".join(
-            f"({i}, {i})" for i in range(start, min(start + chunk, sel))
-        )
-        session.execute(f"INSERT INTO dsel VALUES {values}")
-
-    def fact_values(start, stop):
-        return ", ".join(
-            f"({i % wide}, {i % wide}, {i % wide}, {i % sel}, {float(i % 89)})"
-            for i in range(start, stop)
-        )
-
-    analyzed = sizes["analyzed_rows"]
-    for start in range(0, analyzed, chunk):
-        session.execute("INSERT INTO sfact VALUES "
-                        + fact_values(start, min(start + chunk, analyzed)))
-    for idx in range(relations - 2):
-        session.execute(f"ANALYZE dwide{idx}")
-    session.execute("ANALYZE dsel")
-    session.execute("ANALYZE sfact")  # deliberately before the bulk load
-    for start in range(analyzed, fact_rows, chunk):
-        session.execute("INSERT INTO sfact VALUES "
-                        + fact_values(start, min(start + chunk, fact_rows)))
-    return sizes
-
-
-def star_join_sql(relations: int, sizes: Dict[str, int]) -> Tuple[str, int]:
-    """The ``relations``-way star COUNT(*) and its expected value."""
-    joins = [
-        f"JOIN dwide{idx} ON {STAR_WIDE_KEYS[idx]} = w{idx}_id"
-        for idx in range(relations - 2)
-    ]
-    joins.append("JOIN dsel ON kd = sel_id")
-    sql = ("SELECT COUNT(*) FROM sfact " + " ".join(joins)
-           + f" WHERE sel_pay < {sizes['sel_keep']}")
-    return sql, sizes["expected_rows"]
-
-
-def _run_join_reorder_cell(params: Dict[str, Any],
-                           config: Dict[str, Any]) -> Dict[str, Any]:
-    db = VerticaDatabase(num_nodes=config["num_nodes"])
-    session = db.connect()
-    fact_rows = params["fact_rows"]
-    sizes = load_star_tables(session, fact_rows, params["relations"])
-    sizes["expected_rows"] = sum(
-        1 for i in range(fact_rows) if i % sizes["sel_rows"] < sizes["sel_keep"]
-    )
-    sql, expected = star_join_sql(params["relations"], sizes)
-    # Cold PROFILE first: it captures the replans triggered by the stale
-    # estimates before the feedback loop corrects them for the timed runs.
-    report = session.execute("PROFILE " + sql)
-    replans = len(report.profile.replans)
-    reordered = any("JOIN ORDER:" in row[0] for row in report.rows)
-    shuffled = sum(
-        op.stats.rows_shuffled for __, op in report.profile.operators()
-    )
-    best = float("inf")
-    rows_out = None
-    for __ in range(config["repeats"]):
-        started = time.perf_counter()
-        rows_out = session.execute(sql).scalar()
-        best = min(best, time.perf_counter() - started)
-    if rows_out != expected:
-        raise GridCellError(
-            f"star join returned {rows_out} rows, wanted {expected}"
-        )
-    return {"sim_seconds": None,
-            "join_seconds": round(best, 4),
-            "replans": replans,
-            "reordered": reordered,
-            "rows_shuffled": shuffled,
-            "rows_out": rows_out}
-
-
-def _join_reorder_checks(cells: List[Dict[str, Any]]
-                         ) -> List[Tuple[str, bool]]:
-    done = [c for c in cells if c["status"] == DONE]
-    checks: List[Tuple[str, bool]] = [
-        ("all cells DONE", len(done) == len(cells)),
-    ]
-    for cell in done:
-        relations = cell["params"]["relations"]
-        checks.append((
-            f"{relations}-way plan shows its JOIN ORDER",
-            bool(cell["metrics"].get("reordered")),
-        ))
-        checks.append((
-            f"{relations}-way recorded >=1 replan",
-            (cell["metrics"].get("replans") or 0) >= 1,
-        ))
-    return checks
-
-
-# -- serving: caching tiers under a Zipf read-mostly mix -------------------------
-def _run_serving_cell(params: Dict[str, Any],
-                      config: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.bench.concurrent_serve import run_zipf_serve
-
-    report = run_zipf_serve(
-        clients=config["clients"],
-        ops=config["ops"],
-        skew=params["skew"],
-        read_fraction=config["read_fraction"],
-        result_cache=params["result_cache"],
-        seed=config["seed"],
-    )
-    if not report.ok:
-        raise GridCellError(
-            f"serving invariants failed:\n{report.report.describe()}"
-        )
-    return {
-        "sim_seconds": round(report.elapsed, 3),
-        "read_p50": round(report.read_p50, 4),
-        "read_p95": round(report.read_p95, 4),
-        "result_hit_rate": round(report.result_hit_rate, 3),
-        "plan_hit_rate": round(report.plan_hit_rate, 3),
-    }
-
-
-def _serving_checks(cells: List[Dict[str, Any]]) -> List[Tuple[str, bool]]:
-    done = [c for c in cells if c["status"] == DONE]
-    checks: List[Tuple[str, bool]] = [
-        ("all cells DONE", len(done) == len(cells)),
-    ]
-    p50 = {(c["params"]["skew"], c["params"]["result_cache"]):
-           c["metrics"].get("read_p50") for c in done}
-    hits = {(c["params"]["skew"], c["params"]["result_cache"]):
-            c["metrics"].get("result_hit_rate") for c in done}
-    for skew in sorted({s for s, __ in p50}):
-        if skew < 1.0:
-            continue
-        cold = p50.get((skew, False))
-        warm = p50.get((skew, True))
-        if cold is None or warm is None:
-            continue
-        checks.append((
-            f"warm read p50 >=5x lower than cold at skew={skew:g}",
-            warm * 5.0 <= cold,
-        ))
-        checks.append((
-            f"warm result-cache hit rate > 0.5 at skew={skew:g}",
-            (hits.get((skew, True)) or 0.0) > 0.5,
-        ))
-    return checks
-
-
-AREAS: Dict[str, BenchArea] = {
-    "fig06": BenchArea(
-        "fig06",
-        "Figure 6 parallelism bowl: V2S/S2V sim seconds vs partitions",
-        axes={"direction": ("v2s", "s2v"),
-              "partitions": (4, 8, 16, 32, 64, 128, 256)},
-        smoke_axes={"direction": ("v2s", "s2v"),
-                    "partitions": (4, 32, 128)},
-        runner=_run_fig06_cell,
-        config={"real_rows": 400},
-        checks=_fig06_checks,
-        gate={"sim_tolerance": 0.15},
-    ),
-    "scan_throughput": BenchArea(
-        "scan_throughput",
-        "Plan-pipeline scan throughput vs the legacy interpreter floor",
-        axes={"workload": tuple(SCAN_QUERIES)},
-        smoke_axes={"workload": tuple(SCAN_QUERIES)},
-        runner=_run_scan_cell,
-        config={"rows": 20_000, "num_nodes": 4, "repeats": 3},
-        checks=_scan_checks,
-        # wall-clock metrics are machine-dependent: gate on floors only
-        gate={"floors": {"rows_per_sec": 20_000}},
-    ),
-    "agg": BenchArea(
-        "agg",
-        "Aggregate pushdown ablation: per-range partial GROUP BY vs driver",
-        axes={"mode": ("pushdown", "driver")},
-        smoke_axes={"mode": ("pushdown", "driver")},
-        runner=_run_agg_cell,
-        config={"real_rows": 2000, "partitions": 32},
-        checks=_agg_checks,
-        gate={"sim_tolerance": 0.15},
-    ),
-    "join": BenchArea(
-        "join",
-        "Join strategies: hash/merge vs nested loop, co-located vs shuffled",
-        axes={"strategy": ("nested-loop", "hash", "merge"),
-              "colocated": (True, False),
-              "probe_rows": (100_000,),
-              "build_rows": (1_000,)},
-        smoke_axes={"strategy": ("nested-loop", "hash", "merge"),
-                    "colocated": (True, False),
-                    "probe_rows": (4_000,),
-                    "build_rows": (200,)},
-        runner=_run_join_cell,
-        config={"num_nodes": 4, "repeats": 3},
-        checks=_join_checks,
-        # wall-clock ratios are checked per run; no sim time to band
-        gate={},
-    ),
-    "join_reorder": BenchArea(
-        "join_reorder",
-        "Adaptive star joins: reorder + replanning over stale statistics",
-        axes={"relations": (3, 5),
-              "fact_rows": (100_000,)},
-        smoke_axes={"relations": (3, 5),
-                    "fact_rows": (4_000,)},
-        runner=_run_join_reorder_cell,
-        config={"num_nodes": 4, "repeats": 3},
-        checks=_join_reorder_checks,
-        # wall-clock ratios are checked per run; no sim time to band
-        gate={},
-    ),
-    "serving": BenchArea(
-        "serving",
-        "Zipf read-mostly serving: caching tiers' hit rate vs read latency",
-        axes={"skew": (0.0, 0.6, 1.2, 1.4),
-              "result_cache": (False, True)},
-        smoke_axes={"skew": (1.2,),
-                    "result_cache": (False, True)},
-        runner=_run_serving_cell,
-        config={"clients": 6, "ops": 60, "read_fraction": 0.95, "seed": 11},
-        checks=_serving_checks,
-        gate={"sim_tolerance": 0.15},
-    ),
-    "staging": BenchArea(
-        "staging",
-        "Staged (distributed-FS) transport vs direct JDBC, both directions",
-        axes={"direction": ("s2v", "v2s"),
-              "transport": ("direct", "staged"),
-              "partitions": (2, 4, 8, 16)},
-        smoke_axes={"direction": ("s2v", "v2s"),
-                    "transport": ("direct", "staged"),
-                    "partitions": (4, 8, 16)},
-        runner=_run_staging_cell,
-        config={"real_rows": 400, "num_cols": 10, "seed": 7,
-                "virtual_rows": 16_000_000, "gate_partitions": 8},
-        checks=_staging_checks,
-        gate={"sim_tolerance": 0.15},
-    ),
-}
-
-
 # ------------------------------------------------------------------ artifacts
 def build_area_report(area: BenchArea, store: ResultsStore,
                       smoke: bool) -> ExperimentReport:
@@ -1001,24 +359,29 @@ def build_area_report(area: BenchArea, store: ResultsStore,
     cells = store.records()
     report = ExperimentReport(f"BENCH_{area.name}", area.title)
     axis_names = list(store.grid.axes)
-    report.set_columns(axis_names + ["status", "sim (s)", "wall (s)", "metrics"])
+    paper = ["paper (s)"] if area.paper else []
+    report.set_columns(
+        axis_names + ["status"] + paper + ["sim (s)", "wall (s)", "metrics"])
     total_wall = 0.0
     total_sim = 0.0
     for record in cells:
         metrics = ", ".join(
             f"{k}={v}" for k, v in sorted(record["metrics"].items())
         )
-        report.add(
-            *[record["params"][a] for a in axis_names],
-            record["status"],
-            record["sim_seconds"],
-            record["wall_seconds"],
-            metrics or None,
-        )
+        row = [record["params"][a] for a in axis_names] + [record["status"]]
+        if area.paper:
+            row.append(area.paper.get(record["cell_id"]))
+        report.add(*row, record["sim_seconds"], record["wall_seconds"],
+                   metrics or None)
         total_wall += record["wall_seconds"] or 0.0
         total_sim += record["sim_seconds"] or 0.0
-    for description, ok in area.checks(cells):
-        report.check(description, ok)
+    for note in area.notes:
+        report.note(note)
+    all_done = all(record["status"] == DONE for record in cells)
+    report.check("all cells DONE", all_done)
+    if all_done:  # shape checks index cells freely; they need every one
+        for description, ok in area.checks(cells):
+            report.check(description, ok)
     report.config = dict(area.config, area=area.name, smoke=smoke)
     report.timing(wall_seconds=round(total_wall, 3),
                   sim_seconds=round(total_sim, 3))
@@ -1053,10 +416,11 @@ def compare_artifacts(fresh: Dict[str, Any],
       baseline is a failure, not a silent skip);
     - every baseline cell must be DONE in the fresh run;
     - sim seconds may not exceed baseline × (1 + ``sim_tolerance``) —
-      sim time is deterministic, so the band is tight;
-    - wall-clock metrics listed in ``gate.floors`` must stay above their
-      floor (never banded: CI machines vary);
-    - every check recorded in the fresh artifact must have passed.
+      sim time is deterministic, so the band is tight — and a banded
+      cell may not stop reporting sim time;
+    - every check recorded in the fresh artifact must have passed
+      (wall-clock metrics are machine-dependent, so they are never
+      banded: an area bounds them with a check against a static floor).
     """
     failures: List[str] = []
     area = baseline.get("area", "?")
@@ -1082,7 +446,6 @@ def compare_artifacts(fresh: Dict[str, Any],
         return failures
     gate = baseline.get("gate", {})
     tolerance = gate.get("sim_tolerance")
-    floors = gate.get("floors", {})
     fresh_cells = {c["cell_id"]: c for c in fresh.get("cells", [])}
     for base in baseline.get("cells", []):
         cell_id = base["cell_id"]
@@ -1098,21 +461,18 @@ def compare_artifacts(fresh: Dict[str, Any],
             continue
         base_sim = base.get("sim_seconds")
         fresh_sim = cell.get("sim_seconds")
-        if tolerance is not None and base_sim and fresh_sim is not None:
-            limit = base_sim * (1.0 + tolerance)
-            if fresh_sim > limit:
+        if tolerance is not None and base_sim:
+            if fresh_sim is None:
+                failures.append(
+                    f"{area}: cell {cell_id} stopped reporting sim time "
+                    f"(baseline {base_sim:.3f}s)"
+                )
+            elif fresh_sim > base_sim * (1.0 + tolerance):
                 failures.append(
                     f"{area}: cell {cell_id} regressed: {fresh_sim:.3f}s sim "
                     f"vs baseline {base_sim:.3f}s "
                     f"(+{100 * (fresh_sim / base_sim - 1):.1f}%, band "
                     f"{100 * tolerance:.0f}%)"
-                )
-        for metric, floor in floors.items():
-            value = cell.get("metrics", {}).get(metric)
-            if value is None or value < floor:
-                failures.append(
-                    f"{area}: cell {cell_id} metric {metric}={value} under "
-                    f"the floor {floor}"
                 )
     for check in fresh.get("checks", []):
         if not check.get("passed"):
@@ -1150,7 +510,8 @@ def gate_areas(area_names: Sequence[str], results_dir: str,
 # ------------------------------------------------------------ trajectory view
 SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
 
-#: the perf-history journal ``python -m repro.bench`` appends to
+#: the perf-history journal ``--update-baselines`` appends to (committed:
+#: one record per area per PR is what ``--trajectory`` trends)
 TRAJECTORY_BASENAME = "trajectory.jsonl"
 
 #: sparklines show at most this many trailing runs per experiment
@@ -1217,13 +578,27 @@ def trajectory_lines(records: Sequence[Mapping[str, Any]],
     return lines
 
 
+def record_trajectory(results_dir: str, report: ExperimentReport) -> None:
+    """Append one area run's ``experiment`` record to the trajectory."""
+    append_jsonl(os.path.join(results_dir, TRAJECTORY_BASENAME), {
+        "kind": "experiment",
+        "experiment": report.payload["area"],
+        "wall_seconds": report.wall_seconds,
+        "sim_seconds": report.sim_seconds,
+        "grid_fingerprint": report.payload["grid"]["fingerprint"],
+        "cost_model_fingerprint": report.payload["cost_model_fingerprint"],
+        "checks_passed": report.all_checks_pass,
+        "failed_checks": report.failed_checks(),
+        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+    })
+
+
 def render_trajectory(results_dir: str,
                       log: Callable[[str], None] = print) -> int:
     """``--trajectory``: write and print ``TRAJECTORY.md`` from the journal."""
     path = os.path.join(results_dir, TRAJECTORY_BASENAME)
     if not os.path.exists(path):
-        log(f"no trajectory journal at {path}; run `python -m repro.bench` "
-            f"first to record one")
+        log(f"no trajectory journal at {path}")
         return 1
     records = []
     with open(path, encoding="utf-8") as handle:
@@ -1279,7 +654,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--list", action="store_true",
                         help="list areas, axes and cell counts")
     parser.add_argument("--full", action="store_true",
-                        help="run the full grids instead of the smoke subset")
+                        help="run the full grids where an area's smoke "
+                             "subset is smaller")
     parser.add_argument("--fresh", action="store_true",
                         help="discard journals and restart the sweep")
     parser.add_argument("--results-dir", default="benchmarks/results")
@@ -1289,7 +665,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "baselines instead of running")
     parser.add_argument("--update-baselines", action="store_true",
                         help="after running, copy fresh artifacts into the "
-                             "baseline directory")
+                             "baseline directory and append one record per "
+                             "area to trajectory.jsonl")
     parser.add_argument("--no-publish", action="store_true",
                         help="skip publishing the trajectory into the "
                              "dogfood Vertica results table")
@@ -1341,6 +718,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"[{name}] CHECK FAILED: {description}", file=sys.stderr)
         if args.update_baselines:
             report.save_json(artifact_path(args.baseline_dir, name))
+            record_trajectory(args.results_dir, report)
             print(f"[{name}] baseline updated: "
                   f"{artifact_path(args.baseline_dir, name)}")
 
@@ -1358,3 +736,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 if __name__ == "__main__":
     sys.exit(main())
+

@@ -1,7 +1,7 @@
 """Experiment reports: paper-vs-measured tables.
 
-Every benchmark produces an :class:`ExperimentReport` that prints (and
-saves) the same rows/series the paper reports, side by side with the
+Every benchmark area produces an :class:`ExperimentReport` that prints
+(and saves) the same rows/series the paper reports, side by side with the
 reproduction's measured values.  Absolute numbers are not expected to
 match (the substrate is a calibrated simulator); the *shape* — who wins,
 by roughly what factor, where crossovers fall — is the reproduction
@@ -12,8 +12,8 @@ Saving a report emits two artifacts under ``benchmarks/results/``:
 - ``<exp_id>.txt`` — the human table, exactly as printed;
 - ``<exp_id>.json`` — a machine-readable sidecar carrying the raw rows,
   every check outcome, the experiment's config fingerprint and its wall/
-  sim timings.  The grid harness (:mod:`repro.bench.grid`) routes its
-  ``BENCH_<area>.json`` artifacts through this same sidecar path, so all
+  sim timings.  The grid harness (:mod:`repro.bench.grid`) extends it
+  through ``payload`` into the ``BENCH_<area>.json`` artifact, so all
   persisted perf history shares one schema.
 """
 
@@ -55,8 +55,6 @@ class ExperimentReport:
         self.rows: List[Tuple] = []
         self.notes: List[str] = []
         self.checks: List[Tuple[str, bool]] = []
-        #: optional telemetry attached via :meth:`attach_telemetry`
-        self.telemetry: Optional["MetricsSnapshot"] = None  # noqa: F821
         #: the inputs that produced these numbers (fingerprinted on save)
         self.config: Dict[str, Any] = {}
         #: real seconds the harness spent producing the report
@@ -66,23 +64,6 @@ class ExperimentReport:
         #: extra machine-readable payload merged into the JSON sidecar
         #: (the grid harness stores its per-cell records here)
         self.payload: Dict[str, Any] = {}
-
-    def attach_telemetry(self, snapshot) -> None:
-        """Attach a :class:`~repro.telemetry.MetricsSnapshot` to render
-        as the report's telemetry section (merged into prior snapshots'
-        counters if called repeatedly)."""
-        if self.telemetry is None:
-            self.telemetry = snapshot
-            return
-        merged = self.telemetry
-        for name, value in snapshot.counters.items():
-            merged.counters[name] = merged.counters.get(name, 0) + value
-        merged.gauges.update(snapshot.gauges)
-        merged.histograms.update(snapshot.histograms)
-        merged.spans.extend(snapshot.spans)
-        merged.traces.extend(snapshot.traces)
-        for name, value in snapshot.kernel.items():
-            merged.kernel[name] = merged.kernel.get(name, 0) + value
 
     def set_columns(self, columns: Sequence[str]) -> None:
         self.columns = list(columns)
@@ -141,9 +122,6 @@ class ExperimentReport:
             wall = "-" if self.wall_seconds is None else f"{self.wall_seconds:.2f}"
             sim = "-" if self.sim_seconds is None else f"{self.sim_seconds:.1f}"
             out.append(f"timing: wall {wall} s, sim {sim} s")
-        if self.telemetry is not None:
-            out.append("")
-            out.append(self.telemetry.render())
         return "\n".join(out)
 
     # -- persistence -------------------------------------------------------------

@@ -5,12 +5,15 @@ instead of restarting (completed cells skipped, mid-flight statuses
 reconciled, merged results identical to an uninterrupted run), artifacts
 are schema-versioned and fingerprinted, the CI gate trips on an injected
 regression while passing on an identical baseline, and the results store
-round-trips through the repro's own Vertica tables via S2V/V2S.
+round-trips through the repro's own Vertica tables via S2V/V2S.  The
+registry tests pin the "one bench spine" contract: every paper figure,
+table and ablation is an area with a committed, current, passing baseline.
 """
 
 import copy
 import json
 import os
+import re
 
 import pytest
 
@@ -24,9 +27,12 @@ from repro.bench.grid import (
     GridRunner,
     ParameterGrid,
     ResultsStore,
+    artifact_path,
     build_area_report,
     compare_artifacts,
     cost_model_fingerprint,
+    load_artifact,
+    main,
     publish_results,
     read_results,
     run_area,
@@ -180,18 +186,24 @@ class TestResume:
         assert summary["run"] == 6 and summary["skipped"] == 0
 
 
-def tiny_area():
+def tiny_area(runner=deterministic_runner):
     return BenchArea(
         "tiny", "synthetic area for gate tests",
         axes={"direction": ("v2s", "s2v"), "partitions": (2, 4, 8)},
-        smoke_axes={"direction": ("v2s", "s2v"), "partitions": (2, 4, 8)},
-        runner=lambda params, config: deterministic_runner(params),
-        gate={"sim_tolerance": 0.2, "floors": {"rows_per_sec": 1500}},
+        runner=lambda params, config: runner(params),
+        # wall-clock metrics are never banded: a static floor is a check
+        checks=lambda cells: [(
+            "rows_per_sec above the 1500 floor",
+            all(c["metrics"]["rows_per_sec"] > 1500 for c in cells),
+        )],
+        gate={"sim_tolerance": 0.2},
+        paper={"direction=v2s,partitions=2": 48.0},
+        notes=["a note"],
     )
 
 
-def tiny_artifact(tmp_path, name="a"):
-    area = tiny_area()
+def tiny_artifact(tmp_path, name="a", runner=deterministic_runner):
+    area = tiny_area(runner)
     grid = area.grid()
     store = ResultsStore(str(tmp_path / f"{name}.jsonl"), grid)
     GridRunner(grid, area.run_cell, store, log=quiet).run()
@@ -205,8 +217,7 @@ class TestArtifact:
         assert doc["area"] == "tiny"
         assert doc["grid"]["fingerprint"] == tiny_area().grid().fingerprint()
         assert doc["cost_model_fingerprint"] == cost_model_fingerprint()
-        assert doc["gate"] == {"sim_tolerance": 0.2,
-                               "floors": {"rows_per_sec": 1500}}
+        assert doc["gate"] == {"sim_tolerance": 0.2}
         assert len(doc["cells"]) == 6
         cell = doc["cells"][0]
         assert cell["status"] == DONE
@@ -215,6 +226,23 @@ class TestArtifact:
         assert cell["metrics"] == {"rows_per_sec": 2000}
         assert doc["wall_seconds"] is not None
         assert doc["sim_seconds"] > 0
+        # the paper's stated value rides next to the measured one
+        assert doc["columns"][:4] == ["direction", "partitions", "status",
+                                      "paper (s)"]
+        assert doc["rows"][0][3] == 48.0 and doc["rows"][1][3] is None
+        assert doc["notes"] == ["a note"]
+        assert [c["description"] for c in doc["checks"]] == [
+            "all cells DONE", "rows_per_sec above the 1500 floor"]
+
+    def test_shape_checks_wait_for_every_cell(self, tmp_path):
+        def flaky(params):
+            if params["partitions"] == 4:
+                raise RuntimeError("boom")
+            return deterministic_runner(params)
+
+        doc = tiny_artifact(tmp_path, runner=flaky)
+        assert doc["checks"] == [
+            {"description": "all cells DONE", "passed": False}]
 
 
 class TestGate:
@@ -238,10 +266,25 @@ class TestGate:
 
     def test_floor_violation_trips_the_gate(self, tmp_path):
         baseline = tiny_artifact(tmp_path)
+
+        def slow(params):
+            return dict(deterministic_runner(params), rows_per_sec=100)
+
+        failures = compare_artifacts(
+            tiny_artifact(tmp_path, "slow", runner=slow), baseline)
+        assert failures == [
+            "tiny: check failed: rows_per_sec above the 1500 floor"]
+
+    def test_banded_cell_that_stops_reporting_sim_time_fails(self, tmp_path):
+        baseline = tiny_artifact(tmp_path)
         fresh = copy.deepcopy(baseline)
-        fresh["cells"][0]["metrics"]["rows_per_sec"] = 100
+        fresh["cells"][3]["sim_seconds"] = None
         failures = compare_artifacts(fresh, baseline)
-        assert len(failures) == 1 and "under the floor" in failures[0]
+        assert len(failures) == 1
+        assert "stopped reporting sim time" in failures[0]
+        # an unbanded area (wall-clock only) never had a sim time to lose
+        baseline["gate"] = {}
+        assert compare_artifacts(fresh, baseline) == []
 
     def test_unfinished_or_missing_cells_fail(self, tmp_path):
         baseline = tiny_artifact(tmp_path)
@@ -310,8 +353,14 @@ class TestVerticaDogfood:
 
 class TestRealAreas:
     def test_fig06_smoke_area_runs_and_resumes(self, tmp_path):
-        store, report = run_area(AREAS["fig06"], str(tmp_path), log=quiet)
-        assert store.counts()[DONE] == 6
+        # the real runner and checks at a fifth of the committed baseline's
+        # rows, so tier-1 stays fast
+        real = AREAS["fig06"]
+        area = BenchArea(real.name, real.title, real.full_axes, real.runner,
+                         config={"real_rows": 400}, checks=real.checks,
+                         paper=real.paper)
+        store, report = run_area(area, str(tmp_path), log=quiet)
+        assert store.counts()[DONE] == 14
         assert report.all_checks_pass, report.failed_checks()
         path = os.path.join(str(tmp_path), "BENCH_fig06.json")
         assert os.path.exists(path)
@@ -320,6 +369,67 @@ class TestRealAreas:
         assert doc["schema_version"] == REPORT_SCHEMA_VERSION
         assert doc["cost_model_fingerprint"] == cost_model_fingerprint()
         # A second invocation resumes: every cell skipped, same artifact.
-        store2, __ = run_area(AREAS["fig06"], str(tmp_path), log=quiet)
-        assert store2.counts()[DONE] == 6
+        store2, __ = run_area(area, str(tmp_path), log=quiet)
+        assert store2.counts()[DONE] == 14
         assert store2.records() == store.records()
+
+
+class TestTrajectory:
+    def test_update_baselines_appends_one_record_per_area(self, tmp_path,
+                                                          capsys):
+        results, baselines = str(tmp_path / "r"), str(tmp_path / "b")
+        args = ["tab02", "avro", "--results-dir", results,
+                "--baseline-dir", baselines, "--no-publish"]
+        assert main(args) == 0  # a plain run records nothing
+        assert not os.path.exists(os.path.join(results, "trajectory.jsonl"))
+        assert main(args + ["--update-baselines"]) == 0
+        assert main(args + ["--update-baselines"]) == 0
+        capsys.readouterr()
+        assert main(["--trajectory", "--results-dir", results]) == 0
+        rows = [line.split("|") for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("| tab02", "| avro"))]
+        assert [(r[1].strip(), r[2].strip(), r[6].strip()) for r in rows] == [
+            ("avro", "2", "pass"), ("tab02", "2", "pass")]
+        with open(os.path.join(results, "trajectory.jsonl")) as handle:
+            record = json.loads(handle.readline())
+        baseline = load_artifact(artifact_path(baselines, "tab02"))
+        assert record["experiment"] == "tab02"
+        assert record["grid_fingerprint"] == baseline["grid"]["fingerprint"]
+        assert record["cost_model_fingerprint"] == cost_model_fingerprint()
+        assert record["sim_seconds"] == baseline["sim_seconds"]
+
+
+REPO = os.path.join(os.path.dirname(__file__), "..")
+
+
+class TestRegistry:
+    """One bench spine: no cells run here, only the committed state."""
+
+    def paper_areas(self):
+        """({paper id: area}, {ablation areas}) from DESIGN.md's index."""
+        with open(os.path.join(REPO, "DESIGN.md"), encoding="utf-8") as handle:
+            text = handle.read()
+        index = text[text.index("## 4. Experiment index"):
+                     text.index("## 5. ")]
+        figures = dict(re.findall(r"^\| ((?:Fig|Tab) \d+) \|.*`(\w+)` \|$",
+                                  index, flags=re.M))
+        return figures, set(re.findall(r"area `(\w+)`", index))
+
+    def test_every_paper_experiment_is_an_area(self):
+        figures, ablations = self.paper_areas()
+        assert sorted(figures) == sorted(
+            [f"Fig {n}" for n in range(6, 13)] + [f"Tab {n}" for n in (2, 3, 4)])
+        assert {"locality", "prehash", "avro", "twostage", "agg"} <= ablations
+        named = set(figures.values()) | ablations
+        assert named <= set(AREAS), named - set(AREAS)
+
+    @pytest.mark.parametrize("name", sorted(AREAS))
+    def test_area_has_a_current_passing_baseline(self, name):
+        path = artifact_path(os.path.join(REPO, "benchmarks", "baselines"), name)
+        assert os.path.exists(path), f"no committed baseline for {name}"
+        doc = load_artifact(path)
+        assert doc["grid"]["fingerprint"] == AREAS[name].grid().fingerprint()
+        assert doc["cost_model_fingerprint"] == cost_model_fingerprint()
+        assert doc["gate"] == AREAS[name].gate
+        assert len(doc["checks"]) > 1  # more than the harness's "all DONE"
+        assert all(check["passed"] for check in doc["checks"]), doc["checks"]

@@ -1,14 +1,6 @@
 """Smoke test for the chaos soak harness (CI runs the full 25-seed soak)."""
 
-from repro.bench.chaos_soak import (
-    run_profile_trial,
-    run_s2v_trial,
-    run_soak,
-    run_staged_s2v_trial,
-    run_staged_v2s_trial,
-    run_wlm_trial,
-    summarize,
-)
+from repro.bench.chaos_soak import TRIALS, run_soak, run_trial, summarize
 
 
 class TestSoakSmoke:
@@ -17,13 +9,9 @@ class TestSoakSmoke:
         # one S2V + V2S + agg + wlm + profile + staged-s2v + staged-v2s
         # + cache + adaptive per seed
         assert len(trials) == 27
-        assert any(t.workload == "agg" for t in trials)
-        assert any(t.workload == "wlm" for t in trials)
-        assert any(t.workload == "profile" for t in trials)
-        assert any(t.workload == "staged-s2v" for t in trials)
-        assert any(t.workload == "staged-v2s" for t in trials)
-        assert any(t.workload == "cache" for t in trials)
-        assert any(t.workload == "adaptive" for t in trials)
+        assert [t.workload for t in trials[:9]] == list(TRIALS) == [
+            "s2v", "v2s", "agg", "wlm", "profile", "staged-s2v",
+            "staged-v2s", "cache", "adaptive"]
         bad = [t for t in trials if not t.ok]
         assert not bad, "\n".join(t.describe() for t in bad)
         # The soak must actually exercise faults and still complete work.
@@ -32,8 +20,8 @@ class TestSoakSmoke:
         assert "0 invariant violations" in summarize(trials)
 
     def test_trials_are_replayable(self):
-        first = run_s2v_trial(5, mode="append", speculation=True)
-        again = run_s2v_trial(5, mode="append", speculation=True)
+        first = run_trial("s2v", 5, mode="append", speculation=True)
+        again = run_trial("s2v", 5, mode="append", speculation=True)
         assert first.ok and again.ok
         assert first.injections == again.injections
         assert first.succeeded == again.succeeded
@@ -44,7 +32,7 @@ class TestSoakSmoke:
     def test_profile_trial_exact_answers_and_no_leaks(self):
         # A fault-free-success seed and a clean-failure seed both hold the
         # bar; replayability mirrors the other workloads.
-        trial = run_profile_trial(15485863)
+        trial = run_trial("profile", 15485863)
         assert trial.ok, trial.describe()
         assert "no-leaked-sessions" in trial.report.checks
         assert "no-leaked-locks" in trial.report.checks
@@ -52,7 +40,7 @@ class TestSoakSmoke:
             assert "profile-exact-answer" in trial.report.checks
             assert "profile-cost-reconciles" in trial.report.checks
         assert "--workload profile" in trial.replay_command()
-        again = run_profile_trial(15485863)
+        again = run_trial("profile", 15485863)
         assert again.injections == trial.injections
         assert again.succeeded == trial.succeeded
 
@@ -60,24 +48,24 @@ class TestSoakSmoke:
         # A seed whose schedule includes a pool storm (seeded, so stable):
         # exactly-once must hold while noisy neighbours fight the save for
         # the starved ingest pool's two slots.
-        trial = run_wlm_trial(1299715)
+        trial = run_trial("wlm", 1299715)
         assert trial.ok, trial.describe()
         assert trial.injections > 0
         assert "no-leaked-pool-slots" in trial.report.checks
         assert "--workload wlm" in trial.replay_command()
 
     def test_staged_s2v_trial_audits_staging_fs(self):
-        trial = run_staged_s2v_trial(3, mode="overwrite")
+        trial = run_trial("staged-s2v", 3, mode="overwrite")
         assert trial.ok, trial.describe()
         assert "no-orphaned-staging-files" in trial.report.checks
         assert "--workload staged-s2v" in trial.replay_command()
         assert "--mode overwrite" in trial.replay_command()
-        again = run_staged_s2v_trial(3, mode="overwrite")
+        again = run_trial("staged-s2v", 3, mode="overwrite")
         assert again.injections == trial.injections
         assert again.succeeded == trial.succeeded
 
     def test_staged_v2s_trial_audits_staging_fs(self):
-        trial = run_staged_v2s_trial(103, speculation=True)
+        trial = run_trial("staged-v2s", 103, speculation=True)
         assert trial.ok, trial.describe()
         assert "no-orphaned-staging-files" in trial.report.checks
         if trial.succeeded:

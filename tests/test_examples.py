@@ -55,23 +55,30 @@ class TestExamples:
 
 
 class TestBenchCli:
+    """The one bench entry point: ``python -m repro.bench.grid``."""
+
     def test_list(self, capsys):
-        from repro.bench.__main__ import main
+        from repro.bench.grid import main
 
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "fig6" in out and "tab4" in out
+        assert "fig06" in out and "tab04" in out and "twostage" in out
+        assert out.count(" axes: ") == 21
 
     def test_unknown_experiment(self, capsys):
-        from repro.bench.__main__ import main
+        from repro.bench.grid import main
 
         assert main(["nonexistent"]) == 2
+        assert "unknown areas ['nonexistent']" in capsys.readouterr().err
 
     def test_run_one(self, tmp_path, capsys):
-        from repro.bench.__main__ import main
+        from repro.bench.grid import main
 
-        assert main(["tab2", "--results-dir", str(tmp_path)]) == 0
+        assert main(["tab02", "--results-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "tab02_resources" in out
-        assert "[PASS]" in out
-        assert (tmp_path / "tab02_resources.txt").exists()
+        assert "[tab02] 2 run, 0 resumed (skipped), 0 failed of 2 cells" in out
+        assert "published 2 cell row(s)" in out
+        table = (tmp_path / "BENCH_tab02.txt").read_text()
+        assert "[PASS] 32 partitions: network saturated (~120 MB/s)" in table
+        assert "[FAIL]" not in table
+        assert (tmp_path / "BENCH_tab02.json").exists()

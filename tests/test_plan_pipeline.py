@@ -246,6 +246,49 @@ class TestProfile:
         finally:
             telemetry.reset()
 
+    def test_profile_reconciles_with_cost_and_v2s_telemetry(self):
+        """PROFILE operator rows == CostReport == V2S fabric telemetry."""
+        from repro.bench.areas.scan_throughput import QUERIES, load_scan_table
+        from repro.connector import SimVerticaCluster
+        from repro.sim import Environment
+        from repro.spark import SparkSession
+
+        rows = 2_000
+        env = Environment()
+        vc = SimVerticaCluster(env=env, num_nodes=4)
+        spark = SparkSession(env=env, cluster=vc.sim_cluster, num_workers=4)
+        session = vc.db.connect()
+        load_scan_table(session, rows)
+
+        telemetry.install(MetricsRegistry(enabled=True))
+        try:
+            # PROFILE the grouped aggregation: operator stats vs CostReport.
+            report = session.execute("PROFILE " + QUERIES["grouped_agg"])
+            stats = {
+                kind: (rows_in, rows_out)
+                for kind, rows_in, rows_out in report.profile.operator_rows()
+            }
+            assert stats["scan"][1] == report.cost.rows_scanned == rows
+            assert stats["aggregate"][0] == report.cost.rows_aggregated == rows
+            assert stats["aggregate"][1] == len(report.query_result.rows) == 37
+            # The same rows flowed into the plan-level telemetry counters.
+            assert telemetry.counter("vertica.plan.scan.rows_out").value == rows
+            assert (
+                telemetry.counter("vertica.plan.aggregate.rows_out").value == 37
+            )
+
+            # V2S read of the same table: the connector's fetch counter must
+            # agree with what a profiled full scan says the table holds.
+            df = (
+                spark.read.format("vertica")
+                .options({"db": vc, "table": "big", "numpartitions": 4})
+                .load()
+            )
+            assert len(df.collect()) == rows
+            assert telemetry.counter("v2s.rows_fetched").value == rows
+        finally:
+            telemetry.reset()
+
 
 class TestScalarContract:
     def test_scalar_on_empty_result_raises_vertica_error(self, db):

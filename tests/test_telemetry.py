@@ -212,18 +212,6 @@ class TestSnapshot:
         assert "spark.jobs_submitted" in text
         assert "s2v.phase1" in text
 
-    def test_report_merges_attached_snapshots(self, registry):
-        from repro.bench.report import ExperimentReport
-
-        report = ExperimentReport("t", "merge test")
-        telemetry.counter("c").inc(2)
-        report.attach_telemetry(registry.snapshot())
-        registry.clear()
-        telemetry.counter("c").inc(3)
-        report.attach_telemetry(registry.snapshot())
-        assert report.telemetry.counter("c") == 5.0
-        assert "telemetry" in report.render()
-
     def test_clear_drops_state(self, registry):
         telemetry.counter("c").inc()
         with telemetry.span("s"):

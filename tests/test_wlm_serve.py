@@ -1,6 +1,6 @@
 """End-to-end tests for the multi-tenant concurrent serving driver."""
 
-from repro.bench.concurrent_serve import run_comparison, run_serve
+from repro.bench.concurrent_serve import run_serve
 
 
 class TestConcurrentServe:
@@ -26,7 +26,8 @@ class TestConcurrentServe:
         assert "no-leaked-pool-slots" in report.report.checks
 
     def test_premium_pool_isolates_tenant_zero(self):
-        reports = run_comparison(tenants=4, ops=6)
+        reports = {"shared": run_serve(tenants=4, ops=6, premium=False),
+                   "pools": run_serve(tenants=4, ops=6, premium=True)}
         assert reports["shared"].ok, reports["shared"].describe()
         assert reports["pools"].ok, reports["pools"].describe()
         shared_p95 = reports["shared"].tenant(0).p95
