@@ -1,0 +1,87 @@
+"""The one row representation between ROS storage and the result tuples.
+
+A :class:`ColumnBatch` is a chunk of rows stored column-wise
+(``names[i]`` names the parallel value list ``columns[i]``) plus a
+per-row producing-node list that keeps the CostReport's node attribution
+exact.  ``Engine.scan`` yields them straight off the ROS column lists,
+every physical operator exchanges them, and ``execute_select`` turns the
+last ones into result tuples; nothing in between builds a per-row object.
+Alias-qualified column names (``P.ID``) share the *same* list objects as
+their plain twins.  :class:`RowView` is the single adapter from a batch
+row to the ``Mapping`` that ``Expression.evaluate`` consumes.
+
+This module imports nothing from the engine or the plan package, so both
+may import it at their top.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+#: most rows an operator puts in one batch
+BATCH_ROWS = 1024
+
+
+def gather(values: List[Any], indices: Iterable[int]) -> List[Any]:
+    """``values`` at ``indices`` as a new list (a unit range is one slice)."""
+    if isinstance(indices, range) and indices.step == 1:
+        return values[indices.start:indices.stop]
+    return [values[i] for i in indices]
+
+
+class ColumnBatch:
+    """Column-name → list-of-values chunk with per-row node attribution.
+
+    A slice yielded by ``Engine.scan`` also names where its rows live:
+    their ``row_ids`` in the ROS ``container`` that UPDATE and DELETE
+    stage delete vectors against (``None``: uncommitted WOS rows).  Both
+    are ``None`` for every batch an operator builds from several slices.
+    """
+
+    __slots__ = ("names", "columns", "nodes", "index", "container", "row_ids")
+
+    def __init__(
+        self,
+        names: List[str],
+        columns: List[List[Any]],
+        nodes: List[str],
+        container: Optional[Any] = None,
+        row_ids: Optional[Sequence[int]] = None,
+    ):
+        self.names = names
+        self.columns = columns
+        self.nodes = nodes
+        self.container = container
+        self.row_ids = row_ids
+        #: a repeated name keeps its last occurrence, like dict(zip(...))
+        self.index: Dict[str, int] = {name: i for i, name in enumerate(names)}
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.nodes)
+
+    def rows(self) -> List[Tuple[Any, ...]]:
+        """Materialize row tuples (used at pipeline edges only)."""
+        if not self.columns:
+            return [()] * len(self.nodes)
+        return list(zip(*self.columns))
+
+
+class RowView(Mapping):
+    """One batch row as the Mapping the expression evaluator expects."""
+
+    __slots__ = ("batch", "row")
+
+    def __init__(self, batch: ColumnBatch, row: int):
+        self.batch = batch
+        self.row = row
+
+    def __getitem__(self, key: str) -> Any:
+        return self.batch.columns[self.batch.index[key]][self.row]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.batch.index)  # each name once, like a dict's keys
+
+    def __len__(self) -> int:
+        return len(self.batch.index)

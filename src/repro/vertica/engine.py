@@ -7,6 +7,12 @@ locality information to decide which bytes cross the Vertica-internal
 network (shuffle) versus flow straight out to the client — the effect at
 the heart of the paper's locality-aware V2S design.
 
+``Engine.scan`` is the one reader of storage: it yields a table's visible
+rows as :class:`~repro.vertica.batch.ColumnBatch` column slices — one per
+(node, ROS container), one per matching WOS buffer — built from the
+container's visibility selection vector, so no per-row object exists
+between the ROS column lists and the operators.
+
 Notable behaviours:
 
 - **Segment pruning** — a WHERE clause containing ``HASH(seg_cols) >= lo
@@ -24,6 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import telemetry
+from repro.vertica.batch import ColumnBatch, RowView, gather
 from repro.vertica.errors import CatalogError, SqlError
 from repro.vertica.expr import (
     Between,
@@ -259,24 +266,6 @@ def _tighten(conjunct: Expression, seg_cols: List[str], hash_range: HashRange) -
         hash_range.hi = min(hash_range.hi, bound + 1)
 
 
-class ScanRow:
-    """One visible row with its physical location (for DML staging)."""
-
-    __slots__ = ("node", "data", "container", "row_index")
-
-    def __init__(
-        self,
-        node: str,
-        data: Dict[str, Any],
-        container: Optional[RosContainer] = None,
-        row_index: int = -1,
-    ):
-        self.node = node
-        self.data = data
-        self.container = container
-        self.row_index = row_index
-
-
 class Engine:
     """Executes parsed statements against a database's storage."""
 
@@ -341,8 +330,17 @@ class Engine:
         hash_range: Optional[HashRange] = None,
         cost: Optional[CostReport] = None,
         for_update: bool = False,
-    ) -> Iterator[ScanRow]:
-        """Yield visible rows of a table at a snapshot.
+        columns: Optional[Sequence[str]] = None,
+    ) -> Iterator[ColumnBatch]:
+        """Yield the visible rows of a table at a snapshot, as column slices.
+
+        One :class:`ColumnBatch` per (node, ROS container) holding rows and
+        one per matching WOS buffer of the reading transaction, each with
+        the requested ``columns`` (default: all) gathered by a selection
+        vector: the container's visible rows, minus the transaction's own
+        staged deletes, narrowed to the hash range.  ``cost`` is charged
+        once per slice for the rows visible *before* the hash-range
+        filter.  ROS slices also name their ``container``.
 
         ``for_update`` scans every physical copy (so DML can touch each
         replica of an unsegmented table); plain reads scan the initiator's
@@ -360,36 +358,56 @@ class Engine:
             for segment in table.ring.segments:
                 if hash_range.intersects(segment.lo, segment.hi):
                     nodes.append(segment.node)
+        # Every container of a table stores the table's columns, in order.
+        stored = table.column_names()
+        names = list(columns) if columns is not None else stored
+        slots = [stored.index(name) for name in names]
+        # Every row hash lies inside the ring, so a full range filters nothing.
+        filtered = not table.unsegmented and not hash_range.is_full
+        lo, hi = hash_range.lo, hash_range.hi
+
+        def slice_of(
+            node: str,
+            source: RosContainer,
+            rows: Sequence[int],
+            container: Optional[RosContainer],
+        ) -> Optional[ColumnBatch]:
+            if cost is not None and rows:
+                cost.scanned(node, len(rows))
+            if filtered:
+                hashes = source.row_hashes
+                rows = [i for i in rows if lo <= hashes[i] < hi]
+            if not rows:
+                return None
+            return ColumnBatch(
+                names,
+                [gather(source.columns[slot], rows) for slot in slots],
+                [node] * len(rows),
+                container,
+                rows,
+            )
+
+        self_deleted = (
+            txn.is_deleted_by_self if txn is not None and txn.deletes else None
+        )
         for node in nodes:
             storage, attributed = self._storage_for(node, table_name)
             for container in storage:
-                for row_index in container.live_rows(snapshot_epoch):
-                    if txn is not None and txn.is_deleted_by_self(container, row_index):
-                        continue
-                    if cost is not None:
-                        cost.scanned(attributed)
-                    row_hash = container.row_hashes[row_index]
-                    if not table.unsegmented and not (
-                        hash_range.lo <= row_hash < hash_range.hi
-                    ):
-                        continue
-                    yield ScanRow(attributed, container.row(row_index),
-                                  container, row_index)
-        # Read-your-writes: rows staged by this transaction.
+                rows = container.visible(snapshot_epoch)
+                if self_deleted is not None:
+                    rows = [i for i in rows if not self_deleted(container, i)]
+                batch = slice_of(attributed, container, rows, container)
+                if batch is not None:
+                    yield batch
+        # Read-your-writes: rows staged by this transaction, sliced from
+        # the container they would commit as (but located nowhere yet).
         if txn is not None:
-            pending_nodes = set(nodes)
             for (wos_table, node), buffer in list(txn.wos.items()):
-                if wos_table != table.name or node not in pending_nodes:
-                    continue
-                for index, row in enumerate(buffer.rows):
-                    if cost is not None:
-                        cost.scanned(node)
-                    row_hash = buffer.row_hashes[index]
-                    if not table.unsegmented and not (
-                        hash_range.lo <= row_hash < hash_range.hi
-                    ):
-                        continue
-                    yield ScanRow(node, dict(zip(buffer.column_names, row)))
+                if wos_table == table.name and node in nodes:
+                    staged = buffer.to_container(snapshot_epoch)
+                    batch = slice_of(node, staged, range(staged.nrows), None)
+                    if batch is not None:
+                        yield batch
 
     def _storage_for(self, node: str, table_name: str):
         """Containers for ``table_name`` on ``node``, with failover.
@@ -498,7 +516,8 @@ class Engine:
                 result.snapshot_epoch = snapshot
                 return result, None
 
-        # Imported lazily: plan modules import this module at their top.
+        # Imported lazily: plan modules import this module at their top
+        # (the batch types both sides share live in repro.vertica.batch).
         from repro.vertica.plan import execute_select
 
         result, execution = execute_select(
@@ -526,7 +545,7 @@ class Engine:
         """Render the optimized plan: access path, pruning, pushdowns.
 
         Binds and optimizes through the real pipeline but executes
-        nothing (row estimates come from storage metadata only).  When
+        nothing (row estimates count visible rows, reading no column).  When
         the session has RESULT_CACHE on, a trailing line reports whether
         the query would be served from the result cache at the current
         snapshot (the probe neither stores nor touches LRU order).
@@ -721,31 +740,20 @@ class Engine:
         txn.lock(table.name)
         telemetry.counter("vertica.queries.update").inc()
         cost = CostReport()
-        snapshot = db.epochs.current
         assignments = [(c.upper(), e) for c, e in statement.assignments]
         for column, __ in assignments:
             if not table.has_column(column):
                 raise SqlError(f"table {table.name!r} has no column {column!r}")
-        from repro.vertica.plan import dml_matching_rows
-
         matched: List[Dict[str, Any]] = []
-        seen_keys = set()
-        for scan_row in dml_matching_rows(
-            self, table.name, statement.where, txn, initiator, snapshot, cost,
-            context,
+        for batch in self._matched_once(
+            table, statement.where, txn, initiator, cost, context
         ):
-            if scan_row.container is not None:
-                txn.stage_delete(scan_row.container, scan_row.row_index)
-            if table.unsegmented:
-                # Replicated copies: update counts once per logical row.
-                key = tuple(sorted(scan_row.data.items()))
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-            updated = dict(scan_row.data)
-            for column, expression in assignments:
-                updated[column] = expression.evaluate(scan_row.data)
-            matched.append(updated)
+            for i, values in enumerate(batch.rows()):
+                updated = dict(zip(batch.names, values))
+                row = RowView(batch, i)
+                for column, expression in assignments:
+                    updated[column] = expression.evaluate(row)
+                matched.append(updated)
         if matched:
             self.insert_rows(table.name, matched, txn, cost)
         return ResultSet(rowcount=len(matched), cost=cost)
@@ -762,21 +770,42 @@ class Engine:
         txn.lock(table.name)
         telemetry.counter("vertica.queries.delete").inc()
         cost = CostReport()
-        snapshot = db.epochs.current
+        count = sum(
+            batch.num_rows
+            for batch in self._matched_once(
+                table, statement.where, txn, initiator, cost, context
+            )
+        )
+        return ResultSet(rowcount=count, cost=cost)
+
+    def _matched_once(
+        self,
+        table: Any,
+        where: Optional[Expression],
+        txn: Transaction,
+        initiator: str,
+        cost: CostReport,
+        context: PlanContext,
+    ) -> Iterator[ColumnBatch]:
+        """Stage deletes for an UPDATE/DELETE; yield each matched row once.
+
+        The ``for_update`` scan reads every physical copy and each copy's
+        matching rows get a staged delete, but an unsegmented table's
+        rows are counted on the first node read only — once per *copy*,
+        not per value: two equal rows are two rows.
+        """
         from repro.vertica.plan import dml_matching_rows
 
-        count = 0
-        seen_keys = set()
-        for scan_row in dml_matching_rows(
-            self, table.name, statement.where, txn, initiator, snapshot, cost,
-            context,
+        counted_node: Optional[str] = None
+        for batch in dml_matching_rows(
+            self, table.name, where, txn, initiator,
+            self.database.epochs.current, cost, context,
         ):
-            if scan_row.container is not None:
-                txn.stage_delete(scan_row.container, scan_row.row_index)
-            if table.unsegmented:
-                key = tuple(sorted(scan_row.data.items()))
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-            count += 1
-        return ResultSet(rowcount=count, cost=cost)
+            if batch.container is not None:
+                for row_id in batch.row_ids or ():
+                    txn.stage_delete(batch.container, row_id)
+            if counted_node is None:
+                counted_node = batch.nodes[0]
+            if table.unsegmented and batch.nodes[0] != counted_node:
+                continue
+            yield batch

@@ -14,12 +14,13 @@ loads of views and unsegmented tables).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.vertica.errors import SqlError
 from repro.vertica.hashring import vertica_hash
 
-Row = Dict[str, Any]
+#: what an expression evaluates against: a dict, or a batch row's ``RowView``
+Row = Mapping[str, Any]
 
 
 class Expression:

@@ -1,16 +1,13 @@
 """Physical operators executing over columnar batches.
 
-A :class:`ColumnBatch` is a chunk of up to :data:`BATCH_ROWS` rows stored
-column-wise (``names[i]`` names the parallel value list ``columns[i]``),
-plus a per-row producing-node list that keeps the legacy CostReport's
-node attribution exact.  Alias-qualified column names (``P.ID``) share
-the *same* list objects as their plain twins — the per-row dict copy the
-legacy interpreter paid for qualification is gone entirely.
-
-:class:`RowView` adapts one batch row back into the ``Mapping`` the
-expression evaluator consumes, so ``Expression.evaluate`` (including
-``SYNTHETIC_HASH``'s whole-row hash over sorted column names) works
-unchanged over batches.
+Operators exchange :class:`~repro.vertica.batch.ColumnBatch`es of up to
+:data:`~repro.vertica.batch.BATCH_ROWS` rows, and that is the only row
+representation here: ``TableScanOp`` fills batches from the column
+slices ``Engine.scan`` yields, joins and sorts concatenate their inputs
+column-wise and *gather by index* (``(left, right)`` pair lists, an
+argsort), and filters compact by a keep-vector.  No operator builds a
+per-row dict or tuple; :class:`~repro.vertica.batch.RowView` is the one
+adapter that lets ``Expression.evaluate`` read a batch row in place.
 
 Fidelity notes (the differential suite enforces these):
 
@@ -23,6 +20,9 @@ Fidelity notes (the differential suite enforces these):
 - Aggregate output rows are attributed to the initiator, and the
   HAVING-bypassing "aggregate over empty input still returns one row"
   fallback is preserved bug-for-bug.
+- A join's output row is right ∪ left with left winning plain-name
+  collisions and right winning its qualified names — the legacy dict
+  merge, decided once per output *column* in ``JoinOp._emit``.
 
 Every operator records :class:`OperatorStats` (rows in/out, bytes out,
 inclusive wall time); the pipeline feeds them to ``PROFILE``,
@@ -31,69 +31,20 @@ inclusive wall time); the pipeline feeds them to ``PROFILE``,
 
 from __future__ import annotations
 
+import itertools
 import time
-from collections.abc import Mapping
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ordering import null_last_key
+from repro.vertica.batch import BATCH_ROWS, ColumnBatch, RowView, gather
 from repro.vertica.engine import CostReport, _value_bytes
 from repro.vertica.errors import SqlError
-from repro.vertica.expr import ColumnRef, predicate_holds
+from repro.vertica.expr import ColumnRef, Expression, predicate_holds
 from repro.vertica.plan import logical
 from repro.vertica.plan.adaptive import AdaptiveContext
 from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.txn import Transaction
-
-BATCH_ROWS = 1024
-
-
-class ColumnBatch:
-    """Column-name → list-of-values chunk with per-row node attribution."""
-
-    __slots__ = ("names", "columns", "nodes", "index")
-
-    def __init__(
-        self,
-        names: List[str],
-        columns: List[List[Any]],
-        nodes: List[str],
-    ):
-        self.names = names
-        self.columns = columns
-        self.nodes = nodes
-        self.index: Dict[str, int] = {}
-        for i, name in enumerate(names):
-            self.index[name] = i  # last occurrence wins, like dict(zip(...))
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.nodes)
-
-    def rows(self) -> List[Tuple[Any, ...]]:
-        """Materialize row tuples (used at pipeline edges only)."""
-        if not self.columns:
-            return [()] * len(self.nodes)
-        return list(zip(*self.columns))
-
-
-class RowView(Mapping):
-    """One batch row as the Mapping the expression evaluator expects."""
-
-    __slots__ = ("batch", "row")
-
-    def __init__(self, batch: ColumnBatch, row: int):
-        self.batch = batch
-        self.row = row
-
-    def __getitem__(self, key: str) -> Any:
-        return self.batch.columns[self.batch.index[key]][self.row]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.batch.names)
-
-    def __len__(self) -> int:
-        return len(self.batch.names)
 
 
 class OperatorStats:
@@ -129,7 +80,7 @@ class PhysicalOperator:
         self.children: List["PhysicalOperator"] = []
 
     def label(self) -> str:
-        raise NotImplementedError
+        return self.logical.label()
 
     def batches(self) -> Iterator[ColumnBatch]:
         run = self._run()
@@ -149,27 +100,60 @@ class PhysicalOperator:
         raise NotImplementedError
 
 
-def _compact(batch: ColumnBatch, keep: List[int]) -> ColumnBatch:
+def _compact(batch: ColumnBatch, keep: Sequence[int]) -> ColumnBatch:
     """Select rows by index, preserving shared column-list identity."""
     cache: Dict[int, List[Any]] = {}
     columns: List[List[Any]] = []
     for column in batch.columns:
-        key = id(column)
-        compacted = cache.get(key)
+        compacted = cache.get(id(column))
         if compacted is None:
-            compacted = [column[i] for i in keep]
-            cache[key] = compacted
+            compacted = cache[id(column)] = gather(column, keep)
         columns.append(compacted)
-    nodes = [batch.nodes[i] for i in keep]
-    return ColumnBatch(batch.names, columns, nodes)
+    row_ids = batch.row_ids
+    if row_ids is not None:
+        row_ids = [row_ids[i] for i in keep]
+    return ColumnBatch(
+        batch.names, columns, gather(batch.nodes, keep), batch.container, row_ids
+    )
 
 
-def _apply_predicate(batch: ColumnBatch, predicate) -> ColumnBatch:
-    keep = [
+def _concat(batches: List[ColumnBatch]) -> ColumnBatch:
+    """One operator's whole output as a single batch.
+
+    Every batch of one operator names the same columns with the same
+    lists shared between aliases, so the first batch's sharing decides.
+    """
+    if not batches:
+        return ColumnBatch([], [], [])
+    cache: Dict[int, List[Any]] = {}
+    columns: List[List[Any]] = []
+    for position, column in enumerate(batches[0].columns):
+        joined = cache.get(id(column))
+        if joined is None:
+            joined = cache[id(column)] = list(itertools.chain.from_iterable(
+                batch.columns[position] for batch in batches
+            ))
+        columns.append(joined)
+    nodes = list(itertools.chain.from_iterable(b.nodes for b in batches))
+    return ColumnBatch(batches[0].names, columns, nodes)
+
+
+def _matching(batch: ColumnBatch, predicate: Expression) -> List[int]:
+    """Indices of the rows whose ``predicate`` is strictly True, in order."""
+    return [
         i
         for i in range(batch.num_rows)
         if predicate.evaluate(RowView(batch, i)) is True
     ]
+
+
+def _apply_predicate(
+    batch: ColumnBatch, predicate: Expression
+) -> Optional[ColumnBatch]:
+    """The rows of ``batch`` that satisfy ``predicate``; None if none does."""
+    keep = _matching(batch, predicate)
+    if not keep:
+        return None
     if len(keep) == batch.num_rows:
         return batch
     return _compact(batch, keep)
@@ -185,9 +169,6 @@ class ConstantOp(PhysicalOperator):
         self.logical = node
         self.initiator = initiator
 
-    def label(self) -> str:
-        return self.logical.label()
-
     def _run(self) -> Iterator[ColumnBatch]:
         yield ColumnBatch([], [], [self.initiator])
 
@@ -197,8 +178,9 @@ class TableScanOp(PhysicalOperator):
 
     The engine's ``scan`` generator (visibility, hash-range row filter,
     buddy failover, WOS read-your-writes) stays the single source of
-    storage truth; this operator only batches its rows column-wise and
-    applies any pushed-down predicate.
+    storage truth; this operator only copies the requested columns of
+    its slices into full batches — storage lists are never handed
+    downstream — and applies any pushed-down predicate.
     """
 
     kind = "scan"
@@ -220,24 +202,11 @@ class TableScanOp(PhysicalOperator):
         self.snapshot = snapshot
         self.cost = cost
 
-    def label(self) -> str:
-        return self.logical.label()
-
-    def _run(self) -> Iterator[ColumnBatch]:
+    def _slices(self, columns: Optional[Sequence[str]]) -> Iterator[ColumnBatch]:
+        """The engine's scan of this table, accounted into ``stats``."""
         node = self.logical
-        plain = (
-            node.columns
-            if node.columns is not None
-            else node.table.column_names()
-        )
-        names = list(plain)
-        if node.qualify:
-            names += [f"{node.alias}.{c}" for c in plain]
-        predicate = node.predicate
-        columns: List[List[Any]] = [[] for __ in plain]
-        nodes: List[str] = []
         scanned_before = self.cost.rows_scanned
-        for scan_row in self.engine.scan(
+        for chunk in self.engine.scan(
             node.key,
             self.snapshot,
             self.txn,
@@ -245,35 +214,53 @@ class TableScanOp(PhysicalOperator):
             hash_range=node.hash_range,
             cost=self.cost,
             for_update=node.for_update,
+            columns=columns,
         ):
-            data = scan_row.data
-            for i, name in enumerate(plain):
-                columns[i].append(data[name])
-            nodes.append(scan_row.node)
-            if len(nodes) >= BATCH_ROWS:
-                self.stats.rows_scanned += self.cost.rows_scanned - scanned_before
-                yield self._finish_batch(names, columns, nodes, predicate)
-                columns = [[] for __ in plain]
-                nodes = []
-                scanned_before = self.cost.rows_scanned
+            self.stats.rows_scanned += self.cost.rows_scanned - scanned_before
+            self.stats.rows_in += chunk.num_rows
+            yield chunk
+            scanned_before = self.cost.rows_scanned
         self.stats.rows_scanned += self.cost.rows_scanned - scanned_before
-        if nodes:
-            yield self._finish_batch(names, columns, nodes, predicate)
 
-    def _finish_batch(
-        self,
-        names: List[str],
-        columns: List[List[Any]],
-        nodes: List[str],
-        predicate,
-    ) -> ColumnBatch:
-        # Qualified names reference the same list objects: zero copies.
-        batch = ColumnBatch(names, columns + columns if len(names) > len(columns)
-                            else columns, nodes)
-        self.stats.rows_in += batch.num_rows
-        if predicate is not None:
-            batch = _apply_predicate(batch, predicate)
-        return batch
+    def _run(self) -> Iterator[ColumnBatch]:
+        predicate = self.logical.predicate
+        for batch in self._unfiltered():
+            matched = (
+                batch if predicate is None else _apply_predicate(batch, predicate)
+            )
+            if matched is not None:
+                yield matched
+
+    def _unfiltered(self) -> Iterator[ColumnBatch]:
+        """The scan's slices refilled into qualified ``BATCH_ROWS`` batches."""
+        node = self.logical
+        plain = list(
+            node.columns
+            if node.columns is not None
+            else node.table.column_names()
+        )
+        names = list(plain)
+        copies = 1
+        if node.qualify:  # qualified names alias the same lists: zero copies
+            names += [f"{node.alias}.{c}" for c in plain]
+            copies = 2
+        columns: List[List[Any]] = [[] for __ in plain]
+        nodes: List[str] = []
+        for chunk in self._slices(plain):
+            start, size = 0, chunk.num_rows
+            while start < size:
+                stop = start + BATCH_ROWS - len(nodes)
+                whole = start == 0 and stop >= size
+                for column, source in zip(columns, chunk.columns):
+                    column.extend(source if whole else source[start:stop])
+                nodes.extend(chunk.nodes if whole else chunk.nodes[start:stop])
+                start = stop
+                if len(nodes) >= BATCH_ROWS:
+                    yield ColumnBatch(names, columns * copies, nodes)
+                    columns = [[] for __ in plain]
+                    nodes = []
+        if nodes:
+            yield ColumnBatch(names, columns * copies, nodes)
 
 
 class SystemScanOp(PhysicalOperator):
@@ -286,9 +273,6 @@ class SystemScanOp(PhysicalOperator):
         self.engine = engine
         self.logical = node
         self.initiator = initiator
-
-    def label(self) -> str:
-        return self.logical.label()
 
     def _rows(self) -> Tuple[List[str], List[Dict[str, Any]]]:
         db = self.engine.database
@@ -351,9 +335,6 @@ class ViewScanOp(PhysicalOperator):
         self.cost = cost
         self.context = context
 
-    def label(self) -> str:
-        return self.logical.label()
-
     def _run(self) -> Iterator[ColumnBatch]:
         from repro.vertica.hashring import synthetic_ring, vertica_hash
 
@@ -376,141 +357,60 @@ class ViewScanOp(PhysicalOperator):
             query, self.txn, self.initiator, self.context, cost=self.cost
         )
         ring = synthetic_ring(db.node_names)
-        plain = list(dict.fromkeys(result.columns))
+        # A repeated result column keeps its last occurrence, like a dict.
+        position = {name: i for i, name in enumerate(result.columns)}
+        plain = list(position)
+        hashed = [position[name] for name in sorted(position)]
         alias = self.logical.alias
-        names = list(plain) + [f"{alias}.{c}" for c in plain if "." not in c]
+        names = plain + [f"{alias}.{c}" for c in plain if "." not in c]
         for start in range(0, len(result.rows), BATCH_ROWS):
-            chunk = result.rows[start:start + BATCH_ROWS]
-            columns: List[List[Any]] = [[] for __ in plain]
-            nodes: List[str] = []
-            for row in chunk:
-                data = dict(zip(result.columns, row))
-                for i, name in enumerate(plain):
-                    columns[i].append(data[name])
-                values = [data[k] for k in sorted(data)]
-                nodes.append(
-                    ring.node_for(vertica_hash(*values)) if values
-                    else self.initiator
-                )
-            qualified = [
-                columns[plain.index(c)] for c in plain if "." not in c
+            by_position = list(zip(*result.rows[start:start + BATCH_ROWS]))
+            columns = [list(by_position[position[name]]) for name in plain]
+            nodes = [
+                ring.node_for(vertica_hash(*values))
+                for values in zip(*(by_position[i] for i in hashed))
             ]
-            self.stats.rows_in += len(chunk)
+            qualified = [
+                column for name, column in zip(plain, columns) if "." not in name
+            ]
+            self.stats.rows_in += len(nodes)
             yield ColumnBatch(names, columns + qualified, nodes)
 
 
-class JoinOp(PhysicalOperator):
-    """Nested-loop inner join with the legacy dict-merge semantics.
-
-    The right side is materialized once; for each left row the merged
-    row is right ∪ left with left winning on plain-name collisions and
-    right winning qualified ones — bit-for-bit the legacy merge.  Output
-    rows inherit the *left* row's producing node.
-    """
-
-    kind = "join"
-
-    def __init__(
-        self,
-        node: logical.Join,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-    ):
-        super().__init__()
-        self.logical = node
-        self.left = left
-        self.right = right
-        self.children = [left, right]
-
-    def label(self) -> str:
-        return self.logical.label()
-
-    def _run(self) -> Iterator[ColumnBatch]:
-        condition = self.logical.condition
-        right_rows: List[Dict[str, Any]] = []
-        right_names: List[str] = []
-        right_nodes: List[str] = []
-        for batch in self.right.batches():
-            right_names = batch.names
-            self.stats.rows_in += batch.num_rows
-            for i in range(batch.num_rows):
-                right_rows.append(dict(RowView(batch, i)))
-                right_nodes.append(batch.nodes[i])
-        names: Optional[List[str]] = None
-        left_node_set: set = set()
-        pending: List[Tuple[str, Dict[str, Any]]] = []
-        for batch in self.left.batches():
-            if names is None:
-                names = list(right_names) + [
-                    n for n in batch.names if n not in right_names
-                ]
-            self.stats.rows_in += batch.num_rows
-            for i in range(batch.num_rows):
-                left_row = dict(RowView(batch, i))
-                node = batch.nodes[i]
-                left_node_set.add(node)
-                for right_row in right_rows:
-                    merged = dict(right_row)
-                    merged.update(left_row)  # left wins on ambiguity
-                    merged.update(
-                        {k: v for k, v in right_row.items() if "." in k}
-                    )
-                    if predicate_holds(condition, merged):
-                        pending.append((node, merged))
-                        if len(pending) >= BATCH_ROWS:
-                            yield _rows_batch(names, pending)
-                            pending = []
-        if pending and names is not None:
-            yield _rows_batch(names, pending)
-        # The nested loop broadcasts the (materialized) right side to every
-        # node holding probe rows; co-located joins move nothing.
-        if not self.logical.colocated:
-            for node in right_nodes:
-                self.stats.rows_shuffled += len(left_node_set - {node})
-
-
-def _rows_batch(
-    names: List[str], rows: List[Tuple[str, Dict[str, Any]]]
-) -> ColumnBatch:
-    """Transpose (producing node, merged row) pairs into one batch."""
-    columns = [[row[name] for __, row in rows] for name in names]
-    return ColumnBatch(names, columns, [node for node, __ in rows])
-
-
+#: a candidate match: (row of the left input, row of the right input)
+Pair = Tuple[int, int]
+#: one input's equi-key tuple per row; ``None`` where NULL makes it unmatchable
+Keys = List[Optional[Tuple[Any, ...]]]
 #: relation alias -> that relation's materialization index, one per row
 Provenance = Dict[str, Sequence[int]]
 #: relation alias -> (0 = left input / 1 = right input, its index column)
 Sources = Dict[str, Tuple[int, Sequence[int]]]
 
 
-class _EquiJoinOp(PhysicalOperator):
-    """Shared machinery for hash and merge equi-joins.
+class JoinOp(PhysicalOperator):
+    """Inner join; this class is the nested loop, subclasses narrow it.
 
-    Both materialize the two inputs, find matching ``(left, right)`` index
-    pairs on the equi keys (NULL keys never match), validate the *full*
-    original condition on the merged row — the key match is only a
-    prefilter, so semantics stay bit-for-bit with the nested loop — and
-    emit in left-major order (left stream order, right materialization
-    order), exactly the order the legacy nested loop produced.
+    Both inputs are concatenated column-wise, a *pair source*
+    (:meth:`_pairs`) proposes candidate ``(left, right)`` row-index pairs
+    in emission order, and one shared :meth:`_emit` gathers them into
+    batches, validates the *full* join condition on every candidate and
+    compacts the survivors.  The nested loop proposes the lazy left-major
+    product; hash and merge joins prefilter on the equi keys (see
+    :class:`HashJoinOp`) — the key match never replaces the condition, so
+    semantics stay bit-for-bit with the nested loop, and all three emit
+    in its left-major order with the *left* row's producing node.
 
-    Two layers ride on top of that core:
-
-    - **Adaptive checkpoint** — after both inputs are materialized but
-      before the join algorithm starts (its "unstarted subtree"), the
-      operator consults the query's
-      :class:`~repro.vertica.plan.adaptive.AdaptiveContext`, which may
-      swap the build side or switch the algorithm based on *observed*
-      row counts.  Output order is pair-sorted, so the decision cannot
-      change the emitted bytes — only how much work finding them takes.
-    - **Provenance tracking** — joins inside a cost-reordered chain
-      (``logical.reorder_chain``) record each base relation's
-      materialization index for every output row, column-major like
-      every other column: one index list per relation alias.  The chain
-      root uses them to sort its pairs back into the binder's
-      lexicographic order and to re-attribute every output row to the
-      binder-leftmost relation's producing node, keeping rows *and*
-      per-node cost attribution byte-identical to the unreordered plan.
+    Joins inside a cost-reordered chain (``logical.reorder_chain``) also
+    track **provenance**: each base relation's materialization index for
+    every output row, column-major like every other column — one index
+    list per relation alias.  The chain root uses them to sort its pairs
+    back into the binder's lexicographic order and to re-attribute every
+    output row to the binder-leftmost relation's producing node, keeping
+    rows *and* per-node cost attribution byte-identical to the
+    unreordered plan.
     """
+
+    kind = "join"
 
     def __init__(
         self,
@@ -531,41 +431,22 @@ class _EquiJoinOp(PhysicalOperator):
         #: alias -> that leaf scan's materialized node list (chains only)
         self.leaf_nodes: Dict[str, List[str]] = {}
 
-    def label(self) -> str:
-        return self.logical.label()
-
     def _materialize(
         self, operator: PhysicalOperator, slot: int, sources: Sources
-    ) -> Tuple[List[str], List[Dict[str, Any]], List[str]]:
-        names: List[str] = []
-        rows: List[Dict[str, Any]] = []
-        nodes: List[str] = []
-        for batch in operator.batches():
-            names = batch.names
-            self.stats.rows_in += batch.num_rows
-            for i in range(batch.num_rows):
-                rows.append(dict(RowView(batch, i)))
-                nodes.append(batch.nodes[i])
+    ) -> ColumnBatch:
+        batch = _concat(list(operator.batches()))
+        self.stats.rows_in += batch.num_rows
         if self.logical.reorder_chain:
-            if isinstance(operator, _EquiJoinOp):
+            if isinstance(operator, JoinOp):
                 # a chain join below us: adopt its provenance wholesale
                 provenance = operator.output_provenance
                 self.leaf_nodes.update(operator.leaf_nodes)
             else:  # a leaf scan: row i of the input is row i of the leaf
-                provenance = {operator.logical.alias: range(len(rows))}
-                self.leaf_nodes[operator.logical.alias] = nodes
+                provenance = {operator.logical.alias: range(batch.num_rows)}
+                self.leaf_nodes[operator.logical.alias] = batch.nodes
             for alias, column in provenance.items():
                 sources[alias] = (slot, column)
-        return names, rows, nodes
-
-    @staticmethod
-    def _key_of(
-        row: Dict[str, Any], refs: List[str]
-    ) -> Optional[Tuple[Any, ...]]:
-        key = tuple(row[ref] for ref in refs)
-        if any(value is None for value in key):
-            return None  # NULL never equi-matches
-        return key
+        return batch
 
     def _charge_shuffle(
         self, build_nodes: List[str], probe_nodes: List[str]
@@ -578,191 +459,189 @@ class _EquiJoinOp(PhysicalOperator):
         for node in build_nodes:
             self.stats.rows_shuffled += len(probe_set - {node})
 
+    def _pairs(
+        self, left: ColumnBatch, right: ColumnBatch, sources: Sources
+    ) -> Iterable[Pair]:
+        """Candidate pairs in emission order: here, every pair, lazily."""
+        # The nested loop broadcasts the right side to every probe node.
+        self._charge_shuffle(right.nodes, left.nodes)
+        return itertools.product(range(left.num_rows), range(right.num_rows))
+
     def _run(self) -> Iterator[ColumnBatch]:
-        keys = self.logical.equi_keys
         sources: Sources = {}
-        left_names, left_rows, left_nodes = self._materialize(
-            self.left, 0, sources
-        )
-        right_names, right_rows, right_nodes = self._materialize(
-            self.right, 1, sources
-        )
-        names = list(right_names) + [
-            n for n in left_names if n not in right_names
-        ]
-        build_side, strategy = self.adaptive.checkpoint(
-            self.logical, len(left_rows), len(right_rows)
-        )
-        if build_side == "left":
-            self._charge_shuffle(left_nodes, right_nodes)
-        else:
-            self._charge_shuffle(right_nodes, left_nodes)
-        left_refs = [left_ref for left_ref, __ in keys]
-        right_refs = [right_ref for __, right_ref in keys]
-        if strategy == "merge":
-            pairs = self._merge_pairs(
-                left_rows, right_rows, left_refs, right_refs
-            )
-        else:
-            pairs = self._hash_pairs(
-                left_rows, right_rows, left_refs, right_refs, build_side
-            )
-        self._order_pairs(pairs, sources)
+        left = self._materialize(self.left, 0, sources)
+        right = self._materialize(self.right, 1, sources)
         yield from self._emit(
-            pairs, names, left_rows, right_rows, left_nodes, sources
-        )
-
-    def _hash_pairs(
-        self,
-        left_rows: List[Dict[str, Any]],
-        right_rows: List[Dict[str, Any]],
-        left_refs: List[str],
-        right_refs: List[str],
-        build_side: str,
-    ) -> List[Tuple[int, int]]:
-        build_right = build_side != "left"
-        if build_right:
-            build_rows, build_refs = right_rows, right_refs
-            probe_rows, probe_refs = left_rows, left_refs
-        else:
-            build_rows, build_refs = left_rows, left_refs
-            probe_rows, probe_refs = right_rows, right_refs
-        table: Dict[Tuple[Any, ...], List[int]] = {}
-        for index, row in enumerate(build_rows):
-            key = self._key_of(row, build_refs)
-            if key is None:
-                continue
-            table.setdefault(key, []).append(index)
-        pairs: List[Tuple[int, int]] = []
-        for probe_index, row in enumerate(probe_rows):
-            key = self._key_of(row, probe_refs)
-            if key is None:
-                continue
-            for build_index in table.get(key, ()):
-                pairs.append(
-                    (probe_index, build_index)
-                    if build_right
-                    else (build_index, probe_index)
-                )
-        return pairs
-
-    def _merge_pairs(
-        self,
-        left_rows: List[Dict[str, Any]],
-        right_rows: List[Dict[str, Any]],
-        left_refs: List[str],
-        right_refs: List[str],
-    ) -> List[Tuple[int, int]]:
-        left_keyed = self._sorted_keys(left_rows, left_refs)
-        right_keyed = self._sorted_keys(right_rows, right_refs)
-        pairs: List[Tuple[int, int]] = []
-        i = j = 0
-        while i < len(left_keyed) and j < len(right_keyed):
-            left_key = left_keyed[i][0]
-            right_key = right_keyed[j][0]
-            if left_key < right_key:
-                i += 1
-            elif right_key < left_key:
-                j += 1
-            else:
-                group_end = j
-                while (
-                    group_end < len(right_keyed)
-                    and right_keyed[group_end][0] == left_key
-                ):
-                    group_end += 1
-                while i < len(left_keyed) and left_keyed[i][0] == left_key:
-                    left_index = left_keyed[i][1]
-                    for jj in range(j, group_end):
-                        pairs.append((left_index, right_keyed[jj][1]))
-                    i += 1
-                j = group_end
-        return pairs
-
-    def _sorted_keys(
-        self, rows: List[Dict[str, Any]], refs: List[str]
-    ) -> List[Tuple[Tuple[Any, ...], int]]:
-        keyed = []
-        for index, row in enumerate(rows):
-            key = self._key_of(row, refs)
-            if key is not None:
-                keyed.append((key, index))
-        keyed.sort(key=lambda item: item[0])
-        return keyed
-
-    def _order_pairs(
-        self, pairs: List[Tuple[int, int]], sources: Sources
-    ) -> None:
-        restore = self.logical.restore_order
-        if restore is None:
-            pairs.sort()  # the nested loop's left-major output order
-            return
-        # Chain root: sort back into the binder's lexicographic order —
-        # exactly the (a, b, c, ...) enumeration the legacy nested loops
-        # over the original FROM order would have produced.
-        columns = [sources[alias] for alias in restore]
-        pairs.sort(
-            key=lambda pair: tuple(col[pair[slot]] for slot, col in columns)
+            iter(self._pairs(left, right, sources)), left, right, sources
         )
 
     def _emit(
         self,
-        pairs: List[Tuple[int, int]],
-        names: List[str],
-        left_rows: List[Dict[str, Any]],
-        right_rows: List[Dict[str, Any]],
-        left_nodes: List[str],
+        pairs: Iterator[Pair],
+        left: ColumnBatch,
+        right: ColumnBatch,
         sources: Sources,
     ) -> Iterator[ColumnBatch]:
-        condition = self.logical.condition
+        """Gather, validate and compact the candidates, a batch at a time."""
         restore = self.logical.restore_order
-        if restore is not None:
-            # legacy attribution: the binder-leftmost relation's row
-            # produced the joined row
-            anchor_slot, anchor = sources[restore[0]]
-            anchor_nodes = self.leaf_nodes[restore[0]]
         # a chain join below the root hands its kept pairs' provenance up
         tracking = self.logical.reorder_chain and restore is None
-        kept: List[Tuple[int, int]] = []
-        pending: List[Tuple[str, Dict[str, Any]]] = []
-        for pair in pairs:
-            left_index, right_index = pair
-            right_row = right_rows[right_index]
-            merged = dict(right_row)
-            merged.update(left_rows[left_index])  # left wins on ambiguity
-            merged.update({k: v for k, v in right_row.items() if "." in k})
-            if predicate_holds(condition, merged):
-                if restore is not None:
-                    node = anchor_nodes[anchor[pair[anchor_slot]]]
-                else:
-                    node = left_nodes[left_index]
-                if tracking:
-                    kept.append(pair)
-                pending.append((node, merged))
-                if len(pending) >= BATCH_ROWS:
-                    yield _rows_batch(names, pending)
-                    pending = []
-        if pending:
-            yield _rows_batch(names, pending)
+        kept: Tuple[List[int], List[int]] = ([], [])
+        # The merge rule, once per output column: right's names first; a
+        # name both sides have reads left unless it is alias-qualified.
+        names = right.names + [n for n in left.names if n not in right.index]
+        origin = [
+            int(n in right.index and ("." in n or n not in left.index))
+            for n in names
+        ]
+        while True:
+            chunk = list(itertools.islice(pairs, BATCH_ROWS))
+            if not chunk:
+                break
+            picks = tuple(zip(*chunk))  # (left indices, right indices)
+            sides = (_compact(left, picks[0]), _compact(right, picks[1]))
+            columns = [
+                sides[slot].columns[sides[slot].index[name]]
+                for name, slot in zip(names, origin)
+            ]
+            nodes = sides[0].nodes
+            if restore is not None:
+                # legacy attribution: the binder-leftmost relation's row
+                # produced the joined row
+                anchor_slot, anchor = sources[restore[0]]
+                anchor_nodes = self.leaf_nodes[restore[0]]
+                nodes = [anchor_nodes[anchor[i]] for i in picks[anchor_slot]]
+            batch = ColumnBatch(names, columns, nodes)
+            keep = _matching(batch, self.logical.condition)
+            if tracking:
+                for slot in (0, 1):
+                    kept[slot].extend(picks[slot][i] for i in keep)
+            if len(keep) < len(chunk):
+                batch = _compact(batch, keep)
+            if keep:
+                yield batch
         if tracking:
             self.output_provenance = {
-                alias: [column[pair[slot]] for pair in kept]
+                alias: [column[i] for i in kept[slot]]
                 for alias, (slot, column) in sources.items()
             }
 
 
-class HashJoinOp(_EquiJoinOp):
-    """Equi-join via a hash table on the (estimated) smaller build side."""
+def _join_keys(batch: ColumnBatch, refs: List[str]) -> Keys:
+    columns = [batch.columns[batch.index[ref]] for ref in refs]
+    return [None if None in key else key for key in zip(*columns)]
+
+
+def _hash_pairs(left_keys: Keys, right_keys: Keys, build_left: bool) -> List[Pair]:
+    build_keys, probe_keys = (
+        (left_keys, right_keys) if build_left else (right_keys, left_keys)
+    )
+    table: Dict[Tuple[Any, ...], List[int]] = {}
+    for index, key in enumerate(build_keys):
+        if key is not None:
+            table.setdefault(key, []).append(index)
+    pairs: List[Pair] = []
+    for probe_index, key in enumerate(probe_keys):
+        if key is None:
+            continue
+        for build_index in table.get(key, ()):
+            pairs.append(
+                (build_index, probe_index)
+                if build_left
+                else (probe_index, build_index)
+            )
+    return pairs
+
+
+def _merge_pairs(left_keys: Keys, right_keys: Keys) -> List[Pair]:
+    left_keyed = _sorted_keys(left_keys)
+    right_keyed = _sorted_keys(right_keys)
+    pairs: List[Pair] = []
+    i = j = 0
+    while i < len(left_keyed) and j < len(right_keyed):
+        left_key = left_keyed[i][0]
+        right_key = right_keyed[j][0]
+        if left_key < right_key:
+            i += 1
+        elif right_key < left_key:
+            j += 1
+        else:
+            group_end = j
+            while (
+                group_end < len(right_keyed)
+                and right_keyed[group_end][0] == left_key
+            ):
+                group_end += 1
+            while i < len(left_keyed) and left_keyed[i][0] == left_key:
+                left_index = left_keyed[i][1]
+                for jj in range(j, group_end):
+                    pairs.append((left_index, right_keyed[jj][1]))
+                i += 1
+            j = group_end
+    return pairs
+
+
+def _sorted_keys(keys: Keys) -> List[Tuple[Tuple[Any, ...], int]]:
+    keyed = [(key, index) for index, key in enumerate(keys) if key is not None]
+    keyed.sort(key=lambda item: item[0])
+    return keyed
+
+
+class HashJoinOp(JoinOp):
+    """Equi-join: pairs from a hash table on the (estimated) smaller side.
+
+    Only rows whose equi keys match (NULL keys never do) become
+    candidates.  After both inputs are materialized but before pairing
+    starts, the operator **checkpoints** against the query's
+    :class:`~repro.vertica.plan.adaptive.AdaptiveContext`, which may swap
+    the build side or switch between hashing and sort-merge based on
+    *observed* row counts; pairs are sorted into emission order, so the
+    decision cannot change the emitted bytes — only the work to find them.
+    """
 
     kind = "join-hash"
 
+    def _pairs(
+        self, left: ColumnBatch, right: ColumnBatch, sources: Sources
+    ) -> Iterable[Pair]:
+        build_side, strategy = self.adaptive.checkpoint(
+            self.logical, left.num_rows, right.num_rows
+        )
+        if build_side == "left":
+            self._charge_shuffle(left.nodes, right.nodes)
+        else:
+            self._charge_shuffle(right.nodes, left.nodes)
+        if not (left.num_rows and right.num_rows):
+            return []  # an input that yielded no batch has no key columns
+        keys = self.logical.equi_keys
+        left_keys = _join_keys(left, [left_ref for left_ref, __ in keys])
+        right_keys = _join_keys(right, [right_ref for __, right_ref in keys])
+        if strategy == "merge":
+            pairs = _merge_pairs(left_keys, right_keys)
+        else:
+            pairs = _hash_pairs(left_keys, right_keys, build_side == "left")
+        restore = self.logical.restore_order
+        if restore is None:
+            pairs.sort()  # the nested loop's left-major output order
+        else:
+            # Chain root: sort back into the binder's lexicographic order —
+            # exactly the (a, b, c, ...) enumeration the legacy nested loops
+            # over the original FROM order would have produced.
+            columns = [sources[alias] for alias in restore]
+            pairs.sort(
+                key=lambda pair: tuple(col[pair[slot]] for slot, col in columns)
+            )
+        return pairs
 
-class MergeJoinOp(_EquiJoinOp):
-    """Equi-join by sorting both key arrays and merging equal-key groups.
+
+class MergeJoinOp(HashJoinOp):
+    """Equi-join planned as a sort-merge of both key arrays.
 
     Chosen when the build side would overflow the hash-table memory
     budget; the planner guarantees both key columns share one type class,
     so the sorts cannot hit Python's mixed-type ordering ``TypeError``.
+    Differs from :class:`HashJoinOp` only in the plan it checkpoints
+    (``logical.strategy``), which decides the pair algorithm at run time.
     """
 
     kind = "join-merge"
@@ -779,15 +658,12 @@ class FilterOp(PhysicalOperator):
         self.child = child
         self.children = [child]
 
-    def label(self) -> str:
-        return self.logical.label()
-
     def _run(self) -> Iterator[ColumnBatch]:
         predicate = self.logical.predicate
         for batch in self.child.batches():
             self.stats.rows_in += batch.num_rows
             filtered = _apply_predicate(batch, predicate)
-            if filtered.num_rows:
+            if filtered is not None:
                 yield filtered
 
 
@@ -814,9 +690,6 @@ class ProjectOp(PhysicalOperator):
         self.children = [child]
         self.db = db
         self.cost = cost
-
-    def label(self) -> str:
-        return self.logical.label()
 
     def _run(self) -> Iterator[ColumnBatch]:
         node = self.logical
@@ -927,9 +800,6 @@ class AggregateOp(PhysicalOperator):
         self.initiator = initiator
         self.cost = cost
 
-    def label(self) -> str:
-        return self.logical.label()
-
     def _run(self) -> Iterator[ColumnBatch]:
         node = self.logical
         rows: List[Tuple[str, RowView]] = []
@@ -1036,38 +906,26 @@ class SortOp(PhysicalOperator):
         self.child = child
         self.children = [child]
 
-    def label(self) -> str:
-        return self.logical.label()
-
     def _run(self) -> Iterator[ColumnBatch]:
         order_by = self.logical.order_by
-        names: List[str] = []
-        entries: List[Tuple[str, Tuple[Any, ...]]] = []
-        for batch in self.child.batches():
-            names = batch.names
-            entries.extend(zip(batch.nodes, batch.rows()))
-        self.stats.rows_in = len(entries)
-        if not entries:
+        batch = _concat(list(self.child.batches()))
+        self.stats.rows_in = batch.num_rows
+        if not batch.num_rows:
             return
-
-        def sort_key(entry: Tuple[str, Tuple[Any, ...]]):
-            __, row = entry
-            data = dict(zip(names, row))
+        keys: List[Tuple[Any, ...]] = []
+        for i in range(batch.num_rows):
+            row = RowView(batch, i)
             key = []
             for order in order_by:
                 try:
-                    value = order.expression.evaluate(data)
+                    value = order.expression.evaluate(row)
                 except SqlError:
                     value = None
                 key.append(null_last_key(value, order.descending))
-            return tuple(key)
-
-        entries = sorted(entries, key=sort_key)
-        columns = (
-            [list(col) for col in zip(*(row for __, row in entries))]
-            if names else []
+            keys.append(tuple(key))
+        yield _compact(
+            batch, sorted(range(batch.num_rows), key=keys.__getitem__)
         )
-        yield ColumnBatch(list(names), columns, [node for node, __ in entries])
 
 
 class LimitOp(PhysicalOperator):
@@ -1086,9 +944,6 @@ class LimitOp(PhysicalOperator):
         self.child = child
         self.children = [child]
 
-    def label(self) -> str:
-        return self.logical.label()
-
     def _run(self) -> Iterator[ColumnBatch]:
         remaining = self.logical.count
         for batch in self.child.batches():
@@ -1099,70 +954,21 @@ class LimitOp(PhysicalOperator):
                 remaining -= batch.num_rows
                 yield batch
             else:
-                sliced = _compact(batch, list(range(remaining)))
+                yield _compact(batch, range(remaining))
                 remaining = 0
-                yield sliced
 
 
-class DmlScanOp(PhysicalOperator):
+class DmlScanOp(TableScanOp):
     """Matching scan for UPDATE/DELETE: rows with physical locations.
 
-    Yields post-predicate :class:`~repro.vertica.engine.ScanRow`s (the
-    DML executor needs container/row-index to stage delete vectors), so
-    it exposes ``scan_rows()`` instead of columnar batches.  The scan
-    still visits — and cost-charges — every replica copy, exactly like
-    the legacy DML path.
+    Yields each storage slice's post-predicate rows as its own batch, so
+    every batch still names its ``container`` and ``row_ids`` (the DML
+    executor stages delete vectors against them) and comes from a single
+    node.  The scan visits — and cost-charges — every replica copy,
+    exactly like the legacy DML path.
     """
 
     kind = "scan-dml"
 
-    def __init__(
-        self,
-        engine,
-        node: logical.TableScan,
-        txn: Transaction,
-        initiator: str,
-        snapshot: int,
-        cost: CostReport,
-    ):
-        super().__init__()
-        self.engine = engine
-        self.logical = node
-        self.txn = txn
-        self.initiator = initiator
-        self.snapshot = snapshot
-        self.cost = cost
-
-    def label(self) -> str:
-        suffix = (
-            f" | FILTER: {self.logical.predicate.sql()}"
-            if self.logical.predicate is not None
-            else ""
-        )
-        return f"DML {self.logical.label()}{suffix}"
-
-    def scan_rows(self):
-        node = self.logical
-        predicate = node.predicate
-        started = time.perf_counter()
-        scanned_before = self.cost.rows_scanned
-        for scan_row in self.engine.scan(
-            node.key,
-            self.snapshot,
-            self.txn,
-            self.initiator,
-            cost=self.cost,
-            for_update=True,
-        ):
-            self.stats.rows_in += 1
-            if predicate is not None and not predicate_holds(
-                predicate, scan_row.data
-            ):
-                continue
-            self.stats.rows_out += 1
-            yield scan_row
-        self.stats.rows_scanned += self.cost.rows_scanned - scanned_before
-        self.stats.elapsed_s += time.perf_counter() - started
-
-    def _run(self) -> Iterator[ColumnBatch]:  # pragma: no cover - unused
-        raise NotImplementedError("DML scans stream ScanRows, not batches")
+    def _unfiltered(self) -> Iterator[ColumnBatch]:
+        return self._slices(None)

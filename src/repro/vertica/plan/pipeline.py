@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro import telemetry
+from repro.vertica.batch import ColumnBatch
 from repro.vertica.engine import CostReport, HashRange, ResultSet
 from repro.vertica.expr import Expression
 from repro.vertica.plan import logical, physical
@@ -58,12 +59,10 @@ def build_operator(
             engine, node, txn, initiator, snapshot, cost, context
         )
     if isinstance(node, logical.Join):
-        left, right = build(node.left), build(node.right)
-        if node.strategy == "hash":
-            return physical.HashJoinOp(node, left, right, adaptive)
-        if node.strategy == "merge":
-            return physical.MergeJoinOp(node, left, right, adaptive)
-        return physical.JoinOp(node, left, right)
+        join_op = {
+            "hash": physical.HashJoinOp, "merge": physical.MergeJoinOp
+        }.get(node.strategy, physical.JoinOp)
+        return join_op(node, build(node.left), build(node.right), adaptive)
     if isinstance(node, logical.Filter):
         return physical.FilterOp(node, build(node.child))
     if isinstance(node, logical.Project):
@@ -201,13 +200,14 @@ def dml_matching_rows(
     snapshot: int,
     cost: CostReport,
     context: PlanContext,
-) -> Iterator[Any]:
+) -> Iterator[ColumnBatch]:
     """Matching rows of an UPDATE/DELETE, through the same pipeline.
 
-    Yields :class:`~repro.vertica.engine.ScanRow` objects (the caller
-    stages delete vectors against their physical locations).  The scan
-    visits every replica copy; the optimizer only constant-folds the
-    predicate — pruning would change the statement's CostReport.
+    Yields one single-node :class:`~repro.vertica.batch.ColumnBatch` per
+    storage slice with matches; ROS slices name their ``container`` and
+    ``row_ids`` (the caller stages delete vectors against them).  The
+    scan visits every replica copy; the optimizer only constant-folds
+    the predicate — pruning would change the statement's CostReport.
     """
     plan = optimize(
         bind_dml_scan(engine.database, table_name, where), engine.database,
@@ -215,7 +215,7 @@ def dml_matching_rows(
     )
     assert isinstance(plan.root, logical.TableScan)
     op = physical.DmlScanOp(engine, plan.root, txn, initiator, snapshot, cost)
-    yield from op.scan_rows()
+    yield from op.batches()
 
 
 # -------------------------------------------------------------------- EXPLAIN
@@ -232,7 +232,7 @@ def explain_lines(
         pad = "  " * depth
         if isinstance(node, logical.TableScan):
             lines.extend(pad + line for line in _scan_lines(
-                db, node, query, initiator, snapshot
+                engine, node, initiator, snapshot
             ))
         else:
             label = node.label()
@@ -284,13 +284,12 @@ def _join_order_lines(plan: LogicalPlan) -> List[str]:
 
 
 def _scan_lines(
-    db, node: logical.TableScan, query: ast.Select, initiator: str, snapshot: int
+    engine, node: logical.TableScan, initiator: str, snapshot: int
 ) -> List[str]:
     lines: List[str] = []
     table = node.table
     if table.unsegmented:
         lines.append(f"SCAN {node.key} [unsegmented, local copy on {initiator}]")
-        estimate = db.storage[initiator].live_row_count(node.key, snapshot)
     else:
         hash_range = node.hash_range or HashRange()
         assert table.ring is not None
@@ -308,9 +307,15 @@ def _scan_lines(
             lines.append(f"  segments scanned: {scanned}")
             if pruned:
                 lines.append(f"  segments pruned: {pruned}")
-        estimate = sum(
-            db.storage[n].live_row_count(node.key, snapshot) for n in scanned
-        )
+    # The estimate is what the scan would visit: committed rows visible on
+    # the unpruned nodes, counted by the scan itself with no column read.
+    visited = CostReport()
+    for __ in engine.scan(
+        node.key, snapshot, None, initiator,
+        hash_range=node.hash_range, cost=visited, columns=(),
+    ):
+        pass
+    estimate = visited.rows_scanned
     lines.append(f"  estimated rows: {estimate}")
     if node.predicate is not None:
         lines.append(f"  FILTER: {node.predicate.sql()} [pushed into scan]")

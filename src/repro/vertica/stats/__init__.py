@@ -186,16 +186,17 @@ def collect_table_stats(
     column_names: List[str] = list(table.column_names())
     values: Dict[str, List[Any]] = {name: [] for name in column_names}
     row_count = 0
-    for scan_row in database.engine.scan(
+    for chunk in database.engine.scan(
         table.name,
         snapshot,
         txn=None,
         initiator=database.node_names[0],
         cost=None,
+        columns=column_names,
     ):
-        row_count += 1
-        for name in column_names:
-            values[name].append(scan_row.data.get(name))
+        row_count += chunk.num_rows
+        for name, column in zip(column_names, chunk.columns):
+            values[name].extend(column)
     stats = TableStats(
         table=table.name,
         row_count=row_count,

@@ -5,7 +5,10 @@ immutable, column-major batches tagged with the epoch that committed them
 — and marks deletions in per-container *delete vectors* rather than
 rewriting data (§2.1.1; Lamb et al., VLDB'12).  Visibility at a snapshot
 epoch ``e`` is therefore: container committed at or before ``e``, row not
-deleted, or deleted strictly after ``e``.
+deleted, or deleted strictly after ``e`` — :meth:`RosContainer.visible`
+answers it as a *selection vector* of row indices, the form the scan, the
+tuple mover and the row counts all consume; no per-row object is ever
+built from a container.
 
 Uncommitted writes live in a per-transaction WOS (Write Optimized
 Storage) buffer that becomes one ROS container per (table, node) at
@@ -14,7 +17,7 @@ commit.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.vertica.errors import CatalogError
 
@@ -28,7 +31,7 @@ class RosContainer:
     def __init__(
         self,
         column_names: Sequence[str],
-        columns: Sequence[List[Any]],
+        columns: Sequence[Sequence[Any]],
         commit_epoch: int,
         row_hashes: Optional[List[int]] = None,
     ):
@@ -49,20 +52,20 @@ class RosContainer:
     def nrows(self) -> int:
         return len(self.delete_epochs)
 
-    def live_rows(self, snapshot_epoch: int) -> Iterator[int]:
-        """Indices of rows visible at ``snapshot_epoch``."""
+    def visible(self, snapshot_epoch: int) -> Sequence[int]:
+        """Indices of the rows visible at ``snapshot_epoch``, ascending.
+
+        ``range(nrows)`` when nothing in the container was ever deleted.
+        """
         if self.commit_epoch > snapshot_epoch:
-            return
-        for index, delete_epoch in enumerate(self.delete_epochs):
-            if delete_epoch == 0 or delete_epoch > snapshot_epoch:
-                yield index
-
-    def row(self, index: int) -> Dict[str, Any]:
-        return {name: column[index]
-                for name, column in zip(self.column_names, self.columns)}
-
-    def row_tuple(self, index: int) -> Tuple[Any, ...]:
-        return tuple(column[index] for column in self.columns)
+            return range(0)
+        if not any(self.delete_epochs):
+            return range(self.nrows)
+        return [
+            index
+            for index, delete_epoch in enumerate(self.delete_epochs)
+            if delete_epoch == 0 or delete_epoch > snapshot_epoch
+        ]
 
 
 class WosBuffer:
@@ -88,10 +91,7 @@ class WosBuffer:
         self.row_hashes.append(row_hash)
 
     def to_container(self, commit_epoch: int) -> RosContainer:
-        columns: List[List[Any]] = [[] for __ in self.column_names]
-        for row in self.rows:
-            for column, value in zip(columns, row):
-                column.append(value)
+        columns = list(zip(*self.rows)) or [() for __ in self.column_names]
         return RosContainer(
             self.column_names, columns, commit_epoch, row_hashes=self.row_hashes
         )
@@ -130,6 +130,6 @@ class NodeStorage:
 
     def live_row_count(self, table: str, snapshot_epoch: int) -> int:
         return sum(
-            sum(1 for __ in container.live_rows(snapshot_epoch))
+            len(container.visible(snapshot_epoch))
             for container in self.table_containers(table)
         )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.vertica.batch import gather
 from repro.vertica.errors import TransactionError
 from repro.vertica.storage import RosContainer
 
@@ -108,11 +109,7 @@ class TupleMover:
         return max(0, len(eligible) - (1 if merged else 0))
 
     def _purgeable_rows(self, container: RosContainer) -> int:
-        return sum(
-            1
-            for delete_epoch in container.delete_epochs
-            if 0 < delete_epoch <= self.ahm_epoch
-        )
+        return container.nrows - len(container.visible(self.ahm_epoch))
 
     def _merge(self, containers: List[RosContainer]) -> RosContainer:
         if not containers:
@@ -123,15 +120,16 @@ class TupleMover:
         row_hashes: List[int] = []
         purged = 0
         for container in containers:
-            for index in range(container.nrows):
-                delete_epoch = container.delete_epochs[index]
-                if 0 < delete_epoch <= self.ahm_epoch:
-                    purged += 1  # deleted before the AHM: purge for good
-                    continue
-                for column, source in zip(columns, container.columns):
-                    column.append(source[index])
-                delete_epochs.append(delete_epoch)
-                row_hashes.append(container.row_hashes[index])
+            # Eligible containers committed at or below the AHM, so what
+            # the AHM snapshot still sees is exactly what must survive:
+            # rows deleted at or below it are purged for good, later
+            # deletions keep their delete-vector entries.
+            keep = container.visible(self.ahm_epoch)
+            purged += container.nrows - len(keep)
+            for column, source in zip(columns, container.columns):
+                column.extend(gather(source, keep))
+            delete_epochs.extend(gather(container.delete_epochs, keep))
+            row_hashes.extend(gather(container.row_hashes, keep))
         self.rows_purged += purged
         if not delete_epochs and purged:
             # Everything was purged: no container needed at all.
@@ -153,8 +151,6 @@ def storage_container_stats(
     epoch = database.epochs.current
     for node_name, storage in database.storage.items():
         for table_name, containers in sorted(storage.containers.items()):
-            live = sum(
-                sum(1 for __ in c.live_rows(epoch)) for c in containers
-            )
+            live = sum(len(c.visible(epoch)) for c in containers)
             out.append((node_name, table_name, len(containers), live))
     return out

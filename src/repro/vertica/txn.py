@@ -20,7 +20,7 @@ The substrate provides what the connector's correctness rests on:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.vertica.errors import LockContention, TransactionError
@@ -164,16 +164,6 @@ class Transaction:
         self.require_active()
         self.deletes.append((container, row_index))
         self._deleted_keys.add((id(container), row_index))
-
-    def pending_rows(self, table: str) -> List[Dict[str, Any]]:
-        """Read-your-writes: rows this transaction has staged for ``table``."""
-        out: List[Dict[str, Any]] = []
-        for (wos_table, __), buffer in self.wos.items():
-            if wos_table != table:
-                continue
-            for row in buffer.rows:
-                out.append(dict(zip(buffer.column_names, row)))
-        return out
 
     def is_deleted_by_self(self, container: RosContainer, row_index: int) -> bool:
         return (id(container), row_index) in self._deleted_keys

@@ -7,15 +7,29 @@ here as the **differential oracle**: ``tests/test_plan_differential.py``
 asserts the pipeline produces byte-identical results (rows, columns, and
 every CostReport field) for randomly generated queries.
 
+The storage scan underneath it is frozen too: ``_scan`` (with
+``_storage_for``, ``_live_rows`` and ``_row``) is the row-at-a-time scan
+``Engine.scan`` was before it yielded column slices, verbatim (minus the
+``for_update`` every-copy branch, which no SELECT takes).  The oracle
+therefore never reads storage through the engine: visibility,
+self-deletes, hash-range filtering, buddy-failover attribution, WOS
+read-your-writes and ``rows_scanned`` are all checked against this
+independent copy.
+
 Do not "fix" behaviour here; its quirks are the specification.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.vertica.engine import CostReport, ResultSet, extract_hash_range
-from repro.vertica.errors import SqlError
+from repro.vertica.engine import (
+    CostReport,
+    HashRange,
+    ResultSet,
+    extract_hash_range,
+)
+from repro.vertica.errors import CatalogError, SqlError
 from repro.vertica.expr import ColumnRef, Expression, predicate_holds
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.txn import Transaction
@@ -33,6 +47,20 @@ def _value_bytes(value: Any) -> int:
     if isinstance(value, str):
         return len(value.encode("utf-8"))
     return 8
+
+
+def _live_rows(container, snapshot_epoch: int) -> Iterator[int]:
+    """Indices of rows visible at ``snapshot_epoch``."""
+    if container.commit_epoch > snapshot_epoch:
+        return
+    for index, delete_epoch in enumerate(container.delete_epochs):
+        if delete_epoch == 0 or delete_epoch > snapshot_epoch:
+            yield index
+
+
+def _row(container, index: int) -> Dict[str, Any]:
+    return {name: column[index]
+            for name, column in zip(container.column_names, container.columns)}
 
 
 class LegacyInterpreter:
@@ -158,12 +186,11 @@ class LegacyInterpreter:
         else:
             table = db.catalog.table(key)
             hash_range = extract_hash_range(where, table.segmentation_columns)
-            out = [
-                (scan_row.node, scan_row.data)
-                for scan_row in db.engine.scan(
+            out = list(
+                self._scan(
                     key, snapshot, txn, initiator, hash_range=hash_range, cost=cost
                 )
-            ]
+            )
         qualified = []
         for node, row in out:
             merged = dict(row)
@@ -172,6 +199,71 @@ class LegacyInterpreter:
                     merged[f"{alias}.{column}"] = value
             qualified.append((node, merged))
         return qualified
+
+    # -- the frozen row-at-a-time storage scan (see the module docstring) --
+    def _scan(
+        self,
+        table_name: str,
+        snapshot_epoch: int,
+        txn: Optional[Transaction],
+        initiator: str,
+        hash_range: Optional[HashRange] = None,
+        cost: Optional[CostReport] = None,
+    ) -> Iterator[Tuple[str, Dict[str, Any]]]:
+        db = self.database
+        table = db.catalog.table(table_name)
+        hash_range = hash_range or HashRange()
+        if table.unsegmented:
+            nodes = [initiator]
+        else:
+            nodes = []
+            assert table.ring is not None
+            for segment in table.ring.segments:
+                if hash_range.intersects(segment.lo, segment.hi):
+                    nodes.append(segment.node)
+        for node in nodes:
+            storage, attributed = self._storage_for(node, table_name)
+            for container in storage:
+                for row_index in _live_rows(container, snapshot_epoch):
+                    if txn is not None and txn.is_deleted_by_self(container, row_index):
+                        continue
+                    if cost is not None:
+                        cost.scanned(attributed)
+                    row_hash = container.row_hashes[row_index]
+                    if not table.unsegmented and not (
+                        hash_range.lo <= row_hash < hash_range.hi
+                    ):
+                        continue
+                    yield attributed, _row(container, row_index)
+        # Read-your-writes: rows staged by this transaction.
+        if txn is not None:
+            pending_nodes = set(nodes)
+            for (wos_table, node), buffer in list(txn.wos.items()):
+                if wos_table != table.name or node not in pending_nodes:
+                    continue
+                for index, row in enumerate(buffer.rows):
+                    if cost is not None:
+                        cost.scanned(node)
+                    row_hash = buffer.row_hashes[index]
+                    if not table.unsegmented and not (
+                        hash_range.lo <= row_hash < hash_range.hi
+                    ):
+                        continue
+                    yield node, dict(zip(buffer.column_names, row))
+
+    def _storage_for(self, node: str, table_name: str):
+        db = self.database
+        key = table_name.upper()
+        if db.node_states.get(node, "UP") == "UP":
+            return db.storage[node].table_containers(key), node
+        if db.k_safety >= 1:
+            buddy = db.buddy_of(node)
+            if db.node_states.get(buddy, "UP") == "UP":
+                return db.storage[buddy].replica_containers(key), buddy
+        raise CatalogError(
+            f"node {node!r} is down and no replica is available (k-safety "
+            f"{db.k_safety})"
+        )
 
     def _view_rows(
         self,

@@ -132,9 +132,9 @@ class TestAvroCopy:
         for node in db.node_names:
             segment = table.ring.segment_for_node(node)
             for container in db.storage[node].table_containers("METRICS"):
-                for index in container.live_rows(epoch):
-                    row = container.row(index)
-                    assert segment.lo <= vertica_hash(row["ID"]) < segment.hi
+                ids = container.columns[container.column_names.index("ID")]
+                for index in container.visible(epoch):
+                    assert segment.lo <= vertica_hash(ids[index]) < segment.hi
 
 
 class TestCopyStream:

@@ -1,11 +1,16 @@
 """Integration tests for the query engine through the session API."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.vertica import HASH_SPACE, VerticaDatabase, vertica_hash
-from repro.vertica.engine import HashRange, extract_hash_range
+from repro.vertica.engine import CostReport, HashRange, extract_hash_range
 from repro.vertica.errors import CatalogError, SqlError
 from repro.vertica.sql.parser import parse_expression
+from repro.vertica.storage import RosContainer
+from tests.test_plan_differential import JOIN_MATRIX, MATRIX, STRATEGIES, join_db
+from tests.test_plan_differential import db as matrix_db  # noqa: F401 - fixtures
 
 
 @pytest.fixture
@@ -302,6 +307,24 @@ class TestUnsegmentedTables:
             assert db.connect(node).scalar("SELECT COUNT(*) FROM u") == 1
 
 
+    def test_dml_counts_value_equal_rows_once_per_copy(self):
+        # Regression: replicated copies were deduplicated by *value*, so two
+        # equal rows counted (and were re-inserted) as one.
+        db = VerticaDatabase(num_nodes=3)
+        session = db.connect()
+        session.execute(
+            "CREATE TABLE u (a INTEGER, b VARCHAR(5)) UNSEGMENTED ALL NODES"
+        )
+        session.execute("INSERT INTO u VALUES (1, 'x'), (1, 'x'), (2, 'y')")
+        assert session.execute("UPDATE u SET b = 'z' WHERE a = 1").rowcount == 2
+        for node in db.node_names:
+            rows = db.connect(node).execute("SELECT a, b FROM u").rows
+            assert sorted(rows) == [(1, "z"), (1, "z"), (2, "y")]
+        assert session.execute("DELETE FROM u WHERE a = 1").rowcount == 2
+        for node in db.node_names:
+            assert db.connect(node).execute("SELECT a, b FROM u").rows == [(2, "y")]
+
+
 class TestDml:
     def test_update_rowcount(self, people):
         result = people.execute("UPDATE people SET age = 31 WHERE age = 30")
@@ -399,3 +422,111 @@ class TestHaving:
             "WHERE age IS NOT NULL GROUP BY age HAVING n > 1"
         )
         assert people.execute("SELECT * FROM frequent").rows == [(30, 2)]
+
+
+# ------------------------------------------------- the storage/operator seam
+small_hash = st.integers(min_value=0, max_value=15)
+hash_ranges = st.one_of(
+    st.just((0, HASH_SPACE)),
+    st.tuples(small_hash, small_hash).filter(lambda r: r[0] < r[1]),
+    st.tuples(small_hash, st.just(HASH_SPACE)),
+)
+
+
+class TestScanSlices:
+    """``Engine.scan``'s column slices against the per-row definition."""
+
+    @given(
+        rows=st.lists(
+            # (delete epoch; 0 = live, row hash, staged for delete by the reader)
+            st.tuples(st.integers(0, 6), small_hash, st.booleans()),
+            max_size=12,
+        ),
+        commit_epoch=st.integers(1, 6),
+        snapshot=st.integers(1, 6),
+        staged=st.lists(small_hash, max_size=3),
+        hash_range=hash_ranges,
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_slices_equal_brute_force(
+        self, rows, commit_epoch, snapshot, staged, hash_range
+    ):
+        db = VerticaDatabase(num_nodes=1)
+        node = db.node_names[0]
+        db.connect().execute(
+            "CREATE TABLE t (a INTEGER, b INTEGER) SEGMENTED BY HASH(a) ALL NODES"
+        )
+        container = RosContainer(
+            ["A", "B"],
+            [list(range(len(rows))), [10 * i for i in range(len(rows))]],
+            commit_epoch,
+            row_hashes=[row_hash for __, row_hash, __ in rows],
+        )
+        container.delete_epochs = [deleted for deleted, __, __ in rows]
+        db.storage[node].add_container("T", container)
+        txn = db.begin()
+        for index, (__, __, self_deleted) in enumerate(rows):
+            if self_deleted:
+                txn.stage_delete(container, index)
+        for position, row_hash in enumerate(staged):
+            txn.wos_for("T", node, ["A", "B"]).append([-position, None], row_hash)
+
+        lo, hi = hash_range
+        scanned, expected = 0, []
+        for index, (deleted, row_hash, self_deleted) in enumerate(rows):
+            visible = commit_epoch <= snapshot and (deleted == 0 or deleted > snapshot)
+            if visible and not self_deleted:
+                scanned += 1
+                if lo <= row_hash < hi:
+                    expected.append((index, 10 * index))
+        for position, row_hash in enumerate(staged):
+            scanned += 1
+            if lo <= row_hash < hi:
+                expected.append((-position, None))
+
+        cost = CostReport()
+        slices = list(
+            db.engine.scan("T", snapshot, txn, node, HashRange(lo, hi), cost)
+        )
+        assert [row for batch in slices for row in batch.rows()] == expected
+        assert cost.rows_scanned == scanned  # counted *before* the hash filter
+        assert cost.node_rows_scanned == ({node: scanned} if scanned else {})
+        for batch in slices:
+            assert batch.names == ["A", "B"] and set(batch.nodes) == {node}
+            if batch.container is not None:  # ROS: the location is the row
+                assert batch.container is container
+                for position, index in enumerate(batch.row_ids):
+                    located = tuple(column[index] for column in container.columns)
+                    assert located == batch.rows()[position]
+
+
+def test_operators_never_mutate_storage_lists(matrix_db, join_db):  # noqa: F811
+    """No operator aliased a ROS column list and then wrote through it."""
+
+    def storage_lists(db):
+        return [
+            (container, [(column, list(column)) for column in container.columns])
+            for storage in db.storage.values()
+            for held in (storage.containers, storage.replicas)
+            for containers in held.values()
+            for container in containers
+        ]
+
+    before = storage_lists(matrix_db) + storage_lists(join_db)
+    assert before
+    for db, statements, strategies in (
+        (matrix_db, MATRIX, ["auto"]),
+        (join_db, JOIN_MATRIX, STRATEGIES),
+    ):
+        for strategy in strategies:
+            session = db.connect()
+            session.execute(f"SET JOIN_STRATEGY = '{strategy}'")
+            for sql in statements:
+                try:
+                    session.execute(sql)
+                except SqlError:
+                    pass  # the matrices include error-path statements
+    for container, columns in before:
+        assert len(container.columns) == len(columns)
+        for (column, contents), now in zip(columns, container.columns):
+            assert now is column and now == contents
