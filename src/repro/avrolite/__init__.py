@@ -10,14 +10,20 @@ needs:
   with JSON round-trips,
 - :mod:`repro.avrolite.codec` — null and deflate block codecs,
 - :mod:`repro.avrolite.io` — zigzag/varint binary encoding and decoding,
+  compiled once per schema into closures,
 - :mod:`repro.avrolite.container` — blocked object container files with
   sync markers.
 """
 
-from repro.avrolite.schema import Schema, SchemaError
+from repro.avrolite.codec import CODECS, CodecError, compress_block, decompress_block
+from repro.avrolite.container import (
+    ContainerReader,
+    ContainerWriter,
+    decode_rows,
+    encode_rows,
+)
 from repro.avrolite.io import BinaryDecoder, BinaryEncoder, DatumReader, DatumWriter
-from repro.avrolite.codec import CODECS, CodecError, decompress_block, compress_block
-from repro.avrolite.container import ContainerReader, ContainerWriter, encode_rows, decode_rows
+from repro.avrolite.schema import Schema, SchemaError
 
 __all__ = [
     "BinaryDecoder",

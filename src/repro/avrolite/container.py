@@ -73,8 +73,17 @@ class ContainerWriter:
             self._flush_block()
 
     def extend(self, data: Iterable[Any]) -> None:
-        for datum in data:
-            self.append(datum)
+        """Append every datum, one bulk write per block it fills."""
+        rows = data if isinstance(data, (list, tuple)) else list(data)
+        start = 0
+        while start < len(rows):
+            batch = rows[start : start + self.block_rows - self._pending_rows]
+            self._writer.write_many(batch, self._pending)
+            self._pending_rows += len(batch)
+            self.rows_written += len(batch)
+            start += len(batch)
+            if self._pending_rows >= self.block_rows:
+                self._flush_block()
 
     def _flush_block(self) -> None:
         if self._pending_rows == 0:
@@ -129,9 +138,7 @@ class ContainerReader:
             payload = decompress_block(self.codec, dec.read_raw(size))
             if dec.read_raw(16) != self._sync:
                 raise SchemaError("sync marker mismatch (corrupt container)")
-            block = BinaryDecoder(payload)
-            for __ in range(count):
-                yield self._reader.read(block)
+            yield from self._reader.read_many(BinaryDecoder(payload), count)
 
     def read_all(self) -> List[Any]:
         return list(self)

@@ -114,6 +114,14 @@ class S2VWriter:
         #: distributed FS; the driver bulk-COPYs the manifest's winners
         self.staged = self.opts.transport == "staging"
         self.hdfs = self.opts.staging_fs
+        # A file's header (magic, schema JSON, sync marker) is paid once
+        # per real file, not once per virtual row: cost accounting scales
+        # only the data behind it, or small real partitions would charge
+        # phantom header gigabytes.  The size depends on the schema alone,
+        # so the transport in use measures it once per job.
+        self._avro_header_bytes = 0 if self.staged else len(
+            encode_rows(self.avro_schema, [], codec=self.opts.avro_codec)
+        )
         self._columnar_header_bytes = (
             len(write_columnar(self.avro_schema, [])) if self.staged else 0
         )
@@ -448,12 +456,7 @@ class S2VWriter:
         failed = 0
         if not rows:
             return 0, 0
-        # The container header (magic, schema JSON, sync marker) is paid
-        # once per real container, not once per virtual row — scale only
-        # the data blocks, or small real partitions would charge phantom
-        # header gigabytes.
-        header_bytes = len(encode_rows(self.avro_schema, [],
-                                       codec=self.opts.avro_codec))
+        header_bytes = self._avro_header_bytes
         for start in range(0, len(rows), COPY_CHUNK_ROWS):
             chunk = rows[start : start + COPY_CHUNK_ROWS]
             payload = encode_rows(

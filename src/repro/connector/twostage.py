@@ -46,6 +46,10 @@ class TwoStageWriter:
         self.staging = f"{self.job_name}_STAGING"
         self.landing = f"/twostage/{self.job_name}"
         self.avro_schema = dataframe.schema.to_avro("twostage_row")
+        #: container header size: paid once per file, never scaled
+        self._header_bytes = len(
+            encode_rows(self.avro_schema, [], codec=self.opts.avro_codec)
+        )
 
     # ------------------------------------------------------------------ stage 1
     def _stage1_write_files(self) -> List[str]:
@@ -56,8 +60,7 @@ class TwoStageWriter:
         if rdd.num_partitions > self.opts.num_partitions:
             rdd = rdd.coalesce(self.opts.num_partitions)
         weight = self.opts.scale_factor
-        header_bytes = len(encode_rows(self.avro_schema, [],
-                                       codec=self.opts.avro_codec))
+        header_bytes = self._header_bytes
 
         def make_task(split: int):
             def thunk(ctx) -> Generator:
@@ -93,8 +96,7 @@ class TwoStageWriter:
         conn = self.cluster.connect(self.opts.host, client_node=None)
         model = self.cluster.cost_model
         weight = self.opts.scale_factor
-        header_bytes = len(encode_rows(self.avro_schema, [],
-                                       codec=self.opts.avro_codec))
+        header_bytes = self._header_bytes
         counts: List[int] = []
         nodes = self.cluster.node_names
 

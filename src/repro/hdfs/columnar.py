@@ -9,7 +9,7 @@ format Spark's native HDFS source reads/writes in the Figure 12 baseline
 from __future__ import annotations
 
 import zlib
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.avrolite.io import BinaryDecoder, BinaryEncoder, DatumReader, DatumWriter
 from repro.avrolite.schema import Schema, SchemaError
@@ -25,12 +25,19 @@ def write_columnar(schema: Schema, rows: Sequence[Tuple[Any, ...]]) -> bytes:
     header.write_raw(MAGIC)
     header.write_string(schema.dumps())
     header.write_long(len(rows))
+    width = len(schema.fields)
+    columns: Sequence[Sequence[Any]]
+    if set(map(len, rows)) == {width}:
+        columns = list(zip(*rows))
+    else:
+        # No rows, or rows that are not all schema-wide: index them like
+        # the per-row loop did (a short row raises, extra values are
+        # ignored) rather than let zip() truncate silently.
+        columns = [[row[position] for row in rows] for position in range(width)]
     chunks: List[bytes] = []
-    for position, (name, field_schema) in enumerate(schema.fields):
-        writer = DatumWriter(field_schema)
+    for (name, field_schema), column in zip(schema.fields, columns):
         enc = BinaryEncoder()
-        for row in rows:
-            writer.write(row[position], enc)
+        DatumWriter(field_schema).write_many(column, enc)
         compressed = zlib.compress(enc.getvalue(), 6)
         chunk_header = BinaryEncoder()
         chunk_header.write_string(name)
@@ -44,7 +51,7 @@ def _read_frame(dec: BinaryDecoder) -> Tuple[Schema, List[Tuple[Any, ...]]]:
         raise SchemaError("not a columnar file (bad magic)")
     schema = Schema.loads(dec.read_string())
     nrows = dec.read_long()
-    columns: List[List[Any]] = []
+    columns: List[Sequence[Any]] = []
     for name, field_schema in schema.fields:
         chunk_name = dec.read_string()
         if chunk_name != name:
@@ -53,10 +60,10 @@ def _read_frame(dec: BinaryDecoder) -> Tuple[Schema, List[Tuple[Any, ...]]]:
             )
         size = dec.read_long()
         payload = zlib.decompress(dec.read_raw(size))
-        reader = DatumReader(field_schema)
-        chunk_dec = BinaryDecoder(payload)
-        columns.append([reader.read(chunk_dec) for __ in range(nrows)])
-    rows = [tuple(column[i] for column in columns) for i in range(nrows)]
+        columns.append(
+            DatumReader(field_schema).read_many(BinaryDecoder(payload), nrows)
+        )
+    rows = list(zip(*columns)) if columns else [()] * max(nrows, 0)
     return schema, rows
 
 
@@ -74,7 +81,7 @@ def read_columnar_concat(data: bytes) -> Tuple[Schema, List[Tuple[Any, ...]]]:
     requires all frames to carry the same schema.
     """
     dec = BinaryDecoder(data)
-    schema: Schema = None  # type: ignore[assignment]
+    schema: Optional[Schema] = None
     rows: List[Tuple[Any, ...]] = []
     while not dec.exhausted:
         frame_schema, frame_rows = _read_frame(dec)

@@ -23,8 +23,9 @@ Design:
 - **One reporting path.**  :class:`~repro.telemetry.snapshot.MetricsSnapshot`
   freezes counters, histogram summaries, span records, registered
   :class:`~repro.sim.UsageTrace` series and the kernel's scheduling stats
-  into a single object that ``bench.report`` renders as the telemetry
-  section of every benchmark result file.
+  into a single object; its ``render()`` is the plain-text telemetry
+  section and ``Fabric.metrics_snapshot()`` the way a bench fabric
+  produces one (no harness renders it by default).
 
 Typical use (the bench harness does this via ``Fabric(telemetry=True)``)::
 

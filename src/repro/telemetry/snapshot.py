@@ -1,9 +1,9 @@
 """A frozen export of a registry's state, ready for reporting.
 
-``MetricsRegistry.snapshot()`` produces one of these; ``bench.report``
-renders it as the telemetry section of a benchmark result file.  The
-snapshot owns plain data (dicts, tuples, SpanRecords) so it stays valid
-after the registry is reset or the simulation torn down.
+``MetricsRegistry.snapshot()`` produces one of these and ``render()``
+turns it into a plain-text telemetry section.  The snapshot owns plain
+data (dicts, tuples, SpanRecords) so it stays valid after the registry
+is reset or the simulation torn down.
 """
 
 from __future__ import annotations

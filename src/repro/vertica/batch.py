@@ -30,6 +30,12 @@ def gather(values: List[Any], indices: Iterable[int]) -> List[Any]:
     return [values[i] for i in indices]
 
 
+def transpose(rows: Sequence[Sequence[Any]], width: int) -> List[Sequence[Any]]:
+    """Row tuples as ``width`` columns (no rows: ``width`` empty columns,
+    which a bare ``zip(*rows)`` cannot know)."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
 class ColumnBatch:
     """Column-name → list-of-values chunk with per-row node attribution.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.vertica.errors import CatalogError, SqlError
-from repro.vertica.hashring import HashRing, vertica_hash
+from repro.vertica.hashring import HashRing
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.types import SqlType
 
@@ -75,19 +75,6 @@ class TableDef:
 
     def has_column(self, column: str) -> bool:
         return any(c.name == column for c in self.columns)
-
-    def row_hash(self, row: Dict[str, Any]) -> int:
-        """Segmentation hash of one row (0 for unsegmented tables)."""
-        if self.unsegmented:
-            return 0
-        values = [row[c] for c in self.segmentation_columns]
-        return vertica_hash(*values)
-
-    def node_for_row(self, row: Dict[str, Any]) -> Optional[str]:
-        """Owning node, or ``None`` for unsegmented (replicated) tables."""
-        if self.unsegmented or self.ring is None:
-            return None
-        return self.ring.node_for(self.row_hash(row))
 
     def row_width(self, row: Dict[str, Any]) -> int:
         total = 0

@@ -1,12 +1,20 @@
 """COPY: Vertica's bulk-load path.
 
-Implements the ``COPY <table> FROM STDIN`` statement for CSV and Avro
-payloads, with per-row rejection accounting: a malformed row does not fail
-the load, it is *rejected*; if the count of rejected rows exceeds
+Implements the ``COPY <table> FROM STDIN`` statement for CSV, Avro and
+columnar payloads, with per-row rejection accounting: a malformed row does
+not fail the load, it is *rejected*; if the count of rejected rows exceeds
 ``REJECTMAX`` the whole load fails (and the enclosing transaction aborts).
 The paper's S2V leans on exactly this machinery — each Spark task streams
 its partition as Avro into COPY, and the connector exposes the rejected-row
 tolerance to the user (§3.2).
+
+The load is column-major from the decoded file on: the record tuples of a
+binary payload are transposed once, each column is coerced as a whole
+(``SqlType.coerce_column``), rejected rows leave through a selection
+vector, and ``Engine.insert_rows`` receives table-ordered columns — no
+per-row dict, and no value coerced twice, between an Avro block and the
+WOS.  Rejection semantics are those of the row-at-a-time loader it
+replaced (``tests/reference_copy.py`` keeps that one as the oracle).
 
 :class:`VerticaCopyStream` mirrors the Java API of the same name: a
 programmatic handle for streaming chunks into one COPY statement.
@@ -18,11 +26,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.avrolite import SchemaError, decode_rows
 from repro.avrolite.schema import Schema
+from repro.hdfs import columnar
+from repro.vertica.batch import transpose
 from repro.vertica.catalog import TableDef
 from repro.vertica.errors import CopyRejectError, SqlError, TypeMismatchError
 
 #: how many rejected rows are kept as a sample for the user
 REJECT_SAMPLE_SIZE = 10
+#: the binary COPY formats, as error messages spell them
+_FORMAT_NAMES = {"AVRO": "Avro", "COLUMNAR": "columnar"}
 
 
 class RejectedRow:
@@ -62,89 +74,57 @@ def avro_schema_for_table(table: TableDef) -> Schema:
 
 def parse_csv_rows(
     table: TableDef, text: str, delimiter: str = ","
-) -> Tuple[List[Dict[str, Any]], List[RejectedRow]]:
-    """Parse delimited text into coerced row dicts plus rejections."""
-    good: List[Dict[str, Any]] = []
+) -> Tuple[List[Tuple[Any, ...]], List[RejectedRow]]:
+    """Parse delimited text into coerced row tuples plus rejections."""
+    good: List[Tuple[Any, ...]] = []
     bad: List[RejectedRow] = []
-    columns = table.columns
+    parsers = [column.sql_type.from_csv for column in table.columns]
     for line in text.splitlines():
         if not line.strip():
             continue
         tokens = line.split(delimiter)
-        if len(tokens) != len(columns):
+        if len(tokens) != len(parsers):
             bad.append(
-                RejectedRow(line, f"expected {len(columns)} fields, got {len(tokens)}")
+                RejectedRow(line, f"expected {len(parsers)} fields, got {len(tokens)}")
             )
             continue
-        row: Dict[str, Any] = {}
         try:
-            for column, token in zip(columns, tokens):
-                row[column.name] = column.sql_type.from_csv(token)
+            good.append(tuple(parse(token) for parse, token in zip(parsers, tokens)))
         except TypeMismatchError as exc:
             bad.append(RejectedRow(line, str(exc)))
-            continue
-        good.append(row)
     return good, bad
 
 
-def parse_avro_rows(
-    table: TableDef, payload: bytes
-) -> Tuple[List[Dict[str, Any]], List[RejectedRow]]:
-    """Decode an Avro container into coerced row dicts plus rejections."""
-    good: List[Dict[str, Any]] = []
-    bad: List[RejectedRow] = []
-    try:
-        rows = decode_rows(payload)
-    except SchemaError as exc:
-        raise SqlError(f"COPY: cannot decode Avro payload: {exc}") from exc
-    columns = table.columns
-    for values in rows:
-        if not isinstance(values, tuple) or len(values) != len(columns):
-            bad.append(
-                RejectedRow(values, f"expected {len(columns)} fields")
-            )
-            continue
-        row: Dict[str, Any] = {}
-        try:
-            for column, value in zip(columns, values):
-                row[column.name] = column.sql_type.coerce(value)
-        except TypeMismatchError as exc:
-            bad.append(RejectedRow(values, str(exc)))
-            continue
-        good.append(row)
-    return good, bad
+def coerce_decoded_rows(
+    table: TableDef, rows: Sequence[Any]
+) -> Tuple[List[Sequence[Any]], List[RejectedRow]]:
+    """Decoded file records as coerced table columns plus rejections.
 
-
-def parse_columnar_rows(
-    table: TableDef, payload: bytes
-) -> Tuple[List[Dict[str, Any]], List[RejectedRow]]:
-    """Decode concatenated columnar frames into coerced row dicts.
-
-    The staging transport's bulk loads concatenate many task-attempt files
-    into one COPY payload, so the decoder must read *every* frame.
+    ``rows`` is what one AVRO or COLUMNAR payload decoded to.  Their arity
+    is a property of the file's schema — every record of a file has the
+    same shape — so it is checked once, on the first: a file of the wrong
+    shape rejects every row.  Otherwise the rows are transposed once and
+    each column coerced as a whole; a row is rejected for its first
+    failing column's reason, and the survivors are gathered by a
+    selection vector.
     """
-    from repro.hdfs.columnar import read_columnar_concat
-
-    try:
-        __, rows = read_columnar_concat(payload)
-    except SchemaError as exc:
-        raise SqlError(f"COPY: cannot decode columnar payload: {exc}") from exc
-    good: List[Dict[str, Any]] = []
-    bad: List[RejectedRow] = []
-    columns = table.columns
-    for values in rows:
-        if len(values) != len(columns):
-            bad.append(RejectedRow(values, f"expected {len(columns)} fields"))
-            continue
-        row: Dict[str, Any] = {}
-        try:
-            for column, value in zip(columns, values):
-                row[column.name] = column.sql_type.coerce(value)
-        except TypeMismatchError as exc:
-            bad.append(RejectedRow(values, str(exc)))
-            continue
-        good.append(row)
-    return good, bad
+    width = len(table.columns)
+    if rows and (not isinstance(rows[0], tuple) or len(rows[0]) != width):
+        return transpose([], width), [
+            RejectedRow(values, f"expected {width} fields") for values in rows
+        ]
+    rejects: Dict[int, str] = {}
+    columns = [
+        column.sql_type.coerce_column(values, rejects)
+        for column, values in zip(table.columns, transpose(rows, width))
+    ]
+    if not rejects:
+        return columns, []
+    keep = [row for row in range(len(rows)) if row not in rejects]
+    return (
+        [[values[row] for row in keep] for values in columns],
+        [RejectedRow(rows[row], rejects[row]) for row in sorted(rejects)],
+    )
 
 
 def run_copy(
@@ -168,18 +148,30 @@ def run_copy(
     telemetry.counter("vertica.copy.bytes").inc(
         len(payload) if isinstance(payload, (bytes, bytearray, str)) else 0
     )
-    if statement.file_format == "AVRO":
+    columns: List[Sequence[Any]]
+    if statement.file_format in _FORMAT_NAMES:
         if not isinstance(payload, (bytes, bytearray)):
-            raise SqlError("COPY FORMAT AVRO requires a bytes payload")
-        good, bad = parse_avro_rows(table, bytes(payload))
-    elif statement.file_format == "COLUMNAR":
-        if not isinstance(payload, (bytes, bytearray)):
-            raise SqlError("COPY FORMAT COLUMNAR requires a bytes payload")
-        good, bad = parse_columnar_rows(table, bytes(payload))
+            raise SqlError(
+                f"COPY FORMAT {statement.file_format} requires a bytes payload"
+            )
+        try:
+            if statement.file_format == "AVRO":
+                rows = decode_rows(bytes(payload))
+            else:
+                # The staging transport's bulk loads concatenate many
+                # task-attempt files into one payload: read *every* frame.
+                __, rows = columnar.read_columnar_concat(bytes(payload))
+        except SchemaError as exc:
+            raise SqlError(
+                f"COPY: cannot decode {_FORMAT_NAMES[statement.file_format]} "
+                f"payload: {exc}"
+            ) from exc
+        columns, bad = coerce_decoded_rows(table, rows)
     else:
         if isinstance(payload, (bytes, bytearray)):
             payload = bytes(payload).decode("utf-8")
         good, bad = parse_csv_rows(table, payload, statement.delimiter)
+        columns = transpose(good, len(table.columns))
 
     limit = statement.reject_max if statement.reject_max is not None else 0
     telemetry.counter("vertica.copy.rows_rejected").inc(len(bad))
@@ -187,13 +179,13 @@ def run_copy(
         raise CopyRejectError(len(bad), limit, bad[:REJECT_SAMPLE_SIZE])
 
     cost = CostReport()
-    loaded = engine.insert_rows(table.name, good, txn, cost)
+    loaded = engine.insert_rows(table.name, columns, txn, cost)
     telemetry.counter("vertica.copy.rows_loaded").inc(loaded)
     # Keep optimizer statistics roughly current as loads stream in; only
     # tables that have been ANALYZEd carry stats worth maintaining.
     from repro.vertica.stats import update_stats_for_load
 
-    update_stats_for_load(engine.database, table.name, good)
+    update_stats_for_load(engine.database, table.name, columns)
     result = ResultSet(
         columns=["ROWS_LOADED"], rows=[(loaded,)], rowcount=loaded, cost=cost
     )

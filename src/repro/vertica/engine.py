@@ -27,11 +27,11 @@ Notable behaviours:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
-from repro.vertica.batch import ColumnBatch, RowView, gather
-from repro.vertica.errors import CatalogError, SqlError
+from repro.vertica.batch import ColumnBatch, RowView, gather, transpose
+from repro.vertica.errors import CatalogError, SqlError, TypeMismatchError
 from repro.vertica.expr import (
     Between,
     BinaryOp,
@@ -40,10 +40,10 @@ from repro.vertica.expr import (
     FunctionCall,
     Literal,
 )
-from repro.vertica.hashring import HASH_SPACE
+from repro.vertica.hashring import HASH_SPACE, vertica_hash
 from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
-from repro.vertica.storage import RosContainer
+from repro.vertica.storage import RosContainer, WosBuffer
 from repro.vertica.txn import Transaction
 
 
@@ -196,6 +196,16 @@ def _value_bytes(value: Any) -> int:
     if isinstance(value, str):
         return len(value.encode("utf-8"))
     return 8
+
+
+def _value_widths(values: Sequence[Any]) -> Union[int, List[int]]:
+    """:func:`_value_bytes` of every value: one int when they all share it."""
+    types = set(map(type, values))
+    if types <= {int, float}:
+        return 8
+    if types <= {bool, type(None)}:
+        return 1
+    return [_value_bytes(value) for value in values]
 
 
 def extract_hash_range(
@@ -368,7 +378,7 @@ class Engine:
 
         def slice_of(
             node: str,
-            source: RosContainer,
+            source: Union[RosContainer, WosBuffer],
             rows: Sequence[int],
             container: Optional[RosContainer],
         ) -> Optional[ColumnBatch]:
@@ -400,12 +410,12 @@ class Engine:
                 if batch is not None:
                     yield batch
         # Read-your-writes: rows staged by this transaction, sliced from
-        # the container they would commit as (but located nowhere yet).
+        # the column-major WOS buffer like a container (but located
+        # nowhere yet).
         if txn is not None:
             for (wos_table, node), buffer in list(txn.wos.items()):
                 if wos_table == table.name and node in nodes:
-                    staged = buffer.to_container(snapshot_epoch)
-                    batch = slice_of(node, staged, range(staged.nrows), None)
+                    batch = slice_of(node, buffer, range(buffer.nrows), None)
                     if batch is not None:
                         yield batch
 
@@ -647,38 +657,87 @@ class Engine:
     def insert_rows(
         self,
         table_name: str,
-        rows: List[Dict[str, Any]],
+        columns: Sequence[Sequence[Any]],
         txn: Transaction,
         cost: Optional[CostReport] = None,
     ) -> int:
-        """Stage coerced rows into the transaction's WOS, routed by segment."""
+        """Coerce table-ordered columns, then stage them into the WOS.
+
+        The one staging entry point (INSERT, UPDATE, COPY and direct
+        loads all hand it columns).  Every column is coerced before any
+        row is staged, so a value that does not fit its type fails the
+        statement with nothing staged; the error is the one a row-by-row
+        load would hit first (first failing row, its first failing
+        column).  Rows are then routed by the segmentation hash column:
+        one gather, one buffer extend and one ``cost.wrote`` per node
+        (and the node's k-safety buddy), nodes in order of first
+        appearance.
+        """
         db = self.database
         table = db.catalog.table(table_name)
         txn.lock(table.name, mode="I")
         cost = cost if cost is not None else CostReport()
-        column_names = table.column_names()
-        for row in rows:
-            coerced = {}
-            for column_def in table.columns:
-                value = row.get(column_def.name)
-                coerced[column_def.name] = column_def.sql_type.coerce(value)
-            ordered = [coerced[c] for c in column_names]
-            if table.unsegmented:
-                for node in db.node_names:
-                    txn.wos_for(table.name, node, column_names).append(ordered, 0)
-                cost.wrote(db.node_names[0])
-            else:
-                row_hash = table.row_hash(coerced)
-                assert table.ring is not None
-                node = table.ring.node_for(row_hash)
-                txn.wos_for(table.name, node, column_names).append(ordered, row_hash)
-                cost.wrote(node)
-                if db.k_safety >= 1:
-                    buddy = db.buddy_of(node)
-                    txn.replica_wos_for(table.name, buddy, column_names).append(
-                        ordered, row_hash
-                    )
-        return len(rows)
+        if len(columns) != len(table.columns):
+            raise SqlError(
+                f"table {table.name!r} has {len(table.columns)} columns, "
+                f"got {len(columns)}"
+            )
+        rejects: Dict[int, str] = {}
+        columns = [
+            column_def.sql_type.coerce_column(values, rejects)
+            for column_def, values in zip(table.columns, columns)
+        ]
+        if rejects:
+            raise TypeMismatchError(rejects[min(rejects)])
+        count = len(columns[0]) if columns else 0
+        if not count:
+            return 0
+        names = table.column_names()
+        if table.unsegmented:
+            hashes = [0] * count
+            for node in db.node_names:
+                txn.wos_for(table.name, node, names).extend(columns, hashes)
+            cost.wrote(db.node_names[0], count)
+            return count
+        assert table.ring is not None
+        keys = list(
+            zip(*(columns[names.index(c)] for c in table.segmentation_columns))
+        )
+        # Each distinct key is hashed once.  Equal keys hash equal because
+        # the columns are already coerced: one Python type per column.
+        hash_of = {key: vertica_hash(*key) for key in set(keys)}
+        hashes = [hash_of[key] for key in keys]
+        node_for = table.ring.node_for
+        rows_of: Dict[str, List[int]] = {}
+        for row, row_hash in enumerate(hashes):
+            rows_of.setdefault(node_for(row_hash), []).append(row)
+        for node, rows in rows_of.items():
+            node_columns: Sequence[Sequence[Any]] = columns
+            node_hashes = hashes
+            if len(rows) < count:
+                node_columns = [[values[i] for i in rows] for values in columns]
+                node_hashes = [hashes[i] for i in rows]
+            txn.wos_for(table.name, node, names).extend(node_columns, node_hashes)
+            cost.wrote(node, len(rows))
+            if db.k_safety >= 1:
+                txn.replica_wos_for(table.name, db.buddy_of(node), names).extend(
+                    node_columns, node_hashes
+                )
+        return count
+
+    @staticmethod
+    def _table_ordered(
+        table: Any, names: Sequence[str], rows: Sequence[Sequence[Any]]
+    ) -> List[Sequence[Any]]:
+        """``rows`` (of values named ``names``) as one column per table column.
+
+        Like the per-row ``dict(zip(names, values))`` it replaces: a
+        repeated name keeps its last column, a name the table lacks is
+        dropped, a table column not named is all NULL.
+        """
+        given = dict(zip(names, transpose(rows, len(names))))
+        absent = [None] * len(rows)
+        return [given.get(column.name, absent) for column in table.columns]
 
     def insert_values(
         self, statement: ast.InsertValues, txn: Transaction, initiator: str
@@ -697,10 +756,13 @@ class Engine:
                     f"INSERT has {len(value_exprs)} values for "
                     f"{len(target_columns)} columns"
                 )
-            values = [e.evaluate({}) for e in value_exprs]
-            rows.append(dict(zip(target_columns, values)))
+            rows.append([e.evaluate({}) for e in value_exprs])
         cost = CostReport()
-        count = self.insert_rows(table.name, rows, txn, cost)
+        count = self.insert_rows(
+            table.name,
+            self._table_ordered(table, target_columns, rows),
+            txn, cost,
+        )
         return ResultSet(rowcount=count, cost=cost)
 
     def insert_select(
@@ -724,8 +786,11 @@ class Engine:
                 f"INSERT SELECT arity mismatch: query yields "
                 f"{len(result.columns)} columns for {len(target_columns)}"
             )
-        rows = [dict(zip(target_columns, row)) for row in result.rows]
-        count = self.insert_rows(table.name, rows, txn, cost)
+        count = self.insert_rows(
+            table.name,
+            self._table_ordered(table, target_columns, result.rows),
+            txn, cost,
+        )
         return ResultSet(rowcount=count, cost=cost)
 
     def update(
@@ -744,19 +809,33 @@ class Engine:
         for column, __ in assignments:
             if not table.has_column(column):
                 raise SqlError(f"table {table.name!r} has no column {column!r}")
-        matched: List[Dict[str, Any]] = []
-        for batch in self._matched_once(
+        batches, deletes = self._matched_once(
             table, statement.where, txn, initiator, cost, context
-        ):
-            for i, values in enumerate(batch.rows()):
-                updated = dict(zip(batch.names, values))
+        )
+        updated: List[List[Any]] = [[] for __ in table.columns]
+        count = 0
+        for batch in batches:
+            # Row by row, assignments in order: the first error raised is
+            # the one the row-at-a-time UPDATE raised.
+            assigned: List[List[Any]] = [[] for __ in assignments]
+            for i in range(batch.num_rows):
                 row = RowView(batch, i)
-                for column, expression in assignments:
-                    updated[column] = expression.evaluate(row)
-                matched.append(updated)
-        if matched:
-            self.insert_rows(table.name, matched, txn, cost)
-        return ResultSet(rowcount=len(matched), cost=cost)
+                for values, (__, expression) in zip(assigned, assignments):
+                    values.append(expression.evaluate(row))
+            new_columns = dict(zip(batch.names, batch.columns))
+            new_columns.update(
+                (column, values) for (column, __), values in zip(assignments, assigned)
+            )
+            for held, column_def in zip(updated, table.columns):
+                held.extend(new_columns[column_def.name])
+            count += batch.num_rows
+        # The new versions are coerced and staged first: if one does not
+        # fit its column the statement fails with the old rows untouched.
+        if count:
+            self.insert_rows(table.name, updated, txn, cost)
+        for container, row_id in deletes:
+            txn.stage_delete(container, row_id)
+        return ResultSet(rowcount=count, cost=cost)
 
     def delete(
         self,
@@ -770,13 +849,12 @@ class Engine:
         txn.lock(table.name)
         telemetry.counter("vertica.queries.delete").inc()
         cost = CostReport()
-        count = sum(
-            batch.num_rows
-            for batch in self._matched_once(
-                table, statement.where, txn, initiator, cost, context
-            )
+        batches, deletes = self._matched_once(
+            table, statement.where, txn, initiator, cost, context
         )
-        return ResultSet(rowcount=count, cost=cost)
+        for container, row_id in deletes:
+            txn.stage_delete(container, row_id)
+        return ResultSet(rowcount=sum(b.num_rows for b in batches), cost=cost)
 
     def _matched_once(
         self,
@@ -786,26 +864,31 @@ class Engine:
         initiator: str,
         cost: CostReport,
         context: PlanContext,
-    ) -> Iterator[ColumnBatch]:
-        """Stage deletes for an UPDATE/DELETE; yield each matched row once.
+    ) -> Tuple[List[ColumnBatch], List[Tuple[RosContainer, int]]]:
+        """What an UPDATE/DELETE matches: (rows, delete-vector entries).
 
         The ``for_update`` scan reads every physical copy and each copy's
-        matching rows get a staged delete, but an unsegmented table's
-        rows are counted on the first node read only — once per *copy*,
-        not per value: two equal rows are two rows.
+        matching ROS rows are returned for the caller to stage deletes
+        against, but an unsegmented table's rows are returned on the
+        first node read only — once per *copy*, not per value: two equal
+        rows are two rows.
         """
         from repro.vertica.plan import dml_matching_rows
 
+        batches: List[ColumnBatch] = []
+        deletes: List[Tuple[RosContainer, int]] = []
         counted_node: Optional[str] = None
         for batch in dml_matching_rows(
             self, table.name, where, txn, initiator,
             self.database.epochs.current, cost, context,
         ):
             if batch.container is not None:
-                for row_id in batch.row_ids or ():
-                    txn.stage_delete(batch.container, row_id)
+                deletes.extend(
+                    (batch.container, row_id) for row_id in batch.row_ids or ()
+                )
             if counted_node is None:
                 counted_node = batch.nodes[0]
             if table.unsegmented and batch.nodes[0] != counted_node:
                 continue
-            yield batch
+            batches.append(batch)
+        return batches, deletes

@@ -14,6 +14,8 @@ byte encoding, folded into a 32-bit ring.
 
 from __future__ import annotations
 
+import zlib
+from bisect import bisect_right
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.vertica.errors import CatalogError
@@ -32,8 +34,6 @@ def _fnv1a(data: bytes) -> int:
     The function is deterministic across processes (unlike ``hash()``),
     which the segmentation layout depends on.
     """
-    import zlib
-
     value = (zlib.crc32(data) | (len(data) << 32)) & _MASK64
     value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     value = (value ^ (value >> 27)) * 0x94D049BB133111EB & _MASK64
@@ -63,6 +63,8 @@ def vertica_hash(*values: Any) -> int:
     """Hash one or more column values onto the ring ``[0, HASH_SPACE)``."""
     if not values:
         raise TypeError("vertica_hash requires at least one value")
+    if len(values) == 1:
+        return _fnv1a(_canonical_bytes(values[0])) % HASH_SPACE
     data = b"\x1f".join(_canonical_bytes(v) for v in values)
     return _fnv1a(data) % HASH_SPACE
 
@@ -106,6 +108,8 @@ class HashRing:
                     f"hash ring has a gap/overlap at {prev.hi} vs {cur.lo}"
                 )
         self.segments: List[Segment] = ordered
+        #: each segment's exclusive upper bound, for bisecting a hash to it
+        self._upper_bounds = [segment.hi for segment in ordered]
 
     @classmethod
     def even(cls, nodes: Sequence[str]) -> "HashRing":
@@ -123,11 +127,10 @@ class HashRing:
         return [segment.node for segment in self.segments]
 
     def node_for(self, hash_value: int) -> str:
-        """The node owning ``hash_value`` (binary search not needed at this scale)."""
-        for segment in self.segments:
-            if segment.contains(hash_value % HASH_SPACE):
-                return segment.node
-        raise CatalogError(f"hash {hash_value} outside ring")  # pragma: no cover
+        """The node owning ``hash_value`` (any int wraps onto the ring)."""
+        return self.segments[
+            bisect_right(self._upper_bounds, hash_value % HASH_SPACE)
+        ].node
 
     def segment_for_node(self, node: str) -> Segment:
         for segment in self.segments:

@@ -37,7 +37,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from repro.ordering import null_last_key
 from repro.vertica.batch import BATCH_ROWS, ColumnBatch, RowView, gather
-from repro.vertica.engine import CostReport, _value_bytes
+from repro.vertica.engine import CostReport, _value_widths
 from repro.vertica.errors import SqlError
 from repro.vertica.expr import ColumnRef, Expression, predicate_holds
 from repro.vertica.plan import logical
@@ -746,32 +746,33 @@ class ProjectOp(PhysicalOperator):
                     else:  # "ref" (missing column raises) or "expr"
                         value = payload.evaluate(view)
                     out_columns[slot_index].append(value)
-        self._charge_output(out_columns, batch.nodes, n)
+        self._charge_output(out_columns, batch.nodes)
         return ColumnBatch(list(self.logical.output_columns), out_columns,
                            batch.nodes)
 
     def _charge_output(
-        self, out_columns: List[List[Any]], nodes: List[str], n: int
+        self, out_columns: List[List[Any]], nodes: List[str]
     ) -> None:
-        # Runs of same-node rows collapse into one CostReport call; all
-        # increments are integer-valued, so totals stay byte-identical.
-        run_node: Optional[str] = None
-        run_bytes = 0
-        run_rows = 0
-        for i in range(n):
-            nbytes = 0
-            for column in out_columns:
-                nbytes += _value_bytes(column[i])
-            node = nodes[i]
-            if node != run_node:
-                if run_rows:
-                    self.cost.output(run_node, run_bytes, run_rows)
-                run_node, run_bytes, run_rows = node, 0, 0
-            run_bytes += nbytes
-            run_rows += 1
+        # One width per column (or per value where they differ), one
+        # CostReport call per run of same-node rows; all increments are
+        # integer-valued, so totals stay byte-identical.
+        fixed = 0
+        varying: List[List[int]] = []
+        for column in out_columns:
+            widths = _value_widths(column)
+            if isinstance(widths, int):
+                fixed += widths
+            else:
+                varying.append(widths)
+        start = 0
+        for node, run in itertools.groupby(nodes):
+            stop = start + len(list(run))
+            nbytes = fixed * (stop - start) + sum(
+                sum(widths[start:stop]) for widths in varying
+            )
+            self.cost.output(node, nbytes, stop - start)
             self.stats.bytes_out += nbytes
-        if run_rows:
-            self.cost.output(run_node, run_bytes, run_rows)
+            start = stop
 
 
 class AggregateOp(PhysicalOperator):
@@ -848,7 +849,10 @@ class AggregateOp(PhysicalOperator):
                 output_row = dict(zip(columns, row_tuple))
                 if not predicate_holds(node.having, output_row):
                     continue
-            nbytes = sum(_value_bytes(v) for v in row_tuple)
+            widths = _value_widths(row_tuple)
+            nbytes = (
+                widths * len(row_tuple) if isinstance(widths, int) else sum(widths)
+            )
             self.cost.output(self.initiator, nbytes)
             self.stats.bytes_out += nbytes
             out.append(row_tuple)

@@ -14,7 +14,7 @@ Correctness never depends on them -- only plan choice does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 DEFAULT_BUCKETS = 16
 
@@ -54,23 +54,24 @@ class ColumnStats:
 
     # -- incremental maintenance ---------------------------------------------------
 
-    def observe(self, value: Any) -> None:
-        """Fold one newly-loaded value into the running counters.
+    def observe_column(self, values: Sequence[Any]) -> None:
+        """Fold a column of newly-loaded values into the running counters.
 
         Only row/null counts and min/max stay exact under incremental
         updates; NDV and the histogram refresh on the next full collect.
         """
-        self.row_count += 1
-        if value is None:
-            self.null_count += 1
+        self.row_count += len(values)
+        present = [value for value in values if value is not None]
+        self.null_count += len(values) - len(present)
+        if not present:
             return
+        lo, hi = self.min_value, self.max_value
         try:
-            if self.min_value is None or value < self.min_value:
-                self.min_value = value
-            if self.max_value is None or value > self.max_value:
-                self.max_value = value
+            lo = min(present) if lo is None else min(lo, min(present))
+            hi = max(present) if hi is None else max(hi, max(present))
         except TypeError:
-            pass  # mixed-type column snapshot; keep the old bounds
+            return  # mixed-type column snapshot; keep the old bounds
+        self.min_value, self.max_value = lo, hi
 
     # -- selectivity ---------------------------------------------------------------
 
@@ -121,14 +122,13 @@ class TableStats:
     def column(self, name: str) -> Optional[ColumnStats]:
         return self.columns.get(name.upper())
 
-    def observe_rows(self, rows: Iterable[Dict[str, Any]]) -> None:
-        """Incrementally fold newly-loaded rows (COPY path) into the stats."""
-        count = 0
-        for row in rows:
-            count += 1
-            for name, stats in self.columns.items():
-                stats.observe(row.get(name))
-        self.row_count += count
+    def observe_columns(self, columns: Mapping[str, Sequence[Any]]) -> None:
+        """Incrementally fold newly-loaded columns (COPY path) into the stats."""
+        for name, stats in self.columns.items():
+            values = columns.get(name)
+            if values is not None:
+                stats.observe_column(values)
+        self.row_count += len(next(iter(columns.values()), ()))
 
 
 def _build_histogram(
@@ -211,9 +211,9 @@ def collect_table_stats(
 
 
 def update_stats_for_load(
-    database: Any, table_name: str, rows: Iterable[Dict[str, Any]]
+    database: Any, table_name: str, columns: Sequence[Sequence[Any]]
 ) -> None:
-    """Fold freshly-loaded rows into existing stats (COPY/insert hook).
+    """Fold freshly-loaded table-ordered columns into existing stats.
 
     A no-op when the table has never been analyzed: the first full collect
     establishes the baseline that incremental updates then maintain.
@@ -221,7 +221,8 @@ def update_stats_for_load(
     stats = database.catalog.statistics.get(table_name.upper())
     if stats is None:
         return
-    stats.observe_rows(rows)
+    names = database.catalog.table(table_name).column_names()
+    stats.observe_columns(dict(zip(names, columns)))
 
 
 def system_table_rows(

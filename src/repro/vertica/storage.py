@@ -12,7 +12,10 @@ built from a container.
 
 Uncommitted writes live in a per-transaction WOS (Write Optimized
 Storage) buffer that becomes one ROS container per (table, node) at
-commit.
+commit.  The buffer is column-major like the container it turns into:
+``Engine.insert_rows`` extends it a column slice at a time, commit hands
+its column lists to the container, and a read-your-writes scan slices
+them exactly as it slices a container's.
 """
 
 from __future__ import annotations
@@ -69,31 +72,37 @@ class RosContainer:
 
 
 class WosBuffer:
-    """Per-transaction, per-(table, node) staged inserts (row-major)."""
+    """Per-transaction, per-(table, node) staged inserts (column-major)."""
 
-    __slots__ = ("column_names", "rows", "row_hashes")
+    __slots__ = ("column_names", "columns", "row_hashes")
 
     def __init__(self, column_names: Sequence[str]):
         self.column_names = list(column_names)
-        self.rows: List[List[Any]] = []
+        self.columns: List[List[Any]] = [[] for __ in self.column_names]
         self.row_hashes: List[int] = []
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.row_hashes)
 
-    def append(self, row: Sequence[Any], row_hash: int = 0) -> None:
-        if len(row) != len(self.column_names):
+    def extend(
+        self, columns: Sequence[Sequence[Any]], row_hashes: Sequence[int]
+    ) -> None:
+        """Stage ``len(row_hashes)`` more rows, given as one slice per column."""
+        if len(columns) != len(self.column_names):
             raise CatalogError(
-                f"row arity {len(row)} does not match {len(self.column_names)} columns"
+                f"row arity {len(columns)} does not match "
+                f"{len(self.column_names)} columns"
             )
-        self.rows.append(list(row))
-        self.row_hashes.append(row_hash)
+        if any(len(values) != len(row_hashes) for values in columns):
+            raise CatalogError("ragged columns staged into WOS buffer")
+        for held, values in zip(self.columns, columns):
+            held.extend(values)
+        self.row_hashes.extend(row_hashes)
 
     def to_container(self, commit_epoch: int) -> RosContainer:
-        columns = list(zip(*self.rows)) or [() for __ in self.column_names]
         return RosContainer(
-            self.column_names, columns, commit_epoch, row_hashes=self.row_hashes
+            self.column_names, self.columns, commit_epoch, row_hashes=self.row_hashes
         )
 
 

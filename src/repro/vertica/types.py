@@ -9,12 +9,13 @@ and how to parse from / format to CSV for the COPY path.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.vertica.errors import SqlError, TypeMismatchError
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+_NONE = type(None)
 
 
 class SqlType:
@@ -28,6 +29,34 @@ class SqlType:
 
     def coerce(self, value: Any) -> Any:
         """Validate/convert ``value`` (None always passes, meaning SQL NULL)."""
+        raise NotImplementedError
+
+    def coerce_column(
+        self, values: Sequence[Any], rejects: Dict[int, str]
+    ) -> Sequence[Any]:
+        """:meth:`coerce` for a whole column of values.
+
+        A column whose values need neither conversion nor rejection (the
+        common case: it was decoded from a typed file, or coerced before)
+        is recognised from the *set* of its value types and returned as
+        it is.  Otherwise every value goes through :meth:`coerce`; one
+        that fails is reported as ``rejects[row] = reason`` — keeping an
+        earlier column's reason for the same row — and leaves ``None``
+        in the returned list.
+        """
+        if self._all_valid(set(map(type, values)), values):
+            return values
+        out: List[Any] = []
+        for row, value in enumerate(values):
+            try:
+                out.append(self.coerce(value))
+            except TypeMismatchError as exc:
+                rejects.setdefault(row, str(exc))
+                out.append(None)
+        return out
+
+    def _all_valid(self, types: Set[type], values: Sequence[Any]) -> bool:
+        """Would :meth:`coerce` return every one of ``values`` unchanged?"""
         raise NotImplementedError
 
     def from_csv(self, token: str) -> Any:
@@ -75,6 +104,15 @@ class IntegerType(SqlType):
             raise TypeMismatchError(f"{out} out of INTEGER range")
         return out
 
+    def _all_valid(self, types: Set[type], values: Sequence[Any]) -> bool:
+        if not types <= {int, _NONE}:  # type() is exact: bool is not int
+            return False
+        if _NONE in types:
+            values = [value for value in values if value is not None]
+        return not values or (
+            _INT64_MIN <= min(values) and max(values) <= _INT64_MAX
+        )
+
     def _parse(self, token: str) -> int:
         try:
             return int(token)
@@ -95,6 +133,9 @@ class FloatType(SqlType):
         if isinstance(value, (int, float)):
             return float(value)
         raise TypeMismatchError(f"{value!r} is not a FLOAT")
+
+    def _all_valid(self, types: Set[type], values: Sequence[Any]) -> bool:
+        return types <= {float, _NONE}
 
     def _parse(self, token: str) -> float:
         try:
@@ -120,6 +161,9 @@ class BooleanType(SqlType):
         if isinstance(value, bool):
             return value
         raise TypeMismatchError(f"{value!r} is not a BOOLEAN")
+
+    def _all_valid(self, types: Set[type], values: Sequence[Any]) -> bool:
+        return types <= {bool, _NONE}
 
     def _parse(self, token: str) -> bool:
         lowered = token.strip().lower()
@@ -157,6 +201,15 @@ class VarcharType(SqlType):
                 f"string of {len(value)} chars exceeds {self.name}"
             )
         return value
+
+    def _all_valid(self, types: Set[type], values: Sequence[Any]) -> bool:
+        if not types <= {str, _NONE}:
+            return False
+        if _NONE in types:
+            values = [value for value in values if value is not None]
+        return not values or (
+            max(map(len, map(str.encode, values))) <= self.length
+        )
 
     def _parse(self, token: str) -> str:
         return token

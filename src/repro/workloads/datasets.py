@@ -19,6 +19,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.spark.row import StructField, StructType
+from repro.vertica.batch import transpose
 
 D1_VIRTUAL_ROWS = 100_000_000
 D2_VIRTUAL_ROWS = 1_460_000_000
@@ -180,9 +181,10 @@ def load_direct(cluster, dataset: Dataset, table: str,
     try:
         session.execute(dataset.create_table_sql(table, varchar_length))
         txn = db.begin()
-        names = [f.name.upper() for f in dataset.schema.fields]
-        rows = [dict(zip(names, row)) for row in dataset.rows]
-        db.engine.insert_rows(table.upper(), rows, txn)
+        # create_table_sql declares the schema's fields in order, so the
+        # transposed rows are already table-ordered columns.
+        columns = transpose(dataset.rows, len(dataset.schema.fields))
+        db.engine.insert_rows(table.upper(), columns, txn)
         txn.commit(db.storage)
     finally:
         session.close()

@@ -241,7 +241,7 @@ class LegacyInterpreter:
             for (wos_table, node), buffer in list(txn.wos.items()):
                 if wos_table != table.name or node not in pending_nodes:
                     continue
-                for index, row in enumerate(buffer.rows):
+                for index, row in enumerate(zip(*buffer.columns)):
                     if cost is not None:
                         cost.scanned(node)
                     row_hash = buffer.row_hashes[index]

@@ -184,9 +184,10 @@ class TestDeterministicMatrix:
         statement = parse_statement("SELECT id, name FROM people ORDER BY id")
         txn = db.begin()
         initiator = db.node_names[0]
+        people = {"ID": [99], "AGE": [1], "NAME": ["wos"], "SCORE": [9.0]}
         db.engine.insert_rows(
             "PEOPLE",
-            [{"ID": 99, "AGE": 1, "NAME": "wos", "SCORE": 9.0}],
+            [people[name] for name in db.catalog.table("PEOPLE").column_names()],
             txn,
         )
         legacy = LegacyInterpreter(db)

@@ -469,7 +469,9 @@ class TestScanSlices:
             if self_deleted:
                 txn.stage_delete(container, index)
         for position, row_hash in enumerate(staged):
-            txn.wos_for("T", node, ["A", "B"]).append([-position, None], row_hash)
+            txn.wos_for("T", node, ["A", "B"]).extend(
+                [[-position], [None]], [row_hash]
+            )
 
         lo, hi = hash_range
         scanned, expected = 0, []

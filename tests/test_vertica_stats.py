@@ -81,9 +81,7 @@ class TestCollection:
 
     def test_collect_sees_only_committed_rows(self, db):
         txn = db.begin()
-        db.engine.insert_rows(
-            "M", [{"A": 99, "B": 1.0, "C": "wos"}], txn
-        )
+        db.engine.insert_rows("M", [[99], [1.0], ["wos"]], txn)
         stats = collect_table_stats(db, "M")
         assert stats.row_count == 21  # the uncommitted row is invisible
         txn.abort()
@@ -144,7 +142,7 @@ class TestIncrementalMaintenance:
         assert "M" not in db.catalog.statistics
 
     def test_update_helper_ignores_unanalyzed_tables(self, db):
-        update_stats_for_load(db, "m", [{"A": 1, "B": 1.0, "C": "x"}])
+        update_stats_for_load(db, "m", [[1], [1.0], ["x"]])
         assert db.catalog.statistics == {}
 
     def test_mergeout_refreshes_stale_ndv(self, db):

@@ -8,6 +8,7 @@ from repro.vertica.errors import (
     ConnectionLimitError,
     LockContention,
     TransactionError,
+    TypeMismatchError,
 )
 
 
@@ -94,6 +95,53 @@ class TestExplicitTransactions:
         assert session.scalar("SELECT COUNT(*) FROM t") == 1
         session.execute("COMMIT")
         assert session.scalar("SELECT COUNT(*) FROM t") == 2
+
+
+LAYOUTS = ["SEGMENTED BY HASH(a) ALL NODES", "UNSEGMENTED ALL NODES"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+class TestStatementAtomicity:
+    """Inside BEGIN, a statement whose k-th row fails coercion stages
+    nothing: every row is coerced before the first one reaches the WOS
+    (row-at-a-time staging used to leave rows 1..k-1 behind, visible to
+    the transaction and made durable by its COMMIT)."""
+
+    @pytest.fixture
+    def open_txn(self, layout):
+        session = VerticaDatabase(num_nodes=2).connect()
+        session.execute(f"CREATE TABLE t (a INTEGER, b INTEGER) {layout}")
+        session.execute(f"CREATE TABLE src (a INTEGER, b FLOAT) {layout}")
+        session.execute("INSERT INTO src VALUES (1, 1.0), (2, 2.0), (3, 3.5)")
+        session.execute("BEGIN")
+        return session
+
+    def assert_table(self, session, expected):
+        query = "SELECT a, b FROM t ORDER BY a"
+        assert session.execute(query).rows == expected  # read-your-writes
+        session.execute("COMMIT")
+        assert session.execute(query).rows == expected
+
+    def test_insert_values(self, open_txn):
+        with pytest.raises(TypeMismatchError):
+            open_txn.execute("INSERT INTO t VALUES (1, 1), (2, 'x')")
+        self.assert_table(open_txn, [])
+
+    def test_insert_select(self, open_txn):
+        # b = 1.0 and 2.0 are INTEGERs, 3.5 is not
+        with pytest.raises(TypeMismatchError):
+            open_txn.execute("INSERT INTO t SELECT a, b FROM src ORDER BY a")
+        self.assert_table(open_txn, [])
+
+    def test_update(self, open_txn):
+        """A failed UPDATE leaves the old versions too: their delete
+        vectors are staged only once the new versions are."""
+        open_txn.execute("INSERT INTO t VALUES (2, 0), (3, 0), (4, 0), (6, 0)")
+        open_txn.execute("COMMIT")
+        open_txn.execute("BEGIN")
+        with pytest.raises(TypeMismatchError):
+            open_txn.execute("UPDATE t SET b = a * 0.5")  # 1.5 for a = 3
+        self.assert_table(open_txn, [(2, 0), (3, 0), (4, 0), (6, 0)])
 
 
 class TestLocking:
