@@ -107,8 +107,11 @@ class BenchArea:
         return self.runner(params, self.config)
 
 
-#: the band every deterministic (sim-seconds) area is gated with
-SIM_GATE = {"sim_tolerance": 0.15}
+#: the two-sided band every sim-seconds area is gated with: sim time is a
+#: function of the cell's inputs, so the band only absorbs platform
+#: differences (zlib builds deflate to different sizes, and charged bytes
+#: follow) — a cost-model change commits a new baseline instead
+SIM_GATE = {"sim_tolerance": 0.02}
 
 
 def keyed(cells: Sequence[Cell], metric: Optional[str] = None) -> Dict[Any, Any]:

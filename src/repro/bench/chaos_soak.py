@@ -30,36 +30,18 @@ from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import telemetry
-from repro.bench.fabric import Fabric
+from repro.bench.fabric import LIGHT_COST_MODEL, Fabric
 from repro.chaos import (
     ALL_FAMILIES,
     ChaosSchedule,
     InvariantChecker,
     InvariantReport,
 )
-from repro.connector.costmodel import VerticaCostModel
 from repro.connector.s2v import FINAL_STATUS_TABLE, S2VWriter
 from repro.connector.v2s import VerticaRelation
 from repro.spark.row import StructField, StructType
 from repro.vertica.errors import VerticaError
 from repro.wlm import GENERAL, ResourcePool
-
-#: small-but-nonzero latencies: enough clock movement for rich fault
-#: interleavings (crashes mid-COPY, storms overlapping phase 5) while a
-#: 100-trial soak stays in seconds of wall time
-SOAK_COST_MODEL = VerticaCostModel(
-    connect_latency=0.02,
-    query_latency=0.004,
-    ddl_latency=0.01,
-    query_plan_cpu=0.002,
-    scan_cpu_per_row=2e-6,
-    agg_cpu_per_row=2e-6,
-    output_cpu_per_row=4e-6,
-    load_cpu_per_row=6e-6,
-    encode_cpu_per_row=3e-6,
-    per_connection_rate_cap=3e4,
-    copy_rate_cap=2e4,
-)
 
 SCHEMA = StructType([StructField("id", "long"), StructField("v", "double")])
 ROWS = [(i, float((i * 7) % 31)) for i in range(240)]
@@ -75,21 +57,19 @@ SCALE = 60.0
 HORIZON = 4.0
 
 
+@dataclass
 class TrialResult:
     """One trial's outcome: config, schedule, workload result, audit."""
 
-    def __init__(self, workload: str, seed: int, mode: str, speculation: bool,
-                 raised: Optional[BaseException], report: InvariantReport,
-                 injections: int, cleanup_failures: int = 0):
-        self.workload = workload
-        self.seed = seed
-        self.mode = mode
-        self.speculation = speculation
-        self.raised = raised
-        self.report = report
-        self.injections = injections
-        #: teardown errors _safe_cleanup swallowed during this trial
-        self.cleanup_failures = cleanup_failures
+    workload: str
+    seed: int
+    mode: str
+    speculation: bool
+    raised: Optional[BaseException]
+    report: InvariantReport
+    injections: int
+    #: teardown errors _safe_cleanup swallowed during this trial
+    cleanup_failures: int = 0
 
     @property
     def ok(self) -> bool:
@@ -159,7 +139,7 @@ def run_trial(workload: str, seed: int, mode: str = "overwrite",
     """One seeded ``workload`` trial under chaos, audited."""
     trial = TRIALS[workload]
     fabric = Fabric(
-        num_vertica=3, num_spark=4, cost_model=SOAK_COST_MODEL,
+        num_vertica=3, num_spark=4, cost_model=LIGHT_COST_MODEL,
         speculation=speculation, telemetry=True, failover_connect=True,
         hdfs_nodes=3, **trial.fabric,
     )
@@ -206,13 +186,8 @@ def run_trial(workload: str, seed: int, mode: str = "overwrite",
 
 def _load_source(run) -> None:
     """The static scan source every read-side trial audits against."""
-    session = run.fabric.vertica.db.connect()
-    session.execute(
-        f"CREATE TABLE {SOURCE} (id INTEGER, v FLOAT) SEGMENTED BY HASH(id)"
-    )
-    values = ", ".join(f"({i}, {v})" for i, v in ROWS)
-    session.execute(f"INSERT INTO {SOURCE} VALUES {values}")
-    session.close()
+    run.fabric.create_table(
+        f"{SOURCE} (id INTEGER, v FLOAT) SEGMENTED BY HASH(id)", ROWS)
 
 
 #: the read-side fault mix: nothing that targets S2V's commit statements
@@ -232,11 +207,7 @@ def _load_prior(run) -> None:
     run.prior = []
     if run.mode == "append":
         run.prior = list(PRIOR_ROWS)
-        session = run.fabric.vertica.db.connect()
-        session.execute(f"CREATE TABLE {TARGET} (id INTEGER, v FLOAT)")
-        values = ", ".join(f"({i}, {v})" for i, v in run.prior)
-        session.execute(f"INSERT INTO {TARGET} VALUES {values}")
-        session.close()
+        run.fabric.create_table(f"{TARGET} (id INTEGER, v FLOAT)", run.prior)
 
 
 def _start_save(**options) -> Callable:
@@ -368,14 +339,8 @@ def _audit_agg(run, checker, raised, report) -> None:
                   sum(ids) / len(ids)))
             for v, ids in _ids_by_v().items()
         )
-        if sorted(map(repr, run.rows)) == expected:
-            report.passed("agg-exactly-once")
-        else:
-            report.violated(
-                "agg-exactly-once",
-                f"pushed aggregation produced {len(run.rows)} group rows "
-                f"that do not match the {len(expected)} expected groups",
-            )
+        _audit_answer(report, "agg-exactly-once", "pushed aggregation",
+                      sorted(map(repr, run.rows)), expected)
     report.merge(checker.check_no_leaks())
 
 
@@ -405,14 +370,11 @@ def _start_explain_profile(select: str, name: str) -> Callable:
 
 
 def _audit_answer(report, check: str, what: str, actual, expected) -> None:
-    if actual == expected:
-        report.passed(check)
-    else:
-        report.violated(
-            check,
-            f"{what} produced {len(actual)} group rows that do "
-            f"not match the {len(expected)} expected groups",
-        )
+    report.expect(
+        check, actual == expected,
+        f"{what} produced {len(actual)} group rows that do "
+        f"not match the {len(expected)} expected groups",
+    )
 
 
 #: the profile trial's query: a grouped aggregation whose exact answer is
@@ -433,25 +395,20 @@ def _audit_profile(run, checker, raised, report) -> None:
             kind: (rows_in, rows_out)
             for kind, rows_in, rows_out in profiled.profile.operator_rows()
         }
-        if (stats.get("scan", (0, 0))[1] == profiled.cost.rows_scanned
-                == len(ROWS)
-                and stats.get("aggregate", (0, 0))[1] == len(expected)):
-            report.passed("profile-cost-reconciles")
-        else:
-            report.violated(
-                "profile-cost-reconciles",
-                f"operator stats {stats} disagree with cost "
-                f"rows_scanned={profiled.cost.rows_scanned}",
-            )
-        if any("SCAN" in line for line in run.plan) and \
-                any("GROUP BY" in line.upper() for line in run.plan):
-            report.passed("explain-renders")
-        else:
-            report.violated(
-                "explain-renders",
-                f"EXPLAIN output is missing its scan/aggregate nodes: "
-                f"{run.plan}",
-            )
+        report.expect(
+            "profile-cost-reconciles",
+            stats.get("scan", (0, 0))[1] == profiled.cost.rows_scanned
+            == len(ROWS)
+            and stats.get("aggregate", (0, 0))[1] == len(expected),
+            f"operator stats {stats} disagree with cost "
+            f"rows_scanned={profiled.cost.rows_scanned}",
+        )
+        report.expect(
+            "explain-renders",
+            any("SCAN" in line for line in run.plan)
+            and any("GROUP BY" in line.upper() for line in run.plan),
+            f"EXPLAIN output is missing its scan/aggregate nodes: {run.plan}",
+        )
     report.merge(checker.check_no_leaks())
 
 
@@ -479,25 +436,19 @@ ADAPTIVE_SELECT = (
 
 
 def _load_star(run) -> None:
-    session = run.fabric.vertica.db.connect()
-    session.execute(
-        f"CREATE TABLE {ADAPTIVE_FACT} (fk1 INTEGER, fk2 INTEGER, fv FLOAT) "
+    fabric = run.fabric
+    fabric.create_table(
+        f"{ADAPTIVE_FACT} (fk1 INTEGER, fk2 INTEGER, fv FLOAT) "
         f"SEGMENTED BY HASH(fk1)"
     )
-    session.execute(
-        f"CREATE TABLE {ADAPTIVE_DIM_A} (a_id INTEGER, a_val INTEGER) "
-        f"SEGMENTED BY HASH(a_id)"
+    fabric.create_table(
+        f"{ADAPTIVE_DIM_A} (a_id INTEGER, a_val INTEGER) SEGMENTED BY HASH(a_id)",
+        [(i, i * 2) for i in range(ADAPTIVE_A_KEYS)],
     )
-    session.execute(
-        f"CREATE TABLE {ADAPTIVE_DIM_B} (b_id INTEGER, b_val INTEGER) "
-        f"UNSEGMENTED ALL NODES"
+    fabric.create_table(
+        f"{ADAPTIVE_DIM_B} (b_id INTEGER, b_val INTEGER) UNSEGMENTED ALL NODES",
+        [(i, i * 2) for i in range(ADAPTIVE_B_KEYS)],
     )
-    session.execute(f"INSERT INTO {ADAPTIVE_DIM_A} VALUES " + ", ".join(
-        f"({i}, {i * 2})" for i in range(ADAPTIVE_A_KEYS)
-    ))
-    session.execute(f"INSERT INTO {ADAPTIVE_DIM_B} VALUES " + ", ".join(
-        f"({i}, {i * 2})" for i in range(ADAPTIVE_B_KEYS)
-    ))
 
     def fact_values(start, stop):
         return ", ".join(
@@ -505,13 +456,13 @@ def _load_star(run) -> None:
             for i in range(start, stop)
         )
 
-    session.execute(f"INSERT INTO {ADAPTIVE_FACT} VALUES "
-                    + fact_values(0, ADAPTIVE_ANALYZED))
-    for table in (ADAPTIVE_FACT, ADAPTIVE_DIM_A, ADAPTIVE_DIM_B):
-        session.execute(f"ANALYZE {table}")
-    session.execute(f"INSERT INTO {ADAPTIVE_FACT} VALUES "
-                    + fact_values(ADAPTIVE_ANALYZED, ADAPTIVE_FACT_ROWS))
-    session.close()
+    with fabric.vertica.db.connect() as session:
+        session.execute(f"INSERT INTO {ADAPTIVE_FACT} VALUES "
+                        + fact_values(0, ADAPTIVE_ANALYZED))
+        for table in (ADAPTIVE_FACT, ADAPTIVE_DIM_A, ADAPTIVE_DIM_B):
+            session.execute(f"ANALYZE {table}")
+        session.execute(f"INSERT INTO {ADAPTIVE_FACT} VALUES "
+                        + fact_values(ADAPTIVE_ANALYZED, ADAPTIVE_FACT_ROWS))
 
 
 def _audit_adaptive(run, checker, raised, report) -> None:
@@ -526,20 +477,11 @@ def _audit_adaptive(run, checker, raised, report) -> None:
                     for a_val, vals in sorted(groups.items())]
         _audit_answer(report, "adaptive-exact-answer", "adaptive join",
                       list(run.profiled.query_result.rows), expected)
-        if any("JOIN ORDER:" in line for line in run.plan):
-            report.passed("explain-join-order")
-        else:
-            report.violated(
-                "explain-join-order",
-                "EXPLAIN did not render the reordered join order",
-            )
-        if run.profiled.profile.replans:
-            report.passed("replan-recorded")
-        else:
-            report.violated(
-                "replan-recorded",
-                "stale fact statistics produced no recorded replan",
-            )
+        report.expect("explain-join-order",
+                      any("JOIN ORDER:" in line for line in run.plan),
+                      "EXPLAIN did not render the reordered join order")
+        report.expect("replan-recorded", bool(run.profiled.profile.replans),
+                      "stale fact statistics produced no recorded replan")
     report.merge(checker.check_no_leaks())
 
 
@@ -552,19 +494,12 @@ CACHE_WRITES = 12
 
 
 def _load_cache_source(run) -> None:
-    db = run.fabric.vertica.db
-    session = db.connect()
-    session.execute(
-        f"CREATE TABLE {CACHE_SOURCE} (id INTEGER, grp INTEGER, v FLOAT) "
-        f"SEGMENTED BY HASH(id)"
+    run.fabric.create_table(
+        f"{CACHE_SOURCE} (id INTEGER, grp INTEGER, v FLOAT) "
+        f"SEGMENTED BY HASH(id)",
+        [(i, i % CACHE_GROUPS, float((i * 7) % 31)) for i in range(200)],
     )
-    values = ", ".join(
-        f"({i}, {i % CACHE_GROUPS}, {float((i * 7) % 31)})"
-        for i in range(200)
-    )
-    session.execute(f"INSERT INTO {CACHE_SOURCE} VALUES {values}")
-    session.close()
-    db.result_cache_default = True
+    run.fabric.vertica.db.result_cache_default = True
 
 
 def _start_cache(run) -> Callable:
@@ -615,10 +550,8 @@ def _start_cache(run) -> Callable:
 
 
 def _audit_cache(run, checker, raised, report) -> None:
-    if run.observations:
-        report.passed("progress")
-    else:
-        report.violated("progress", "no reader recorded a single answer")
+    report.expect("progress", bool(run.observations),
+                  "no reader recorded a single answer")
     # Replay each answer AT EPOCH with the cache forced off: one divergent
     # row is a stale read, the violation the (digest, epoch, catalog
     # version) cache key exists to prevent.
@@ -682,17 +615,21 @@ S2V_CONFIGS = (
 )
 
 
+def soak_trial(workload: str, index: int, base_seed: int = 0) -> TrialResult:
+    """The trial soak seed ``index`` runs for ``workload``; the S2V
+    configuration rotates with the seed."""
+    mode, speculation = S2V_CONFIGS[index % len(S2V_CONFIGS)]
+    return run_trial(workload, base_seed + index + TRIALS[workload].seed_offset,
+                     mode, speculation)
+
+
 def run_soak(num_seeds: int = 25, base_seed: int = 0,
              verbose: bool = False) -> List[TrialResult]:
-    """Run every :data:`TRIALS` workload once per seed, rotating the S2V
-    configuration."""
+    """Run every :data:`TRIALS` workload once per seed."""
     trials: List[TrialResult] = []
     for index in range(num_seeds):
-        mode, speculation = S2V_CONFIGS[index % len(S2V_CONFIGS)]
-        for workload, trial in TRIALS.items():
-            trials.append(run_trial(
-                workload, base_seed + index + trial.seed_offset,
-                mode, speculation))
+        for workload in TRIALS:
+            trials.append(soak_trial(workload, index, base_seed))
             if verbose:
                 print(trials[-1].describe())
     return trials

@@ -16,10 +16,29 @@ from repro import telemetry as _telemetry
 from repro.baselines.hdfs_source import SimHdfsCluster
 from repro.bench.area import GridCellError
 from repro.connector import PAPER_COST_MODEL, SimVerticaCluster
+from repro.connector.costmodel import VerticaCostModel
 from repro.sim import Environment
 from repro.sim.cluster import SimCluster
 from repro.spark import SparkSession
 from repro.workloads.datasets import Dataset, load_direct
+
+#: light-but-nonzero latencies for the chaos soak and the serving areas:
+#: enough clock movement that faults land mid-COPY and concurrent ops
+#: contend for admission slots, while hundreds of runs stay in seconds of
+#: wall time
+LIGHT_COST_MODEL = VerticaCostModel(
+    connect_latency=0.02,
+    query_latency=0.004,
+    ddl_latency=0.01,
+    query_plan_cpu=0.002,
+    scan_cpu_per_row=2e-6,
+    agg_cpu_per_row=2e-6,
+    output_cpu_per_row=4e-6,
+    load_cpu_per_row=6e-6,
+    encode_cpu_per_row=3e-6,
+    per_connection_rate_cap=3e4,
+    copy_rate_cap=2e4,
+)
 
 #: Spark driver/JVM job submission latency (part of Fig 11's fixed costs)
 JOB_LAUNCH_OVERHEAD = 1.2
@@ -152,6 +171,15 @@ class Fabric:
         return snapshot
 
     # -- setup helpers (uncharged) ------------------------------------------------
+    def create_table(self, ddl: str, rows: Sequence[Sequence] = ()) -> None:
+        """``CREATE TABLE <ddl>``, then one INSERT of the (numeric) ``rows``."""
+        with self.vertica.db.connect() as session:
+            session.execute(f"CREATE TABLE {ddl}")
+            if rows:
+                values = ", ".join(
+                    f"({', '.join(map(str, row))})" for row in rows)
+                session.execute(f"INSERT INTO {ddl.split()[0]} VALUES {values}")
+
     def populate(self, dataset: Dataset, table: str) -> None:
         load_direct(self.vertica, dataset, table)
 

@@ -44,7 +44,6 @@ PENDING and re-run.  ``--fresh`` discards the journal and restarts.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -64,8 +63,6 @@ from repro.bench.areas import AREAS
 from repro.bench.fabric import Fabric
 from repro.bench.report import ExperimentReport, append_jsonl, config_fingerprint
 from repro.connector.costmodel import NULL_COST_MODEL, PAPER_COST_MODEL
-from repro.connector.jdbc import SimVerticaConnection
-from repro.hdfs.filesystem import HdfsCluster
 from repro.spark.row import StructField, StructType
 
 #: the Vertica table the results store publishes finished cells into
@@ -280,18 +277,6 @@ def read_results(fabric: Fabric) -> List[Tuple]:
 
 
 # -------------------------------------------------------------------- runner
-def restart_id_counters() -> None:
-    """Make a cell's sim seconds independent of the cells run before it.
-
-    JDBC connections are salted from, and HDFS replicas placed by, two
-    process-wide id counters; left running, a cell's S2V time wobbles ~5%
-    and its HDFS time ~25% with process history (resume, area selection) —
-    past the gate's band as soon as the set of areas changes.
-    """
-    SimVerticaConnection._salts = itertools.count(1)
-    HdfsCluster._block_ids = itertools.count(1)
-
-
 class GridRunner:
     """Executes a grid's pending cells through one cell runner."""
 
@@ -325,7 +310,6 @@ class GridRunner:
                 summary["skipped"] += 1
                 continue
             self.store.begin(cell_id)
-            restart_id_counters()
             started = time.perf_counter()
             try:
                 metrics = self.runner(dict(params))
@@ -415,9 +399,10 @@ def compare_artifacts(fresh: Dict[str, Any],
     - schema / grid / cost-model fingerprints must match (a stale
       baseline is a failure, not a silent skip);
     - every baseline cell must be DONE in the fresh run;
-    - sim seconds may not exceed baseline × (1 + ``sim_tolerance``) —
-      sim time is deterministic, so the band is tight — and a banded
-      cell may not stop reporting sim time;
+    - sim seconds must stay within baseline × (1 ± ``sim_tolerance``):
+      a run is a function of its inputs, so any move — slower *or*
+      faster — is a cost-model change that has to say so by committing
+      a new baseline; and a banded cell may not stop reporting sim time;
     - every check recorded in the fresh artifact must have passed
       (wall-clock metrics are machine-dependent, so they are never
       banded: an area bounds them with a check against a static floor).
@@ -467,12 +452,14 @@ def compare_artifacts(fresh: Dict[str, Any],
                     f"{area}: cell {cell_id} stopped reporting sim time "
                     f"(baseline {base_sim:.3f}s)"
                 )
-            elif fresh_sim > base_sim * (1.0 + tolerance):
+            elif abs(fresh_sim - base_sim) > base_sim * tolerance:
+                verdict = ("regressed" if fresh_sim > base_sim
+                           else "improved without a new baseline")
                 failures.append(
-                    f"{area}: cell {cell_id} regressed: {fresh_sim:.3f}s sim "
+                    f"{area}: cell {cell_id} {verdict}: {fresh_sim:.3f}s sim "
                     f"vs baseline {base_sim:.3f}s "
-                    f"(+{100 * (fresh_sim / base_sim - 1):.1f}%, band "
-                    f"{100 * tolerance:.0f}%)"
+                    f"({100 * (fresh_sim / base_sim - 1):+.1f}%, band "
+                    f"±{100 * tolerance:.0f}%)"
                 )
     for check in fresh.get("checks", []):
         if not check.get("passed"):

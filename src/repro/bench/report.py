@@ -179,12 +179,6 @@ class ExperimentReport:
             handle.write("\n")
         return path
 
-    def show(self, directory: Optional[str] = "benchmarks/results") -> None:
-        print()
-        print(self.render())
-        if directory:
-            self.save(directory)
-
 
 def _fmt(value: Any) -> str:
     if value is None:

@@ -63,6 +63,13 @@ class InvariantReport:
         self.checks.append(name)
         self.violations.append(InvariantViolation(name, detail))
 
+    def expect(self, name: str, ok: bool, detail: str) -> None:
+        """Record ``name`` as passed when ``ok``, else violated with ``detail``."""
+        if ok:
+            self.passed(name)
+        else:
+            self.violated(name, detail)
+
     def warn(self, name: str, detail: str) -> None:
         self.checks.append(name)
         self.warnings.append(InvariantViolation(name, detail))

@@ -14,6 +14,7 @@ over a connection charges simulated CPU/network per the cluster's
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional
 
 from repro.sim import Environment
@@ -54,6 +55,12 @@ class SimVerticaCluster:
         #: installed by :class:`repro.chaos.ChaosController`; when set, every
         #: statement consults it for connection-sever injections
         self.chaos = None
+        #: ids this cluster hands out: retry-jitter salts for its
+        #: connections, and job numbers for the S2V / two-stage writers whose
+        #: temporary tables live in its catalog.  Owned here, not by the
+        #: classes, so a run never depends on what the process ran before.
+        self.connection_salts = itertools.count(1)
+        self.job_ids = itertools.count(1)
         node_names = [f"{node_prefix}{i + 1:04d}" for i in range(num_nodes)]
         self.db = VerticaDatabase(
             node_names=node_names,

@@ -21,9 +21,7 @@ protocols move small real row sets while the clock sees paper-sized data.
 
 from __future__ import annotations
 
-import itertools
-
-from typing import Generator, Optional, Union
+from typing import Callable, Generator, Optional, Union
 
 from repro import telemetry
 from repro.sim.cluster import SimNode
@@ -31,6 +29,10 @@ from repro.vertica.engine import ResultSet
 from repro.vertica.errors import LockContention, RetriesExhausted, VerticaError
 from repro.vertica.hashring import vertica_hash
 from repro.vertica.session import Session
+
+#: attempts before a lock-retry loop gives up (on the job, for S2V's
+#: task-side loops)
+MAX_LOCK_RETRIES = 50
 
 
 class ConnectionSevered(VerticaError):
@@ -53,8 +55,6 @@ class ConnectionSevered(VerticaError):
 class SimVerticaConnection:
     """One client connection, with cost accounting."""
 
-    _salts = itertools.count(1)
-
     def __init__(
         self,
         cluster: "SimVerticaCluster",  # noqa: F821
@@ -70,7 +70,7 @@ class SimVerticaConnection:
         self._connected = False
         self._severed = False
         #: per-connection salt decorrelating retry backoff across tasks
-        self._retry_salt = next(self._salts)
+        self._retry_salt = next(cluster.connection_salts)
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -186,39 +186,56 @@ class SimVerticaConnection:
         jitter = (vertica_hash(self._retry_salt, attempt) % 997) / 997.0
         return backoff * (min(attempt, 8) + jitter)
 
-    def execute_with_retry(
+    def retry_on_contention(
         self,
-        sql: str,
-        weight: Optional[float] = None,
-        max_retries: int = 50,
+        body: Callable[[], Generator],
+        what: str,
+        max_retries: int = MAX_LOCK_RETRIES,
         backoff: float = 0.01,
+        on_contention: Optional[Callable[[], Generator]] = None,
     ) -> Generator:
-        """Retry a statement on lock contention with jittered backoff.
+        """Run the generator thunk ``body`` until it gets past lock contention.
 
         Only :class:`LockContention` is retried — any other
         :class:`VerticaError` (syntax, catalog, severed connection, ...)
-        re-raises immediately.  After ``max_retries`` failed attempts a
-        :class:`RetriesExhausted` surfaces instead of the raw contention
-        error, so callers can distinguish a spent budget from one more
-        transient collision.
+        re-raises immediately.  ``on_contention`` runs first after each
+        collision (the ``ROLLBACK`` of a transaction ``body`` opened), then
+        the jittered :meth:`retry_delay`.  After ``max_retries`` failed
+        attempts a :class:`RetriesExhausted` naming ``what`` surfaces
+        instead of the raw contention error, so callers can distinguish a
+        spent budget from one more transient collision.
         """
         attempt = 0
         wait_started = self.env.now
         while True:
             try:
-                result = yield from self.execute(sql, weight=weight)
+                result = yield from body()
                 if attempt:
                     telemetry.histogram("vertica.lock.wait_seconds").observe(
                         self.env.now - wait_started
                     )
                 return result
             except LockContention as contention:
+                if on_contention is not None:
+                    yield from on_contention()
                 attempt += 1
                 telemetry.counter("vertica.lock.retries").inc()
                 if attempt > max_retries:
                     telemetry.counter("vertica.lock.retries_exhausted").inc()
-                    raise RetriesExhausted(sql, attempt, contention) from contention
+                    raise RetriesExhausted(what, attempt, contention) from contention
                 yield self.env.timeout(self.retry_delay(attempt, backoff))
+
+    def execute_with_retry(
+        self,
+        sql: str,
+        weight: Optional[float] = None,
+        max_retries: int = MAX_LOCK_RETRIES,
+        backoff: float = 0.01,
+    ) -> Generator:
+        """One statement through :meth:`retry_on_contention`."""
+        return self.retry_on_contention(
+            lambda: self.execute(sql, weight=weight), sql, max_retries, backoff
+        )
 
     # -- cost charging ------------------------------------------------------------
     def _charge_query(

@@ -30,7 +30,7 @@ class ConnectorOptions:
     KNOWN = {
         "db", "table", "dbschema", "host", "user", "password",
         "numpartitions", "scale_factor", "failed_rows_percent_tolerance",
-        "reject_max", "avro_codec", "prehash_partitioning", "varchar_length",
+        "avro_codec", "prehash_partitioning", "varchar_length",
         "agg_pushdown", "resource_pool", "transport", "staging_fs",
         "staging_root",
     }
@@ -79,9 +79,6 @@ class ConnectorOptions:
                 f"failed_rows_percent_tolerance must be in [0, 1]: {tolerance}"
             )
         self.failed_rows_percent_tolerance = tolerance
-        self.reject_max: Optional[int] = (
-            int(options["reject_max"]) if "reject_max" in options else None
-        )
         self.avro_codec = options.get("avro_codec", "deflate")
         self.prehash_partitioning = _as_bool(
             options.get("prehash_partitioning", False)

@@ -30,7 +30,6 @@ Each task then runs the five phases of Figure 5:
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro import telemetry
@@ -39,12 +38,10 @@ from repro.connector import staging as stg
 from repro.connector.options import ConnectorOptions
 from repro.hdfs.columnar import write_columnar
 from repro.spark.errors import SparkError
-from repro.vertica.errors import LockContention, RetriesExhausted, VerticaError
+from repro.vertica.errors import VerticaError
 
 #: the permanent record of all S2V jobs (never dropped)
 FINAL_STATUS_TABLE = "S2V_JOB_STATUS"
-#: attempts before any task-side lock-retry loop gives up on the job
-MAX_LOCK_RETRIES = 50
 #: rows per Avro container chunk a task alternates encode/send over
 COPY_CHUNK_ROWS = 2048
 #: effectively-unlimited per-chunk REJECTMAX; tolerance is job-level
@@ -90,15 +87,13 @@ class _DriverContext:
 class S2VWriter:
     """One save invocation (one Spark job)."""
 
-    _job_ids = itertools.count(1)
-
     def __init__(self, spark, mode: str, options: Dict[str, Any], dataframe):
         self.spark = spark
         self.mode = mode
         self.dataframe = dataframe
         self.opts = ConnectorOptions(options, for_save=True)
         self.cluster = self.opts.cluster
-        self.job_name = f"S2V_JOB_{next(self._job_ids)}"
+        self.job_name = f"S2V_JOB_{next(self.cluster.job_ids)}"
         self.target = self.opts.table
         self.staging = f"{self.job_name}_STAGING"
         self.status_table = f"{self.job_name}_TASK_STATUS"
@@ -195,63 +190,121 @@ class S2VWriter:
             self.cleanup_failure = exc
 
     def _cleanup(self, job) -> Generator:
-        # Quiesce zombie attempts first so the reconciliation below never
-        # races a still-running entitled committer.
-        if job is not None:
-            while any(task.live_attempts for task in job.tasks):
-                yield self.cluster.env.timeout(0.05)
-        with self.cluster.connect(
-            self.opts.host, client_node=None,
-            resource_pool=self.opts.resource_pool,
-        ) as conn:
-            result = yield from conn.execute(
-                "SELECT COUNT(*) FROM v_catalog.tables "
-                f"WHERE table_name = '{FINAL_STATUS_TABLE}'"
-            )
-            status = None
-            if result.scalar() > 0:
-                result = yield from conn.execute(
-                    f"SELECT status FROM {FINAL_STATUS_TABLE} "
-                    f"WHERE job_name = '{self.job_name}'"
-                )
-                status = result.rows[0][0] if result.rows else None
-            staging_left = yield from conn.execute(
-                "SELECT COUNT(*) FROM v_catalog.tables "
-                f"WHERE table_name = '{self.staging}'"
-            )
-            if (status == "SUCCESS" and self.mode != "append"
-                    and staging_left.scalar() > 0):
-                # An entitled committer flipped the job to SUCCESS but died
-                # before the rename; the staging table is the durable
-                # evidence, so complete the commit rather than destroy it.
-                yield from conn.execute_with_retry(
-                    f"DROP TABLE IF EXISTS {self.target}"
-                )
-                yield from conn.execute_with_retry(
-                    f"ALTER TABLE {self.staging} RENAME TO {self.target}"
-                )
-            for table in (self.status_table, self.committer_table, self.staging):
-                yield from conn.execute_with_retry(f"DROP TABLE IF EXISTS {table}")
+        yield from self._quiesce(job)
+        with self._driver_connection() as conn:
+            job_recorded = yield from self._table_exists(conn, FINAL_STATUS_TABLE)
+            yield from self._finish_entitled_rename(conn, job_recorded)
+            yield from self._drop_temp_tables(conn)
         if self.staged and self.hdfs is not None:
             # A failed staged job's attempt files and manifest are all
             # garbage — sweep the whole job directory (pure metadata ops).
             stg.sweep_job_dir(self.hdfs, self.opts.staging_root, self.job_name)
 
+    # ------------------------------------------------- driver-side shared steps
+    def _driver_connection(self, node: Optional[str] = None):
+        return self.cluster.connect(
+            node or self.opts.host, client_node=None,
+            resource_pool=self.opts.resource_pool,
+        )
+
+    def _table_exists(self, conn, table: str) -> Generator:
+        result = yield from conn.execute(
+            f"SELECT COUNT(*) FROM v_catalog.tables WHERE table_name = '{table}'"
+        )
+        return result.scalar() > 0
+
+    def _quiesce(self, job) -> Generator:
+        """Wait out zombie attempts (speculative duplicates still running
+        their harmless phases), so the driver's reconciliation never races
+        an in-flight entitled committer."""
+        if job is not None:
+            while any(task.live_attempts for task in job.tasks):
+                yield self.cluster.env.timeout(0.05)
+
+    def _finish_entitled_rename(self, conn, job_recorded: bool = True) -> Generator:
+        """Complete an overwrite whose entitled committer died mid-commit.
+
+        The committer flips the job to SUCCESS *before* the rename; if it
+        crashed in between, the staging table is the durable evidence (and
+        the only copy of the data), so the driver completes the rename
+        rather than dropping it.  ``job_recorded`` is false when setup died
+        before the final-status table existed.
+        """
+        status = None
+        if job_recorded:
+            result = yield from conn.execute(
+                f"SELECT status FROM {FINAL_STATUS_TABLE} "
+                f"WHERE job_name = '{self.job_name}'"
+            )
+            status = result.rows[0][0] if result.rows else None
+        staging_left = yield from self._table_exists(conn, self.staging)
+        if status == "SUCCESS" and self.mode != "append" and staging_left:
+            yield from conn.execute_with_retry(
+                f"DROP TABLE IF EXISTS {self.target}"
+            )
+            yield from conn.execute_with_retry(
+                f"ALTER TABLE {self.staging} RENAME TO {self.target}"
+            )
+
+    def _drop_temp_tables(self, conn) -> Generator:
+        # Retried drops: a zombie duplicate may still hold insert locks.
+        # The final status table stays.
+        for table in (self.status_table, self.committer_table, self.staging):
+            yield from conn.execute_with_retry(f"DROP TABLE IF EXISTS {table}")
+
+    def _status_totals(self, conn) -> Generator:
+        result = yield from conn.execute(
+            f"SELECT SUM(rows_inserted), SUM(rows_failed) FROM {self.status_table}"
+        )
+        inserted, rejected = result.rows[0]
+        return int(inserted or 0), int(rejected or 0)
+
+    def _arbiter_sql(self, status: str, failed_percent: float) -> str:
+        """The conditional final-status update: exactly one attempt ever
+        moves the job out of IN_PROGRESS, whatever else races it."""
+        return (
+            f"UPDATE {FINAL_STATUS_TABLE} SET status = '{status}', "
+            f"failed_percent = {failed_percent} "
+            f"WHERE job_name = '{self.job_name}' AND status = 'IN_PROGRESS'"
+        )
+
+    def _commit(self, ctx, conn, loaded: int, rejected: int) -> Generator:
+        """Apply the job-level rejected-row tolerance, then publish."""
+        total = loaded + rejected
+        failed_percent = (rejected / total) if total else 0.0
+        if failed_percent > self.opts.failed_rows_percent_tolerance:
+            yield from conn.execute_with_retry(
+                self._arbiter_sql("FAILURE", failed_percent)
+            )
+            raise S2VError(
+                f"{self.job_name}: rejected fraction {failed_percent:.4f} "
+                f"exceeds tolerance {self.opts.failed_rows_percent_tolerance}"
+            )
+        if self.mode == "append":
+            yield from self._commit_append(ctx, conn, failed_percent)
+        else:
+            yield from self._commit_overwrite(ctx, conn, failed_percent)
+
+    def _conclude(self, conn, loaded: int, rejected: int) -> Generator:
+        """Read the job's recorded outcome, drop its temporary tables."""
+        result = yield from conn.execute(
+            f"SELECT status, failed_percent FROM {FINAL_STATUS_TABLE} "
+            f"WHERE job_name = '{self.job_name}'"
+        )
+        status, failed_percent = result.rows[0]
+        yield from self._drop_temp_tables(conn)
+        return S2VResult(
+            self.job_name, loaded, rejected, float(failed_percent or 0.0), status
+        )
+
     # -------------------------------------------------------------- setup phase
     def _setup(self) -> Generator:
-        with self.cluster.connect(
-            self.opts.host, client_node=None,
-            resource_pool=self.opts.resource_pool,
-        ) as conn:
+        with self._driver_connection() as conn:
             result = yield from conn.execute(
                 "SELECT node_name FROM v_catalog.nodes ORDER BY node_name"
             )
             self.nodes = [row[0] for row in result.rows]
-            result = yield from conn.execute(
-                "SELECT COUNT(*) FROM v_catalog.tables "
-                f"WHERE table_name = '{self.target}'"
-            )
-            target_exists = result.scalar() > 0
+            target_exists = yield from self._table_exists(conn, self.target)
             if self.mode == "errorifexists" and target_exists:
                 raise S2VError(f"table {self.target!r} already exists")
             if self.mode == "ignore" and target_exists:
@@ -281,7 +334,7 @@ class S2VWriter:
             )
             row_tail = ", NULL" if self.staged else ""
             values = ", ".join(
-                f"({i}, 0, 0, FALSE{row_tail})" for i in range(self._num_tasks())
+                f"({i}, 0, 0, FALSE{row_tail})" for i in range(self.opts.num_partitions)
             )
             yield from conn.execute_with_retry(
                 f"INSERT INTO {self.status_table} VALUES {values}"
@@ -316,9 +369,6 @@ class S2VWriter:
                     [Segment(lo, hi, node) for lo, hi, node in result.rows]
                 )
 
-    def _num_tasks(self) -> int:
-        return self.opts.num_partitions
-
     def _partitioned_rdd(self):
         """Repartition the DataFrame to the requested task count (§3.2).
 
@@ -334,12 +384,10 @@ class S2VWriter:
             ring = self._prehash_ring
             plan = ring.partition_plan(num)
             self._prehash_plan = plan
-            seg_index = self.dataframe.schema.index_of(
-                self.dataframe.schema.fields[0].name
-            )
 
             def destination(row) -> int:
-                value_hash = vertica_hash(row[seg_index])
+                # the staging table is segmented by the first column
+                value_hash = vertica_hash(row[0])
                 for task_index, ranges in enumerate(plan):
                     for lo, hi, __ in ranges:
                         if lo <= value_hash < hi:
@@ -348,12 +396,7 @@ class S2VWriter:
 
             rdd = self.dataframe.rdd().partition_by(num, key_fn=destination)
             return rdd, num
-        rdd = self.dataframe.rdd()
-        if rdd.num_partitions > num:
-            rdd = rdd.coalesce(num)
-        elif rdd.num_partitions < num:
-            rdd = rdd.repartition(num)
-        return rdd, num
+        return self.dataframe.rdd().repartition(num), num
 
     def _task_node(self, task_index: int) -> str:
         if self.opts.prehash_partitioning and self._prehash_ring is not None:
@@ -364,15 +407,9 @@ class S2VWriter:
 
     # --------------------------------------------------------------- task phases
     def _make_task(self, rdd, task_index: int):
-        writer = self
-
         def thunk(ctx) -> Generator:
-            body = rdd.compute(task_index, ctx)
-            if hasattr(body, "__next__"):
-                rows = yield from body
-            else:  # pragma: no cover
-                rows = body
-            yield from writer._run_phases(ctx, task_index, list(rows))
+            rows = yield from rdd.compute(task_index, ctx)
+            yield from self._run_phases(ctx, task_index, list(rows))
             return task_index
 
         return thunk
@@ -405,47 +442,62 @@ class S2VWriter:
             with telemetry.span("s2v.phase5", task=task_index):
                 yield from self._phase5(ctx, conn)
 
+    def _task_done(self, conn, task_index: int) -> Generator:
+        result = yield from conn.execute(
+            f"SELECT done FROM {self.status_table} WHERE task_id = {task_index}"
+        )
+        return result.scalar() is True
+
     def _phase1(self, ctx, conn, task_index: int, rows: List[Tuple]) -> Generator:
         """Stage this partition's data exactly once.
 
         The COPY and the conditional done-flag update run under one
         transaction, so the record of this task having staged its data is
-        durable iff the data itself is (§3.2.1 Phase 1).  Contention on
-        the shared status table retries only the conditional update; the
-        staged data stays in the open transaction.
+        durable iff the data itself is (§3.2.1 Phase 1).
         """
         yield from conn.execute("BEGIN")
-        result = yield from conn.execute(
-            f"SELECT done FROM {self.status_table} WHERE task_id = {task_index}"
-        )
-        if result.scalar() is True:
+        if (yield from self._task_done(conn, task_index)):
             # A previous attempt of this task already staged its data.
             yield from conn.execute("ROLLBACK")
             return
         loaded, failed = yield from self._copy_partition(ctx, conn, rows)
         ctx.probe("s2v:phase1_data_staged")
-        attempt = 0
-        while True:
-            try:
-                update = yield from conn.execute(
-                    f"UPDATE {self.status_table} SET done = TRUE, "
-                    f"rows_inserted = {loaded}, rows_failed = {failed} "
-                    f"WHERE task_id = {task_index} AND done = FALSE"
-                )
-                break
-            except LockContention as contention:
-                attempt += 1
-                if attempt > MAX_LOCK_RETRIES:
-                    raise RetriesExhausted(
-                        f"UPDATE {self.status_table}", attempt, contention
-                    ) from contention
-                yield self.cluster.env.timeout(conn.retry_delay(attempt))
+        yield from self._claim_task(
+            ctx, conn, task_index,
+            f"rows_inserted = {loaded}, rows_failed = {failed}", own_txn=False,
+        )
+
+    def _claim_task(self, ctx, conn, task_index: int, claimed: str,
+                    own_txn: bool) -> Generator:
+        """The conditional done-flag update, then COMMIT if it hit.
+
+        The update is the single atomic arbiter of which attempt's data the
+        job commits.  The direct transport claims inside the transaction
+        that holds its COPY (contention retries only the update; the staged
+        rows stay in the open transaction); a staged attempt's file is
+        already durable, so each try brackets itself (``own_txn``).
+        """
+
+        def claim() -> Generator:
+            if own_txn:
+                yield from conn.execute("BEGIN")
+            return (yield from conn.execute(
+                f"UPDATE {self.status_table} SET done = TRUE, {claimed} "
+                f"WHERE task_id = {task_index} AND done = FALSE"
+            ))
+
+        update = yield from conn.retry_on_contention(
+            claim, what=f"UPDATE {self.status_table}",
+            on_contention=(lambda: conn.execute("ROLLBACK")) if own_txn else None,
+        )
         if update.rowcount == 1:
             ctx.probe("s2v:phase1_before_commit")
             yield from conn.execute("COMMIT")
             ctx.probe("s2v:phase1_after_commit")
         else:
-            # A duplicate of this task committed first; discard our copy.
+            # A duplicate of this task claimed first; discard our copy (a
+            # staged attempt's file stays behind as an orphan for the
+            # cleanup sweep — no rename, no delete on the hot path).
             yield from conn.execute("ROLLBACK")
 
     def _copy_partition(self, ctx, conn, rows: List[Tuple]) -> Generator:
@@ -454,8 +506,6 @@ class S2VWriter:
         weight = self.opts.scale_factor
         loaded = 0
         failed = 0
-        if not rows:
-            return 0, 0
         header_bytes = self._avro_header_bytes
         for start in range(0, len(rows), COPY_CHUNK_ROWS):
             chunk = rows[start : start + COPY_CHUNK_ROWS]
@@ -493,10 +543,7 @@ class S2VWriter:
         atomic arbiter of which attempt's file the job commits.  A losing
         or crashed attempt leaves only an unclaimed file, swept at cleanup.
         """
-        result = yield from conn.execute(
-            f"SELECT done FROM {self.status_table} WHERE task_id = {task_index}"
-        )
-        if result.scalar() is True:
+        if (yield from self._task_done(conn, task_index)):
             # A previous attempt of this task already claimed its file.
             return
         model = self.cluster.cost_model
@@ -520,33 +567,11 @@ class S2VWriter:
             name=f"stage:{path}", load_map=self._staging_write_load,
         )
         ctx.probe("s2v:staged_after_file_write")
-        attempt = 0
-        while True:
-            try:
-                yield from conn.execute("BEGIN")
-                update = yield from conn.execute(
-                    f"UPDATE {self.status_table} SET done = TRUE, "
-                    f"rows_inserted = {len(rows)}, rows_failed = 0, "
-                    f"file = '{path}' "
-                    f"WHERE task_id = {task_index} AND done = FALSE"
-                )
-                break
-            except LockContention as contention:
-                yield from conn.execute("ROLLBACK")
-                attempt += 1
-                if attempt > MAX_LOCK_RETRIES:
-                    raise RetriesExhausted(
-                        f"UPDATE {self.status_table}", attempt, contention
-                    ) from contention
-                yield self.cluster.env.timeout(conn.retry_delay(attempt))
-        if update.rowcount == 1:
-            ctx.probe("s2v:phase1_before_commit")
-            yield from conn.execute("COMMIT")
-            ctx.probe("s2v:phase1_after_commit")
-        else:
-            # A duplicate claimed first; our file stays behind as an orphan
-            # for the cleanup sweep (no rename, no delete on the hot path).
-            yield from conn.execute("ROLLBACK")
+        yield from self._claim_task(
+            ctx, conn, task_index,
+            f"rows_inserted = {len(rows)}, rows_failed = 0, file = '{path}'",
+            own_txn=True,
+        )
 
     def _phase2(self, ctx, conn) -> Generator:
         result = yield from conn.execute(
@@ -576,28 +601,8 @@ class S2VWriter:
             # never parse rows, so rejections only exist at bulk-load time.
             yield from self._phase5_staged_manifest(ctx, conn)
             return
-        result = yield from conn.execute(
-            f"SELECT SUM(rows_inserted), SUM(rows_failed) FROM {self.status_table}"
-        )
-        inserted, rejected = result.rows[0]
-        inserted = inserted or 0
-        rejected = rejected or 0
-        total = inserted + rejected
-        failed_percent = (rejected / total) if total else 0.0
-        if failed_percent > self.opts.failed_rows_percent_tolerance:
-            yield from conn.execute_with_retry(
-                f"UPDATE {FINAL_STATUS_TABLE} SET status = 'FAILURE', "
-                f"failed_percent = {failed_percent} "
-                f"WHERE job_name = '{self.job_name}' AND status = 'IN_PROGRESS'"
-            )
-            raise S2VError(
-                f"{self.job_name}: rejected fraction {failed_percent:.4f} "
-                f"exceeds tolerance {self.opts.failed_rows_percent_tolerance}"
-            )
-        if self.mode == "append":
-            yield from self._commit_append(ctx, conn, failed_percent)
-        else:
-            yield from self._commit_overwrite(ctx, conn, failed_percent)
+        inserted, rejected = yield from self._status_totals(conn)
+        yield from self._commit(ctx, conn, inserted, rejected)
 
     def _phase5_staged_manifest(self, ctx, conn) -> Generator:
         """Write the commit manifest: the winning attempt file per task.
@@ -626,34 +631,27 @@ class S2VWriter:
 
     def _commit_append(self, ctx, conn, failed_percent: float) -> Generator:
         """Atomic: conditional final-status update + INSERT..SELECT, one txn."""
-        attempt = 0
-        while True:
-            try:
-                yield from conn.execute("BEGIN")
-                update = yield from conn.execute(
-                    f"UPDATE {FINAL_STATUS_TABLE} SET status = 'SUCCESS', "
-                    f"failed_percent = {failed_percent} "
-                    f"WHERE job_name = '{self.job_name}' AND status = 'IN_PROGRESS'"
-                )
-                if update.rowcount != 1:
-                    # A duplicate of the winner already finalised the job.
-                    yield from conn.execute("ROLLBACK")
-                    return
-                ctx.probe("s2v:phase5_before_append")
-                yield from conn.execute(
-                    f"INSERT INTO {self.target} SELECT * FROM {self.staging}"
-                )
-                yield from conn.execute("COMMIT")
-                ctx.probe("s2v:phase5_after_commit")
-                return
-            except LockContention as contention:
+
+        def publish() -> Generator:
+            yield from conn.execute("BEGIN")
+            update = yield from conn.execute(
+                self._arbiter_sql("SUCCESS", failed_percent)
+            )
+            if update.rowcount != 1:
+                # A duplicate of the winner already finalised the job.
                 yield from conn.execute("ROLLBACK")
-                attempt += 1
-                if attempt > MAX_LOCK_RETRIES:
-                    raise RetriesExhausted(
-                        f"INSERT INTO {self.target}", attempt, contention
-                    ) from contention
-                yield self.cluster.env.timeout(conn.retry_delay(attempt))
+                return
+            ctx.probe("s2v:phase5_before_append")
+            yield from conn.execute(
+                f"INSERT INTO {self.target} SELECT * FROM {self.staging}"
+            )
+            yield from conn.execute("COMMIT")
+            ctx.probe("s2v:phase5_after_commit")
+
+        yield from conn.retry_on_contention(
+            publish, what=f"INSERT INTO {self.target}",
+            on_contention=lambda: conn.execute("ROLLBACK"),
+        )
 
     def _commit_overwrite(self, ctx, conn, failed_percent: float) -> Generator:
         """Entitlement first, then the atomic rename.
@@ -668,86 +666,35 @@ class S2VWriter:
         is still present as the durable evidence).
         """
         update = yield from conn.execute_with_retry(
-            f"UPDATE {FINAL_STATUS_TABLE} SET status = 'SUCCESS', "
-            f"failed_percent = {failed_percent} "
-            f"WHERE job_name = '{self.job_name}' AND status = 'IN_PROGRESS'"
+            self._arbiter_sql("SUCCESS", failed_percent)
         )
         if update.rowcount != 1:
             return  # another attempt finalised (or will finalise) the job
-        attempt = 0
-        while True:
-            try:
-                yield from conn.execute(f"DROP TABLE IF EXISTS {self.target}")
-                ctx.probe("s2v:phase5_before_rename")
-                yield from conn.execute(
-                    f"ALTER TABLE {self.staging} RENAME TO {self.target}"
-                )
-                break
-            except LockContention as contention:
-                # A zombie duplicate still holds an insert lock on the
-                # staging table; its transaction aborts shortly.
-                attempt += 1
-                if attempt > MAX_LOCK_RETRIES:
-                    raise RetriesExhausted(
-                        f"ALTER TABLE {self.staging} RENAME", attempt, contention
-                    ) from contention
-                yield self.cluster.env.timeout(conn.retry_delay(attempt))
+
+        def rename() -> Generator:
+            yield from conn.execute(f"DROP TABLE IF EXISTS {self.target}")
+            ctx.probe("s2v:phase5_before_rename")
+            yield from conn.execute(
+                f"ALTER TABLE {self.staging} RENAME TO {self.target}"
+            )
+
+        # Contention here is a zombie duplicate still holding an insert
+        # lock on the staging table; its transaction aborts shortly.
+        yield from conn.retry_on_contention(
+            rename, what=f"ALTER TABLE {self.staging} RENAME"
+        )
         ctx.probe("s2v:phase5_after_rename")
 
     # ----------------------------------------------------------------- finalize
     def _finalize(self, job=None) -> Generator:
-        # Quiesce: zombie speculative duplicates may still be running their
-        # (harmless) phases; wait for them so recovery below never races an
-        # in-flight entitled committer.
-        if job is not None:
-            while any(task.live_attempts for task in job.tasks):
-                yield self.cluster.env.timeout(0.05)
-        with self.cluster.connect(
-            self.opts.host, client_node=None,
-            resource_pool=self.opts.resource_pool,
-        ) as conn:
+        yield from self._quiesce(job)
+        with self._driver_connection() as conn:
             if self.staged:
                 return (yield from self._finalize_staged(conn))
-            # Recovery: the entitled committer may have crashed between the
-            # final-status update and the rename; the staging table is the
-            # durable evidence and the driver completes the rename here.
-            if self.mode == "overwrite":
-                result = yield from conn.execute(
-                    f"SELECT status FROM {FINAL_STATUS_TABLE} "
-                    f"WHERE job_name = '{self.job_name}'"
-                )
-                staging_left = yield from conn.execute(
-                    "SELECT COUNT(*) FROM v_catalog.tables "
-                    f"WHERE table_name = '{self.staging}'"
-                )
-                if result.scalar() == "SUCCESS" and staging_left.scalar() > 0:
-                    yield from conn.execute_with_retry(
-                        f"DROP TABLE IF EXISTS {self.target}"
-                    )
-                    yield from conn.execute_with_retry(
-                        f"ALTER TABLE {self.staging} RENAME TO {self.target}"
-                    )
-            result = yield from conn.execute(
-                f"SELECT SUM(rows_inserted), SUM(rows_failed) "
-                f"FROM {self.status_table}"
-            )
-            inserted, rejected = result.rows[0]
-            result = yield from conn.execute(
-                f"SELECT status, failed_percent FROM {FINAL_STATUS_TABLE} "
-                f"WHERE job_name = '{self.job_name}'"
-            )
-            status, failed_percent = result.rows[0]
-            # Teardown of the temporary tables (the final status table stays).
-            # Retried drops: a zombie duplicate may still hold insert locks.
-            for table in (self.status_table, self.committer_table, self.staging):
-                yield from conn.execute_with_retry(f"DROP TABLE IF EXISTS {table}")
-            return S2VResult(
-                self.job_name,
-                int(inserted or 0),
-                int(rejected or 0),
-                float(failed_percent or 0.0),
-                status,
-            )
+            if self.mode != "append":  # append publishes without a rename
+                yield from self._finish_entitled_rename(conn)
+            inserted, rejected = yield from self._status_totals(conn)
+            return (yield from self._conclude(conn, inserted, rejected))
 
     # ---------------------------------------------------------- staged finalize
     def _finalize_staged(self, conn) -> Generator:
@@ -769,38 +716,13 @@ class S2VWriter:
             )
         manifest = stg.decode_manifest(self.hdfs.fs.read(manifest_file))
         loaded, rejected = yield from self._bulk_load_staged(manifest)
-        total = loaded + rejected
-        failed_percent = (rejected / total) if total else 0.0
-        if failed_percent > self.opts.failed_rows_percent_tolerance:
-            yield from conn.execute_with_retry(
-                f"UPDATE {FINAL_STATUS_TABLE} SET status = 'FAILURE', "
-                f"failed_percent = {failed_percent} "
-                f"WHERE job_name = '{self.job_name}' AND status = 'IN_PROGRESS'"
-            )
-            raise S2VError(
-                f"{self.job_name}: rejected fraction {failed_percent:.4f} "
-                f"exceeds tolerance {self.opts.failed_rows_percent_tolerance}"
-            )
-        ctx = _DriverContext()
-        if self.mode == "append":
-            yield from self._commit_append(ctx, conn, failed_percent)
-        else:
-            yield from self._commit_overwrite(ctx, conn, failed_percent)
-        result = yield from conn.execute(
-            f"SELECT status, failed_percent FROM {FINAL_STATUS_TABLE} "
-            f"WHERE job_name = '{self.job_name}'"
-        )
-        status, failed_percent = result.rows[0]
-        for table in (self.status_table, self.committer_table, self.staging):
-            yield from conn.execute_with_retry(f"DROP TABLE IF EXISTS {table}")
+        yield from self._commit(_DriverContext(), conn, loaded, rejected)
+        result = yield from self._conclude(conn, loaded, rejected)
         stg.sweep_job_dir(
             self.hdfs, self.opts.staging_root, self.job_name,
             committed=[entry["path"] for entry in manifest["files"]],
         )
-        return S2VResult(
-            self.job_name, loaded, rejected, float(failed_percent or 0.0),
-            status,
-        )
+        return result
 
     def _bulk_load_staged(self, manifest) -> Generator:
         """One bulk COPY per Vertica node over its share of manifest files."""
@@ -817,10 +739,7 @@ class S2VWriter:
         load_map: Dict[str, float] = {}
 
         def load_node(node_name: str, entries: List[Dict]) -> Generator:
-            with self.cluster.connect(
-                node_name, client_node=None,
-                resource_pool=self.opts.resource_pool,
-            ) as node_conn:
+            with self._driver_connection(node_name) as node_conn:
                 # COPY streams its input straight off the staging FS:
                 # the pull transfers run concurrently with the node's
                 # parse/redistribute work, just like a direct COPY

@@ -17,7 +17,6 @@ exactly-once, with the driver as the single committer.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Generator, List
 
 from repro.avrolite import encode_rows
@@ -29,8 +28,6 @@ from repro.spark.errors import AnalysisError
 class TwoStageWriter:
     """Save a DataFrame to Vertica through an intermediate landing zone."""
 
-    _job_ids = itertools.count(1)
-
     def __init__(self, spark, hdfs, mode: str, options: Dict[str, Any], dataframe):
         if mode not in ("overwrite", "append"):
             raise AnalysisError(f"two-stage writer supports overwrite/append, "
@@ -41,7 +38,7 @@ class TwoStageWriter:
         self.dataframe = dataframe
         self.opts = ConnectorOptions(options, for_save=True)
         self.cluster = self.opts.cluster
-        self.job_name = f"TWOSTAGE_JOB_{next(self._job_ids)}"
+        self.job_name = f"TWOSTAGE_JOB_{next(self.cluster.job_ids)}"
         self.target = self.opts.table
         self.staging = f"{self.job_name}_STAGING"
         self.landing = f"/twostage/{self.job_name}"

@@ -22,7 +22,6 @@ Design, as in the paper:
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro import telemetry
@@ -40,10 +39,6 @@ from repro.spark.row import StructType
 from repro.vertica.errors import CatalogError
 from repro.vertica.hashring import HashRing, Segment, synthetic_ring
 from repro.vertica.types import parse_type
-
-
-#: unique suffix per staged export, so repeated scans never collide
-_staged_export_ids = itertools.count(1)
 
 
 class VerticaRelation(BaseRelation):
@@ -196,7 +191,7 @@ class VerticaRelation(BaseRelation):
         model = self.cluster.cost_model
         job = (
             f"V2S_{self.opts.table.replace('.', '_')}_"
-            f"{next(_staged_export_ids)}"
+            f"{next(self.opts.staging_fs.fs.path_ids)}"
         )
         export_dir = f"{self.opts.staging_root}/v2s/{job}"
         columns = list(required_columns) if required_columns else None

@@ -36,8 +36,6 @@ class Block(NamedTuple):
 class HdfsCluster:
     """The filesystem: namenode metadata plus per-node block stores."""
 
-    _block_ids = itertools.count(1)
-
     def __init__(
         self,
         node_names: Sequence[str],
@@ -59,6 +57,11 @@ class HdfsCluster:
         self._stores: Dict[str, Dict[int, bytes]] = {n: {} for n in self.node_names}
         #: datanodes currently marked DOWN (unreadable until recovered)
         self._down: set = set()
+        #: block ids decide replica placement, so they count per filesystem
+        self._block_ids = itertools.count(1)
+        #: collision-free suffixes for callers naming scratch directories
+        #: on this filesystem (each staged V2S export takes one)
+        self.path_ids = itertools.count(1)
 
     # -- namespace -------------------------------------------------------------
     def exists(self, path: str) -> bool:

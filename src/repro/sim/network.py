@@ -17,7 +17,7 @@ remains event-driven and exact (piecewise-constant rates), not sampled.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import Environment, Event, SimulationError
 
@@ -110,10 +110,13 @@ class Network:
 
     def __init__(self, env: Environment):
         self.env = env
-        self._flows: Set[Flow] = set()
+        #: active flows in arrival order (a dict used as an ordered set):
+        #: progressive filling, cap tie-breaks and float accumulation all
+        #: iterate it, so they must not follow ``id()``/memory layout
+        self._flows: Dict[Flow, None] = {}
         self._last_update = env.now
         self._timer_seq = 0
-        self._prev_busy: Set[Link] = set()
+        self._prev_busy: List[Link] = []
 
     @property
     def active_flows(self) -> int:
@@ -139,7 +142,7 @@ class Network:
             return event
         flow = Flow(name, route, nbytes, cap, event)
         self._sync_progress()
-        self._flows.add(flow)
+        self._flows[flow] = None
         self._reschedule()
         return event
 
@@ -198,7 +201,7 @@ class Network:
             or (f.rate > 0 and now + f.remaining / f.rate == now)
         ]
         for flow in finished:
-            self._flows.discard(flow)
+            del self._flows[flow]
             flow.remaining = 0.0
             flow.event.succeed(flow.nbytes)
         self._reschedule()
@@ -216,7 +219,7 @@ class Network:
                 links.setdefault(link, []).append(flow)
 
         remaining = {link: link.capacity for link in links}
-        unfrozen: Set[Flow] = set(self._flows)
+        unfrozen: Dict[Flow, None] = dict(self._flows)
 
         while unfrozen:
             # Find the bottleneck: the smallest per-flow share over real
@@ -249,7 +252,7 @@ class Network:
 
             for flow in frozen:
                 flow.rate = max(0.0, bottleneck_rate)
-                unfrozen.discard(flow)
+                unfrozen.pop(flow, None)
                 for link in flow.route:
                     remaining[link] = max(0.0, remaining[link] - flow.rate)
 
@@ -262,15 +265,14 @@ class Network:
             link._log_rate(rate)
         # Links that just went idle need an explicit zero sample so traces
         # show the drop to zero rather than a dangling nonzero segment.
-        for link in self._prev_busy - set(touched):
-            link._log_rate(0.0)
-        self._prev_busy = set(touched)
+        for link in self._prev_busy:
+            if link not in touched:
+                link._log_rate(0.0)
+        self._prev_busy = list(touched)
 
     def quiesce_links(self, links: Iterable[Link]) -> None:
         """Record a zero-rate sample on ``links`` that currently carry no flow."""
-        busy: Set[Link] = set()
-        for flow in self._flows:
-            busy.update(flow.route)
+        busy = {link: None for flow in self._flows for link in flow.route}
         for link in links:
             if link not in busy:
                 link._log_rate(0.0)

@@ -119,12 +119,11 @@ class PriorityRequest(Request):
     grants stay deterministic.
     """
 
-    _seq = itertools.count()
-
-    def __init__(self, resource: "Resource", amount: int, priority: int = 0):
+    def __init__(self, resource: "PriorityResource", amount: int,
+                 priority: int = 0):
         super().__init__(resource, amount)
         self.priority = priority
-        self.seq = next(PriorityRequest._seq)
+        self.seq = next(resource._seq)
 
     @property
     def sort_key(self) -> Tuple[int, int]:
@@ -140,6 +139,10 @@ class PriorityResource(Resource):
     high-priority claim holds back smaller low-priority ones, exactly
     like a queued high-priority statement in a real resource pool.
     """
+
+    def __init__(self, env: Environment, capacity: int, name: str = "resource"):
+        super().__init__(env, capacity, name)
+        self._seq = itertools.count()
 
     def request(self, amount: int = 1, priority: int = 0) -> PriorityRequest:
         if amount <= 0 or amount > self.capacity:

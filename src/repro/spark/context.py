@@ -9,6 +9,7 @@ worker node with ~75% of the machine's logical cores as task slots.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.sim import Environment
@@ -76,6 +77,9 @@ class SparkSession:
         )
         self.default_parallelism = len(self.executors) * 2
         self.conf: Dict[str, Any] = {}
+        #: lineage ids for this session's RDDs (executor block caches key
+        #: on them)
+        self.rdd_ids = itertools.count(1)
 
     # -- data creation ------------------------------------------------------------
     def parallelize(self, data: Sequence[Any], num_partitions: Optional[int] = None) -> RDD:

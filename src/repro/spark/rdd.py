@@ -12,7 +12,6 @@ pure in-memory transformations yield nothing and are free.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
 
 from repro import telemetry
@@ -22,15 +21,13 @@ from repro.spark.errors import SparkError
 class RDD:
     """Base class; subclasses define partitioning and compute."""
 
-    _rdd_ids = itertools.count(1)
-
     def __init__(self, context: "SparkContext", num_partitions: int):  # noqa: F821
         if num_partitions <= 0:
             raise SparkError(f"an RDD needs >= 1 partition: {num_partitions}")
         self.context = context
         self.num_partitions = num_partitions
         #: unique lineage id; cached blocks key on (rdd_id, partition)
-        self.rdd_id = next(RDD._rdd_ids)
+        self.rdd_id = next(context.rdd_ids)
 
     # -- lineage node ---------------------------------------------------------
     def compute(self, split: int, ctx) -> Generator:

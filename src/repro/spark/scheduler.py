@@ -89,8 +89,6 @@ class Executor:
 class TaskContext:
     """What a running task attempt knows about itself."""
 
-    _attempt_ids = itertools.count(1)
-
     def __init__(
         self,
         scheduler: "TaskScheduler",
@@ -106,7 +104,7 @@ class TaskContext:
         self.partition_id = task.index
         self.num_partitions = len(job.tasks)
         self.attempt_number = attempt_number
-        self.attempt_id = next(self._attempt_ids)
+        self.attempt_id = next(scheduler._attempt_ids)
         self.speculative = speculative
         self.executor = executor
 
@@ -155,10 +153,9 @@ class _Task:
 class Job:
     """A submitted job; ``done`` fires with the list of task results."""
 
-    _job_ids = itertools.count(1)
-
-    def __init__(self, env: Environment, name: str, tasks: List[_Task]):
-        self.job_id = next(self._job_ids)
+    def __init__(self, env: Environment, job_id: int, name: str,
+                 tasks: List[_Task]):
+        self.job_id = job_id
         self.name = name or f"job-{self.job_id}"
         self.tasks = tasks
         self.mailbox = Store(env, name=f"{self.name}.mailbox")
@@ -212,12 +209,16 @@ class TaskScheduler:
         self._round_robin = 0
         #: every job ever submitted (chaos walks this to find live attempts)
         self.jobs: List[Job] = []
+        #: attempt ids name staged files (whose bytes are charged), so they
+        #: and job ids count per scheduler, not per process
+        self._attempt_ids = itertools.count(1)
+        self._job_ids = itertools.count(1)
 
     # -- public API -----------------------------------------------------------
     def submit(self, thunks: List[TaskThunk], name: str = "") -> Job:
         """Submit one task per thunk; returns the Job (await ``job.done``)."""
         tasks = [_Task(i, thunk) for i, thunk in enumerate(thunks)]
-        job = Job(self.env, name, tasks)
+        job = Job(self.env, next(self._job_ids), name, tasks)
         telemetry.counter("spark.jobs_submitted").inc()
         self.jobs.append(job)
         job.done = self.env.process(self._driver(job), name=f"{job.name}.driver")

@@ -14,6 +14,7 @@ ordering matters but durations do not).
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, List, Optional
 
 from repro.telemetry.spans import Span, SpanRecord
@@ -175,6 +176,7 @@ class MetricsRegistry:
         #: open-span stacks, keyed by the active simulation process (so
         #: interleaved processes each keep a correct ancestry chain)
         self._span_stacks: Dict[Any, List[Span]] = {}
+        self._span_ids = itertools.count(1)
         #: named utilisation series registered for the snapshot
         self._traces: List["repro.sim.trace.UsageTrace"] = []  # noqa: F821
 

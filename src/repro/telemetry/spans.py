@@ -17,11 +17,8 @@ not at resume time.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
-
-_span_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class Span:
     __slots__ = ("span_id", "name", "tags", "parent", "start", "end", "error", "_registry")
 
     def __init__(self, registry, name: str, tags: Dict[str, Any]):
-        self.span_id = next(_span_ids)
+        self.span_id = next(registry._span_ids)
         self.name = name
         self.tags = tags
         self.parent: Optional["Span"] = None

@@ -11,6 +11,7 @@ DDL statements (CREATE/DROP/ALTER/TRUNCATE) auto-commit, as in Vertica.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional
 
 from repro.cache import PlanCache, ResultCache
@@ -54,6 +55,7 @@ class VerticaDatabase:
         }
         self.epochs = EpochManager()
         self.locks = LockManager()
+        self._txn_ids = itertools.count(1)
         self.engine = Engine(self)
         self.udx = UdxRegistry()
         self.dfs = DistributedFileSystem(self.node_names)
@@ -169,7 +171,7 @@ class VerticaDatabase:
         return self.catalog.create_resource_pool(pool, or_replace=or_replace)
 
     def begin(self) -> Transaction:
-        return Transaction(self.epochs, self.locks)
+        return Transaction(next(self._txn_ids), self.epochs, self.locks)
 
     # -- DDL (auto-committing) ----------------------------------------------------
     def execute_ddl(self, statement) -> int:

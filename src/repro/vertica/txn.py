@@ -19,7 +19,6 @@ The substrate provides what the connector's correctness rests on:
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
@@ -101,10 +100,10 @@ class LockManager:
 class Transaction:
     """One transaction's staged state."""
 
-    _ids = itertools.count(1)
-
-    def __init__(self, epoch_manager: EpochManager, lock_manager: LockManager):
-        self.txn_id = next(self._ids)
+    def __init__(self, txn_id: int, epoch_manager: EpochManager,
+                 lock_manager: LockManager):
+        #: unique within the database whose lock table is keyed by it
+        self.txn_id = txn_id
         self.status = ACTIVE
         self._epochs = epoch_manager
         self._locks = lock_manager

@@ -16,8 +16,8 @@ This package supplies the simulated equivalent:
   of reusable node-bound sessions with health-checked checkout/checkin.
 
 Admission is opt-in per cluster (``SimVerticaCluster(wlm=True)``); the
-multi-tenant serving driver lives in :mod:`repro.bench.concurrent_serve`
-and ``docs/WLM.md`` describes the knobs and telemetry.
+multi-tenant serving run is the ``wlm`` grid area
+(:mod:`repro.bench.areas.wlm`) and ``docs/WLM.md`` describes the knobs and telemetry.
 """
 
 from __future__ import annotations

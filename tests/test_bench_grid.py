@@ -17,6 +17,7 @@ import re
 
 import pytest
 
+from repro.bench.area import SIM_GATE
 from repro.bench.grid import (
     AREAS,
     DONE,
@@ -263,6 +264,24 @@ class TestGate:
         fresh["cells"][2]["sim_seconds"] = \
             baseline["cells"][2]["sim_seconds"] * 1.15
         assert compare_artifacts(fresh, baseline) == []
+
+    def test_the_band_is_two_sided_and_two_percent(self, tmp_path):
+        """Sim time is a function of the cell's inputs, so an unexplained
+        *improvement* is as much a cost-model change as a regression: both
+        must say so by committing a new baseline."""
+        baseline = tiny_artifact(tmp_path)
+        baseline["gate"] = dict(SIM_GATE)
+        assert SIM_GATE == {"sim_tolerance": 0.02}
+        base_sim = baseline["cells"][2]["sim_seconds"]
+        fresh = copy.deepcopy(baseline)
+        for factor, verdict in ((1.03, "regressed"),
+                                (0.97, "improved without a new baseline")):
+            fresh["cells"][2]["sim_seconds"] = base_sim * factor
+            failures = compare_artifacts(fresh, baseline)
+            assert len(failures) == 1 and verdict in failures[0], failures
+        for factor in (1.01, 0.99):
+            fresh["cells"][2]["sim_seconds"] = base_sim * factor
+            assert compare_artifacts(fresh, baseline) == []
 
     def test_floor_violation_trips_the_gate(self, tmp_path):
         baseline = tiny_artifact(tmp_path)

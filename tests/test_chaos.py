@@ -3,8 +3,8 @@
 import pytest
 
 from repro import telemetry
-from repro.bench.chaos_soak import SOAK_COST_MODEL, TrialResult
-from repro.bench.fabric import Fabric
+from repro.bench.chaos_soak import TrialResult
+from repro.bench.fabric import LIGHT_COST_MODEL, Fabric
 from repro.chaos import (
     ChaosError,
     ChaosSchedule,
@@ -41,14 +41,15 @@ def chaos_fabric(speculation=False):
     return Fabric(
         num_vertica=3,
         num_spark=4,
-        cost_model=SOAK_COST_MODEL,
+        cost_model=LIGHT_COST_MODEL,
         speculation=speculation,
         telemetry=True,
         failover_connect=True,
     )
 
 
-def save_under_chaos(fabric, schedule, mode="overwrite", prior=()):
+def save_under_chaos(fabric, schedule, mode="overwrite", prior=(),
+                     partitions=4):
     checker = InvariantChecker(fabric.vertica)
     if prior:
         session = fabric.vertica.db.connect()
@@ -57,10 +58,10 @@ def save_under_chaos(fabric, schedule, mode="overwrite", prior=()):
         session.execute(f"INSERT INTO tgt VALUES {values}")
         session.close()
     controller = fabric.attach_chaos(schedule)
-    df = fabric.spark.create_dataframe(ROWS, SCHEMA, num_partitions=4)
+    df = fabric.spark.create_dataframe(ROWS, SCHEMA, num_partitions=partitions)
     writer = S2VWriter(
         fabric.spark, mode,
-        {"db": fabric.vertica, "table": "tgt", "numpartitions": 4,
+        {"db": fabric.vertica, "table": "tgt", "numpartitions": partitions,
          "scale_factor": 40.0},
         df,
     )
@@ -217,6 +218,29 @@ class TestLockStorm:
         assert raised is None
         assert report.ok, report.describe()
         assert controller.summary().get("lock_storm") == 2
+
+    def test_storm_on_the_jobs_own_status_table_is_retried_and_counted(self):
+        """Phase 1's conditional done-flag update is the one statement that
+        takes an X lock on the job's own task-status table; a storm there
+        must be retried *and* show up in ``vertica.lock.retries``.  One
+        task, so no committer race adds retries of its own, and the storm
+        is confined to the tail of phase 1 (setup's INSERT and teardown's
+        DROP on the same table run outside it)."""
+        fabric = chaos_fabric()
+        schedule = ChaosSchedule(17, actions=[
+            LockStorm("S2V_JOB_1_TASK_STATUS", at=2.0, duration=0.39,
+                      hold=0.05, gap=0.001),
+        ])
+        writer, raised, report, controller = save_under_chaos(
+            fabric, schedule, partitions=1,
+        )
+        # job ids count per database, so the table name is predictable
+        assert writer.status_table == "S2V_JOB_1_TASK_STATUS"
+        assert raised is None
+        assert report.ok, report.describe()
+        counters = fabric.metrics_snapshot().counters
+        assert counters["vertica.lock.contention"] > 0
+        assert counters["vertica.lock.retries"] > 0
 
 
 class TestVerticaRestart:

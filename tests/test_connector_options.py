@@ -39,6 +39,11 @@ class TestRequiredOptions:
             ConnectorOptions(opts(cluster, numpartitoins=4))  # typo
         assert "numpartitoins" in str(info.value)
         assert "numpartitions" in str(info.value)  # the known list helps
+        # rejections are tolerated per job (failed_rows_percent_tolerance);
+        # a per-COPY reject_max was parsed but never applied, so setting it
+        # is an error rather than a silent no-op
+        with pytest.raises(OptionsError, match="reject_max"):
+            ConnectorOptions(opts(cluster, reject_max=7))
 
 
 class TestDefaults:
@@ -101,8 +106,3 @@ class TestValidation:
     def test_prehash_bool_parsing(self, cluster, value, expected):
         parsed = ConnectorOptions(opts(cluster, prehash_partitioning=value))
         assert parsed.prehash_partitioning is expected
-
-    def test_reject_max_optional(self, cluster):
-        assert ConnectorOptions(opts(cluster)).reject_max is None
-        parsed = ConnectorOptions(opts(cluster, reject_max="7"))
-        assert parsed.reject_max == 7

@@ -207,6 +207,18 @@ class TestExactlyOnceUnderFailures:
         and its retry returns early (the conditional update hits zero
         rows) — so the staging table survives the job and the *driver's*
         finalisation must complete the rename."""
+        vc, spark = make_fabric()
+        save(vc, spark, rows=[(999, 9.0)])  # pre-existing target
+        self._finalize_after_every_rename_dies(vc, spark, "overwrite")
+
+    def test_driver_completes_rename_for_errorifexists_too(self):
+        """errorifexists publishes through the same rename as overwrite,
+        so the driver owes it the same recovery — skipping it dropped the
+        staging table (the only copy of the data) under a SUCCESS status."""
+        vc, spark = make_fabric()
+        self._finalize_after_every_rename_dies(vc, spark, "errorifexists")
+
+    def _finalize_after_every_rename_dies(self, vc, spark, mode):
         from repro.connector.s2v import S2VWriter
         from repro.spark.faults import FaultPolicy, InjectedFailure
 
@@ -219,14 +231,12 @@ class TestExactlyOnceUnderFailures:
                     self.injected.add((ctx.partition_id, ctx.attempt_number))
                     raise InjectedFailure("dies at the rename, every time")
 
-        vc, spark = make_fabric()
-        save(vc, spark, rows=[(999, 9.0)])  # pre-existing target
         policy = AlwaysDieBeforeRename()
         spark.scheduler.fault_policy = policy
 
         df = spark.create_dataframe(ROWS, SCHEMA, num_partitions=8)
-        writer = S2VWriter(spark, "overwrite", {"db": vc, "table": "dest",
-                                                "numpartitions": 8}, df)
+        writer = S2VWriter(spark, mode, {"db": vc, "table": "dest",
+                                         "numpartitions": 8}, df)
         vc.run(writer._setup(), name="setup")
         rdd, num_tasks = writer._partitioned_rdd()
         thunks = [writer._make_task(rdd, i) for i in range(num_tasks)]

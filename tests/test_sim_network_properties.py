@@ -106,3 +106,56 @@ class TestFairness:
             [(0.0, small, None), (0.0, small * 10, None)]
         )
         assert finishes[0] < finishes[1]
+
+
+routed_specs = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=20.0),      # start time
+        st.floats(min_value=1.0, max_value=10_000.0),  # bytes
+        st.one_of(st.none(), st.floats(min_value=1.0, max_value=200.0)),  # cap
+        st.lists(st.integers(min_value=0, max_value=3),  # route (link indices)
+                 min_size=1, max_size=3, unique=True),
+    ),
+    min_size=2,
+    max_size=14,
+)
+
+
+class TestMemoryLayoutIsNotAnInput:
+    """Fair shares, cap tie-breaks and float accumulation follow flow
+    *arrival* order, so where ``Flow``/``Link`` objects happen to live in
+    memory (``id()``-hashed sets iterate by address) cannot move a finish
+    time by even one ulp."""
+
+    @staticmethod
+    def finish_times(specs, scramble):
+        env = Environment()
+        net = Network(env)
+        ballast = []  # kept alive: shifts every later allocation's address
+        names = ["l0", "l1", "l2", "l3"]
+        links = {}
+        for name in (reversed(names) if scramble else names):
+            if scramble:
+                ballast.append([object() for __ in range(len(ballast) + 3)])
+            links[name] = Link(env, name, 50.0 * (1 + names.index(name)))
+        finishes = {}
+
+        def one(index, start, nbytes, cap, route):
+            if start:
+                yield env.timeout(start)
+            if scramble:
+                ballast.append([object() for __ in range(index % 5 + 1)])
+            yield net.transfer([links[names[i]] for i in route], nbytes,
+                               cap=cap, name=f"f{index}")
+            finishes[index] = env.now
+
+        for index, spec in enumerate(specs):
+            env.process(one(index, *spec))
+        env.run()
+        return finishes, {name: links[name].bytes_total for name in names}
+
+    @given(specs=routed_specs)
+    @settings(max_examples=60, deadline=None)
+    def test_same_transfers_finish_at_bit_equal_times(self, specs):
+        assert self.finish_times(specs, scramble=True) == \
+            self.finish_times(specs, scramble=False)
