@@ -1,11 +1,11 @@
 """Spark's native HDFS read/write path (the §4.7.2 baseline).
 
-``SimHdfsCluster`` pairs an :class:`~repro.hdfs.HdfsCluster` with
-simulated datanode machines (their own 4-node cluster in Figure 12's
-setup, *not* co-located with Spark).  The registered ``hdfs`` source
-reads one task per block — "it will default to one partition per HDFS
-block", which is why the paper's 140 GB file became 2240 partitions —
-and writes parquet-like columnar files with 3× replication.
+The registered ``hdfs`` source runs on a
+:class:`~repro.hdfs.SimHdfsCluster` (re-exported here for its existing
+importers).  It reads one task per block — "it will default to one
+partition per HDFS block", which is why the paper's 140 GB file became
+2240 partitions — and writes parquet-like columnar files with 3×
+replication.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.avrolite.schema import Schema
-from repro.hdfs import HdfsCluster
+from repro.connector.costmodel import VerticaCostModel
+from repro.hdfs import SimHdfsCluster
 from repro.hdfs.columnar import read_columnar, write_columnar
-from repro.sim import Environment
-from repro.sim.cluster import GBE_BYTES_PER_SEC, SimCluster, SimNode
 from repro.spark.datasource import (
     BaseRelation,
     CreatableRelationProvider,
@@ -26,63 +25,8 @@ from repro.spark.datasource import (
     register_source,
 )
 from repro.spark.errors import AnalysisError
-from repro.spark.rdd import RDD
+from repro.spark.rdd import RDD, materialize
 from repro.spark.row import StructField, StructType
-
-
-class SimHdfsCluster:
-    """An HDFS cluster plus the simulated machines serving its blocks."""
-
-    def __init__(
-        self,
-        env: Environment,
-        sim_cluster: SimCluster,
-        num_nodes: int = 4,
-        block_size: int = 64 * 1024 * 1024,
-        replication: int = 3,
-        bandwidth: float = GBE_BYTES_PER_SEC,
-        node_prefix: str = "hdfs",
-        decode_cpu_per_byte: float = 0.0,
-        encode_cpu_per_byte: float = 0.0,
-        disk_bandwidth: float = 0.0,
-    ):
-        self.env = env
-        self.sim_cluster = sim_cluster
-        names = [f"{node_prefix}{i}" for i in range(num_nodes)]
-        self.fs = HdfsCluster(names, block_size=block_size, replication=replication)
-        # Like the Vertica nodes, datanodes have two 1 GbE interfaces:
-        # client traffic on "default", replication pipeline on "internal".
-        self.sim_nodes: Dict[str, SimNode] = {
-            name: sim_cluster.add_node(
-                name, nics={"default": bandwidth, "internal": bandwidth}
-            )
-            for name in names
-        }
-        self.decode_cpu_per_byte = decode_cpu_per_byte
-        self.encode_cpu_per_byte = encode_cpu_per_byte
-        #: per-datanode data disk (0 = unmodelled); block reads and writes
-        #: stream through it, like the paper's single data HDD per machine
-        from repro.sim.network import Link
-
-        self.disks: Dict[str, Any] = {}
-        if disk_bandwidth > 0:
-            self.disks = {
-                name: Link(env, f"{name}.disk", disk_bandwidth) for name in names
-            }
-
-    def read_route(self, source: SimNode, dest: SimNode):
-        route = []
-        if self.disks:
-            route.append(self.disks[source.name])
-        route.append(source.nics["default"].tx)
-        route.append(dest.nics["default"].rx)
-        return route
-
-    def write_route(self, source: SimNode, dest: SimNode):
-        route = [source.nics["default"].tx, dest.nics["default"].rx]
-        if self.disks:
-            route.append(self.disks[dest.name])
-        return route
 
 
 class HdfsRelation(BaseRelation):
@@ -156,17 +100,7 @@ class HdfsScanRDD(RDD):
             nbytes,
             name=f"hdfs-read:{block.block_id}",
         )
-        if hdfs.decode_cpu_per_byte:
-            yield from ctx.node.compute(nbytes * hdfs.decode_cpu_per_byte)
-        # The block's share of its file's rows (blocks split files by bytes;
-        # rows are apportioned evenly across the file's blocks).
-        all_blocks = [b for b in self.blocks if b.path == block.path]
-        index = next(i for i, b in enumerate(all_blocks) if b.block_id == block.block_id)
-        rows = self._rows_of(block.path)
-        count = len(all_blocks)
-        lo = (len(rows) * index) // count
-        hi = (len(rows) * (index + 1)) // count
-        chunk = rows[lo:hi]
+        chunk = hdfs.block_rows(block, self._rows_of(block.path))
         if self.filters:
             chunk = apply_filters(list(self.filters), relation.schema, chunk)
         if self.required_columns:
@@ -196,41 +130,27 @@ class HdfsSource(RelationProvider, CreatableRelationProvider):
         schema = dataframe.schema
         avro = schema.to_avro("hdfs_row")
         rdd = dataframe.rdd()
-        # File headers (magic + schema JSON) are paid once per real part,
-        # not once per virtual row — scale only the data bytes.
         header_bytes = len(write_columnar(avro, []))
 
         def make_task(split: int):
             def thunk(ctx) -> Generator:
-                body = rdd.compute(split, ctx)
-                rows = (yield from body) if hasattr(body, "__next__") else body
-                payload = write_columnar(avro, list(rows))
-                data_bytes = max(0, len(payload) - header_bytes)
-                nbytes = header_bytes + data_bytes * scale
-                if hdfs.encode_cpu_per_byte:
-                    yield from ctx.node.compute(nbytes * hdfs.encode_cpu_per_byte)
-                # Write pipeline: executor -> first replica, then the
-                # replica chain forwards block copies datanode-to-datanode.
+                rows = yield from materialize(rdd, split, ctx)
+                payload = write_columnar(avro, rows)
+                nbytes = VerticaCostModel.virtual_bytes(
+                    len(payload), header_bytes, scale
+                )
+                # Write pipeline: the whole part streams executor -> the
+                # first block's first replica, which then forwards it down
+                # that block's replica chain.
                 part_path = f"{path}/part-{split:05d}"
                 blocks = hdfs.fs.write(part_path, payload, overwrite=True)
-                first = hdfs.sim_nodes[blocks[0].replicas[0]]
+                replicas = blocks[0].replicas
                 yield hdfs.sim_cluster.network.transfer(
-                    hdfs.write_route(ctx.node, first),
+                    hdfs.write_route(ctx.node, hdfs.sim_nodes[replicas[0]]),
                     nbytes,
                     name=f"hdfs-write:{part_path}",
                 )
-                # Replication to the remaining replicas proceeds in the
-                # background over the datanodes' internal network (the
-                # client is acked once the pipeline's first copy lands).
-                replicas = blocks[0].replicas
-                for src_name, dst_name in zip(replicas, replicas[1:]):
-                    src = hdfs.sim_nodes[src_name]
-                    dst = hdfs.sim_nodes[dst_name]
-                    hdfs.sim_cluster.network.transfer(
-                        [src.nics["internal"].tx, dst.nics["internal"].rx],
-                        nbytes,
-                        name=f"hdfs-replicate:{part_path}",
-                    )
+                hdfs.replicate(replicas, nbytes, f"hdfs-replicate:{part_path}")
                 return len(rows)
 
             return thunk

@@ -31,7 +31,7 @@ from repro.spark.datasource import (
     register_source,
 )
 from repro.spark.errors import AnalysisError
-from repro.spark.rdd import RDD
+from repro.spark.rdd import RDD, materialize
 from repro.spark.row import StructType
 from repro.vertica.types import parse_type
 
@@ -190,8 +190,7 @@ class JdbcDefaultSource(RelationProvider, CreatableRelationProvider):
 
         def make_task(split: int):
             def thunk(ctx) -> Generator:
-                body = rdd.compute(split, ctx)
-                rows = (yield from body) if hasattr(body, "__next__") else body
+                rows = yield from materialize(rdd, split, ctx)
                 with cluster.connect(host, client_node=ctx.node) as connection:
                     total = 0
                     for start in range(0, len(rows), batch_rows):

@@ -10,7 +10,7 @@ involved, which is why COPY is the lower bound S2V is measured against.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, List, Sequence
 
 from repro.sim.network import Link
 
@@ -23,8 +23,6 @@ def parallel_copy(
     table: str,
     csv_splits: Sequence[str],
     scale_factor: float = 1.0,
-    disk_bandwidth: float = DEFAULT_DISK_BYTES_PER_SEC,
-    reject_max: Optional[int] = None,
 ) -> float:
     """Load CSV splits with one parallel COPY per split; returns elapsed
     simulated seconds.
@@ -38,7 +36,7 @@ def parallel_copy(
     model = cluster.cost_model
     nodes = cluster.node_names
     disks: Dict[str, Link] = {
-        name: Link(env, f"{name}.disk", disk_bandwidth) for name in nodes
+        name: Link(env, f"{name}.disk", DEFAULT_DISK_BYTES_PER_SEC) for name in nodes
     }
     start = env.now
 
@@ -47,9 +45,8 @@ def parallel_copy(
         nbytes = len(text.encode("utf-8")) * scale_factor
         session = cluster.db.connect(node_name)
         try:
-            reject = f" REJECTMAX {reject_max}" if reject_max is not None else ""
             result = session.execute(
-                f"COPY {table} FROM STDIN{reject} DIRECT", copy_data=text
+                f"COPY {table} FROM STDIN DIRECT", copy_data=text
             )
         finally:
             session.close()
@@ -61,9 +58,8 @@ def parallel_copy(
                 [disks[node_name]], nbytes, name=f"disk-read:{node_name}"
             )
         ]
-        parse_seconds = (
-            scale_factor * cost.rows_written * model.load_cpu_per_row
-            + nbytes * model.load_cpu_per_byte
+        parse_seconds = model.load_seconds(
+            scale_factor * cost.rows_written, nbytes
         )
         if parse_seconds > 0:
             pending.append(env.process(node.compute(parse_seconds)))

@@ -1,8 +1,11 @@
-"""Ablation: single-stage S2V vs the §5 two-stage landing-zone design."""
+"""Ablation: single-stage S2V vs the §5 two-stage landing-zone design.
+
+The landing zone is the staged transport (``transport="staging"``):
+tasks land attempt files on HDFS, the driver bulk-loads them.
+"""
 
 from repro.bench.area import SIM_GATE, BenchArea, keyed
 from repro.bench.fabric import Fabric
-from repro.connector.twostage import save_two_stage
 from repro.workloads import make_d1
 
 
@@ -12,13 +15,9 @@ def run_cell(params, config):
     if params["approach"] == "single":
         return {"sim_seconds": Fabric().s2v_save(dataset, "dest", partitions)}
     fabric = Fabric(with_hdfs=True)
-    df = fabric.dataframe_of(dataset, partitions)
-    save_two_stage(
-        fabric.spark, fabric.hdfs, df,
-        {"db": fabric.vertica, "table": "dest", "numpartitions": partitions,
-         "scale_factor": dataset.scale},
-    )
-    return {"sim_seconds": fabric.env.now}
+    return {"sim_seconds": fabric.s2v_save(
+        dataset, "dest", partitions,
+        transport="staging", staging_fs=fabric.hdfs)}
 
 
 def checks(cells):
@@ -41,5 +40,10 @@ AREA = BenchArea(
     gate=SIM_GATE,
     notes=["paper §5: the two-stage design requires an intermediate write of "
            "a full copy of the data and a third system, but decouples the "
-           "two ends"],
+           "two ends",
+           "the extra copy only costs time where single-stage has enough "
+           "parallel COPY streams of its own: the two approaches cross "
+           "between 16 and 32 partitions at this config (two-stage vs single: "
+           "415 vs 586 sim-s at 16, 453 vs 300 at 32), and below that landing "
+           "files wins; area `staging` gates the low side"],
 )

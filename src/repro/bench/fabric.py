@@ -13,10 +13,10 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro import telemetry as _telemetry
-from repro.baselines.hdfs_source import SimHdfsCluster
 from repro.bench.area import GridCellError
 from repro.connector import PAPER_COST_MODEL, SimVerticaCluster
 from repro.connector.costmodel import VerticaCostModel
+from repro.hdfs import SimHdfsCluster
 from repro.sim import Environment
 from repro.sim.cluster import SimCluster
 from repro.spark import SparkSession
@@ -40,6 +40,8 @@ LIGHT_COST_MODEL = VerticaCostModel(
     copy_rate_cap=2e4,
 )
 
+#: the paper's single data HDD per datanode (bytes/s)
+HDFS_DISK_BANDWIDTH = 150e6
 #: Spark driver/JVM job submission latency (part of Fig 11's fixed costs)
 JOB_LAUNCH_OVERHEAD = 1.2
 #: per task-attempt scheduling latency
@@ -58,8 +60,6 @@ class Fabric:
         with_hdfs: bool = False,
         hdfs_nodes: int = 4,
         hdfs_block_size: int = 64 * 1024 * 1024,
-        hdfs_bandwidth: float = 125e6,
-        hdfs_disk_bandwidth: float = 150e6,
         telemetry: bool = False,
         failover_connect: bool = False,
         rate_log_limit: Optional[int] = 65536,
@@ -101,8 +101,7 @@ class Fabric:
                 self.sim_cluster,
                 num_nodes=hdfs_nodes,
                 block_size=hdfs_block_size,
-                bandwidth=hdfs_bandwidth,
-                disk_bandwidth=hdfs_disk_bandwidth,
+                disk_bandwidth=HDFS_DISK_BANDWIDTH,
             )
         # Bound every link's rate log when telemetry records it: long soak
         # runs otherwise grow the piecewise-rate history without limit.

@@ -26,42 +26,7 @@ DEFAULT_RESULT_CACHE_BYTES = 8 * 1024 * 1024
 
 _MB = 1024 * 1024
 
-#: CostReport fields replayed on a hit so the report stays byte-identical
-#: to the cold execution it memoised (modulo the ``cache_hit`` flag)
-_COST_SCALARS = (
-    "rows_scanned",
-    "rows_output",
-    "bytes_output",
-    "rows_written",
-    "rows_aggregated",
-)
-_COST_NODE_MAPS = (
-    "node_rows_scanned",
-    "node_output_bytes",
-    "node_rows_output",
-    "node_rows_written",
-    "node_rows_aggregated",
-)
-
 CacheKey = Tuple[str, int, int]
-
-
-def snapshot_cost(cost: Any) -> Dict[str, Any]:
-    """Copy the attribution fields of a CostReport into plain data."""
-    data: Dict[str, Any] = {f: getattr(cost, f) for f in _COST_SCALARS}
-    for field in _COST_NODE_MAPS:
-        data[field] = dict(getattr(cost, field))
-    return data
-
-
-def replay_cost(snapshot: Dict[str, Any], cost: Any) -> None:
-    """Merge a stored cost snapshot into a fresh CostReport."""
-    for field in _COST_SCALARS:
-        setattr(cost, field, getattr(cost, field) + snapshot[field])
-    for field in _COST_NODE_MAPS:
-        target = getattr(cost, field)
-        for node, amount in snapshot[field].items():
-            target[node] = target.get(node, type(amount)()) + amount
 
 
 class MemoryAccount:
@@ -167,7 +132,7 @@ class ResultCache:
         old = self._entries.pop(key, None)
         if old is not None:
             self.used_bytes -= old.nbytes
-        entry = CachedResult(columns, rows, snapshot_cost(cost))
+        entry = CachedResult(columns, rows, cost.snapshot())
         if entry.nbytes > self.budget_bytes:
             telemetry.counter(f"{self.name}.rejected").inc()
             self._sync_account(self.used_bytes)

@@ -51,7 +51,6 @@ from repro.connector.rdd_api import (
     vertica_to_labeled_points,
     vertica_to_rdd,
 )
-from repro.connector.twostage import TwoStageWriter, save_two_stage
 
 __all__ = [
     "ConnectorOptions",
@@ -64,7 +63,6 @@ __all__ = [
     "S2VWriter",
     "SimVerticaCluster",
     "SimVerticaConnection",
-    "TwoStageWriter",
     "VERTICA_SOURCE_NAME",
     "VerticaCostModel",
     "VerticaRelation",
@@ -78,7 +76,6 @@ __all__ = [
     "list_jobs",
     "list_models",
     "rdd_to_vertica",
-    "save_two_stage",
     "vertica_to_labeled_points",
     "vertica_to_rdd",
 ]

@@ -37,7 +37,6 @@ class SimVerticaCluster:
         node_cores: int = 32,
         internal_bandwidth: float = GBE_BYTES_PER_SEC,
         external_bandwidth: float = GBE_BYTES_PER_SEC,
-        node_prefix: str = "node",
         copy_ingest_rate: float = 96e6,
         failover_connect: bool = False,
         wlm: bool = False,
@@ -56,12 +55,12 @@ class SimVerticaCluster:
         #: statement consults it for connection-sever injections
         self.chaos = None
         #: ids this cluster hands out: retry-jitter salts for its
-        #: connections, and job numbers for the S2V / two-stage writers whose
-        #: temporary tables live in its catalog.  Owned here, not by the
+        #: connections, and job numbers for the S2V writers whose temporary
+        #: tables live in its catalog.  Owned here, not by the
         #: classes, so a run never depends on what the process ran before.
         self.connection_salts = itertools.count(1)
         self.job_ids = itertools.count(1)
-        node_names = [f"{node_prefix}{i + 1:04d}" for i in range(num_nodes)]
+        node_names = [f"node{i + 1:04d}" for i in range(num_nodes)]
         self.db = VerticaDatabase(
             node_names=node_names,
             k_safety=k_safety,
@@ -119,9 +118,6 @@ class SimVerticaCluster:
     @property
     def node_names(self) -> List[str]:
         return list(self.db.node_names)
-
-    def sim_node(self, name: str) -> SimNode:
-        return self.sim_nodes[name]
 
     def connect(
         self,

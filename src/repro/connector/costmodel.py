@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.spark.row import StructType
-
 
 class VerticaCostModel:
     """Tunable knobs mapping statement counts to simulated resources."""
@@ -100,19 +98,35 @@ class VerticaCostModel:
     def jdbc_row_bytes(self, row: Sequence[Any]) -> int:
         return sum(self.jdbc_value_bytes(v) for v in row)
 
-    def jdbc_schema_row_bytes(self, schema: StructType, avg_string: int = 60) -> int:
-        """Estimated wire width of one row of ``schema``."""
-        total = 0
-        for field in schema:
-            if field.data_type == "double":
-                total += self.jdbc_float_bytes
-            elif field.data_type == "long":
-                total += self.jdbc_int_bytes
-            elif field.data_type == "boolean":
-                total += self.jdbc_bool_bytes
-            else:
-                total += avg_string + 1
-        return total
+    # -- the cost rules every transport shares -----------------------------------
+    @staticmethod
+    def virtual_bytes(real_bytes: int, header_bytes: int, scale: float) -> float:
+        """Virtual volume of one real file or container.
+
+        The header (magic, schema JSON, sync marker) is paid once per real
+        file, not once per virtual row: only the data behind it scales, or
+        small real partitions would charge phantom header gigabytes.
+        """
+        return header_bytes + max(0, real_bytes - header_bytes) * scale
+
+    def encode_seconds(self, rows: int, real_bytes: int, header_bytes: int,
+                       scale: float, columnar: bool = False) -> float:
+        """Sender-side CPU to encode ``rows`` into a ``real_bytes`` payload."""
+        factor = self.columnar_encode_cpu_factor if columnar else 1.0
+        data_bytes = max(0, real_bytes - header_bytes)
+        return (
+            scale * rows * self.encode_cpu_per_row * factor
+            + data_bytes * scale * self.encode_cpu_per_byte
+        )
+
+    def load_seconds(self, virtual_rows: float, virtual_bytes: float,
+                     columnar: bool = False) -> float:
+        """COPY parse/unpack CPU on the node that loads the rows."""
+        factor = self.columnar_load_cpu_factor if columnar else 1.0
+        return (
+            virtual_rows * self.load_cpu_per_row * factor
+            + virtual_bytes * self.load_cpu_per_byte
+        )
 
 
 #: zero-cost model for functional tests — the clock never moves

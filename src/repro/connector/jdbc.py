@@ -30,6 +30,12 @@ from repro.vertica.errors import LockContention, RetriesExhausted, VerticaError
 from repro.vertica.hashring import vertica_hash
 from repro.vertica.session import Session
 
+#: statements that execute a query plan: gated through WLM admission and
+#: charged planning CPU.  PROFILE runs the whole query it wraps; EXPLAIN
+#: executes nothing and stays out.
+PLANNED_KEYWORDS = frozenset(
+    ("SELECT", "AT", "INSERT", "UPDATE", "DELETE", "COPY", "PROFILE")
+)
 #: attempts before a lock-retry loop gives up (on the job, for S2V's
 #: task-side loops)
 MAX_LOCK_RETRIES = 50
@@ -141,6 +147,7 @@ class SimVerticaConnection:
             self._connected = True
         keyword = sql.lstrip().split(None, 1)[0].upper() if sql.strip() else ""
         is_ddl = keyword in ("CREATE", "DROP", "ALTER", "TRUNCATE")
+        planned = keyword in PLANNED_KEYWORDS
 
         # WLM admission: gate query/DML statements through the session's
         # resource pool before any planning happens.  The ticket (slot +
@@ -148,15 +155,13 @@ class SimVerticaConnection:
         # its queue wait is charged into the statement's CostReport.
         ticket = None
         admission = getattr(self.cluster, "wlm", None)
-        if admission is not None and keyword in ("SELECT", "AT", "INSERT",
-                                                 "UPDATE", "DELETE", "COPY"):
+        if admission is not None and planned:
             ticket = yield from admission.admit(self.session.resource_pool)
         try:
             latency = model.ddl_latency if is_ddl else model.query_latency
             if latency:
                 yield env.timeout(latency)
-            if model.query_plan_cpu and keyword in ("SELECT", "AT", "INSERT",
-                                                    "UPDATE", "DELETE", "COPY"):
+            if model.query_plan_cpu and planned:
                 yield from contact.compute(model.query_plan_cpu)
 
             result = self.session.execute(sql, copy_data=copy_data)
@@ -238,10 +243,7 @@ class SimVerticaConnection:
         )
 
     # -- cost charging ------------------------------------------------------------
-    def _charge_query(
-        self, result: ResultSet, w: float, w_out: Optional[float] = None
-    ) -> Generator:
-        w_out = w if w_out is None else w_out
+    def _charge_query(self, result: ResultSet, w: float, w_out: float) -> Generator:
         model = self.cost_model
         env = self.env
         cluster = self.cluster
@@ -333,13 +335,7 @@ class SimVerticaConnection:
         sql: str = "",
     ) -> Generator:
         model = self.cost_model
-        # Columnar bulk loads map column chunks straight into the ROS;
-        # the dominant per-row unpack cost of row-wise COPY shrinks.
-        load_cpu_factor = (
-            model.columnar_load_cpu_factor
-            if "FORMAT COLUMNAR" in sql.upper()
-            else 1.0
-        )
+        columnar = "FORMAT COLUMNAR" in sql.upper()
         env = self.env
         cluster = self.cluster
         contact = cluster.sim_nodes[self.node_name]
@@ -388,10 +384,7 @@ class SimVerticaConnection:
                         name=f"segment:{self.node_name}->{node_name}",
                     )
                 )
-            seconds = (
-                rows * w * model.load_cpu_per_row * load_cpu_factor
-                + share * model.load_cpu_per_byte
-            )
+            seconds = model.load_seconds(rows * w, share, columnar)
             if seconds > 0:
                 pending.append(env.process(node.compute(seconds)))
         try:

@@ -109,16 +109,12 @@ class S2VWriter:
         #: distributed FS; the driver bulk-COPYs the manifest's winners
         self.staged = self.opts.transport == "staging"
         self.hdfs = self.opts.staging_fs
-        # A file's header (magic, schema JSON, sync marker) is paid once
-        # per real file, not once per virtual row: cost accounting scales
-        # only the data behind it, or small real partitions would charge
-        # phantom header gigabytes.  The size depends on the schema alone,
-        # so the transport in use measures it once per job.
-        self._avro_header_bytes = 0 if self.staged else len(
-            encode_rows(self.avro_schema, [], codec=self.opts.avro_codec)
-        )
-        self._columnar_header_bytes = (
-            len(write_columnar(self.avro_schema, [])) if self.staged else 0
+        #: size of an empty file of the transport's format, measured once
+        #: per job (it depends on the schema alone): the part of a payload
+        #: VerticaCostModel.virtual_bytes does not scale
+        self._header_bytes = len(
+            write_columnar(self.avro_schema, []) if self.staged
+            else encode_rows(self.avro_schema, [], codec=self.opts.avro_codec)
         )
         #: shared by every task's staged write: balances block placement
         #: across datanodes (see staging.write_staged_file)
@@ -506,19 +502,17 @@ class S2VWriter:
         weight = self.opts.scale_factor
         loaded = 0
         failed = 0
-        header_bytes = self._avro_header_bytes
+        header_bytes = self._header_bytes
         for start in range(0, len(rows), COPY_CHUNK_ROWS):
             chunk = rows[start : start + COPY_CHUNK_ROWS]
             payload = encode_rows(
                 self.avro_schema, chunk, codec=self.opts.avro_codec
             )
-            data_bytes = max(1, len(payload) - header_bytes)
-            effective_weight = (
-                header_bytes + data_bytes * weight
+            effective_weight = model.virtual_bytes(
+                len(payload), header_bytes, weight
             ) / len(payload)
-            encode_seconds = (
-                weight * len(chunk) * model.encode_cpu_per_row
-                + data_bytes * weight * model.encode_cpu_per_byte
+            encode_seconds = model.encode_seconds(
+                len(chunk), len(payload), header_bytes, weight
             )
             if encode_seconds > 0:
                 yield from ctx.node.compute(encode_seconds)
@@ -548,13 +542,11 @@ class S2VWriter:
             return
         model = self.cluster.cost_model
         weight = self.opts.scale_factor
+        header_bytes = self._header_bytes
         payload = write_columnar(self.avro_schema, rows)
-        data_bytes = max(0, len(payload) - self._columnar_header_bytes)
-        nbytes = self._columnar_header_bytes + data_bytes * weight
-        encode_seconds = (
-            weight * len(rows) * model.encode_cpu_per_row
-            * model.columnar_encode_cpu_factor
-            + data_bytes * weight * model.encode_cpu_per_byte
+        nbytes = model.virtual_bytes(len(payload), header_bytes, weight)
+        encode_seconds = model.encode_seconds(
+            len(rows), len(payload), header_bytes, weight, columnar=True
         )
         if encode_seconds > 0:
             yield from ctx.node.compute(encode_seconds)
@@ -732,8 +724,9 @@ class S2VWriter:
             node = self.nodes[entry["task"] % len(self.nodes)]
             by_node.setdefault(node, []).append(entry)
         counts: List[Tuple[int, int]] = []
+        model = self.cluster.cost_model
         weight = self.opts.scale_factor
-        header = self._columnar_header_bytes
+        header = self._header_bytes
         # shared across the per-node loads: spreads concurrent pulls over
         # block replicas instead of hammering each block's first copy
         load_map: Dict[str, float] = {}
@@ -749,7 +742,7 @@ class S2VWriter:
                 pulls = []
                 for entry in entries:
                     size = self.hdfs.fs.file_size(entry["path"])
-                    nbytes = header + max(0, size - header) * weight
+                    nbytes = model.virtual_bytes(size, header, weight)
                     payloads.append(self.hdfs.fs.read(entry["path"]))
                     virtual += nbytes
                     pulls.append(env.process(

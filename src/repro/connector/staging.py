@@ -23,9 +23,14 @@ row over JDBC.  This module holds the pieces both directions share:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
 
 from repro import telemetry
+from repro.hdfs import Block, SimHdfsCluster
+from repro.sim.cluster import SimNode
+
+if TYPE_CHECKING:
+    from repro.connector.cluster import SimVerticaCluster
 
 #: name of the commit manifest inside a job's staging directory
 MANIFEST_NAME = "_MANIFEST"
@@ -56,8 +61,8 @@ def decode_manifest(data: bytes) -> Dict[str, Any]:
 
 
 def write_staged_file(
-    hdfs,
-    source_node,
+    hdfs: SimHdfsCluster,
+    source_node: SimNode,
     source_nic: str,
     path: str,
     payload: bytes,
@@ -83,28 +88,15 @@ def write_staged_file(
         if share <= 0:
             continue
         replicas = list(block.replicas)
-        entry = replicas[0]
-        if load_map is not None:
-            entry = min(
-                replicas, key=lambda n: (load_map.get(n, 0.0), n)
-            )
-            load_map[entry] = load_map.get(entry, 0.0) + share
-        first = hdfs.sim_nodes[entry]
-        route = [source_node.nics[source_nic].tx, first.nics["default"].rx]
-        if hdfs.disks:
-            route.append(hdfs.disks[first.name])
+        entry = _least_loaded(replicas, load_map, share)
+        route = hdfs.write_route(source_node, hdfs.sim_nodes[entry], source_nic)
         pending.append(
             hdfs.sim_cluster.network.transfer(route, share, name=name)
         )
-        chain = [entry] + [r for r in replicas if r != entry]
-        for src_name, dst_name in zip(chain, chain[1:]):
-            src = hdfs.sim_nodes[src_name]
-            dst = hdfs.sim_nodes[dst_name]
-            hdfs.sim_cluster.network.transfer(
-                [src.nics["internal"].tx, dst.nics["internal"].rx],
-                share,
-                name=f"staging-replicate:{path}",
-            )
+        hdfs.replicate(
+            [entry] + [r for r in replicas if r != entry], share,
+            name=f"staging-replicate:{path}",
+        )
     if pending:
         yield hdfs.env.all_of(pending)
     telemetry.counter("hdfs.staging.files_written").inc()
@@ -112,28 +104,34 @@ def write_staged_file(
     return blocks
 
 
-def pick_replica(
-    hdfs, block, load_map: Optional[Dict[str, float]] = None,
-    share: float = 0.0,
-) -> str:
-    """Choose which live replica to read a block from.
+def _least_loaded(candidates: List[str], load_map: Optional[Dict[str, float]],
+                  share: float) -> str:
+    """Pick the datanode with the fewest bytes assigned so far.
 
-    With a ``load_map`` (datanode name → bytes already assigned), the
-    least-loaded replica wins — ties broken by name, so the choice is
-    deterministic no matter what order concurrent readers run in.  The
-    chosen node's entry is bumped by ``share``.
+    ``load_map`` (datanode name → bytes) is bumped by ``share`` for the
+    winner; ties break by name, so the choice is deterministic no matter
+    what order concurrent callers run in.  Without a map the first
+    candidate wins.
     """
-    live = hdfs.fs.live_replicas(block) or list(block.replicas)
     if load_map is None:
-        return live[0]
-    choice = min(live, key=lambda name: (load_map.get(name, 0.0), name))
+        return candidates[0]
+    choice = min(candidates, key=lambda name: (load_map.get(name, 0.0), name))
     load_map[choice] = load_map.get(choice, 0.0) + share
     return choice
 
 
+def pick_replica(
+    hdfs: SimHdfsCluster, block: Block,
+    load_map: Optional[Dict[str, float]] = None, share: float = 0.0,
+) -> str:
+    """Choose which live replica to read a block from (least loaded)."""
+    live = hdfs.fs.live_replicas(block) or list(block.replicas)
+    return _least_loaded(live, load_map, share)
+
+
 def pull_staged_file(
-    cluster,
-    hdfs,
+    cluster: "SimVerticaCluster",
+    hdfs: SimHdfsCluster,
     path: str,
     node_name: str,
     nbytes: float,
@@ -160,11 +158,7 @@ def pull_staged_file(
         if share <= 0:
             continue
         source = hdfs.sim_nodes[pick_replica(hdfs, block, load_map, share)]
-        route: List[Any] = []
-        if hdfs.disks:
-            route.append(hdfs.disks[source.name])
-        route.append(source.nics["default"].tx)
-        route.append(puller.nics[cluster.cost_model.external_nic].rx)
+        route = hdfs.read_route(source, puller, cluster.cost_model.external_nic)
         if ingest is not None:
             route.append(ingest)
         pending.append(
@@ -177,7 +171,7 @@ def pull_staged_file(
     return payload
 
 
-def sweep_job_dir(hdfs, root: str, job_name: str,
+def sweep_job_dir(hdfs: SimHdfsCluster, root: str, job_name: str,
                   committed: Sequence[str] = ()) -> List[str]:
     """Delete every file under a job's staging directory.
 

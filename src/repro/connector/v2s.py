@@ -134,11 +134,15 @@ class VerticaRelation(BaseRelation):
         with self.cluster.db.connect(self.opts.host, failover=True) as session:
             return session.scalar("SELECT current_epoch FROM v_catalog.epochs")
 
-    def _range_predicate(self, lo: int, hi: int) -> str:
+    def _range_predicate(self, lo: int, hi: int, filters: Sequence[Filter]) -> str:
+        """The task's hash range, ANDed with the pushed-down filters."""
         if self.is_view or self.unsegmented:
-            return f"SYNTHETIC_HASH() >= {lo} AND SYNTHETIC_HASH() < {hi}"
-        hash_expr = f"HASH({', '.join(self.segmentation_columns)})"
-        return f"{hash_expr} >= {lo} AND {hash_expr} < {hi}"
+            hash_expr = "SYNTHETIC_HASH()"
+        else:
+            hash_expr = f"HASH({', '.join(self.segmentation_columns)})"
+        predicate = f"{hash_expr} >= {lo} AND {hash_expr} < {hi}"
+        pushed = filters_to_sql(filters)
+        return f"{predicate} AND {pushed}" if pushed else predicate
 
     def task_sql(
         self,
@@ -149,13 +153,9 @@ class VerticaRelation(BaseRelation):
         filters: Sequence[Filter],
     ) -> str:
         columns = ", ".join(required_columns) if required_columns else "*"
-        predicate = self._range_predicate(lo, hi)
-        pushed = filters_to_sql(filters)
-        if pushed:
-            predicate = f"{predicate} AND {pushed}"
         return (
             f"AT EPOCH {epoch} SELECT {columns} FROM {self.opts.table} "
-            f"WHERE {predicate}"
+            f"WHERE {self._range_predicate(lo, hi, filters)}"
         )
 
     def build_scan(
@@ -226,12 +226,10 @@ class VerticaRelation(BaseRelation):
                     )
                     rows = result.rows
                     payload = write_columnar(avro, rows)
-                    data_bytes = max(0, len(payload) - header_bytes)
-                    nbytes = header_bytes + data_bytes * scale
-                    encode_seconds = (
-                        scale * len(rows) * model.encode_cpu_per_row
-                        * model.columnar_encode_cpu_factor
-                        + data_bytes * scale * model.encode_cpu_per_byte
+                    nbytes = model.virtual_bytes(len(payload), header_bytes, scale)
+                    encode_seconds = model.encode_seconds(
+                        len(rows), len(payload), header_bytes, scale,
+                        columnar=True,
                     )
                     if encode_seconds:
                         yield from vnode.compute(encode_seconds)
@@ -296,13 +294,9 @@ class VerticaRelation(BaseRelation):
         selection = ", ".join(
             list(group_by) + [spec.to_sql() for spec in aggregates]
         )
-        predicate = self._range_predicate(lo, hi)
-        pushed = filters_to_sql(filters)
-        if pushed:
-            predicate = f"{predicate} AND {pushed}"
         return (
             f"AT EPOCH {epoch} SELECT {selection} FROM {self.opts.table} "
-            f"WHERE {predicate} GROUP BY {keys}"
+            f"WHERE {self._range_predicate(lo, hi, filters)} GROUP BY {keys}"
         )
 
     def build_aggregate_scan(
@@ -349,8 +343,61 @@ class VerticaRelation(BaseRelation):
         return self.spark.run_thunks([thunk], name=f"count:{self.opts.table}")[0]
 
 
-class VerticaScanRDD(RDD):
-    """One partition per hash-range task (Figure 4)."""
+class _HashRangeRDD(RDD):
+    """One partition per hash-range task (Figure 4).
+
+    A task runs one query per range of its partition, each on a
+    connection to the node that owns the range (locality, §3.1.2: the
+    query touches only node-local storage), and concatenates the rows.
+    Subclasses say what the query is and what to count about its result.
+    """
+
+    #: telemetry span around each range's query
+    span = ""
+    #: weight of the result-side charges; ``None`` = the scan's own weight
+    output_weight: Optional[float] = None
+
+    def __init__(
+        self,
+        relation: VerticaRelation,
+        plan: List[List[Tuple[int, int, str]]],
+        epoch: int,
+    ):
+        super().__init__(relation.spark, len(plan))
+        self.relation = relation
+        self.plan = plan
+        self.epoch = epoch
+
+    def range_sql(self, lo: int, hi: int) -> str:
+        raise NotImplementedError
+
+    def observe(self, result: Any) -> None:
+        raise NotImplementedError
+
+    def compute(self, split: int, ctx) -> Generator:
+        relation = self.relation
+        rows: List[Tuple[Any, ...]] = []
+        for lo, hi, node in self.plan[split]:
+            with relation.cluster.connect(
+                node, client_node=ctx.node,
+                resource_pool=relation.opts.resource_pool,
+            ) as connection:
+                sql = self.range_sql(lo, hi)
+                with telemetry.span(self.span, task=split, node=node):
+                    result = yield from connection.execute(
+                        sql,
+                        weight=relation.opts.scale_factor,
+                        output_weight=self.output_weight,
+                    )
+                self.observe(result)
+                rows.extend(result.rows)
+        return rows
+
+
+class VerticaScanRDD(_HashRangeRDD):
+    """Plain scan: projection and filters pushed into each range query."""
+
+    span = "v2s.range_query"
 
     def __init__(
         self,
@@ -360,42 +407,25 @@ class VerticaScanRDD(RDD):
         required_columns: Optional[Sequence[str]],
         filters: Sequence[Filter],
     ):
-        super().__init__(relation.spark, len(plan))
-        self.relation = relation
-        self.plan = plan
-        self.epoch = epoch
+        super().__init__(relation, plan, epoch)
         self.required_columns = list(required_columns) if required_columns else None
         self.filters = tuple(filters)
 
-    def compute(self, split: int, ctx) -> Generator:
-        relation = self.relation
-        rows: List[Tuple[Any, ...]] = []
-        for lo, hi, node in self.plan[split]:
-            # Locality: connect to the node that owns this hash range so the
-            # query touches only node-local storage.
-            with relation.cluster.connect(
-                node, client_node=ctx.node,
-                resource_pool=relation.opts.resource_pool,
-            ) as connection:
-                sql = relation.task_sql(
-                    self.epoch, lo, hi, self.required_columns, self.filters
-                )
-                with telemetry.span("v2s.range_query", task=split, node=node):
-                    result = yield from connection.execute(
-                        sql, weight=relation.opts.scale_factor
-                    )
-                telemetry.counter("v2s.rows_fetched").inc(len(result.rows))
-                rows.extend(result.rows)
-        return rows
+    def range_sql(self, lo: int, hi: int) -> str:
+        return self.relation.task_sql(
+            self.epoch, lo, hi, self.required_columns, self.filters
+        )
+
+    def observe(self, result: Any) -> None:
+        telemetry.counter("v2s.rows_fetched").inc(len(result.rows))
 
 
 class StagedScanRDD(RDD):
     """One partition per staged-export HDFS block.
 
     The export already applied projection and filters inside Vertica at
-    the pinned epoch, so tasks only move and decode bytes: read the block
-    from a live replica, charge decode CPU, and return the block's share
-    of its file's rows.
+    the pinned epoch, so tasks only move bytes: read the block from a
+    live replica and return the block's share of its file's rows.
     """
 
     def __init__(
@@ -447,13 +477,12 @@ class StagedScanRDD(RDD):
         if source_name not in live:  # assigned replica's node went down
             source_name = live[0]
         source_node = hdfs.sim_nodes[source_name]
-        # Headers are real bytes paid once per file, not once per virtual
-        # row: the block carries its proportional share of the file's
-        # virtual volume (mirrors the export-side charge).
+        # The block carries its proportional share of the file's virtual
+        # volume (mirrors the export-side charge).
         file_size = hdfs.fs.file_size(block.path)
-        virtual_file = self.header_bytes + max(
-            0, file_size - self.header_bytes
-        ) * relation.opts.scale_factor
+        virtual_file = relation.cluster.cost_model.virtual_bytes(
+            file_size, self.header_bytes, relation.opts.scale_factor
+        )
         nbytes = virtual_file * (block.size / file_size) if file_size else 0.0
         with telemetry.span(
             "v2s.staged_read", task=split, block=block.block_id
@@ -463,31 +492,25 @@ class StagedScanRDD(RDD):
                 nbytes,
                 name=f"v2s-staged-read:{block.block_id}",
             )
-            if hdfs.decode_cpu_per_byte:
-                yield from ctx.node.compute(nbytes * hdfs.decode_cpu_per_byte)
         telemetry.counter("hdfs.staging.files_read").inc()
         telemetry.counter("hdfs.staging.bytes_read").inc(int(nbytes))
-        # The block's share of its file's rows (rows are apportioned
-        # evenly across the file's blocks, like the native HDFS source).
-        siblings = [b for b in self.blocks if b.path == block.path]
-        index = next(
-            i for i, b in enumerate(siblings) if b.block_id == block.block_id
-        )
-        rows = self._rows_of(block.path)
-        count = len(siblings)
-        lo = (len(rows) * index) // count
-        hi = (len(rows) * (index + 1)) // count
-        telemetry.counter("v2s.rows_fetched").inc(hi - lo)
-        return rows[lo:hi]
+        rows = hdfs.block_rows(block, self._rows_of(block.path))
+        telemetry.counter("v2s.rows_fetched").inc(len(rows))
+        return rows
 
 
-class VerticaAggregateScanRDD(RDD):
+class VerticaAggregateScanRDD(_HashRangeRDD):
     """One partial-aggregate GROUP BY query per hash-range task.
 
     Rows are ``(*group keys, *partial aggregates)`` — the driver-side
     combiner in :class:`~repro.spark.dataframe.GroupedData` merges the
     per-range partials for groups that span ranges.
     """
+
+    span = "v2s.agg_query"
+    #: input-side work scales with virtual volume; the few partial group
+    #: rows do not (cardinality is fixed), so they ship at real weight
+    output_weight = 1.0
 
     def __init__(
         self,
@@ -498,46 +521,24 @@ class VerticaAggregateScanRDD(RDD):
         aggregates: List[AggregateSpec],
         filters: Tuple[Filter, ...],
     ):
-        super().__init__(relation.spark, len(plan))
-        self.relation = relation
-        self.plan = plan
-        self.epoch = epoch
+        super().__init__(relation, plan, epoch)
         self.group_by = group_by
         self.aggregates = aggregates
         self.filters = filters
 
-    def compute(self, split: int, ctx) -> Generator:
-        relation = self.relation
-        rows: List[Tuple[Any, ...]] = []
-        for lo, hi, node in self.plan[split]:
-            with relation.cluster.connect(
-                node, client_node=ctx.node,
-                resource_pool=relation.opts.resource_pool,
-            ) as connection:
-                sql = relation.aggregate_task_sql(
-                    self.epoch, lo, hi, self.group_by, self.aggregates,
-                    self.filters,
-                )
-                with telemetry.span("v2s.agg_query", task=split, node=node):
-                    # Input-side work scales with virtual volume; the few
-                    # partial group rows do not (cardinality is fixed), so
-                    # they ship at real weight.
-                    result = yield from connection.execute(
-                        sql,
-                        weight=relation.opts.scale_factor,
-                        output_weight=1.0,
-                    )
-                fetched = len(result.rows)
-                aggregated = result.cost.rows_aggregated
-                telemetry.counter("v2s.agg_pushdown.queries").inc()
-                telemetry.counter("v2s.agg_pushdown.partial_rows").inc(fetched)
-                telemetry.counter(
-                    "v2s.agg_pushdown.rows_aggregated"
-                ).inc(aggregated)
-                if aggregated > fetched:
-                    # raw rows the wire did NOT carry thanks to pushdown
-                    telemetry.counter(
-                        "v2s.agg_pushdown.rows_saved"
-                    ).inc(aggregated - fetched)
-                rows.extend(result.rows)
-        return rows
+    def range_sql(self, lo: int, hi: int) -> str:
+        return self.relation.aggregate_task_sql(
+            self.epoch, lo, hi, self.group_by, self.aggregates, self.filters
+        )
+
+    def observe(self, result: Any) -> None:
+        fetched = len(result.rows)
+        aggregated = result.cost.rows_aggregated
+        telemetry.counter("v2s.agg_pushdown.queries").inc()
+        telemetry.counter("v2s.agg_pushdown.partial_rows").inc(fetched)
+        telemetry.counter("v2s.agg_pushdown.rows_aggregated").inc(aggregated)
+        if aggregated > fetched:
+            # raw rows the wire did NOT carry thanks to pushdown
+            telemetry.counter("v2s.agg_pushdown.rows_saved").inc(
+                aggregated - fetched
+            )

@@ -161,9 +161,6 @@ class HdfsCluster:
             raise HdfsError(f"unknown datanode {node!r}")
         self._down.discard(node)
 
-    def is_down(self, node: str) -> bool:
-        return node in self._down
-
     def live_replicas(self, block: Block) -> List[str]:
         """The block's replicas on datanodes that are currently UP."""
         return [n for n in block.replicas if n not in self._down]

@@ -160,23 +160,6 @@ class SimCluster:
             return node.nics["default"]
         return node.nic(requested)  # raises with a helpful message
 
-    def links(self, nic: str = "default") -> List[Link]:
-        out: List[Link] = []
-        for node in self.nodes.values():
-            if nic in node.nics:
-                out.extend([node.nics[nic].tx, node.nics[nic].rx])
-        return out
-
-    def total_bytes(self, nic: str = "default", direction: str = "tx") -> float:
-        """Aggregate bytes that crossed the given NIC direction on all nodes."""
-        if direction not in ("tx", "rx"):
-            raise SimulationError(f"direction must be 'tx' or 'rx': {direction!r}")
-        total = 0.0
-        for node in self.nodes.values():
-            if nic in node.nics:
-                total += getattr(node.nics[nic], direction).bytes_total
-        return total
-
 
 def make_nodes(
     cluster: SimCluster,

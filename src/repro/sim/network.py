@@ -17,7 +17,7 @@ remains event-driven and exact (piecewise-constant rates), not sampled.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import Environment, Event, SimulationError
 
@@ -117,10 +117,6 @@ class Network:
         self._last_update = env.now
         self._timer_seq = 0
         self._prev_busy: List[Link] = []
-
-    @property
-    def active_flows(self) -> int:
-        return len(self._flows)
 
     def transfer(
         self,
@@ -269,10 +265,3 @@ class Network:
             if link not in touched:
                 link._log_rate(0.0)
         self._prev_busy = list(touched)
-
-    def quiesce_links(self, links: Iterable[Link]) -> None:
-        """Record a zero-rate sample on ``links`` that currently carry no flow."""
-        busy = {link: None for flow in self._flows for link in flow.route}
-        for link in links:
-            if link not in busy:
-                link._log_rate(0.0)

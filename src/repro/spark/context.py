@@ -17,7 +17,7 @@ from repro.sim.cluster import GBE_BYTES_PER_SEC, SimCluster, SimNode, make_nodes
 from repro.spark.dataframe import DataFrame, DataFrameReader
 from repro.spark.errors import SparkError
 from repro.spark.faults import FaultPolicy
-from repro.spark.rdd import RDD, ParallelCollectionRDD
+from repro.spark.rdd import RDD, ParallelCollectionRDD, materialize
 from repro.spark.row import StructType
 from repro.spark.scheduler import Executor, TaskScheduler
 
@@ -122,7 +122,7 @@ class SparkSession:
 
         def make_thunk(split: int):
             def thunk(ctx):
-                rows = yield from _compute(rdd, split, ctx)
+                rows = yield from materialize(rdd, split, ctx)
                 if result_fn is not None:
                     return result_fn(split, rows)
                 return rows
@@ -142,11 +142,3 @@ class SparkSession:
     def now(self) -> float:
         return self.env.now
 
-
-def _compute(rdd: RDD, split: int, ctx):
-    body = rdd.compute(split, ctx)
-    if hasattr(body, "__next__"):
-        rows = yield from body
-    else:  # pragma: no cover
-        rows = body
-    return rows

@@ -106,19 +106,6 @@ class DataFrame:
 
     where = filter
 
-    def with_partitions(self, num_partitions: int) -> "DataFrame":
-        """Set the desired scan parallelism for a relation-backed frame."""
-        if self._relation is not None:
-            return DataFrame(
-                self.session,
-                self.schema,
-                relation=self._relation,
-                pushed_filters=self._pushed_filters,
-                projected=self._projected,
-                num_partitions=num_partitions,
-            )
-        return self.repartition(num_partitions)
-
     def repartition(self, num_partitions: int) -> "DataFrame":
         return DataFrame(
             self.session, self.schema, rdd=self.rdd().repartition(num_partitions)

@@ -190,7 +190,7 @@ class CachedRDD(RDD):
                     telemetry.counter("spark.cache.remote_hits").inc()
                     return block.rows()
         telemetry.counter("spark.cache.misses").inc()
-        rows = yield from _materialize(self.parent, split, ctx)
+        rows = yield from materialize(self.parent, split, ctx)
         if local is not None:
             local.put(key, rows)
         return list(rows)
@@ -221,7 +221,7 @@ class MapPartitionsRDD(RDD):
         self.fn = fn
 
     def compute(self, split: int, ctx) -> Generator:
-        rows = yield from _materialize(self.parent, split, ctx)
+        rows = yield from materialize(self.parent, split, ctx)
         return self.fn(split, rows)
 
 
@@ -233,9 +233,9 @@ class UnionRDD(RDD):
 
     def compute(self, split: int, ctx) -> Generator:
         if split < self.left.num_partitions:
-            rows = yield from _materialize(self.left, split, ctx)
+            rows = yield from materialize(self.left, split, ctx)
         else:
-            rows = yield from _materialize(
+            rows = yield from materialize(
                 self.right, split - self.left.num_partitions, ctx
             )
         return rows
@@ -258,7 +258,7 @@ class CoalescedRDD(RDD):
     def compute(self, split: int, ctx) -> Generator:
         out: List[Any] = []
         for parent_split in self.parent_splits(split):
-            rows = yield from _materialize(self.parent, parent_split, ctx)
+            rows = yield from materialize(self.parent, parent_split, ctx)
             out.extend(rows)
         return out
 
@@ -282,7 +282,7 @@ class RepartitionedRDD(RDD):
         out: List[Any] = []
         position = 0
         for parent_split in range(self.parent.num_partitions):
-            rows = yield from _materialize(self.parent, parent_split, ctx)
+            rows = yield from materialize(self.parent, parent_split, ctx)
             for row in rows:
                 if self.key_fn is not None:
                     destination = self.key_fn(row) % self.num_partitions
@@ -294,8 +294,8 @@ class RepartitionedRDD(RDD):
         return out
 
 
-def _materialize(rdd: RDD, split: int, ctx) -> Generator:
-    """Run a parent's compute, tolerating plain-value returns."""
+def materialize(rdd: RDD, split: int, ctx) -> Generator:
+    """Run ``rdd.compute`` to a list of rows, tolerating plain-value returns."""
     body = rdd.compute(split, ctx)
     if hasattr(body, "__next__"):
         rows = yield from body

@@ -163,10 +163,6 @@ class Job:
         self.cancelled = False
         self.submit_time = env.now
 
-    @property
-    def completed_count(self) -> int:
-        return sum(1 for t in self.tasks if t.completed)
-
     def cancel(self, reason: str = "job cancelled") -> None:
         """Total Spark failure: kill every live attempt, fail the job."""
         self.cancelled = True

@@ -177,8 +177,6 @@ class MetricsRegistry:
         #: interleaved processes each keep a correct ancestry chain)
         self._span_stacks: Dict[Any, List[Span]] = {}
         self._span_ids = itertools.count(1)
-        #: named utilisation series registered for the snapshot
-        self._traces: List["repro.sim.trace.UsageTrace"] = []  # noqa: F821
 
     # -- clock ---------------------------------------------------------------
     def bind(self, env: "repro.sim.Environment") -> "MetricsRegistry":  # noqa: F821
@@ -252,22 +250,6 @@ class MetricsRegistry:
                 del self._span_stacks[key]
         self.spans.append(span.record())
 
-    # -- traces --------------------------------------------------------------
-    def add_trace(self, trace: "repro.sim.trace.UsageTrace") -> None:  # noqa: F821
-        """Register a utilisation series for inclusion in snapshots."""
-        if self.enabled:
-            self._traces.append(trace)
-
-    def trace_from_log(
-        self, name: str, log, start: float, end: float, step: float
-    ) -> "repro.sim.trace.UsageTrace":  # noqa: F821
-        """Bucket a (time, value) change log and register the trace."""
-        from repro.sim.trace import UsageTrace
-
-        trace = UsageTrace.from_log(name, log, start, end, step)
-        self.add_trace(trace)
-        return trace
-
     # -- export --------------------------------------------------------------
     def snapshot(self) -> "repro.telemetry.snapshot.MetricsSnapshot":  # noqa: F821
         """Freeze the registry's current state into a MetricsSnapshot."""
@@ -281,7 +263,6 @@ class MetricsRegistry:
             gauges={n: (g.value, g.peak) for n, g in self._gauges.items()},
             histograms={n: h.summary() for n, h in self._histograms.items()},
             spans=list(self.spans),
-            traces=list(self._traces),
             kernel=kernel,
         )
 
@@ -292,4 +273,3 @@ class MetricsRegistry:
         self._histograms.clear()
         self.spans.clear()
         self._span_stacks.clear()
-        self._traces.clear()

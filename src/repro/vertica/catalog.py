@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.vertica.errors import CatalogError, SqlError
 from repro.vertica.hashring import HashRing
 from repro.vertica.sql import ast_nodes as ast
-from repro.vertica.types import SqlType
 
 
 class TableDef:
@@ -63,15 +62,6 @@ class TableDef:
 
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]
-
-    def column_types(self) -> List[SqlType]:
-        return [c.sql_type for c in self.columns]
-
-    def type_of(self, column: str) -> SqlType:
-        for column_def in self.columns:
-            if column_def.name == column:
-                return column_def.sql_type
-        raise CatalogError(f"table {self.name!r} has no column {column!r}")
 
     def has_column(self, column: str) -> bool:
         return any(c.name == column for c in self.columns)
@@ -250,9 +240,6 @@ class Catalog:
             return self.resource_pools[name.upper()]
         except KeyError:
             raise CatalogError(f"resource pool {name!r} does not exist") from None
-
-    def has_resource_pool(self, name: str) -> bool:
-        return name.upper() in self.resource_pools
 
     # -- system tables ---------------------------------------------------------------
     def is_system_table(self, name: str) -> bool:

@@ -226,16 +226,3 @@ class VerticaDatabase:
             from repro.vertica.errors import LockContention
 
             raise LockContention(table.upper(), holder, -1)
-
-    # -- convenience -----------------------------------------------------------------
-    def table_row_count(self, table: str) -> int:
-        """Committed live row count (one logical copy) at the latest epoch."""
-        table_def = self.catalog.table(table)
-        epoch = self.epochs.current
-        if table_def.unsegmented:
-            first = self.storage[self.node_names[0]]
-            return first.live_row_count(table_def.name, epoch)
-        return sum(
-            self.storage[node].live_row_count(table_def.name, epoch)
-            for node in self.node_names
-        )

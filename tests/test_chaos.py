@@ -435,7 +435,7 @@ class TestTransactionLockRelease:
 class TestV2SEpochSnapshot:
     def test_scan_ignores_concurrent_s2v_append(self):
         from repro.connector.v2s import VerticaRelation
-        from repro.spark.context import _compute
+        from repro.spark.rdd import materialize
 
         fabric = chaos_fabric()
         session = fabric.vertica.db.connect()
@@ -461,7 +461,7 @@ class TestV2SEpochSnapshot:
 
         def make_thunk(split):
             def thunk(ctx):
-                rows = yield from _compute(rdd, split, ctx)
+                rows = yield from materialize(rdd, split, ctx)
                 return rows
             return thunk
 

@@ -23,24 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.vertica import VerticaDatabase
+from repro.vertica.engine import COST_COUNTERS
 from repro.vertica.plan import explain_lines
 from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.sql.parser import parse_statement
 from tests.reference_interpreter import LegacyInterpreter
 
-COST_FIELDS = [
-    "rows_scanned",
-    "node_rows_scanned",
-    "rows_aggregated",
-    "node_rows_aggregated",
-    "rows_output",
-    "node_rows_output",
-    "bytes_output",
-    "node_output_bytes",
-    "rows_written",
-    "node_rows_written",
-]
+COST_FIELDS = [name for pair in COST_COUNTERS for name in pair]
 
 
 def outcome(run):

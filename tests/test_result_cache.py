@@ -20,23 +20,19 @@ from repro.cache import ResultCache
 from repro.sim import Environment
 from repro.telemetry import MetricsRegistry
 from repro.vertica import VerticaDatabase
+from repro.vertica.engine import COST_COUNTERS, CostReport
 from repro.vertica.errors import SqlError
 from repro.wlm import AdmissionController, ResourcePool
 
 # Identical to the plan-differential matrix: any drift in these fields
 # would silently change every benchmark via the JDBC cost bridge.
-COST_FIELDS = [
-    "rows_scanned",
-    "node_rows_scanned",
-    "rows_aggregated",
-    "node_rows_aggregated",
-    "rows_output",
-    "node_rows_output",
-    "bytes_output",
-    "node_output_bytes",
-    "rows_written",
-    "node_rows_written",
-]
+COST_FIELDS = [name for pair in COST_COUNTERS for name in pair]
+#: CostReport attributes a cache hit does not replay, and why
+NOT_REPLAYED = {
+    "queue_wait_seconds": "this execution's own admission wait",
+    "resource_pool": "this execution's own pool",
+    "cache_hit": "set by the hit itself",
+}
 
 QUERY = "SELECT grp, COUNT(*), SUM(v) FROM metrics GROUP BY grp ORDER BY grp"
 
@@ -66,6 +62,22 @@ def assert_same_result(warm, cold):
     assert warm.rows == cold.rows
     for field in COST_FIELDS:
         assert getattr(warm.cost, field) == getattr(cold.cost, field), field
+
+
+def test_cost_report_fields_are_declared():
+    """A counter added to CostReport but not to COST_COUNTERS would be
+    charged cold and silently dropped warm; its author must declare it
+    (replayed on a hit) or exempt it here with the reason."""
+    assert set(vars(CostReport())) == set(COST_FIELDS) | set(NOT_REPLAYED)
+    report = CostReport()
+    report.output("n1", 8.0, rows=2)
+    report.scanned("n1", 3)
+    report.aggregated("n2", 3)
+    report.wrote("n2")
+    replayed = CostReport()
+    replayed.replay(report.snapshot())
+    assert {f: getattr(replayed, f) for f in COST_FIELDS} == {
+        f: getattr(report, f) for f in COST_FIELDS}
 
 
 class TestHitPath:

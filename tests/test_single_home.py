@@ -1,0 +1,58 @@
+"""Guards for "one home per rule": where a cost knob may be read, and
+which way the packages may import each other."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: the knobs behind VerticaCostModel.encode_seconds / load_seconds
+ENCODE_LOAD_KNOBS = {
+    "encode_cpu_per_row", "encode_cpu_per_byte", "columnar_encode_cpu_factor",
+    "load_cpu_per_row", "load_cpu_per_byte", "columnar_load_cpu_factor",
+}
+#: the system proper; baselines and the bench harness sit on top of it
+CORE_PACKAGES = ("sim", "hdfs", "vertica", "spark", "connector", "cache", "wlm")
+
+
+def modules(*packages):
+    """(path, AST) of every module under the named packages (default: all)."""
+    for package in packages or ("",):
+        for path in sorted((SRC / "repro" / package).rglob("*.py")):
+            yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def test_encode_and_load_knobs_are_read_only_by_the_cost_model():
+    """Every transport prices encode and COPY-parse CPU through the cost
+    model's methods; a second copy of either formula is how the two-stage
+    writer came to charge no encode CPU at all.  (Constructor keywords,
+    as in ``bench/fabric.py``, are writes and do not count.)"""
+    readers = {
+        f"{name}:{node.lineno}"
+        for name, tree in modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ENCODE_LOAD_KNOBS
+        and isinstance(node.ctx, ast.Load)
+        and name != "repro/connector/costmodel.py"
+    }
+    assert readers == set()
+
+
+def test_core_packages_import_neither_baselines_nor_bench():
+    """The comparison points and the harness depend on the system, never
+    the other way round (``SimHdfsCluster`` lives in ``repro.hdfs`` so the
+    staged transport can name its filesystem's type)."""
+    offenders = []
+    for name, tree in modules(*CORE_PACKAGES):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{name}:{node.lineno}" for module in imported
+                if module.startswith(("repro.baselines", "repro.bench"))
+            ]
+    assert offenders == []

@@ -412,6 +412,28 @@ class TestBridgeAdmission:
         # fabric installs an enabled registry
         assert snapshot.counters.get("wlm.admissions", 0) == 0
 
+    def test_profile_is_admitted_like_the_query_it_runs(self, env):
+        """PROFILE executes the whole query, so it takes a slot too; EXPLAIN
+        executes nothing and does not."""
+        cluster = self._cluster(env)
+        results = {}
+
+        def statement(sql, delay):
+            yield env.timeout(delay)
+            with cluster.connect("node0001") as conn:
+                results[sql.split()[0]] = yield from conn.execute(sql)
+
+        # the SELECT holds the only slot when the other two arrive
+        env.process(statement("SELECT * FROM t", 0.0))
+        env.process(statement("EXPLAIN SELECT * FROM t", 0.1))
+        env.process(statement("PROFILE SELECT * FROM t", 0.1))
+        env.run()
+        assert results["EXPLAIN"].cost.queue_wait_seconds == 0.0
+        profile = results["PROFILE"].cost
+        assert profile.queue_wait_seconds > 0
+        assert profile.resource_pool == GENERAL
+        assert cluster.wlm.leaked() == {}
+
     def test_telemetry_counts_admissions(self):
         env = Environment()
         telemetry.install(telemetry.MetricsRegistry(enabled=True).bind(env))
