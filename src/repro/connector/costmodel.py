@@ -96,7 +96,17 @@ class VerticaCostModel:
         return 9
 
     def jdbc_row_bytes(self, row: Sequence[Any]) -> int:
-        return sum(self.jdbc_value_bytes(v) for v in row)
+        """:meth:`jdbc_value_bytes` summed over one result row.
+
+        The fixed widths are one type-keyed lookup per value; only
+        strings (measured) and foreign types are asked one by one.
+        """
+        fixed = {
+            type(None): 1, bool: self.jdbc_bool_bytes,
+            float: self.jdbc_float_bytes, int: self.jdbc_int_bytes,
+        }.get
+        value_bytes = self.jdbc_value_bytes
+        return sum([fixed(type(v)) or value_bytes(v) for v in row])
 
     # -- the cost rules every transport shares -----------------------------------
     @staticmethod

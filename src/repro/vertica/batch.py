@@ -7,8 +7,8 @@ exact.  ``Engine.scan`` yields them straight off the ROS column lists,
 every physical operator exchanges them, and ``execute_select`` turns the
 last ones into result tuples; nothing in between builds a per-row object.
 Alias-qualified column names (``P.ID``) share the *same* list objects as
-their plain twins.  :class:`RowView` is the single adapter from a batch
-row to the ``Mapping`` that ``Expression.evaluate`` consumes.
+their plain twins.  Expressions read a batch through their kernels
+(:mod:`repro.vertica.kernels`), a column at a time.
 
 This module imports nothing from the engine or the plan package, so both
 may import it at their top.
@@ -16,8 +16,7 @@ may import it at their top.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: most rows an operator puts in one batch
 BATCH_ROWS = 1024
@@ -73,21 +72,3 @@ class ColumnBatch:
             return [()] * len(self.nodes)
         return list(zip(*self.columns))
 
-
-class RowView(Mapping):
-    """One batch row as the Mapping the expression evaluator expects."""
-
-    __slots__ = ("batch", "row")
-
-    def __init__(self, batch: ColumnBatch, row: int):
-        self.batch = batch
-        self.row = row
-
-    def __getitem__(self, key: str) -> Any:
-        return self.batch.columns[self.batch.index[key]][self.row]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.batch.index)  # each name once, like a dict's keys
-
-    def __len__(self) -> int:
-        return len(self.batch.index)

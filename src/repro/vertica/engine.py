@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
-from repro.vertica.batch import ColumnBatch, RowView, gather, transpose
+from repro.vertica.batch import ColumnBatch, gather, transpose
 from repro.vertica.errors import CatalogError, SqlError, TypeMismatchError
 from repro.vertica.expr import (
     Between,
@@ -39,8 +39,10 @@ from repro.vertica.expr import (
     Expression,
     FunctionCall,
     Literal,
+    split_and,
 )
 from repro.vertica.hashring import HASH_SPACE, vertica_hash
+from repro.vertica.kernels import evaluate_columns
 from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.storage import RosContainer, WosBuffer
@@ -211,6 +213,11 @@ def _value_widths(values: Sequence[Any]) -> Union[int, List[int]]:
         return 8
     if types <= {bool, type(None)}:
         return 1
+    if types == {str}:
+        return [
+            len(value) if value.isascii() else len(value.encode("utf-8"))
+            for value in values
+        ]
     return [_value_bytes(value) for value in values]
 
 
@@ -226,17 +233,9 @@ def extract_hash_range(
     hash_range = HashRange()
     if where is None or not segmentation_columns:
         return hash_range
-    for conjunct in _conjuncts(where):
+    for conjunct in split_and(where):
         _tighten(conjunct, list(segmentation_columns), hash_range)
     return hash_range
-
-
-def _conjuncts(expression: Expression) -> Iterator[Expression]:
-    if isinstance(expression, BinaryOp) and expression.op == "AND":
-        yield from _conjuncts(expression.left)
-        yield from _conjuncts(expression.right)
-    else:
-        yield expression
 
 
 def _is_seg_hash(expression: Expression, seg_cols: List[str]) -> bool:
@@ -819,13 +818,12 @@ class Engine:
         updated: List[List[Any]] = [[] for __ in table.columns]
         count = 0
         for batch in batches:
-            # Row by row, assignments in order: the first error raised is
-            # the one the row-at-a-time UPDATE raised.
-            assigned: List[List[Any]] = [[] for __ in assignments]
-            for i in range(batch.num_rows):
-                row = RowView(batch, i)
-                for values, (__, expression) in zip(assigned, assignments):
-                    values.append(expression.evaluate(row))
+            # One column per assignment; should one raise, the batch is
+            # redone row by row, assignments in order, so the first error
+            # is the one the row-at-a-time UPDATE raised.
+            assigned = evaluate_columns(
+                [expression for __, expression in assignments], batch
+            )
             new_columns = dict(zip(batch.names, batch.columns))
             new_columns.update(
                 (column, values) for (column, __), values in zip(assignments, assigned)

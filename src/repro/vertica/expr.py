@@ -1,9 +1,14 @@
 """SQL expression AST and evaluator.
 
-Expressions are evaluated row-wise against a mapping of column name →
-value.  SQL three-valued logic is implemented faithfully: comparisons and
-arithmetic with NULL yield NULL, AND/OR follow Kleene logic, and WHERE
-keeps a row only when its predicate is strictly ``True``.
+An interior node names its operand expressions (``children``) and the
+scalar rule that combines their values (``apply``).  ``evaluate`` is that
+rule over the children evaluated against one row — a mapping of column
+name → value — and is the reference semantics; the batch kernels of
+:mod:`repro.vertica.kernels` are the same rule over whole columns.  SQL
+three-valued logic is implemented faithfully: comparisons and arithmetic
+with NULL yield NULL, AND/OR follow Kleene logic (and evaluate both
+sides), and WHERE keeps a row only when its predicate is strictly
+``True``.
 
 The builtin function table includes ``HASH`` (Vertica's segmentation hash,
 the basis of the connector's locality-aware queries) and
@@ -14,24 +19,54 @@ loads of views and unsegmented tables).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+import operator
+import re
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 from repro.vertica.errors import SqlError
 from repro.vertica.hashring import vertica_hash
 
-#: what an expression evaluates against: a dict, or a batch row's ``RowView``
+#: what an expression evaluates against
 Row = Mapping[str, Any]
 
 
 class Expression:
     """Base class for all expression nodes."""
 
-    def evaluate(self, row: Row) -> Any:
+    #: this node's batch kernel, compiled on first use and kept with the
+    #: node (so with the cached plan) by ``repro.vertica.kernels.kernel_of``
+    kernel: Optional[Callable[[Any], List[Any]]] = None
+
+    def children(self) -> Sequence["Expression"]:
+        """The operand expressions, in evaluation order (leaves: none)."""
+        return ()
+
+    def with_children(self, children: Sequence["Expression"]) -> "Expression":
+        """This node over other operands (as many as :meth:`children`)."""
+        return self
+
+    def apply(self, *values: Any) -> Any:
+        """The node's value given its children's values."""
         raise NotImplementedError
+
+    def evaluate(self, row: Row) -> Any:
+        return self.apply(*[child.evaluate(row) for child in self.children()])
 
     def columns(self) -> List[str]:
         """Column names referenced by this expression (with duplicates)."""
-        return []
+        out: List[str] = []
+        for child in self.children():
+            out.extend(child.columns())
+        return out
 
     def sql(self) -> str:
         """Render back to SQL text (used for pushdown round-trips)."""
@@ -114,24 +149,32 @@ def _mod(a: Any, b: Any) -> Any:
     return a - b * quotient
 
 
-_ARITHMETIC = {
-    "+": _null_if_any_null(lambda a, b: a + b),
-    "-": _null_if_any_null(lambda a, b: a - b),
-    "*": _null_if_any_null(lambda a, b: a * b),
-    "/": _null_if_any_null(_div),
-    "%": _null_if_any_null(_mod),
-    "||": _null_if_any_null(lambda a, b: str(a) + str(b)),
+_COMPARISON: Dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+#: every binary operator but AND/OR, as a function of two non-NULL values
+#: (a NULL on either side is NULL before the function is consulted)
+OPERATORS: Dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "%": _mod,
+    "||": lambda a, b: str(a) + str(b),
+    **_COMPARISON,
 }
 
-_COMPARISON = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+
+def _cannot_compare(left: Any, right: Any) -> SqlError:
+    return SqlError(
+        f"cannot compare {type(left).__name__} with {type(right).__name__}"
+    )
 
 
 class BinaryOp(Expression):
@@ -140,39 +183,42 @@ class BinaryOp(Expression):
         self.left = left
         self.right = right
 
-    def evaluate(self, row: Row) -> Any:
-        op = self.op
-        if op == "AND":
-            return _kleene_and(self.left.evaluate(row), self.right.evaluate(row))
-        if op == "OR":
-            return _kleene_or(self.left.evaluate(row), self.right.evaluate(row))
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if op in _ARITHMETIC:
-            try:
-                return _ARITHMETIC[op](left, right)
-            except TypeError:
-                raise SqlError(
-                    f"invalid operands to {op!r}: {type(left).__name__} "
-                    f"and {type(right).__name__}"
-                ) from None
-        if op in _COMPARISON:
-            if left is None or right is None:
-                return None
-            try:
-                return _COMPARISON[op](left, right)
-            except TypeError:
-                raise SqlError(
-                    f"cannot compare {type(left).__name__} with "
-                    f"{type(right).__name__}"
-                ) from None
-        raise SqlError(f"unknown operator {op!r}")  # pragma: no cover
+    def children(self) -> Sequence[Expression]:
+        return (self.left, self.right)
 
-    def columns(self) -> List[str]:
-        return self.left.columns() + self.right.columns()
+    def with_children(self, children: Sequence[Expression]) -> Expression:
+        return BinaryOp(self.op, *children)
+
+    def apply(self, *values: Any) -> Any:
+        op = self.op
+        left, right = values
+        if op == "AND":
+            return _kleene_and(left, right)
+        if op == "OR":
+            return _kleene_or(left, right)
+        if op not in OPERATORS:
+            raise SqlError(f"unknown operator {op!r}")  # pragma: no cover
+        if left is None or right is None:
+            return None
+        try:
+            return OPERATORS[op](left, right)
+        except TypeError:
+            if op in _COMPARISON:
+                raise _cannot_compare(left, right) from None
+            raise SqlError(
+                f"invalid operands to {op!r}: {type(left).__name__} "
+                f"and {type(right).__name__}"
+            ) from None
 
     def sql(self) -> str:
         return f"({self.left.sql()} {self.op} {self.right.sql()})"
+
+
+def split_and(expression: Expression) -> List[Expression]:
+    """The operands of a (nested) top-level AND, left to right."""
+    if isinstance(expression, BinaryOp) and expression.op == "AND":
+        return split_and(expression.left) + split_and(expression.right)
+    return [expression]
 
 
 def _kleene_and(a: Any, b: Any) -> Any:
@@ -198,16 +244,24 @@ class UnaryOp(Expression):
         self.op = op
         self.operand = operand
 
-    def evaluate(self, row: Row) -> Any:
-        value = self.operand.evaluate(row)
+    def children(self) -> Sequence[Expression]:
+        return (self.operand,)
+
+    def with_children(self, children: Sequence[Expression]) -> Expression:
+        return UnaryOp(self.op, children[0])
+
+    def apply(self, *values: Any) -> Any:
+        (value,) = values
         if value is None:
             return None
         if self.op == "NOT":
             return not value
-        return -value if self.op == "-" else +value
-
-    def columns(self) -> List[str]:
-        return self.operand.columns()
+        try:
+            return -value if self.op == "-" else +value
+        except TypeError:
+            raise SqlError(
+                f"invalid operands to {self.op!r}: {type(value).__name__}"
+            ) from None
 
     def sql(self) -> str:
         if self.op == "NOT":
@@ -220,12 +274,14 @@ class IsNull(Expression):
         self.operand = operand
         self.negated = negated
 
-    def evaluate(self, row: Row) -> bool:
-        is_null = self.operand.evaluate(row) is None
-        return not is_null if self.negated else is_null
+    def children(self) -> Sequence[Expression]:
+        return (self.operand,)
 
-    def columns(self) -> List[str]:
-        return self.operand.columns()
+    def with_children(self, children: Sequence[Expression]) -> Expression:
+        return IsNull(children[0], self.negated)
+
+    def apply(self, *values: Any) -> Any:
+        return (values[0] is None) != self.negated
 
     def sql(self) -> str:
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
@@ -239,30 +295,33 @@ class InList(Expression):
         self.options = list(options)
         self.negated = negated
 
-    def evaluate(self, row: Row) -> Any:
-        value = self.operand.evaluate(row)
+    def children(self) -> Sequence[Expression]:
+        return [self.operand] + self.options
+
+    def with_children(self, children: Sequence[Expression]) -> Expression:
+        return InList(children[0], children[1:], self.negated)
+
+    def _member(self, value: Any, candidates: Iterable[Any]) -> Any:
         if value is None:
             return None
-        found = False
         saw_null = False
-        for option in self.options:
-            candidate = option.evaluate(row)
+        for candidate in candidates:
             if candidate is None:
                 saw_null = True
             elif candidate == value:
-                found = True
-                break
-        if found:
-            return not self.negated
-        if saw_null:
-            return None
-        return self.negated
+                return not self.negated
+        return None if saw_null else self.negated
 
-    def columns(self) -> List[str]:
-        out = self.operand.columns()
-        for option in self.options:
-            out.extend(option.columns())
-        return out
+    def apply(self, *values: Any) -> Any:
+        return self._member(values[0], values[1:])
+
+    def evaluate(self, row: Row) -> Any:
+        # Lazier than ``apply``: no option is evaluated for a NULL operand,
+        # nor any option after the first match.
+        return self._member(
+            self.operand.evaluate(row),
+            (option.evaluate(row) for option in self.options),
+        )
 
     def sql(self) -> str:
         options = ", ".join(o.sql() for o in self.options)
@@ -276,16 +335,24 @@ class Between(Expression):
         self.low = low
         self.high = high
 
-    def evaluate(self, row: Row) -> Any:
-        value = self.operand.evaluate(row)
-        low = self.low.evaluate(row)
-        high = self.high.evaluate(row)
+    def children(self) -> Sequence[Expression]:
+        return (self.operand, self.low, self.high)
+
+    def with_children(self, children: Sequence[Expression]) -> Expression:
+        return Between(*children)
+
+    def apply(self, *values: Any) -> Any:
+        value, low, high = values
         if value is None or low is None or high is None:
             return None
-        return low <= value <= high
-
-    def columns(self) -> List[str]:
-        return self.operand.columns() + self.low.columns() + self.high.columns()
+        # low <= value <= high, naming the pair that cannot be compared
+        for left, right in ((low, value), (value, high)):
+            try:
+                if not left <= right:
+                    return False
+            except TypeError:
+                raise _cannot_compare(left, right) from None
+        return True
 
     def sql(self) -> str:
         return f"({self.operand.sql()} BETWEEN {self.low.sql()} AND {self.high.sql()})"
@@ -301,9 +368,7 @@ class Like(Expression):
         self._regex = self._compile(pattern)
 
     @staticmethod
-    def _compile(pattern: str):
-        import re
-
+    def _compile(pattern: str) -> "re.Pattern[str]":
         out = []
         for char in pattern:
             if char == "%":
@@ -314,15 +379,17 @@ class Like(Expression):
                 out.append(re.escape(char))
         return re.compile("^" + "".join(out) + "$", re.DOTALL)
 
-    def evaluate(self, row: Row) -> Any:
-        value = self.operand.evaluate(row)
+    def children(self) -> Sequence[Expression]:
+        return (self.operand,)
+
+    def with_children(self, children: Sequence[Expression]) -> Expression:
+        return Like(children[0], self.pattern, self.negated)
+
+    def apply(self, *values: Any) -> Any:
+        (value,) = values
         if value is None:
             return None
-        matched = bool(self._regex.match(str(value)))
-        return not matched if self.negated else matched
-
-    def columns(self) -> List[str]:
-        return self.operand.columns()
+        return bool(self._regex.match(str(value))) != self.negated
 
     def sql(self) -> str:
         keyword = "NOT LIKE" if self.negated else "LIKE"
@@ -330,12 +397,9 @@ class Like(Expression):
         return f"({self.operand.sql()} {keyword} '{escaped}')"
 
 
-def _builtin_hash(*values: Any) -> int:
-    return vertica_hash(*values)
-
-
-_BUILTINS: Dict[str, Callable[..., Any]] = {
-    "HASH": _builtin_hash,
+#: the scalar builtins (``SYNTHETIC_HASH`` reads the row, not arguments)
+BUILTINS: Dict[str, Callable[..., Any]] = {
+    "HASH": vertica_hash,
     "ABS": _null_if_any_null(abs),
     "MOD": _null_if_any_null(_mod),
     "LENGTH": _null_if_any_null(lambda s: len(str(s))),
@@ -359,27 +423,53 @@ class FunctionCall(Expression):
     def __init__(self, name: str, args: Sequence[Expression]):
         self.name = name.upper()
         self.args = list(args)
-        if self.name != "SYNTHETIC_HASH" and self.name not in _BUILTINS:
+        if self.name != "SYNTHETIC_HASH" and self.name not in BUILTINS:
             raise SqlError(f"unknown function {name!r}")
+
+    def children(self) -> Sequence[Expression]:
+        return self.args
+
+    def with_children(self, children: Sequence[Expression]) -> Expression:
+        return FunctionCall(self.name, children)
+
+    def apply(self, *values: Any) -> Any:
+        try:
+            return BUILTINS[self.name](*values)
+        except (TypeError, ValueError) as exc:
+            raise SqlError(f"error in {self.name}(): {exc}") from exc
 
     def evaluate(self, row: Row) -> Any:
         if self.name == "SYNTHETIC_HASH":
             values = [row[key] for key in sorted(row)]
             return vertica_hash(*values) if values else 0
-        values = [arg.evaluate(row) for arg in self.args]
-        try:
-            return _BUILTINS[self.name](*values)
-        except (TypeError, ValueError) as exc:
-            raise SqlError(f"error in {self.name}(): {exc}") from exc
-
-    def columns(self) -> List[str]:
-        out: List[str] = []
-        for arg in self.args:
-            out.extend(arg.columns())
-        return out
+        return super().evaluate(row)
 
     def sql(self) -> str:
         return f"{self.name}({', '.join(a.sql() for a in self.args)})"
+
+
+class UdxCall(Expression):
+    """A resolved scalar UDx over its argument expressions.
+
+    Built by the projection at run time (the registry lookup is part of
+    execution), never by the parser.  A UDx is foreign code: it may raise
+    anything.
+    """
+
+    def __init__(self, function: Callable[[List[Any], Dict[str, Any]], Any],
+                 args: Sequence[Expression], parameters: Dict[str, Any]):
+        self.function = function
+        self.args = list(args)
+        self.parameters = parameters
+
+    def children(self) -> Sequence[Expression]:
+        return self.args
+
+    def with_children(self, children: Sequence[Expression]) -> Expression:
+        return UdxCall(self.function, children, self.parameters)
+
+    def apply(self, *values: Any) -> Any:
+        return self.function(list(values), self.parameters)
 
 
 def predicate_holds(expression: Optional[Expression], row: Row) -> bool:

@@ -44,8 +44,8 @@ from repro.vertica.expr import (
     IsNull,
     Like,
     Literal,
-    Star,
     UnaryOp,
+    split_and,
 )
 from repro.vertica.plan import logical
 from repro.vertica.plan.logical import LogicalPlan, TableScan
@@ -89,48 +89,15 @@ def optimize(plan: LogicalPlan, database, context: PlanContext) -> LogicalPlan:
 # ---------------------------------------------------------------- folding
 def fold_expression(expr: Expression) -> Tuple[Expression, bool]:
     """Fold literal-only subtrees; returns (new expression, changed?)."""
-    if isinstance(expr, (Literal, ColumnRef, Star)):
-        return expr, False
-    if isinstance(expr, BinaryOp):
-        left, lc = fold_expression(expr.left)
-        right, rc = fold_expression(expr.right)
-        node = BinaryOp(expr.op, left, right) if (lc or rc) else expr
-        return _try_fold(node, [left, right], lc or rc)
-    if isinstance(expr, UnaryOp):
-        operand, changed = fold_expression(expr.operand)
-        node = UnaryOp(expr.op, operand) if changed else expr
-        return _try_fold(node, [operand], changed)
-    if isinstance(expr, IsNull):
-        operand, changed = fold_expression(expr.operand)
-        node = IsNull(operand, expr.negated) if changed else expr
-        return _try_fold(node, [operand], changed)
-    if isinstance(expr, Between):
-        operand, oc = fold_expression(expr.operand)
-        low, lc = fold_expression(expr.low)
-        high, hc = fold_expression(expr.high)
-        changed = oc or lc or hc
-        node = Between(operand, low, high) if changed else expr
-        return _try_fold(node, [operand, low, high], changed)
-    if isinstance(expr, InList):
-        operand, oc = fold_expression(expr.operand)
-        folded = [fold_expression(o) for o in expr.options]
-        changed = oc or any(c for __, c in folded)
-        options = [o for o, __ in folded]
-        node = InList(operand, options, expr.negated) if changed else expr
-        return _try_fold(node, [operand] + options, changed)
-    if isinstance(expr, Like):
-        operand, changed = fold_expression(expr.operand)
-        node = Like(operand, expr.pattern, expr.negated) if changed else expr
-        return _try_fold(node, [operand], changed)
-    if isinstance(expr, FunctionCall):
-        if expr.name == "SYNTHETIC_HASH":
-            return expr, False  # observes the whole row; never foldable
-        folded = [fold_expression(a) for a in expr.args]
-        changed = any(c for __, c in folded)
-        args = [a for a, __ in folded]
-        node = FunctionCall(expr.name, args) if changed else expr
-        return _try_fold(node, args, changed)
-    return expr, False
+    if isinstance(expr, FunctionCall) and expr.name == "SYNTHETIC_HASH":
+        return expr, False  # observes the whole row; never foldable
+    if not expr.children() and not isinstance(expr, FunctionCall):
+        return expr, False  # a leaf (a call of no arguments still folds)
+    folded = [fold_expression(child) for child in expr.children()]
+    changed = any(c for __, c in folded)
+    children = [child for child, __ in folded]
+    node = expr.with_children(children) if changed else expr
+    return _try_fold(node, children, changed)
 
 
 def _try_fold(
@@ -248,12 +215,6 @@ def _push_predicate(plan: LogicalPlan) -> bool:
         elif isinstance(child, logical.Join):
             changed |= _push_below_join(plan, node, child)
     return changed
-
-
-def _split_and(expr: Expression) -> List[Expression]:
-    if isinstance(expr, BinaryOp) and expr.op == "AND":
-        return _split_and(expr.left) + _split_and(expr.right)
-    return [expr]
 
 
 def _rebuild_and(parts: List[Expression]) -> Expression:
@@ -432,7 +393,7 @@ def _push_below_join(
             stack.extend(node.children())
     if not all(_never_raises(c, types) for c in conditions):
         return False
-    conjuncts = _split_and(filter_node.predicate)
+    conjuncts = split_and(filter_node.predicate)
     if not all(_never_raises(c, types) for c in conjuncts):
         return False
     residual: List[Expression] = []
@@ -473,28 +434,10 @@ def _splice_out(plan: LogicalPlan, node, replacement) -> None:
 
 
 # --------------------------------------------------------------- pruning
-def _contains_synthetic_hash(expr: Optional[Expression]) -> bool:
-    if expr is None:
-        return False
-    if isinstance(expr, FunctionCall):
-        if expr.name == "SYNTHETIC_HASH":
-            return True
-        return any(_contains_synthetic_hash(a) for a in expr.args)
-    if isinstance(expr, BinaryOp):
-        return _contains_synthetic_hash(expr.left) or _contains_synthetic_hash(
-            expr.right
-        )
-    if isinstance(expr, (UnaryOp, IsNull, Like)):
-        return _contains_synthetic_hash(expr.operand)
-    if isinstance(expr, Between):
-        return any(
-            _contains_synthetic_hash(e) for e in (expr.operand, expr.low, expr.high)
-        )
-    if isinstance(expr, InList):
-        return _contains_synthetic_hash(expr.operand) or any(
-            _contains_synthetic_hash(o) for o in expr.options
-        )
-    return False
+def _contains_synthetic_hash(expr: Expression) -> bool:
+    if isinstance(expr, FunctionCall) and expr.name == "SYNTHETIC_HASH":
+        return True
+    return any(_contains_synthetic_hash(child) for child in expr.children())
 
 
 def _all_expressions(plan: LogicalPlan) -> List[Expression]:
@@ -663,7 +606,7 @@ def _equi_key_pairs(join: logical.Join) -> List[Tuple[str, str]]:
         return _merge_side(name, left_names, right_names)
 
     pairs: List[Tuple[str, str]] = []
-    for conjunct in _split_and(join.condition):
+    for conjunct in split_and(join.condition):
         if not (
             isinstance(conjunct, BinaryOp)
             and conjunct.op == "="
@@ -933,7 +876,7 @@ def _reorder_chain(
     conjuncts: List[Expression] = []
     node: logical.LogicalNode = root
     while isinstance(node, logical.Join):
-        conjuncts[:0] = _split_and(node.condition)
+        conjuncts[:0] = split_and(node.condition)
         node = node.left
     # Re-placing a conjunct means it filters pairs *earlier* than the
     # legacy eager evaluation would have reached; only provably

@@ -6,8 +6,9 @@ representation here: ``TableScanOp`` fills batches from the column
 slices ``Engine.scan`` yields, joins and sorts concatenate their inputs
 column-wise and *gather by index* (``(left, right)`` pair lists, an
 argsort), and filters compact by a keep-vector.  No operator builds a
-per-row dict or tuple; :class:`~repro.vertica.batch.RowView` is the one
-adapter that lets ``Expression.evaluate`` read a batch row in place.
+per-row dict or tuple, and none walks an expression per row: predicates,
+join conditions, select items, group keys, aggregate arguments and sort
+keys are each one :mod:`~repro.vertica.kernels` call per batch.
 
 Fidelity notes (the differential suite enforces these):
 
@@ -16,7 +17,8 @@ Fidelity notes (the differential suite enforces these):
   LIMIT, and ``CostReport`` must stay byte-identical.
 - ``ProjectOp``/``AggregateOp`` materialize their input before
   evaluating, so evaluation errors and UDx resolution surface in the
-  legacy order (scan errors first, then projection errors row-major).
+  legacy order (scan errors first, then projection errors row-major,
+  aggregate errors group-major — the kernels' whole-batch fallback).
 - Aggregate output rows are attributed to the initiator, and the
   HAVING-bypassing "aggregate over empty input still returns one row"
   fallback is preserved bug-for-bug.
@@ -33,13 +35,26 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.ordering import null_last_key
-from repro.vertica.batch import BATCH_ROWS, ColumnBatch, RowView, gather
+from repro.vertica.batch import BATCH_ROWS, ColumnBatch, gather
 from repro.vertica.engine import CostReport, _value_widths
 from repro.vertica.errors import SqlError
-from repro.vertica.expr import ColumnRef, Expression, predicate_holds
+from repro.vertica.expr import Expression, UdxCall, predicate_holds
+from repro.vertica.kernels import column_reader, evaluate_columns
 from repro.vertica.plan import logical
 from repro.vertica.plan.adaptive import AdaptiveContext
 from repro.vertica.settings import PlanContext
@@ -140,11 +155,8 @@ def _concat(batches: List[ColumnBatch]) -> ColumnBatch:
 
 def _matching(batch: ColumnBatch, predicate: Expression) -> List[int]:
     """Indices of the rows whose ``predicate`` is strictly True, in order."""
-    return [
-        i
-        for i in range(batch.num_rows)
-        if predicate.evaluate(RowView(batch, i)) is True
-    ]
+    (values,) = evaluate_columns([predicate], batch)
+    return [i for i, value in enumerate(values) if value is True]
 
 
 def _apply_predicate(
@@ -623,14 +635,18 @@ class HashJoinOp(JoinOp):
         restore = self.logical.restore_order
         if restore is None:
             pairs.sort()  # the nested loop's left-major output order
-        else:
+        elif pairs:
             # Chain root: sort back into the binder's lexicographic order —
             # exactly the (a, b, c, ...) enumeration the legacy nested loops
-            # over the original FROM order would have produced.
-            columns = [sources[alias] for alias in restore]
-            pairs.sort(
-                key=lambda pair: tuple(col[pair[slot]] for slot, col in columns)
-            )
+            # over the original FROM order would have produced.  One gather
+            # per relation, then an argsort over the zipped index columns.
+            picks = tuple(zip(*pairs))  # (left indices, right indices)
+            keys = list(zip(*(
+                [column[i] for i in picks[slot]]
+                for slot, column in (sources[alias] for alias in restore)
+            )))
+            order = sorted(range(len(pairs)), key=keys.__getitem__)
+            pairs = [pairs[i] for i in order]
         return pairs
 
 
@@ -670,9 +686,9 @@ class FilterOp(PhysicalOperator):
 class ProjectOp(PhysicalOperator):
     """Select-list evaluation; charges per-row output bytes to nodes.
 
-    Plain column references and ``*`` expansion copy column lists by
-    reference (the columnar fast path); remaining expressions evaluate
-    row-major across items, preserving the legacy error order.
+    ``*`` expansion and plain column references hand the input's column
+    lists on by reference; every other item (a resolved UDx included) is
+    one kernel call per batch.
     """
 
     kind = "project"
@@ -697,58 +713,31 @@ class ProjectOp(PhysicalOperator):
         # resolution and projection errors, as in the legacy interpreter.
         batches = list(self.child.batches())
         self.stats.rows_in = sum(b.num_rows for b in batches)
-        plan: List[Tuple[str, Any]] = []  # (kind, payload)
+        #: per output column: a ``*``-expanded column name, or an expression
+        plan: List[Union[str, Expression]] = []
         for item in node.items:
             if item.star:
-                for column in node.source_columns:
-                    plan.append(("column", column))
+                plan.extend(node.source_columns)
             elif item.udf:
-                function = self.db.udx.lookup(item.udf)
-                plan.append(("udf", (function, item)))
-            elif (
-                isinstance(item.expression, ColumnRef)
-            ):
-                plan.append(("ref", item.expression))
-            else:
-                plan.append(("expr", item.expression))
+                plan.append(UdxCall(
+                    self.db.udx.lookup(item.udf), item.udf_args, item.parameters
+                ))
+            elif item.expression is not None:
+                plan.append(item.expression)
+        expressions = [entry for entry in plan if isinstance(entry, Expression)]
+        names = list(node.output_columns)
         for batch in batches:
-            yield self._project_batch(batch, plan)
-
-    def _project_batch(
-        self, batch: ColumnBatch, plan: List[Tuple[str, Any]]
-    ) -> ColumnBatch:
-        n = batch.num_rows
-        out_columns: List[List[Any]] = []
-        row_major: List[Tuple[int, str, Any]] = []
-        for kind, payload in plan:
-            if kind == "column":
-                # Star expansion uses row.get(): absent columns yield NULL.
-                idx = batch.index.get(payload)
-                out_columns.append(
-                    batch.columns[idx] if idx is not None else [None] * n
-                )
-            elif kind == "ref" and payload.name in batch.index:
-                out_columns.append(batch.columns[batch.index[payload.name]])
-            else:
-                slot: List[Any] = []
-                out_columns.append(slot)
-                row_major.append((len(out_columns) - 1, kind, payload))
-        if row_major:
-            for i in range(n):
-                view = RowView(batch, i)
-                for slot_index, kind, payload in row_major:
-                    if kind == "udf":
-                        function, item = payload
-                        value = function(
-                            [a.evaluate(view) for a in item.udf_args],
-                            item.parameters,
-                        )
-                    else:  # "ref" (missing column raises) or "expr"
-                        value = payload.evaluate(view)
-                    out_columns[slot_index].append(value)
-        self._charge_output(out_columns, batch.nodes)
-        return ColumnBatch(list(self.logical.output_columns), out_columns,
-                           batch.nodes)
+            computed = dict(zip(expressions, evaluate_columns(expressions, batch)))
+            # Star expansion uses row.get(): absent columns yield NULL.
+            absent = [None] * batch.num_rows
+            out_columns = [
+                computed[entry] if isinstance(entry, Expression)
+                else batch.columns[batch.index[entry]] if entry in batch.index
+                else absent
+                for entry in plan
+            ]
+            self._charge_output(out_columns, batch.nodes)
+            yield ColumnBatch(names, out_columns, batch.nodes)
 
     def _charge_output(
         self, out_columns: List[List[Any]], nodes: List[str]
@@ -803,45 +792,38 @@ class AggregateOp(PhysicalOperator):
 
     def _run(self) -> Iterator[ColumnBatch]:
         node = self.logical
-        rows: List[Tuple[str, RowView]] = []
-        for batch in self.child.batches():
-            for i in range(batch.num_rows):
-                rows.append((batch.nodes[i], RowView(batch, i)))
-        self.stats.rows_in = len(rows)
+        batch = _concat(list(self.child.batches()))
+        self.stats.rows_in = batch.num_rows
         # Input-side charge: what the wire would have carried without
         # pushdown, per producing node (run-length batched, same totals).
-        run_node: Optional[str] = None
-        run_rows = 0
-        for producing_node, __ in rows:
-            if producing_node != run_node:
-                if run_rows:
-                    self.cost.aggregated(run_node, run_rows)
-                run_node, run_rows = producing_node, 0
-            run_rows += 1
-        if run_rows:
-            self.cost.aggregated(run_node, run_rows)
+        for producing_node, run in itertools.groupby(batch.nodes):
+            self.cost.aggregated(producing_node, len(list(run)))
 
-        groups: Dict[Tuple[Any, ...], List[RowView]] = {}
+        #: each group's row indices in ``batch``, groups in first-seen order
+        groups: Iterable[Sequence[int]] = [range(batch.num_rows)]
         if node.group_by:
-            for __, row in rows:
-                key = tuple(expr.evaluate(row) for expr in node.group_by)
-                groups.setdefault(key, []).append(row)
-        else:
-            groups[()] = [row for __, row in rows]
+            members: Dict[Tuple[Any, ...], List[int]] = defaultdict(list)
+            keys = zip(*evaluate_columns(node.group_by, batch))
+            for i, key in enumerate(keys):
+                members[key].append(i)
+            groups = members.values()
+        # Read group by group, item by item: the legacy evaluation order.
+        wanted = (
+            item.aggregate_arg if item.aggregate else item.expression
+            for item in node.items
+        )
+        read = column_reader([e for e in wanted if e is not None], batch)
 
         columns = node.output_columns
         out: List[Tuple[Any, ...]] = []
-        for key in groups:
-            group_rows = groups[key]
+        for group in groups:
             values: List[Any] = []
             for item in node.items:
                 if item.aggregate:
-                    values.append(_aggregate_value(item, group_rows))
+                    values.append(_aggregate_value(item, group, read))
                 elif item.expression is not None:
-                    if not group_rows:
-                        values.append(None)
-                    else:
-                        values.append(item.expression.evaluate(group_rows[0]))
+                    first = read(item.expression, group[:1])
+                    values.append(first[0] if first else None)
                 else:
                     raise SqlError("SELECT * cannot be combined with aggregates")
             row_tuple = tuple(values)
@@ -859,7 +841,7 @@ class AggregateOp(PhysicalOperator):
         if not node.group_by and not out:
             # Aggregates over an empty input still return one row.
             out.append(tuple(
-                _aggregate_value(item, []) if item.aggregate else None
+                _aggregate_value(item, (), read) if item.aggregate else None
                 for item in node.items
             ))
         if out:
@@ -869,14 +851,17 @@ class AggregateOp(PhysicalOperator):
             )
 
 
-def _aggregate_value(item: ast.SelectItem, group_rows: List[Any]) -> Any:
+def _aggregate_value(
+    item: ast.SelectItem,
+    group: Sequence[int],
+    read: Callable[[Expression, Sequence[int]], List[Any]],
+) -> Any:
     name = item.aggregate
     if item.aggregate_arg is None:
         if name != "COUNT":
             raise SqlError(f"{name} requires an argument")
-        return len(group_rows)
-    values = [item.aggregate_arg.evaluate(row) for row in group_rows]
-    values = [v for v in values if v is not None]
+        return len(group)
+    values = [v for v in read(item.aggregate_arg, group) if v is not None]
     if item.distinct:
         values = list(dict.fromkeys(values))
     if name == "COUNT":
@@ -916,17 +901,13 @@ class SortOp(PhysicalOperator):
         self.stats.rows_in = batch.num_rows
         if not batch.num_rows:
             return
-        keys: List[Tuple[Any, ...]] = []
-        for i in range(batch.num_rows):
-            row = RowView(batch, i)
-            key = []
-            for order in order_by:
-                try:
-                    value = order.expression.evaluate(row)
-                except SqlError:
-                    value = None
-                key.append(null_last_key(value, order.descending))
-            keys.append(tuple(key))
+        columns = evaluate_columns(
+            [order.expression for order in order_by], batch, swallow=(SqlError,)
+        )
+        keys = list(zip(*(
+            [null_last_key(value, order.descending) for value in column]
+            for column, order in zip(columns, order_by)
+        )))
         yield _compact(
             batch, sorted(range(batch.num_rows), key=keys.__getitem__)
         )

@@ -66,6 +66,28 @@ class TestLatencies:
         assert env.now == pytest.approx(0.2)
 
 
+class TestWireWidths:
+    def test_a_row_is_priced_as_the_sum_of_its_values(self):
+        # jdbc_row_bytes looks fixed widths up by type; jdbc_value_bytes is
+        # the rule.  bool before int, non-ASCII text, an int subclass, a
+        # foreign type and a zero width must all agree.
+        class Level(int):
+            pass
+
+        rows = [
+            (1, 2.5, True, None, "ab"),
+            (-7, float("inf"), False, None, "h\u00e9llo \u2603"),
+            (Level(3), 0.0, None, object(), ""),
+            (),
+        ]
+        for model in (VerticaCostModel(), VerticaCostModel(
+                jdbc_int_bytes=0, jdbc_float_bytes=7, jdbc_bool_bytes=2)):
+            for row in rows:
+                assert model.jdbc_row_bytes(row) == sum(
+                    model.jdbc_value_bytes(value) for value in row
+                )
+
+
 class TestDataCharges:
     def populate(self, cluster, rows=10):
         session = cluster.db.connect()

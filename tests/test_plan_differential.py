@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.vertica import VerticaDatabase
+from repro.vertica.batch import BATCH_ROWS
 from repro.vertica.engine import COST_COUNTERS
 from repro.vertica.plan import explain_lines
 from repro.vertica.settings import PlanContext
@@ -186,6 +187,91 @@ class TestDeterministicMatrix:
         assert got.rows == want.rows
         assert (99, "wos") in got.rows
         txn.abort()
+
+
+# ------------------------------------------------------------- error order
+@pytest.fixture(scope="module")
+def order_db():
+    """2,500 rows in scan order (one container, read whole from the
+    initiator), so row *i* sits in batch ``i // BATCH_ROWS``; each of
+    a–d is zero on exactly one row and 1 elsewhere."""
+    assert BATCH_ROWS < 2000 < 2 * BATCH_ROWS
+    database = VerticaDatabase(num_nodes=2)
+    session = database.connect()
+    session.execute(
+        "CREATE TABLE wide (id INTEGER, g INTEGER, a INTEGER, b INTEGER, "
+        "c INTEGER, d INTEGER) UNSEGMENTED ALL NODES"
+    )
+    zero_at = {"a": 2000, "b": 100, "c": 902, "d": 301}
+    session.execute(
+        "INSERT INTO wide VALUES "
+        + ", ".join(
+            f"({i}, {i % 3}, " + ", ".join(
+                str(int(i != zero_at[column])) for column in "abcd"
+            ) + ")"
+            for i in range(2500)
+        )
+    )
+    return database
+
+
+#: which of two raising items surfaces — unpinned until these rows
+ERROR_ORDER = [
+    # two projected expressions raising in different batches: row-major,
+    # so row 100's modulo beats row 2000's division
+    ("SELECT 10 / a, 10 % b FROM wide", "modulo by zero"),
+    # ... and inside one batch: row 301's division beats row 902's modulo
+    ("SELECT 10 % c, 10 / d FROM wide", "division by zero"),
+    # two aggregate arguments raising in different groups: group-major,
+    # so group 1's second item beats group 2's first
+    ("SELECT g, SUM(10 / c), SUM(10 % d) FROM wide GROUP BY g", "modulo by zero"),
+    # a raising group key beside a raising aggregate: keys come first,
+    # whatever the rows' order
+    ("SELECT 10 / a, SUM(10 % b) FROM wide GROUP BY 10 / a", "division by zero"),
+    # ... also when the aggregate would have raised in the first group
+    ("SELECT g, SUM(10 % b) FROM wide GROUP BY g, 10 / a", "division by zero"),
+    # HAVING is checked per group, before the next group's arguments
+    ("SELECT g, SUM(10 / c) AS s FROM wide GROUP BY g HAVING s > 'x'",
+     "cannot compare int with str"),
+    # an ORDER BY key that raises on some rows sorts them as NULL
+    ("SELECT id, a FROM wide WHERE id > 1995 AND id < 2005 "
+     "ORDER BY 10 / a DESC, id DESC", None),
+    ("SELECT id, c, d FROM wide ORDER BY 10 / c, 10 % d DESC, id LIMIT 3", None),
+]
+
+
+class TestErrorOrder:
+    @pytest.mark.parametrize("sql,message", ERROR_ORDER)
+    def test_first_error_is_the_oracles(self, order_db, sql, message):
+        assert_identical(order_db, sql)
+        if message is None:
+            return
+        with order_db.connect() as session:
+            assert outcome(lambda: session.execute(sql))[1:] == ("SqlError", message)
+
+    def test_update_raises_its_first_error_row_major(self, order_db):
+        # The oracle has no UPDATE; its rule is the row-at-a-time one:
+        # row by row in scan order, assignments in SET order.
+        sql = "UPDATE wide SET a = 10 / c, b = 10 % d WHERE id >= 0"
+        assignments = parse_statement(sql).assignments
+        rows = LegacyInterpreter(order_db).select(
+            parse_statement("SELECT * FROM wide"), order_db.begin(),
+            order_db.node_names[0],
+        ).to_dicts()
+
+        def row_at_a_time():
+            for row in rows:
+                for __, expression in assignments:
+                    expression.evaluate(row)
+
+        with order_db.connect() as session:
+            expected = outcome(row_at_a_time)
+            assert expected == ("err", "SqlError", "modulo by zero")
+            assert outcome(lambda: session.execute(sql)) == expected
+            # the failed statement changed nothing
+            assert session.execute(
+                "SELECT SUM(a), SUM(b) FROM wide"
+            ).rows == [(2499, 2499)]
 
 
 # ----------------------------------------------------------- hypothesis layer

@@ -56,3 +56,23 @@ def test_core_packages_import_neither_baselines_nor_bench():
                 if module.startswith(("repro.baselines", "repro.bench"))
             ]
     assert offenders == []
+
+
+def test_no_operator_evaluates_an_expression_per_row():
+    """Operators run expressions as kernels (``repro.vertica.kernels``), one
+    call per batch; the per-row walk lives on only as the kernels' error
+    path and as HAVING's ``predicate_holds``.  So the row adapter stays
+    deleted, and ``plan/physical.py`` calls no ``.evaluate(...)``."""
+    assert [
+        name for name in sorted((SRC / "repro").rglob("*.py"))
+        if "RowView" in name.read_text()
+    ] == []
+    (tree,) = [
+        tree for name, tree in modules("vertica/plan")
+        if name.endswith("plan/physical.py")
+    ]
+    assert [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "evaluate"
+    ] == []

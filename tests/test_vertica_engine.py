@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.vertica import HASH_SPACE, VerticaDatabase, vertica_hash
-from repro.vertica.engine import CostReport, HashRange, extract_hash_range
+from repro.vertica.engine import (
+    CostReport,
+    HashRange,
+    _value_bytes,
+    _value_widths,
+    extract_hash_range,
+)
 from repro.vertica.errors import CatalogError, SqlError
 from repro.vertica.sql.parser import parse_expression
 from repro.vertica.storage import RosContainer
@@ -431,6 +437,18 @@ hash_ranges = st.one_of(
     st.tuples(small_hash, small_hash).filter(lambda r: r[0] < r[1]),
     st.tuples(small_hash, st.just(HASH_SPACE)),
 )
+
+
+class TestValueWidths:
+    @pytest.mark.parametrize("values", [
+        [1, 2.5], [True, None], ["ab", "h\u00e9llo \u2603", ""], ["a", None],
+        [1, "a", None, True, 2.5], [],
+    ])
+    def test_a_column_is_sized_as_its_values_are(self, values):
+        widths = _value_widths(values)
+        if isinstance(widths, int):
+            widths = [widths] * len(values)
+        assert widths == [_value_bytes(value) for value in values]
 
 
 class TestScanSlices:

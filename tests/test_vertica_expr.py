@@ -175,3 +175,50 @@ class TestSqlRendering:
         expression = parse_expression("'it''s'")
         assert expression.evaluate({}) == "it's"
         assert parse_expression(expression.sql()).evaluate({}) == "it's"
+
+
+class TestTypeMistakesAreSqlErrors:
+    """A type mistake is the user's error at every node that can meet one,
+    not only ``BinaryOp``: never a bare Python ``TypeError``."""
+
+    ROW = {"A": 3, "N": "abc"}
+    CASES = [
+        ("-N", "invalid operands to '-': str"),
+        ("+N", r"invalid operands to '\+': str"),
+        ("A BETWEEN 'a' AND 'b'", "cannot compare str with int"),
+        ("A BETWEEN 1 AND 'b'", "cannot compare int with str"),
+    ]
+
+    @pytest.mark.parametrize("text,message", CASES)
+    def test_evaluate(self, text, message):
+        with pytest.raises(SqlError, match=message):
+            ev(text, self.ROW)
+
+    @pytest.mark.parametrize("text,message", CASES)
+    def test_through_the_kernel(self, text, message):
+        from repro.vertica.batch import ColumnBatch
+        from repro.vertica.kernels import (
+            KERNEL_ERRORS,
+            evaluate_columns,
+            kernel_of,
+        )
+
+        expression = parse_expression(text)
+        batch = ColumnBatch(["A", "N"], [[3], ["abc"]], ["node1"])
+        with pytest.raises(KERNEL_ERRORS):
+            kernel_of(expression)(batch)
+        with pytest.raises(SqlError, match=message):
+            evaluate_columns([expression], batch)
+
+    def test_through_a_session(self):
+        from repro.vertica import VerticaDatabase
+
+        session = VerticaDatabase(num_nodes=2).connect()
+        session.execute("CREATE TABLE t (a INTEGER, n VARCHAR(5))")
+        session.execute("INSERT INTO t VALUES (3, 'abc')")
+        with pytest.raises(SqlError, match="invalid operands to '-': str"):
+            session.execute("SELECT -n FROM t")
+        with pytest.raises(SqlError, match="cannot compare str with int"):
+            session.execute("SELECT a FROM t WHERE a BETWEEN 'a' AND 'b'")
+        # the second comparison is reached only when the first holds
+        assert ev("A BETWEEN 7 AND 'b'", self.ROW) is False
