@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of one fabricbench workload.
+
+    python3 benchmarks/ab_pairs.py PARENT CHANGE --workload W [--seed N] [--pairs 10]
+
+Each tree runs its *own* ``benchmarks/fabricbench/run.py``; which side goes
+first swaps every pair.  Per end-to-end metric of ``BENCHMARK.json``: both
+medians with quartiles, the pairs the change won (ties count for neither),
+whether the medians are further apart than the parent's inter-quartile
+distance and, for the sim-second metrics, whether every run of both sides
+printed the same digits.  A run that exits non-zero takes its pair out of
+the table; the exit status is 1, after the table, if one did or any run
+reports a failed op or ``correct: false``.  See docs/BENCH.md.
+"""
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(tree, args):
+    done = subprocess.run(
+        [sys.executable, str(tree / "benchmarks/fabricbench/run.py"),
+         "--workload", args.workload, "--seed", str(args.seed)],
+        capture_output=True, text=True, check=False)
+    result = {"failed": 1, "correct": False, "metrics": None}  # exited non-zero
+    if done.returncode == 0:
+        result = json.loads(done.stdout.rstrip().splitlines()[-1])
+    if result["failed"] or not result["correct"]:
+        sys.stderr.write(done.stderr)  # which op failed, and its traceback
+    return result
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_tree", type=Path)
+    parser.add_argument("change_tree", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: quartiles need two runs")
+    spec = json.loads((args.change_tree / "BENCHMARK.json").read_text())
+    sides = {"parent": args.parent_tree, "change": args.change_tree}
+    pairs = []
+    for number in range(1, args.pairs + 1):
+        pairs.append({})
+        for side in list(sides)[::1 if number % 2 else -1]:
+            run = pairs[-1][side] = run_once(sides[side], args)
+            took = run["metrics"] and run["metrics"]["op_ms_norm"]["value"]
+            print(f"pair {number} {side}: op_ms_norm {took}", file=sys.stderr)
+    bad = sum(bool(r["failed"]) or not r["correct"] for p in pairs for r in p.values())
+    pairs = [pair for pair in pairs if all(r["metrics"] for r in pair.values())]
+    print(f"{args.workload}, seed {args.seed}, {len(pairs)} alternating pairs"
+          f"{f', {bad} failed runs' if bad else ''}\n"
+          "| metric | parent median [q1, q3] | change median [q1, q3] "
+          "| change/parent | pairs won | > parent IQR | == |\n" + "|---" * 7 + "|")
+    for metric in spec["end_to_end"] if len(pairs) >= 2 else []:
+        name, sign = metric["name"], -1 if metric["better"] == "higher" else 1
+        parent, change = ([pair[side]["metrics"][name]["value"] for pair in pairs]
+                          for side in sides)
+        won = sum(sign * c < sign * p for p, c in zip(parent, change))
+        lost = sum(sign * c > sign * p for p, c in zip(parent, change))
+        p1, p2, p3 = statistics.quantiles(parent, n=4, method="inclusive")
+        c1, c2, c3 = statistics.quantiles(change, n=4, method="inclusive")
+        same = len(set(parent + change)) == 1 if name.startswith("sim_s") else ""
+        print(f"| {name} | {p2:.6g} [{p1:.6g}, {p3:.6g}] "
+              f"| {c2:.6g} [{c1:.6g}, {c3:.6g}] | {c2 / (p2 or math.nan):.3f} "
+              f"| {won} won, {lost} lost of {len(pairs)} "
+              f"| {abs(c2 - p2) > p3 - p1} | {same} |")
+    return int(bad > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -216,6 +216,30 @@ def _none_error(schema: Schema) -> str:
     return f"None is not valid for non-nullable {schema.kind}"
 
 
+def _is_zero_width(schema: Schema) -> bool:
+    """Whether a datum encodes to no bytes: ``null``, a record of only such."""
+    if schema.nullable:
+        return False
+    if schema.kind == "record":
+        return all(_is_zero_width(field) for __, field in schema.fields)
+    return schema.kind == "null"
+
+
+def _array_items(schema: Schema) -> Schema:
+    """An array's item schema; writer and reader both refuse zero-width items.
+
+    Such items consume no bytes, so nothing in the payload bounds how many
+    a corrupt block count may claim — seven bytes could ask for 2**40, and
+    a chain of blocks for quadratically many.  With them refused every item
+    is at least one byte and a block can hold no more items than the bytes
+    after its count, wherever in a payload the array sits.
+    """
+    assert schema.items is not None
+    if _is_zero_width(schema.items):
+        raise SchemaError("array items must encode to at least one byte")
+    return schema.items
+
+
 def _long_writer(schema: Schema) -> Writer:
     kind = schema.kind
     nullable = schema.nullable
@@ -345,8 +369,8 @@ def _record_writer(schema: Schema) -> Writer:
 
 def _array_writer(schema: Schema) -> Writer:
     none_error = _none_error(schema)
-    assert schema.items is not None
-    write_items = _bulk_writer(schema.items, _compile_writer(schema.items))
+    items_schema = _array_items(schema)
+    write_items = _bulk_writer(items_schema, _compile_writer(items_schema))
 
     def write_array(buffer: bytearray, datum: Any) -> None:
         if datum is None:
@@ -594,8 +618,14 @@ def _record_reader(schema: Schema) -> Reader:
 
 
 def _array_reader(schema: Schema) -> Reader:
-    assert schema.items is not None
-    read_items = _bulk_reader(schema.items, _compile_reader(schema.items))
+    """Reads blocks of items until the zero count.
+
+    A block that claims more items than there are bytes left is corrupt
+    (:func:`_array_items`: every item is at least one byte) and is refused
+    before anything is read, one comparison per block.
+    """
+    items_schema = _array_items(schema)
+    read_items = _bulk_reader(items_schema, _compile_reader(items_schema))
 
     def read_array(data: bytes, pos: int) -> Tuple[Any, int]:
         out: List[Any] = []
@@ -607,6 +637,10 @@ def _array_reader(schema: Schema) -> Reader:
                 # Avro allows negative counts followed by a byte size.
                 count = -count
                 __, pos = _read_varint(data, pos)
+            if count > len(data) - pos:
+                raise SchemaError(
+                    f"array block of {count} items in {len(data) - pos} bytes"
+                )
             items, pos = read_items(data, pos, count)
             out += items
         return out, pos

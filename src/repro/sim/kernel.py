@@ -13,7 +13,7 @@ top of this file.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 
 class SimulationError(Exception):
@@ -137,7 +137,6 @@ class _ConditionMixin(Event):
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self.events = list(events)
-        self._pending = 0
         for event in self.events:
             if event.env is not env:
                 raise SimulationError("cannot mix events from different environments")
@@ -145,7 +144,6 @@ class _ConditionMixin(Event):
             if event.triggered:
                 self._check(event)
             else:
-                self._pending += 1
                 event.add_callback(self._check)
         self._evaluate_initial()
 
@@ -309,29 +307,14 @@ class KernelStats:
         )
 
 
-class _QueueEntry:
-    __slots__ = ("time", "priority", "seq", "event")
-
-    def __init__(self, time: float, priority: int, seq: int, event: Event):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.event = event
-
-    def __lt__(self, other: "_QueueEntry") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
-
 class Environment:
     """The simulation environment: the clock and the event queue."""
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: List[_QueueEntry] = []
+        #: a heap of ``(time, priority, seq, event)``; ``seq`` is unique, so
+        #: the tuple comparison is settled in C before it reaches the event
+        self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         self.stats = KernelStats()
@@ -378,22 +361,19 @@ class Environment:
     # -- scheduling ---------------------------------------------------------
     def _enqueue(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
         self._seq += 1
-        heapq.heappush(
-            self._queue, _QueueEntry(self._now + delay, priority, self._seq, event)
-        )
+        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
     def step(self) -> None:
         """Process the next scheduled event."""
         if not self._queue:
             raise SimulationError("attempt to step an exhausted simulation")
-        entry = heapq.heappop(self._queue)
-        self._now = entry.time
+        self._now, _, _, event = heapq.heappop(self._queue)
         self.stats.events_processed += 1
-        entry.event._process()
+        event._process()
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when exhausted."""
-        return self._queue[0].time if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else float("inf")
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -411,13 +391,16 @@ class Environment:
             if stop_time < self._now:
                 raise SimulationError("cannot run backwards in time")
 
-        while self._queue:
-            if stop_event is not None and stop_event.triggered:
+        # ``step()`` is the one dispatch body; the two tests before it read
+        # ``triggered`` and ``peek()`` in place, once per event.
+        queue, step = self._queue, self.step
+        while queue:
+            if stop_event is not None and stop_event._ok is not None:
                 break
-            if self.peek() > stop_time:
+            if queue[0][0] > stop_time:
                 self._now = stop_time
                 return None
-            self.step()
+            step()
 
         if stop_event is not None:
             if not stop_event.triggered:

@@ -13,7 +13,11 @@ The wire bytes are a contract, not a detail: ``len(payload)`` feeds
 ``data_bytes``, ``effective_weight`` and ``encode_seconds`` in the S2V
 connector, so a codec that drifts by one byte moves sim-seconds.
 
-Do not "fix" behaviour here; its quirks are the specification.
+Do not "fix" behaviour here; its quirks are the specification.  The one
+change since the freeze is what an array may hold (``_array_items`` in
+``repro.avrolite.io``): zero-width items are refused at construction and
+a block count is bounded by the bytes left, because the interpreter as
+frozen would honour a corrupt count of 2**40 nulls.
 """
 
 from __future__ import annotations
@@ -28,6 +32,24 @@ _DOUBLE = struct.Struct("<d")
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
+
+
+def zero_width(schema: Schema) -> bool:
+    """Encodes to no bytes at all: ``null``, or a record of nothing else."""
+    if schema.nullable:
+        return False
+    if schema.kind == "record":
+        return all(zero_width(field) for __, field in schema.fields)
+    return schema.kind == "null"
+
+
+def _refuse_zero_width_items(schema: Schema) -> None:
+    """What the compiled codec refuses while compiling, checked up front."""
+    for child in [s for __, s in schema.fields] + [schema.items]:
+        if child is not None:
+            _refuse_zero_width_items(child)
+    if schema.kind == "array" and zero_width(schema.items):
+        raise SchemaError("array items must encode to at least one byte")
 
 
 class ReferenceEncoder:
@@ -126,6 +148,7 @@ class ReferenceDatumWriter:
     """Writes arbitrary data matching a :class:`Schema`, value by value."""
 
     def __init__(self, schema: Schema):
+        _refuse_zero_width_items(schema)
         self.schema = schema
 
     def write(self, datum: Any, encoder: ReferenceEncoder) -> None:
@@ -183,6 +206,7 @@ class ReferenceDatumReader:
     """Reads data written by :class:`ReferenceDatumWriter`, value by value."""
 
     def __init__(self, schema: Schema):
+        _refuse_zero_width_items(schema)
         self.schema = schema
 
     def read(self, decoder: ReferenceDecoder) -> Any:
@@ -225,6 +249,9 @@ class ReferenceDatumReader:
                     # Avro allows negative counts followed by a byte size.
                     count = -count
                     dec.read_long()
+                left = len(dec._data) - dec.pos
+                if count > left:
+                    raise SchemaError(f"array block of {count} items in {left} bytes")
                 for __ in range(count):
                     out.append(self._read(schema.items, dec))
             return out

@@ -1,17 +1,20 @@
-"""A max-min fair-share flow network for the simulation kernel.
+"""A frozen copy of the max-min fair-share network.
 
-Data movement in the reproduction — JDBC result streams, COPY loads,
-intra-Vertica shuffles, HDFS block reads — is modelled at *flow* level:
-each transfer is a flow of ``nbytes`` over a route of :class:`Link` objects
-(typically the sender's egress NIC and the receiver's ingress NIC).
-Concurrent flows share link capacity max-min fairly via progressive
-filling, and a flow may carry its own rate cap (used to model
-per-connection producer limits, e.g. a single Vertica query pipeline
-cannot saturate a 1 GbE NIC on its own — the effect behind Table 2 of the
-paper).
+``Link``/``Flow``/``Network`` of ``repro.sim.network`` as they were before
+the rate solver kept per-link counts and ``_reschedule`` folded its passes
+into one — progressive filling that recounts every link's unfrozen flows on
+every iteration — copied verbatim and kept here as the **differential
+oracle**: ``tests/test_sim_network_properties.py`` drives both networks
+with the same script and asserts ``==`` on every flow finish time, every
+link's ``bytes_total`` and every link's full ``rate_log``.
 
-Rates are recomputed whenever a flow starts or finishes, so the simulation
-remains event-driven and exact (piecewise-constant rates), not sampled.
+It runs on the live kernel (``repro.sim.kernel``), as ``reference_copy``
+stages into the engine's WOS: the event order is the kernel's to pin
+(``tests/test_sim_kernel.py``), the rates are this file's.
+
+Do not "fix" behaviour here; its quirks (a route that crosses one link
+twice is charged four times when that link is the bottleneck) are the
+specification.
 """
 
 from __future__ import annotations
@@ -99,6 +102,11 @@ class Flow:
         self.rate = 0.0
         self.event = event
 
+    def finish_time(self, now: float) -> float:
+        if self.rate <= 0:
+            return math.inf
+        return now + self.remaining / self.rate
+
 
 class Network:
     """Tracks active flows and drives their completion events."""
@@ -163,19 +171,15 @@ class Network:
 
     def _reschedule(self) -> None:
         """Recompute fair-share rates and arm the next completion timer."""
-        # also returned: each busy link's summed rate, the earliest finish
-        loads, next_finish = self._assign_rates()
-        for link, rate in loads.items():
-            link._log_rate(rate)
-        # Links that just went idle need an explicit zero sample so traces
-        # show the drop to zero rather than a dangling nonzero segment.
-        for link in self._prev_busy:
-            if link not in loads:
-                link._log_rate(0.0)
-        self._prev_busy = list(loads)
+        self._assign_rates()
+        self._log_link_rates()
         self._timer_seq += 1
         seq = self._timer_seq
-        if next_finish == math.inf:
+        next_finish = min(
+            (flow.finish_time(self.env.now) for flow in self._flows),
+            default=math.inf,
+        )
+        if next_finish is math.inf or math.isinf(next_finish):
             return
         delay = max(0.0, next_finish - self.env.now)
         timeout = self.env.timeout(delay)
@@ -201,94 +205,66 @@ class Network:
             flow.event.succeed(flow.nbytes)
         self._reschedule()
 
-    def _assign_rates(self) -> Tuple[Dict[Link, float], float]:
+    def _assign_rates(self) -> None:
         """Progressive-filling max-min fair allocation with per-flow caps.
 
         Caps are modelled as single-flow virtual links, which folds them
-        into the standard bottleneck-freezing algorithm.  Flows are taken in
-        arrival order and links in first-seen order — the only order there
-        is (docs/DESIGN.md, "The rate solver's contract").  Per link the
-        capacity left and the number of unfrozen flows are *kept*, not
-        recounted: freezing a flow touches its own links only.
-
-        Returns each busy link's aggregate rate (links in first-seen order)
-        and the earliest finish time (``inf``: nothing is moving).
+        into the standard bottleneck-freezing algorithm.
         """
-        flows = list(self._flows)
-        slot: Dict[Link, int] = {}
-        remaining: List[float] = []
-        count: List[int] = []
-        members: List[List[int]] = []
-        routes: List[List[int]] = []
-        capped: List[Tuple[int, float]] = []
-        for k, flow in enumerate(flows):
+        links: Dict[Link, List[Flow]] = {}
+        for flow in self._flows:
             flow.rate = 0.0
-            route = []
             for link in flow.route:
-                i = slot.get(link)
-                if i is None:
-                    i = slot[link] = len(remaining)
-                    remaining.append(link.capacity)
-                    count.append(0)
-                    members.append([])
-                count[i] += 1
-                members[i].append(k)
-                route.append(i)
-            routes.append(route)
-            if flow.cap is not None:
-                capped.append((k, flow.cap))
+                links.setdefault(link, []).append(flow)
 
-        unfrozen = [1] * len(flows)
-        left = len(flows)
-        while left:
+        remaining = {link: link.capacity for link in links}
+        unfrozen: Dict[Flow, None] = dict(self._flows)
+
+        while unfrozen:
             # Find the bottleneck: the smallest per-flow share over real
-            # links (capacity left / unfrozen flows on it), then flow caps.
-            best = math.inf
-            best_link = best_flow = -1
-            for i, n in enumerate(count):
-                if n:
-                    share = remaining[i] / n
-                    if share < best - _EPS:
-                        best = share
-                        best_link = i
-            for k, cap in capped:
-                if unfrozen[k] and cap < best - _EPS:
-                    best = cap
-                    best_flow = k
+            # links (capacity left / unfrozen flows on it) and flow caps.
+            bottleneck_rate = math.inf
+            bottleneck_link: Optional[Link] = None
+            capped_flow: Optional[Flow] = None
+            for link, flows in links.items():
+                count = sum(1 for f in flows if f in unfrozen)
+                if count == 0:
+                    continue
+                share = remaining[link] / count
+                if share < bottleneck_rate - _EPS:
+                    bottleneck_rate = share
+                    bottleneck_link = link
+                    capped_flow = None
+            for flow in unfrozen:
+                if flow.cap is not None and flow.cap < bottleneck_rate - _EPS:
+                    bottleneck_rate = flow.cap
+                    bottleneck_link = None
+                    capped_flow = flow
 
-            if best_flow >= 0:
-                batch = [best_flow]
-            elif best_link >= 0:
-                batch = [k for k in members[best_link] if unfrozen[k]]
-            else:  # pragma: no cover - defensive: no finite share, no cap
-                batch = [k for k in range(len(flows)) if unfrozen[k]]
-                best = 0.0
+            if capped_flow is not None:
+                frozen = [capped_flow]
+            elif bottleneck_link is not None:
+                frozen = [f for f in links[bottleneck_link] if f in unfrozen]
+            else:  # pragma: no cover - defensive: no links and no caps
+                frozen = list(unfrozen)
+                bottleneck_rate = 0.0
 
-            rate = max(0.0, best)
-            for k in batch:
-                flows[k].rate = rate
-                # 0 on the repeat visit of a flow whose route crosses the
-                # bottleneck link twice (it is listed there twice)
-                live = unfrozen[k]
-                unfrozen[k] = 0
-                left -= live
-                for i in routes[k]:
-                    spare = remaining[i] - rate
-                    remaining[i] = spare if spare > 0.0 else 0.0
-                    count[i] -= live
+            for flow in frozen:
+                flow.rate = max(0.0, bottleneck_rate)
+                unfrozen.pop(flow, None)
+                for link in flow.route:
+                    remaining[link] = max(0.0, remaining[link] - flow.rate)
 
-        # One pass in arrival order gives both each link's aggregate rate
-        # (the float accumulation order its ``rate_log`` is pinned to) and
-        # the earliest finish.
-        now = self.env.now
-        load = [0.0] * len(slot)
-        next_finish = math.inf
-        for flow, route in zip(flows, routes):
-            rate = flow.rate
-            for i in route:
-                load[i] += rate
-            if rate > 0:
-                finish = now + flow.remaining / rate
-                if finish < next_finish:
-                    next_finish = finish
-        return dict(zip(slot, load)), next_finish
+    def _log_link_rates(self) -> None:
+        touched: Dict[Link, float] = {}
+        for flow in self._flows:
+            for link in flow.route:
+                touched[link] = touched.get(link, 0.0) + flow.rate
+        for link, rate in touched.items():
+            link._log_rate(rate)
+        # Links that just went idle need an explicit zero sample so traces
+        # show the drop to zero rather than a dangling nonzero segment.
+        for link in self._prev_busy:
+            if link not in touched:
+                link._log_rate(0.0)
+        self._prev_busy = list(touched)

@@ -281,3 +281,60 @@ def test_run_until_event_that_never_fires_raises(env):
     env.process(iter_timeout(env, 1))
     with pytest.raises(SimulationError):
         env.run(gate)
+
+
+def busy_scenario(env):
+    """Timeouts, same-instant ties, a condition and an interrupt; returns
+    the log the processes write."""
+    log = []
+
+    def worker(name, delays):
+        for delay in delays:
+            try:
+                yield env.timeout(delay)
+            except Interrupt as interrupt:
+                log.append((env.now, name, "interrupted", interrupt.cause))
+            log.append((env.now, name))
+
+    def boss(crew):
+        yield env.all_of(crew[:2])
+        log.append((env.now, "boss", "two done"))
+        crew[2].interrupt("hurry")
+        yield env.any_of([crew[2], env.timeout(50)])
+        log.append((env.now, "boss", "done"))
+
+    crew = [
+        env.process(worker("a", [1, 1, 1])),
+        env.process(worker("b", [1.5, 1.5])),
+        env.process(worker("c", [1, 2, 40])),
+    ]
+    env.process(boss(crew))
+    return log
+
+
+def test_stepping_by_hand_is_run():
+    """``run()`` is ``peek()`` and ``step()`` in a loop, written out: the same
+    events in the same order, the same clock and the same event count."""
+    ran, stepped = Environment(), Environment()
+    ran_log, stepped_log = busy_scenario(ran), busy_scenario(stepped)
+    ran.run()
+    times = []
+    while stepped.peek() != float("inf"):
+        times.append(stepped.peek())
+        stepped.step()
+        assert stepped.now == times[-1]
+    assert stepped_log == ran_log and len(ran_log) > 10
+    assert times == sorted(times)
+    assert stepped.now == ran.now
+    assert stepped.stats.as_dict() == ran.stats.as_dict()
+    assert stepped.stats.events_processed == len(times)
+    with pytest.raises(SimulationError):
+        stepped.step()
+
+
+def test_run_until_time_stops_where_peek_says(env):
+    env.process(iter_timeout(env, 10))
+    env.run(until=4)
+    assert (env.now, env.peek()) == (4.0, 10.0)
+    env.run()
+    assert (env.now, env.peek()) == (10.0, float("inf"))

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment, Link, Network
+from repro.sim.network import _EPS
+from tests import reference_network
 
 transfer_specs = st.lists(
     st.tuples(
@@ -108,17 +110,24 @@ class TestFairness:
         assert finishes[0] < finishes[1]
 
 
-routed_specs = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=20.0),      # start time
-        st.floats(min_value=1.0, max_value=10_000.0),  # bytes
-        st.one_of(st.none(), st.floats(min_value=1.0, max_value=200.0)),  # cap
-        st.lists(st.integers(min_value=0, max_value=3),  # route (link indices)
-                 min_size=1, max_size=3, unique=True),
-    ),
-    min_size=2,
-    max_size=14,
-)
+def routed_specs(unique_routes=True):
+    """Up to 40 flows over four links, most of them starting together."""
+    return st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.just(0.0),
+                      st.floats(min_value=0.0, max_value=20.0)),  # start time
+            st.floats(min_value=1.0, max_value=10_000.0),  # bytes
+            # cap: none, a producer limit only the fast links notice, and two
+            # ranges that bind on the 7.3-100 B/s links alone / when shared
+            st.one_of(st.none(), st.just(30e6),
+                      st.floats(min_value=1.0, max_value=200.0),
+                      st.floats(min_value=0.05, max_value=5.0)),
+            st.lists(st.integers(min_value=0, max_value=3),  # route (link indices)
+                     min_size=1, max_size=3, unique=unique_routes),
+        ),
+        min_size=2,
+        max_size=40,
+    )
 
 
 class TestMemoryLayoutIsNotAnInput:
@@ -154,8 +163,117 @@ class TestMemoryLayoutIsNotAnInput:
         env.run()
         return finishes, {name: links[name].bytes_total for name in names}
 
-    @given(specs=routed_specs)
+    @given(specs=routed_specs())
     @settings(max_examples=60, deadline=None)
     def test_same_transfers_finish_at_bit_equal_times(self, specs):
         assert self.finish_times(specs, scramble=True) == \
             self.finish_times(specs, scramble=False)
+
+
+#: link speeds nine orders of magnitude apart: a trickle, the unit-test
+#: sizes, 1 GbE and 10 GbE in bytes per second
+CAPACITIES = (7.3, 50.0, 100.0, 125e6, 1.25e9)
+
+link_capacities = st.lists(st.sampled_from(CAPACITIES), min_size=4, max_size=4)
+
+#: (link index, when, new capacity as a fraction of nominal, how long)
+outages = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.floats(min_value=0.0, max_value=20.0),
+        st.sampled_from([0.0, 0.5]),
+        st.floats(min_value=0.0, max_value=20.0),
+    ),
+    max_size=3,
+)
+
+
+def run_script(network_class, link_class, specs, capacities, outages):
+    """Drive one network with transfers plus partitions/degradations that
+    are later healed."""
+    env = Environment()
+    net = network_class(env)
+    links = [link_class(env, f"l{i}", capacity)
+             for i, capacity in enumerate(capacities)]
+    finishes = {}
+
+    def one(index, start, nbytes, cap, route):
+        if start:
+            yield env.timeout(start)
+        # a flow sized to its fastest link, so slow and fast links both
+        # stay busy for comparable (sim) times
+        nbytes *= max(links[i].capacity for i in route) / 100.0
+        yield net.transfer([links[i] for i in route], nbytes, cap=cap,
+                           name=f"f{index}")
+        finishes[index] = env.now
+
+    def outage(index, at, fraction, duration):
+        yield env.timeout(at)
+        link = links[index]
+        net.set_link_capacity(link, link.nominal_capacity * fraction)
+        yield env.timeout(duration)
+        net.set_link_capacity(link, link.nominal_capacity)
+
+    for index, spec in enumerate(specs):
+        env.process(one(index, *spec))
+    for spec in outages:
+        env.process(outage(*spec))
+    env.run()
+    assert len(finishes) == len(specs)
+    return (
+        finishes,
+        [link.bytes_total for link in links],
+        [link.rate_log for link in links],
+        (env.now, env.stats.events_processed),
+    )
+
+
+class TestBitEqualToTheFrozenSolver:
+    """``tests/reference_network.py`` recounts every link on every
+    iteration of progressive filling; the live solver keeps the counts.
+    Same iteration order, same float arithmetic — so not one finish time,
+    byte total or rate sample may differ, by even one ulp."""
+
+    @given(specs=routed_specs(unique_routes=False), capacities=link_capacities,
+           outages=outages)
+    @settings(max_examples=400, deadline=None)
+    def test_same_script_same_bits(self, specs, capacities, outages):
+        assert run_script(Network, Link, specs, capacities, outages) == \
+            run_script(reference_network.Network, reference_network.Link,
+                       specs, capacities, outages)
+
+
+class CertifiedNetwork(Network):
+    """Checks the max-min certificate after every recompute."""
+
+    def _reschedule(self):
+        super()._reschedule()
+        flows = list(self._flows)
+        load, fastest = {}, {}
+        for flow in flows:
+            for link in flow.route:
+                load[link] = load.get(link, 0.0) + flow.rate
+                fastest[link] = max(fastest.get(link, 0.0), flow.rate)
+        for link, total in load.items():
+            assert total <= link.capacity * (1 + 1e-6), (link, total)
+        for flow in flows:
+            if flow.rate == 0.0:
+                assert any(link.capacity == 0.0 for link in flow.route), flow.name
+            elif flow.rate != flow.cap:
+                # Its bottleneck: a full link on which nobody gets more.  A
+                # near-tie inside the hysteresis hands the first-scanned
+                # link's share to flows that also cross the other link, so
+                # "more" allows _EPS per flow, plus float rounding.
+                slack = _EPS * len(flows) + 1e-9 * flow.rate
+                assert any(
+                    load[link] >= link.capacity * (1 - 1e-6)
+                    and fastest[link] <= flow.rate + slack
+                    for link in flow.route
+                ), (flow.name, flow.rate)
+
+
+class TestMaxMinCertificate:
+    @given(specs=routed_specs(), capacities=link_capacities, outages=outages)
+    @settings(max_examples=150, deadline=None)
+    def test_every_recompute_is_max_min_fair(self, specs, capacities, outages):
+        run_script(CertifiedNetwork, Link, specs, capacities, outages)
