@@ -1,6 +1,6 @@
 """Join strategies: hash/merge vs the nested-loop floor, co-located or not.
 
-Wall-clock only (the sim clock cannot see join work yet — ROADMAP item 2),
+Wall-clock only (the sim clock cannot see join work yet — ROADMAP item 1),
 so nothing is banded; the shape checks are ratios within one run.
 """
 

@@ -1,6 +1,6 @@
 """Adaptive star joins: reordering + replanning over stale statistics.
 
-Wall-clock only (the sim clock cannot see join work yet — ROADMAP item 2),
+Wall-clock only (the sim clock cannot see join work yet — ROADMAP item 1),
 so nothing is banded; the checks are that every plan shows its JOIN ORDER
 and records a replan.
 """

@@ -448,6 +448,14 @@ class FunctionCall(Expression):
         return f"{self.name}({', '.join(a.sql() for a in self.args)})"
 
 
+def reads_whole_row(expression: Expression) -> bool:
+    """Whether ``SYNTHETIC_HASH()`` occurs in it: then the expression sees
+    every column of its row, not only those :meth:`Expression.columns` names."""
+    if isinstance(expression, FunctionCall) and expression.name == "SYNTHETIC_HASH":
+        return True
+    return any(reads_whole_row(child) for child in expression.children())
+
+
 class UdxCall(Expression):
     """A resolved scalar UDx over its argument expressions.
 

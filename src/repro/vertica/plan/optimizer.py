@@ -45,6 +45,7 @@ from repro.vertica.expr import (
     Like,
     Literal,
     UnaryOp,
+    reads_whole_row,
     split_and,
 )
 from repro.vertica.plan import logical
@@ -434,12 +435,6 @@ def _splice_out(plan: LogicalPlan, node, replacement) -> None:
 
 
 # --------------------------------------------------------------- pruning
-def _contains_synthetic_hash(expr: Expression) -> bool:
-    if isinstance(expr, FunctionCall) and expr.name == "SYNTHETIC_HASH":
-        return True
-    return any(_contains_synthetic_hash(child) for child in expr.children())
-
-
 def _all_expressions(plan: LogicalPlan) -> List[Expression]:
     out: List[Expression] = []
     for node in plan.nodes():
@@ -978,7 +973,7 @@ def _prune_columns(plan: LogicalPlan) -> bool:
             if any(item.star for item in node.items):
                 return False
     expressions = _all_expressions(plan)
-    if any(_contains_synthetic_hash(e) for e in expressions):
+    if any(reads_whole_row(e) for e in expressions):
         return False
     needed: Set[str] = set()
     for expr in expressions:

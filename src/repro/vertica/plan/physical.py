@@ -4,11 +4,12 @@ Operators exchange :class:`~repro.vertica.batch.ColumnBatch`es of up to
 :data:`~repro.vertica.batch.BATCH_ROWS` rows, and that is the only row
 representation here: ``TableScanOp`` fills batches from the column
 slices ``Engine.scan`` yields, joins and sorts concatenate their inputs
-column-wise and *gather by index* (``(left, right)`` pair lists, an
-argsort), and filters compact by a keep-vector.  No operator builds a
-per-row dict or tuple, and none walks an expression per row: predicates,
-join conditions, select items, group keys, aggregate arguments and sort
-keys are each one :mod:`~repro.vertica.kernels` call per batch.
+column-wise and *gather by index* (a join's two parallel row-index
+lists, an argsort), and filters compact by a keep-vector.  No operator
+builds a per-row dict or tuple — nor one per candidate pair of a join —
+and none walks an expression per row: predicates, join conditions,
+select items, group keys, aggregate arguments and sort keys are each one
+:mod:`~repro.vertica.kernels` call per batch.
 
 Fidelity notes (the differential suite enforces these):
 
@@ -34,6 +35,7 @@ inclusive wall time); the pipeline feeds them to ``PROFILE``,
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from collections import defaultdict
 from typing import (
@@ -53,7 +55,12 @@ from repro.ordering import null_last_key
 from repro.vertica.batch import BATCH_ROWS, ColumnBatch, gather
 from repro.vertica.engine import CostReport, _value_widths
 from repro.vertica.errors import SqlError
-from repro.vertica.expr import Expression, UdxCall, predicate_holds
+from repro.vertica.expr import (
+    Expression,
+    UdxCall,
+    predicate_holds,
+    reads_whole_row,
+)
 from repro.vertica.kernels import column_reader, evaluate_columns
 from repro.vertica.plan import logical
 from repro.vertica.plan.adaptive import AdaptiveContext
@@ -389,37 +396,67 @@ class ViewScanOp(PhysicalOperator):
             yield ColumnBatch(names, columns + qualified, nodes)
 
 
-#: a candidate match: (row of the left input, row of the right input)
-Pair = Tuple[int, int]
-#: one input's equi-key tuple per row; ``None`` where NULL makes it unmatchable
-Keys = List[Optional[Tuple[Any, ...]]]
+#: one input's equi key per row — the key column's own value, or a tuple
+#: of them for a multi-column key; ``None`` where the row can match nothing
+Keys = List[Any]
+#: row indices; a unit ``range`` where they are consecutive, so that a
+#: :func:`~repro.vertica.batch.gather` through them is a slice
+Rows = Union[range, List[int]]
+#: candidate pairs as two parallel row-index sequences — rows of the left
+#: input, rows of the right input — in the nested loop's left-major order
+PairRows = Tuple[Rows, Rows]
 #: relation alias -> that relation's materialization index, one per row
-Provenance = Dict[str, Sequence[int]]
+Provenance = Dict[str, Rows]
 #: relation alias -> (0 = left input / 1 = right input, its index column)
-Sources = Dict[str, Tuple[int, Sequence[int]]]
+Sources = Dict[str, Tuple[int, Rows]]
+#: where a joined column's values live: (0 = left / 1 = right, that input's list)
+SideColumn = Tuple[int, List[Any]]
+
+
+def _gather_sides(
+    wanted: Sequence[SideColumn],
+    picks: PairRows,
+    gathered: Dict[int, List[Any]],
+) -> List[List[Any]]:
+    """Each wanted column at its side's ``picks``.
+
+    A list that several names share (``K`` and ``P.K``) is gathered once
+    and stays shared; ``gathered`` carries what one set of picks already
+    fetched from the condition's columns over to the output columns.
+    """
+    out: List[List[Any]] = []
+    for slot, column in wanted:
+        values = gathered.get(id(column))
+        if values is None:
+            values = gathered[id(column)] = gather(column, picks[slot])
+        out.append(values)
+    return out
 
 
 class JoinOp(PhysicalOperator):
     """Inner join; this class is the nested loop, subclasses narrow it.
 
-    Both inputs are concatenated column-wise, a *pair source*
-    (:meth:`_pairs`) proposes candidate ``(left, right)`` row-index pairs
-    in emission order, and one shared :meth:`_emit` gathers them into
-    batches, validates the *full* join condition on every candidate and
-    compacts the survivors.  The nested loop proposes the lazy left-major
-    product; hash and merge joins prefilter on the equi keys (see
-    :class:`HashJoinOp`) — the key match never replaces the condition, so
-    semantics stay bit-for-bit with the nested loop, and all three emit
-    in its left-major order with the *left* row's producing node.
+    Both inputs are concatenated column-wise and a *pair source*
+    (:meth:`_pairs`) proposes the candidate matches as two parallel
+    row-index sequences, already in emission order; no candidate is ever
+    an object of its own.  One shared :meth:`_emit` takes them
+    ``BATCH_ROWS`` at a time, gathers only the columns the join condition
+    reads, validates the *full* condition on every candidate, and gathers
+    the output columns once, for the survivors.  The nested loop proposes
+    the lazy left-major product; hash and merge joins prefilter on the
+    equi keys (see :class:`HashJoinOp`) — the key match never replaces
+    the condition, so semantics stay bit-for-bit with the nested loop,
+    and all three emit in its left-major order with the *left* row's
+    producing node.
 
     Joins inside a cost-reordered chain (``logical.reorder_chain``) also
     track **provenance**: each base relation's materialization index for
     every output row, column-major like every other column — one index
-    list per relation alias.  The chain root uses them to sort its pairs
-    back into the binder's lexicographic order and to re-attribute every
-    output row to the binder-leftmost relation's producing node, keeping
-    rows *and* per-node cost attribution byte-identical to the
-    unreordered plan.
+    list per relation alias, read through the surviving pair rows.  The
+    chain root uses them to sort its pairs back into the binder's
+    lexicographic order and to re-attribute every output row to the
+    binder-leftmost relation's producing node, keeping rows *and*
+    per-node cost attribution byte-identical to the unreordered plan.
     """
 
     kind = "join"
@@ -473,28 +510,44 @@ class JoinOp(PhysicalOperator):
 
     def _pairs(
         self, left: ColumnBatch, right: ColumnBatch, sources: Sources
-    ) -> Iterable[Pair]:
-        """Candidate pairs in emission order: here, every pair, lazily."""
+    ) -> Iterator[PairRows]:
+        """Candidate pairs in emission order, at most ``BATCH_ROWS`` at a
+        time: here, every pair, lazily."""
         # The nested loop broadcasts the right side to every probe node.
         self._charge_shuffle(right.nodes, left.nodes)
-        return itertools.product(range(left.num_rows), range(right.num_rows))
+        height, width = left.num_rows, right.num_rows
+        left_rows = itertools.chain.from_iterable(
+            map(itertools.repeat, range(height), itertools.repeat(width))
+        )
+        right_rows = itertools.chain.from_iterable(
+            itertools.repeat(range(width), height)
+        )
+        while True:
+            picks = (
+                list(itertools.islice(left_rows, BATCH_ROWS)),
+                list(itertools.islice(right_rows, BATCH_ROWS)),
+            )
+            if not picks[0]:
+                return
+            yield picks
 
     def _run(self) -> Iterator[ColumnBatch]:
         sources: Sources = {}
         left = self._materialize(self.left, 0, sources)
         right = self._materialize(self.right, 1, sources)
         yield from self._emit(
-            iter(self._pairs(left, right, sources)), left, right, sources
+            self._pairs(left, right, sources), left, right, sources
         )
 
     def _emit(
         self,
-        pairs: Iterator[Pair],
+        pairs: Iterable[PairRows],
         left: ColumnBatch,
         right: ColumnBatch,
         sources: Sources,
     ) -> Iterator[ColumnBatch]:
-        """Gather, validate and compact the candidates, a batch at a time."""
+        """Validate the candidates, then gather the survivors, per batch."""
+        condition = self.logical.condition
         restore = self.logical.restore_order
         # a chain join below the root hands its kept pairs' provenance up
         tracking = self.logical.reorder_chain and restore is None
@@ -502,120 +555,187 @@ class JoinOp(PhysicalOperator):
         # The merge rule, once per output column: right's names first; a
         # name both sides have reads left unless it is alias-qualified.
         names = right.names + [n for n in left.names if n not in right.index]
-        origin = [
-            int(n in right.index and ("." in n or n not in left.index))
-            for n in names
-        ]
-        while True:
-            chunk = list(itertools.islice(pairs, BATCH_ROWS))
-            if not chunk:
-                break
-            picks = tuple(zip(*chunk))  # (left indices, right indices)
-            sides = (_compact(left, picks[0]), _compact(right, picks[1]))
-            columns = [
-                sides[slot].columns[sides[slot].index[name]]
-                for name, slot in zip(names, origin)
-            ]
-            nodes = sides[0].nodes
-            if restore is not None:
+        inputs = (left, right)
+        output: List[SideColumn] = []
+        for name in names:
+            slot = int(
+                name in right.index and ("." in name or name not in left.index)
+            )
+            output.append((slot, inputs[slot].columns[inputs[slot].index[name]]))
+        # What validation needs: the columns the condition names — every
+        # column when it calls SYNTHETIC_HASH, which hashes the whole row.
+        read = None if reads_whole_row(condition) else set(condition.columns())
+        narrow = [i for i, n in enumerate(names) if read is None or n in read]
+        narrow_names = [names[i] for i in narrow]
+        narrow_columns = [output[i] for i in narrow]
+        for picks in pairs:
+            candidates = len(picks[0])
+            gathered: Dict[int, List[Any]] = {}
+            # the condition reads no producing node: blanks stand in
+            keep = _matching(
+                ColumnBatch(
+                    narrow_names,
+                    _gather_sides(narrow_columns, picks, gathered),
+                    [""] * candidates,
+                ),
+                condition,
+            )
+            if not keep:
+                continue
+            if len(keep) < candidates:
+                lefts, rights = picks
+                picks = [lefts[i] for i in keep], [rights[i] for i in keep]
+                gathered = {}
+            if tracking:
+                kept[0].extend(picks[0])
+                kept[1].extend(picks[1])
+            if restore is None:
+                nodes = gather(left.nodes, picks[0])
+            else:
                 # legacy attribution: the binder-leftmost relation's row
                 # produced the joined row
                 anchor_slot, anchor = sources[restore[0]]
                 anchor_nodes = self.leaf_nodes[restore[0]]
-                nodes = [anchor_nodes[anchor[i]] for i in picks[anchor_slot]]
-            batch = ColumnBatch(names, columns, nodes)
-            keep = _matching(batch, self.logical.condition)
-            if tracking:
-                for slot in (0, 1):
-                    kept[slot].extend(picks[slot][i] for i in keep)
-            if len(keep) < len(chunk):
-                batch = _compact(batch, keep)
-            if keep:
-                yield batch
+                nodes = gather(
+                    anchor_nodes, _through(anchor, picks[anchor_slot])
+                )
+            yield ColumnBatch(names, _gather_sides(output, picks, gathered), nodes)
         if tracking:
             self.output_provenance = {
-                alias: [column[i] for i in kept[slot]]
+                alias: _through(column, kept[slot])
                 for alias, (slot, column) in sources.items()
             }
 
 
+def _through(column: Rows, rows: Rows) -> Rows:
+    """A provenance column read at ``rows``; a leaf scan's is the identity."""
+    return rows if isinstance(column, range) else gather(column, rows)
+
+
+def _batched(picks: PairRows) -> Iterator[PairRows]:
+    """The pair rows ``BATCH_ROWS`` at a time; a slice of a ``range`` stays
+    one, so whatever is gathered through it is sliced too."""
+    for start in range(0, len(picks[0]), BATCH_ROWS):
+        stop = start + BATCH_ROWS
+        yield picks[0][start:stop], picks[1][start:stop]
+
+
+def _nan_as_null(column: List[Any]) -> List[Any]:
+    """``column`` with every NaN — the one value unequal to itself — NULL."""
+    if any(map(operator.ne, column, column)):
+        return [None if value != value else value for value in column]
+    return column
+
+
 def _join_keys(batch: ColumnBatch, refs: List[str]) -> Keys:
-    columns = [batch.columns[batch.index[ref]] for ref in refs]
+    """One equi key per row; ``None`` where the row can match nothing.
+
+    A NULL key equals nothing and neither does a NaN, which would besides
+    leave the order a merge join sorts its keys into undefined.  A
+    single-column key is the column itself: no tuple per row.
+    """
+    columns = [_nan_as_null(batch.columns[batch.index[ref]]) for ref in refs]
+    if len(columns) == 1:
+        return columns[0]
     return [None if None in key else key for key in zip(*columns)]
 
 
-def _hash_pairs(left_keys: Keys, right_keys: Keys, build_left: bool) -> List[Pair]:
-    build_keys, probe_keys = (
-        (left_keys, right_keys) if build_left else (right_keys, left_keys)
+def _left_major(buckets: List[Sequence[int]]) -> PairRows:
+    """Each left row's matching right rows, flattened into pair rows."""
+    repeats = map(itertools.repeat, range(len(buckets)), map(len, buckets))
+    return (
+        list(itertools.chain.from_iterable(repeats)),
+        list(itertools.chain.from_iterable(buckets)),
     )
-    table: Dict[Tuple[Any, ...], List[int]] = {}
-    for index, key in enumerate(build_keys):
-        if key is not None:
-            table.setdefault(key, []).append(index)
-    pairs: List[Pair] = []
-    for probe_index, key in enumerate(probe_keys):
-        if key is None:
-            continue
-        for build_index in table.get(key, ()):
-            pairs.append(
-                (build_index, probe_index)
-                if build_left
-                else (probe_index, build_index)
+
+
+def _hash_pairs(left_keys: Keys, right_keys: Keys, build_left: bool) -> PairRows:
+    """Key-equal pairs through a hash table, left-major without a sort.
+
+    The table holds the build side's distinct keys; the right rows are
+    bucketed under theirs and every left row, in row order, reads its
+    bucket — the nested loop's order whichever side built.  A right-side
+    build whose keys are observed to be unique gives a left row at most
+    one match, and the probe is one ``map`` over the left keys.
+    """
+    if not build_left:
+        match = dict(zip(right_keys, range(len(right_keys))))
+        match.pop(None, None)
+        if len(match) == len(right_keys) - right_keys.count(None):
+            try:  # every left row finds its one match (a foreign key's join)
+                return (
+                    range(len(left_keys)),
+                    list(map(match.__getitem__, left_keys)),
+                )
+            except KeyError:  # some do not: keep the rows that do
+                found = list(map(match.get, left_keys))
+            return (
+                [row for row, hit in enumerate(found) if hit is not None],
+                [hit for hit in found if hit is not None],
             )
-    return pairs
+    table: Dict[Any, List[int]] = {
+        key: [] for key in (left_keys if build_left else right_keys)
+    }
+    table.pop(None, None)
+    for row, bucket in enumerate(map(table.get, right_keys)):
+        if bucket is not None:
+            bucket.append(row)
+    return _left_major(list(map(table.get, left_keys, itertools.repeat(()))))
 
 
-def _merge_pairs(left_keys: Keys, right_keys: Keys) -> List[Pair]:
-    left_keyed = _sorted_keys(left_keys)
-    right_keyed = _sorted_keys(right_keys)
-    pairs: List[Pair] = []
+def _merge_pairs(left_keys: Keys, right_keys: Keys) -> PairRows:
+    """Key-equal pairs by merging both sides' key-sorted rows.
+
+    Each group of equal keys hands its right rows (in row order: the
+    sorts are stable) to every left row of the group; reading the left
+    rows' buckets in row order is left-major, so no pair is sorted.
+    """
+    left_order, right_order = _key_order(left_keys), _key_order(right_keys)
+    buckets: List[Sequence[int]] = [()] * len(left_keys)
     i = j = 0
-    while i < len(left_keyed) and j < len(right_keyed):
-        left_key = left_keyed[i][0]
-        right_key = right_keyed[j][0]
-        if left_key < right_key:
+    while i < len(left_order) and j < len(right_order):
+        key = left_keys[left_order[i]]
+        right_key = right_keys[right_order[j]]
+        if key < right_key:
             i += 1
-        elif right_key < left_key:
+        elif right_key < key:
             j += 1
         else:
-            group_end = j
-            while (
-                group_end < len(right_keyed)
-                and right_keyed[group_end][0] == left_key
-            ):
-                group_end += 1
-            while i < len(left_keyed) and left_keyed[i][0] == left_key:
-                left_index = left_keyed[i][1]
-                for jj in range(j, group_end):
-                    pairs.append((left_index, right_keyed[jj][1]))
+            group: List[int] = []
+            while j < len(right_order) and right_keys[right_order[j]] == key:
+                group.append(right_order[j])
+                j += 1
+            while i < len(left_order) and left_keys[left_order[i]] == key:
+                buckets[left_order[i]] = group
                 i += 1
-            j = group_end
-    return pairs
+    return _left_major(buckets)
 
 
-def _sorted_keys(keys: Keys) -> List[Tuple[Tuple[Any, ...], int]]:
-    keyed = [(key, index) for index, key in enumerate(keys) if key is not None]
-    keyed.sort(key=lambda item: item[0])
-    return keyed
+def _key_order(keys: Keys) -> List[int]:
+    """The matchable rows of ``keys``, sorted by key; equal keys in row order."""
+    rows = [row for row, key in enumerate(keys) if key is not None]
+    rows.sort(key=keys.__getitem__)
+    return rows
 
 
 class HashJoinOp(JoinOp):
     """Equi-join: pairs from a hash table on the (estimated) smaller side.
 
-    Only rows whose equi keys match (NULL keys never do) become
+    Only rows whose equi keys match (NULL and NaN keys never do) become
     candidates.  After both inputs are materialized but before pairing
     starts, the operator **checkpoints** against the query's
     :class:`~repro.vertica.plan.adaptive.AdaptiveContext`, which may swap
     the build side or switch between hashing and sort-merge based on
-    *observed* row counts; pairs are sorted into emission order, so the
-    decision cannot change the emitted bytes — only the work to find them.
+    *observed* row counts; every pair algorithm lists its pairs in the
+    nested loop's left-major order, so the decision cannot change the
+    emitted bytes — only the work to find them.
     """
 
     kind = "join-hash"
 
     def _pairs(
         self, left: ColumnBatch, right: ColumnBatch, sources: Sources
-    ) -> Iterable[Pair]:
+    ) -> Iterator[PairRows]:
         build_side, strategy = self.adaptive.checkpoint(
             self.logical, left.num_rows, right.num_rows
         )
@@ -624,30 +744,28 @@ class HashJoinOp(JoinOp):
         else:
             self._charge_shuffle(right.nodes, left.nodes)
         if not (left.num_rows and right.num_rows):
-            return []  # an input that yielded no batch has no key columns
+            return iter(())  # an input that yielded no batch has no key columns
         keys = self.logical.equi_keys
         left_keys = _join_keys(left, [left_ref for left_ref, __ in keys])
         right_keys = _join_keys(right, [right_ref for __, right_ref in keys])
         if strategy == "merge":
-            pairs = _merge_pairs(left_keys, right_keys)
+            picks = _merge_pairs(left_keys, right_keys)
         else:
-            pairs = _hash_pairs(left_keys, right_keys, build_side == "left")
+            picks = _hash_pairs(left_keys, right_keys, build_side == "left")
         restore = self.logical.restore_order
-        if restore is None:
-            pairs.sort()  # the nested loop's left-major output order
-        elif pairs:
+        if restore is not None and picks[0]:
             # Chain root: sort back into the binder's lexicographic order —
             # exactly the (a, b, c, ...) enumeration the legacy nested loops
             # over the original FROM order would have produced.  One gather
             # per relation, then an argsort over the zipped index columns.
-            picks = tuple(zip(*pairs))  # (left indices, right indices)
-            keys = list(zip(*(
-                [column[i] for i in picks[slot]]
+            order_keys = list(zip(*(
+                _through(column, picks[slot])
                 for slot, column in (sources[alias] for alias in restore)
             )))
-            order = sorted(range(len(pairs)), key=keys.__getitem__)
-            pairs = [pairs[i] for i in order]
-        return pairs
+            order = sorted(range(len(order_keys)), key=order_keys.__getitem__)
+            lefts, rights = picks
+            picks = [lefts[i] for i in order], [rights[i] for i in order]
+        return _batched(picks)
 
 
 class MergeJoinOp(HashJoinOp):

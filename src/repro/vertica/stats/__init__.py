@@ -13,6 +13,7 @@ Correctness never depends on them -- only plan choice does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -23,6 +24,12 @@ _NUMERIC_TYPES = (int, float)
 
 def _is_numeric(value: Any) -> bool:
     return isinstance(value, _NUMERIC_TYPES) and not isinstance(value, bool)
+
+
+def _ordered(values: List[Any]) -> List[Any]:
+    """``values`` without NaN, which has no place in an order: it would make
+    ``min``/``max`` depend on where it sits and fits no histogram bucket."""
+    return [value for value in values if value == value]
 
 
 @dataclass
@@ -63,6 +70,7 @@ class ColumnStats:
         self.row_count += len(values)
         present = [value for value in values if value is not None]
         self.null_count += len(values) - len(present)
+        present = _ordered(present)
         if not present:
             return
         lo, hi = self.min_value, self.max_value
@@ -134,7 +142,8 @@ class TableStats:
 def _build_histogram(
     values: List[Any], buckets: int
 ) -> List[HistogramBucket]:
-    numeric = [float(v) for v in values if _is_numeric(v)]
+    # an infinite bound would make every bucket infinitely wide
+    numeric = [float(v) for v in values if _is_numeric(v) and math.isfinite(v)]
     if len(numeric) < 2 or buckets <= 0:
         return []
     lo, hi = min(numeric), max(numeric)
@@ -157,19 +166,20 @@ def _column_stats(
     name: str, values: List[Any], buckets: int
 ) -> ColumnStats:
     non_null = [v for v in values if v is not None]
+    comparable = _ordered(non_null)  # a NaN is a row, but no value to compare
     stats = ColumnStats(
         column=name,
         row_count=len(values),
         null_count=len(values) - len(non_null),
-        ndv=len(set(non_null)),
+        ndv=len(set(comparable)),
     )
-    if non_null:
+    if comparable:
         try:
-            stats.min_value = min(non_null)
-            stats.max_value = max(non_null)
+            stats.min_value = min(comparable)
+            stats.max_value = max(comparable)
         except TypeError:
             pass  # heterogeneous values; leave bounds unknown
-        stats.histogram = _build_histogram(non_null, buckets)
+        stats.histogram = _build_histogram(comparable, buckets)
     return stats
 
 

@@ -26,6 +26,9 @@ from tests.reference_avro import (
 )
 
 FIXED_WIDTH = ("float", "double")
+#: the active hypothesis profile's example count (tests/conftest.py): 100
+#: under ``--hypothesis-profile=ci``, a quarter of that when none is named
+UNIT = settings.default.max_examples
 
 
 # ------------------------------------------------------------------ schemas
@@ -195,7 +198,7 @@ def compiled_bulk_read(schema: Schema, payload: bytes, count: int):
 
 
 # -------------------------------------------------------------------- tests
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=6 * UNIT, deadline=None)
 @given(schema_and_batch())
 def test_writer_emits_reference_bytes_or_reference_error(case):
     schema, batch = case
@@ -204,7 +207,7 @@ def test_writer_emits_reference_bytes_or_reference_error(case):
     assert outcome(lambda: compiled_bulk_bytes(schema, batch)) == expected
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=6 * UNIT, deadline=None)
 @given(schema_and_batch(noisy=False))
 def test_reader_decodes_reference_bytes(case):
     schema, batch = case
@@ -217,7 +220,7 @@ def test_reader_decodes_reference_bytes(case):
     ) == expected
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=2 * UNIT, deadline=None)
 @given(schema_and_batch(noisy=False))
 def test_reader_agrees_on_every_truncation(case):
     schema, batch = case
@@ -233,7 +236,7 @@ def test_reader_agrees_on_every_truncation(case):
         ) == expected, cut
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=4 * UNIT, deadline=None)
 @given(schema_and_batch(noisy=False), st.data())
 def test_reader_agrees_on_corrupted_bytes(case, draw):
     """One overwritten byte: invalid union branches, negative lengths,
