@@ -3,8 +3,8 @@
 An area declares its axes (the cross product is the set of *cells*), a
 cell runner, the shape checks the finished cells must satisfy, the
 paper's stated values and a gate policy.  The machinery that runs,
-journals, reports and gates areas is :mod:`repro.bench.grid`; the areas
-themselves are one module each under :mod:`repro.bench.areas`.
+reports and gates areas is :mod:`repro.bench.grid`; the areas themselves
+are one module each under :mod:`repro.bench.areas`.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.bench.report import config_fingerprint
 
 # ------------------------------------------------------------------ statuses
-PENDING = "PENDING"
-RUNNING = "RUNNING"
 DONE = "DONE"
 FAILED = "FAILED"
 
@@ -24,7 +22,7 @@ Checks = List[Tuple[str, bool]]
 
 
 class GridError(Exception):
-    """Harness-level failure (mismatched journal, malformed artifact)."""
+    """Harness-level failure (a grid declared without axes or values)."""
 
 
 class GridCellError(Exception):
@@ -68,19 +66,18 @@ class ParameterGrid:
 class BenchArea:
     """One benchmark area: a grid, a cell runner, checks and a gate policy.
 
-    ``smoke_axes`` (what CI runs) defaults to ``axes``: the paper's own
-    grids are cheap enough to run whole.  ``checks`` is only called once
-    every cell is DONE — the harness itself records "all cells DONE" — so
-    it may index cells without guarding.  ``paper`` maps a ``cell_id`` to
-    the seconds the paper states for that cell (the report's "paper (s)"
-    column); ``notes`` are printed under the table.
+    ``axes`` is the area's one grid: every run, CI's included, executes
+    all of it.  ``checks`` is only called once every cell is DONE — the
+    harness itself records "all cells DONE" — so it may index cells
+    without guarding.  ``paper`` maps a ``cell_id`` to the seconds the
+    paper states for that cell (the report's "paper (s)" column);
+    ``notes`` are printed under the table.
     """
 
     def __init__(self, name: str, title: str,
                  axes: Mapping[str, Sequence[Any]],
                  runner: Callable[[Dict[str, Any], Dict[str, Any]],
                                   Dict[str, Any]],
-                 smoke_axes: Optional[Mapping[str, Sequence[Any]]] = None,
                  config: Optional[Dict[str, Any]] = None,
                  checks: Optional[Callable[[List[Cell]], Checks]] = None,
                  gate: Optional[Dict[str, Any]] = None,
@@ -88,8 +85,7 @@ class BenchArea:
                  notes: Sequence[str] = ()):
         self.name = name
         self.title = title
-        self.full_axes = dict(axes)
-        self.smoke_axes = dict(axes if smoke_axes is None else smoke_axes)
+        self.axes = dict(axes)
         self.runner = runner
         self.config = dict(config or {})
         self.checks = checks or (lambda cells: [])
@@ -99,9 +95,8 @@ class BenchArea:
         self.paper = dict(paper or {})
         self.notes = list(notes)
 
-    def grid(self, smoke: bool = True) -> ParameterGrid:
-        return ParameterGrid(self.name,
-                             self.smoke_axes if smoke else self.full_axes)
+    def grid(self) -> ParameterGrid:
+        return ParameterGrid(self.name, self.axes)
 
     def run_cell(self, params: Dict[str, Any]) -> Dict[str, Any]:
         return self.runner(params, self.config)

@@ -4,14 +4,13 @@ Wall-clock only (the sim clock cannot see join work yet — ROADMAP item 1),
 so nothing is banded; the shape checks are ratios within one run.
 """
 
-import time
-
 from repro.bench.area import BenchArea, GridCellError
+from repro.bench.fabric import best_of, insert_rows
 from repro.vertica import VerticaDatabase
 
 
 def load_join_tables(session, probe_rows: int, build_rows: int,
-                     colocated: bool, chunk: int = 2_000) -> None:
+                     colocated: bool) -> None:
     """Create and populate the join bench's ``probe``/``build`` pair.
 
     Every probe key hits exactly one build row.  The co-located variant
@@ -28,18 +27,9 @@ def load_join_tables(session, probe_rows: int, build_rows: int,
         f"CREATE TABLE build (k2 INTEGER, pay INTEGER) "
         f"SEGMENTED BY HASH({seg}) ALL NODES"
     )
-    for start in range(0, probe_rows, chunk):
-        values = ", ".join(
-            f"({i % build_rows}, {float(i % 97)})"
-            for i in range(start, min(start + chunk, probe_rows))
-        )
-        session.execute(f"INSERT INTO probe VALUES {values}")
-    for start in range(0, build_rows, chunk):
-        values = ", ".join(
-            f"({i}, {i + 7})"
-            for i in range(start, min(start + chunk, build_rows))
-        )
-        session.execute(f"INSERT INTO build VALUES {values}")
+    insert_rows(session, "probe", [(i % build_rows, float(i % 97))
+                                   for i in range(probe_rows)])
+    insert_rows(session, "build", [(i, i + 7) for i in range(build_rows)])
 
 
 def run_cell(params, config):
@@ -52,11 +42,7 @@ def run_cell(params, config):
     session.execute(f"SET JOIN_STRATEGY = '{params['strategy']}'")
     sql = "SELECT COUNT(*) FROM probe JOIN build ON k = k2"
     repeats = 1 if params["strategy"] == "nested-loop" else config["repeats"]
-    best = float("inf")
-    for __ in range(repeats):
-        started = time.perf_counter()
-        rows_out = session.execute(sql).scalar()
-        best = min(best, time.perf_counter() - started)
+    best, rows_out = best_of(repeats, lambda: session.execute(sql).scalar())
     if rows_out != params["probe_rows"]:
         raise GridCellError(
             f"join returned {rows_out} rows, wanted {params['probe_rows']}"
@@ -93,12 +79,8 @@ AREA = BenchArea(
     "Join strategies: hash/merge vs nested loop, co-located vs shuffled",
     axes={"strategy": ("nested-loop", "hash", "merge"),
           "colocated": (True, False),
-          "probe_rows": (100_000,),
-          "build_rows": (1_000,)},
-    smoke_axes={"strategy": ("nested-loop", "hash", "merge"),
-                "colocated": (True, False),
-                "probe_rows": (4_000,),
-                "build_rows": (200,)},
+          "probe_rows": (4_000,),
+          "build_rows": (200,)},
     runner=run_cell,
     config={"num_nodes": 4, "repeats": 3},
     checks=checks,

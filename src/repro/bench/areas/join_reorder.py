@@ -5,10 +5,10 @@ so nothing is banded; the checks are that every plan shows its JOIN ORDER
 and records a replan.
 """
 
-import time
 from typing import Dict, Tuple
 
 from repro.bench.area import BenchArea, GridCellError
+from repro.bench.fabric import best_of, insert_rows
 from repro.vertica import VerticaDatabase
 
 STAR_WIDE_KEYS = ("ka", "kb", "kc")
@@ -31,8 +31,8 @@ def star_sizes(fact_rows: int) -> Dict[str, int]:
     }
 
 
-def load_star_tables(session, fact_rows: int, relations: int,
-                     chunk: int = 2_000) -> Dict[str, int]:
+def load_star_tables(session, fact_rows: int,
+                     relations: int) -> Dict[str, int]:
     """Create/populate the star bench's fact, wide dims and selective dim.
 
     Every fact row matches exactly one row in each wide dim (joins there
@@ -51,39 +51,23 @@ def load_star_tables(session, fact_rows: int, relations: int,
             f"CREATE TABLE dwide{idx} (w{idx}_id INTEGER, w{idx}_pay INTEGER) "
             f"SEGMENTED BY HASH(w{idx}_id) ALL NODES"
         )
-        for start in range(0, wide, chunk):
-            values = ", ".join(
-                f"({i}, {i + idx})" for i in range(start, min(start + chunk, wide))
-            )
-            session.execute(f"INSERT INTO dwide{idx} VALUES {values}")
+        insert_rows(session, f"dwide{idx}",
+                    [(i, i + idx) for i in range(wide)])
     sel = sizes["sel_rows"]
     session.execute(
         "CREATE TABLE dsel (sel_id INTEGER, sel_pay INTEGER) "
         "SEGMENTED BY HASH(sel_id) ALL NODES"
     )
-    for start in range(0, sel, chunk):
-        values = ", ".join(
-            f"({i}, {i})" for i in range(start, min(start + chunk, sel))
-        )
-        session.execute(f"INSERT INTO dsel VALUES {values}")
-
-    def fact_values(start, stop):
-        return ", ".join(
-            f"({i % wide}, {i % wide}, {i % wide}, {i % sel}, {float(i % 89)})"
-            for i in range(start, stop)
-        )
-
+    insert_rows(session, "dsel", [(i, i) for i in range(sel)])
+    fact = [(i % wide, i % wide, i % wide, i % sel, float(i % 89))
+            for i in range(fact_rows)]
     analyzed = sizes["analyzed_rows"]
-    for start in range(0, analyzed, chunk):
-        session.execute("INSERT INTO sfact VALUES "
-                        + fact_values(start, min(start + chunk, analyzed)))
+    insert_rows(session, "sfact", fact[:analyzed])
     for idx in range(relations - 2):
         session.execute(f"ANALYZE dwide{idx}")
     session.execute("ANALYZE dsel")
     session.execute("ANALYZE sfact")  # deliberately before the bulk load
-    for start in range(analyzed, fact_rows, chunk):
-        session.execute("INSERT INTO sfact VALUES "
-                        + fact_values(start, min(start + chunk, fact_rows)))
+    insert_rows(session, "sfact", fact[analyzed:])
     return sizes
 
 
@@ -116,12 +100,8 @@ def run_cell(params, config):
     shuffled = sum(
         op.stats.rows_shuffled for __, op in report.profile.operators()
     )
-    best = float("inf")
-    rows_out = None
-    for __ in range(config["repeats"]):
-        started = time.perf_counter()
-        rows_out = session.execute(sql).scalar()
-        best = min(best, time.perf_counter() - started)
+    best, rows_out = best_of(config["repeats"],
+                             lambda: session.execute(sql).scalar())
     if rows_out != expected:
         raise GridCellError(
             f"star join returned {rows_out} rows, wanted {expected}"
@@ -150,8 +130,7 @@ def checks(cells):
 AREA = BenchArea(
     "join_reorder",
     "Adaptive star joins: reorder + replanning over stale statistics",
-    axes={"relations": (3, 5), "fact_rows": (100_000,)},
-    smoke_axes={"relations": (3, 5), "fact_rows": (4_000,)},
+    axes={"relations": (3, 5), "fact_rows": (4_000,)},
     runner=run_cell,
     config={"num_nodes": 4, "repeats": 3},
     checks=checks,

@@ -6,9 +6,8 @@ smoke floor — an order of magnitude under the deleted legacy interpreter
 (see docs/ENGINE.md) — which the gate enforces as a shape check.
 """
 
-import time
-
 from repro.bench.area import BenchArea, GridCellError
+from repro.bench.fabric import best_of, insert_rows
 from repro.vertica import VerticaDatabase
 
 QUERIES = {
@@ -21,18 +20,14 @@ QUERIES = {
 FLOOR_ROWS_PER_SEC = 20_000
 
 
-def load_scan_table(session, rows: int, chunk: int = 2_000) -> None:
+def load_scan_table(session, rows: int) -> None:
     """Create and populate the scan bench's ``big`` table."""
     session.execute(
         "CREATE TABLE big (id INTEGER, grp INTEGER, v FLOAT, "
         "name VARCHAR(20)) SEGMENTED BY HASH(id) ALL NODES"
     )
-    for start in range(0, rows, chunk):
-        values = ", ".join(
-            f"({i}, {i % 37}, {float(i % 101)}, 'n{i % 50}')"
-            for i in range(start, min(start + chunk, rows))
-        )
-        session.execute(f"INSERT INTO big VALUES {values}")
+    insert_rows(session, "big", [(i, i % 37, float(i % 101), f"'n{i % 50}'")
+                                 for i in range(rows)])
 
 
 def run_cell(params, config):
@@ -40,12 +35,7 @@ def run_cell(params, config):
     session = db.connect()
     load_scan_table(session, config["rows"])
     sql = QUERIES[params["workload"]]
-    best = float("inf")
-    result = None
-    for __ in range(config["repeats"]):
-        started = time.perf_counter()
-        result = session.execute(sql)
-        best = min(best, time.perf_counter() - started)
+    best, result = best_of(config["repeats"], lambda: session.execute(sql))
     if result.cost.rows_scanned != config["rows"]:
         raise GridCellError(
             f"scanned {result.cost.rows_scanned} rows, wanted {config['rows']}"

@@ -121,7 +121,6 @@ AREA = BenchArea(
     "serving",
     "Zipf read-mostly serving: caching tiers' hit rate vs read latency",
     axes={"skew": (0.0, 0.6, 1.2, 1.4), "result_cache": (False, True)},
-    smoke_axes={"skew": (1.2,), "result_cache": (False, True)},
     runner=run_cell,
     config={"clients": 6, "ops": 60, "read_fraction": 0.95, "seed": 11},
     checks=checks,

@@ -43,9 +43,6 @@ AREA = BenchArea(
     axes={"direction": ("s2v", "v2s"),
           "transport": ("direct", "staged"),
           "partitions": (2, 4, 8, 16)},
-    smoke_axes={"direction": ("s2v", "v2s"),
-                "transport": ("direct", "staged"),
-                "partitions": (4, 8, 16)},
     runner=run_cell,
     config={"real_rows": 400, "num_cols": 10, "seed": 7,
             "virtual_rows": 16_000_000},

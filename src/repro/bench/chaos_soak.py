@@ -30,7 +30,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import telemetry
-from repro.bench.fabric import LIGHT_COST_MODEL, Fabric
+from repro.bench.fabric import LIGHT_COST_MODEL, Fabric, insert_rows
 from repro.chaos import (
     ALL_FAMILIES,
     ChaosSchedule,
@@ -450,19 +450,13 @@ def _load_star(run) -> None:
         [(i, i * 2) for i in range(ADAPTIVE_B_KEYS)],
     )
 
-    def fact_values(start, stop):
-        return ", ".join(
-            f"({i % ADAPTIVE_A_KEYS}, {i % ADAPTIVE_B_KEYS}, {float(i)})"
-            for i in range(start, stop)
-        )
-
+    fact = [(i % ADAPTIVE_A_KEYS, i % ADAPTIVE_B_KEYS, float(i))
+            for i in range(ADAPTIVE_FACT_ROWS)]
     with fabric.vertica.db.connect() as session:
-        session.execute(f"INSERT INTO {ADAPTIVE_FACT} VALUES "
-                        + fact_values(0, ADAPTIVE_ANALYZED))
+        insert_rows(session, ADAPTIVE_FACT, fact[:ADAPTIVE_ANALYZED])
         for table in (ADAPTIVE_FACT, ADAPTIVE_DIM_A, ADAPTIVE_DIM_B):
             session.execute(f"ANALYZE {table}")
-        session.execute(f"INSERT INTO {ADAPTIVE_FACT} VALUES "
-                        + fact_values(ADAPTIVE_ANALYZED, ADAPTIVE_FACT_ROWS))
+        insert_rows(session, ADAPTIVE_FACT, fact[ADAPTIVE_ANALYZED:])
 
 
 def _audit_adaptive(run, checker, raised, report) -> None:

@@ -10,7 +10,8 @@ start at zero.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+import time
+from typing import Callable, Dict, Optional, Sequence, Tuple, TypeVar
 
 from repro import telemetry as _telemetry
 from repro.bench.area import GridCellError
@@ -46,6 +47,33 @@ HDFS_DISK_BANDWIDTH = 150e6
 JOB_LAUNCH_OVERHEAD = 1.2
 #: per task-attempt scheduling latency
 TASK_LAUNCH_OVERHEAD = 0.005
+
+T = TypeVar("T")
+
+
+def insert_rows(session, table: str, rows: Sequence[Sequence],
+                chunk: int = 2_000) -> None:
+    """Load ``rows`` with one ``INSERT … VALUES`` per ``chunk`` of them.
+
+    Each value is rendered with ``str`` (a string column's values arrive
+    already quoted), so the statement text is the same wherever a bench
+    table is loaded from.
+    """
+    for start in range(0, len(rows), chunk):
+        values = ", ".join(f"({', '.join(map(str, row))})"
+                           for row in rows[start:start + chunk])
+        session.execute(f"INSERT INTO {table} VALUES {values}")
+
+
+def best_of(repeats: int, fn: Callable[[], T]) -> Tuple[float, T]:
+    """Fewest wall seconds of ``repeats`` calls of ``fn``, and the last
+    call's result."""
+    best = float("inf")
+    for __ in range(repeats):
+        started = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - started)
+    return best, result
 
 
 class Fabric:
@@ -175,9 +203,7 @@ class Fabric:
         with self.vertica.db.connect() as session:
             session.execute(f"CREATE TABLE {ddl}")
             if rows:
-                values = ", ".join(
-                    f"({', '.join(map(str, row))})" for row in rows)
-                session.execute(f"INSERT INTO {ddl.split()[0]} VALUES {values}")
+                insert_rows(session, ddl.split()[0], rows, chunk=len(rows))
 
     def populate(self, dataset: Dataset, table: str) -> None:
         load_direct(self.vertica, dataset, table)

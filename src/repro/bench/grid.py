@@ -1,4 +1,4 @@
-"""Resumable experiment-grid harness with a persisted perf trajectory.
+"""Experiment-grid harness with a persisted perf trajectory.
 
 The paper's evidence is a parameter grid — Figures 6-12 sweep partitions
 × cluster size × data scale × transport, Tables 2-4 are two- and
@@ -9,18 +9,19 @@ paper values) lives in :mod:`repro.bench.area`; the areas themselves are
 one module each under :mod:`repro.bench.areas`.  This module is the
 machinery that runs them:
 
-- a :class:`ResultsStore` persists one record per cell with a status
-  (``PENDING/RUNNING/DONE/FAILED``) into an append-only JSONL journal, so
-  an interrupted sweep **resumes** instead of restarting — and publishes
-  the finished trajectory into the repro's own Vertica tables
-  (``bench_results``, written via the S2V connector, read back via V2S:
-  the measurement store dogfoods the system under measurement);
-- a :class:`GridRunner` executes the pending cells of a grid through one
-  area's cell runner, journaling begin/done/fail around each;
+- :func:`run_area` runs every cell of an area's grid, in order, every
+  time — a cell is a function of its inputs, so a sweep that was cut
+  short or whose code changed is simply run again — and keeps one record
+  per cell (``DONE`` with its sim and wall seconds and metrics, or
+  ``FAILED`` with the exception; a failed cell never stops the sweep);
 - each area emits a schema-versioned ``BENCH_<area>.json`` artifact
   (routed through :class:`~repro.bench.report.ExperimentReport`'s JSON
-  sidecar) carrying the cost-model fingerprint plus per-cell sim and
-  wall seconds, next to the paper-vs-measured ``BENCH_<area>.txt`` table;
+  sidecar) carrying the cost-model fingerprint plus the cell records,
+  next to the paper-vs-measured ``BENCH_<area>.txt`` table;
+- :func:`publish_results` writes the cell records into the repro's own
+  Vertica tables (``bench_results``, written via the S2V connector, read
+  back via V2S: the measurement store dogfoods the system under
+  measurement);
 - :func:`compare_artifacts` is the CI perf gate: a fresh artifact is
   compared against the committed baseline with tolerance bands, and any
   regression (or stale grid/cost-model fingerprint) fails the job;
@@ -31,14 +32,9 @@ Command line::
 
     python -m repro.bench.grid                  # every area (CI runs this)
     python -m repro.bench.grid fig06 staging    # selected areas
-    python -m repro.bench.grid --full           # the full (large) grids
     python -m repro.bench.grid --gate           # compare vs baselines
     python -m repro.bench.grid --list           # show areas and axes
     python -m repro.bench.grid --trajectory     # render the perf history
-
-Interrupt a sweep at any point and re-run the same command: completed
-cells are skipped, cells that were mid-flight are reconciled back to
-PENDING and re-run.  ``--fresh`` discards the journal and restarts.
 """
 
 from __future__ import annotations
@@ -50,28 +46,19 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.bench.area import (
-    DONE,
-    FAILED,
-    PENDING,
-    RUNNING,
-    BenchArea,
-    GridError,
-    ParameterGrid,
-)
+from repro.bench.area import DONE, FAILED, BenchArea, Cell
 from repro.bench.areas import AREAS
 from repro.bench.fabric import Fabric
 from repro.bench.report import ExperimentReport, append_jsonl, config_fingerprint
 from repro.connector.costmodel import NULL_COST_MODEL, PAPER_COST_MODEL
 from repro.spark.row import StructField, StructType
 
-#: the Vertica table the results store publishes finished cells into
+#: the Vertica table finished cells are published into
 RESULTS_TABLE = "bench_results"
 RESULTS_SCHEMA = StructType([
     StructField("area", "string"),
     StructField("cell_id", "string"),
     StructField("status", "string"),
-    StructField("attempts", "long"),
     StructField("sim_seconds", "double"),
     StructField("wall_seconds", "double"),
 ])
@@ -83,150 +70,55 @@ def cost_model_fingerprint(cost_model=PAPER_COST_MODEL) -> str:
     return config_fingerprint(vars(cost_model))
 
 
-# ------------------------------------------------------------- results store
-class ResultsStore:
-    """One grid's per-cell records, journaled for resume.
+# ---------------------------------------------------------------------- cells
+def run_cells(area: BenchArea,
+              log: Callable[[str], None] = print) -> List[Cell]:
+    """Run every cell of the area's grid, in order; one record per cell.
 
-    The journal is append-only JSONL: a ``grid`` header pins the axes
-    fingerprint, then ``begin``/``done``/``fail`` events per cell.
-    :meth:`load` folds the events into the latest state; cells left
-    ``RUNNING`` by a killed process are reconciled back to ``PENDING``
-    (their attempt count survives, so flaky cells are visible).
+    A cell that raises is recorded ``FAILED`` with its error and the
+    sweep goes on to the next one.
     """
-
-    def __init__(self, path: str, grid: ParameterGrid):
-        self.path = path
-        self.grid = grid
-        self._records: Dict[str, Dict[str, Any]] = {}
-        #: cells found mid-flight on load and reset to PENDING
-        self.reconciled: List[str] = []
-        self.load()
-
-    # -- journal replay ---------------------------------------------------------
-    def load(self) -> None:
-        self._records = {
-            self.grid.cell_id(params): {
-                "cell_id": self.grid.cell_id(params),
-                "params": dict(params),
-                "status": PENDING,
-                "attempts": 0,
-                "sim_seconds": None,
-                "wall_seconds": None,
-                "metrics": {},
-                "error": None,
-            }
-            for params in self.grid.cells()
-        }
-        self.reconciled = []
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                self._apply(json.loads(line))
-        for record in self._records.values():
-            if record["status"] == RUNNING:
-                record["status"] = PENDING
-                self.reconciled.append(record["cell_id"])
-
-    def _apply(self, event: Dict[str, Any]) -> None:
-        kind = event.get("event")
-        if kind == "grid":
-            if event.get("fingerprint") != self.grid.fingerprint():
-                raise GridError(
-                    f"journal {self.path} was written for a different grid "
-                    f"(fingerprint {event.get('fingerprint')!r} != "
-                    f"{self.grid.fingerprint()!r}); re-run with --fresh"
-                )
-            return
-        record = self._records.get(event.get("cell_id", ""))
-        if record is None:  # a cell the current grid no longer declares
-            return
-        if kind == "begin":
-            record["status"] = RUNNING
-            record["attempts"] += 1
-        elif kind == "done":
-            record["status"] = DONE
-            record["sim_seconds"] = event.get("sim_seconds")
-            record["wall_seconds"] = event.get("wall_seconds")
-            record["metrics"] = event.get("metrics", {})
-            record["error"] = None
-        elif kind == "fail":
-            record["status"] = FAILED
-            record["wall_seconds"] = event.get("wall_seconds")
-            record["error"] = event.get("error")
-
-    # -- event writers ------------------------------------------------------------
-    def _append(self, event: Dict[str, Any]) -> None:
-        if not os.path.exists(self.path):
-            append_jsonl(self.path, {
-                "event": "grid",
-                "area": self.grid.area,
-                "axes": self.grid.axes,
-                "fingerprint": self.grid.fingerprint(),
-            })
-        append_jsonl(self.path, event)
-        self._apply(event)
-
-    def begin(self, cell_id: str) -> None:
-        self._append({
-            "event": "begin",
-            "cell_id": cell_id,
-            "params": self._records[cell_id]["params"],
-            "at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        })
-
-    def complete(self, cell_id: str, metrics: Dict[str, Any],
-                 wall_seconds: float) -> None:
-        metrics = dict(metrics)
+    grid = area.grid()
+    cells: List[Cell] = []
+    for params in grid.cells():
+        cell_id = grid.cell_id(params)
+        metrics: Dict[str, Any] = {}
+        error = None
+        started = time.perf_counter()
+        try:
+            metrics = dict(area.run_cell(dict(params)))
+        except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+            error = repr(exc)
+        wall = round(time.perf_counter() - started, 4)
         sim = metrics.pop("sim_seconds", None)
-        self._append({
-            "event": "done",
+        if error is None:
+            shown = "-" if sim is None else f"{sim:.1f}s sim"
+            log(f"[{area.name}] DONE {cell_id} ({shown}, {wall:.2f}s wall)")
+        else:
+            log(f"[{area.name}] FAILED {cell_id}: {error}")
+        cells.append({
             "cell_id": cell_id,
+            "params": params,
+            "status": DONE if error is None else FAILED,
             "sim_seconds": None if sim is None else round(sim, 3),
-            "wall_seconds": round(wall_seconds, 4),
+            "wall_seconds": wall,
             "metrics": metrics,
-        })
-
-    def fail(self, cell_id: str, error: str, wall_seconds: float) -> None:
-        self._append({
-            "event": "fail",
-            "cell_id": cell_id,
             "error": error,
-            "wall_seconds": round(wall_seconds, 4),
         })
-
-    # -- accessors ----------------------------------------------------------------
-    def record(self, cell_id: str) -> Dict[str, Any]:
-        return self._records[cell_id]
-
-    def records(self) -> List[Dict[str, Any]]:
-        """All cell records, in grid order."""
-        return [self._records[self.grid.cell_id(p)] for p in self.grid.cells()]
-
-    def counts(self) -> Dict[str, int]:
-        out = {PENDING: 0, RUNNING: 0, DONE: 0, FAILED: 0}
-        for record in self._records.values():
-            out[record["status"]] += 1
-        return out
-
-    def discard(self) -> None:
-        if os.path.exists(self.path):
-            os.remove(self.path)
-        self.load()
+    return cells
 
 
 # -------------------------------------------------------- Vertica dogfooding
-def publish_results(stores: Sequence[ResultsStore],
+def publish_results(cells_by_area: Mapping[str, Sequence[Cell]],
                     fabric: Optional[Fabric] = None) -> Tuple[Fabric, int]:
-    """Persist every finished cell into the repro's own Vertica tables.
+    """Persist each area's cell records into the repro's own Vertica tables.
 
     Creates ``bench_results`` (one CREATE TABLE through the engine) and
-    appends one row per DONE/FAILED cell **via the S2V connector** — the
-    store's durable query surface is the system under measurement.
-    Returns the fabric and the number of rows written.
+    appends one row per cell **via the S2V connector** — the results'
+    query surface is the system under measurement.  A time a cell did not
+    report (a wall-only area's sim seconds, a FAILED cell's) is NULL, so
+    SQL aggregates skip it.  Returns the fabric and the number of rows
+    written.
     """
     fabric = fabric or Fabric(num_vertica=2, num_spark=2,
                               cost_model=NULL_COST_MODEL)
@@ -242,21 +134,11 @@ def publish_results(stores: Sequence[ResultsStore],
             ))
     finally:
         session.close()
-    rows = []
-    for store in stores:
-        for record in store.records():
-            if record["status"] not in (DONE, FAILED):
-                continue
-            rows.append((
-                store.grid.area,
-                record["cell_id"],
-                record["status"],
-                record["attempts"],
-                float(record["sim_seconds"] if record["sim_seconds"]
-                      is not None else -1.0),
-                float(record["wall_seconds"] if record["wall_seconds"]
-                      is not None else -1.0),
-            ))
+    rows = [
+        (area_name, cell["cell_id"], cell["status"],
+         cell["sim_seconds"], cell["wall_seconds"])
+        for area_name, cells in cells_by_area.items() for cell in cells
+    ]
     if not rows:
         return fabric, 0
     df = fabric.spark.create_dataframe(rows, RESULTS_SCHEMA, num_partitions=2)
@@ -276,73 +158,18 @@ def read_results(fabric: Fabric) -> List[Tuple]:
     return df.collect()
 
 
-# -------------------------------------------------------------------- runner
-class GridRunner:
-    """Executes a grid's pending cells through one cell runner."""
-
-    def __init__(self, grid: ParameterGrid, runner: Callable[[Dict[str, Any]],
-                 Dict[str, Any]], store: ResultsStore,
-                 log: Callable[[str], None] = print):
-        self.grid = grid
-        self.runner = runner
-        self.store = store
-        self.log = log
-
-    def run(self, resume: bool = True) -> Dict[str, int]:
-        """Run every non-DONE cell; returns run/skipped/failed counts.
-
-        With ``resume`` (the default) DONE cells are skipped and FAILED
-        cells are retried; without it the journal is discarded first.
-        """
-        if not resume:
-            self.store.discard()
-        if self.store.reconciled:
-            self.log(
-                f"[{self.grid.area}] reconciled {len(self.store.reconciled)} "
-                f"interrupted cell(s) back to PENDING"
-            )
-        summary = {"run": 0, "skipped": 0, "failed": 0,
-                   "reconciled": len(self.store.reconciled)}
-        for params in self.grid.cells():
-            cell_id = self.grid.cell_id(params)
-            record = self.store.record(cell_id)
-            if record["status"] == DONE:
-                summary["skipped"] += 1
-                continue
-            self.store.begin(cell_id)
-            started = time.perf_counter()
-            try:
-                metrics = self.runner(dict(params))
-            except KeyboardInterrupt:
-                raise  # journal keeps the begin event; next run reconciles
-            except Exception as exc:  # noqa: BLE001 - journaled, not hidden
-                wall = time.perf_counter() - started
-                self.store.fail(cell_id, repr(exc), wall)
-                summary["failed"] += 1
-                self.log(f"[{self.grid.area}] FAILED {cell_id}: {exc!r}")
-                continue
-            wall = time.perf_counter() - started
-            self.store.complete(cell_id, metrics, wall)
-            summary["run"] += 1
-            sim = metrics.get("sim_seconds")
-            shown = "-" if sim is None else f"{sim:.1f}s sim"
-            self.log(f"[{self.grid.area}] DONE {cell_id} ({shown}, "
-                     f"{wall:.2f}s wall)")
-        return summary
-
-
 # ------------------------------------------------------------------ artifacts
-def build_area_report(area: BenchArea, store: ResultsStore,
-                      smoke: bool) -> ExperimentReport:
-    """Fold a store's cells into the area's ``BENCH_<area>`` report.
+def build_area_report(area: BenchArea,
+                      cells: Sequence[Cell]) -> ExperimentReport:
+    """Fold an area's cell records into its ``BENCH_<area>`` report.
 
-    The report's JSON sidecar *is* the artifact: per-cell records ride in
+    The report's JSON sidecar *is* the artifact: the cell records ride in
     the payload next to the grid and cost-model fingerprints the CI gate
     keys on.
     """
-    cells = store.records()
+    grid = area.grid()
     report = ExperimentReport(f"BENCH_{area.name}", area.title)
-    axis_names = list(store.grid.axes)
+    axis_names = list(grid.axes)
     paper = ["paper (s)"] if area.paper else []
     report.set_columns(
         axis_names + ["status"] + paper + ["sim (s)", "wall (s)", "metrics"])
@@ -357,7 +184,7 @@ def build_area_report(area: BenchArea, store: ResultsStore,
             row.append(area.paper.get(record["cell_id"]))
         report.add(*row, record["sim_seconds"], record["wall_seconds"],
                    metrics or None)
-        total_wall += record["wall_seconds"] or 0.0
+        total_wall += record["wall_seconds"]
         total_sim += record["sim_seconds"] or 0.0
     for note in area.notes:
         report.note(note)
@@ -366,16 +193,16 @@ def build_area_report(area: BenchArea, store: ResultsStore,
     if all_done:  # shape checks index cells freely; they need every one
         for description, ok in area.checks(cells):
             report.check(description, ok)
-    report.config = dict(area.config, area=area.name, smoke=smoke)
+    report.config = dict(area.config, area=area.name)
     report.timing(wall_seconds=round(total_wall, 3),
                   sim_seconds=round(total_sim, 3))
     report.payload = {
         "area": area.name,
-        "grid": {"axes": {k: list(v) for k, v in store.grid.axes.items()},
-                 "fingerprint": store.grid.fingerprint()},
+        "grid": {"axes": {k: list(v) for k, v in grid.axes.items()},
+                 "fingerprint": grid.fingerprint()},
         "cost_model_fingerprint": cost_model_fingerprint(),
         "gate": dict(area.gate),
-        "cells": cells,
+        "cells": list(cells),
     }
     return report
 
@@ -608,26 +435,17 @@ def render_trajectory(results_dir: str,
 
 
 # ------------------------------------------------------------------------ CLI
-def journal_path(results_dir: str, area_name: str, smoke: bool) -> str:
-    flavor = "smoke" if smoke else "full"
-    return os.path.join(results_dir, f"grid_{area_name}.{flavor}.jsonl")
-
-
-def run_area(area: BenchArea, results_dir: str, smoke: bool = True,
-             resume: bool = True,
-             log: Callable[[str], None] = print) -> Tuple[ResultsStore,
-                                                          ExperimentReport]:
-    """Run one area's grid (resuming), then emit its BENCH artifact."""
-    grid = area.grid(smoke=smoke)
-    store = ResultsStore(journal_path(results_dir, area.name, smoke), grid)
-    runner = GridRunner(grid, area.run_cell, store, log=log)
-    summary = runner.run(resume=resume)
-    log(f"[{area.name}] {summary['run']} run, {summary['skipped']} resumed "
-        f"(skipped), {summary['failed']} failed of {len(grid)} cells")
-    report = build_area_report(area, store, smoke=smoke)
+def run_area(area: BenchArea, results_dir: str,
+             log: Callable[[str], None] = print) -> ExperimentReport:
+    """Run every cell of one area's grid, then emit its BENCH artifact."""
+    cells = run_cells(area, log)
+    failed = sum(cell["status"] == FAILED for cell in cells)
+    log(f"[{area.name}] {len(cells) - failed} done, {failed} failed "
+        f"of {len(cells)} cells")
+    report = build_area_report(area, cells)
     report.save(results_dir)
     log(f"[{area.name}] wrote {artifact_path(results_dir, area.name)}")
-    return store, report
+    return report
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -640,11 +458,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              f"{sorted(AREAS)})")
     parser.add_argument("--list", action="store_true",
                         help="list areas, axes and cell counts")
-    parser.add_argument("--full", action="store_true",
-                        help="run the full grids where an area's smoke "
-                             "subset is smaller")
-    parser.add_argument("--fresh", action="store_true",
-                        help="discard journals and restart the sweep")
     parser.add_argument("--results-dir", default="benchmarks/results")
     parser.add_argument("--baseline-dir", default="benchmarks/baselines")
     parser.add_argument("--gate", action="store_true",
@@ -667,11 +480,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.list:
         for name, area in sorted(AREAS.items()):
-            smoke = area.grid(True)
-            full = area.grid(False)
+            grid = area.grid()
             print(f"{name:18s} {area.title}")
-            print(f"{'':18s} axes: {full.axes} "
-                  f"({len(smoke)} smoke / {len(full)} full cells)")
+            print(f"{'':18s} axes: {grid.axes} ({len(grid)} cells)")
         return 0
 
     unknown = [a for a in args.areas if a not in AREAS]
@@ -691,15 +502,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"perf gate passed for {len(selected)} area(s)")
         return 0
 
-    smoke = not args.full
-    stores: List[ResultsStore] = []
+    cells_by_area: Dict[str, List[Cell]] = {}
     bad = False
     for name in selected:
-        store, report = run_area(AREAS[name], args.results_dir, smoke=smoke,
-                                 resume=not args.fresh)
-        stores.append(store)
-        counts = store.counts()
-        if counts[FAILED] or counts[PENDING] or not report.all_checks_pass:
+        report = run_area(AREAS[name], args.results_dir)
+        cells_by_area[name] = report.payload["cells"]
+        if not report.all_checks_pass:  # "all cells DONE" is one of them
             bad = True
         for description in report.failed_checks():
             print(f"[{name}] CHECK FAILED: {description}", file=sys.stderr)
@@ -710,7 +518,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"{artifact_path(args.baseline_dir, name)}")
 
     if not args.no_publish:
-        fabric, written = publish_results(stores)
+        fabric, written = publish_results(cells_by_area)
         readback = read_results(fabric)
         print(f"published {written} cell row(s) into {RESULTS_TABLE} via "
               f"S2V; V2S reads back {len(readback)} row(s)")

@@ -207,7 +207,7 @@ class Network:
         Caps are modelled as single-flow virtual links, which folds them
         into the standard bottleneck-freezing algorithm.  Flows are taken in
         arrival order and links in first-seen order — the only order there
-        is (docs/DESIGN.md, "The rate solver's contract").  Per link the
+        is (docs/TRANSPORT.md, "The rate solver's contract").  Per link the
         capacity left and the number of unfrozen flows are *kept*, not
         recounted: freezing a flow touches its own links only.
 

@@ -1,11 +1,10 @@
-"""Tests for the resumable experiment-grid harness.
+"""Tests for the experiment-grid harness.
 
-The contract under test is the ISSUE's: an interrupted sweep *resumes*
-instead of restarting (completed cells skipped, mid-flight statuses
-reconciled, merged results identical to an uninterrupted run), artifacts
+The contract under test: a run executes every cell of its area, every
+time (a raising cell is recorded FAILED and the sweep goes on), artifacts
 are schema-versioned and fingerprinted, the CI gate trips on an injected
-regression while passing on an identical baseline, and the results store
-round-trips through the repro's own Vertica tables via S2V/V2S.  The
+regression while passing on an identical baseline, and the cell records
+round-trip through the repro's own Vertica tables via S2V/V2S.  The
 registry tests pin the "one bench spine" contract: every paper figure,
 table and ablation is an area with a committed, current, passing baseline.
 """
@@ -17,17 +16,12 @@ import re
 
 import pytest
 
-from repro.bench.area import SIM_GATE
+from repro.bench.area import SIM_GATE, GridError, ParameterGrid
 from repro.bench.grid import (
     AREAS,
     DONE,
     FAILED,
-    PENDING,
     BenchArea,
-    GridError,
-    GridRunner,
-    ParameterGrid,
-    ResultsStore,
     artifact_path,
     build_area_report,
     compare_artifacts,
@@ -37,6 +31,7 @@ from repro.bench.grid import (
     publish_results,
     read_results,
     run_area,
+    run_cells,
 )
 from repro.bench.report import REPORT_SCHEMA_VERSION
 
@@ -53,19 +48,11 @@ def deterministic_runner(params):
             "rows_per_sec": 1000 * params["partitions"]}
 
 
-class CountingRunner:
-    """Wraps a runner; optionally dies (as if killed) at one cell index."""
-
-    def __init__(self, runner, die_at=None):
-        self.runner = runner
-        self.die_at = die_at
-        self.calls = []
-
-    def __call__(self, params):
-        if self.die_at is not None and len(self.calls) == self.die_at:
-            raise KeyboardInterrupt
-        self.calls.append(dict(params))
-        return self.runner(params)
+def flaky_runner(params):
+    """Raises on both ``partitions=4`` cells."""
+    if params["partitions"] == 4:
+        raise RuntimeError("boom")
+    return deterministic_runner(params)
 
 
 def quiet(_msg):
@@ -94,99 +81,6 @@ class TestParameterGrid:
             ParameterGrid("bad", {"partitions": ()})
 
 
-class TestResume:
-    def test_interrupted_sweep_resumes_and_matches_uninterrupted(self, tmp_path):
-        journal = str(tmp_path / "grid.jsonl")
-        # Kill the sweep after two completed cells (the third dies
-        # mid-flight, leaving a begin event with no done/fail).
-        killed = CountingRunner(deterministic_runner, die_at=2)
-        with pytest.raises(KeyboardInterrupt):
-            GridRunner(tiny_grid(), killed, ResultsStore(journal, tiny_grid()),
-                       log=quiet).run()
-        assert len(killed.calls) == 2
-
-        # Reloading the journal reconciles the mid-flight cell to PENDING
-        # (attempt recorded), keeps the two DONE cells.
-        store = ResultsStore(journal, tiny_grid())
-        assert store.reconciled == ["direction=v2s,partitions=8"]
-        counts = store.counts()
-        assert counts[DONE] == 2 and counts[PENDING] == 4
-        assert store.record("direction=v2s,partitions=8")["attempts"] == 1
-
-        # The resumed run executes only the four unfinished cells.
-        resumed = CountingRunner(deterministic_runner)
-        summary = GridRunner(tiny_grid(), resumed, store, log=quiet).run()
-        assert summary == {"run": 4, "skipped": 2, "failed": 0,
-                           "reconciled": 1}
-        assert [c["partitions"] for c in resumed.calls] == [8, 2, 4, 8]
-
-        # Merged results are identical to a never-interrupted sweep.
-        clean_store = ResultsStore(str(tmp_path / "clean.jsonl"), tiny_grid())
-        GridRunner(tiny_grid(), CountingRunner(deterministic_runner),
-                   clean_store, log=quiet).run()
-
-        def comparable(records):
-            return [(r["cell_id"], r["status"], r["sim_seconds"], r["metrics"])
-                    for r in records]
-
-        assert comparable(store.records()) == comparable(clean_store.records())
-        # The reconciled cell carries its extra (wasted) attempt.
-        assert store.record("direction=v2s,partitions=8")["attempts"] == 2
-
-    def test_second_run_skips_everything(self, tmp_path):
-        journal = str(tmp_path / "grid.jsonl")
-        GridRunner(tiny_grid(), CountingRunner(deterministic_runner),
-                   ResultsStore(journal, tiny_grid()), log=quiet).run()
-        rerun = CountingRunner(deterministic_runner)
-        summary = GridRunner(tiny_grid(), rerun,
-                             ResultsStore(journal, tiny_grid()),
-                             log=quiet).run()
-        assert summary["run"] == 0 and summary["skipped"] == 6
-        assert rerun.calls == []
-
-    def test_failed_cells_are_retried_on_resume(self, tmp_path):
-        journal = str(tmp_path / "grid.jsonl")
-
-        def flaky(params):
-            if params["partitions"] == 4:
-                raise RuntimeError("boom")
-            return deterministic_runner(params)
-
-        store = ResultsStore(journal, tiny_grid())
-        summary = GridRunner(tiny_grid(), flaky, store, log=quiet).run()
-        assert summary["failed"] == 2
-        failed = store.record("direction=v2s,partitions=4")
-        assert failed["status"] == FAILED
-        assert "boom" in failed["error"]
-
-        retry = CountingRunner(deterministic_runner)
-        store = ResultsStore(journal, tiny_grid())
-        summary = GridRunner(tiny_grid(), retry, store, log=quiet).run()
-        assert summary == {"run": 2, "skipped": 4, "failed": 0,
-                           "reconciled": 0}
-        assert store.counts()[DONE] == 6
-        assert store.record("direction=v2s,partitions=4")["attempts"] == 2
-
-    def test_journal_from_a_different_grid_is_refused(self, tmp_path):
-        journal = str(tmp_path / "grid.jsonl")
-        GridRunner(tiny_grid(), deterministic_runner,
-                   ResultsStore(journal, tiny_grid()), log=quiet).run()
-        other = ParameterGrid("tiny", {"direction": ("v2s",),
-                                       "partitions": (2,)})
-        with pytest.raises(GridError, match="--fresh"):
-            ResultsStore(journal, other)
-
-    def test_no_resume_discards_the_journal(self, tmp_path):
-        journal = str(tmp_path / "grid.jsonl")
-        GridRunner(tiny_grid(), deterministic_runner,
-                   ResultsStore(journal, tiny_grid()), log=quiet).run()
-        rerun = CountingRunner(deterministic_runner)
-        summary = GridRunner(tiny_grid(), rerun,
-                             ResultsStore(journal, tiny_grid()),
-                             log=quiet).run(resume=False)
-        assert summary["run"] == 6 and summary["skipped"] == 0
-
-
 def tiny_area(runner=deterministic_runner):
     return BenchArea(
         "tiny", "synthetic area for gate tests",
@@ -203,17 +97,47 @@ def tiny_area(runner=deterministic_runner):
     )
 
 
-def tiny_artifact(tmp_path, name="a", runner=deterministic_runner):
+def tiny_artifact(runner=deterministic_runner):
     area = tiny_area(runner)
-    grid = area.grid()
-    store = ResultsStore(str(tmp_path / f"{name}.jsonl"), grid)
-    GridRunner(grid, area.run_cell, store, log=quiet).run()
-    return build_area_report(area, store, smoke=True).to_json()
+    return build_area_report(area, run_cells(area, quiet)).to_json()
+
+
+class TestRunArea:
+    def test_a_raising_cell_is_recorded_and_the_sweep_goes_on(self, tmp_path):
+        report = run_area(tiny_area(flaky_runner), str(tmp_path), log=quiet)
+        cells = report.payload["cells"]
+        assert [c["status"] for c in cells] == [DONE, FAILED, DONE] * 2
+        failed = cells[1]
+        assert failed["cell_id"] == "direction=v2s,partitions=4"
+        assert "boom" in failed["error"]
+        assert failed["sim_seconds"] is None
+        assert failed["wall_seconds"] is not None
+        assert cells[2]["sim_seconds"] == 12.5 and cells[2]["error"] is None
+        assert not report.all_checks_pass
+
+    def test_a_second_run_measures_again(self, tmp_path):
+        """Two runs into one results directory, the runner's answer changed
+        in between: the artifact carries the second run's numbers."""
+        run_area(tiny_area(), str(tmp_path), log=quiet)
+        first = load_artifact(artifact_path(str(tmp_path), "tiny"))
+
+        def recalibrated(params):
+            return dict(deterministic_runner(params),
+                        sim_seconds=7.0 * params["partitions"])
+
+        run_area(tiny_area(recalibrated), str(tmp_path), log=quiet)
+        second = load_artifact(artifact_path(str(tmp_path), "tiny"))
+        assert [c["sim_seconds"] for c in first["cells"]] == [
+            50.0, 25.0, 12.5, 40.0, 20.0, 10.0]
+        assert [c["sim_seconds"] for c in second["cells"]] == [
+            14.0, 28.0, 56.0, 14.0, 28.0, 56.0]
+        assert sorted(os.listdir(str(tmp_path))) == [
+            "BENCH_tiny.json", "BENCH_tiny.txt"]
 
 
 class TestArtifact:
-    def test_schema_and_fingerprints(self, tmp_path):
-        doc = tiny_artifact(tmp_path)
+    def test_schema_and_fingerprints(self):
+        doc = tiny_artifact()
         assert doc["schema_version"] == REPORT_SCHEMA_VERSION
         assert doc["area"] == "tiny"
         assert doc["grid"]["fingerprint"] == tiny_area().grid().fingerprint()
@@ -235,24 +159,19 @@ class TestArtifact:
         assert [c["description"] for c in doc["checks"]] == [
             "all cells DONE", "rows_per_sec above the 1500 floor"]
 
-    def test_shape_checks_wait_for_every_cell(self, tmp_path):
-        def flaky(params):
-            if params["partitions"] == 4:
-                raise RuntimeError("boom")
-            return deterministic_runner(params)
-
-        doc = tiny_artifact(tmp_path, runner=flaky)
+    def test_shape_checks_wait_for_every_cell(self):
+        doc = tiny_artifact(flaky_runner)
         assert doc["checks"] == [
             {"description": "all cells DONE", "passed": False}]
 
 
 class TestGate:
-    def test_identical_artifacts_pass(self, tmp_path):
-        doc = tiny_artifact(tmp_path)
+    def test_identical_artifacts_pass(self):
+        doc = tiny_artifact()
         assert compare_artifacts(copy.deepcopy(doc), doc) == []
 
-    def test_injected_regression_trips_the_gate(self, tmp_path):
-        baseline = tiny_artifact(tmp_path)
+    def test_injected_regression_trips_the_gate(self):
+        baseline = tiny_artifact()
         fresh = copy.deepcopy(baseline)
         # >20% slower than baseline on one cell: outside the band.
         fresh["cells"][2]["sim_seconds"] = \
@@ -265,11 +184,11 @@ class TestGate:
             baseline["cells"][2]["sim_seconds"] * 1.15
         assert compare_artifacts(fresh, baseline) == []
 
-    def test_the_band_is_two_sided_and_two_percent(self, tmp_path):
+    def test_the_band_is_two_sided_and_two_percent(self):
         """Sim time is a function of the cell's inputs, so an unexplained
         *improvement* is as much a cost-model change as a regression: both
         must say so by committing a new baseline."""
-        baseline = tiny_artifact(tmp_path)
+        baseline = tiny_artifact()
         baseline["gate"] = dict(SIM_GATE)
         assert SIM_GATE == {"sim_tolerance": 0.02}
         base_sim = baseline["cells"][2]["sim_seconds"]
@@ -283,19 +202,19 @@ class TestGate:
             fresh["cells"][2]["sim_seconds"] = base_sim * factor
             assert compare_artifacts(fresh, baseline) == []
 
-    def test_floor_violation_trips_the_gate(self, tmp_path):
-        baseline = tiny_artifact(tmp_path)
+    def test_floor_violation_trips_the_gate(self):
+        baseline = tiny_artifact()
 
         def slow(params):
             return dict(deterministic_runner(params), rows_per_sec=100)
 
         failures = compare_artifacts(
-            tiny_artifact(tmp_path, "slow", runner=slow), baseline)
+            tiny_artifact(slow), baseline)
         assert failures == [
             "tiny: check failed: rows_per_sec above the 1500 floor"]
 
-    def test_banded_cell_that_stops_reporting_sim_time_fails(self, tmp_path):
-        baseline = tiny_artifact(tmp_path)
+    def test_banded_cell_that_stops_reporting_sim_time_fails(self):
+        baseline = tiny_artifact()
         fresh = copy.deepcopy(baseline)
         fresh["cells"][3]["sim_seconds"] = None
         failures = compare_artifacts(fresh, baseline)
@@ -305,8 +224,8 @@ class TestGate:
         baseline["gate"] = {}
         assert compare_artifacts(fresh, baseline) == []
 
-    def test_unfinished_or_missing_cells_fail(self, tmp_path):
-        baseline = tiny_artifact(tmp_path)
+    def test_unfinished_or_missing_cells_fail(self):
+        baseline = tiny_artifact()
         fresh = copy.deepcopy(baseline)
         fresh["cells"][1]["status"] = FAILED
         fresh["cells"][1]["error"] = "RuntimeError('boom')"
@@ -315,8 +234,8 @@ class TestGate:
         assert any("missing" in f for f in failures)
         assert any("not DONE" in f for f in failures)
 
-    def test_fingerprint_mismatches_fail_fast(self, tmp_path):
-        baseline = tiny_artifact(tmp_path)
+    def test_fingerprint_mismatches_fail_fast(self):
+        baseline = tiny_artifact()
         stale = copy.deepcopy(baseline)
         stale["grid"]["fingerprint"] = "deadbeef"
         assert any("fingerprint" in f
@@ -330,8 +249,8 @@ class TestGate:
         assert any("schema_version" in f
                    for f in compare_artifacts(bumped, baseline))
 
-    def test_failed_check_in_fresh_artifact_fails(self, tmp_path):
-        baseline = tiny_artifact(tmp_path)
+    def test_failed_check_in_fresh_artifact_fails(self):
+        baseline = tiny_artifact()
         fresh = copy.deepcopy(baseline)
         fresh["checks"] = [{"description": "shape holds", "passed": False}]
         assert any("shape holds" in f
@@ -339,47 +258,51 @@ class TestGate:
 
 
 class TestVerticaDogfood:
-    def test_results_round_trip_through_s2v_and_v2s(self, tmp_path):
-        area = tiny_area()
-        grid = area.grid()
-
+    def test_results_round_trip_through_s2v_and_v2s(self):
         def flaky(params):
             if params == {"direction": "s2v", "partitions": 8}:
                 raise RuntimeError("boom")
             return deterministic_runner(params)
 
-        store = ResultsStore(str(tmp_path / "grid.jsonl"), grid)
-        GridRunner(grid, flaky, store, log=quiet).run()
-        fabric, written = publish_results([store])
+        cells = run_cells(tiny_area(flaky), quiet)
+        fabric, written = publish_results({"tiny": cells})
         assert written == 6
         rows = read_results(fabric)
         assert len(rows) == 6
         by_cell = {row[1]: row for row in rows}
         assert by_cell["direction=s2v,partitions=8"][2] == FAILED
         assert by_cell["direction=v2s,partitions=2"][2] == DONE
-        assert by_cell["direction=v2s,partitions=2"][4] == 50.0
+        assert by_cell["direction=v2s,partitions=2"][3] == 50.0
+        # a time a cell did not report is NULL, not a sentinel: SQL
+        # aggregates over the table skip it
+        assert by_cell["direction=s2v,partitions=8"][3] is None
+        with fabric.vertica.db.connect() as session:
+            assert session.execute(
+                "SELECT cell_id FROM bench_results WHERE sim_seconds IS NULL"
+            ).rows == [("direction=s2v,partitions=8",)]
+            assert session.execute(
+                "SELECT COUNT(*), COUNT(sim_seconds), AVG(sim_seconds) "
+                "FROM bench_results"
+            ).rows == [(6, 5, (50.0 + 25.0 + 12.5 + 40.0 + 20.0) / 5)]
 
-    def test_publish_appends_across_runs(self, tmp_path):
-        area = tiny_area()
-        grid = area.grid()
-        store = ResultsStore(str(tmp_path / "grid.jsonl"), grid)
-        GridRunner(grid, area.run_cell, store, log=quiet).run()
-        fabric, first = publish_results([store])
-        __, second = publish_results([store], fabric=fabric)
+    def test_publish_appends_across_runs(self):
+        cells = {"tiny": run_cells(tiny_area(), quiet)}
+        fabric, first = publish_results(cells)
+        __, second = publish_results(cells, fabric=fabric)
         assert first == second == 6
         assert len(read_results(fabric)) == 12
 
 
 class TestRealAreas:
-    def test_fig06_smoke_area_runs_and_resumes(self, tmp_path):
+    def test_fig06_area_runs(self, tmp_path):
         # the real runner and checks at a fifth of the committed baseline's
         # rows, so tier-1 stays fast
         real = AREAS["fig06"]
-        area = BenchArea(real.name, real.title, real.full_axes, real.runner,
+        area = BenchArea(real.name, real.title, real.axes, real.runner,
                          config={"real_rows": 400}, checks=real.checks,
                          paper=real.paper)
-        store, report = run_area(area, str(tmp_path), log=quiet)
-        assert store.counts()[DONE] == 14
+        report = run_area(area, str(tmp_path), log=quiet)
+        assert [c["status"] for c in report.payload["cells"]] == [DONE] * 14
         assert report.all_checks_pass, report.failed_checks()
         path = os.path.join(str(tmp_path), "BENCH_fig06.json")
         assert os.path.exists(path)
@@ -387,10 +310,6 @@ class TestRealAreas:
             doc = json.load(handle)
         assert doc["schema_version"] == REPORT_SCHEMA_VERSION
         assert doc["cost_model_fingerprint"] == cost_model_fingerprint()
-        # A second invocation resumes: every cell skipped, same artifact.
-        store2, __ = run_area(area, str(tmp_path), log=quiet)
-        assert store2.counts()[DONE] == 14
-        assert store2.records() == store.records()
 
 
 class TestTrajectory:

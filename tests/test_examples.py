@@ -64,6 +64,7 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "fig06" in out and "tab04" in out and "twostage" in out
         assert out.count(" axes: ") == 21
+        assert out.count(" cells)\n") == 21  # one count per area
 
     def test_unknown_experiment(self, capsys):
         from repro.bench.grid import main
@@ -76,7 +77,7 @@ class TestBenchCli:
 
         assert main(["tab02", "--results-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "[tab02] 2 run, 0 resumed (skipped), 0 failed of 2 cells" in out
+        assert "[tab02] 2 done, 0 failed of 2 cells" in out
         assert "published 2 cell row(s)" in out
         table = (tmp_path / "BENCH_tab02.txt").read_text()
         assert "[PASS] 32 partitions: network saturated (~120 MB/s)" in table
