@@ -8,8 +8,8 @@ has:
   version).  A new epoch is a new key, so invalidation is free and a
   stale read is structurally impossible.
 - :class:`~repro.cache.plan.PlanCache` — parsed statements and optimized
-  logical plans keyed on the literal-normalized statement shape plus a
-  catalog version bumped by DDL and ANALYZE.
+  logical plans keyed on the canonical statement text plus a catalog
+  version bumped by DDL and ANALYZE.
 - :class:`~repro.cache.blocks.BlockManager` — per-executor byte-accounted
   LRU store of columnar partition blocks (Shark-style), recomputed from
   lineage when an executor crashes.
@@ -18,7 +18,7 @@ See ``docs/CACHING.md`` for the tier-by-tier design.
 """
 
 from repro.cache.blocks import BlockManager, ColumnBlock
-from repro.cache.keys import canonical_sql, statement_digest, statement_shape
+from repro.cache.keys import canonical_sql, statement_digest
 from repro.cache.plan import PlanCache
 from repro.cache.result import CachedResult, ResultCache
 
@@ -30,5 +30,4 @@ __all__ = [
     "ResultCache",
     "canonical_sql",
     "statement_digest",
-    "statement_shape",
 ]

@@ -11,10 +11,10 @@ rebuilds blocks on demand — exactly the RDD recovery story.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import telemetry
+from repro.cache.lru import BoundedLru
 
 #: default per-executor budget for cached partition blocks
 DEFAULT_EXECUTOR_CACHE_BYTES = 64 * 1024 * 1024
@@ -87,15 +87,14 @@ class BlockManager:
     ):
         self.name = name
         self.budget_bytes = budget_bytes
-        self._blocks: "OrderedDict[BlockKey, ColumnBlock]" = OrderedDict()
-        self.used_bytes = 0
+        self._blocks = BoundedLru(budget_bytes)
+
+    @property
+    def used_bytes(self) -> int:
+        return self._blocks.used
 
     def get(self, key: BlockKey) -> Optional[ColumnBlock]:
-        block = self._blocks.get(key)
-        if block is None:
-            return None
-        self._blocks.move_to_end(key)
-        return block
+        return self._blocks.get(key)
 
     def put(self, key: BlockKey, rows: List[Any]) -> bool:
         """Store a computed partition; False when it exceeds the budget."""
@@ -103,21 +102,15 @@ class BlockManager:
         if block.nbytes > self.budget_bytes:
             telemetry.counter("spark.cache.rejected").inc()
             return False
-        old = self._blocks.pop(key, None)
-        if old is not None:
-            self.used_bytes -= old.nbytes
-        while self._blocks and self.used_bytes + block.nbytes > self.budget_bytes:
-            self._evict_one()
-        self._blocks[key] = block
-        self.used_bytes += block.nbytes
+        evicted = self._blocks.put(key, block, block.nbytes)
+        if evicted:
+            telemetry.counter("spark.cache.evictions").inc(evicted)
         telemetry.counter("spark.cache.stores").inc()
         self._observe()
         return True
 
     def drop(self, key: BlockKey) -> None:
-        block = self._blocks.pop(key, None)
-        if block is not None:
-            self.used_bytes -= block.nbytes
+        if self._blocks.pop(key) is not None:
             self._observe()
 
     def drop_rdd(self, rdd_id: int) -> int:
@@ -130,13 +123,7 @@ class BlockManager:
     def drop_all(self) -> None:
         """Crash semantics: all soft state on this executor is gone."""
         self._blocks.clear()
-        self.used_bytes = 0
         self._observe()
-
-    def _evict_one(self) -> None:
-        __, block = self._blocks.popitem(last=False)
-        self.used_bytes -= block.nbytes
-        telemetry.counter("spark.cache.evictions").inc()
 
     def _observe(self) -> None:
         telemetry.gauge(f"spark.cache.bytes.{self.name}").set(self.used_bytes)
@@ -144,12 +131,6 @@ class BlockManager:
     # -- introspection -----------------------------------------------------------
     def __len__(self) -> int:
         return len(self._blocks)
-
-    def __contains__(self, key: BlockKey) -> bool:
-        return key in self._blocks
-
-    def keys(self) -> List[BlockKey]:
-        return list(self._blocks.keys())
 
     def partitions_of(self, rdd_id: int) -> List[int]:
         return [split for (rid, split) in self._blocks if rid == rdd_id]

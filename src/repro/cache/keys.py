@@ -1,65 +1,32 @@
 """Statement normalization for cache keys.
 
-Both caches key on the *token stream*, not the raw SQL text, so
-whitespace, comments, and identifier case never fragment the cache:
+Every cache tier keys on the *token stream*, not the raw SQL text, so
+whitespace, comments, and identifier case never fragment a cache: the
+canonical key is rendered by ``repro.vertica.sql.lexer.lex`` from the
+same tokens the parser reads, with identifiers uppercased and literals
+preserved.  Two spellings of the same statement share one parse-, plan-
+and result-cache entry.
 
-- :func:`canonical_sql` — the exact statement with identifiers
-  uppercased and literals preserved.  Two spellings of the same
-  statement share one result-cache entry.
-- :func:`statement_shape` — literals replaced by ``?``.  Repeated
-  statement *shapes* (same query, different constants) group under one
-  shape for the plan cache's telemetry, exactly like a prepared
-  statement.
-
-Literals cannot be normalized out of the *plan* key itself: the
-optimizer constant-folds, pushes predicates into scans, and prunes
-segments from hash-range literals, so a plan is only reusable for the
-exact literal vector it was optimized with (``docs/CACHING.md``
-discusses the trade-off).
+Literals cannot be normalized out of the key: the optimizer
+constant-folds, pushes predicates into scans, and prunes segments from
+hash-range literals, so a plan is only reusable for the exact literal
+vector it was optimized with (``docs/CACHING.md`` discusses the
+trade-off).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, List
-
-
-def _tokenize(sql: str) -> List[Any]:
-    # Imported lazily: the lexer lives under repro.vertica, whose database
-    # module imports this package — a module-level import here would make
-    # ``import repro.cache`` order-dependent.
-    from repro.vertica.sql.lexer import tokenize
-
-    return tokenize(sql)
-
-
-def _render(token: Any) -> str:
-    if token.kind == "STRING":
-        return "'" + token.text.replace("'", "''") + "'"
-    return token.text
 
 
 def canonical_sql(sql: str) -> str:
     """Whitespace/case/comment-insensitive canonical form of ``sql``."""
-    return " ".join(_render(t) for t in _tokenize(sql) if t.kind != "EOF")
+    # Imported lazily: the lexer lives under repro.vertica, whose database
+    # module imports this package — a module-level import here would make
+    # ``import repro.cache`` order-dependent.
+    from repro.vertica.sql.lexer import lex
 
-
-def canonical_tokens(sql: str) -> List[str]:
-    """The canonical token texts (used to peel EXPLAIN/PROFILE prefixes)."""
-    return [_render(t) for t in _tokenize(sql) if t.kind != "EOF"]
-
-
-def statement_shape(sql: str) -> str:
-    """Canonical form with every literal replaced by ``?``."""
-    parts = []
-    for token in _tokenize(sql):
-        if token.kind == "EOF":
-            continue
-        if token.kind in ("NUMBER", "STRING"):
-            parts.append("?")
-        else:
-            parts.append(token.text)
-    return " ".join(parts)
+    return lex(sql)[1]
 
 
 def statement_digest(canonical: str) -> str:

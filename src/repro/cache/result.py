@@ -15,11 +15,11 @@ query admission grants.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.cache.blocks import rows_nbytes
+from repro.cache.lru import BoundedLru
 
 #: default byte budget (per database) for cached result sets
 DEFAULT_RESULT_CACHE_BYTES = 8 * 1024 * 1024
@@ -48,7 +48,7 @@ class MemoryAccount:
 class CachedResult:
     """One memoised SELECT: columns, rows, and its cost attribution."""
 
-    __slots__ = ("columns", "rows", "cost_snapshot", "nbytes", "hits")
+    __slots__ = ("columns", "rows", "cost_snapshot", "nbytes")
 
     def __init__(
         self,
@@ -60,7 +60,6 @@ class CachedResult:
         self.rows = list(rows)
         self.cost_snapshot = cost_snapshot
         self.nbytes = rows_nbytes(self.rows) + rows_nbytes([tuple(self.columns)])
-        self.hits = 0
 
 
 class ResultCache:
@@ -73,8 +72,7 @@ class ResultCache:
     ):
         self.budget_bytes = budget_bytes
         self.name = name
-        self._entries: "OrderedDict[CacheKey, CachedResult]" = OrderedDict()
-        self.used_bytes = 0
+        self._entries = BoundedLru(budget_bytes)
         self._account: Optional[MemoryAccount] = None
         self._reserved_mb = 0
 
@@ -86,6 +84,10 @@ class ResultCache:
             self._reserved_mb = 0
         self._account = account
         self._sync_account(self.used_bytes)
+
+    @property
+    def used_bytes(self) -> int:
+        return self._entries.used
 
     @property
     def reserved_mb(self) -> int:
@@ -113,8 +115,6 @@ class ResultCache:
         if entry is None:
             telemetry.counter(f"{self.name}.misses").inc()
             return None
-        self._entries.move_to_end((digest, epoch, catalog_version))
-        entry.hits += 1
         telemetry.counter(f"{self.name}.hits").inc()
         return entry
 
@@ -129,30 +129,30 @@ class ResultCache:
     ) -> bool:
         """Memoise one completed SELECT; False when it cannot be held."""
         key = (digest, epoch, catalog_version)
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.used_bytes -= old.nbytes
+        entries = self._entries
+        entries.pop(key)
         entry = CachedResult(columns, rows, cost.snapshot())
-        if entry.nbytes > self.budget_bytes:
+        fits = entry.nbytes <= self.budget_bytes
+        if fits:
+            evicted = entries.make_room(entry.nbytes)
+            # The WLM pool may spare less than the byte budget allows:
+            # keep evicting until the account covers the newcomer.
+            while not self._sync_account(entries.used + entry.nbytes):
+                if not entries:
+                    fits = False  # the pool cannot spare even the floor
+                    break
+                entries.evict_one()
+                evicted += 1
+            if evicted:
+                telemetry.counter(f"{self.name}.evictions").inc(evicted)
+        if fits:
+            entries.put(key, entry, entry.nbytes)
+            telemetry.counter(f"{self.name}.stores").inc()
+        else:
             telemetry.counter(f"{self.name}.rejected").inc()
-            self._sync_account(self.used_bytes)
-            self._observe()
-            return False
-        while self._entries and self.used_bytes + entry.nbytes > self.budget_bytes:
-            self._evict_one()
-        while not self._sync_account(self.used_bytes + entry.nbytes):
-            if not self._entries:
-                # The WLM pool cannot spare even the floor: refuse to store.
-                telemetry.counter(f"{self.name}.rejected").inc()
-                self._sync_account(self.used_bytes)
-                self._observe()
-                return False
-            self._evict_one()
-        self._entries[key] = entry
-        self.used_bytes += entry.nbytes
-        telemetry.counter(f"{self.name}.stores").inc()
+            self._sync_account(entries.used)
         self._observe()
-        return True
+        return fits
 
     def bypass(self, reason: str) -> None:
         """Record a statement that skipped the cache (and why)."""
@@ -161,14 +161,8 @@ class ResultCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self.used_bytes = 0
         self._sync_account(0)
         self._observe()
-
-    def _evict_one(self) -> None:
-        __, entry = self._entries.popitem(last=False)
-        self.used_bytes -= entry.nbytes
-        telemetry.counter(f"{self.name}.evictions").inc()
 
     def _observe(self) -> None:
         telemetry.gauge(f"{self.name}.bytes").set(self.used_bytes)
@@ -181,5 +175,3 @@ class ResultCache:
     def __contains__(self, key: CacheKey) -> bool:
         return key in self._entries
 
-    def keys(self) -> List[CacheKey]:
-        return list(self._entries.keys())

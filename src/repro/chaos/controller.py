@@ -263,9 +263,11 @@ class ChaosController(FaultPolicy):
                 )
 
     # -- JDBC hook (statement rules + down-node severing) -----------------------
-    def on_statement(self, conn, sql: str, point: str) -> None:
+    def on_statement(self, conn, statement, sql: str, point: str) -> None:
         """Called by the JDBC bridge around every statement.
 
+        ``statement`` is the parsed statement (rules match its leading
+        keyword token); ``sql`` is its text, for the error message only.
         May sever the connection and raise
         :class:`~repro.connector.jdbc.ConnectionSevered`.
         """
@@ -281,7 +283,7 @@ class ChaosController(FaultPolicy):
         if conn.client_node is None:
             return  # driver control-plane connections stay alive
         for index, rule in enumerate(self.schedule.statement_rules):
-            if rule.point != point or not rule.matches(sql):
+            if rule.point != point or not rule.matches(statement):
                 continue
             if self._stmt_severs[index] >= rule.max_severs:
                 continue
@@ -295,7 +297,7 @@ class ChaosController(FaultPolicy):
                 self.record(
                     "connection_sever",
                     f"{conn.node_name} {rule.point} "
-                    f"{sql.strip().split(None, 1)[0].upper()} (acked={acked})",
+                    f"{statement.keyword} (acked={acked})",
                 )
                 conn.sever()
                 raise ConnectionSevered(conn.node_name, sql, acked=acked)

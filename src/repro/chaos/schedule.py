@@ -257,7 +257,8 @@ class ProbeRule:
 
 
 class StatementRule:
-    """Sever a connection around statements matching ``keyword``.
+    """Sever a connection around statements whose leading keyword token
+    (the parsed statement's ``keyword``) is ``keyword``.
 
     ``point="before"`` drops the connection before the statement reaches
     the server (it never executes); ``point="after"`` drops it once the
@@ -282,9 +283,8 @@ class StatementRule:
         self.point = point
         self.max_severs = max_severs
 
-    def matches(self, sql: str) -> bool:
-        head = sql.lstrip().split(None, 1)[0].upper() if sql.strip() else ""
-        return head == self.keyword
+    def matches(self, statement) -> bool:
+        return statement.keyword == self.keyword
 
     def describe(self) -> str:
         return (

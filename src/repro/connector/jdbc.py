@@ -28,13 +28,15 @@ from repro.sim.cluster import SimNode
 from repro.vertica.engine import ResultSet
 from repro.vertica.errors import LockContention, RetriesExhausted, VerticaError
 from repro.vertica.hashring import vertica_hash
-from repro.vertica.session import Session
+from repro.vertica.session import DDL_NODES, Session
+from repro.vertica.sql import ast
 
-#: statements that execute a query plan: gated through WLM admission and
-#: charged planning CPU.  PROFILE runs the whole query it wraps; EXPLAIN
-#: executes nothing and stays out.
-PLANNED_KEYWORDS = frozenset(
-    ("SELECT", "AT", "INSERT", "UPDATE", "DELETE", "COPY", "PROFILE")
+#: statement classes that execute a query plan: gated through WLM
+#: admission and charged planning CPU.  PROFILE runs the whole query it
+#: wraps; EXPLAIN executes nothing and ANALYZE plans nothing: both stay out.
+PLANNED_NODES = (
+    ast.Select, ast.InsertValues, ast.InsertSelect, ast.Update, ast.Delete,
+    ast.CopyStatement, ast.Profile,
 )
 #: attempts before a lock-retry loop gives up (on the job, for S2V's
 #: task-side loops)
@@ -139,15 +141,18 @@ class SimVerticaConnection:
         chaos = getattr(self.cluster, "chaos", None)
         if self._severed:
             raise ConnectionSevered(self.node_name, sql, acked=False)
+        # The one parse: everything below asks the statement, never its
+        # text, what it is.  Text that does not parse raises here, before
+        # admission, so it never holds a slot it cannot use.
+        statement = self.session.prepare(sql)
         if chaos is not None:
-            chaos.on_statement(self, sql, point="before")
+            chaos.on_statement(self, statement, sql, point="before")
         if not self._connected:
             if model.connect_latency:
                 yield env.timeout(model.connect_latency)
             self._connected = True
-        keyword = sql.lstrip().split(None, 1)[0].upper() if sql.strip() else ""
-        is_ddl = keyword in ("CREATE", "DROP", "ALTER", "TRUNCATE")
-        planned = keyword in PLANNED_KEYWORDS
+        is_ddl = isinstance(statement, DDL_NODES)
+        planned = isinstance(statement, PLANNED_NODES)
 
         # WLM admission: gate query/DML statements through the session's
         # resource pool before any planning happens.  The ticket (slot +
@@ -164,17 +169,17 @@ class SimVerticaConnection:
             if model.query_plan_cpu and planned:
                 yield from contact.compute(model.query_plan_cpu)
 
-            result = self.session.execute(sql, copy_data=copy_data)
+            result = self.session.execute(statement, copy_data=copy_data)
 
             if ticket is not None:
                 result.cost.queue_wait_seconds += ticket.queue_wait
                 result.cost.resource_pool = ticket.pool_name
-            if copy_data is not None:
-                yield from self._charge_copy(result, copy_data, w, sql)
+            if isinstance(statement, ast.CopyStatement):
+                yield from self._charge_copy(result, copy_data, w, statement)
             else:
                 yield from self._charge_query(result, w, w_out)
             if chaos is not None:
-                chaos.on_statement(self, sql, point="after")
+                chaos.on_statement(self, statement, sql, point="after")
         finally:
             if ticket is not None:
                 ticket.release()
@@ -332,10 +337,10 @@ class SimVerticaConnection:
         result: ResultSet,
         copy_data: Union[bytes, str],
         w: float,
-        sql: str = "",
+        statement: ast.CopyStatement,
     ) -> Generator:
         model = self.cost_model
-        columnar = "FORMAT COLUMNAR" in sql.upper()
+        columnar = statement.file_format == "COLUMNAR"
         env = self.env
         cluster = self.cluster
         contact = cluster.sim_nodes[self.node_name]

@@ -14,15 +14,20 @@ information is stored in the Vertica system catalog and can be queried",
   planned/max concurrency, priority, queue timeout, cascade)
 - ``v_catalog.column_statistics`` — optimizer statistics collected by
   ``ANALYZE`` (row/null counts, NDV, min/max, histogram buckets)
+- ``v_monitor.storage_containers`` — ROS containers and live rows per
+  (node, table), from the tuple mover
+
+Each is one row of :data:`SYSTEM_TABLES` at the foot of this module.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.vertica.errors import CatalogError, SqlError
 from repro.vertica.hashring import HashRing
 from repro.vertica.sql import ast_nodes as ast
+from repro.vertica.tuplemover import storage_container_stats
 
 
 class TableDef:
@@ -66,12 +71,6 @@ class TableDef:
     def has_column(self, column: str) -> bool:
         return any(c.name == column for c in self.columns)
 
-    def row_width(self, row: Dict[str, Any]) -> int:
-        total = 0
-        for column_def in self.columns:
-            total += column_def.sql_type.value_width(row.get(column_def.name))
-        return total
-
 
 class ViewDef:
     """A named stored query."""
@@ -83,7 +82,7 @@ class ViewDef:
 
 
 class Catalog:
-    """Tables and views, plus virtual system-table generation."""
+    """Tables, views and resource pools; names the virtual system tables."""
 
     def __init__(self, node_names: Sequence[str]):
         from repro.vertica.stats import TableStats
@@ -243,93 +242,108 @@ class Catalog:
 
     # -- system tables ---------------------------------------------------------------
     def is_system_table(self, name: str) -> bool:
+        """Whether ``name`` lies in the reserved system schemas."""
         return name.upper().startswith(("V_CATALOG.", "V_MONITOR."))
 
-    def system_table_rows(
-        self, name: str, current_epoch: int, node_states: Dict[str, str]
-    ) -> Tuple[List[str], List[Dict[str, Any]]]:
-        """Columns and rows for one virtual system table."""
-        key = name.upper()
-        if key == "V_CATALOG.NODES":
-            columns = ["NODE_NAME", "NODE_STATE"]
-            rows = [
-                {"NODE_NAME": n, "NODE_STATE": node_states.get(n, "UP")}
-                for n in self.node_names
-            ]
-            return columns, rows
-        if key == "V_CATALOG.SEGMENTS":
-            columns = [
-                "TABLE_NAME",
-                "SEGMENT_LOWER_BOUND",
-                "SEGMENT_UPPER_BOUND",
-                "NODE_NAME",
-            ]
-            rows = []
-            for table in self.tables.values():
-                if table.ring is None:
-                    continue
-                for segment in table.ring.segments:
-                    rows.append(
-                        {
-                            "TABLE_NAME": table.name,
-                            "SEGMENT_LOWER_BOUND": segment.lo,
-                            "SEGMENT_UPPER_BOUND": segment.hi,
-                            "NODE_NAME": segment.node,
-                        }
-                    )
-            return columns, rows
-        if key == "V_CATALOG.TABLES":
-            columns = ["TABLE_NAME", "IS_SEGMENTED", "ROW_SEGMENTATION"]
-            rows = [
-                {
-                    "TABLE_NAME": t.name,
-                    "IS_SEGMENTED": not t.unsegmented,
-                    "ROW_SEGMENTATION": ",".join(t.segmentation_columns),
-                }
-                for t in self.tables.values()
-            ]
-            return columns, rows
-        if key == "V_CATALOG.COLUMNS":
-            columns = ["TABLE_NAME", "COLUMN_NAME", "DATA_TYPE", "ORDINAL_POSITION"]
-            rows = []
-            for table in self.tables.values():
-                for position, column_def in enumerate(table.columns):
-                    rows.append(
-                        {
-                            "TABLE_NAME": table.name,
-                            "COLUMN_NAME": column_def.name,
-                            "DATA_TYPE": column_def.sql_type.name,
-                            "ORDINAL_POSITION": position,
-                        }
-                    )
-            return columns, rows
-        if key == "V_CATALOG.EPOCHS":
-            return ["CURRENT_EPOCH"], [{"CURRENT_EPOCH": current_epoch}]
-        if key == "V_CATALOG.COLUMN_STATISTICS":
-            from repro.vertica import stats as stats_module
+    def system_table(self, name: str) -> Tuple[Tuple[str, ...], "RowProducer"]:
+        """Column names and row producer of one virtual system table."""
+        try:
+            return SYSTEM_TABLES[name.upper()]
+        except KeyError:
+            raise SqlError(f"unknown system table {name!r}") from None
 
-            return stats_module.system_table_rows(self.statistics)
-        if key == "V_CATALOG.RESOURCE_POOLS":
-            columns = [
-                "POOL_NAME",
-                "MEMORY_MB",
-                "PLANNED_CONCURRENCY",
-                "MAX_CONCURRENCY",
-                "PRIORITY",
-                "QUEUE_TIMEOUT",
-                "CASCADE_TO",
-            ]
-            rows = [
-                {
-                    "POOL_NAME": p.name,
-                    "MEMORY_MB": p.memory_mb,
-                    "PLANNED_CONCURRENCY": p.planned_concurrency,
-                    "MAX_CONCURRENCY": p.max_concurrency,
-                    "PRIORITY": p.priority,
-                    "QUEUE_TIMEOUT": p.queue_timeout,
-                    "CASCADE_TO": p.cascade,
-                }
-                for _, p in sorted(self.resource_pools.items())
-            ]
-            return columns, rows
-        raise SqlError(f"unknown system table {name!r}")
+
+# -- the system-table registry -------------------------------------------------
+# One row per virtual table: its column names and a producer that, given the
+# database, returns the current rows as tuples in column order.  The binder
+# takes the names, ``SystemScanOp`` (and the reference interpreter) the rows;
+# adding a system table is adding a producer and a row here, nothing else.
+
+RowProducer = Callable[["VerticaDatabase"], List[Tuple[Any, ...]]]  # noqa: F821
+
+
+def _nodes(db) -> List[Tuple[Any, ...]]:
+    return [(n, db.node_states.get(n, "UP")) for n in db.catalog.node_names]
+
+
+def _segments(db) -> List[Tuple[Any, ...]]:
+    return [
+        (table.name, segment.lo, segment.hi, segment.node)
+        for table in db.catalog.tables.values() if table.ring is not None
+        for segment in table.ring.segments
+    ]
+
+
+def _tables(db) -> List[Tuple[Any, ...]]:
+    return [
+        (t.name, not t.unsegmented, ",".join(t.segmentation_columns))
+        for t in db.catalog.tables.values()
+    ]
+
+
+def _columns(db) -> List[Tuple[Any, ...]]:
+    return [
+        (table.name, column_def.name, column_def.sql_type.name, position)
+        for table in db.catalog.tables.values()
+        for position, column_def in enumerate(table.columns)
+    ]
+
+
+def _epochs(db) -> List[Tuple[Any, ...]]:
+    return [(db.epochs.current,)]
+
+
+def _column_statistics(db) -> List[Tuple[Any, ...]]:
+    return [
+        (
+            table_name, column_name, cs.row_count, cs.null_count, cs.ndv,
+            cs.min_value, cs.max_value, len(cs.histogram),
+            table_stats.collected_epoch,
+        )
+        for table_name, table_stats in sorted(db.catalog.statistics.items())
+        for column_name, cs in table_stats.columns.items()
+    ]
+
+
+def _resource_pools(db) -> List[Tuple[Any, ...]]:
+    return [
+        (
+            p.name, p.memory_mb, p.planned_concurrency, p.max_concurrency,
+            p.priority, p.queue_timeout, p.cascade,
+        )
+        for __, p in sorted(db.catalog.resource_pools.items())
+    ]
+
+
+SYSTEM_TABLES: Dict[str, Tuple[Tuple[str, ...], RowProducer]] = {
+    "V_CATALOG.NODES": (("NODE_NAME", "NODE_STATE"), _nodes),
+    "V_CATALOG.SEGMENTS": (
+        ("TABLE_NAME", "SEGMENT_LOWER_BOUND", "SEGMENT_UPPER_BOUND", "NODE_NAME"),
+        _segments,
+    ),
+    "V_CATALOG.TABLES": (
+        ("TABLE_NAME", "IS_SEGMENTED", "ROW_SEGMENTATION"), _tables,
+    ),
+    "V_CATALOG.COLUMNS": (
+        ("TABLE_NAME", "COLUMN_NAME", "DATA_TYPE", "ORDINAL_POSITION"), _columns,
+    ),
+    "V_CATALOG.EPOCHS": (("CURRENT_EPOCH",), _epochs),
+    "V_CATALOG.COLUMN_STATISTICS": (
+        (
+            "TABLE_NAME", "COLUMN_NAME", "ROW_COUNT", "NULL_COUNT", "NDV",
+            "MIN_VALUE", "MAX_VALUE", "HISTOGRAM_BUCKETS", "COLLECTED_EPOCH",
+        ),
+        _column_statistics,
+    ),
+    "V_CATALOG.RESOURCE_POOLS": (
+        (
+            "POOL_NAME", "MEMORY_MB", "PLANNED_CONCURRENCY", "MAX_CONCURRENCY",
+            "PRIORITY", "QUEUE_TIMEOUT", "CASCADE_TO",
+        ),
+        _resource_pools,
+    ),
+    "V_MONITOR.STORAGE_CONTAINERS": (
+        ("NODE_NAME", "TABLE_NAME", "CONTAINER_COUNT", "LIVE_ROWS"),
+        storage_container_stats,
+    ),
+}

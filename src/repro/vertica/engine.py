@@ -457,23 +457,30 @@ class Engine:
         return self._run_select(statement, txn, initiator, context, cost)[0]
 
     def _cache_bypass_reason(
-        self, txn: Transaction, canonical: str
+        self, txn: Transaction, statement: ast.Select
     ) -> Optional[str]:
         """Why this SELECT must not touch the result cache (None = cacheable).
 
         Read-your-writes makes staged transaction state part of the
         query's input but not of its epoch; system tables change without
-        epochs (node states, pool occupancy); UDx calls are opaque.
+        epochs (node states, pool occupancy); UDx calls are opaque.  Both
+        are asked of the parsed statement's relations and functions, and
+        of every view body beneath them.
         """
         if txn.wos or txn.replica_wos or txn.deletes:
             return "txn_writes"
-        if "V_CATALOG" in canonical or "V_MONITOR" in canonical:
-            return "system_table"
-        udx_names = self.database.udx.names()
-        if udx_names:
-            tokens = set(canonical.split(" "))
-            if any(name in tokens for name in udx_names):
-                return "udx"
+        catalog = self.database.catalog
+        selects, seen = [statement], set()
+        for select in selects:  # grows while walked: view bodies, any depth
+            for name in select.relations:
+                if catalog.is_system_table(name):
+                    return "system_table"
+                if catalog.has_view(name) and name.upper() not in seen:
+                    seen.add(name.upper())
+                    selects.append(catalog.view(name).query)
+        udx = self.database.udx
+        if any(udx.is_registered(f) for s in selects for f in s.functions):
+            return "udx"
         return None
 
     def _run_select(
@@ -511,10 +518,10 @@ class Engine:
 
         db = self.database
         cache = db.result_cache
-        canonical = getattr(statement, "cache_key", None)
+        canonical = statement.cache_key
         cacheable = use_cache and canonical is not None
         if cacheable:
-            reason = self._cache_bypass_reason(txn, canonical)
+            reason = self._cache_bypass_reason(txn, statement)
             if reason is not None:
                 cache.bypass(reason)
                 cacheable = False
@@ -566,7 +573,7 @@ class Engine:
         from repro.vertica.plan import explain_lines
 
         lines = explain_lines(self, statement.query, initiator, context)
-        canonical = getattr(statement.query, "cache_key", None)
+        canonical = statement.query.cache_key
         if context.result_cache and canonical is not None:
             from repro.cache.keys import statement_digest
 

@@ -27,7 +27,6 @@ from repro.vertica.plan.logical import (
     Project,
     RelationNode,
     Sort,
-    StorageContainersScan,
     SystemTableScan,
     TableScan,
     ViewScan,
@@ -102,8 +101,6 @@ def bind_dml_scan(
 def _bind_relation(database, ref: ast.TableRef) -> RelationNode:
     key = ref.name.upper()
     alias = (ref.alias or ref.name.split(".")[-1]).upper()
-    if key == "V_MONITOR.STORAGE_CONTAINERS":
-        return StorageContainersScan(alias)
     if database.catalog.is_system_table(key):
         return SystemTableScan(key, alias)
     if database.catalog.has_view(key):
@@ -115,13 +112,8 @@ def _bind_relation(database, ref: ast.TableRef) -> RelationNode:
 def relation_columns(database, name: str) -> List[str]:
     """Column order of a relation (for ``*`` expansion), legacy rules."""
     key = name.upper()
-    if key == "V_MONITOR.STORAGE_CONTAINERS":
-        return ["NODE_NAME", "TABLE_NAME", "CONTAINER_COUNT", "LIVE_ROWS"]
     if database.catalog.is_system_table(key):
-        columns, __ = database.catalog.system_table_rows(
-            key, database.epochs.current, database.node_states
-        )
-        return columns
+        return list(database.catalog.system_table(key)[0])
     if database.catalog.has_view(key):
         view = database.catalog.view(key)
         return select_output_columns(database, view.query)

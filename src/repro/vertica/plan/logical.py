@@ -10,9 +10,9 @@ Tree shape (top-down)::
     Limit -> Sort -> (Project | Aggregate) -> [Filter] -> [Join]* -> relation
 
 where a relation is one of ``ConstantRelation`` (no FROM),
-``TableScan``, ``SystemTableScan``, ``StorageContainersScan`` or
-``ViewScan``.  Joins are left-deep: each ``Join`` node's right side is a
-bare relation, mirroring the FROM-list the parser produces.
+``TableScan``, ``SystemTableScan`` or ``ViewScan``.  Joins are left-deep:
+each ``Join`` node's right side is a bare relation, mirroring the
+FROM-list the parser produces.
 """
 
 from __future__ import annotations
@@ -83,16 +83,6 @@ class SystemTableScan(RelationNode):
 
     def label(self) -> str:
         return f"SCAN SYSTEM TABLE {self.key}"
-
-
-class StorageContainersScan(RelationNode):
-    """V_MONITOR.STORAGE_CONTAINERS — computed from tuple-mover stats."""
-
-    def __init__(self, alias: str):
-        self.alias = alias
-
-    def label(self) -> str:
-        return "SCAN SYSTEM TABLE V_MONITOR.STORAGE_CONTAINERS"
 
 
 class ViewScan(RelationNode):

@@ -34,6 +34,7 @@ inclusive wall time); the pipeline feeds them to ``PROFILE``,
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import operator
 import time
@@ -293,34 +294,18 @@ class SystemScanOp(PhysicalOperator):
         self.logical = node
         self.initiator = initiator
 
-    def _rows(self) -> Tuple[List[str], List[Dict[str, Any]]]:
-        db = self.engine.database
-        if isinstance(self.logical, logical.StorageContainersScan):
-            from repro.vertica.tuplemover import storage_container_stats
-
-            names = ["NODE_NAME", "TABLE_NAME", "CONTAINER_COUNT", "LIVE_ROWS"]
-            rows = [
-                dict(zip(names, stat)) for stat in storage_container_stats(db)
-            ]
-            return names, rows
-        names, sys_rows = db.catalog.system_table_rows(
-            self.logical.key, db.epochs.current, db.node_states
-        )
-        return names, [dict(row) for row in sys_rows]
-
     def _run(self) -> Iterator[ColumnBatch]:
-        plain, rows = self._rows()
-        alias = self.logical.alias
-        names = list(plain) + [f"{alias}.{c}" for c in plain if "." not in c]
+        db = self.engine.database
+        plain, producer = db.catalog.system_table(self.logical.key)
+        rows = producer(db)
+        names = list(plain) + [f"{self.logical.alias}.{c}" for c in plain]
         for start in range(0, len(rows), BATCH_ROWS):
             chunk = rows[start:start + BATCH_ROWS]
-            columns = [[row[c] for row in chunk] for c in plain]
-            qualified = [
-                columns[plain.index(c)] for c in plain if "." not in c
-            ]
+            columns = [list(column) for column in zip(*chunk)]
             self.stats.rows_in += len(chunk)
+            # qualified names alias the same lists: zero copies
             yield ColumnBatch(
-                names, columns + qualified, [self.initiator] * len(chunk)
+                names, columns * 2, [self.initiator] * len(chunk)
             )
 
 
@@ -361,17 +346,7 @@ class ViewScanOp(PhysicalOperator):
         view = db.catalog.view(self.logical.key)
         query = view.query
         if query.at_epoch is None and self.snapshot is not None:
-            query = ast.Select(
-                query.items,
-                query.source,
-                joins=query.joins,
-                where=query.where,
-                group_by=query.group_by,
-                having=query.having,
-                order_by=query.order_by,
-                limit=query.limit,
-                at_epoch=self.snapshot,
-            )
+            query = dataclasses.replace(query, at_epoch=self.snapshot)
         result = self.engine.select(
             query, self.txn, self.initiator, self.context, cost=self.cost
         )

@@ -52,7 +52,7 @@ def build_operator(
         return physical.ConstantOp(node, initiator)
     if isinstance(node, logical.TableScan):
         return physical.TableScanOp(engine, node, txn, initiator, snapshot, cost)
-    if isinstance(node, (logical.SystemTableScan, logical.StorageContainersScan)):
+    if isinstance(node, logical.SystemTableScan):
         return physical.SystemScanOp(engine, node, initiator)
     if isinstance(node, logical.ViewScan):
         return physical.ViewScanOp(

@@ -22,7 +22,9 @@ from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.sql.parser import parse_statement
 from repro.vertica.txn import ACTIVE, Transaction
 
-_DDL_NODES = (
+#: the statement classes that are DDL: they auto-commit, run through
+#: ``execute_ddl``, and the JDBC bridge charges them ``ddl_latency``
+DDL_NODES = (
     ast.CreateTable,
     ast.DropTable,
     ast.RenameTable,
@@ -105,16 +107,25 @@ class Session:
         return self._txn
 
     # -- execution ------------------------------------------------------------
-    def execute(
-        self, sql: str, copy_data: Union[bytes, str, None] = None
-    ) -> ResultSet:
-        """Parse and run one statement; returns its result set."""
+    def prepare(self, sql: str) -> ast.Statement:
+        """The parsed statement for ``sql``, through the parse cache.
+
+        The text is lexed once; a repeated statement skips the parser,
+        and the AST comes back stamped with the canonical key the plan
+        and result tiers share.
+        """
         self._require_open()
-        # The plan cache's parse level memoises the parsed AST under the
-        # canonical statement text (and stamps the normalization keys the
-        # plan/result tiers share), so a repeated statement skips the
-        # lexer and parser entirely.
-        statement = self.database.plan_cache.parse(sql, parse_statement)
+        return self.database.plan_cache.parse(sql, parse_statement)
+
+    def execute(
+        self,
+        sql: Union[str, ast.Statement],
+        copy_data: Union[bytes, str, None] = None,
+    ) -> ResultSet:
+        """Run one statement — SQL text, or what :meth:`prepare` returned
+        for it (the JDBC bridge classifies the parse before it runs it)."""
+        self._require_open()
+        statement = self.prepare(sql) if isinstance(sql, str) else sql
 
         if isinstance(statement, ast.BeginTransaction):
             if self.in_transaction:
@@ -136,7 +147,7 @@ class Session:
             self.last_result = ResultSet()
             return self.last_result
 
-        if isinstance(statement, _DDL_NODES):
+        if isinstance(statement, DDL_NODES):
             # DDL auto-commits any open transaction, as in Vertica.
             if self.in_transaction:
                 self._finish(commit=True)
@@ -180,17 +191,9 @@ class Session:
             txn.abort()
 
     # -- convenience ---------------------------------------------------------------
-    def query(self, sql: str) -> ResultSet:
-        """Alias of :meth:`execute` for read statements."""
-        return self.execute(sql)
-
     def scalar(self, sql: str) -> Any:
         return self.execute(sql).scalar()
 
     def commit(self) -> None:
         self._require_open()
         self._finish(commit=True)
-
-    def rollback(self) -> None:
-        self._require_open()
-        self._finish(commit=False)

@@ -1,7 +1,9 @@
 """SQL statement AST nodes.
 
 Plain dataclasses; expressions inside statements are
-:class:`repro.vertica.expr.Expression` trees.
+:class:`repro.vertica.expr.Expression` trees.  A :class:`Statement`
+also carries what its one parse learned about it, so no later layer
+re-reads the statement's text to find out what it is.
 """
 
 from __future__ import annotations
@@ -21,8 +23,26 @@ class ColumnDef:
     sql_type: SqlType
 
 
+def _stamp(default: Any) -> Any:
+    """A field the parse sets: not a constructor argument, and no part of
+    ``==`` or ``repr`` — two spellings of a statement are the same AST."""
+    return field(default=default, init=False, compare=False, repr=False)
+
+
 @dataclass
-class CreateTable:
+class Statement:
+    """Base of every top-level statement node."""
+
+    #: canonical text of the statement's tokens (``lexer.lex``): the key
+    #: the parse, plan and result caches share.  None on a node built in
+    #: code rather than parsed, which no tier caches.
+    cache_key: Optional[str] = _stamp(None)
+    #: the statement's leading keyword token (``SELECT``, ``AT``, ``COPY``…)
+    keyword: str = _stamp("")
+
+
+@dataclass
+class CreateTable(Statement):
     table: str
     columns: List[ColumnDef]
     segmented_by: Optional[List[str]] = None  # None => default (all columns)
@@ -31,58 +51,58 @@ class CreateTable:
 
 
 @dataclass
-class CreateView:
+class CreateView(Statement):
     view: str
     query: "Select"
     or_replace: bool = False
 
 
 @dataclass
-class DropTable:
+class DropTable(Statement):
     table: str
     if_exists: bool = False
 
 
 @dataclass
-class DropView:
+class DropView(Statement):
     view: str
     if_exists: bool = False
 
 
 @dataclass
-class TruncateTable:
+class TruncateTable(Statement):
     table: str
 
 
 @dataclass
-class RenameTable:
+class RenameTable(Statement):
     table: str
     new_name: str
 
 
 @dataclass
-class InsertValues:
+class InsertValues(Statement):
     table: str
     columns: Optional[List[str]]
     rows: List[List[Expression]]
 
 
 @dataclass
-class InsertSelect:
+class InsertSelect(Statement):
     table: str
     columns: Optional[List[str]]
     query: "Select"
 
 
 @dataclass
-class Update:
+class Update(Statement):
     table: str
     assignments: List[Tuple[str, Expression]]
     where: Optional[Expression] = None
 
 
 @dataclass
-class Delete:
+class Delete(Statement):
     table: str
     where: Optional[Expression] = None
 
@@ -127,7 +147,7 @@ class OrderItem:
 
 
 @dataclass
-class Select:
+class Select(Statement):
     items: List[SelectItem]
     source: Optional[TableRef]  # None for SELECT without FROM
     joins: List[Join] = field(default_factory=list)
@@ -138,32 +158,43 @@ class Select:
     order_by: List[OrderItem] = field(default_factory=list)
     limit: Optional[int] = None
     at_epoch: Optional[int] = None  # None => latest committed; int => snapshot
+    #: names of the relations FROM and JOIN read, as written
+    relations: Tuple[str, ...] = _stamp(())
+    #: names of the select list's non-builtin calls (``SelectItem.udf``),
+    #: resolved against the UDx registry at execution
+    functions: Tuple[str, ...] = _stamp(())
+
+    def __post_init__(self) -> None:
+        tables = [self.source] if self.source is not None else []
+        tables += [join.table for join in self.joins]
+        self.relations = tuple(table.name for table in tables)
+        self.functions = tuple(item.udf for item in self.items if item.udf)
 
 
 @dataclass
-class CopyStatement:
+class CopyStatement(Statement):
     table: str
     source: str = "STDIN"
-    file_format: str = "CSV"  # CSV | AVRO
+    file_format: str = "CSV"  # CSV | AVRO | COLUMNAR
     delimiter: str = ","
     reject_max: Optional[int] = None
     direct: bool = False  # load straight to ROS (bulk path)
 
 
 @dataclass
-class Explain:
+class Explain(Statement):
     query: "Select"
 
 
 @dataclass
-class Profile:
+class Profile(Statement):
     """``PROFILE <select>``: run the query, report per-operator stats."""
 
     query: "Select"
 
 
 @dataclass
-class Analyze:
+class Analyze(Statement):
     """``ANALYZE <table> [WITH <n> BUCKETS]``: collect optimizer statistics."""
 
     table: str
@@ -171,22 +202,22 @@ class Analyze:
 
 
 @dataclass
-class BeginTransaction:
+class BeginTransaction(Statement):
     pass
 
 
 @dataclass
-class CommitTransaction:
+class CommitTransaction(Statement):
     pass
 
 
 @dataclass
-class RollbackTransaction:
+class RollbackTransaction(Statement):
     pass
 
 
 @dataclass
-class SetOption:
+class SetOption(Statement):
     """``SET <name> = <value>`` — session options (e.g. RESOURCE_POOL)."""
 
     name: str

@@ -3,12 +3,14 @@
 Produces a flat token stream: keywords/identifiers (case-insensitive,
 uppercased kind ``IDENT`` with original text preserved), numeric literals,
 single-quoted string literals with ``''`` escaping, operators and
-punctuation.  Comments (``-- ...`` and ``/* ... */``) are skipped.
+punctuation.  Comments (``-- ...`` and ``/* ... */``) are skipped.  :func:`lex` is the
+front door: one ``tokenize`` per statement text, yielding the tokens the
+parser reads and the canonical key the caches share.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Tuple
 
 from repro.vertica.errors import SqlError
 
@@ -73,6 +75,27 @@ def tokenize(sql: str) -> List[Token]:
         raise SqlError(f"unexpected character {char!r} at offset {i}")
     tokens.append(Token("EOF", "", "", n))
     return tokens
+
+
+#: what :func:`lex` returns: a statement's tokens and its canonical key
+Lexed = Tuple[List[Token], str]
+
+
+def lex(sql: str) -> Lexed:
+    """The statement's one lexing: its tokens and its canonical key.
+
+    The key is the token texts joined by single spaces (identifiers
+    uppercased, string literals re-quoted, comments and whitespace gone),
+    so every spelling of a statement shares one parse-, plan- and
+    result-cache entry.  The parser reads the same token list.
+    """
+    tokens = tokenize(sql)
+    key = " ".join(
+        "'" + token.text.replace("'", "''") + "'"
+        if token.kind == "STRING" else token.text
+        for token in tokens[:-1]
+    )
+    return tokens, key
 
 
 def _read_string(sql: str, start: int) -> tuple:

@@ -1,9 +1,12 @@
 """Recursive-descent SQL parser.
 
 ``parse_statement`` turns one SQL string into an AST node from
-:mod:`repro.vertica.sql.ast_nodes`.  Expression parsing follows standard
-SQL precedence: OR < AND < NOT < comparison/IS/IN/BETWEEN/LIKE <
-additive < multiplicative < unary < primary.
+:mod:`repro.vertica.sql.ast_nodes`, stamped with the canonical key and
+leading keyword of the token list it was read from (``lexer.lex``: one
+lexing per statement text, shared with whoever looked the key up first).
+Expression parsing follows standard SQL precedence: OR < AND < NOT <
+comparison/IS/IN/BETWEEN/LIKE < additive < multiplicative < unary <
+primary.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from repro.vertica.expr import (
     UnaryOp,
 )
 from repro.vertica.sql import ast_nodes as ast
-from repro.vertica.sql.lexer import Token, tokenize
+from repro.vertica.sql.lexer import Lexed, Token, lex
 from repro.vertica.types import parse_type
 
 _RESERVED_STOPWORDS = {
@@ -35,9 +38,9 @@ _RESERVED_STOPWORDS = {
 
 
 class _Parser:
-    def __init__(self, sql: str):
+    def __init__(self, sql: str, lexed: Optional[Lexed] = None):
         self.sql = sql
-        self.tokens = tokenize(sql)
+        self.tokens, self.cache_key = lexed or lex(sql)
         self.pos = 0
 
     # -- token helpers -------------------------------------------------------
@@ -108,8 +111,8 @@ class _Parser:
             "INSERT": self._insert,
             "UPDATE": self._update,
             "DELETE": self._delete,
-            "SELECT": self._select_statement,
-            "AT": self._at_epoch_select,
+            "SELECT": self._select,
+            "AT": self._select,
             "EXPLAIN": self._explain,
             "PROFILE": self._profile,
             "ANALYZE": self._analyze,
@@ -125,6 +128,8 @@ class _Parser:
             raise SqlError(f"unsupported statement {keyword!r}")
         node = handler()
         self.end()
+        node.cache_key = self.cache_key
+        node.keyword = keyword
         return node
 
     def _create(self):
@@ -268,16 +273,20 @@ class _Parser:
         where = self.expression() if self.accept("WHERE") else None
         return ast.Delete(table, where=where)
 
-    def _at_epoch_select(self):
-        return self._select()
-
     def _explain(self):
-        self.expect("EXPLAIN")
-        return ast.Explain(self._select())
+        return ast.Explain(self._wrapped_select("EXPLAIN"))
 
     def _profile(self):
-        self.expect("PROFILE")
-        return ast.Profile(self._select())
+        return ast.Profile(self._wrapped_select("PROFILE"))
+
+    def _wrapped_select(self, keyword: str) -> ast.Select:
+        """The query under EXPLAIN / PROFILE, keyed as its plain spelling
+        (the statement's key minus its first token) so both forms share
+        one plan- and result-cache entry."""
+        self.expect(keyword)
+        query = self._select()
+        query.cache_key = self.cache_key[len(keyword) + 1:]
+        return query
 
     def _analyze(self):
         # ANALYZE <table> [WITH <n> BUCKETS]
@@ -296,9 +305,6 @@ class _Parser:
             buckets = int(float(token.text))
             self.expect("BUCKETS")
         return ast.Analyze(table, buckets)
-
-    def _select_statement(self):
-        return self._select()
 
     def _select(self) -> ast.Select:
         at_epoch: Optional[int] = None
@@ -694,9 +700,14 @@ class _Parser:
         )
 
 
-def parse_statement(sql: str):
-    """Parse one SQL statement into its AST node."""
-    return _Parser(sql).statement()
+def parse_statement(sql: str, lexed: Optional[Lexed] = None):
+    """Parse one SQL statement into its AST node.
+
+    ``lexed`` is ``lexer.lex(sql)`` when the caller already holds it (the
+    parse cache does, having looked its key up); the text is lexed here
+    otherwise, and never twice.
+    """
+    return _Parser(sql, lexed).statement()
 
 
 def parse_expression(sql: str) -> Expression:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 DEFAULT_BUCKETS = 16
 
@@ -233,38 +233,3 @@ def update_stats_for_load(
         return
     names = database.catalog.table(table_name).column_names()
     stats.observe_columns(dict(zip(names, columns)))
-
-
-def system_table_rows(
-    statistics: Dict[str, TableStats],
-) -> Tuple[List[str], List[Dict[str, Any]]]:
-    """Rows for ``V_CATALOG.COLUMN_STATISTICS``."""
-    columns = [
-        "TABLE_NAME",
-        "COLUMN_NAME",
-        "ROW_COUNT",
-        "NULL_COUNT",
-        "NDV",
-        "MIN_VALUE",
-        "MAX_VALUE",
-        "HISTOGRAM_BUCKETS",
-        "COLLECTED_EPOCH",
-    ]
-    rows: List[Dict[str, Any]] = []
-    for table_name in sorted(statistics):
-        table_stats = statistics[table_name]
-        for column_name, cs in table_stats.columns.items():
-            rows.append(
-                {
-                    "TABLE_NAME": table_name,
-                    "COLUMN_NAME": column_name,
-                    "ROW_COUNT": cs.row_count,
-                    "NULL_COUNT": cs.null_count,
-                    "NDV": cs.ndv,
-                    "MIN_VALUE": cs.min_value,
-                    "MAX_VALUE": cs.max_value,
-                    "HISTOGRAM_BUCKETS": len(cs.histogram),
-                    "COLLECTED_EPOCH": table_stats.collected_epoch,
-                }
-            )
-    return columns, rows

@@ -140,10 +140,7 @@ class LegacyInterpreter:
         if key == "V_MONITOR.STORAGE_CONTAINERS":
             return ["NODE_NAME", "TABLE_NAME", "CONTAINER_COUNT", "LIVE_ROWS"]
         if db.catalog.is_system_table(key):
-            columns, __ = db.catalog.system_table_rows(
-                key, db.epochs.current, db.node_states
-            )
-            return columns
+            return list(db.catalog.system_table(key)[0])
         if db.catalog.has_view(key):
             view = db.catalog.view(key)
             return self._select_output_columns(view.query)
@@ -177,10 +174,8 @@ class LegacyInterpreter:
                 for node, table, count, rows in storage_container_stats(db)
             ]
         elif db.catalog.is_system_table(key):
-            __, sys_rows = db.catalog.system_table_rows(
-                key, db.epochs.current, db.node_states
-            )
-            out = [(initiator, dict(row)) for row in sys_rows]
+            columns, producer = db.catalog.system_table(key)
+            out = [(initiator, dict(zip(columns, row))) for row in producer(db)]
         elif db.catalog.has_view(key):
             out = self._view_rows(key, txn, initiator, snapshot, cost)
         else:

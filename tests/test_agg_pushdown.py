@@ -137,13 +137,13 @@ class TestOneQueryPerRange:
     def test_query_plan_shape(self, loaded, monkeypatch):
         vc, spark, __ = loaded
         captured = []
-        original = Session.execute
+        original = Session.prepare  # where a statement's text enters a session
 
-        def spy(self, sql, copy_data=None):
+        def spy(self, sql):
             captured.append(sql)
-            return original(self, sql, copy_data=copy_data)
+            return original(self, sql)
 
-        monkeypatch.setattr(Session, "execute", spy)
+        monkeypatch.setattr(Session, "prepare", spy)
         df = read(vc, spark, "seg")
         df.group_by("k").agg(("a", "sum"), ("a", "avg")).collect()
 
@@ -293,18 +293,18 @@ class TestEpochPinnedDiscovery:
         session.execute("CREATE TABLE base (n INTEGER)")
         session.execute("CREATE VIEW empty_view AS SELECT n FROM base")
 
-        original = Session.execute
+        original = Session.prepare  # where a statement's text enters a session
 
-        def racing_writer(self, sql, copy_data=None):
+        def racing_writer(self, sql):
             if sql.startswith("AT EPOCH") and "LIMIT 1" in sql:
                 # A writer commits between discovery's epoch pin and its
                 # schema sample — the torn-snapshot window the fix closes.
                 writer = vc.db.connect()
                 writer.execute("INSERT INTO base VALUES (42)")
                 writer.close()
-            return original(self, sql, copy_data=copy_data)
+            return original(self, sql)
 
-        monkeypatch.setattr(Session, "execute", racing_writer)
+        monkeypatch.setattr(Session, "prepare", racing_writer)
         df = spark.read.format("vertica").options(
             db=vc, table="empty_view", numpartitions=4
         ).load()

@@ -1,7 +1,7 @@
 """Tier-1 tests for the plan/prepared-statement cache.
 
 Two levels under test: the *parse* cache (canonical SQL text → shared
-AST, skipping the lexer/parser on repeats) and the *plan* cache
+AST: one lexing per statement text, no parse on repeats) and the *plan* cache
 (canonical statement + database versions + the session's PlanContext
 fingerprint → optimized plan, skipping bind/optimize).  Invalidation is
 by catalog version: DDL and ANALYZE bump it, so a cached plan can never
@@ -13,11 +13,12 @@ import dataclasses
 import pytest
 
 from repro import telemetry
-from repro.cache import PlanCache, canonical_sql, statement_digest, statement_shape
+from repro.cache import PlanCache, canonical_sql, statement_digest
 from repro.telemetry import MetricsRegistry
 from repro.vertica import VerticaDatabase
 from repro.vertica.plan import optimized_plan
 from repro.vertica.settings import PlanContext
+from repro.vertica.sql import ast, lexer
 from repro.vertica.sql.parser import parse_statement
 
 QUERY = "SELECT grp, COUNT(*) FROM events GROUP BY grp ORDER BY grp"
@@ -53,15 +54,51 @@ class TestKeys:
             "SELECT * FROM t WHERE id = 6"
         )
 
-    def test_shape_groups_literal_variants(self):
-        assert statement_shape("SELECT * FROM t WHERE id = 5") == statement_shape(
-            "SELECT * FROM t WHERE id = 99"
-        )
-
     def test_digest_is_stable_and_short(self):
         canonical = canonical_sql(QUERY)
         assert statement_digest(canonical) == statement_digest(canonical)
         assert len(statement_digest(canonical)) == 16
+
+    #: this file's statements and the digest of each one's canonical key as
+    #: rendered before the front door existed (``canonical_sql`` lexing on
+    #: its own): every cache tier keys on these bytes
+    PINNED = [
+        ("CREATE TABLE events (id INTEGER, grp INTEGER, v FLOAT) "
+         "SEGMENTED BY HASH(id) ALL NODES", "3b6d32a123f3a2d5"),
+        ("INSERT INTO events VALUES "
+         + ", ".join(f"({i}, {i % 4}, {float(i)})" for i in range(24)),
+         "c96600e28177bb5e"),
+        (QUERY, "44b19b5e9ea8945f"),
+        ("select  id , v\nfrom T where v = 5", "51d4ea07fcc51898"),
+        ("SELECT * FROM t WHERE id = 5", "db082c783b2b8d9f"),
+        ("SELECT * FROM t WHERE id = 6", "7bdbbe2c8b8f706f"),
+        ("SELECT * FROM t WHERE id = 99", "04cca0f379352968"),
+        ("select GRP, count(*) from events group by grp order by grp",
+         "44b19b5e9ea8945f"),
+        ("SELECT COUNT(*) FROM events WHERE grp = 1", "37272f9b21b8385c"),
+        ("SELECT COUNT(*) FROM events WHERE grp = 3", "74ac1e8a3ccec60e"),
+        ("CREATE TABLE bystander (id INTEGER)", "1f09d1a92e5c5ba7"),
+        ("ANALYZE events", "553f2f956d823d68"),
+        (f"EXPLAIN {QUERY}", "0c3b0bacee7f5cd9"),
+        (f"PROFILE {QUERY}", "324d92d467a28a57"),
+        ("/* hint */ SELECT 'it''s' || name -- tail\nFROM \"t\" WHERE x >= .5e3;",
+         "ae7c28761fac7ad8"),
+    ]
+
+    @pytest.mark.parametrize("sql,digest", PINNED)
+    def test_keys_and_digests_are_the_parents(self, sql, digest):
+        assert statement_digest(canonical_sql(sql)) == digest
+        # the parser stamps the same key, with or without the cache in front
+        assert parse_statement(sql).cache_key == canonical_sql(sql)
+        assert PlanCache().parse(sql, parse_statement).cache_key == canonical_sql(sql)
+
+    def test_canonical_text_spelled_out(self):
+        assert canonical_sql(self.PINNED[-1][0]) == (
+            "SELECT 'it''s' || NAME FROM T WHERE X >= .5e3 ;"
+        )
+        assert canonical_sql(QUERY) == (
+            "SELECT GRP , COUNT ( * ) FROM EVENTS GROUP BY GRP ORDER BY GRP"
+        )
 
 
 class TestParseCache:
@@ -78,14 +115,6 @@ class TestParseCache:
         session.execute(QUERY)
         session.execute("select GRP, count(*) from events group by grp order by grp")
         assert db.plan_cache.parsed_count == parsed_before + 1
-
-    def test_literal_variants_share_one_shape(self):
-        db, session = make_db()
-        shapes_before = db.plan_cache.shape_count
-        session.execute("SELECT COUNT(*) FROM events WHERE grp = 1")
-        session.execute("SELECT COUNT(*) FROM events WHERE grp = 3")
-        assert db.plan_cache.shape_count == shapes_before + 1
-        assert db.plan_cache.parsed_count >= 2
 
 
 class TestPlanCacheHits:
@@ -159,11 +188,11 @@ class TestPlanCacheUnit:
     def test_unstamped_statement_is_never_cached(self):
         cache = PlanCache(capacity=4, name="test.plan")
 
-        class Bare:
-            pass
+        def bare():  # a node built in code, not parsed: ``cache_key`` None
+            return ast.Select([ast.SelectItem(star=True)], ast.TableRef("events"))
 
-        assert cache.store_plan(Bare(), 1, "auto", object()) is False
-        assert cache.lookup_plan(Bare(), 1, "auto") is None
+        assert cache.store_plan(bare(), 1, "auto", object()) is False
+        assert cache.lookup_plan(bare(), 1, "auto") is None
         assert cache.plan_count == 0
 
     def test_explain_shares_the_inner_query_key(self):
@@ -171,4 +200,86 @@ class TestPlanCacheUnit:
         plain = cache.parse(QUERY, parse_statement)
         explain = cache.parse(f"EXPLAIN {QUERY}", parse_statement)
         assert explain.query.cache_key == plain.cache_key
-        assert explain.query.cache_shape == plain.cache_shape
+        profile = cache.parse(f"profile  {QUERY}", parse_statement)
+        assert profile.query.cache_key == plain.cache_key
+        assert (explain.keyword, profile.keyword, plain.keyword) == (
+            "EXPLAIN", "PROFILE", "SELECT"
+        )
+
+
+class TestFrontDoor:
+    """One ``tokenize`` per statement text on every path, and nothing in
+    the cache that outgrows its capacity."""
+
+    @pytest.fixture
+    def lexes(self, monkeypatch):
+        calls = []
+        real = lexer.tokenize
+
+        def spy(sql):
+            calls.append(sql)
+            return real(sql)
+
+        monkeypatch.setattr(lexer, "tokenize", spy)
+        return calls
+
+    @pytest.mark.parametrize("sql", [
+        "CREATE TABLE other (id INTEGER)",
+        "INSERT INTO events VALUES (100, 1, 1.0)",
+        QUERY,
+        f"EXPLAIN {QUERY}",
+        f"PROFILE {QUERY}",
+    ])
+    def test_one_lex_per_text_miss_and_hit(self, lexes, sql):
+        db, session = make_db()
+        del lexes[:]
+        misses = db.plan_cache.parsed_count
+        session.execute(sql)
+        assert db.plan_cache.parsed_count == misses + 1  # it was a miss
+        assert lexes == [sql]
+        if not sql.startswith("CREATE"):
+            session.execute(sql)  # now a hit
+            assert lexes == [sql, sql]
+
+    def test_one_lex_per_text_through_a_connection(self, lexes):
+        from repro.connector import SimVerticaCluster
+        from repro.sim import Environment
+
+        env = Environment()
+        cluster = SimVerticaCluster(env, num_nodes=2)
+        statements = [
+            "CREATE TABLE t (id INTEGER)",
+            "/* c */ INSERT INTO t VALUES (1)",
+            "SELECT COUNT(*) FROM t",
+            "SELECT COUNT(*) FROM t",
+            "PROFILE SELECT COUNT(*) FROM t",
+            "COMMIT",
+        ]
+
+        def client():
+            conn = cluster.connect()
+            for sql in statements:
+                yield from conn.execute(sql)
+
+        env.process(client())
+        env.run()
+        assert lexes == statements
+
+    def test_per_job_table_names_leave_nothing_unbounded(self):
+        db, session = make_db()
+        capacity = db.plan_cache.capacity
+        for job in range(300):
+            session.execute(f"CREATE TABLE s2v_job_{job}_status (id INTEGER)")
+            session.execute(f"SELECT COUNT(*) FROM s2v_job_{job}_status")
+
+        def sizes(holder):
+            """Length of everything sized the cache holds, at any depth."""
+            for value in vars(holder).values():
+                if hasattr(value, "__len__"):
+                    yield len(value)
+                elif hasattr(value, "__dict__"):
+                    yield from sizes(value)
+
+        assert max(sizes(db.plan_cache)) == capacity  # full, nothing larger
+        assert db.plan_cache.parsed_count == capacity
+        assert db.plan_cache.plan_count == capacity

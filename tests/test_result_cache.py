@@ -229,6 +229,78 @@ class TestBypass:
         assert counters["vertica.cache.result.bypass.system_table"] >= 2
 
 
+    def test_system_table_under_a_view_bypasses(self, registry):
+        """What a statement reads is asked of its parse and of every view
+        body beneath it; sniffing the outer text for ``V_CATALOG`` served
+        a node's old state from the cache after it failed."""
+        db, session = make_db(num_nodes=3)
+        session.execute(
+            "CREATE VIEW nodes_v AS "
+            "SELECT node_name, node_state FROM v_catalog.nodes"
+        )
+        session.execute("CREATE VIEW nodes_vv AS SELECT * FROM nodes_v")
+        for view in ("nodes_v", "nodes_vv"):
+            query = f"SELECT node_name, node_state FROM {view} ORDER BY node_name"
+            before = session.execute(query)
+            assert [state for __, state in before.rows] == ["UP"] * 3
+            db.fail_node(db.node_names[2])
+            after = session.execute(query)
+            direct = session.execute(
+                "SELECT node_name, node_state FROM v_catalog.nodes "
+                "ORDER BY node_name"
+            )
+            assert after.cost.cache_hit is False
+            assert after.rows == direct.rows
+            assert after.rows[2][1] == "DOWN"
+            db.recover_node(db.node_names[2])
+        counters = registry.snapshot().counters
+        assert counters["vertica.cache.result.bypass.system_table"] == 6
+        assert len(db.result_cache) == 0
+
+    def test_udx_bypasses_directly_and_under_a_view(self, registry):
+        db, session = make_db()
+        factor = [2.0]
+        db.udx.register("scaled", lambda args, params: args[0] * factor[0])
+        session.execute(
+            "CREATE VIEW scaled_v AS SELECT id, scaled(v) AS s FROM metrics"
+        )
+        session.execute("CREATE VIEW scaled_vv AS SELECT id, s FROM scaled_v")
+        queries = [
+            "SELECT scaled(v) AS s FROM metrics WHERE id = 3",
+            "SELECT s FROM scaled_v WHERE id = 3",
+            "SELECT s FROM scaled_vv WHERE id = 3",
+        ]
+        for query in queries:
+            assert session.execute(query).rows == [(6.0,)]
+        factor[0] = 10.0  # the function's answer changes with no epoch
+        for query in queries:
+            result = session.execute(query)
+            assert result.rows == [(30.0,)] and result.cost.cache_hit is False
+        counters = registry.snapshot().counters
+        assert counters["vertica.cache.result.bypass.udx"] == 6
+        assert "vertica.cache.result.bypass.system_table" not in counters
+
+    def test_names_that_only_look_special_are_cached(self, registry):
+        """A literal or a user table merely containing ``V_CATALOG``, or a
+        column named like a registered UDx, is an ordinary statement."""
+        db, session = make_db()
+        db.udx.register("grp", lambda args, params: None)
+        session.execute(
+            "CREATE TABLE my_v_catalog_copy (id INTEGER, note VARCHAR(40))"
+        )
+        session.execute(
+            "INSERT INTO my_v_catalog_copy VALUES (1, 'from V_CATALOG.NODES')"
+        )
+        for query in (
+            "SELECT id FROM my_v_catalog_copy",
+            "SELECT id FROM metrics WHERE id = 1 AND 'V_MONITOR.x' = 'V_MONITOR.x'",
+            "SELECT grp FROM metrics WHERE id = 1",
+        ):
+            assert session.execute(query).cost.cache_hit is False
+            assert session.execute(query).cost.cache_hit is True, query
+        assert "vertica.cache.result.bypass" not in registry.snapshot().counters
+
+
 class TestEviction:
     def test_lru_eviction_under_byte_pressure(self, registry):
         db, session = make_db()

@@ -76,3 +76,63 @@ def test_no_operator_evaluates_an_expression_per_row():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         and node.func.attr == "evaluate"
     ] == []
+
+
+#: what a variable holding a statement's text or canonical key is called
+STATEMENT_TEXT_NAMES = {"sql", "canonical", "cache_key"}
+#: the string methods that read such text apart
+TEXT_PROBES = {
+    "upper", "lower", "strip", "lstrip", "split", "partition", "startswith",
+    "find", "index",
+}
+#: formatting an error message from the text decides nothing:
+#: (module, enclosing class) pairs
+MESSAGE_FORMATTERS = {
+    ("repro/vertica/errors.py", "RetriesExhausted"),
+    ("repro/connector/jdbc.py", "ConnectionSevered"),
+}
+
+
+def test_only_the_front_door_reads_statement_text():
+    """What a statement *is* — its class, leading keyword, the relations
+    and functions it names — is asked of its parse (``Session.prepare``).
+    Outside the lexer/parser and the cache's key rendering, no module picks
+    statement text or a canonical key apart with string methods or ``in``:
+    that is how a leading comment skipped WLM admission and a view hid a
+    system table from the result cache."""
+
+    def named(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        return node.attr if isinstance(node, ast.Attribute) else None
+
+    def probes(tree):
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in TEXT_PROBES
+                and named(node.func.value) in STATEMENT_TEXT_NAMES
+            ):
+                yield node.lineno
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.In, ast.NotIn)) for op in node.ops
+            ):
+                if any(named(c) in STATEMENT_TEXT_NAMES for c in node.comparators):
+                    yield node.lineno
+
+    offenders = []
+    for name, tree in modules():
+        if name.startswith(("repro/vertica/sql/", "repro/cache/")):
+            continue
+        excused = {
+            line
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and (name, node.name) in MESSAGE_FORMATTERS
+            for line in probes(node)
+        }
+        offenders += [
+            f"{name}:{line}" for line in probes(tree) if line not in excused
+        ]
+    assert offenders == []

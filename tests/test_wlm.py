@@ -12,6 +12,7 @@ from repro.vertica.errors import (
     AdmissionTimeout,
     CatalogError,
     ConnectionLimitError,
+    SqlError,
 )
 from repro.vertica.settings import PlanContext
 from repro.wlm import (
@@ -432,6 +433,52 @@ class TestBridgeAdmission:
         profile = results["PROFILE"].cost
         assert profile.queue_wait_seconds > 0
         assert profile.resource_pool == GENERAL
+        assert cluster.wlm.leaked() == {}
+
+    def test_a_leading_comment_changes_nothing(self, env):
+        """The bridge classifies a statement from its parse, so a leading
+        comment skips neither WLM admission nor plan CPU (classifying by
+        ``sql.split()[0]`` let ``/* x */ SELECT …`` past both).  Text that
+        does not parse raises before admission: it never holds a slot it
+        cannot use."""
+        model = VerticaCostModel(query_latency=0.002, query_plan_cpu=0.002)
+        cluster = SimVerticaCluster(
+            env=env, num_nodes=2, cost_model=model, wlm=True
+        )
+        cluster.db.create_resource_pool(
+            ResourcePool(GENERAL, memory_mb=64, planned_concurrency=1,
+                         max_concurrency=1, queue_timeout=30.0),
+            or_replace=True,
+        )
+        session = cluster.db.connect()
+        session.execute("CREATE TABLE t (id INTEGER)")
+        session.execute("INSERT INTO t VALUES (1), (2)")
+        session.close()
+        admits = []
+        real_admit = cluster.wlm.admit
+        cluster.wlm.admit = lambda pool: admits.append(pool) or real_admit(pool)
+        plain = "SELECT COUNT(*) FROM t"
+        spellings = [plain, "/* x */ " + plain, "-- x\n" + plain]
+        seconds = []
+
+        def client():
+            with cluster.connect("node0001") as conn:
+                yield from conn.execute(plain)  # pays the connect latency
+                for sql in spellings:
+                    started = env.now
+                    yield from conn.execute(sql)
+                    seconds.append(env.now - started)
+                started = env.now
+                with pytest.raises(SqlError):
+                    yield from conn.execute("/* x */ SELEC COUNT(*) FROM t")
+                assert env.now == started
+
+        env.process(client())
+        env.run()
+        assert len(seconds) == 3
+        assert admits == [GENERAL] * 4  # the unparsable text asked for none
+        # every other charge of this model is zero: latency + plan CPU, each time
+        assert seconds == [pytest.approx(0.004)] * 3
         assert cluster.wlm.leaked() == {}
 
     def test_telemetry_counts_admissions(self):
