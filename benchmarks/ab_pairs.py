@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of one fabricbench workload.
 
-    python3 benchmarks/ab_pairs.py PARENT CHANGE --workload W [--seed N] [--pairs 10]
+    python3 benchmarks/ab_pairs.py PARENT CHANGE --workload W [--seed N[,N...]]
+                                   [--pairs 10]
 
 Each tree runs its *own* ``benchmarks/fabricbench/run.py``; which side goes
-first swaps every pair.  Per end-to-end metric of ``BENCHMARK.json``: both
+first swaps every pair.  ``--seed 11,12`` runs the pairs once per seed and
+prints one table per seed (a claim needs the seed the change was written
+against and one it never saw).  Per end-to-end metric of ``BENCHMARK.json``: both
 medians with quartiles, the pairs the change won (ties count for neither),
 whether the medians are further apart than the parent's inter-quartile
 distance and, for the sim-second metrics, whether every run of both sides
@@ -22,10 +25,10 @@ import sys
 from pathlib import Path
 
 
-def run_once(tree, args):
+def run_once(tree, workload, seed):
     done = subprocess.run(
         [sys.executable, str(tree / "benchmarks/fabricbench/run.py"),
-         "--workload", args.workload, "--seed", str(args.seed)],
+         "--workload", workload, "--seed", str(seed)],
         capture_output=True, text=True, check=False)
     result = {"failed": 1, "correct": False, "metrics": None}  # exited non-zero
     if done.returncode == 0:
@@ -35,28 +38,45 @@ def run_once(tree, args):
     return result
 
 
-def main(argv):
+def seed_list(text):
+    """``"11"`` or ``"11,12"`` as a list of ints (argparse ``type=``)."""
+    return [int(part) for part in text.split(",")]
+
+
+def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_tree", type=Path)
     parser.add_argument("change_tree", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--seed", type=seed_list, default=[11], dest="seeds",
+                        metavar="N[,N...]", help="one table per seed (default 11)")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2: quartiles need two runs")
+    return args
+
+
+def main(argv):
+    args = parse_args(argv)
+    return int(sum(run_pairs(args, seed) for seed in args.seeds) > 0)
+
+
+def run_pairs(args, seed):
+    """Run and tabulate one seed's pairs; returns how many runs went bad."""
     spec = json.loads((args.change_tree / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent_tree, "change": args.change_tree}
     pairs = []
     for number in range(1, args.pairs + 1):
         pairs.append({})
         for side in list(sides)[::1 if number % 2 else -1]:
-            run = pairs[-1][side] = run_once(sides[side], args)
+            run = pairs[-1][side] = run_once(sides[side], args.workload, seed)
             took = run["metrics"] and run["metrics"]["op_ms_norm"]["value"]
-            print(f"pair {number} {side}: op_ms_norm {took}", file=sys.stderr)
+            print(f"seed {seed} pair {number} {side}: op_ms_norm {took}",
+                  file=sys.stderr)
     bad = sum(bool(r["failed"]) or not r["correct"] for p in pairs for r in p.values())
     pairs = [pair for pair in pairs if all(r["metrics"] for r in pair.values())]
-    print(f"{args.workload}, seed {args.seed}, {len(pairs)} alternating pairs"
+    print(f"{args.workload}, seed {seed}, {len(pairs)} alternating pairs"
           f"{f', {bad} failed runs' if bad else ''}\n"
           "| metric | parent median [q1, q3] | change median [q1, q3] "
           "| change/parent | pairs won | > parent IQR | == |\n" + "|---" * 7 + "|")
@@ -73,7 +93,8 @@ def main(argv):
               f"| {c2:.6g} [{c1:.6g}, {c3:.6g}] | {c2 / (p2 or math.nan):.3f} "
               f"| {won} won, {lost} lost of {len(pairs)} "
               f"| {abs(c2 - p2) > p3 - p1} | {same} |")
-    return int(bad > 0)
+    sys.stdout.flush()  # a seed's table is out before the next seed starts
+    return bad
 
 
 if __name__ == "__main__":

@@ -172,6 +172,7 @@ def run_trial(workload: str, seed: int, mode: str = "overwrite",
     except BaseException as exc:  # noqa: BLE001 - audited, not swallowed
         report.violated("clean-drain", f"draining the run raised {exc!r}")
     trial.audit(run, checker, raised, report)
+    report.merge(checker.check_stored_hashes())
     if verbose:
         for record in controller.injections:
             print(record)

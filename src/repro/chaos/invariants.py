@@ -99,6 +99,57 @@ def _multiset(rows: Sequence[Sequence[Any]]) -> List[Tuple[Any, ...]]:
     return sorted(tuple(row) for row in rows)
 
 
+def stored_hash_violations(db, txns: Sequence[Any] = ()) -> List[str]:
+    """Rows of segmented tables whose stored hash or home node is wrong.
+
+    A ranged scan answers ``HASH(seg) >= lo AND HASH(seg) < hi`` from
+    ``row_hashes`` alone and nobody re-evaluates the conjuncts, so for
+    every row of every ROS container, k-safety replica container and —
+    for the open transactions in ``txns`` — WOS buffer, ``row_hashes[i]``
+    must be ``vertica_hash`` of the row's segmentation values, and the
+    row must sit on ``ring.node_for`` of it (a replica: on that node's
+    buddy).  Returns one line per offending store, empty when all hold.
+    """
+    from repro.vertica.hashring import vertica_hash
+
+    out: List[str] = []
+    for table in db.catalog.tables.values():
+        if table.unsegmented:
+            continue
+        names = table.column_names()
+        slots = [names.index(c) for c in table.segmentation_columns]
+        node_for = table.ring.node_for
+        stores = []  # (where, holds replicas?, node, container or buffer)
+        for node in db.node_names:
+            storage = db.storage[node]
+            for held in storage.table_containers(table.name):
+                stores.append(("ROS", False, node, held))
+            for held in storage.replica_containers(table.name):
+                stores.append(("replica ROS", True, node, held))
+        for txn in txns:
+            for (name, node), held in txn.wos.items():
+                if name == table.name:
+                    stores.append(("WOS", False, node, held))
+            for (name, node), held in txn.replica_wos.items():
+                if name == table.name:
+                    stores.append(("replica WOS", True, node, held))
+        for where, replica, node, held in stores:
+            keys = zip(*(held.columns[slot] for slot in slots))
+            bad = 0
+            for key, stored in zip(keys, held.row_hashes):
+                home = node_for(stored)
+                if stored != vertica_hash(*key) or node != (
+                    db.buddy_of(home) if replica else home
+                ):
+                    bad += 1
+            if bad:
+                out.append(
+                    f"{table.name} {where} on {node}: {bad} of {held.nrows} "
+                    f"rows mis-hashed or misplaced"
+                )
+    return out
+
+
 class InvariantChecker:
     """Audits one database after a (possibly chaosed) run.
 
@@ -389,6 +440,14 @@ class InvariantChecker:
             )
         else:
             report.passed("cleanup-failures-surfaced")
+        return report
+
+    # -- storage ----------------------------------------------------------------
+    def check_stored_hashes(self) -> InvariantReport:
+        """Every stored segmentation hash is its row's, on the right node."""
+        report = InvariantReport("storage")
+        bad = stored_hash_violations(self.db)
+        report.expect("stored-hashes-match-rows", not bad, "; ".join(bad[:5]))
         return report
 
     # -- global hygiene ---------------------------------------------------------

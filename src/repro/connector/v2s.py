@@ -8,7 +8,11 @@ Design, as in the paper:
   segment boundary, and each Spark task connects *to the node owning its
   range* and issues ``SELECT ... WHERE HASH(seg_cols) >= lo AND
   HASH(seg_cols) < hi``.  Only node-local data is requested, so no bytes
-  cross the Vertica-internal network.
+  cross the Vertica-internal network.  That text is the wire contract
+  and all the connector knows; the server turns the two conjuncts into
+  the scan's hash range, answers it from the segmentation hash stored
+  with every row, and drops them from the predicate — a task hashes
+  nothing at read time (docs/ENGINE.md, the ``hash_range`` rule).
 - **Snapshot consistency via epochs.**  Each scan pins the current epoch
   and every task queries ``AT EPOCH e``, so tasks running (or re-running,
   after failures) at different times still load one consistent view.
@@ -17,7 +21,9 @@ Design, as in the paper:
   queries — see :meth:`VerticaRelation.build_aggregate_scan`) are all
   evaluated inside Vertica; views (and unsegmented tables) are
   parallelised with ``SYNTHETIC_HASH()`` ranges, which lets pre-defined
-  views push down joins and arbitrary aggregations too.
+  views push down joins and arbitrary aggregations too.  Nothing is
+  stored for those, so the server hashes each row of the relation per
+  task query — once, whichever bound reads it.
 """
 
 from __future__ import annotations

@@ -44,7 +44,8 @@ class ColumnBatch:
     are ``None`` for every batch an operator builds from several slices.
     """
 
-    __slots__ = ("names", "columns", "nodes", "index", "container", "row_ids")
+    __slots__ = ("names", "columns", "nodes", "index", "container", "row_ids",
+                 "synthetic_hashes")
 
     def __init__(
         self,
@@ -61,6 +62,9 @@ class ColumnBatch:
         self.row_ids = row_ids
         #: a repeated name keeps its last occurrence, like dict(zip(...))
         self.index: Dict[str, int] = {name: i for i, name in enumerate(names)}
+        #: ``SYNTHETIC_HASH()`` of every row, kept by its kernel on first
+        #: use: a V2S task's ``>= lo AND < hi`` reads it twice
+        self.synthetic_hashes: Optional[List[int]] = None
 
     @property
     def num_rows(self) -> int:

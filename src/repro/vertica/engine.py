@@ -183,6 +183,9 @@ class HashRange:
     def __init__(self, lo: int = 0, hi: int = HASH_SPACE):
         self.lo = lo
         self.hi = hi
+        #: the conjunct objects ``[lo, hi)`` answers exactly: on a row the
+        #: range admits each is True, so nobody need evaluate it again
+        self.absorbed: List[Expression] = []
 
     def intersects(self, lo: int, hi: int) -> bool:
         return self.lo < hi and lo < self.hi
@@ -233,8 +236,10 @@ def extract_hash_range(
     hash_range = HashRange()
     if where is None or not segmentation_columns:
         return hash_range
+    seg_cols = list(segmentation_columns)
     for conjunct in split_and(where):
-        _tighten(conjunct, list(segmentation_columns), hash_range)
+        if _tighten(conjunct, seg_cols, hash_range):
+            hash_range.absorbed.append(conjunct)
     return hash_range
 
 
@@ -247,15 +252,23 @@ def _is_seg_hash(expression: Expression, seg_cols: List[str]) -> bool:
     )
 
 
-def _tighten(conjunct: Expression, seg_cols: List[str], hash_range: HashRange) -> None:
+def _tighten(conjunct: Expression, seg_cols: List[str], hash_range: HashRange) -> bool:
+    """Narrow ``hash_range`` by one conjunct; True when the narrowed range
+    says all the conjunct does (a half-literal BETWEEN narrows one side
+    and still has the other to check)."""
     if isinstance(conjunct, Between) and _is_seg_hash(conjunct.operand, seg_cols):
-        if isinstance(conjunct.low, Literal) and isinstance(conjunct.low.value, int):
+        low = isinstance(conjunct.low, Literal) and isinstance(conjunct.low.value, int)
+        high = (
+            isinstance(conjunct.high, Literal)
+            and isinstance(conjunct.high.value, int)
+        )
+        if low:
             hash_range.lo = max(hash_range.lo, conjunct.low.value)
-        if isinstance(conjunct.high, Literal) and isinstance(conjunct.high.value, int):
+        if high:
             hash_range.hi = min(hash_range.hi, conjunct.high.value + 1)
-        return
+        return low and high
     if not isinstance(conjunct, BinaryOp):
-        return
+        return False
     op = conjunct.op
     left, right = conjunct.left, conjunct.right
     if _is_seg_hash(left, seg_cols) and isinstance(right, Literal):
@@ -263,11 +276,10 @@ def _tighten(conjunct: Expression, seg_cols: List[str], hash_range: HashRange) -
     elif _is_seg_hash(right, seg_cols) and isinstance(left, Literal):
         bound = left.value
         op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        left = right
     else:
-        return
+        return False
     if not isinstance(bound, int):
-        return
+        return False
     if op == ">=":
         hash_range.lo = max(hash_range.lo, bound)
     elif op == ">":
@@ -279,6 +291,9 @@ def _tighten(conjunct: Expression, seg_cols: List[str], hash_range: HashRange) -
     elif op == "=":
         hash_range.lo = max(hash_range.lo, bound)
         hash_range.hi = min(hash_range.hi, bound + 1)
+    else:
+        return False
+    return True
 
 
 class Engine:

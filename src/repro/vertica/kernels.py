@@ -170,10 +170,15 @@ def _column(name: str) -> Kernel:
 
 
 def _synthetic_hash(batch: ColumnBatch) -> List[Any]:
-    columns = [batch.columns[batch.index[name]] for name in sorted(batch.index)]
-    if not columns:
-        return [0] * batch.num_rows
-    return list(itertools.starmap(vertica_hash, zip(*columns)))
+    hashes = batch.synthetic_hashes
+    if hashes is None:
+        columns = [batch.columns[batch.index[name]] for name in sorted(batch.index)]
+        if not columns:
+            hashes = [0] * batch.num_rows
+        else:
+            hashes = list(itertools.starmap(vertica_hash, zip(*columns)))
+        batch.synthetic_hashes = hashes
+    return hashes
 
 
 def _row_loop(

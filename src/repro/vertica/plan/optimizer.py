@@ -12,10 +12,13 @@ Rules run in a fixed order and record their names in
    WHERE clause (as parsed, not the folded copy — folding could make new
    conjuncts recognisable and change which segments the legacy
    interpreter would have scanned, breaking byte-identical CostReports)
-   restricts the FROM table's scan to intersecting segments.
+   restricts the FROM table's scan to intersecting segments — and to
+   the rows whose stored hash lies in the range, which *is* the answer
+   to the conjuncts the range fully absorbed.
 3. **predicate pushdown** — with a single-table FROM (no joins), the
    Filter node collapses into the scan, which applies the predicate
-   row-wise while batching.  Views and system tables keep their Filter
+   row-wise while batching — minus the conjuncts rule 2 absorbed
+   (``_without_absorbed``).  Views and system tables keep their Filter
    above (their rows are computed, not scanned).
 4. **projection pruning** — base-table scans materialize only columns
    referenced anywhere in the query.  Disabled whenever ``*`` or
@@ -32,7 +35,7 @@ from dataclasses import replace as dc_replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import telemetry
-from repro.vertica.engine import HASH_SPACE, extract_hash_range
+from repro.vertica.engine import HASH_SPACE, HashRange, extract_hash_range
 from repro.vertica.errors import VerticaError
 from repro.vertica.expr import (
     Between,
@@ -202,6 +205,39 @@ def _tighten_hash_range(plan: LogicalPlan) -> bool:
     return not hash_range.is_full
 
 
+def _without_absorbed(
+    predicate: Expression, hash_range: HashRange
+) -> Optional[Expression]:
+    """``predicate`` minus the conjuncts the scan's hash range answered.
+
+    Dropping them changes nothing a statement can observe:
+
+    1. ``Engine.scan`` keeps exactly the rows with ``lo <= row_hashes[i]
+       < hi``, and ``row_hashes[i]`` is ``vertica_hash`` of row *i*'s
+       segmentation values for every row a writer can stage
+       (``Engine.insert_rows`` computes it; mergeout and the k-safety
+       replicas copy it).  On the scan's output an absorbed conjunct is
+       therefore True — never NULL, a hash is an int — and ``True AND x``
+       is ``x`` under the filter's strictly-True rule.
+    2. It cannot have raised: the hash was computable at insert over the
+       same stored values, its arguments are the table's own columns and
+       int-vs-int comparison does not raise.  So the eagerly evaluated
+       *other* conjuncts see the same rows and raise the same first error.
+    3. A ``CostReport`` charges nothing to the predicate: ``scanned`` is
+       counted per slice before the hash filter, output rows and bytes
+       are the survivors', and the survivors are the same rows in order.
+
+    Absorbed means the very objects ``extract_hash_range`` read in the
+    pristine WHERE.  A conjunct the folder rewrote (``HASH(a) >= 1 + 1``)
+    is a new object the range never saw, and stays.
+    """
+    if not hash_range.absorbed:
+        return predicate
+    absorbed = {id(conjunct) for conjunct in hash_range.absorbed}
+    rest = [c for c in split_and(predicate) if id(c) not in absorbed]
+    return _rebuild_and(rest) if rest else None
+
+
 # ------------------------------------------------------------- pushdown
 def _push_predicate(plan: LogicalPlan) -> bool:
     changed = False
@@ -210,7 +246,8 @@ def _push_predicate(plan: LogicalPlan) -> bool:
             continue
         child = node.child
         if isinstance(child, TableScan) and not child.for_update:
-            child.predicate = node.predicate
+            # no join below the Filter: this is the FROM scan rule 2 ranged
+            child.predicate = _without_absorbed(node.predicate, child.hash_range)
             _splice_out(plan, node, child)
             changed = True
         elif isinstance(child, logical.Join):

@@ -20,7 +20,7 @@ them exactly as it slices a container's.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.vertica.errors import CatalogError
 
@@ -36,20 +36,26 @@ class RosContainer:
         column_names: Sequence[str],
         columns: Sequence[Sequence[Any]],
         commit_epoch: int,
-        row_hashes: Optional[List[int]] = None,
+        row_hashes: Sequence[int],
     ):
         if len(column_names) != len(columns):
             raise CatalogError("column name/data arity mismatch in ROS container")
         lengths = {len(c) for c in columns}
         if len(lengths) > 1:
             raise CatalogError("ragged columns in ROS container")
+        nrows = len(columns[0]) if columns else 0
+        if len(row_hashes) != nrows:
+            raise CatalogError("ROS container needs one segmentation hash per row")
         self.column_names = list(column_names)
         self.columns = [list(c) for c in columns]
         self.commit_epoch = commit_epoch
-        nrows = len(columns[0]) if columns else 0
         #: 0 = live; otherwise the epoch at which the row was deleted
         self.delete_epochs: List[int] = [0] * nrows
-        self.row_hashes = list(row_hashes) if row_hashes is not None else [0] * nrows
+        #: ``vertica_hash`` of each row's segmentation values (0 throughout
+        #: an unsegmented table).  A ranged scan reads this *instead of*
+        #: evaluating ``HASH(...)``, so every writer supplies it:
+        #: ``Engine.insert_rows`` computes it, mergeout gathers it.
+        self.row_hashes = list(row_hashes)
 
     @property
     def nrows(self) -> int:

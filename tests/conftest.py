@@ -12,10 +12,35 @@ profile.
 - ``dev`` — a quarter of that, loaded when no profile is named, so the
   suite every session runs with ``-x`` does not spend a minute in four
   tests.
+
+Also the ``hash_calls`` fixture: a count of ``vertica_hash`` calls, for the
+tests that pin where the engine may (and may not) hash a row.
 """
 
+import pytest
 from hypothesis import settings
+
+from repro.vertica import hashring
 
 settings.register_profile("ci", max_examples=100)
 settings.register_profile("dev", max_examples=25)
 settings.load_profile("dev")
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """A one-element list counting every ``vertica_hash`` call.
+
+    Call sites bind ``vertica_hash`` at import, so patching that name
+    would miss them; each call reaches ``hashring._fnv1a`` exactly once,
+    by a module-global lookup, and that is what the spy wraps.
+    """
+    calls = [0]
+    real = hashring._fnv1a
+
+    def counting(data):
+        calls[0] += 1
+        return real(data)
+
+    monkeypatch.setattr(hashring, "_fnv1a", counting)
+    return calls

@@ -126,3 +126,58 @@ class TestFabric:
         fabric.hdfs_write(dataset, "/x", 2)
         __, count = fabric.hdfs_read("/x", 1.0)
         assert count == 20
+
+
+class TestAbPairsArguments:
+    """``benchmarks/ab_pairs.py``: one table per seed from one command."""
+
+    @pytest.fixture(scope="class")
+    def ab_pairs(self):
+        import importlib.util
+        import pathlib
+
+        path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks/ab_pairs.py"
+        spec = importlib.util.spec_from_file_location("ab_pairs", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_seed_is_a_comma_separated_list(self, ab_pairs):
+        base = ["parent", "change", "--workload", "v2s_load"]
+        assert ab_pairs.parse_args(base).seeds == [11]
+        assert ab_pairs.parse_args(base + ["--seed", "12"]).seeds == [12]
+        args = ab_pairs.parse_args(base + ["--seed", "11,12", "--pairs", "3"])
+        assert (args.seeds, args.pairs) == ([11, 12], 3)
+
+    @pytest.mark.parametrize("extra", [
+        ["--seed", "11,x"], ["--seed", ""], ["--seed", "11,"], ["--pairs", "1"],
+    ])
+    def test_malformed_arguments_exit(self, ab_pairs, extra, capsys):
+        with pytest.raises(SystemExit):
+            ab_pairs.parse_args(["p", "c", "--workload", "v2s_load"] + extra)
+        assert "error" in capsys.readouterr().err
+
+    def test_one_table_per_seed(self, ab_pairs, monkeypatch, capsys, tmp_path):
+        (tmp_path / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "op_ms_norm", "better": "lower"}]}'
+        )
+        runs = []
+
+        def fake_run(tree, workload, seed):
+            runs.append((tree.name, workload, seed))
+            value = 10.0 if tree.name == "parent" else 7.0
+            return {"failed": 0, "correct": True,
+                    "metrics": {"op_ms_norm": {"value": value + len(runs) % 2}}}
+
+        monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+        parent = tmp_path / "parent"
+        status = ab_pairs.main([
+            str(parent), str(tmp_path), "--workload", "w", "--seed", "11,12",
+            "--pairs", "2",
+        ])
+        out = capsys.readouterr().out
+        assert status == 0
+        assert [seed for __, __, seed in runs] == [11] * 4 + [12] * 4
+        assert out.count("| op_ms_norm |") == 2
+        assert "w, seed 11, 2 alternating pairs" in out
+        assert "w, seed 12, 2 alternating pairs" in out

@@ -116,6 +116,42 @@ class TestPushdown:
         assert selective_bytes < full_bytes / 10
 
 
+class TestStoredHashAnswersTheRange:
+    """The node answers a task's ``HASH(seg) >= lo AND HASH(seg) < hi`` from
+    the hash it stored with each row; nothing is hashed at read time."""
+
+    def test_segmented_load_hashes_nothing(self, loaded, hash_calls):
+        vc, spark, __ = loaded
+        full = read_src(vc, spark, numpartitions=16)
+        filtered = full.filter(GreaterThan("ID", 100)).filter(LessThan("VAL", 120.0))
+        grouped = full.filter(LessThan("ID", 200)).group_by("NAME").count()
+        hash_calls[0] = 0
+        assert len(full.collect()) == 300
+        assert sorted(r[0] for r in filtered.collect()) == list(range(101, 240))
+        assert len(grouped.collect()) == 200
+        assert hash_calls[0] == 0
+
+    def test_unsegmented_and_view_loads_hash_each_row_once_per_query(
+        self, loaded, hash_calls
+    ):
+        """Nothing is stored for ``SYNTHETIC_HASH()``; every one of the 16
+        task queries hashes the relation's rows once — not once per bound —
+        (a view's rows once more, to attribute them to a node)."""
+        vc, spark, session = loaded
+        session.execute("CREATE TABLE u (a INTEGER, b FLOAT) UNSEGMENTED ALL NODES")
+        session.execute(
+            "INSERT INTO u VALUES " + ", ".join(f"({i}, {i}.5)" for i in range(40))
+        )
+        session.execute(
+            "CREATE VIEW big_rows AS SELECT id, val FROM src WHERE id >= 200"
+        )
+        for table, rows, per_row in (("u", 40, 1), ("big_rows", 100, 2)):
+            df = read_src(vc, spark, table=table, numpartitions=16)
+            hash_calls[0] = 0
+            assert len(df.collect()) == rows
+            assert hash_calls[0] == 16 * rows * per_row
+
+
 class TestLocality:
     def test_no_internal_shuffle(self, loaded):
         """§3.1.2: hash-range queries touch only node-local data."""

@@ -55,6 +55,61 @@ class TestExplain:
         assert segment.node in plan
         assert "segments pruned" in plan
 
+    def test_absorbed_range_shows_no_filter(self, db):
+        """The scan answers ``HASH(a) >= lo AND HASH(a) < hi``; EXPLAIN shows
+        the range it became and, under FILTER, only what is left."""
+        session = db.connect()
+        segment = db.catalog.table("t").ring.segments[1]
+        task = f"HASH(a) >= {segment.lo} AND HASH(a) < {segment.hi}"
+        plan = plan_text(session, f"EXPLAIN SELECT b FROM t WHERE {task}")
+        assert f"hash range: [{segment.lo}, {segment.hi})" in plan
+        assert "FILTER" not in plan
+        assert "columns: B [pruned]" in plan
+        plan = plan_text(session, f"EXPLAIN SELECT a FROM t WHERE {task} AND b > 1.0")
+        assert f"hash range: [{segment.lo}, {segment.hi})" in plan
+        assert "FILTER: (B > 1.0) [pushed into scan]" in plan
+        assert "HASH(A) >" not in plan and "HASH(A) <" not in plan
+        # a bound that is not an int literal is not the scan's to answer
+        plan = plan_text(
+            session,
+            f"EXPLAIN SELECT a FROM t WHERE HASH(a) >= {segment.lo} + 0 "
+            f"AND HASH(a) < {segment.hi}",
+        )
+        assert f"FILTER: (HASH(A) >= {segment.lo}) [pushed into scan]" in plan
+
+    def test_task_scan_estimates_are_the_span_fraction(self):
+        """A task scan is priced at rows x span fraction (x the selectivity
+        of what is *left*) — the absorbed conjuncts are not priced again
+        at 1/3 each on top of the span they were turned into."""
+        env = Environment()
+        vc = SimVerticaCluster(env=env, num_nodes=4)
+        spark = SparkSession(env=env, cluster=vc.sim_cluster, num_workers=4)
+        session = vc.db.connect()
+        session.execute(
+            "CREATE TABLE big (a INTEGER, b FLOAT) SEGMENTED BY HASH(a) ALL NODES"
+        )
+        session.execute(
+            "INSERT INTO big VALUES " + ", ".join(f"({i}, {i}.5)" for i in range(4000))
+        )
+        session.execute("ANALYZE big")
+        plan = vc.db.catalog.table("big").ring.partition_plan(16)
+        assert len(plan) == 16
+        for ((lo, hi, __),) in plan:
+            sql = f"SELECT a, b FROM big WHERE HASH(a) >= {lo} AND HASH(a) < {hi}"
+            root = session.execute("EXPLAIN " + sql).rows[0][0]
+            estimate = int(root.split("estimated rows: ")[1].rstrip(")"))
+            returned = len(session.execute(sql).rows)
+            assert abs(estimate - returned) <= 0.25 * returned, (estimate, returned)
+        # ranged scans say nothing about the table's row count: a V2S load
+        # records no correction (and so re-keys no cached plan)
+        corrections = vc.db.stats_corrections
+        before = (corrections.version, corrections.recorded)
+        df = spark.read.format("vertica").options(
+            db=vc, table="big", numpartitions=16
+        ).load()
+        assert len(df.collect()) == 4000
+        assert (corrections.version, corrections.recorded) == before
+
     def test_filter_and_sort_and_limit(self, db):
         session = db.connect()
         plan = plan_text(

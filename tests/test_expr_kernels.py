@@ -260,3 +260,25 @@ def test_kernel_is_compiled_once_per_expression_object():
 def test_a_column_reference_is_the_batch_column_itself():
     (column,) = evaluate_columns([ColumnRef("A")], CLEAN)
     assert column is CLEAN.columns[0]
+
+
+def test_synthetic_hash_is_computed_once_per_batch(hash_calls):
+    """A V2S task over a view asks ``SYNTHETIC_HASH() >= lo AND
+    SYNTHETIC_HASH() < hi``: both bounds (and a projected third use) read
+    the one column the batch keeps, one ``vertica_hash`` call per row."""
+    predicate = parse_expression(
+        "SYNTHETIC_HASH() >= 1000000000 AND SYNTHETIC_HASH() < 3000000000"
+    )
+    batch = ColumnBatch(["A", "S"], [CLEAN.columns[0], CLEAN.columns[2]], ["n"] * 4)
+    got = evaluate_columns([predicate, FunctionCall("SYNTHETIC_HASH", [])], batch)
+    assert hash_calls[0] == batch.num_rows
+    hash_calls[0] = 0
+    rows = batch_dicts(batch)
+    assert got == [
+        [predicate.evaluate(row) for row in rows],
+        [BUILTINS["HASH"](row["A"], row["S"]) for row in rows],
+    ]
+    # the column belongs to the batch: another batch is hashed afresh
+    other = ColumnBatch(["A"], [[1, 2]], ["n", "n"])
+    (hashes,) = evaluate_columns([FunctionCall("SYNTHETIC_HASH", [])], other)
+    assert hashes == [BUILTINS["HASH"](1), BUILTINS["HASH"](2)]

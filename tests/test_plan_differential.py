@@ -25,7 +25,11 @@ from hypothesis import strategies as st
 from repro.vertica import VerticaDatabase
 from repro.vertica.batch import BATCH_ROWS
 from repro.vertica.engine import COST_COUNTERS
-from repro.vertica.plan import explain_lines
+from repro.vertica.expr import split_and
+from repro.vertica.hashring import HASH_SPACE, vertica_hash
+from repro.vertica.plan import explain_lines, logical
+from repro.vertica.plan.binder import bind_dml_scan, bind_select
+from repro.vertica.plan.optimizer import optimize
 from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.sql.parser import parse_statement
@@ -569,3 +573,290 @@ class TestSessionIsolation:
         finally:
             for session in sessions:
                 session.close()
+
+
+# ------------------------------------------- absorbed hash-range conjuncts
+# The scan answers ``HASH(seg) ⋚ int`` from the stored row hashes and the
+# optimizer drops exactly those conjuncts from the pushed-down predicate;
+# everything that merely *looks* like one must still be evaluated.
+HASH_ROWS = 200
+#: ``b`` is zero on these two rows only (``1 / b`` raises there)
+ZERO_B = (3, 150)
+
+
+def _hash_tables(session):
+    session.execute(
+        "CREATE TABLE h (a INTEGER, b INTEGER, c INTEGER) "
+        "SEGMENTED BY HASH(a) ALL NODES"
+    )
+    session.execute(
+        "CREATE TABLE h2 (a INTEGER, b INTEGER) SEGMENTED BY HASH(a, b) ALL NODES"
+    )
+    session.execute("CREATE TABLE hu (a INTEGER, b INTEGER) UNSEGMENTED ALL NODES")
+    session.execute(
+        "CREATE TABLE hd (k INTEGER, x VARCHAR(8)) SEGMENTED BY HASH(k) ALL NODES"
+    )
+    session.execute(
+        "INSERT INTO h VALUES " + ", ".join(
+            f"({i}, {0 if i in ZERO_B else 1 + i % 6}, {i % 5})"
+            for i in range(HASH_ROWS)
+        )
+    )
+    for name in ("h2", "hu"):
+        session.execute(
+            f"INSERT INTO {name} VALUES "
+            + ", ".join(f"({i}, {i % 7})" for i in range(60))
+        )
+    session.execute(
+        "INSERT INTO hd VALUES "
+        + ", ".join(f"({i}, 'x{i % 4}')" for i in range(0, HASH_ROWS, 3))
+    )
+    session.execute("CREATE VIEW hv AS SELECT a, b FROM h WHERE c < 3")
+
+
+@pytest.fixture(scope="module")
+def hash_db():
+    database = VerticaDatabase(num_nodes=4)
+    _hash_tables(database.connect())
+    return database
+
+
+LO, HI = 2_000_000_001, 3_000_000_000
+#: a range holding row 3 (``b = 0``) and one around row 7 holding no zero
+ERR_LO, ERR_HI = vertica_hash(3), vertica_hash(3) + 400_000_000
+OK_LO, OK_HI = vertica_hash(7) - 1000, vertica_hash(7) + 1000
+assert not any(OK_LO <= vertica_hash(i) < OK_HI for i in ZERO_B)
+
+HASH_MATRIX = [
+    # the task query's own shape, alone and with a residual
+    f"SELECT a FROM h WHERE HASH(a) >= {LO} AND HASH(a) < {HI}",
+    f"SELECT a, b FROM h WHERE HASH(a) >= {LO} AND HASH(a) < {HI} AND c > 2",
+    f"SELECT c, COUNT(*), SUM(b) FROM h WHERE HASH(a) >= {LO} "
+    f"AND HASH(a) < {HI} GROUP BY c",
+    f"SELECT * FROM h WHERE HASH(a) >= {LO} AND HASH(a) < {HI} ORDER BY a LIMIT 7",
+    # a bound the folder makes literal: the range never saw it, so it stays
+    f"SELECT a FROM h WHERE HASH(a) >= 2000000000 + 1 AND HASH(a) < {HI}",
+    f"SELECT a FROM h WHERE HASH(a) >= {LO} AND HASH(a) < 1500000000 * 2",
+    # bounds that are not int literals
+    f"SELECT a FROM h WHERE HASH(a) >= 2.0e9 AND HASH(a) < {HI}",
+    f"SELECT a FROM h WHERE HASH(a) >= {LO} AND HASH(a) < 3000000000.5",
+    f"SELECT a FROM h WHERE HASH(a) >= 'x' AND HASH(a) < {HI}",
+    f"SELECT a FROM h WHERE HASH(a) >= b AND HASH(a) < {HI}",
+    f"SELECT a FROM h WHERE HASH(a) >= NULL AND HASH(a) < {HI}",
+    f"SELECT a FROM h WHERE HASH(a) >= TRUE AND HASH(a) < {HI}",
+    "SELECT a FROM h WHERE HASH(a) > TRUE",
+    "SELECT a FROM h WHERE HASH(a) < TRUE",
+    # every operator, both orientations, BETWEEN whole and half literal
+    f"SELECT a FROM h WHERE HASH(a) <> {vertica_hash(7)} AND HASH(a) < {HI}",
+    f"SELECT a FROM h WHERE HASH(a) = {vertica_hash(7)}",
+    f"SELECT a FROM h WHERE {vertica_hash(7)} = HASH(a)",
+    f"SELECT a FROM h WHERE HASH(a) > {LO} AND HASH(a) <= {HI}",
+    f"SELECT a FROM h WHERE {LO} <= HASH(a) AND {HI} > HASH(a)",
+    f"SELECT a FROM h WHERE {LO} < HASH(a) AND {HI} >= HASH(a)",
+    f"SELECT a FROM h WHERE HASH(a) BETWEEN {LO} AND {HI}",
+    f"SELECT a FROM h WHERE HASH(a) BETWEEN {LO} AND {HI} AND b > 2",
+    f"SELECT a FROM h WHERE HASH(a) BETWEEN {LO} AND b * 1000000000",
+    f"SELECT a FROM h WHERE HASH(a) BETWEEN 1.5e9 AND {HI}",
+    f"SELECT a FROM h WHERE HASH(a) BETWEEN {LO} AND NULL",
+    # outside the ring, inverted, full, repeated
+    "SELECT a FROM h WHERE HASH(a) >= -5",
+    "SELECT a FROM h WHERE HASH(a) < -1",
+    f"SELECT a FROM h WHERE HASH(a) < {HASH_SPACE * 4}",
+    f"SELECT a FROM h WHERE HASH(a) >= {HASH_SPACE}",
+    f"SELECT a FROM h WHERE HASH(a) >= {HI} AND HASH(a) < {LO}",
+    "SELECT a FROM h WHERE HASH(a) >= 0",
+    f"SELECT COUNT(*) FROM h WHERE HASH(a) >= 0 AND HASH(a) < {HASH_SPACE}",
+    f"SELECT a FROM h WHERE HASH(a) >= {LO} AND HASH(a) >= {LO} AND HASH(a) < {HI}",
+    # under OR / NOT nothing is absorbed
+    f"SELECT a FROM h WHERE HASH(a) < {LO} OR HASH(a) >= {HI}",
+    f"SELECT a FROM h WHERE NOT (HASH(a) < {LO}) AND HASH(a) < {HI}",
+    f"SELECT a FROM h WHERE (HASH(a) >= {LO} AND HASH(a) < {HI}) OR a < 5",
+    # a raising conjunct beside absorbed ones: a zero in the range raises,
+    # a zero outside it does not; with two raisers the same one comes first
+    f"SELECT a FROM h WHERE HASH(a) >= {ERR_LO} AND HASH(a) < {ERR_HI} AND 1 / b > 0",
+    f"SELECT a FROM h WHERE 1 / b > 0 AND HASH(a) >= {ERR_LO} AND HASH(a) < {ERR_HI}",
+    f"SELECT a FROM h WHERE HASH(a) >= {OK_LO} AND HASH(a) < {OK_HI} AND 1 / b > 0",
+    f"SELECT a FROM h WHERE 10 % c > 0 AND HASH(a) >= {ERR_LO} "
+    f"AND HASH(a) < {ERR_HI} AND 1 / b > 0",
+    f"SELECT a FROM h WHERE HASH(a) >= {ERR_LO} AND b > 'x' AND HASH(a) < {ERR_HI}",
+    f"SELECT a FROM h WHERE HASH(a) >= {LO} AND missing > 1 AND HASH(a) < {HI}",
+    # HASH over something other than exactly the segmentation columns
+    f"SELECT a FROM h WHERE HASH(b) >= 1000000000 AND HASH(a) < {HI}",
+    f"SELECT a FROM h WHERE HASH(a, b) < {HI}",
+    f"SELECT a FROM h WHERE HASH(h.a) >= {LO} AND HASH(h.a) < {HI}",
+    f"SELECT a FROM h t WHERE HASH(t.a) >= {LO} AND HASH(a) < {HI}",
+    f"SELECT a FROM h WHERE HASH(a + 0) >= {LO} AND HASH(a) < {HI}",
+    f"SELECT a, b FROM h2 WHERE HASH(a, b) >= {LO} AND HASH(a, b) < {HI}",
+    f"SELECT a, b FROM h2 WHERE HASH(b, a) >= {LO} AND HASH(b, a) < {HI}",
+    f"SELECT a, b FROM h2 WHERE HASH(a) >= {LO} AND HASH(a, b) < {HI}",
+    # relations whose rows the scan does not filter by a stored hash
+    f"SELECT a, b FROM hu WHERE HASH(a) >= {LO} AND HASH(a) < {HI}",
+    f"SELECT a, b FROM hu WHERE SYNTHETIC_HASH() >= {LO} AND SYNTHETIC_HASH() < {HI}",
+    f"SELECT a, b FROM hv WHERE SYNTHETIC_HASH() >= {LO} AND SYNTHETIC_HASH() < {HI}",
+    f"SELECT b, COUNT(*) FROM hv WHERE SYNTHETIC_HASH() >= 0 "
+    f"AND SYNTHETIC_HASH() < {HI} GROUP BY b",
+    f"SELECT a FROM hv WHERE HASH(a) >= {LO} AND HASH(a) < {HI}",
+    f"SELECT a, SYNTHETIC_HASH() FROM h WHERE HASH(a) >= {LO} AND HASH(a) < {HI}",
+]
+
+HASH_JOINS = [
+    # the FROM table's range prunes its scan; the conjuncts stay above the join
+    f"SELECT a, x FROM h JOIN hd ON a = k WHERE HASH(a) >= {LO} AND HASH(a) < {HI}",
+    f"SELECT h.a, d.x FROM h JOIN hd d ON h.a = d.k "
+    f"WHERE HASH(a) >= {LO} AND HASH(a) < {HI} AND b > 2",
+    f"SELECT x, a FROM hd JOIN h ON a = k WHERE HASH(k) >= {LO} AND HASH(a) < {HI}",
+]
+
+
+def _plan(db, sql):
+    return optimize(bind_select(db, parse_statement(sql)), db, PlanContext())
+
+
+def _scan_of(plan):
+    (scan,) = [n for n in plan.nodes() if isinstance(n, logical.TableScan)]
+    return scan
+
+
+class TestAbsorbedHashRange:
+    @pytest.mark.parametrize("sql", HASH_MATRIX)
+    def test_hash_statement(self, hash_db, sql):
+        assert_identical(hash_db, sql)
+        assert_identical(hash_db, sql, initiator=hash_db.node_names[2])
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("sql", HASH_JOINS)
+    def test_join_under_a_ranged_from_scan(self, hash_db, sql, strategy):
+        assert_identical(hash_db, sql, strategy=strategy)
+
+    def test_a_folded_bound_is_still_checked(self, hash_db):
+        """``2000000000 + 1`` becomes a literal only in the folded copy; the
+        range was read off the pristine WHERE and never saw it.  Deciding
+        "absorbed" on the folded predicate returns 136 of the 200 rows."""
+        with hash_db.connect() as session:
+            folded = session.execute(
+                f"SELECT a FROM h WHERE HASH(a) >= 2000000000 + 1 AND HASH(a) < {HI}"
+            )
+            plain = session.execute(
+                f"SELECT a FROM h WHERE HASH(a) >= {LO} AND HASH(a) < {HI}"
+            )
+        expected = [
+            (i,) for i in range(HASH_ROWS) if LO <= vertica_hash(i) < HI
+        ]
+        assert len(expected) == 50
+        assert sorted(folded.rows) == sorted(plain.rows) == expected
+
+    def test_what_lands_on_the_scan(self, hash_db):
+        """Absorbed conjuncts leave the predicate (and the segmentation
+        column the scan's columns); look-alikes stay, as parsed."""
+        scan = _scan_of(_plan(
+            hash_db, f"SELECT b FROM h WHERE HASH(a) >= {LO} AND HASH(a) < {HI}"
+        ))
+        assert scan.predicate is None and scan.columns == ["B"]
+        assert (scan.hash_range.lo, scan.hash_range.hi) == (LO, HI)
+        scan = _scan_of(_plan(
+            hash_db,
+            f"SELECT b FROM h WHERE HASH(a) >= {LO} AND c > 2 AND {HI} > HASH(a)",
+        ))
+        assert scan.predicate.sql() == "(C > 2)" and scan.columns == ["B", "C"]
+        for residual in (
+            f"HASH(A) >= ({LO} + 0)", "HASH(A) >= 2000000000.0", "HASH(A) >= B",
+            f"HASH(A) <> {LO}", f"HASH(H.A) >= {LO}", f"HASH(B, A) >= {LO}",
+            f"HASH(A) BETWEEN {LO} AND B", f"(HASH(A) >= {LO} OR A < 5)",
+        ):
+            scan = _scan_of(_plan(
+                hash_db, f"SELECT b FROM h WHERE {residual} AND HASH(a) < {HI}"
+            ))
+            kept = [c.sql() for c in split_and(scan.predicate)]
+            assert len(kept) == 1 and f"< {HI}" not in kept[0], residual
+            assert "A" in scan.columns
+
+    def test_unsegmented_and_joined_scans_keep_their_predicate(self, hash_db):
+        scan = _scan_of(_plan(
+            hash_db, f"SELECT b FROM hu WHERE HASH(a) >= {LO} AND HASH(a) < {HI}"
+        ))
+        assert len(split_and(scan.predicate)) == 2
+        plan = _plan(hash_db, HASH_JOINS[0])
+        (above,) = [n for n in plan.nodes() if isinstance(n, logical.Filter)]
+        assert len(split_and(above.predicate)) == 2
+        assert all(
+            n.predicate is None for n in plan.nodes()
+            if isinstance(n, logical.TableScan)
+        )
+
+    def test_at_epoch_with_deleted_rows(self):
+        db = VerticaDatabase(num_nodes=4)
+        session = db.connect()
+        _hash_tables(session)
+        before = db.epochs.current
+        session.execute("DELETE FROM h WHERE a % 3 = 0")
+        session.execute("UPDATE h SET b = b + 1 WHERE a % 5 = 1")
+        for epoch in (before, db.epochs.current):
+            for sql in (
+                f"SELECT a, b FROM h WHERE HASH(a) >= {LO} AND HASH(a) < {HI}",
+                f"SELECT COUNT(*) FROM h WHERE HASH(a) >= {LO} AND HASH(a) < {HI} "
+                "AND b > 2",
+            ):
+                assert_identical(db, f"AT EPOCH {epoch} {sql}")
+
+    def test_read_your_writes_in_and_out_of_range(self, hash_db):
+        inside = next(i for i in range(1000, 2000) if LO <= vertica_hash(i) < HI)
+        outside = next(i for i in range(1000, 2000) if vertica_hash(i) < LO)
+        txn = hash_db.begin()
+        hash_db.engine.insert_rows(
+            "H", [[inside, outside], [1, 1], [0, 0]], txn
+        )
+        initiator = hash_db.node_names[0]
+        try:
+            for sql in (
+                f"SELECT a, b FROM h WHERE HASH(a) >= {LO} AND HASH(a) < {HI}",
+                f"SELECT a FROM h WHERE HASH(a) >= {LO} AND HASH(a) < {HI} AND b = 1",
+            ):
+                statement = parse_statement(sql)
+                want = LegacyInterpreter(hash_db).select(statement, txn, initiator)
+                got = hash_db.engine.select(statement, txn, initiator, PlanContext())
+                assert got.rows == want.rows
+                assert (inside,) in [row[:1] for row in got.rows]
+                assert (outside,) not in [row[:1] for row in got.rows]
+                for field in COST_FIELDS:
+                    assert getattr(got.cost, field) == getattr(want.cost, field)
+        finally:
+            txn.abort()
+
+    def test_failover_reads_the_buddys_replica_containers(self):
+        db = VerticaDatabase(num_nodes=4, k_safety=1)
+        _hash_tables(db.connect())
+        db.fail_node(db.node_names[1])
+        for segment in db.catalog.table("h").ring.segments:
+            assert_identical(
+                db,
+                f"SELECT a, b FROM h WHERE HASH(a) >= {segment.lo} "
+                f"AND HASH(a) < {segment.hi}",
+                initiator=db.node_names[0],
+            )
+
+    @pytest.mark.parametrize("k_safety", [0, 1])
+    def test_dml_scans_are_untouched(self, k_safety):
+        """UPDATE / DELETE still visit (and charge) every copy's rows and
+        evaluate the whole WHERE: no range, no dropped conjunct."""
+        db = VerticaDatabase(num_nodes=4, k_safety=k_safety)
+        session = db.connect()
+        _hash_tables(session)
+        where = parse_statement(
+            f"SELECT a FROM h WHERE HASH(a) >= {LO} AND HASH(a) < {HI}"
+        ).where
+        plan = optimize(bind_dml_scan(db, "H", where), db, PlanContext())
+        assert plan.root.hash_range is None and plan.root.predicate is where
+        matching = sum(LO <= vertica_hash(i) < HI for i in range(HASH_ROWS))
+        updated = session.execute(
+            f"UPDATE h SET b = 99 WHERE HASH(a) >= {LO} AND HASH(a) < {HI}"
+        )
+        assert updated.rowcount == matching
+        assert updated.cost.rows_scanned == HASH_ROWS
+        deleted = session.execute(f"DELETE FROM h WHERE HASH(a) < {LO}")
+        assert deleted.rowcount == sum(
+            vertica_hash(i) < LO for i in range(HASH_ROWS)
+        )
+        assert deleted.cost.rows_scanned == HASH_ROWS
+        assert session.execute(
+            "SELECT COUNT(*), SUM(b) FROM h WHERE b = 99"
+        ).rows == [(matching, 99 * matching)]

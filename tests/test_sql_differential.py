@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.vertica import VerticaDatabase
+from repro.vertica.hashring import HASH_SPACE, vertica_hash
 
 values = st.one_of(
     st.none(),
@@ -30,6 +31,17 @@ comparisons = st.tuples(
     st.sampled_from(["A", "B"]),
     st.sampled_from(OPERATORS),
     st.integers(min_value=-100, max_value=100),
+)
+
+
+#: (operator, bound, literal on the left?) — bounds crowd the ring's ends
+hash_conjuncts = st.tuples(
+    st.sampled_from(OPERATORS),
+    st.one_of(
+        st.integers(min_value=-3, max_value=HASH_SPACE + 3),
+        st.sampled_from([0, 1, HASH_SPACE - 1, HASH_SPACE]),
+    ),
+    st.booleans(),
 )
 
 
@@ -105,6 +117,40 @@ class TestDifferentialSelect:
         # FALSE-dominance for AND coincides with it when outputs are
         # only consumed as "row kept or not".
         assert result.scalar() == sum(1 for r in rows if holds(r))
+
+    @given(rows=rows_strategy,
+           conjuncts=st.lists(hash_conjuncts, min_size=1, max_size=3),
+           tail=st.one_of(st.none(), comparisons))
+    @settings(max_examples=60, deadline=None)
+    def test_hash_conjuncts_match_python(self, rows, conjuncts, tail):
+        """``HASH(a) <op> int`` conjuncts — answered by the scan from the
+        stored row hashes, then dropped from the predicate — keep exactly
+        the rows a Python evaluation of the same conjuncts keeps."""
+        db, session = build_db(rows)
+        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+        parts = [
+            f"{bound} {flipped.get(op, op)} HASH(a)" if literal_first
+            else f"HASH(a) {op} {bound}"
+            for op, bound, literal_first in conjuncts
+        ]
+        if tail is not None:
+            parts.insert(1, "{} {} {}".format(*tail))
+        result = session.execute(
+            "SELECT a, b, f FROM t WHERE " + " AND ".join(parts)
+        )
+
+        def holds(row):
+            if tail is not None and not python_compare(
+                row[{"A": 0, "B": 1}[tail[0]]], tail[1], tail[2]
+            ):
+                return False
+            return all(
+                python_compare(vertica_hash(row[0]), op, bound)
+                for op, bound, __ in conjuncts
+            )
+
+        expected = [r for r in rows if holds(r)]
+        assert sorted(result.rows, key=repr) == sorted(expected, key=repr)
 
     @given(rows=rows_strategy)
     @settings(max_examples=40, deadline=None)

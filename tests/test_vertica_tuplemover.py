@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.avrolite import encode_rows
+from repro.chaos.invariants import stored_hash_violations
+from repro.hdfs.columnar import write_columnar
 from repro.vertica import VerticaDatabase
+from repro.vertica.copyload import avro_schema_for_table
 from repro.vertica.errors import TransactionError
+from repro.vertica.settings import PlanContext
+from repro.vertica.sql.parser import parse_statement
 from repro.vertica.tuplemover import storage_container_stats
 
 
@@ -196,3 +202,94 @@ class TestMergeoutInvariantProperty:
             for e in visible_epochs
         }
         assert before == after
+
+
+# ------------------------------------------------ stored segmentation hashes
+seg_rows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(min_value=-20, max_value=20)),
+        st.integers(min_value=0, max_value=9),
+        st.one_of(st.none(), st.sampled_from(["", "x", "yy", "é"])),
+    ),
+    min_size=1,
+    max_size=8,
+)
+storage_ops = st.one_of(
+    st.tuples(st.sampled_from(["values", "avro", "columnar"]), seg_rows),
+    st.tuples(
+        st.sampled_from(["insert-select", "update", "delete", "mergeout"]),
+        st.integers(min_value=0, max_value=2),
+    ),
+)
+
+
+class TestStoredHashInvariantProperty:
+    """A ranged scan answers ``HASH(seg) ⋚ literal`` from ``row_hashes``
+    alone, so every writer must leave every stored hash equal to
+    ``vertica_hash`` of its row's segmentation values, on the right node."""
+
+    @given(
+        ops=st.lists(storage_ops, min_size=1, max_size=8),
+        k_safety=st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_writer_keeps_hashes_and_homes(self, ops, k_safety):
+        db = VerticaDatabase(num_nodes=3, k_safety=k_safety)
+        db.connect().execute(
+            "CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR(8)) "
+            "SEGMENTED BY HASH(a, c) ALL NODES"
+        )
+        schema = avro_schema_for_table(db.catalog.table("t"))
+        for kind, argument in ops:
+            payload = None
+            if kind == "values":
+                sql = "INSERT INTO t VALUES " + ", ".join(
+                    "(" + ", ".join(
+                        "NULL" if v is None else repr(v) for v in row
+                    ) + ")"
+                    for row in argument
+                )
+            elif kind == "avro":
+                sql = "COPY t FROM STDIN FORMAT AVRO"
+                payload = encode_rows(schema, argument)
+            elif kind == "columnar":
+                sql = "COPY t FROM STDIN FORMAT COLUMNAR"
+                payload = write_columnar(schema, argument)
+            elif kind == "insert-select":
+                sql = (
+                    f"INSERT INTO t SELECT a + 7, b, c FROM t WHERE b % 3 = {argument}"
+                )
+            elif kind == "update":  # moves rows between nodes
+                sql = f"UPDATE t SET a = a * 2 + 1, c = 'x' WHERE b % 3 = {argument}"
+            elif kind == "delete":
+                sql = f"DELETE FROM t WHERE b % 3 = {argument}"
+            else:
+                db.tuple_mover.advance_ahm()
+                db.tuple_mover.mergeout()
+                assert stored_hash_violations(db) == []
+                continue
+            txn = db.begin()
+            db.engine.execute(
+                parse_statement(sql), txn, db.node_names[0], PlanContext(),
+                copy_data=payload,
+            )
+            assert stored_hash_violations(db, [txn]) == []  # its WOS buffers
+            txn.commit(db.storage)
+            assert stored_hash_violations(db) == []
+
+    def test_the_check_sees_a_wrong_hash_and_a_wrong_node(self):
+        db = VerticaDatabase(num_nodes=3, k_safety=1)
+        session = db.connect()
+        session.execute("CREATE TABLE t (a INTEGER) SEGMENTED BY HASH(a) ALL NODES")
+        session.execute("INSERT INTO t VALUES (1), (2), (3), (4), (5), (6)")
+        assert stored_hash_violations(db) == []
+        node = next(n for n in db.node_names if db.storage[n].table_containers("T"))
+        (container,) = db.storage[node].table_containers("T")
+        container.row_hashes[0] += 1
+        (line,) = stored_hash_violations(db)
+        assert line.startswith(f"T ROS on {node}: 1 of ")
+        container.row_hashes[0] -= 1
+        other = db.buddy_of(db.buddy_of(node))  # holds someone else's replicas
+        db.storage[other].add_replica("T", container)
+        (line,) = stored_hash_violations(db)
+        assert line.startswith(f"T replica ROS on {other}: ")
