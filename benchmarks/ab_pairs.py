@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one fabricbench workload.
+"""Alternating parent/change pairs of fabricbench workloads.
 
-    python3 benchmarks/ab_pairs.py PARENT CHANGE --workload W [--seed N[,N...]]
-                                   [--pairs 10]
+    python3 benchmarks/ab_pairs.py PARENT CHANGE --workload W[,W...]
+                                   [--seed N[,N...]] [--pairs 10]
 
 Each tree runs its *own* ``benchmarks/fabricbench/run.py``; which side goes
 first swaps every pair.  ``--seed 11,12`` runs the pairs once per seed and
-prints one table per seed (a claim needs the seed the change was written
-against and one it never saw).  Per end-to-end metric of ``BENCHMARK.json``: both
-medians with quartiles, the pairs the change won (ties count for neither),
+``--workload sql_analytic,v2s_load`` once per workload: one table per
+(workload, seed), workloads outermost (a claim needs the seed the change
+was written against and one it never saw, and the workloads it does not
+claim belong beside it as must-not-move rows).  Per end-to-end metric of
+``BENCHMARK.json``: both medians with quartiles, the pairs the change won
+(ties count for neither),
 whether the medians are further apart than the parent's inter-quartile
 distance and, for the sim-second metrics, whether every run of both sides
 printed the same digits.  A run that exits non-zero takes its pair out of
@@ -43,11 +46,21 @@ def seed_list(text):
     return [int(part) for part in text.split(",")]
 
 
+def workload_list(text):
+    """``"v2s_load"`` or ``"sql_analytic,v2s_load"`` as a list of names."""
+    names = text.split(",")
+    if not all(names):
+        raise argparse.ArgumentTypeError(f"empty workload name in {text!r}")
+    return names
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_tree", type=Path)
     parser.add_argument("change_tree", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", type=workload_list, required=True,
+                        dest="workloads", metavar="W[,W...]",
+                        help="one table per workload and seed")
     parser.add_argument("--seed", type=seed_list, default=[11], dest="seeds",
                         metavar="N[,N...]", help="one table per seed (default 11)")
     parser.add_argument("--pairs", type=int, default=10)
@@ -59,24 +72,27 @@ def parse_args(argv):
 
 def main(argv):
     args = parse_args(argv)
-    return int(sum(run_pairs(args, seed) for seed in args.seeds) > 0)
+    bad = sum(run_pairs(args, workload, seed)
+              for workload in args.workloads for seed in args.seeds)
+    return int(bad > 0)
 
 
-def run_pairs(args, seed):
-    """Run and tabulate one seed's pairs; returns how many runs went bad."""
+def run_pairs(args, workload, seed):
+    """Run and tabulate one (workload, seed)'s pairs; returns how many runs
+    went bad."""
     spec = json.loads((args.change_tree / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent_tree, "change": args.change_tree}
     pairs = []
     for number in range(1, args.pairs + 1):
         pairs.append({})
         for side in list(sides)[::1 if number % 2 else -1]:
-            run = pairs[-1][side] = run_once(sides[side], args.workload, seed)
+            run = pairs[-1][side] = run_once(sides[side], workload, seed)
             took = run["metrics"] and run["metrics"]["op_ms_norm"]["value"]
-            print(f"seed {seed} pair {number} {side}: op_ms_norm {took}",
-                  file=sys.stderr)
+            print(f"{workload} seed {seed} pair {number} {side}: "
+                  f"op_ms_norm {took}", file=sys.stderr)
     bad = sum(bool(r["failed"]) or not r["correct"] for p in pairs for r in p.values())
     pairs = [pair for pair in pairs if all(r["metrics"] for r in pair.values())]
-    print(f"{args.workload}, seed {seed}, {len(pairs)} alternating pairs"
+    print(f"{workload}, seed {seed}, {len(pairs)} alternating pairs"
           f"{f', {bad} failed runs' if bad else ''}\n"
           "| metric | parent median [q1, q3] | change median [q1, q3] "
           "| change/parent | pairs won | > parent IQR | == |\n" + "|---" * 7 + "|")
@@ -93,7 +109,7 @@ def run_pairs(args, seed):
               f"| {c2:.6g} [{c1:.6g}, {c3:.6g}] | {c2 / (p2 or math.nan):.3f} "
               f"| {won} won, {lost} lost of {len(pairs)} "
               f"| {abs(c2 - p2) > p3 - p1} | {same} |")
-    sys.stdout.flush()  # a seed's table is out before the next seed starts
+    sys.stdout.flush()  # a table is out before the next one starts
     return bad
 
 

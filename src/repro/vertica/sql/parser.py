@@ -11,7 +11,7 @@ primary.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.vertica.errors import SqlError
 from repro.vertica.expr import (
@@ -35,18 +35,31 @@ _RESERVED_STOPWORDS = {
     "AND", "OR", "NOT", "IS", "IN", "BETWEEN", "LIKE", "VALUES", "SET",
     "USING", "AT", "ASC", "DESC", "BY", "HAVING", "UNION",
 }
+#: the token kinds a keyword or an operator can have (``check`` matches
+#: only these: a string literal spelled ``'AND'`` is not the keyword)
+_WORD_KINDS = ("IDENT", "OP")
+_NEGATABLE = ("IN", "BETWEEN", "LIKE")
+#: what can follow a predicate's left operand
+_PREDICATE_WORDS = frozenset(
+    ("IS", "NOT", "=", "<>", "!=", "<=", ">=", "<", ">") + _NEGATABLE
+)
+_ADDITIVE = frozenset(("+", "-", "||"))
+_MULTIPLICATIVE = frozenset(("*", "/", "%"))
+#: the keywords that are literals on their own
+_KEYWORD_LITERALS = {"NULL": None, "TRUE": True, "FALSE": False}
 
 
 class _Parser:
     def __init__(self, sql: str, lexed: Optional[Lexed] = None):
         self.sql = sql
-        self.tokens, self.cache_key = lexed or lex(sql)
+        tokens, self.cache_key = lexed or lex(sql)
+        # one more EOF, so looking one token past the end needs no bound
+        self.tokens = tokens + tokens[-1:]
         self.pos = 0
 
     # -- token helpers -------------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.pos + offset]
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -55,12 +68,13 @@ class _Parser:
         return token
 
     def check(self, text: str, offset: int = 0) -> bool:
-        token = self.peek(offset)
-        return token.kind in ("IDENT", "OP") and token.text == text
+        token = self.tokens[self.pos + offset]
+        return token.text == text and token.kind in _WORD_KINDS
 
     def accept(self, text: str) -> bool:
-        if self.check(text):
-            self.advance()
+        token = self.tokens[self.pos]
+        if token.text == text and token.kind in _WORD_KINDS:
+            self.pos += 1
             return True
         return False
 
@@ -246,11 +260,29 @@ class _Parser:
 
     def _value_tuple(self) -> List[Expression]:
         self.expect("(")
-        values = [self.expression()]
+        values = [self._value()]
         while self.accept(","):
-            values.append(self.expression())
+            values.append(self._value())
         self.expect(")")
         return values
+
+    def _value(self) -> Expression:
+        """One VALUES item.  A lone literal token before ``,`` or ``)`` is
+        its :class:`Literal` at once — what the expression ladder would
+        return for it, nine calls down; anything else climbs the ladder."""
+        token = self.tokens[self.pos]
+        if self.tokens[self.pos + 1].text in (",", ")"):
+            kind = token.kind
+            if kind == "NUMBER":
+                self.pos += 1
+                return Literal(_number(token))
+            if kind == "STRING":
+                self.pos += 1
+                return Literal(token.text)
+            if kind == "IDENT" and token.text in _KEYWORD_LITERALS:
+                self.pos += 1
+                return Literal(_KEYWORD_LITERALS[token.text])
+        return self.expression()
 
     def _update(self):
         self.expect("UPDATE")
@@ -302,7 +334,7 @@ class _Parser:
                     f"at offset {token.pos}"
                 )
             self.advance()
-            buckets = int(float(token.text))
+            buckets = int(_number(token))
             self.expect("BUCKETS")
         return ast.Analyze(table, buckets)
 
@@ -312,7 +344,7 @@ class _Parser:
             self.expect("EPOCH")
             token = self.peek()
             if token.kind == "NUMBER":
-                at_epoch = int(self.advance().text)
+                at_epoch = _integer(self.advance())
             elif self.accept("LATEST"):
                 at_epoch = None
             else:
@@ -360,7 +392,7 @@ class _Parser:
             token = self.peek()
             if token.kind != "NUMBER":
                 raise SqlError("LIMIT requires a number")
-            limit = int(self.advance().text)
+            limit = _integer(self.advance())
         return ast.Select(
             items,
             source,
@@ -503,7 +535,7 @@ class _Parser:
                 token = self.peek()
                 if token.kind != "NUMBER":
                     raise SqlError("REJECTMAX requires a number")
-                reject_max = int(self.advance().text)
+                reject_max = _integer(self.advance())
                 continue
             if self.accept("DIRECT"):
                 direct = True
@@ -582,70 +614,68 @@ class _Parser:
 
     def _predicate(self) -> Expression:
         left = self._additive()
+        tokens = self.tokens
         while True:
-            if self.accept("IS"):
+            token = tokens[self.pos]
+            word = token.text
+            if word not in _PREDICATE_WORDS or token.kind not in _WORD_KINDS:
+                return left
+            negated = False
+            if word == "NOT":
+                if tokens[self.pos + 1].text not in _NEGATABLE:
+                    return left
+                self.pos += 1
+                token = tokens[self.pos]
+                word = token.text
+                if token.kind not in _WORD_KINDS:  # NOT 'IN': NOT is spent
+                    return left
+                negated = True
+            self.pos += 1
+            if word == "IS":
                 negated = bool(self.accept("NOT"))
                 self.expect("NULL")
                 left = IsNull(left, negated=negated)
-                continue
-            negated = False
-            if self.check("NOT") and self.peek(1).text in ("IN", "BETWEEN", "LIKE"):
-                self.advance()
-                negated = True
-            if self.accept("IN"):
+            elif word == "IN":
                 self.expect("(")
                 options = [self.expression()]
                 while self.accept(","):
                     options.append(self.expression())
                 self.expect(")")
                 left = InList(left, options, negated=negated)
-                continue
-            if self.accept("BETWEEN"):
+            elif word == "BETWEEN":
                 low = self._additive()
                 self.expect("AND")
                 high = self._additive()
                 between = Between(left, low, high)
                 left = UnaryOp("NOT", between) if negated else between
-                continue
-            if self.accept("LIKE"):
+            elif word == "LIKE":
                 token = self.peek()
                 if token.kind != "STRING":
                     raise SqlError("LIKE requires a string pattern")
                 self.advance()
                 left = Like(left, token.text, negated=negated)
-                continue
-            matched = False
-            for op in ("=", "<>", "!=", "<=", ">=", "<", ">"):
-                if self.check(op):
-                    self.advance()
-                    left = BinaryOp(op, left, self._additive())
-                    matched = True
-                    break
-            if matched:
-                continue
-            return left
+            else:
+                left = BinaryOp(word, left, self._additive())
 
     def _additive(self) -> Expression:
         left = self._multiplicative()
+        tokens = self.tokens
         while True:
-            for op in ("+", "-", "||"):
-                if self.check(op):
-                    self.advance()
-                    left = BinaryOp(op, left, self._multiplicative())
-                    break
-            else:
+            token = tokens[self.pos]
+            if token.text not in _ADDITIVE or token.kind not in _WORD_KINDS:
                 return left
+            self.pos += 1
+            left = BinaryOp(token.text, left, self._multiplicative())
 
     def _multiplicative(self) -> Expression:
         left = self._unary()
+        tokens = self.tokens
         while True:
-            for op in ("*", "/", "%"):
-                if self.check(op):
-                    self.advance()
-                    left = BinaryOp(op, left, self._unary())
-                    break
-            else:
+            token = tokens[self.pos]
+            if token.text not in _MULTIPLICATIVE or token.kind not in _WORD_KINDS:
                 return left
+            self.pos += 1
+            left = BinaryOp(token.text, left, self._unary())
 
     def _unary(self) -> Expression:
         if self.check("-") or self.check("+"):
@@ -657,10 +687,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "NUMBER":
             self.advance()
-            text = token.text
-            if "." in text or "e" in text or "E" in text:
-                return Literal(float(text))
-            return Literal(int(text))
+            return Literal(_number(token))
         if token.kind == "STRING":
             self.advance()
             return Literal(token.text)
@@ -670,15 +697,9 @@ class _Parser:
                 raise SqlError(
                     f"unexpected keyword {token.raw!r} at offset {token.pos}"
                 )
-            if keyword == "NULL":
+            if keyword in _KEYWORD_LITERALS:
                 self.advance()
-                return Literal(None)
-            if keyword == "TRUE":
-                self.advance()
-                return Literal(True)
-            if keyword == "FALSE":
-                self.advance()
-                return Literal(False)
+                return Literal(_KEYWORD_LITERALS[keyword])
             # Function call?
             if self.check("(", offset=1):
                 self.advance()
@@ -698,6 +719,30 @@ class _Parser:
         raise SqlError(
             f"unexpected token {token.raw or 'end of input'!r} at offset {token.pos}"
         )
+
+
+def _number(token: Token) -> Union[int, float]:
+    """A NUMBER token's value — a float if it has a point or an exponent —
+    or the :class:`SqlError` that names it (``1e``, ``1.5E-``, ``²``)."""
+    text = token.text
+    try:
+        if "." in text or "e" in text or "E" in text:
+            return float(text)
+        return int(text)
+    except ValueError:
+        raise SqlError(
+            f"malformed number {token.raw!r} at offset {token.pos}"
+        ) from None
+
+
+def _integer(token: Token) -> int:
+    """A NUMBER token that must be an integer (LIMIT, AT EPOCH, REJECTMAX)."""
+    value = _number(token)
+    if isinstance(value, float):
+        raise SqlError(
+            f"expected an integer, found {token.raw!r} at offset {token.pos}"
+        )
+    return value
 
 
 def parse_statement(sql: str, lexed: Optional[Lexed] = None):

@@ -149,13 +149,54 @@ class TestAbPairsArguments:
         args = ab_pairs.parse_args(base + ["--seed", "11,12", "--pairs", "3"])
         assert (args.seeds, args.pairs) == ([11, 12], 3)
 
+    def test_workload_is_a_comma_separated_list(self, ab_pairs):
+        base = ["parent", "change", "--workload"]
+        assert ab_pairs.parse_args(base + ["v2s_load"]).workloads == ["v2s_load"]
+        args = ab_pairs.parse_args(
+            base + ["sql_analytic,v2s_load,s2v_save,serve_zipf"])
+        assert args.workloads == ["sql_analytic", "v2s_load", "s2v_save",
+                                  "serve_zipf"]
+
     @pytest.mark.parametrize("extra", [
         ["--seed", "11,x"], ["--seed", ""], ["--seed", "11,"], ["--pairs", "1"],
+        ["--workload", ""], ["--workload", "v2s_load,"],
+        ["--workload", "a,,b"],
     ])
     def test_malformed_arguments_exit(self, ab_pairs, extra, capsys):
         with pytest.raises(SystemExit):
             ab_pairs.parse_args(["p", "c", "--workload", "v2s_load"] + extra)
         assert "error" in capsys.readouterr().err
+
+    def test_one_table_per_workload_and_seed(self, ab_pairs, monkeypatch, capsys,
+                                             tmp_path):
+        (tmp_path / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "op_ms_norm", "better": "lower"}]}'
+        )
+        runs = []
+
+        def fake_run(tree, workload, seed):
+            runs.append((tree.name, workload, seed))
+            return {"failed": 0, "correct": True,
+                    "metrics": {"op_ms_norm": {"value": float(len(runs))}}}
+
+        monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+        status = ab_pairs.main([
+            str(tmp_path / "parent"), str(tmp_path), "--workload", "a,b",
+            "--seed", "11,12", "--pairs", "2",
+        ])
+        out = capsys.readouterr().out
+        assert status == 0
+        # workloads outermost, then seeds; each pair swaps which side goes first
+        assert [(workload, seed) for __, workload, seed in runs] == [
+            (w, s) for w in "ab" for s in (11, 12) for __ in range(4)
+        ]
+        assert [tree for tree, __, __ in runs[:4]] == [
+            "parent", tmp_path.name, tmp_path.name, "parent",
+        ]
+        assert out.count("| op_ms_norm |") == 4
+        for workload in "ab":
+            for seed in (11, 12):
+                assert f"{workload}, seed {seed}, 2 alternating pairs" in out
 
     def test_one_table_per_seed(self, ab_pairs, monkeypatch, capsys, tmp_path):
         (tmp_path / "BENCHMARK.json").write_text(

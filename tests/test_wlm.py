@@ -481,6 +481,37 @@ class TestBridgeAdmission:
         assert seconds == [pytest.approx(0.004)] * 3
         assert cluster.wlm.leaked() == {}
 
+    def test_a_malformed_number_raises_before_admission(self, env):
+        """``1e`` lexes as a number but has no value: the parse raises
+        :class:`SqlError` naming it (not a bare ``ValueError``), before the
+        statement asks for a slot or spends a simulated second."""
+        cluster = self._cluster(env)
+        admits = []
+        real_admit = cluster.wlm.admit
+        cluster.wlm.admit = lambda pool: admits.append(pool) or real_admit(pool)
+        errors = []
+
+        def client():
+            with cluster.connect("node0001") as conn:
+                yield from conn.execute("SELECT COUNT(*) FROM t")
+                for sql in ("SELECT 1e", "INSERT INTO t VALUES (1.5E-)",
+                            "SELECT id FROM t WHERE id > ²"):
+                    started = env.now
+                    with pytest.raises(SqlError) as raised:
+                        yield from conn.execute(sql)
+                    assert env.now == started
+                    errors.append(str(raised.value))
+
+        env.process(client())
+        env.run()
+        assert errors == [
+            "malformed number '1e' at offset 7",
+            "malformed number '1.5E-' at offset 22",
+            "malformed number '²' at offset 28",
+        ]
+        assert admits == [GENERAL]  # the COUNT(*) only
+        assert cluster.wlm.leaked() == {}
+
     def test_telemetry_counts_admissions(self):
         env = Environment()
         telemetry.install(telemetry.MetricsRegistry(enabled=True).bind(env))
