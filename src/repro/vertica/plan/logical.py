@@ -17,7 +17,7 @@ FROM-list the parser produces.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Set
 
 from repro.vertica.engine import HashRange
 from repro.vertica.expr import Expression
@@ -118,6 +118,12 @@ class Join(LogicalNode):
         self.colocated: bool = False
         #: whether the equi keys sort cleanly (adaptive demotion needs this)
         self.keys_sortable: bool = False
+        #: a hash or merge join whose condition is its equi keys alone, over
+        #: one type class: a key-equal candidate is a match, unvalidated
+        self.keys_decide: bool = False
+        #: the names the operators above read; the join emits only those
+        #: (None: all, something above reads the whole row)
+        self.read_above: Optional[Set[str]] = None
         #: set on every join of a cost-reordered chain; the executor then
         #: tracks row provenance so output order can be restored
         self.reorder_chain: bool = False
@@ -135,6 +141,8 @@ class Join(LogicalNode):
         notes = [f"{self.strategy} join"]
         if self.strategy in ("hash", "merge"):
             notes.append(f"build: {self.build_side}")
+        if self.keys_decide:
+            notes.append("keys decide")
         if self.colocated:
             notes.append("co-located")
         if self.reorder_chain:

@@ -472,29 +472,64 @@ def _splice_out(plan: LogicalPlan, node, replacement) -> None:
 
 
 # --------------------------------------------------------------- pruning
-def _all_expressions(plan: LogicalPlan) -> List[Expression]:
+def _node_expressions(node: logical.LogicalNode) -> List[Expression]:
+    """The expressions ``node`` itself evaluates (not its children's)."""
     out: List[Expression] = []
-    for node in plan.nodes():
-        if isinstance(node, TableScan):
-            if node.predicate is not None:
-                out.append(node.predicate)
-        elif isinstance(node, logical.Filter):
+    if isinstance(node, TableScan):
+        if node.predicate is not None:
             out.append(node.predicate)
-        elif isinstance(node, logical.Join):
-            out.append(node.condition)
-        elif isinstance(node, (logical.Project, logical.Aggregate)):
-            for item in node.items:
-                if item.expression is not None:
-                    out.append(item.expression)
-                if item.aggregate_arg is not None:
-                    out.append(item.aggregate_arg)
-                out.extend(item.udf_args)
-            if isinstance(node, logical.Aggregate):
-                out.extend(node.group_by)
-                if node.having is not None:
-                    out.append(node.having)
-        elif isinstance(node, logical.Sort):
-            out.extend(o.expression for o in node.order_by)
+    elif isinstance(node, logical.Filter):
+        out.append(node.predicate)
+    elif isinstance(node, logical.Join):
+        out.append(node.condition)
+    elif isinstance(node, (logical.Project, logical.Aggregate)):
+        for item in node.items:
+            if item.expression is not None:
+                out.append(item.expression)
+            if item.aggregate_arg is not None:
+                out.append(item.aggregate_arg)
+            out.extend(item.udf_args)
+        if isinstance(node, logical.Aggregate):
+            out.extend(node.group_by)
+            if node.having is not None:
+                out.append(node.having)
+    elif isinstance(node, logical.Sort):
+        out.extend(o.expression for o in node.order_by)
+    return out
+
+
+def _read_at(
+    node: logical.LogicalNode, above: Optional[Set[str]]
+) -> Optional[Set[str]]:
+    """``above`` plus every name ``node`` itself reads; ``None`` where
+    either reads the whole row (``*``, ``SYNTHETIC_HASH()``)."""
+    if above is None or (
+        isinstance(node, (logical.Project, logical.Aggregate))
+        and any(item.star for item in node.items)
+    ):
+        return None
+    names = set(above)
+    for expression in _node_expressions(node):
+        if reads_whole_row(expression):
+            return None
+        names.update(expression.columns())
+    return names
+
+
+def _read_above(plan: LogicalPlan) -> Dict[int, Optional[Set[str]]]:
+    """Per node (by id), every name an operator above it reads — the only
+    readers of its output columns (``None``: the whole row)."""
+    out: Dict[int, Optional[Set[str]]] = {}
+
+    def walk(node: logical.LogicalNode, above: Optional[Set[str]]) -> None:
+        out[id(node)] = above
+        children = node.children()
+        if children:
+            above = _read_at(node, above)
+            for child in children:
+                walk(child, above)
+
+    walk(plan.root, set())
     return out
 
 
@@ -808,46 +843,58 @@ def _condition_safe(join: logical.Join) -> bool:
 
 
 def _plan_joins(plan: LogicalPlan, override: str) -> bool:
-    """Annotate every Join with strategy, build side, keys, co-location."""
-    changed = False
-    for node in plan.nodes():
-        if not isinstance(node, logical.Join):
-            continue
-        changed = True
+    """Annotate every Join with strategy, build side, keys, co-location,
+    and the names read above it (its output needs no other column).
+
+    A hash or merge join whose condition is exactly its equi conjuncts,
+    each pair of one known type class, is marked ``keys_decide``: its
+    candidates need no validation.  A dict or merge match means
+    ``a is b or a == b``; NULL and NaN keys are never candidates; and SQL
+    ``=`` is ``operator.eq``, True on equal values and never raising on
+    two non-NULL values of one class.
+    """
+    joins = [node for node in plan.nodes() if isinstance(node, logical.Join)]
+    read_above = _read_above(plan) if joins else {}
+    for node in joins:
+        node.read_above = read_above[id(node)]
         pairs = _equi_key_pairs(node)
         node.equi_keys = pairs
         node.colocated = bool(pairs) and _is_colocated(node, pairs)
         node.keys_sortable = bool(pairs) and _keys_sortable(node, pairs)
-        if override == "nested-loop" or not pairs or not _condition_safe(node):
-            node.strategy, node.build_side = "nested-loop", "right"
-            continue
-        left = node.left.estimated_rows
-        right = node.right.estimated_rows
-        build = (
-            "left"
-            if (left is not None and right is not None and left < right)
-            else "right"
+        node.strategy, node.build_side = _join_strategy(node, pairs, override)
+        node.keys_decide = (
+            node.strategy != "nested-loop"
+            and node.keys_sortable
+            and len(split_and(node.condition)) == len(pairs)
         )
-        if override == "hash":
-            node.strategy, node.build_side = "hash", build
-            continue
-        sortable = node.keys_sortable
-        if override == "merge":
-            if sortable:
-                node.strategy, node.build_side = "merge", build
-            else:
-                node.strategy, node.build_side = "nested-loop", "right"
-            continue
-        build_rows = right if build == "right" else left
-        if (
-            sortable
-            and build_rows is not None
-            and build_rows > JOIN_BUILD_MEMORY_ROWS
-        ):
-            node.strategy, node.build_side = "merge", build
-        else:
-            node.strategy, node.build_side = "hash", build
-    return changed
+    return bool(joins)
+
+
+def _join_strategy(
+    node: logical.Join, pairs: List[Tuple[str, str]], override: str
+) -> Tuple[str, str]:
+    """(strategy, build side) for one join under the session's override."""
+    if override == "nested-loop" or not pairs or not _condition_safe(node):
+        return "nested-loop", "right"
+    left = node.left.estimated_rows
+    right = node.right.estimated_rows
+    build = (
+        "left"
+        if (left is not None and right is not None and left < right)
+        else "right"
+    )
+    if override == "hash":
+        return "hash", build
+    if override == "merge":
+        return ("merge", build) if node.keys_sortable else ("nested-loop", "right")
+    build_rows = right if build == "right" else left
+    if (
+        node.keys_sortable
+        and build_rows is not None
+        and build_rows > JOIN_BUILD_MEMORY_ROWS
+    ):
+        return "merge", build
+    return "hash", build
 
 
 # ----------------------------------------------------- join reordering
@@ -1005,19 +1052,15 @@ def _reorder_chain(
 
 
 def _prune_columns(plan: LogicalPlan) -> bool:
-    for node in plan.nodes():
-        if isinstance(node, (logical.Project, logical.Aggregate)):
-            if any(item.star for item in node.items):
-                return False
-    expressions = _all_expressions(plan)
-    if any(reads_whole_row(e) for e in expressions):
-        return False
-    needed: Set[str] = set()
-    for expr in expressions:
-        needed.update(expr.columns())
+    """Narrow every scan to the columns its predicate and the operators
+    above it read."""
+    read_above = _read_above(plan)
     pruned = False
     for node in plan.nodes():
         if not isinstance(node, TableScan) or node.for_update:
+            continue
+        needed = _read_at(node, read_above[id(node)])
+        if needed is None:
             continue
         keep = [
             c

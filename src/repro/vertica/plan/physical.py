@@ -74,7 +74,7 @@ class OperatorStats:
     """Per-operator execution counters, feeding PROFILE and telemetry."""
 
     __slots__ = ("rows_in", "rows_out", "rows_scanned", "batches", "bytes_out",
-                 "elapsed_s", "rows_shuffled")
+                 "elapsed_s", "rows_shuffled", "candidate_pairs")
 
     def __init__(self) -> None:
         self.rows_in = 0
@@ -89,6 +89,8 @@ class OperatorStats:
         #: build-side rows a distributed join would copy across nodes
         #: (0 for co-located joins — both sides identically segmented)
         self.rows_shuffled = 0
+        #: pairs a join's pair source proposed, validated or key-decided
+        self.candidate_pairs = 0
 
 
 class PhysicalOperator:
@@ -380,30 +382,45 @@ Rows = Union[range, List[int]]
 #: candidate pairs as two parallel row-index sequences — rows of the left
 #: input, rows of the right input — in the nested loop's left-major order
 PairRows = Tuple[Rows, Rows]
-#: relation alias -> that relation's materialization index, one per row
-Provenance = Dict[str, Rows]
-#: relation alias -> (0 = left input / 1 = right input, its index column)
-Sources = Dict[str, Tuple[int, Rows]]
-#: where a joined column's values live: (0 = left / 1 = right, that input's list)
-SideColumn = Tuple[int, List[Any]]
+#: relation (its alias in a reordered chain, else its input slot) -> (its
+#: materialization index per row, its batch); the first one produced the rows
+Provenance = Dict[Any, Tuple[Rows, ColumnBatch]]
+#: a join's input relations: key -> (0 = left / 1 = right, index, batch)
+Sources = Dict[Any, Tuple[int, Rows, ColumnBatch]]
+#: where a joined column's values live: (its relation's key, that list)
+SideColumn = Tuple[Any, List[Any]]
+
+
+def _side_columns(
+    sources: Sources, slot: int
+) -> Tuple[List[str], Dict[str, SideColumn]]:
+    """One input's names, right relation first as the joins below listed
+    them, and each name's :data:`SideColumn` (a repeated name: its last)."""
+    names: List[str] = []
+    where: Dict[str, SideColumn] = {}
+    for key, (side, __, batch) in reversed(sources.items()):
+        if side == slot:
+            names += batch.names
+            where.update(zip(batch.names, zip(itertools.repeat(key), batch.columns)))
+    return names, where
 
 
 def _gather_sides(
     wanted: Sequence[SideColumn],
-    picks: PairRows,
+    rows: Dict[Any, Rows],
     gathered: Dict[int, List[Any]],
 ) -> List[List[Any]]:
-    """Each wanted column at its side's ``picks``.
+    """Each wanted column at its relation's ``rows``.
 
     A list that several names share (``K`` and ``P.K``) is gathered once
     and stays shared; ``gathered`` carries what one set of picks already
     fetched from the condition's columns over to the output columns.
     """
     out: List[List[Any]] = []
-    for slot, column in wanted:
+    for key, column in wanted:
         values = gathered.get(id(column))
         if values is None:
-            values = gathered[id(column)] = gather(column, picks[slot])
+            values = gathered[id(column)] = gather(column, rows[key])
         out.append(values)
     return out
 
@@ -417,21 +434,24 @@ class JoinOp(PhysicalOperator):
     an object of its own.  One shared :meth:`_emit` takes them
     ``BATCH_ROWS`` at a time, gathers only the columns the join condition
     reads, validates the *full* condition on every candidate, and gathers
-    the output columns once, for the survivors.  The nested loop proposes
-    the lazy left-major product; hash and merge joins prefilter on the
-    equi keys (see :class:`HashJoinOp`) — the key match never replaces
-    the condition, so semantics stay bit-for-bit with the nested loop,
-    and all three emit in its left-major order with the *left* row's
-    producing node.
+    the output columns once, for the survivors — only those an operator
+    above reads (``logical.read_above``).  The nested loop proposes
+    the lazy left-major product; hash and merge joins propose the
+    key-equal pairs (see :class:`HashJoinOp`) and validate them too, so
+    semantics stay bit-for-bit with the nested loop — unless the planner
+    marked the join ``keys_decide`` (its condition is its equi keys over
+    one type class, ``optimizer._plan_joins`` holds the proof), where every
+    candidate is a match.  All three emit in the nested loop's left-major
+    order with the *left* row's producing node.
 
-    Joins inside a cost-reordered chain (``logical.reorder_chain``) also
-    track **provenance**: each base relation's materialization index for
-    every output row, column-major like every other column — one index
-    list per relation alias, read through the surviving pair rows.  The
-    chain root uses them to sort its pairs back into the binder's
-    lexicographic order and to re-attribute every output row to the
-    binder-leftmost relation's producing node, keeping rows *and*
-    per-node cost attribution byte-identical to the unreordered plan.
+    Joins inside a cost-reordered chain (``logical.reorder_chain``) read
+    every column through **provenance**, each base relation's
+    materialization index per row.  A join below the chain root gathers
+    only the columns its keys (and condition) read and hands up its kept
+    pairs' provenance, not columns.  The root gathers each output column
+    once, from its relation, sorts its pairs back into the binder's order
+    and attributes each output row to the binder-leftmost relation's
+    node: rows *and* per-node costs stay those of the unreordered plan.
     """
 
     kind = "join"
@@ -449,28 +469,25 @@ class JoinOp(PhysicalOperator):
         self.right = right
         self.children = [left, right]
         self.adaptive = adaptive
-        #: alias -> that relation's materialization index per output row;
         #: filled by a chain join below the root for the join above it
         self.output_provenance: Provenance = {}
-        #: alias -> that leaf scan's materialized node list (chains only)
-        self.leaf_nodes: Dict[str, List[str]] = {}
 
     def _materialize(
         self, operator: PhysicalOperator, slot: int, sources: Sources
-    ) -> ColumnBatch:
-        batch = _concat(list(operator.batches()))
-        self.stats.rows_in += batch.num_rows
-        if self.logical.reorder_chain:
-            if isinstance(operator, JoinOp):
-                # a chain join below us: adopt its provenance wholesale
-                provenance = operator.output_provenance
-                self.leaf_nodes.update(operator.leaf_nodes)
-            else:  # a leaf scan: row i of the input is row i of the leaf
-                provenance = {operator.logical.alias: range(batch.num_rows)}
-                self.leaf_nodes[operator.logical.alias] = batch.nodes
-            for alias, column in provenance.items():
-                sources[alias] = (slot, column)
-        return batch
+    ) -> List[str]:
+        """Run one input into ``sources``; its producing node per row."""
+        batches = list(operator.batches())
+        if self.logical.reorder_chain and isinstance(operator, JoinOp):
+            handoff = operator.output_provenance  # it yielded no batch
+        else:
+            batch = _concat(batches)
+            key = operator.logical.alias if self.logical.reorder_chain else slot
+            handoff = {key: (range(batch.num_rows), batch)}
+        for key, (rows, batch) in handoff.items():
+            sources[key] = (slot, rows, batch)
+        rows, batch = next(iter(handoff.values()))
+        self.stats.rows_in += len(rows)
+        return _at(batch.nodes, rows)
 
     def _charge_shuffle(
         self, build_nodes: List[str], probe_nodes: List[str]
@@ -484,13 +501,13 @@ class JoinOp(PhysicalOperator):
             self.stats.rows_shuffled += len(probe_set - {node})
 
     def _pairs(
-        self, left: ColumnBatch, right: ColumnBatch, sources: Sources
+        self, left: List[str], right: List[str], sources: Sources
     ) -> Iterator[PairRows]:
         """Candidate pairs in emission order, at most ``BATCH_ROWS`` at a
-        time: here, every pair, lazily."""
+        time, given each input's node per row: here, every pair, lazily."""
         # The nested loop broadcasts the right side to every probe node.
-        self._charge_shuffle(right.nodes, left.nodes)
-        height, width = left.num_rows, right.num_rows
+        self._charge_shuffle(right, left)
+        height, width = len(left), len(right)
         left_rows = itertools.chain.from_iterable(
             map(itertools.repeat, range(height), itertools.repeat(width))
         )
@@ -510,81 +527,81 @@ class JoinOp(PhysicalOperator):
         sources: Sources = {}
         left = self._materialize(self.left, 0, sources)
         right = self._materialize(self.right, 1, sources)
-        yield from self._emit(
-            self._pairs(left, right, sources), left, right, sources
-        )
+        yield from self._emit(self._pairs(left, right, sources), sources)
 
     def _emit(
-        self,
-        pairs: Iterable[PairRows],
-        left: ColumnBatch,
-        right: ColumnBatch,
-        sources: Sources,
+        self, pairs: Iterable[PairRows], sources: Sources
     ) -> Iterator[ColumnBatch]:
         """Validate the candidates, then gather the survivors, per batch."""
-        condition = self.logical.condition
-        restore = self.logical.restore_order
+        join = self.logical
+        condition, restore = join.condition, join.restore_order
         # a chain join below the root hands its kept pairs' provenance up
-        tracking = self.logical.reorder_chain and restore is None
+        tracking = join.reorder_chain and restore is None
         kept: Tuple[List[int], List[int]] = ([], [])
+        left_names, left = _side_columns(sources, 0)
+        right_names, right = _side_columns(sources, 1)
         # The merge rule, once per output column: right's names first; a
         # name both sides have reads left unless it is alias-qualified.
-        names = right.names + [n for n in left.names if n not in right.index]
-        inputs = (left, right)
-        output: List[SideColumn] = []
-        for name in names:
-            slot = int(
-                name in right.index and ("." in name or name not in left.index)
-            )
-            output.append((slot, inputs[slot].columns[inputs[slot].index[name]]))
+        names = right_names + [n for n in left_names if n not in right]
+        where = {
+            n: right[n] if n in right and ("." in n or n not in left) else left[n]
+            for n in names
+        }
         # What validation needs: the columns the condition names — every
         # column when it calls SYNTHETIC_HASH, which hashes the whole row.
         read = None if reads_whole_row(condition) else set(condition.columns())
-        narrow = [i for i, n in enumerate(names) if read is None or n in read]
-        narrow_names = [names[i] for i in narrow]
-        narrow_columns = [output[i] for i in narrow]
+        narrow_names = [n for n in names if read is None or n in read]
+        narrow_columns = [where[n] for n in narrow_names]
+        # what the output needs: the columns the operators above read
+        if join.read_above is not None:
+            names = [n for n in names if n in join.read_above]
+        output = [where[n] for n in names]
+        # the joined row's producing node: the left row's or, at a chain
+        # root, the binder-leftmost relation's row's (legacy attribution)
+        anchor = next(iter(sources)) if restore is None else restore[0]
+
+        def rows_at(picks: PairRows) -> Dict[Any, Rows]:
+            return {k: _through(i, picks[s]) for k, (s, i, __) in sources.items()}
+
         for picks in pairs:
             candidates = len(picks[0])
+            self.stats.candidate_pairs += candidates
             gathered: Dict[int, List[Any]] = {}
-            # the condition reads no producing node: blanks stand in
-            keep = _matching(
-                ColumnBatch(
-                    narrow_names,
-                    _gather_sides(narrow_columns, picks, gathered),
-                    [""] * candidates,
-                ),
-                condition,
-            )
-            if not keep:
-                continue
-            if len(keep) < candidates:
-                lefts, rights = picks
-                picks = [lefts[i] for i in keep], [rights[i] for i in keep]
-                gathered = {}
+            if not join.keys_decide:
+                # the condition reads no producing node: blanks stand in
+                columns = _gather_sides(narrow_columns, rows_at(picks), gathered)
+                checked = ColumnBatch(narrow_names, columns, [""] * candidates)
+                keep = _matching(checked, condition)
+                if not keep:
+                    continue
+                if len(keep) < candidates:
+                    lefts, rights = picks
+                    picks = [lefts[i] for i in keep], [rights[i] for i in keep]
+                    gathered = {}
             if tracking:
                 kept[0].extend(picks[0])
                 kept[1].extend(picks[1])
-            if restore is None:
-                nodes = gather(left.nodes, picks[0])
-            else:
-                # legacy attribution: the binder-leftmost relation's row
-                # produced the joined row
-                anchor_slot, anchor = sources[restore[0]]
-                anchor_nodes = self.leaf_nodes[restore[0]]
-                nodes = gather(
-                    anchor_nodes, _through(anchor, picks[anchor_slot])
-                )
-            yield ColumnBatch(names, _gather_sides(output, picks, gathered), nodes)
+                self.stats.rows_out += len(picks[0])
+                self.stats.batches += 1
+                continue
+            rows = rows_at(picks)
+            nodes = gather(sources[anchor][2].nodes, rows[anchor])
+            yield ColumnBatch(names, _gather_sides(output, rows, gathered), nodes)
         if tracking:
             self.output_provenance = {
-                alias: _through(column, kept[slot])
-                for alias, (slot, column) in sources.items()
+                key: (_through(index, kept[slot]), batch)
+                for key, (slot, index, batch) in sources.items()
             }
 
 
 def _through(column: Rows, rows: Rows) -> Rows:
     """A provenance column read at ``rows``; a leaf scan's is the identity."""
     return rows if isinstance(column, range) else gather(column, rows)
+
+
+def _at(values: List[Any], column: Rows) -> List[Any]:
+    """A relation's ``values`` at a provenance column (the identity: as is)."""
+    return values if isinstance(column, range) else gather(values, column)
 
 
 def _batched(picks: PairRows) -> Iterator[PairRows]:
@@ -602,14 +619,18 @@ def _nan_as_null(column: List[Any]) -> List[Any]:
     return column
 
 
-def _join_keys(batch: ColumnBatch, refs: List[str]) -> Keys:
-    """One equi key per row; ``None`` where the row can match nothing.
+def _join_keys(sources: Sources, slot: int, refs: List[str]) -> Keys:
+    """Input ``slot``'s equi key per row; ``None`` where it can match nothing.
 
     A NULL key equals nothing and neither does a NaN, which would besides
     leave the order a merge join sorts its keys into undefined.  A
     single-column key is the column itself: no tuple per row.
     """
-    columns = [_nan_as_null(batch.columns[batch.index[ref]]) for ref in refs]
+    where = _side_columns(sources, slot)[1]
+    columns = []
+    for ref in refs:
+        key, column = where[ref]
+        columns.append(_nan_as_null(_at(column, sources[key][1])))
     if len(columns) == 1:
         return columns[0]
     return [None if None in key else key for key in zip(*columns)]
@@ -709,20 +730,20 @@ class HashJoinOp(JoinOp):
     kind = "join-hash"
 
     def _pairs(
-        self, left: ColumnBatch, right: ColumnBatch, sources: Sources
+        self, left: List[str], right: List[str], sources: Sources
     ) -> Iterator[PairRows]:
         build_side, strategy = self.adaptive.checkpoint(
-            self.logical, left.num_rows, right.num_rows
+            self.logical, len(left), len(right)
         )
         if build_side == "left":
-            self._charge_shuffle(left.nodes, right.nodes)
+            self._charge_shuffle(left, right)
         else:
-            self._charge_shuffle(right.nodes, left.nodes)
-        if not (left.num_rows and right.num_rows):
+            self._charge_shuffle(right, left)
+        if not (left and right):
             return iter(())  # an input that yielded no batch has no key columns
         keys = self.logical.equi_keys
-        left_keys = _join_keys(left, [left_ref for left_ref, __ in keys])
-        right_keys = _join_keys(right, [right_ref for __, right_ref in keys])
+        left_keys = _join_keys(sources, 0, [left_ref for left_ref, __ in keys])
+        right_keys = _join_keys(sources, 1, [right_ref for __, right_ref in keys])
         if strategy == "merge":
             picks = _merge_pairs(left_keys, right_keys)
         else:
@@ -735,7 +756,7 @@ class HashJoinOp(JoinOp):
             # per relation, then an argsort over the zipped index columns.
             order_keys = list(zip(*(
                 _through(column, picks[slot])
-                for slot, column in (sources[alias] for alias in restore)
+                for slot, column, __ in (sources[alias] for alias in restore)
             )))
             order = sorted(range(len(order_keys)), key=order_keys.__getitem__)
             lefts, rights = picks

@@ -363,6 +363,8 @@ class PlanProfile:
                 parts.append(f"rows scanned: {stats.rows_scanned}")
             if stats.rows_shuffled:
                 parts.append(f"rows shuffled: {stats.rows_shuffled}")
+            if isinstance(op, physical.JoinOp):
+                parts.append(f"candidate pairs: {stats.candidate_pairs}")
             if stats.bytes_out:
                 parts.append(f"bytes out: {int(stats.bytes_out)}")
             parts.append(f"batches: {stats.batches}")

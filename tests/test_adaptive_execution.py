@@ -137,6 +137,46 @@ class TestAdaptiveDifferential:
     def test_fresh_stats_matrix(self):
         assert_identical(make_star_db(stale=False), THREE_WAY)
 
+    @pytest.mark.parametrize("strategy", ["auto", "hash", "merge"])
+    def test_duplicate_keys_are_sorted_back_into_binder_order(self, strategy):
+        # Each fact row meets four dima rows and two dimb rows.  The
+        # selective dimb joins first, so the chain emits (f, b, a) row
+        # order; the root must re-sort into the binder's (f, a, b).
+        db = VerticaDatabase(num_nodes=3)
+        session = db.connect()
+        session.execute(
+            "CREATE TABLE f (ka INTEGER, kb INTEGER, v INTEGER) "
+            "SEGMENTED BY HASH(ka) ALL NODES"
+        )
+        session.execute(
+            "CREATE TABLE dima (a_id INTEGER, a_val INTEGER) UNSEGMENTED ALL NODES"
+        )
+        session.execute(
+            "CREATE TABLE dimb (b_id INTEGER, b_val INTEGER) UNSEGMENTED ALL NODES"
+        )
+        session.execute(
+            "INSERT INTO f VALUES "
+            + ", ".join(f"({i % 4}, {i % 3}, {i})" for i in range(12))
+        )
+        session.execute(
+            "INSERT INTO dima VALUES "
+            + ", ".join(f"({i % 4}, {i})" for i in range(16))
+        )
+        session.execute(
+            "INSERT INTO dimb VALUES "
+            + ", ".join(f"({i % 3}, {i})" for i in range(30))
+        )
+        for table in ("f", "dima", "dimb"):
+            session.execute(f"ANALYZE {table}")
+        sql = (
+            "SELECT v, a_val, b_val FROM f JOIN dima ON ka = a_id "
+            "JOIN dimb ON kb = b_id WHERE b_val < 6"
+        )
+        session.execute(f"SET JOIN_STRATEGY = '{strategy}'")
+        plan = [row[0] for row in session.execute(f"EXPLAIN {sql}").rows]
+        assert any(line.startswith("JOIN ORDER: F x DIMB x DIMA") for line in plan)
+        assert_identical(db, sql, strategy=strategy)
+
 
 # ----------------------------------------------------------- reordering plan
 class TestJoinReorderPlan:

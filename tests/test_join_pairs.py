@@ -13,6 +13,11 @@ these tests hold the pieces to their own contracts:
 - validation gathers the condition's columns only — a join that keeps no
   candidate never touches another column — unless the condition calls
   ``SYNTHETIC_HASH``, which reads them all;
+- a join validates its candidates unless its keys decide: a residual
+  conjunct, a mixed-class key pair or the nested loop still does;
+- a reordered chain gathers, below its root, only the key columns of the
+  joins above; the root gathers each column the query reads once more,
+  for the output rows, and no other;
 - executing a cached plan (a reordered chain and an adaptive replan
   included) leaves the logical nodes the plan cache shares exactly as the
   optimizer left them.
@@ -20,6 +25,7 @@ these tests hold the pieces to their own contracts:
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -71,7 +77,7 @@ def key_columns(draw, unique_right=False):
 def keys_of(columns):
     names = [f"K{i}" for i in range(len(columns))]
     batch = ColumnBatch(names, columns, ["n"] * len(columns[0]))
-    return physical._join_keys(batch, names)
+    return physical._join_keys({0: (0, range(batch.num_rows), batch)}, 0, names)
 
 
 def brute_force(left, right):
@@ -234,12 +240,13 @@ class GatherSpy:
     """Which lists ``physical.gather`` read, and which batches joins saw."""
 
     def __init__(self, monkeypatch):
-        self.gathered = set()
+        #: list id -> how many values were gathered from it
+        self.gathered = Counter()
         self.inputs = []
         gather, concat = physical.gather, physical._concat
 
         def spying_gather(values, indices):
-            self.gathered.add(id(values))
+            self.gathered[id(values)] += len(indices)
             return gather(values, indices)
 
         def spying_concat(batches):
@@ -259,6 +266,13 @@ class GatherSpy:
                 (read if id(values) in self.gathered else missed).add(name)
         assert named <= read, f"condition columns not gathered: {named - read}"
         return missed
+
+
+#: four relations; the selective dim written last is reordered to join first
+SELECTIVE_LAST = (
+    "SELECT v, a_val, d_val FROM f JOIN dima ON ka = a_id "
+    "JOIN dimb ON kb = b_id JOIN dimd ON kd = d_id WHERE d_val > 1"
+)
 
 
 class TestLateMaterialization:
@@ -305,6 +319,85 @@ class TestLateMaterialization:
             )
             assert_identical(join_db, sql, strategy=strategy)
             assert join_db.connect().execute(sql).rows
+
+    def test_a_reordered_chain_gathers_each_column_once_at_its_root(
+        self, monkeypatch
+    ):
+        db = make_star_db()
+        session = db.connect()
+        plan = optimized_plan(
+            db.engine, db.plan_cache.parse(SELECTIVE_LAST, parse_statement),
+            session.context,
+        )
+        spy = GatherSpy(monkeypatch)
+        root = build_operator(
+            db.engine, plan.root, db.begin(), db.node_names[0],
+            db.epochs.current, CostReport(), session.context, AdaptiveContext(),
+        )
+        rows = [row for batch in root.batches() for row in batch.rows()]
+        chain = []
+        op = root.children[0]
+        while isinstance(op, physical.JoinOp):
+            chain.append(op)
+            op = op.left
+        assert len(chain) == 3
+        assert all(join.logical.reorder_chain for join in chain)
+        assert chain[0].stats.rows_out == len(rows) > 0
+        # each leaf column the query reads: once for the output rows; and
+        # any leaf column once more for each join above the bottom one that
+        # reads it as a left key
+        assert chain[0].logical.read_above == {"V", "A_VAL", "D_VAL"}
+        leaves = {name: batch.columns[i] for batch in spy.inputs
+                  for i, name in enumerate(batch.names)}
+        want = Counter({id(column): 0 for column in leaves.values()})
+        for name in chain[0].logical.read_above:
+            want[id(leaves[name])] += len(rows)
+        for join in chain[:-1]:
+            for left_ref, __ in join.logical.equi_keys:
+                want[id(leaves[left_ref])] += join.left.stats.rows_out
+        assert {i: spy.gathered[i] for i in want} == dict(want)
+
+
+class TestValidation:
+    """Which joins still validate, seen through a pair source that proposes
+    every pair: a validating join filters them down to the oracle's rows, a
+    key-decided one trusts them all."""
+
+    VALIDATING = [
+        ("SELECT v, label FROM fact JOIN dim ON k = k2 AND v < 2.0", "hash"),
+        ("SELECT v, label FROM fact JOIN dim ON k = label", "hash"),
+        ("SELECT v, label FROM fact JOIN dim ON k = k2", "nested-loop"),
+    ]
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+        matching = physical._matching
+
+        def spying_matching(batch, predicate):
+            calls.append(batch.num_rows)
+            return matching(batch, predicate)
+
+        def every_pair(left_keys, right_keys, build_left):
+            return physical._left_major([range(len(right_keys))] * len(left_keys))
+
+        monkeypatch.setattr(physical, "_matching", spying_matching)
+        monkeypatch.setattr(physical, "_hash_pairs", every_pair)
+        return calls
+
+    @pytest.mark.parametrize(
+        "sql, strategy", VALIDATING, ids=["residual", "int-varchar", "nested-loop"]
+    )
+    def test_these_still_validate(self, join_db, spy, sql, strategy):
+        assert_identical(join_db, sql, strategy=strategy)
+        assert spy and sum(spy) == 35  # fact (7 rows) x dim (5 rows)
+
+    def test_a_key_decided_join_does_not(self, join_db, spy):
+        with join_db.connect() as session:
+            session.execute("SET JOIN_STRATEGY = 'hash'")
+            rows = session.execute("SELECT v, label FROM fact JOIN dim ON k = k2").rows
+        assert spy == []
+        assert len(rows) == 35
 
 
 # ------------------------------------------------- cached plans stay pristine

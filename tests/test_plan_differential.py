@@ -18,18 +18,22 @@ Two layers of coverage:
   is reproducible).
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.vertica import VerticaDatabase
 from repro.vertica.batch import BATCH_ROWS
-from repro.vertica.engine import COST_COUNTERS
+from repro.vertica.engine import COST_COUNTERS, CostReport
 from repro.vertica.expr import split_and
 from repro.vertica.hashring import HASH_SPACE, vertica_hash
 from repro.vertica.plan import explain_lines, logical
+from repro.vertica.plan.adaptive import AdaptiveContext
 from repro.vertica.plan.binder import bind_dml_scan, bind_select
 from repro.vertica.plan.optimizer import optimize
+from repro.vertica.plan.pipeline import PipelineExecution, build_operator
 from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.sql.parser import parse_statement
@@ -439,6 +443,12 @@ JOIN_MATRIX = [
     "SELECT v FROM fact JOIN dim ON k = k2 AND v > label",
     # error path in the WHERE above the join (pushdown must not hide it)
     "SELECT v FROM fact JOIN dim ON k = k2 WHERE v > label",
+    # readers of the whole joined row: the join emits every column for them
+    "SELECT * FROM fact JOIN dim ON k = k2",
+    "SELECT v, SYNTHETIC_HASH() FROM fact JOIN dim ON k = k2",
+    # ... below one join only: the relation joined above it is pruned
+    "SELECT v FROM fact JOIN dim ON k = k2 AND SYNTHETIC_HASH() <> 0 "
+    "JOIN lookup ON k = lk",
 ]
 
 
@@ -573,6 +583,155 @@ class TestSessionIsolation:
         finally:
             for session in sessions:
                 session.close()
+
+
+# ------------------------------------------------------ key-decided joins
+# A hash or merge join whose condition is its equi keys over one type class
+# emits its key-equal candidates unvalidated (``Join.keys_decide``).  These
+# keys are where that could go wrong: INTEGER, FLOAT and BOOLEAN mixed (1,
+# 1.0 and TRUE are equal), -0.0 beside 0.0, NaN, NULL, and 2**53 + 1 beside
+# float(2**53) (unequal, though the float is the int's nearest).
+KEY_POOLS = {
+    "i": [None, 0, 1, 2, 2**53, 2**53 + 1],
+    "f": [None, 0.0, -0.0, 1.0, 2.0, math.nan, float(2**53)],
+    "b": [None, True, False],
+}
+keyed_rows = st.lists(
+    st.tuples(
+        *[st.sampled_from(pool) for pool in KEY_POOLS.values()],
+        st.integers(0, 3),
+        st.sampled_from([None, "1", "a"]),
+    ),
+    max_size=12,
+)
+#: a key pair: (left column, right column) of one of the pooled types
+key_pair = st.tuples(st.sampled_from("ifb"), st.sampled_from("ifb"))
+RESIDUALS = [None, "lx < rx", "lx <> rx", "li = rs"]  # the last: INTEGER = VARCHAR
+
+
+def keyed_db(left_rows, right_rows, stale):
+    """``lt(li, lf, lb, lx, ls)`` and ``rt(ri, rf, rb, rx, rs)``, loaded
+    through ``insert_rows`` (SQL text has no NaN).  ``stale``: ANALYZEd after
+    each table's first row, so the estimates lag and adaptive replans."""
+    db = VerticaDatabase(num_nodes=3)
+    session = db.connect()
+    for table, side, rows in (("lt", "l", left_rows), ("rt", "r", right_rows)):
+        session.execute(
+            f"CREATE TABLE {table} ({side}i INTEGER, {side}f FLOAT, "
+            f"{side}b BOOLEAN, {side}x INTEGER, {side}s VARCHAR(4)) "
+            f"SEGMENTED BY HASH({side}x) ALL NODES"
+        )
+        for position, chunk in enumerate((rows[:1], rows[1:])):
+            if chunk:
+                txn = db.begin()
+                db.engine.insert_rows(
+                    table.upper(), [list(c) for c in zip(*chunk)], txn
+                )
+                txn.commit(db.storage)
+            if stale and position == 0:
+                session.execute(f"ANALYZE {table}")
+    return db
+
+
+def keyed_sql(pairs, residual):
+    conjuncts = [f"l{a} = r{b}" for a, b in pairs]
+    if residual is not None:
+        conjuncts.append(residual)
+    return "SELECT lx, rx, li, rf, lb FROM lt JOIN rt ON " + " AND ".join(conjuncts)
+
+
+def run_keyed(db, sql, strategy, memory_rows, validate=False):
+    """``sql`` executed under ``strategy`` with a ``memory_rows`` hash budget:
+    ("ok", rows, cost) or ("err", class, message), and each join's
+    (keys_decide, candidate pairs) — every join forced to validate if asked."""
+    context = PlanContext(join_strategy=strategy)
+    plan = optimize(bind_select(db, parse_statement(sql)), db, context)
+    joins = [node for node in plan.nodes() if isinstance(node, logical.Join)]
+    for join in joins if validate else ():
+        join.keys_decide = False
+    adaptive = AdaptiveContext(strategy_override=strategy, memory_rows=memory_rows)
+    cost = CostReport()
+    root = build_operator(
+        db.engine, plan.root, db.begin(), db.node_names[0], db.epochs.current,
+        cost, context, adaptive,
+    )
+    result = outcome(
+        lambda: ([row for batch in root.batches() for row in batch.rows()], cost)
+    )
+    stats = [
+        (op.logical.keys_decide, op.stats.candidate_pairs)
+        for __, op in PipelineExecution(plan, root, adaptive).operators()
+        if isinstance(op.logical, logical.Join)
+    ]
+    return result, stats, [event.action for event in adaptive.events]
+
+
+def assert_keyed_like_oracle(db, sql, strategy, memory_rows):
+    """Rows, order, errors and CostReport as the oracle's; rows, errors and
+    candidate pairs as a forced validation's.  The replans it made."""
+    got, stats, actions = run_keyed(db, sql, strategy, memory_rows)
+    legacy = LegacyInterpreter(db)
+    want = outcome(
+        lambda: legacy.select(parse_statement(sql), db.begin(), db.node_names[0])
+    )
+    assert got[0] == want[0], f"{sql}: {got[1:]} vs oracle {want[1:]}"
+    if want[0] == "err":
+        assert got == want, sql
+    else:
+        rows, cost = got[1]
+        assert rows == want[1].rows, sql
+        for field in COST_FIELDS:
+            assert getattr(cost, field) == getattr(want[1].cost, field), field
+    validated, forced, __ = run_keyed(db, sql, strategy, memory_rows, validate=True)
+    assert [pairs for __, pairs in forced] == [pairs for __, pairs in stats]
+    assert not any(decide for decide, __ in forced)
+    if got[0] == "ok":
+        assert validated[1][0] == got[1][0], f"{sql}: the skip changed the rows"
+    else:
+        assert validated == got, sql
+    return stats, actions
+
+
+class TestKeyDecidedJoins:
+    @given(
+        left_rows=keyed_rows,
+        right_rows=keyed_rows,
+        pairs=st.lists(key_pair, min_size=1, max_size=2),
+        residual=st.sampled_from(RESIDUALS),
+        strategy=st.sampled_from(STRATEGIES),
+        stale=st.booleans(),
+        memory_rows=st.sampled_from([2, 65_536]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_a_key_decided_join_answers_like_the_oracle(
+        self, left_rows, right_rows, pairs, residual, strategy, stale, memory_rows
+    ):
+        db = keyed_db(left_rows, right_rows, stale)
+        stats, __ = assert_keyed_like_oracle(
+            db, keyed_sql(pairs, residual), strategy, memory_rows
+        )
+        # the proof's conditions, and nothing else, decide the skip
+        decides = strategy != "nested-loop" and residual is None
+        assert [decide for decide, __ in stats] == [decides]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_subtle_key_under_the_replans(self, strategy):
+        # rt grows 12x past its statistics: auto swaps the build to lt, and
+        # lt's 6 rows overflow a 2-row budget, so the hash demotes to merge.
+        values = [
+            (i, f, b, x, None)
+            for (i, f, b), x in zip(
+                zip(KEY_POOLS["i"] * 2, KEY_POOLS["f"] * 2, KEY_POOLS["b"] * 4),
+                range(12),
+            )
+        ]
+        db = keyed_db(values[:1] + values[6:11], values, stale=True)
+        for pairs in [("i", "f")], [("f", "f")], [("b", "i")], [("i", "i"), ("f", "b")]:
+            sql = keyed_sql(pairs, None)
+            stats, actions = assert_keyed_like_oracle(db, sql, strategy, 2)
+            assert stats[0][0] == (strategy != "nested-loop")
+            if strategy == "auto":
+                assert actions == ["swap-build", "demote-merge"], sql
 
 
 # ------------------------------------------- absorbed hash-range conjuncts

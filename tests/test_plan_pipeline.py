@@ -108,6 +108,23 @@ class TestOptimizerRules:
         plan = bound_plan(db, "SELECT a FROM t WHERE SYNTHETIC_HASH() >= 0")
         assert RULE_PROJECTION_PRUNING not in plan.rules_applied
 
+    def test_pruning_is_per_scan(self, db):
+        # A whole-row reader keeps every column of the scans below it
+        # only: the scan joined above it is still pruned.
+        session = db.connect()
+        session.execute("CREATE TABLE u (x INTEGER, y INTEGER)")
+        session.execute("CREATE TABLE w (z INTEGER, note VARCHAR(5), n FLOAT)")
+        plan = bound_plan(
+            db,
+            "SELECT note FROM t JOIN u ON a = x AND SYNTHETIC_HASH() <> 0 "
+            "JOIN w ON a = z",
+        )
+        assert RULE_PROJECTION_PRUNING in plan.rules_applied
+        scans = {
+            n.key: n.columns for n in plan.nodes() if isinstance(n, logical.TableScan)
+        }
+        assert scans == {"T": None, "U": None, "W": ["Z", "NOTE"]}
+
     def test_hash_range_tightening_fires(self, db):
         segment = db.catalog.table("t").ring.segments[1]
         plan = bound_plan(
@@ -373,7 +390,7 @@ class TestJoinStrategies:
         session.execute("ANALYZE t")
         session.execute("ANALYZE s")
         plan = plan_text(session, "EXPLAIN SELECT a, d FROM t JOIN s ON a = a2")
-        assert "[hash join, build: right, co-located]" in plan
+        assert "[hash join, build: right, keys decide, co-located]" in plan
         assert "(estimated rows:" in plan
         assert RULE_JOIN_STRATEGY in plan
 
@@ -404,6 +421,25 @@ class TestJoinStrategies:
         assert "hash join" in text
         assert "co-located" not in text
         assert "rows shuffled: " in text
+
+    @pytest.mark.parametrize(
+        "strategy, condition, pairs, label",
+        [
+            ("hash", "a = a2", 10, "keys decide"),  # key-equal: decided
+            ("hash", "a = a2 AND a < 5", 10, "hash join"),  # residual: validated
+            ("nested-loop", "a = a2", 400, "nested-loop join"),  # every pair
+        ],
+    )
+    def test_profile_counts_candidate_pairs(
+        self, join_db, strategy, condition, pairs, label
+    ):
+        session = join_db.connect()
+        session.execute(f"SET JOIN_STRATEGY = '{strategy}'")
+        report = session.execute(f"PROFILE SELECT a, d FROM t JOIN s ON {condition}")
+        (line,) = [r[0] for r in report.rows if r[0].startswith("  JOIN")]
+        assert label in line
+        assert ("keys decide" in line) == (label == "keys decide")
+        assert f"candidate pairs: {pairs}," in line
 
     def test_join_strategy_option_validation(self, db):
         session = db.connect()
