@@ -9,9 +9,16 @@ are one module each under :mod:`repro.bench.areas`.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.bench.report import config_fingerprint
+
+def config_fingerprint(config: Dict[str, Any]) -> str:
+    """Short stable digest of a configuration dict."""
+    blob = json.dumps(config, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
 
 # ------------------------------------------------------------------ statuses
 DONE = "DONE"

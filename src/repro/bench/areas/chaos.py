@@ -1,35 +1,37 @@
-"""Chaos soak harness: many seeded fault schedules, one invariant bar.
+"""Chaos soak: many seeded fault schedules, one invariant bar.
 
-Each *trial* builds a fresh fabric, derives a :class:`~repro.chaos.
-ChaosSchedule` from one integer seed, runs one workload from the
-:data:`TRIALS` table (S2V saves, V2S scans, pushed aggregates, WLM
-admission, EXPLAIN/PROFILE, the staging transport, result-cache
-coherence, adaptive joins) under that schedule, and audits the database
-with the :class:`~repro.chaos.InvariantChecker`.  Every workload shares
-one skeleton (:func:`run_trial`); a trial passes when every invariant
-holds — whether the workload succeeded or failed cleanly.
+Each cell is one *trial*: it builds a fresh fabric, derives a
+:class:`~repro.chaos.ChaosSchedule` from one integer seed, runs one
+workload from the :data:`TRIALS` table (S2V saves, V2S scans, pushed
+aggregates, WLM admission, EXPLAIN/PROFILE, the staging transport,
+result-cache coherence, adaptive joins) under that schedule, and audits
+the database with the :class:`~repro.chaos.InvariantChecker`.  Every
+workload shares one skeleton (:func:`run_trial`); a trial passes when
+every invariant holds — whether the workload succeeded or failed
+cleanly.  A violated invariant raises :class:`GridCellError` carrying
+the violations, the schedule and every injection, so the cell is
+``FAILED`` and its artifact record says what happened.
 
-Reproducibility is the contract: a failing trial is replayed from its
-printed seed alone::
+The ``seed`` axis is the soak seed index: a trial's seed is the index
+plus its workload's offset, and the S2V mode and speculation rotate with
+the index.  A trial is a function of its seed, so a cell is replayed
+from its parameters alone::
 
-    PYTHONPATH=src python -m repro.bench.chaos_soak --replay-seed 41 \\
-        --workload s2v --mode append --speculation
+    AREAS["chaos"].run_cell({"seed": 16, "workload": "s2v"})
 
-Run the full soak (the CI chaos job does this with ``--seeds 25``)::
-
-    PYTHONPATH=src python -m repro.bench.chaos_soak --seeds 50
+Nothing here reports sim seconds or is banded: the invariants are the
+checks.  CI runs the area under two hash seeds and compares the cells.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
-import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
+from repro.bench.area import BenchArea, Checks, GridCellError
 from repro.bench.fabric import LIGHT_COST_MODEL, Fabric, insert_rows
 from repro.chaos import (
     ALL_FAMILIES,
@@ -57,54 +59,6 @@ SCALE = 60.0
 HORIZON = 4.0
 
 
-@dataclass
-class TrialResult:
-    """One trial's outcome: config, schedule, workload result, audit."""
-
-    workload: str
-    seed: int
-    mode: str
-    speculation: bool
-    raised: Optional[BaseException]
-    report: InvariantReport
-    injections: int
-    #: teardown errors _safe_cleanup swallowed during this trial
-    cleanup_failures: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.report.ok
-
-    @property
-    def succeeded(self) -> bool:
-        """The workload itself completed (as opposed to failing cleanly)."""
-        return self.raised is None
-
-    def replay_command(self) -> str:
-        spec = " --speculation" if self.speculation else ""
-        mode = (f" --mode {self.mode}"
-                if self.workload in ("s2v", "staged-s2v") else "")
-        return (
-            f"python -m repro.bench.chaos_soak --replay-seed {self.seed} "
-            f"--workload {self.workload}{mode}{spec}"
-        )
-
-    def describe(self) -> str:
-        outcome = "succeeded" if self.succeeded else f"failed ({self.raised!r})"
-        verdict = "OK" if self.ok else "INVARIANT VIOLATION"
-        head = (
-            f"[{verdict}] {self.workload} seed={self.seed} mode={self.mode} "
-            f"speculation={self.speculation} injections={self.injections} "
-            f"workload {outcome}"
-        )
-        if self.cleanup_failures:
-            head += f" cleanup_failures={self.cleanup_failures}"
-        if self.ok:
-            return head
-        return head + "\n" + self.report.describe() + \
-            f"\nreplay: {self.replay_command()}"
-
-
 # ------------------------------------------------------------------- trials
 @dataclass(frozen=True)
 class Trial:
@@ -115,7 +69,7 @@ class Trial:
     returns the thunk whose exception (if any) is the trial's ``raised``;
     ``audit(run, checker, raised, report)`` merges the workload's
     invariants after the clock has drained.  ``run`` is a scratch
-    namespace carrying ``fabric``, ``seed``, ``mode`` and ``verbose``.
+    namespace carrying ``fabric``, ``seed`` and ``mode``.
     """
 
     prepare: Callable
@@ -128,23 +82,30 @@ class Trial:
     fabric: Dict[str, Any] = field(default_factory=dict)
     #: extra :meth:`ChaosSchedule.random` arguments
     schedule: Dict[str, Any] = field(default_factory=dict)
-    #: the mode the result reports; ``None`` = the caller's save mode
+    #: the save mode the trial runs (``"-"``: not a save); ``None`` = the
+    #: caller's, which rotates with the seed index
     mode: Optional[str] = "-"
-    #: whether the result carries S2V's swallowed-teardown-error count
+    #: whether the cell reports S2V's swallowed-teardown-error count
     counts_cleanup: bool = False
 
 
 def run_trial(workload: str, seed: int, mode: str = "overwrite",
-              speculation: bool = False, verbose: bool = False) -> TrialResult:
-    """One seeded ``workload`` trial under chaos, audited."""
+              speculation: bool = False
+              ) -> Tuple[Dict[str, Any], InvariantReport]:
+    """One seeded ``workload`` trial under chaos, audited.
+
+    Returns the cell's metrics — ``injections``, ``outcome``
+    (``succeeded`` or the workload's exception ``repr``) and
+    ``cleanup_failures`` (teardown errors S2V swallowed) — with the
+    audit; raises :class:`GridCellError` if an invariant was violated.
+    """
     trial = TRIALS[workload]
     fabric = Fabric(
         num_vertica=3, num_spark=4, cost_model=LIGHT_COST_MODEL,
         speculation=speculation, telemetry=True, failover_connect=True,
         hdfs_nodes=3, **trial.fabric,
     )
-    run = SimpleNamespace(fabric=fabric, seed=seed, verbose=verbose,
-                          mode=trial.mode or mode)
+    run = SimpleNamespace(fabric=fabric, seed=seed, mode=trial.mode or mode)
     trial.prepare(run)
     checker = InvariantChecker(fabric.vertica)
     schedule = ChaosSchedule.random(
@@ -156,8 +117,6 @@ def run_trial(workload: str, seed: int, mode: str = "overwrite",
         **{"events": 4, **trial.schedule},
     )
     controller = fabric.attach_chaos(schedule)
-    if verbose:
-        print("\n".join(schedule.describe()))
     workload_thunk = trial.start(run)
     raised: Optional[BaseException] = None
     try:
@@ -173,16 +132,23 @@ def run_trial(workload: str, seed: int, mode: str = "overwrite",
         report.violated("clean-drain", f"draining the run raised {exc!r}")
     trial.audit(run, checker, raised, report)
     report.merge(checker.check_stored_hashes())
-    if verbose:
-        for record in controller.injections:
-            print(record)
-        print(report.describe())
-    cleanup_failures = (
-        int(telemetry.counter("s2v.cleanup_failures").value)
-        if trial.counts_cleanup else 0
-    )
-    return TrialResult(workload, seed, run.mode, speculation, raised, report,
-                       len(controller.injections), cleanup_failures)
+    metrics = {
+        "injections": len(controller.injections),
+        "outcome": "succeeded" if raised is None else repr(raised),
+        "cleanup_failures": (
+            int(telemetry.counter("s2v.cleanup_failures").value)
+            if trial.counts_cleanup else 0
+        ),
+    }
+    if not report.ok:
+        raise GridCellError("\n".join([
+            report.describe(),
+            f"mode={run.mode} speculation={speculation} "
+            + " ".join(f"{key}={value}" for key, value in metrics.items()),
+            "schedule:", *schedule.describe(),
+            "injections:", *map(repr, controller.injections),
+        ]))
+    return metrics, report
 
 
 def _load_source(run) -> None:
@@ -501,7 +467,7 @@ def _start_cache(run) -> Callable:
     """Readers hammer result-cached point queries while a writer advances
     the epoch; every accepted answer is recorded with its pinned epoch."""
     fabric = run.fabric
-    run.observations, run.hits = [], 0
+    run.observations = []
 
     def reader(reader_id: int):
         rng = random.Random(run.seed * 7919 + reader_id)
@@ -521,8 +487,6 @@ def _start_cache(run) -> Callable:
             run.observations.append(
                 (sql, result.snapshot_epoch, list(result.rows))
             )
-            if getattr(result.cost, "cache_hit", False):
-                run.hits += 1
 
     def writer():
         rng = random.Random(run.seed * 104729 + 1)
@@ -552,8 +516,6 @@ def _audit_cache(run, checker, raised, report) -> None:
     # version) cache key exists to prevent.
     report.merge(checker.check_no_stale_reads(run.observations))
     report.merge(checker.check_no_leaks())
-    if run.verbose:
-        print(f"observations={len(run.observations)} cache_hits={run.hits}")
 
 
 S2V_TABLES = dict(tables=(FINAL_STATUS_TABLE, TARGET.upper()))
@@ -610,81 +572,37 @@ S2V_CONFIGS = (
 )
 
 
-def soak_trial(workload: str, index: int, base_seed: int = 0) -> TrialResult:
-    """The trial soak seed ``index`` runs for ``workload``; the S2V
-    configuration rotates with the seed."""
+def run_cell(params, config):
+    """The trial soak seed index ``params["seed"]`` runs for its workload;
+    the S2V configuration rotates with the index."""
+    index, workload = params["seed"], params["workload"]
     mode, speculation = S2V_CONFIGS[index % len(S2V_CONFIGS)]
-    return run_trial(workload, base_seed + index + TRIALS[workload].seed_offset,
-                     mode, speculation)
+    metrics, __ = run_trial(workload, index + TRIALS[workload].seed_offset,
+                            mode, speculation)
+    return metrics
 
 
-def run_soak(num_seeds: int = 25, base_seed: int = 0,
-             verbose: bool = False) -> List[TrialResult]:
-    """Run every :data:`TRIALS` workload once per seed."""
-    trials: List[TrialResult] = []
-    for index in range(num_seeds):
-        for workload in TRIALS:
-            trials.append(soak_trial(workload, index, base_seed))
-            if verbose:
-                print(trials[-1].describe())
-    return trials
-
-
-def summarize(trials: Sequence[TrialResult]) -> str:
-    failures = [t for t in trials if not t.ok]
-    succeeded = sum(1 for t in trials if t.succeeded)
-    injections = sum(t.injections for t in trials)
-    cleanup_failures = sum(t.cleanup_failures for t in trials)
-    lines = [
-        f"chaos soak: {len(trials)} trials, {len(failures)} invariant "
-        f"violations, {succeeded} workloads succeeded, "
-        f"{len(trials) - succeeded} failed cleanly, "
-        f"{injections} faults injected, "
-        f"{cleanup_failures} cleanup errors swallowed",
+def checks(cells) -> Checks:
+    """A soak that injected nothing, or in which a workload never got to
+    finish, says nothing about that workload."""
+    runs: Dict[str, List[Dict[str, Any]]] = {}
+    for cell in cells:
+        runs.setdefault(cell["params"]["workload"], []).append(cell["metrics"])
+    return [
+        ("faults were injected into every workload",
+         all(any(m["injections"] for m in ms) for ms in runs.values())),
+        ("every workload completed under at least one seed",
+         all(any(m["outcome"] == "succeeded" for m in ms)
+             for ms in runs.values())),
     ]
-    for trial in sorted(
-            (t for t in trials if t.cleanup_failures),
-            key=lambda t: -t.cleanup_failures):
-        lines.append(
-            f"  cleanup_failures={trial.cleanup_failures}: "
-            f"{trial.workload} seed={trial.seed} "
-            f"(replay: {trial.replay_command()})"
-        )
-    for trial in failures:
-        lines.append(trial.describe())
-    return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=25,
-                        help=f"number of soak seeds ({len(TRIALS)} trials per seed)")
-    parser.add_argument("--base-seed", type=int, default=0)
-    parser.add_argument("--replay-seed", type=int, default=None,
-                        help="replay one trial with full fault/audit output")
-    parser.add_argument("--workload", choices=tuple(TRIALS), default="s2v")
-    parser.add_argument("--mode", choices=("overwrite", "append"),
-                        default="overwrite")
-    parser.add_argument("--speculation", action="store_true")
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
-    if args.replay_seed is not None:
-        trial = run_trial(args.workload, args.replay_seed, args.mode,
-                          args.speculation, verbose=True)
-        print(trial.describe())
-        return 0 if trial.ok else 1
-
-    trials = run_soak(args.seeds, args.base_seed, verbose=args.verbose)
-    print(summarize(trials))
-    failures = [t for t in trials if not t.ok]
-    if failures:
-        return 1
-    if not any(t.injections for t in trials):
-        print("soak was vacuous: no faults were injected", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+AREA = BenchArea(
+    "chaos",
+    "Chaos soak: every workload under seeded faults, one invariant bar",
+    axes={"seed": range(25), "workload": TRIALS},
+    runner=run_cell,
+    checks=checks,
+    notes=["a trial's seed is the seed index plus its workload's offset; "
+           "S2V mode and speculation rotate with the index"],
+)

@@ -15,9 +15,9 @@ machinery that runs them:
   per cell (``DONE`` with its sim and wall seconds and metrics, or
   ``FAILED`` with the exception; a failed cell never stops the sweep);
 - each area emits a schema-versioned ``BENCH_<area>.json`` artifact
-  (routed through :class:`~repro.bench.report.ExperimentReport`'s JSON
-  sidecar) carrying the cost-model fingerprint plus the cell records,
-  next to the paper-vs-measured ``BENCH_<area>.txt`` table;
+  (:func:`build_artifact`) carrying the cost-model fingerprint plus the
+  cell records, next to the paper-vs-measured ``BENCH_<area>.txt`` table
+  rendered from it (:func:`render_artifact`);
 - :func:`publish_results` writes the cell records into the repro's own
   Vertica tables (``bench_results``, written via the S2V connector, read
   back via V2S: the measurement store dogfoods the system under
@@ -25,8 +25,9 @@ machinery that runs them:
 - :func:`compare_artifacts` is the CI perf gate: a fresh artifact is
   compared against the committed baseline with tolerance bands, and any
   regression (or stale grid/cost-model fingerprint) fails the job;
-- ``--update-baselines`` appends one record per area to
-  ``trajectory.jsonl``, which ``--trajectory`` renders across PRs.
+- ``--update-baselines`` promotes a passing run's artifact to the
+  baseline and appends one record per area to ``trajectory.jsonl``,
+  which ``--trajectory`` renders across PRs.
 
 Command line::
 
@@ -46,12 +47,18 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.bench.area import DONE, FAILED, BenchArea, Cell
+from repro.bench.area import DONE, FAILED, BenchArea, Cell, config_fingerprint
 from repro.bench.areas import AREAS
 from repro.bench.fabric import Fabric
-from repro.bench.report import ExperimentReport, append_jsonl, config_fingerprint
 from repro.connector.costmodel import NULL_COST_MODEL, PAPER_COST_MODEL
 from repro.spark.row import StructField, StructType
+
+#: version of the ``BENCH_<area>.json`` schema; bump on any backwards-
+#: incompatible change so the CI gate refuses stale baselines
+REPORT_SCHEMA_VERSION = 1
+
+#: one area run's ``BENCH_<area>.json`` document
+Artifact = Dict[str, Any]
 
 #: the Vertica table finished cells are published into
 RESULTS_TABLE = "bench_results"
@@ -159,22 +166,18 @@ def read_results(fabric: Fabric) -> List[Tuple]:
 
 
 # ------------------------------------------------------------------ artifacts
-def build_area_report(area: BenchArea,
-                      cells: Sequence[Cell]) -> ExperimentReport:
-    """Fold an area's cell records into its ``BENCH_<area>`` report.
+def build_artifact(area: BenchArea, cells: Sequence[Cell]) -> Artifact:
+    """Fold an area's cell records into its ``BENCH_<area>`` artifact.
 
-    The report's JSON sidecar *is* the artifact: the cell records ride in
-    the payload next to the grid and cost-model fingerprints the CI gate
-    keys on.
+    Next to the cell records it carries the table the ``.txt`` renders
+    (``columns``, ``rows``, ``notes``), every check outcome, the config
+    and its fingerprint, wall/sim totals, and the grid and cost-model
+    fingerprints the CI gate keys on.
     """
     grid = area.grid()
-    report = ExperimentReport(f"BENCH_{area.name}", area.title)
     axis_names = list(grid.axes)
     paper = ["paper (s)"] if area.paper else []
-    report.set_columns(
-        axis_names + ["status"] + paper + ["sim (s)", "wall (s)", "metrics"])
-    total_wall = 0.0
-    total_sim = 0.0
+    rows = []
     for record in cells:
         metrics = ", ".join(
             f"{k}={v}" for k, v in sorted(record["metrics"].items())
@@ -182,21 +185,27 @@ def build_area_report(area: BenchArea,
         row = [record["params"][a] for a in axis_names] + [record["status"]]
         if area.paper:
             row.append(area.paper.get(record["cell_id"]))
-        report.add(*row, record["sim_seconds"], record["wall_seconds"],
-                   metrics or None)
-        total_wall += record["wall_seconds"]
-        total_sim += record["sim_seconds"] or 0.0
-    for note in area.notes:
-        report.note(note)
+        rows.append(row + [record["sim_seconds"], record["wall_seconds"],
+                           metrics or None])
     all_done = all(record["status"] == DONE for record in cells)
-    report.check("all cells DONE", all_done)
+    checks = [("all cells DONE", all_done)]
     if all_done:  # shape checks index cells freely; they need every one
-        for description, ok in area.checks(cells):
-            report.check(description, ok)
-    report.config = dict(area.config, area=area.name)
-    report.timing(wall_seconds=round(total_wall, 3),
-                  sim_seconds=round(total_sim, 3))
-    report.payload = {
+        checks += area.checks(cells)
+    config = dict(area.config, area=area.name)
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "exp_id": f"BENCH_{area.name}",
+        "title": area.title,
+        "columns": axis_names + ["status"] + paper
+                   + ["sim (s)", "wall (s)", "metrics"],
+        "rows": rows,
+        "notes": list(area.notes),
+        "checks": [{"description": description, "passed": bool(ok)}
+                   for description, ok in checks],
+        "config": config,
+        "config_fingerprint": config_fingerprint(config),
+        "wall_seconds": round(sum(c["wall_seconds"] for c in cells), 3),
+        "sim_seconds": round(sum(c["sim_seconds"] or 0.0 for c in cells), 3),
         "area": area.name,
         "grid": {"axes": {k: list(v) for k, v in grid.axes.items()},
                  "fingerprint": grid.fingerprint()},
@@ -204,14 +213,71 @@ def build_area_report(area: BenchArea,
         "gate": dict(area.gate),
         "cells": list(cells),
     }
-    return report
+
+
+def failed_checks(artifact: Artifact) -> List[str]:
+    return [check["description"] for check in artifact["checks"]
+            if not check["passed"]]
+
+
+def _fmt(value: Any) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        if value >= 100:
+            return f"{value:.0f}"
+        if value >= 1:
+            return f"{value:.1f}"
+        return f"{value:.3f}"
+    return str(value)
+
+
+def render_artifact(artifact: Artifact) -> str:
+    """The human ``BENCH_<area>.txt`` table: one aligned row per cell
+    (``None`` as ``-``), then notes, ``[PASS]``/``[FAIL]`` checks and the
+    wall/sim totals."""
+    rows = [[_fmt(value) for value in row] for row in artifact["rows"]]
+    widths = [max([len(column)] + [len(row[index]) for row in rows])
+              for index, column in enumerate(artifact["columns"])]
+
+    def line(cells: Sequence[str]) -> str:
+        return "  ".join(cell.ljust(width) for cell, width in zip(cells, widths))
+
+    header = line(artifact["columns"])
+    out = [f"== {artifact['exp_id']}: {artifact['title']} ==", header,
+           "-" * len(header)]
+    out += [line(row) for row in rows]
+    out += [f"note: {note}" for note in artifact["notes"]]
+    out += [f"[{'PASS' if check['passed'] else 'FAIL'}] {check['description']}"
+            for check in artifact["checks"]]
+    out.append(f"timing: wall {artifact['wall_seconds']:.2f} s, "
+               f"sim {artifact['sim_seconds']:.1f} s")
+    return "\n".join(out)
 
 
 def artifact_path(results_dir: str, area_name: str) -> str:
     return os.path.join(results_dir, f"BENCH_{area_name}.json")
 
 
-def load_artifact(path: str) -> Dict[str, Any]:
+def save_json(path: str, artifact: Artifact) -> None:
+    """Write ``artifact`` to ``path``, stamped with when it was saved."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(dict(artifact, saved_at=time.strftime("%Y-%m-%dT%H:%M:%S")),
+                  handle, indent=2, sort_keys=True, default=str)
+        handle.write("\n")
+
+
+def save_artifact(results_dir: str, artifact: Artifact) -> None:
+    """Write ``BENCH_<area>.txt`` and its ``BENCH_<area>.json``."""
+    os.makedirs(results_dir, exist_ok=True)
+    path = os.path.join(results_dir, f"{artifact['exp_id']}.txt")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(render_artifact(artifact) + "\n")
+    save_json(artifact_path(results_dir, artifact["area"]), artifact)
+
+
+def load_artifact(path: str) -> Artifact:
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
 
@@ -392,19 +458,24 @@ def trajectory_lines(records: Sequence[Mapping[str, Any]],
     return lines
 
 
-def record_trajectory(results_dir: str, report: ExperimentReport) -> None:
+def record_trajectory(results_dir: str, artifact: Artifact) -> None:
     """Append one area run's ``experiment`` record to the trajectory."""
-    append_jsonl(os.path.join(results_dir, TRAJECTORY_BASENAME), {
+    failed = failed_checks(artifact)
+    record = {
         "kind": "experiment",
-        "experiment": report.payload["area"],
-        "wall_seconds": report.wall_seconds,
-        "sim_seconds": report.sim_seconds,
-        "grid_fingerprint": report.payload["grid"]["fingerprint"],
-        "cost_model_fingerprint": report.payload["cost_model_fingerprint"],
-        "checks_passed": report.all_checks_pass,
-        "failed_checks": report.failed_checks(),
+        "experiment": artifact["area"],
+        "wall_seconds": artifact["wall_seconds"],
+        "sim_seconds": artifact["sim_seconds"],
+        "grid_fingerprint": artifact["grid"]["fingerprint"],
+        "cost_model_fingerprint": artifact["cost_model_fingerprint"],
+        "checks_passed": not failed,
+        "failed_checks": failed,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    })
+    }
+    os.makedirs(results_dir, exist_ok=True)
+    with open(os.path.join(results_dir, TRAJECTORY_BASENAME), "a",
+              encoding="utf-8") as handle:
+        handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
 
 
 def render_trajectory(results_dir: str,
@@ -436,16 +507,16 @@ def render_trajectory(results_dir: str,
 
 # ------------------------------------------------------------------------ CLI
 def run_area(area: BenchArea, results_dir: str,
-             log: Callable[[str], None] = print) -> ExperimentReport:
+             log: Callable[[str], None] = print) -> Artifact:
     """Run every cell of one area's grid, then emit its BENCH artifact."""
     cells = run_cells(area, log)
     failed = sum(cell["status"] == FAILED for cell in cells)
     log(f"[{area.name}] {len(cells) - failed} done, {failed} failed "
         f"of {len(cells)} cells")
-    report = build_area_report(area, cells)
-    report.save(results_dir)
+    artifact = build_artifact(area, cells)
+    save_artifact(results_dir, artifact)
     log(f"[{area.name}] wrote {artifact_path(results_dir, area.name)}")
-    return report
+    return artifact
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -464,9 +535,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="compare existing artifacts against committed "
                              "baselines instead of running")
     parser.add_argument("--update-baselines", action="store_true",
-                        help="after running, copy fresh artifacts into the "
-                             "baseline directory and append one record per "
-                             "area to trajectory.jsonl")
+                        help="after running, copy each passing area's fresh "
+                             "artifact into the baseline directory and "
+                             "append one record per area to trajectory.jsonl")
     parser.add_argument("--no-publish", action="store_true",
                         help="skip publishing the trajectory into the "
                              "dogfood Vertica results table")
@@ -505,15 +576,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cells_by_area: Dict[str, List[Cell]] = {}
     bad = False
     for name in selected:
-        report = run_area(AREAS[name], args.results_dir)
-        cells_by_area[name] = report.payload["cells"]
-        if not report.all_checks_pass:  # "all cells DONE" is one of them
-            bad = True
-        for description in report.failed_checks():
+        artifact = run_area(AREAS[name], args.results_dir)
+        cells_by_area[name] = artifact["cells"]
+        failed = failed_checks(artifact)  # "all cells DONE" is one of them
+        for description in failed:
             print(f"[{name}] CHECK FAILED: {description}", file=sys.stderr)
-        if args.update_baselines:
-            report.save_json(artifact_path(args.baseline_dir, name))
-            record_trajectory(args.results_dir, report)
+        if failed:
+            bad = True
+            if args.update_baselines:
+                print(f"[{name}] baseline NOT updated: a run with a failed "
+                      f"cell or check never becomes the baseline",
+                      file=sys.stderr)
+        elif args.update_baselines:
+            save_json(artifact_path(args.baseline_dir, name), artifact)
+            record_trajectory(args.results_dir, artifact)
             print(f"[{name}] baseline updated: "
                   f"{artifact_path(args.baseline_dir, name)}")
 

@@ -14,7 +14,8 @@ package turns that claim into an executable property:
   temp tables, single-epoch V2S snapshots.
 
 See ``docs/CHAOS.md`` for the operator guide and
-``repro.bench.chaos_soak`` for the many-seed soak harness.
+:mod:`repro.bench.areas.chaos` for the many-seed soak (the grid's
+``chaos`` area).
 """
 
 from repro.chaos.controller import ChaosController, InjectionRecord

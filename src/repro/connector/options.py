@@ -11,6 +11,7 @@ volume).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Optional
 
 
@@ -70,13 +71,21 @@ class ConnectorOptions:
         self.num_partitions = self._positive_int(
             options.get("numpartitions", default_partitions), "numpartitions"
         )
-        self.scale_factor = float(options.get("scale_factor", 1.0))
+        self.scale_factor = self._finite_float(
+            options.get("scale_factor", 1.0), "scale_factor"
+        )
         if self.scale_factor <= 0:
-            raise OptionsError(f"scale_factor must be positive: {self.scale_factor}")
-        tolerance = float(options.get("failed_rows_percent_tolerance", 0.0))
+            raise OptionsError(
+                f"option 'scale_factor' must be positive: {self.scale_factor}"
+            )
+        tolerance = self._finite_float(
+            options.get("failed_rows_percent_tolerance", 0.0),
+            "failed_rows_percent_tolerance",
+        )
         if not 0.0 <= tolerance <= 1.0:
             raise OptionsError(
-                f"failed_rows_percent_tolerance must be in [0, 1]: {tolerance}"
+                f"option 'failed_rows_percent_tolerance' must be in [0, 1]: "
+                f"{tolerance}"
             )
         self.failed_rows_percent_tolerance = tolerance
         self.avro_codec = options.get("avro_codec", "deflate")
@@ -135,6 +144,16 @@ class ConnectorOptions:
             raise OptionsError(f"option {name!r} must be an integer: {value!r}") from None
         if out <= 0:
             raise OptionsError(f"option {name!r} must be positive: {out}")
+        return out
+
+    @staticmethod
+    def _finite_float(value: Any, name: str) -> float:
+        try:
+            out = float(value)
+        except (TypeError, ValueError):
+            raise OptionsError(f"option {name!r} must be a number: {value!r}") from None
+        if not math.isfinite(out):
+            raise OptionsError(f"option {name!r} must be finite: {value!r}")
         return out
 
 

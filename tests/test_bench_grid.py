@@ -21,11 +21,13 @@ from repro.bench.grid import (
     AREAS,
     DONE,
     FAILED,
+    REPORT_SCHEMA_VERSION,
     BenchArea,
     artifact_path,
-    build_area_report,
+    build_artifact,
     compare_artifacts,
     cost_model_fingerprint,
+    failed_checks,
     load_artifact,
     main,
     publish_results,
@@ -33,7 +35,6 @@ from repro.bench.grid import (
     run_area,
     run_cells,
 )
-from repro.bench.report import REPORT_SCHEMA_VERSION
 
 
 def tiny_grid(area="tiny"):
@@ -99,13 +100,13 @@ def tiny_area(runner=deterministic_runner):
 
 def tiny_artifact(runner=deterministic_runner):
     area = tiny_area(runner)
-    return build_area_report(area, run_cells(area, quiet)).to_json()
+    return build_artifact(area, run_cells(area, quiet))
 
 
 class TestRunArea:
     def test_a_raising_cell_is_recorded_and_the_sweep_goes_on(self, tmp_path):
-        report = run_area(tiny_area(flaky_runner), str(tmp_path), log=quiet)
-        cells = report.payload["cells"]
+        artifact = run_area(tiny_area(flaky_runner), str(tmp_path), log=quiet)
+        cells = artifact["cells"]
         assert [c["status"] for c in cells] == [DONE, FAILED, DONE] * 2
         failed = cells[1]
         assert failed["cell_id"] == "direction=v2s,partitions=4"
@@ -113,7 +114,7 @@ class TestRunArea:
         assert failed["sim_seconds"] is None
         assert failed["wall_seconds"] is not None
         assert cells[2]["sim_seconds"] == 12.5 and cells[2]["error"] is None
-        assert not report.all_checks_pass
+        assert failed_checks(artifact) == ["all cells DONE"]
 
     def test_a_second_run_measures_again(self, tmp_path):
         """Two runs into one results directory, the runner's answer changed
@@ -301,9 +302,9 @@ class TestRealAreas:
         area = BenchArea(real.name, real.title, real.axes, real.runner,
                          config={"real_rows": 400}, checks=real.checks,
                          paper=real.paper)
-        report = run_area(area, str(tmp_path), log=quiet)
-        assert [c["status"] for c in report.payload["cells"]] == [DONE] * 14
-        assert report.all_checks_pass, report.failed_checks()
+        artifact = run_area(area, str(tmp_path), log=quiet)
+        assert [c["status"] for c in artifact["cells"]] == [DONE] * 14
+        assert not failed_checks(artifact)
         path = os.path.join(str(tmp_path), "BENCH_fig06.json")
         assert os.path.exists(path)
         with open(path) as handle:
@@ -335,6 +336,30 @@ class TestTrajectory:
         assert record["grid_fingerprint"] == baseline["grid"]["fingerprint"]
         assert record["cost_model_fingerprint"] == cost_model_fingerprint()
         assert record["sim_seconds"] == baseline["sim_seconds"]
+
+    def test_a_failed_run_never_becomes_the_baseline(self, tmp_path,
+                                                     monkeypatch, capsys):
+        results, baselines = tmp_path / "r", tmp_path / "b"
+        baselines.mkdir()
+        committed = os.path.join(REPO, "benchmarks", "baselines",
+                                 "BENCH_tab02.json")
+        with open(committed, "rb") as handle:
+            before = handle.read()
+        (baselines / "BENCH_tab02.json").write_bytes(before)
+
+        def raising(params, config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(AREAS["tab02"], "runner", raising)
+        assert main(["tab02", "--results-dir", str(results),
+                     "--baseline-dir", str(baselines), "--no-publish",
+                     "--update-baselines"]) == 1
+        assert "baseline NOT updated" in capsys.readouterr().err
+        assert (baselines / "BENCH_tab02.json").read_bytes() == before
+        assert not (results / "trajectory.jsonl").exists()
+        # the fresh (failed) artifact is still written for inspection
+        assert load_artifact(artifact_path(str(results), "tab02"))[
+            "cells"][0]["status"] == FAILED
 
 
 REPO = os.path.join(os.path.dirname(__file__), "..")

@@ -1,51 +1,99 @@
-"""Tests for the benchmark harness itself (reports, fabric, datasets)."""
+"""Tests for the benchmark harness itself (artifact tables, fabric, datasets)."""
 
 import os
 
 import pytest
 
-from repro.bench import ExperimentReport, Fabric
+from repro.bench import BenchArea, Fabric
+from repro.bench.grid import (
+    artifact_path,
+    build_artifact,
+    failed_checks,
+    load_artifact,
+    render_artifact,
+    run_area,
+)
 from repro.connector.costmodel import NULL_COST_MODEL
 from repro.workloads import make_d1, make_d1_reshaped, make_d1_with_int_column, make_d2
 from repro.workloads.datasets import Dataset
 
+REPO = os.path.join(os.path.dirname(__file__), "..")
+
+
+def artifact(exp_id, rows=(), checks=(), notes=()):
+    """A hand-built artifact holding only what the table renders."""
+    return {"exp_id": exp_id, "title": "demo",
+            "columns": ["case", "paper", "measured"],
+            "rows": [list(row) for row in rows], "notes": list(notes),
+            "checks": [{"description": d, "passed": ok} for d, ok in checks],
+            "wall_seconds": 1.25, "sim_seconds": 0.0}
+
+
+def tiny_area():
+    return BenchArea(
+        "tiny", "synthetic area", axes={"n": (1, 2)},
+        runner=lambda params, config: {"sim_seconds": 1.5 * params["n"],
+                                       "rows": params["n"]},
+        checks=lambda cells: [("two cells", len(cells) == 2)],
+        paper={"n=1": 2.0}, notes=["a note"],
+    )
+
 
 class TestExperimentReport:
+    """An area's report: the ``BENCH_<area>.json`` artifact the grid
+    builds and the ``.txt`` table it renders from it."""
+
     def test_render_aligns_columns(self):
-        report = ExperimentReport("x1", "demo")
-        report.set_columns(["case", "paper", "measured"])
-        report.add("short", 1.0, 123456.0)
-        report.add("a much longer label", None, 0.5)
-        text = report.render()
+        text = render_artifact(artifact("x1", rows=[
+            ("short", 1.0, 123456.0), ("a much longer label", None, 0.5)]))
         lines = text.splitlines()
         assert lines[0] == "== x1: demo =="
-        assert "case" in lines[1]
-        assert "-" in lines[2]
+        assert lines[1].startswith("case                 paper  measured")
+        assert set(lines[2]) == {"-"} and len(lines[2]) == len(lines[1])
         assert "123456" in text
-        assert "-" in lines[4]  # None renders as dash
+        assert lines[4].split() == ["a", "much", "longer", "label", "-",
+                                    "0.500"]  # None renders as dash
+        assert lines[3].index("1.0") == lines[4].index("-") \
+            == lines[1].index("paper")
 
     def test_checks_recorded_and_rendered(self):
-        report = ExperimentReport("x2", "demo")
-        report.check("always true", True)
-        report.check("always false", False)
-        assert not report.all_checks_pass
-        assert report.failed_checks() == ["always false"]
-        text = report.render()
+        doc = artifact("x2", checks=[("always true", True),
+                                     ("always false", False)])
+        assert failed_checks(doc) == ["always false"]
+        text = render_artifact(doc)
         assert "[PASS] always true" in text
         assert "[FAIL] always false" in text
+        assert text.splitlines()[-1] == "timing: wall 1.25 s, sim 0.0 s"
 
     def test_save_writes_file(self, tmp_path):
-        report = ExperimentReport("x3", "demo")
-        report.add("row", 1, 2)
-        path = report.save(str(tmp_path))
-        assert os.path.exists(path)
-        with open(path) as handle:
-            assert "x3" in handle.read()
+        doc = run_area(tiny_area(), str(tmp_path), log=lambda msg: None)
+        with open(os.path.join(str(tmp_path), "BENCH_tiny.txt")) as handle:
+            assert handle.read() == render_artifact(doc) + "\n"
+        saved = load_artifact(artifact_path(str(tmp_path), "tiny"))
+        assert saved.pop("saved_at")
+        assert saved == doc
 
     def test_notes_rendered(self):
-        report = ExperimentReport("x4", "demo")
-        report.note("context matters")
-        assert "note: context matters" in report.render()
+        doc = artifact("x4", notes=["context matters"])
+        assert "note: context matters" in render_artifact(doc)
+
+    def test_artifact_keys_are_the_committed_baselines(self, tmp_path):
+        """The committed baselines were written before the grid built its
+        own artifacts; a new artifact must carry exactly their keys, so
+        they keep gating without being regenerated."""
+        expected = {
+            "schema_version", "exp_id", "title", "columns", "rows", "notes",
+            "checks", "config", "config_fingerprint", "wall_seconds",
+            "sim_seconds", "area", "grid", "cost_model_fingerprint", "gate",
+            "cells",
+        }
+        area = tiny_area()
+        assert set(build_artifact(area, [])) == expected
+        run_area(area, str(tmp_path), log=lambda msg: None)
+        saved = load_artifact(artifact_path(str(tmp_path), "tiny"))
+        committed = load_artifact(artifact_path(
+            os.path.join(REPO, "benchmarks", "baselines"), "tab02"))
+        assert set(saved) == set(committed) == expected | {"saved_at"}
 
 
 class TestDatasets:

@@ -1,73 +1,118 @@
-"""Smoke test for the chaos soak harness (CI runs the full 25-seed soak)."""
+"""The chaos soak as the grid's ``chaos`` area (CI runs all 225 cells)."""
 
-from repro.bench.chaos_soak import TRIALS, run_soak, run_trial, summarize
+import dataclasses
+
+from repro.bench.area import BenchArea
+from repro.bench.areas import AREAS, chaos
+from repro.bench.areas.chaos import TRIALS, run_trial
+from repro.bench.grid import (
+    DONE,
+    FAILED,
+    build_artifact,
+    compare_artifacts,
+    run_cells,
+)
+
+
+def quiet(_msg):
+    pass
+
+
+def narrowed(seeds):
+    """The real area over a few seed indices, the way TestRealAreas
+    narrows ``fig06``."""
+    real = AREAS["chaos"]
+    return BenchArea(real.name, real.title, dict(real.axes, seed=seeds),
+                     real.runner, checks=real.checks)
 
 
 class TestSoakSmoke:
     def test_small_soak_holds_invariants(self):
-        trials = run_soak(num_seeds=3, base_seed=100)
+        area = narrowed((100, 101, 102))
+        cells = run_cells(area, quiet)
         # one S2V + V2S + agg + wlm + profile + staged-s2v + staged-v2s
         # + cache + adaptive per seed
-        assert len(trials) == 27
-        assert [t.workload for t in trials[:9]] == list(TRIALS) == [
+        assert len(cells) == 27
+        assert [c["params"]["workload"] for c in cells[:9]] == list(TRIALS) == [
             "s2v", "v2s", "agg", "wlm", "profile", "staged-s2v",
             "staged-v2s", "cache", "adaptive"]
-        bad = [t for t in trials if not t.ok]
-        assert not bad, "\n".join(t.describe() for t in bad)
+        bad = [c for c in cells if c["status"] != DONE]
+        assert not bad, "\n".join(c["error"] for c in bad)
         # The soak must actually exercise faults and still complete work.
-        assert sum(t.injections for t in trials) > 0
-        assert any(t.succeeded for t in trials)
-        assert "0 invariant violations" in summarize(trials)
+        assert sum(c["metrics"]["injections"] for c in cells) > 0
+        assert any(c["metrics"]["outcome"] == "succeeded" for c in cells)
+        assert all(c["sim_seconds"] is None for c in cells)
+        artifact = build_artifact(area, cells)
+        assert artifact["gate"] == {}
+        assert all(check["passed"] for check in artifact["checks"])
 
     def test_trials_are_replayable(self):
-        first = run_trial("s2v", 5, mode="append", speculation=True)
-        again = run_trial("s2v", 5, mode="append", speculation=True)
-        assert first.ok and again.ok
-        assert first.injections == again.injections
-        assert first.succeeded == again.succeeded
-        assert "--replay-seed 5" in first.replay_command()
-        assert "--mode append" in first.replay_command()
-        assert "--speculation" in first.replay_command()
+        first, report = run_trial("s2v", 5, mode="append", speculation=True)
+        again, __ = run_trial("s2v", 5, mode="append", speculation=True)
+        assert report.ok
+        assert first == again
+        # a cell is its own replay: seed index 1 runs s2v at seed 1, in
+        # overwrite mode with speculation on
+        cell = {"seed": 1, "workload": "s2v"}
+        assert AREAS["chaos"].run_cell(cell) == AREAS["chaos"].run_cell(cell) \
+            == run_trial("s2v", 1, mode="overwrite", speculation=True)[0]
 
     def test_profile_trial_exact_answers_and_no_leaks(self):
         # A fault-free-success seed and a clean-failure seed both hold the
         # bar; replayability mirrors the other workloads.
-        trial = run_trial("profile", 15485863)
-        assert trial.ok, trial.describe()
-        assert "no-leaked-sessions" in trial.report.checks
-        assert "no-leaked-locks" in trial.report.checks
-        if trial.succeeded:
-            assert "profile-exact-answer" in trial.report.checks
-            assert "profile-cost-reconciles" in trial.report.checks
-        assert "--workload profile" in trial.replay_command()
-        again = run_trial("profile", 15485863)
-        assert again.injections == trial.injections
-        assert again.succeeded == trial.succeeded
+        metrics, report = run_trial("profile", 15485863)
+        assert "no-leaked-sessions" in report.checks
+        assert "no-leaked-locks" in report.checks
+        if metrics["outcome"] == "succeeded":
+            assert "profile-exact-answer" in report.checks
+            assert "profile-cost-reconciles" in report.checks
+        assert run_trial("profile", 15485863)[0] == metrics
 
     def test_wlm_trial_exactly_once_under_admission(self):
         # A seed whose schedule includes a pool storm (seeded, so stable):
         # exactly-once must hold while noisy neighbours fight the save for
         # the starved ingest pool's two slots.
-        trial = run_trial("wlm", 1299715)
-        assert trial.ok, trial.describe()
-        assert trial.injections > 0
-        assert "no-leaked-pool-slots" in trial.report.checks
-        assert "--workload wlm" in trial.replay_command()
+        metrics, report = run_trial("wlm", 1299715)
+        assert metrics["injections"] > 0
+        assert "no-leaked-pool-slots" in report.checks
 
     def test_staged_s2v_trial_audits_staging_fs(self):
-        trial = run_trial("staged-s2v", 3, mode="overwrite")
-        assert trial.ok, trial.describe()
-        assert "no-orphaned-staging-files" in trial.report.checks
-        assert "--workload staged-s2v" in trial.replay_command()
-        assert "--mode overwrite" in trial.replay_command()
-        again = run_trial("staged-s2v", 3, mode="overwrite")
-        assert again.injections == trial.injections
-        assert again.succeeded == trial.succeeded
+        metrics, report = run_trial("staged-s2v", 3, mode="overwrite")
+        assert "no-orphaned-staging-files" in report.checks
+        assert run_trial("staged-s2v", 3, mode="overwrite")[0] == metrics
 
     def test_staged_v2s_trial_audits_staging_fs(self):
-        trial = run_trial("staged-v2s", 103, speculation=True)
-        assert trial.ok, trial.describe()
-        assert "no-orphaned-staging-files" in trial.report.checks
-        if trial.succeeded:
-            assert "epoch-snapshot" in trial.report.checks
-        assert "--workload staged-v2s" in trial.replay_command()
+        metrics, report = run_trial("staged-v2s", 103, speculation=True)
+        assert "no-orphaned-staging-files" in report.checks
+        if metrics["outcome"] == "succeeded":
+            assert "epoch-snapshot" in report.checks
+
+
+class TestViolatedInvariant:
+    def test_violation_is_a_failed_cell_that_fails_the_gate(self, monkeypatch):
+        def lying_audit(run, checker, raised, report):
+            chaos._audit_scan(run, checker, raised, report)
+            report.violated("epoch-snapshot", "scan returned a torn read")
+
+        monkeypatch.setitem(TRIALS, "v2s",
+                            dataclasses.replace(TRIALS["v2s"], audit=lying_audit))
+        area = narrowed((0,))
+        cells = run_cells(area, quiet)
+        by_workload = {c["params"]["workload"]: c for c in cells}
+        failed = by_workload["v2s"]
+        assert failed["status"] == FAILED
+        assert "GridCellError" in failed["error"]
+        assert "FAIL epoch-snapshot: scan returned a torn read" in failed["error"]
+        # the schedule and what was injected ride along: the record is the
+        # whole replay report
+        assert "schedule:" in failed["error"]
+        assert "injections:" in failed["error"]
+        assert all(c["status"] == DONE for w, c in by_workload.items()
+                   if w != "v2s")
+
+        monkeypatch.undo()
+        baseline = build_artifact(area, run_cells(area, quiet))
+        failures = compare_artifacts(build_artifact(area, cells), baseline)
+        assert any("seed=0,workload=v2s is FAILED" in f and "epoch-snapshot" in f
+                   for f in failures), failures
+        assert "chaos: check failed: all cells DONE" in failures

@@ -99,6 +99,26 @@ class TestValidation:
         with pytest.raises(OptionsError):
             ConnectorOptions(opts(cluster, scale_factor=0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1e400",
+                                     "-inf", "abc", None, [2.0]])
+    def test_scale_factor_is_a_finite_number(self, cluster, bad):
+        # NaN / inf would make every virtual volume NaN / inf; a value
+        # float() cannot read is the option's error, not a bare one
+        with pytest.raises(OptionsError, match="'scale_factor'"):
+            ConnectorOptions(opts(cluster, scale_factor=bad))
+
+    @pytest.mark.parametrize("bad", [None, "abc", float("nan"), "inf"])
+    def test_tolerance_is_a_finite_number(self, cluster, bad):
+        with pytest.raises(OptionsError,
+                           match="'failed_rows_percent_tolerance'"):
+            ConnectorOptions(opts(cluster, failed_rows_percent_tolerance=bad))
+
+    def test_numeric_strings_still_parse(self, cluster):
+        parsed = ConnectorOptions(opts(cluster, scale_factor="2.5",
+                                       failed_rows_percent_tolerance="0.1"))
+        assert parsed.scale_factor == 2.5
+        assert parsed.failed_rows_percent_tolerance == 0.1
+
     @pytest.mark.parametrize("value,expected", [
         (True, True), ("true", True), ("YES", True), ("1", True),
         (False, False), ("false", False), ("0", False), ("off", False),

@@ -15,7 +15,7 @@ import subprocess
 import sys
 
 from repro.bench.areas import AREAS
-from repro.bench.chaos_soak import TRIALS, soak_trial
+from repro.bench.areas.chaos import TRIALS
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -33,10 +33,9 @@ def probe_cells():
 
 
 def trial_signature(workload, index):
-    """Everything observable about the trial soak seed ``index`` runs."""
-    trial = soak_trial(workload, index)
-    return (trial.injections, trial.succeeded, repr(trial.raised),
-            trial.report.describe())
+    """Everything the chaos area records about the trial soak seed
+    ``index`` runs for ``workload``."""
+    return AREAS["chaos"].run_cell({"seed": index, "workload": workload})
 
 
 class TestProcessHistoryIsNotAnInput:
@@ -55,7 +54,7 @@ class TestProcessHistoryIsNotAnInput:
         indices = (0, 2, 3, 8, 14, 19, 20, 22)
         first = [trial_signature("staged-s2v", i) for i in indices]
         for index in range(20):  # twenty other trials in between
-            soak_trial(list(TRIALS)[index % len(TRIALS)], 40 + index)
+            trial_signature(list(TRIALS)[index % len(TRIALS)], 40 + index)
         assert [trial_signature("staged-s2v", i) for i in indices] == first
 
 

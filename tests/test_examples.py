@@ -63,8 +63,9 @@ class TestBenchCli:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "fig06" in out and "tab04" in out and "twostage" in out
-        assert out.count(" axes: ") == 21
-        assert out.count(" cells)\n") == 21  # one count per area
+        assert "chaos" in out
+        assert out.count(" axes: ") == 22
+        assert out.count(" cells)\n") == 22  # one count per area
 
     def test_unknown_experiment(self, capsys):
         from repro.bench.grid import main
