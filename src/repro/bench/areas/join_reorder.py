@@ -1,8 +1,7 @@
-"""Adaptive star joins: reordering + replanning over stale statistics.
+"""Star joins over stale statistics: reordering, and builds on held rows.
 
 Wall-clock only (the sim clock cannot see join work yet — ROADMAP item 1),
-so nothing is banded; the checks are that every plan shows its JOIN ORDER
-and records a replan.
+so nothing is banded; the check is that every plan shows its JOIN ORDER.
 """
 
 from typing import Dict, Tuple
@@ -19,9 +18,9 @@ def star_sizes(fact_rows: int) -> Dict[str, int]:
 
     The fact is ANALYZEd at 1% of its final size, so its estimate is two
     orders of magnitude stale; the selective dim keeps 5% of fact rows;
-    the wide dims are sized inside the swap window — larger than the
-    (stale) intermediate estimate but smaller than its observed size —
-    so the plan builds on the wrong side and the run records a swap.
+    the wide dims are larger than the (stale) intermediate estimate but
+    smaller than its observed size, so an estimate-chosen build side
+    would be the wrong one — the join builds on the rows it holds.
     """
     return {
         "analyzed_rows": max(fact_rows // 100, 10),
@@ -92,10 +91,7 @@ def run_cell(params, config):
         1 for i in range(fact_rows) if i % sizes["sel_rows"] < sizes["sel_keep"]
     )
     sql, expected = star_join_sql(params["relations"], sizes)
-    # Cold PROFILE first: it captures the replans triggered by the stale
-    # estimates before the feedback loop corrects them for the timed runs.
     report = session.execute("PROFILE " + sql)
-    replans = len(report.profile.replans)
     reordered = any("JOIN ORDER:" in row[0] for row in report.rows)
     shuffled = sum(
         op.stats.rows_shuffled for __, op in report.profile.operators()
@@ -108,7 +104,6 @@ def run_cell(params, config):
         )
     return {"sim_seconds": None,
             "join_seconds": round(best, 4),
-            "replans": replans,
             "reordered": reordered,
             "rows_shuffled": shuffled,
             "rows_out": rows_out}
@@ -121,15 +116,13 @@ def checks(cells):
         out += [
             (f"{relations}-way plan shows its JOIN ORDER",
              bool(cell["metrics"]["reordered"])),
-            (f"{relations}-way recorded >=1 replan",
-             cell["metrics"]["replans"] >= 1),
         ]
     return out
 
 
 AREA = BenchArea(
     "join_reorder",
-    "Adaptive star joins: reorder + replanning over stale statistics",
+    "Star joins over stale statistics: reordered, built on held rows",
     axes={"relations": (3, 5), "fact_rows": (4_000,)},
     runner=run_cell,
     config={"num_nodes": 4, "repeats": 3},

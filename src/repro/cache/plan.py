@@ -9,15 +9,16 @@ Two levels, both bounded LRU:
   token list and stamps the AST with that key (``cache_key``), which the
   plan and result tiers then key off.  A repeated statement skips the
   parser entirely.
-- **Plan cache** — (canonical text, database versions, the issuing
+- **Plan cache** — (canonical text, catalog version, the issuing
   session's ``PlanContext.fingerprint``) → optimized
   :class:`~repro.vertica.plan.logical.LogicalPlan`.
-  A repeated SELECT skips bind → optimize.  The versions are the
-  catalog's (bumped by DDL, TRUNCATE, and ANALYZE) and the feedback
-  corrections'; estimation reads nothing else, so a cached plan is
-  bit-identical to a fresh optimize at the same key.  The fingerprint
-  holds every plan-relevant session setting, so a plan built under one
-  session's settings is never served to a session with different ones.
+  A repeated SELECT skips bind → optimize.  The catalog version is
+  bumped by DDL, TRUNCATE, and ANALYZE — the only writer of the
+  statistics estimation reads — so a cached plan is bit-identical to a
+  fresh optimize at the same key, whatever was loaded, rolled back,
+  merged out or executed since.  The fingerprint holds every
+  plan-relevant session setting, so a plan built under one session's
+  settings is never served to a session with different ones.
 
 Literals stay in the key on purpose: constant folding, predicate
 pushdown, and hash-range segment pruning bake them into the plan, so a
@@ -73,21 +74,17 @@ class PlanCache:
 
     # -- plan level --------------------------------------------------------------
     def lookup_plan(
-        self, statement: Any, versions: Hashable, fingerprint: Hashable
+        self, statement: Any, version: Hashable, fingerprint: Hashable
     ) -> Optional[Any]:
         """The cached optimized plan for ``statement``, or None.
 
-        ``versions`` is the database state the plan was optimized
-        against (catalog version, stats-corrections version) and
-        ``fingerprint`` the session's plan-relevant settings.  The plan
-        optimized before any feedback landed stays cached and pristine,
-        while plans optimized against later correction factors get their
-        own entries — replans never poison an earlier key.  A statement
-        built in code (``cache_key`` None) is never cached.
+        ``version`` is the catalog version the plan was optimized against
+        and ``fingerprint`` the session's plan-relevant settings.  A
+        statement built in code (``cache_key`` None) is never cached.
         """
         if statement.cache_key is None:
             return None
-        plan = self._plans.get((statement.cache_key, versions, fingerprint))
+        plan = self._plans.get((statement.cache_key, version, fingerprint))
         if plan is None:
             telemetry.counter(f"{self.name}.misses").inc()
             return None
@@ -95,13 +92,13 @@ class PlanCache:
         return plan
 
     def store_plan(
-        self, statement: Any, versions: Hashable, fingerprint: Hashable,
+        self, statement: Any, version: Hashable, fingerprint: Hashable,
         plan: Any,
     ) -> bool:
         if statement.cache_key is None:
             return False
         evicted = self._plans.put(
-            (statement.cache_key, versions, fingerprint), plan
+            (statement.cache_key, version, fingerprint), plan
         )
         if evicted:
             telemetry.counter(f"{self.name}.evictions").inc(evicted)

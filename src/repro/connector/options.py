@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional
 
+from repro.avrolite.codec import CODECS
+
 
 class OptionsError(Exception):
     """Invalid or missing connector options."""
@@ -89,10 +91,17 @@ class ConnectorOptions:
             )
         self.failed_rows_percent_tolerance = tolerance
         self.avro_codec = options.get("avro_codec", "deflate")
+        if not isinstance(self.avro_codec, str) or self.avro_codec not in CODECS:
+            raise OptionsError(
+                f"option 'avro_codec' must be one of {sorted(CODECS)}: "
+                f"{self.avro_codec!r}"
+            )
         self.prehash_partitioning = _as_bool(
-            options.get("prehash_partitioning", False)
+            options.get("prehash_partitioning", False), "prehash_partitioning"
         )
-        self.agg_pushdown = _as_bool(options.get("agg_pushdown", True))
+        self.agg_pushdown = _as_bool(
+            options.get("agg_pushdown", True), "agg_pushdown"
+        )
         self.varchar_length = self._positive_int(
             options.get("varchar_length", 65000), "varchar_length"
         )
@@ -157,9 +166,18 @@ class ConnectorOptions:
         return out
 
 
-def _as_bool(value: Any) -> bool:
+#: the spellings a boolean option accepts (case and spaces aside)
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
+def _as_bool(value: Any, name: str) -> bool:
     if isinstance(value, bool):
         return value
-    if isinstance(value, str):
-        return value.strip().lower() in ("1", "true", "yes", "on")
-    return bool(value)
+    spelled = value.strip().lower() if isinstance(value, str) else None
+    if spelled in _BOOLS:
+        return _BOOLS[spelled]
+    raise OptionsError(
+        f"option {name!r} must be a boolean "
+        f"({'/'.join(_BOOLS)}): {value!r}"
+    )

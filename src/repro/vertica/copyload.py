@@ -181,11 +181,6 @@ def run_copy(
     cost = CostReport()
     loaded = engine.insert_rows(table.name, columns, txn, cost)
     telemetry.counter("vertica.copy.rows_loaded").inc(loaded)
-    # Keep optimizer statistics roughly current as loads stream in; only
-    # tables that have been ANALYZEd carry stats worth maintaining.
-    from repro.vertica.stats import update_stats_for_load
-
-    update_stats_for_load(engine.database, table.name, columns)
     result = ResultSet(
         columns=["ROWS_LOADED"], rows=[(loaded,)], rowcount=loaded, cost=cost
     )

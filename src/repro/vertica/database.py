@@ -74,11 +74,6 @@ class VerticaDatabase:
         #: default RESULT_CACHE setting new sessions start with; individual
         #: sessions override it via ``SET RESULT_CACHE = 'on'|'off'``
         self.result_cache_default = False
-        #: per-table cardinality correction factors: every executed query
-        #: feeds its estimated-vs-actual scan counts back into the estimator
-        from repro.vertica.stats.feedback import CorrectionStore
-
-        self.stats_corrections = CorrectionStore()
         from repro.vertica.tuplemover import TupleMover
 
         self.tuple_mover = TupleMover(self)

@@ -666,9 +666,6 @@ class Engine:
             raise SqlError(f"ANALYZE bucket count must be positive, got {buckets}")
         stats = collect_table_stats(db, table.name, buckets)
         db.catalog.statistics[table.name] = stats
-        # Fresh statistics supersede any feedback correction accumulated
-        # against the stale ones.
-        db.stats_corrections.forget(table.name)
         # New statistics change plan choice without advancing an epoch:
         # bump the catalog version so plan/result caches re-key.
         db.catalog.bump_version()

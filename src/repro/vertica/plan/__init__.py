@@ -18,13 +18,9 @@ The Vertica execution path is three explicit layers (Shark-style):
 :mod:`repro.vertica.plan.pipeline` glues the layers together and renders
 ``EXPLAIN`` (the real optimized operator tree) and ``PROFILE`` (the tree
 annotated with per-operator execution stats).
-:mod:`repro.vertica.plan.adaptive` carries the per-query runtime
-replanning state: hash joins checkpoint against it after materializing
-their inputs and may swap build sides mid-query.  See
-``docs/ENGINE.md``.
+See ``docs/ENGINE.md``.
 """
 
-from repro.vertica.plan.adaptive import AdaptiveContext, ReplanEvent
 from repro.vertica.plan.binder import bind_dml_scan, bind_select
 from repro.vertica.plan.logical import LogicalPlan
 from repro.vertica.plan.optimizer import optimize
@@ -37,10 +33,8 @@ from repro.vertica.plan.pipeline import (
 )
 
 __all__ = [
-    "AdaptiveContext",
     "LogicalPlan",
     "PlanProfile",
-    "ReplanEvent",
     "bind_dml_scan",
     "bind_select",
     "dml_matching_rows",

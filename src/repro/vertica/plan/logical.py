@@ -100,10 +100,11 @@ class Join(LogicalNode):
     """Inner join; right side is always a bare relation.
 
     The optimizer's join-strategy rule annotates the physical choice:
-    ``strategy`` (``hash`` or ``nested-loop``), ``build_side`` (the
-    hash table's input), the equi-join key pairs it extracted from the
-    condition, and whether the two sides are identically segmented on
-    those keys (``colocated`` — the paper's shuffle-free co-located join).
+    ``strategy`` (``hash`` or ``nested-loop``), the equi-join key pairs it
+    extracted from the condition, and whether the two sides are
+    identically segmented on those keys (``colocated`` — the paper's
+    shuffle-free co-located join).  A hash join's build side is no plan
+    decision: the operator builds on the input it holds fewer rows of.
     """
 
     def __init__(self, left: LogicalNode, right: RelationNode, condition: Expression):
@@ -111,7 +112,6 @@ class Join(LogicalNode):
         self.right = right
         self.condition = condition
         self.strategy: str = "nested-loop"
-        self.build_side: str = "right"
         #: equi-join key pairs as (left expr name, right expr name)
         self.equi_keys: List[Any] = []
         self.colocated: bool = False
@@ -132,12 +132,13 @@ class Join(LogicalNode):
     def children(self) -> List[LogicalNode]:
         return [self.left, self.right]
 
-    def label(self) -> str:
+    def label(self, build_side: Optional[str] = None) -> str:
+        """``build_side``: the input an executed hash join built on."""
         name = getattr(self.right, "key", "?")
         base = f"JOIN {name} ON {self.condition.sql()}"
         notes = [f"{self.strategy} join"]
-        if self.strategy == "hash":
-            notes.append(f"build: {self.build_side}")
+        if build_side is not None:
+            notes.append(f"build: {build_side}")
         if self.keys_decide:
             notes.append("keys decide")
         if self.colocated:

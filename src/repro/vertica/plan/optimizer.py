@@ -68,7 +68,7 @@ def optimize(plan: LogicalPlan, database, context: PlanContext) -> LogicalPlan:
     """Apply all rules in order, recording the ones that fired.
 
     ``context`` is the issuing session's settings; ``database`` supplies
-    catalog statistics and feedback corrections only.
+    catalog statistics only.
     """
     if _fold_plan(plan):
         plan.rules_applied.append(RULE_CONSTANT_FOLDING)
@@ -703,9 +703,6 @@ def _estimate_rows(node: logical.LogicalNode, database) -> Optional[int]:
             if stats is not None
             else _table_base_rows(database, node.table)
         )
-        # feedback loop: scale stale statistics by the blended
-        # actual/estimated ratio observed on earlier executions
-        base *= database.stats_corrections.factor(node.table.name)
         if (
             node.hash_range is not None
             and not node.hash_range.is_full
@@ -835,7 +832,7 @@ def _condition_safe(join: logical.Join) -> bool:
 
 
 def _plan_joins(plan: LogicalPlan, override: str) -> bool:
-    """Annotate every Join with strategy, build side, keys, co-location,
+    """Annotate every Join with strategy, keys, co-location,
     and the names read above it (its output needs no other column).
 
     A hash join whose condition is exactly its equi conjuncts, each pair
@@ -852,7 +849,7 @@ def _plan_joins(plan: LogicalPlan, override: str) -> bool:
         pairs = _equi_key_pairs(node)
         node.equi_keys = pairs
         node.colocated = bool(pairs) and _is_colocated(node, pairs)
-        node.strategy, node.build_side = _join_strategy(node, pairs, override)
+        node.strategy = _join_strategy(node, pairs, override)
         node.keys_decide = (
             node.strategy == "hash"
             and len(split_and(node.condition)) == len(pairs)
@@ -863,16 +860,12 @@ def _plan_joins(plan: LogicalPlan, override: str) -> bool:
 
 def _join_strategy(
     node: logical.Join, pairs: List[Tuple[str, str]], override: str
-) -> Tuple[str, str]:
-    """(strategy, build side): a hash join built on the smaller estimated
-    input, unless the session pins the nested loop or the join needs it."""
+) -> str:
+    """A hash join, unless the session pins the nested loop or the join
+    needs it."""
     if override == "nested-loop" or not pairs or not _condition_safe(node):
-        return "nested-loop", "right"
-    left = node.left.estimated_rows
-    right = node.right.estimated_rows
-    if left is not None and right is not None and left < right:
-        return "hash", "left"
-    return "hash", "right"
+        return "nested-loop"
+    return "hash"
 
 
 # ----------------------------------------------------- join reordering

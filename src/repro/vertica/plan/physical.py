@@ -64,7 +64,6 @@ from repro.vertica.expr import (
 )
 from repro.vertica.kernels import column_reader, evaluate_columns
 from repro.vertica.plan import logical
-from repro.vertica.plan.adaptive import AdaptiveContext
 from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.txn import Transaction
@@ -461,14 +460,12 @@ class JoinOp(PhysicalOperator):
         node: logical.Join,
         left: PhysicalOperator,
         right: PhysicalOperator,
-        adaptive: AdaptiveContext,
     ):
         super().__init__()
         self.logical = node
         self.left = left
         self.right = right
         self.children = [left, right]
-        self.adaptive = adaptive
         #: filled by a chain join below the root for the join above it
         self.output_provenance: Provenance = {}
 
@@ -681,24 +678,29 @@ def _hash_pairs(left_keys: Keys, right_keys: Keys, build_left: bool) -> PairRows
 
 
 class HashJoinOp(JoinOp):
-    """Equi-join: pairs from a hash table on the (estimated) smaller side.
+    """Equi-join: pairs from a hash table on the smaller input.
 
     Only rows whose equi keys match (NULL and NaN keys never do) become
-    candidates.  After both inputs are materialized but before the table
-    is built, the operator **checkpoints** against the query's
-    :class:`~repro.vertica.plan.adaptive.AdaptiveContext`, which may swap
-    the build side on *observed* row counts; either build lists its pairs
-    in the nested loop's left-major order, so the decision cannot change
-    the emitted bytes — only the work to find them.
+    candidates.  Both inputs are materialized before the table is built,
+    so the build side is the one that *holds* fewer rows (ties build
+    right), never an estimate; either build lists its pairs in the nested
+    loop's left-major order, so the choice cannot change the emitted
+    bytes — only the work to find them.  PROFILE shows it (``build:``).
     """
 
     kind = "join-hash"
+    #: the input the table was built on, once the inputs are held
+    build_side: Optional[str] = None
+
+    def label(self) -> str:
+        return self.logical.label(self.build_side)
 
     def _pairs(
         self, left: List[str], right: List[str], sources: Sources
     ) -> Iterator[PairRows]:
-        build_side = self.adaptive.checkpoint(self.logical, len(left), len(right))
-        if build_side == "left":
+        build_left = len(left) < len(right)
+        self.build_side = "left" if build_left else "right"
+        if build_left:
             self._charge_shuffle(left, right)
         else:
             self._charge_shuffle(right, left)
@@ -707,7 +709,7 @@ class HashJoinOp(JoinOp):
         keys = self.logical.equi_keys
         left_keys = _join_keys(sources, 0, [left_ref for left_ref, __ in keys])
         right_keys = _join_keys(sources, 1, [right_ref for __, right_ref in keys])
-        picks = _hash_pairs(left_keys, right_keys, build_side == "left")
+        picks = _hash_pairs(left_keys, right_keys, build_left)
         restore = self.logical.restore_order
         if restore is not None and picks[0]:
             # Chain root: sort back into the binder's lexicographic order —

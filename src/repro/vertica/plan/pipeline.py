@@ -22,7 +22,6 @@ from repro.vertica.batch import ColumnBatch
 from repro.vertica.engine import CostReport, HashRange, ResultSet
 from repro.vertica.expr import Expression
 from repro.vertica.plan import logical, physical
-from repro.vertica.plan.adaptive import AdaptiveContext
 from repro.vertica.plan.binder import bind_dml_scan, bind_select
 from repro.vertica.plan.logical import LogicalPlan
 from repro.vertica.plan.optimizer import optimize
@@ -39,13 +38,12 @@ def build_operator(
     snapshot: int,
     cost: CostReport,
     context: PlanContext,
-    adaptive: AdaptiveContext,
 ) -> physical.PhysicalOperator:
     """Translate one logical node (and its subtree) into operators."""
 
     def build(child: logical.LogicalNode) -> physical.PhysicalOperator:
         return build_operator(
-            engine, child, txn, initiator, snapshot, cost, context, adaptive
+            engine, child, txn, initiator, snapshot, cost, context
         )
 
     if isinstance(node, logical.ConstantRelation):
@@ -60,7 +58,7 @@ def build_operator(
         )
     if isinstance(node, logical.Join):
         join_op = physical.HashJoinOp if node.strategy == "hash" else physical.JoinOp
-        return join_op(node, build(node.left), build(node.right), adaptive)
+        return join_op(node, build(node.left), build(node.right))
     if isinstance(node, logical.Filter):
         return physical.FilterOp(node, build(node.child))
     if isinstance(node, logical.Project):
@@ -77,16 +75,9 @@ def build_operator(
 class PipelineExecution:
     """A finished (or failed) run: the plan plus its operator tree."""
 
-    def __init__(
-        self,
-        plan: LogicalPlan,
-        root: physical.PhysicalOperator,
-        adaptive: AdaptiveContext,
-    ):
+    def __init__(self, plan: LogicalPlan, root: physical.PhysicalOperator):
         self.plan = plan
         self.root = root
-        #: the query's adaptive-execution context (replan events live here)
-        self.adaptive = adaptive
 
     def operators(self) -> List[Tuple[int, physical.PhysicalOperator]]:
         """(depth, operator) pairs, root first."""
@@ -105,25 +96,22 @@ def optimized_plan(
 ) -> LogicalPlan:
     """Bind + optimize through the plan cache.
 
-    Cached plans are keyed by (canonical statement, (catalog version,
-    stats-corrections version), ``context.fingerprint``).  Estimation
-    reads only catalog statistics plus the feedback corrections — both
-    covered by the versions — and the optimizer reads settings only from
-    ``context``, so a cached plan is identical to a fresh optimize at the
-    same key; the statement just skips bind → optimize.  Keying the
-    corrections version means feedback never poisons the
-    initially-cached plan: the version-0 entry survives untouched while
-    better-estimated plans earn their own entries.  Statements without a
-    stamped ``cache_key`` (built programmatically, not through a session
-    parse) take the cold path every time.
+    Cached plans are keyed by (canonical statement, catalog version,
+    ``context.fingerprint``).  Estimation reads only catalog statistics,
+    which only ANALYZE writes (and it bumps the version), and the
+    optimizer reads settings only from ``context``, so a cached plan is
+    identical to a fresh optimize at the same key; the statement just
+    skips bind → optimize.  Statements without a stamped ``cache_key``
+    (built programmatically, not through a session parse) take the cold
+    path every time.
     """
     db = engine.database
-    versions = (db.catalog.version, db.stats_corrections.version)
+    version = db.catalog.version
     fingerprint = context.fingerprint
-    plan = db.plan_cache.lookup_plan(statement, versions, fingerprint)
+    plan = db.plan_cache.lookup_plan(statement, version, fingerprint)
     if plan is None:
         plan = optimize(bind_select(db, statement), db, context)
-        db.plan_cache.store_plan(statement, versions, fingerprint, plan)
+        db.plan_cache.store_plan(statement, version, fingerprint, plan)
     return plan
 
 
@@ -138,14 +126,13 @@ def execute_select(
 ) -> Tuple[ResultSet, PipelineExecution]:
     """Bind, optimize and run one SELECT through physical operators."""
     plan = optimized_plan(engine, statement, context)
-    adaptive = AdaptiveContext()
     root = build_operator(
-        engine, plan.root, txn, initiator, snapshot, cost, context, adaptive
+        engine, plan.root, txn, initiator, snapshot, cost, context
     )
     rows: List[Tuple[Any, ...]] = []
     for batch in root.batches():
         rows.extend(batch.rows())
-    execution = PipelineExecution(plan, root, adaptive)
+    execution = PipelineExecution(plan, root)
     for __, op in execution.operators():
         if op.stats.rows_out:
             telemetry.counter(f"vertica.plan.{op.kind}.rows_out").inc(
@@ -155,37 +142,7 @@ def execute_select(
             telemetry.counter("vertica.plan.join.rows_shuffled").inc(
                 op.stats.rows_shuffled
             )
-    _record_feedback(engine.database, execution)
     return ResultSet(plan.output_columns, rows, cost=cost), execution
-
-
-def _record_feedback(db, execution: PipelineExecution) -> None:
-    """Feed full-table scans' estimated-vs-actual deltas into the stats store.
-
-    This is the loop's write side: PROFILE-grade observed row counts
-    blend into per-table correction factors the estimator consults on
-    the next optimize, so a repeat of the same query gets a strictly
-    better-estimated plan even before anyone re-runs ANALYZE.
-    """
-    for __, op in execution.operators():
-        if not isinstance(op, physical.TableScanOp):
-            continue
-        scan = op.logical
-        # The factor corrects a stale ANALYZE row count, so only an
-        # unfiltered scan of every segment of an analyzed table observes
-        # it.  Anything else would blend selectivity error (or, without
-        # statistics, deleted-row bloat) into the factor, and with every
-        # query recording, alternating query shapes would move it — and
-        # re-key every cached plan — each time.
-        if (
-            scan.table.name not in db.catalog.statistics
-            or scan.predicate is not None
-            or not (scan.hash_range is None or scan.hash_range.is_full)
-        ):
-            continue
-        db.stats_corrections.record(
-            scan.table.name, scan.estimated_rows, op.stats.rows_out
-        )
 
 
 # ---------------------------------------------------------------------- DML
@@ -333,11 +290,6 @@ class PlanProfile:
     def operators(self) -> List[Tuple[int, physical.PhysicalOperator]]:
         return self.execution.operators()
 
-    @property
-    def replans(self) -> List[Any]:
-        """Replan events the adaptive executor recorded for this query."""
-        return list(self.execution.adaptive.events)
-
     def operator_rows(self) -> List[Tuple[str, int, int]]:
         """(kind, rows_in, rows_out) per operator, root first."""
         return [
@@ -372,8 +324,6 @@ class PlanProfile:
         out.extend(_join_order_lines(plan))
         if plan.rules_applied:
             out.append("OPTIMIZER: " + ", ".join(plan.rules_applied))
-        for event in self.replans:
-            out.append("REPLAN: " + event.describe())
         cost = self.result.cost
         out.append(
             "COST: "

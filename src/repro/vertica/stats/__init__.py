@@ -1,21 +1,22 @@
 """Table and column statistics for the cost-based optimizer.
 
-Statistics are collected by a full scan of the committed data (``ANALYZE``,
-or automatically at mergeout) and updated incrementally as ``COPY`` appends
-rows.  They feed the optimizer's cardinality estimates: scan output rows,
-filter selectivities, and join output sizes (which in turn pick the join
-strategy and build side).
+Statistics are collected by a full scan of the committed data, and only
+by ``ANALYZE``, which bumps the catalog version: nothing a load, a
+rollback, a mergeout or an executed query does moves them, so a plan is
+a function of its statement, the catalog version and the session's
+settings.  They feed the optimizer's cardinality estimates: scan output
+rows, filter selectivities, and join output sizes (which pick the join
+order; a hash join builds on whichever input it holds fewer rows of).
 
-The numbers are advisory: an aborted transaction may leave the incremental
-counters slightly high, and NDV/histograms only refresh on a full collect.
-Correctness never depends on them -- only plan choice does.
+The numbers are advisory and go stale as data changes until the next
+``ANALYZE``.  Correctness never depends on them -- only plan choice does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 DEFAULT_BUCKETS = 16
 
@@ -58,28 +59,6 @@ class ColumnStats:
         if self.row_count <= 0:
             return 0.0
         return self.null_count / self.row_count
-
-    # -- incremental maintenance ---------------------------------------------------
-
-    def observe_column(self, values: Sequence[Any]) -> None:
-        """Fold a column of newly-loaded values into the running counters.
-
-        Only row/null counts and min/max stay exact under incremental
-        updates; NDV and the histogram refresh on the next full collect.
-        """
-        self.row_count += len(values)
-        present = [value for value in values if value is not None]
-        self.null_count += len(values) - len(present)
-        present = _ordered(present)
-        if not present:
-            return
-        lo, hi = self.min_value, self.max_value
-        try:
-            lo = min(present) if lo is None else min(lo, min(present))
-            hi = max(present) if hi is None else max(hi, max(present))
-        except TypeError:
-            return  # mixed-type column snapshot; keep the old bounds
-        self.min_value, self.max_value = lo, hi
 
     # -- selectivity ---------------------------------------------------------------
 
@@ -129,14 +108,6 @@ class TableStats:
 
     def column(self, name: str) -> Optional[ColumnStats]:
         return self.columns.get(name.upper())
-
-    def observe_columns(self, columns: Mapping[str, Sequence[Any]]) -> None:
-        """Incrementally fold newly-loaded columns (COPY path) into the stats."""
-        for name, stats in self.columns.items():
-            values = columns.get(name)
-            if values is not None:
-                stats.observe_column(values)
-        self.row_count += len(next(iter(columns.values()), ()))
 
 
 def _build_histogram(
@@ -219,17 +190,3 @@ def collect_table_stats(
     )
     return stats
 
-
-def update_stats_for_load(
-    database: Any, table_name: str, columns: Sequence[Sequence[Any]]
-) -> None:
-    """Fold freshly-loaded table-ordered columns into existing stats.
-
-    A no-op when the table has never been analyzed: the first full collect
-    establishes the baseline that incremental updates then maintain.
-    """
-    stats = database.catalog.statistics.get(table_name.upper())
-    if stats is None:
-        return
-    names = database.catalog.table(table_name).column_names()
-    stats.observe_columns(dict(zip(names, columns)))

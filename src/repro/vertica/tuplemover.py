@@ -76,21 +76,8 @@ class TupleMover:
                 merged_away += self._mergeout_node(
                     node_storage.replicas, table_name
                 )
-            self._refresh_statistics(table_name)
         self.containers_merged += merged_away
         return merged_away
-
-    def _refresh_statistics(self, table_name: str) -> None:
-        """Rebuild optimizer stats at moveout time (NDV/histograms go stale
-        under incremental COPY updates; mergeout is the natural refresh)."""
-        existing = self.db.catalog.statistics.get(table_name)
-        if existing is None:
-            return
-        from repro.vertica.stats import collect_table_stats
-
-        self.db.catalog.statistics[table_name] = collect_table_stats(
-            self.db, table_name, existing.buckets
-        )
 
     def _mergeout_node(
         self, container_map: Dict[str, List[RosContainer]], table_name: str

@@ -1,20 +1,17 @@
-"""Tests for adaptive query execution (join reordering + replanning).
+"""Tests for join reordering and the observed build side.
 
-Three layers, matching the three pieces of the subsystem:
+Two layers, matching the two decisions a multi-way equi-join makes:
 
 - **Reordering** — the optimizer re-sequences multi-way equi-join
   chains by estimated cardinality.  The differential matrix proves the
   answer (rows, order, per-node cost attribution) stays byte-identical
   to the legacy oracle for 3–5-way joins under every ``JOIN_STRATEGY``
   override, with stale and with fresh statistics.
-- **Replanning** — hash joins revise their build side at their
-  materialization checkpoint.  A deliberately stale ANALYZE forces
-  an order-of-magnitude misestimate and the recorded ``ReplanEvent``
-  must show up in PROFILE.
-- **Feedback** — executed queries blend estimated-vs-actual scan counts
-  into :class:`~repro.vertica.stats.feedback.CorrectionStore`; the second
-  optimization of the same query must be strictly better-estimated and
-  must not poison the originally cached plan.
+- **The build side** — no plan decision: a hash join has both inputs in
+  hand before it builds, and builds on the one holding fewer rows
+  (ties build right).  PROFILE prints the side; a hypothesis test over
+  stale and fresh star schemas holds every hash join to the rule and
+  every answer to the oracle.
 """
 
 import pytest
@@ -23,13 +20,14 @@ from hypothesis import strategies as st
 
 from repro.vertica import VerticaDatabase
 from repro.vertica.errors import SqlError
-from repro.vertica.plan import bind_select, optimize
-from repro.vertica.plan.adaptive import AdaptiveContext
-from repro.vertica.plan.logical import Join, TableScan
+from repro.vertica.plan import physical
 from repro.vertica.plan.optimizer import RULE_JOIN_REORDER
-from repro.vertica.settings import SETTINGS, PlanContext
-from repro.vertica.sql.parser import parse_statement
-from tests.test_plan_differential import STRATEGIES, assert_identical
+from repro.vertica.settings import SETTINGS
+from tests.test_plan_differential import (
+    STRATEGIES,
+    assert_identical,
+    assert_matches_oracle,
+)
 
 
 def plan_text(session, sql):
@@ -122,7 +120,7 @@ STAR_MATRIX = [
 
 
 class TestAdaptiveDifferential:
-    """Rows/order/cost stay byte-identical through reorder and replans."""
+    """Rows/order/cost stay byte-identical through reorder and either build."""
 
     @pytest.mark.parametrize("sql", STAR_MATRIX)
     def test_star_matrix(self, star_db, sql):
@@ -131,7 +129,7 @@ class TestAdaptiveDifferential:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("stale", [False, True])
     def test_five_way_under_strategy_override(self, stale, strategy):
-        # stale statistics make the checkpoints replan; fresh ones do not
+        # stale statistics misorder the estimates; the answer cannot move
         assert_identical(make_star_db(stale=stale), FIVE_WAY, strategy=strategy)
 
     def test_fresh_stats_matrix(self):
@@ -252,9 +250,9 @@ class TestJoinReorderPlan:
         assert "rows shuffled" not in colocated_line
 
 
-# ------------------------------------------------------------- replanning
+# ------------------------------------------------------- observed build side
 def make_misestimated_db(analyzed=20, grown=400, dim_rows=30):
-    """Fact ANALYZEd small then grown: the planner builds on the fact."""
+    """Fact ANALYZEd small then grown: its estimate says it is the smaller."""
     db = VerticaDatabase(num_nodes=4)
     session = db.connect()
     session.execute(
@@ -283,137 +281,78 @@ def make_misestimated_db(analyzed=20, grown=400, dim_rows=30):
 JOIN_SQL = "SELECT fv, dv FROM fact JOIN dim ON fk = dk"
 
 
-class TestMidQueryReplanning:
-    def test_swap_build_recorded_in_profile(self):
-        db = make_misestimated_db()
-        report = plan_text(db.connect(), f"PROFILE {JOIN_SQL}")
-        assert "REPLAN:" in report
-        assert "swap-build" in report
-        assert "misestimate" in report
+def hash_joins(report):
+    """(build side, left input rows, right input rows) per executed hash join."""
+    return [
+        (op.build_side, op.left.stats.rows_out, op.right.stats.rows_out)
+        for __, op in report.profile.operators()
+        if isinstance(op, physical.HashJoinOp)
+    ]
 
-    def test_adaptive_rows_match_frozen_rows(self):
+
+#: star queries over ``make_star_db``: chains of 2–5 relations, a filter
+#: that shrinks an input, a grouped count and a division that may raise
+STAR_QUERIES = STAR_MATRIX + [
+    "SELECT v, a_val FROM f JOIN dima ON ka = a_id",
+    "SELECT a_val, b_val FROM dima JOIN f ON a_id = ka JOIN dimb ON kb = b_id",
+    "SELECT v / b_val FROM f JOIN dimb ON kb = b_id JOIN dima ON ka = a_id",
+]
+
+
+class TestObservedBuildSide:
+    def test_profile_prints_the_observed_build(self):
+        # the stale estimate says the fact (20 rows) is smaller than the
+        # dim (30); the join holds 400 fact rows and builds on the dim
+        db = make_misestimated_db()
+        report = db.connect().execute(f"PROFILE {JOIN_SQL}")
+        assert hash_joins(report) == [("right", 400, 30)]
+        text = "\n".join(row[0] for row in report.rows)
+        assert "[hash join, build: right, keys decide]" in text
+        assert "REPLAN" not in text
+
+    def test_rows_match_the_nested_loop_rows(self):
         pinned = make_misestimated_db().connect()
-        pinned.execute("SET JOIN_STRATEGY 'nested-loop'")  # never replans
+        pinned.execute("SET JOIN_STRATEGY 'nested-loop'")
         frozen = pinned.execute(JOIN_SQL)
-        adaptive = make_misestimated_db().connect().execute(JOIN_SQL)
-        assert adaptive.rows == frozen.rows
-        assert adaptive.columns == frozen.columns
+        hashed = make_misestimated_db().connect().execute(JOIN_SQL)
+        assert hashed.rows == frozen.rows
+        assert hashed.columns == frozen.columns
 
     def test_strategy_override_pins_algorithm(self):
-        # A session pinned to the nested loop plans no hash join, so no
-        # checkpoint ever replans it.
+        # A session pinned to the nested loop plans no hash join, so
+        # nothing builds a table and PROFILE names no build side.
         db = make_misestimated_db()
         session = db.connect()
         session.execute("SET JOIN_STRATEGY 'nested-loop'")
-        report = plan_text(session, f"PROFILE {JOIN_SQL}")
-        assert "nested-loop join" in report
-        assert "REPLAN:" not in report
+        report = session.execute(f"PROFILE {JOIN_SQL}")
+        text = "\n".join(row[0] for row in report.rows)
+        assert "nested-loop join" in text
+        assert "build:" not in text
+        assert hash_joins(report) == []
 
-    def test_checkpoint_swaps_build(self):
-        context = AdaptiveContext()
-        join = Join(
-            left=_scan_stub(estimated=20),
-            right=_scan_stub(estimated=500),
-            condition=_condition_stub(),
-        )
-        join.strategy = "hash"
-        join.build_side = "left"
-        # within the misestimate factor: the planned side stands
-        assert context.checkpoint(join, 199, 150) == "left"
-        assert context.events == []
-        # ten times over, and the probe side is smaller: swap
-        assert context.checkpoint(join, 400, 150) == "right"
-        assert [event.action for event in context.events] == ["swap-build"]
-
-
-def _scan_stub(estimated):
-    class _Stub:
-        key = "DIM"
-        estimated_rows = estimated
-    _Stub.estimated_rows = estimated
-    return _Stub()
-
-
-def _condition_stub():
-    class _Cond:
-        def sql(self):
-            return "FK = DK"
-    return _Cond()
-
-
-# ------------------------------------------------------------ feedback loop
-def scan_estimate(db, sql, table):
-    plan = optimize(bind_select(db, parse_statement(sql)), db, PlanContext())
-    for node in plan.nodes():
-        if isinstance(node, TableScan) and node.table.name == table:
-            return node.estimated_rows
-    raise AssertionError(f"no scan of {table} in plan for {sql}")
-
-
-class TestFeedbackLoop:
-    def test_second_plan_strictly_better_estimated(self):
-        db = make_misestimated_db(analyzed=20, grown=400)
-        table = db.catalog.table("fact").name
-        actual = 400
-        before = scan_estimate(db, JOIN_SQL, table)
-        session = db.connect()
-        session.execute(JOIN_SQL)
-        after = scan_estimate(db, JOIN_SQL, table)
-        assert abs(after - actual) < abs(before - actual)
-        assert db.stats_corrections.factor(table) > 1.0
-        assert db.stats_corrections.version > 0
-
-    def test_feedback_does_not_poison_plan_cache(self):
-        db = make_misestimated_db()
-        session = db.connect()
-        session.execute(JOIN_SQL)  # optimized at corrections_version=0
-        version_zero_plans = db.plan_cache.plan_count
-        session.execute(JOIN_SQL)  # re-optimized against the correction
-        assert db.stats_corrections.version > 0
-        assert db.plan_cache.plan_count == version_zero_plans + 1
-
-    def test_only_full_scans_of_analyzed_tables_record(self):
-        # anything else would move the factor (and re-key every cached
-        # plan) whenever the query shape changes, now that every query records
-        db = make_misestimated_db()
-        session = db.connect()
-        session.execute("CREATE TABLE loose (x INTEGER)")
-        session.execute("INSERT INTO loose VALUES (1), (2)")
-        for sql in ("SELECT fv FROM fact WHERE fv > 9", "SELECT x FROM loose",
-                    "SELECT fv FROM fact WHERE HASH(fk) >= 0 AND HASH(fk) < 99"):
-            session.execute(sql)
-        assert db.stats_corrections.recorded == 0
-        session.execute("SELECT fv FROM fact")
-        assert db.stats_corrections.recorded == 1
-
-    def test_analyze_forgets_correction(self):
-        db = make_misestimated_db()
-        table = db.catalog.table("fact").name
-        session = db.connect()
-        session.execute(JOIN_SQL)
-        assert db.stats_corrections.factor(table) > 1.0
-        session.execute("ANALYZE fact")
-        assert db.stats_corrections.factor(table) == 1.0
-
-    def test_correction_clamped_and_blended(self):
-        from repro.vertica.stats.feedback import CorrectionStore
-
-        store = CorrectionStore(name="test.feedback")
-        assert store.factor("T") == 1.0
-        assert store.record("T", estimated=10, actual=100)
-        # EWMA with weight 0.5: 0.5*1.0 + 0.5*10.0
-        assert store.factor("T") == pytest.approx(5.5)
-        store.record("T", estimated=1, actual=10_000_000)
-        assert store.factor("T") <= 1000.0 / 2 + 5.5 / 2 + 1e-9
-        store.forget("T")
-        assert store.factor("T") == 1.0
-
-    def test_immaterial_move_does_not_bump_version(self):
-        from repro.vertica.stats.feedback import CorrectionStore
-
-        store = CorrectionStore(name="test.feedback")
-        assert not store.record("T", estimated=100, actual=102)
-        assert store.version == 0
+    @given(
+        fact_rows=st.integers(min_value=1, max_value=40),
+        analyzed_rows=st.integers(min_value=1, max_value=40),
+        stale=st.booleans(),
+        sql=st.sampled_from(STAR_QUERIES),
+        strategy=st.sampled_from(STRATEGIES),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_star_schemas_answer_like_the_oracle_and_build_the_smaller_side(
+        self, fact_rows, analyzed_rows, stale, sql, strategy
+    ):
+        db = make_star_db(fact_rows, stale=stale, analyzed_rows=analyzed_rows)
+        with db.connect() as session:
+            session.execute(f"SET JOIN_STRATEGY = '{strategy}'")
+            assert_matches_oracle(session, sql)
+            try:
+                report = session.execute(f"PROFILE {sql}")
+            except SqlError:
+                return  # the oracle raised it too, with this message
+        joins = hash_joins(report)
+        assert bool(joins) == (strategy == "auto")
+        for build, left, right in joins:
+            assert build == ("left" if left < right else "right"), sql
 
 
 # ------------------------------------------------------------- SET options
@@ -430,7 +369,7 @@ class TestSetOptionValidation:
             ("SET JOIN_STRATEGY = 'hash'",
              ["invalid JOIN_STRATEGY 'hash' "
               "(expected one of: auto, nested-loop)"]),
-            # reordering and adaptive execution are the only path, not options
+            # reordering and the observed build side are the only path
             ("SET JOIN_REORDER on",
              ["unknown session option", "JOIN_REORDER", *SETTINGS]),
             ("SET ADAPTIVE_EXECUTION off",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.fabric import Fabric
 from repro.connector import SimVerticaCluster
 from repro.connector.options import (
     ConnectorOptions,
@@ -10,6 +11,7 @@ from repro.connector.options import (
     OptionsError,
 )
 from repro.sim import Environment
+from repro.workloads.datasets import make_d1
 
 
 @pytest.fixture
@@ -122,7 +124,33 @@ class TestValidation:
     @pytest.mark.parametrize("value,expected", [
         (True, True), ("true", True), ("YES", True), ("1", True),
         (False, False), ("false", False), ("0", False), ("off", False),
+        (" On ", True), ("no", False), ("\tFALSE\n", False), ("yes ", True),
     ])
     def test_prehash_bool_parsing(self, cluster, value, expected):
         parsed = ConnectorOptions(opts(cluster, prehash_partitioning=value))
         assert parsed.prehash_partitioning is expected
+
+    @pytest.mark.parametrize("option", ["prehash_partitioning", "agg_pushdown"])
+    @pytest.mark.parametrize("bad", ["ture", "flase", None, 2, "maybe", "", 1.0])
+    def test_unrecognised_bool_names_the_option(self, cluster, option, bad):
+        # a misspelt value must not switch the feature off silently
+        with pytest.raises(OptionsError, match=repr(option)):
+            ConnectorOptions(opts(cluster, **{option: bad}))
+
+    @pytest.mark.parametrize("codec", ["null", "deflate"])
+    def test_known_avro_codecs_parse(self, cluster, codec):
+        assert ConnectorOptions(opts(cluster, avro_codec=codec)).avro_codec == codec
+
+    @pytest.mark.parametrize("bad", ["snappy", "DEFLATE", None, ["deflate"]])
+    def test_unknown_avro_codec_is_refused(self, cluster, bad):
+        with pytest.raises(OptionsError, match="'avro_codec'"):
+            ConnectorOptions(opts(cluster, avro_codec=bad))
+
+    def test_unknown_avro_codec_fails_before_any_task_runs(self):
+        # refused while the options are parsed, not by each task attempt
+        fabric = Fabric(num_vertica=2, num_spark=2)
+        d1 = make_d1(real_rows=40, num_cols=4)
+        with pytest.raises(OptionsError, match="snappy"):
+            fabric.s2v_save(d1, "dest", partitions=4, avro_codec="snappy")
+        assert fabric.env.now == 0.0
+        assert fabric.vertica.db.catalog.tables == {}  # no temp or status table

@@ -100,15 +100,15 @@ class TestExplain:
             estimate = int(root.split("estimated rows: ")[1].rstrip(")"))
             returned = len(session.execute(sql).rows)
             assert abs(estimate - returned) <= 0.25 * returned, (estimate, returned)
-        # ranged scans say nothing about the table's row count: a V2S load
-        # records no correction (and so re-keys no cached plan)
-        corrections = vc.db.stats_corrections
-        before = (corrections.version, corrections.recorded)
+        # a V2S load moves neither the statistics nor the catalog version
+        # (and so re-keys no cached plan)
+        catalog = vc.db.catalog
+        before = (catalog.version, repr(catalog.statistics))
         df = spark.read.format("vertica").options(
             db=vc, table="big", numpartitions=16
         ).load()
         assert len(df.collect()) == 4000
-        assert (corrections.version, corrections.recorded) == before
+        assert (catalog.version, repr(catalog.statistics)) == before
 
     def test_filter_and_sort_and_limit(self, db):
         session = db.connect()

@@ -283,3 +283,73 @@ class TestFrontDoor:
         assert max(sizes(db.plan_cache)) == capacity  # full, nothing larger
         assert db.plan_cache.parsed_count == capacity
         assert db.plan_cache.plan_count == capacity
+
+
+class TestCachedPlanIsAFreshOptimize:
+    """Statistics move only at ANALYZE, which bumps the catalog version, so
+    whatever a session loads, rolls back, updates or merges out, the cached
+    plan is the plan a fresh optimize would build."""
+
+    QUERIES = [
+        "SELECT sv, bv FROM small JOIN big ON sk = bk",
+        "SELECT sv, bv, mv FROM small JOIN big ON sk = bk JOIN mid ON sk = mk",
+    ]
+
+    @staticmethod
+    def explain(session, sql):
+        return [row[0] for row in session.execute(f"EXPLAIN {sql}").rows]
+
+    def fresh_explain(self, db, session, sql):
+        cache, db.plan_cache = db.plan_cache, PlanCache()
+        try:
+            return self.explain(session, sql)
+        finally:
+            db.plan_cache = cache
+
+    def test_after_every_kind_of_write(self):
+        db = VerticaDatabase(num_nodes=3)
+        session = db.connect()
+        for table, prefix, rows in (("small", "s", 10), ("big", "b", 50),
+                                    ("mid", "m", 20)):
+            session.execute(
+                f"CREATE TABLE {table} ({prefix}k INTEGER, {prefix}v INTEGER) "
+                f"SEGMENTED BY HASH({prefix}k) ALL NODES"
+            )
+            session.execute(
+                f"INSERT INTO {table} VALUES "
+                + ", ".join(f"({i}, {i * 3})" for i in range(rows))
+            )
+            session.execute(f"ANALYZE {table}")
+        statistics = {k: repr(v) for k, v in db.catalog.statistics.items()}
+
+        def rolled_back_copy():
+            session.execute("BEGIN")
+            session.execute("COPY small FROM STDIN", copy_data="7,7\n8,8\n9,9\n")
+            session.execute("ROLLBACK")
+
+        def delete_and_mergeout():
+            session.execute("DELETE FROM small WHERE sk > 900")
+            db.tuple_mover.advance_ahm(db.epochs.current)
+            db.tuple_mover.mergeout()
+
+        steps = [
+            ("INSERT", lambda: session.execute(
+                "INSERT INTO small VALUES "
+                + ", ".join(f"({i % 50}, {i})" for i in range(10, 1000)))),
+            ("COPY", lambda: session.execute(
+                "COPY small FROM STDIN", copy_data="1,1\n2,2\n3,3\n")),
+            ("rolled-back COPY", rolled_back_copy),
+            ("UPDATE", lambda: session.execute(
+                "UPDATE small SET sv = sv + 1 WHERE sk < 5")),
+            ("DELETE + mergeout", delete_and_mergeout),
+        ]
+        for sql in self.QUERIES:
+            session.execute(sql)  # cache the plans, and run them
+        for step, write in steps:
+            write()
+            for sql in self.QUERIES:
+                cached = self.explain(session, sql)
+                assert cached == self.fresh_explain(db, session, sql), step
+            assert statistics == {
+                k: repr(v) for k, v in db.catalog.statistics.items()
+            }, step

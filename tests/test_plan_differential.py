@@ -29,8 +29,7 @@ from repro.vertica.batch import BATCH_ROWS
 from repro.vertica.engine import COST_COUNTERS, CostReport
 from repro.vertica.expr import split_and
 from repro.vertica.hashring import HASH_SPACE, vertica_hash
-from repro.vertica.plan import explain_lines, logical
-from repro.vertica.plan.adaptive import AdaptiveContext
+from repro.vertica.plan import explain_lines, logical, physical
 from repro.vertica.plan.binder import bind_dml_scan, bind_select
 from repro.vertica.plan.optimizer import optimize
 from repro.vertica.plan.pipeline import PipelineExecution, build_operator
@@ -613,7 +612,7 @@ RESIDUALS = [None, "lx < rx", "lx <> rx", "li = rs"]  # the last: INTEGER = VARC
 def keyed_db(left_rows, right_rows, stale):
     """``lt(li, lf, lb, lx, ls)`` and ``rt(ri, rf, rb, rx, rs)``, loaded
     through ``insert_rows`` (SQL text has no NaN).  ``stale``: ANALYZEd after
-    each table's first row, so the estimates lag and adaptive replans."""
+    each table's first row, so the estimates lag."""
     db = VerticaDatabase(num_nodes=3)
     session = db.connect()
     for table, side, rows in (("lt", "l", left_rows), ("rt", "r", right_rows)):
@@ -643,34 +642,36 @@ def keyed_sql(pairs, residual):
 
 def run_keyed(db, sql, strategy, validate=False):
     """``sql`` executed under ``strategy``: ("ok", rows, cost) or ("err",
-    class, message), and each join's (keys_decide, candidate pairs) —
-    every join forced to validate if asked."""
+    class, message), each join's (keys_decide, candidate pairs) — every
+    join forced to validate if asked — and each hash join's build side."""
     context = PlanContext(join_strategy=strategy)
     plan = optimize(bind_select(db, parse_statement(sql)), db, context)
     joins = [node for node in plan.nodes() if isinstance(node, logical.Join)]
     for join in joins if validate else ():
         join.keys_decide = False
-    adaptive = AdaptiveContext()
     cost = CostReport()
     root = build_operator(
         db.engine, plan.root, db.begin(), db.node_names[0], db.epochs.current,
-        cost, context, adaptive,
+        cost, context,
     )
     result = outcome(
         lambda: ([row for batch in root.batches() for row in batch.rows()], cost)
     )
+    operators = [op for __, op in PipelineExecution(plan, root).operators()]
     stats = [
         (op.logical.keys_decide, op.stats.candidate_pairs)
-        for __, op in PipelineExecution(plan, root, adaptive).operators()
-        if isinstance(op.logical, logical.Join)
+        for op in operators if isinstance(op.logical, logical.Join)
     ]
-    return result, stats, [event.action for event in adaptive.events]
+    builds = [
+        op.build_side for op in operators if isinstance(op, physical.HashJoinOp)
+    ]
+    return result, stats, builds
 
 
 def assert_keyed_like_oracle(db, sql, strategy):
     """Rows, order, errors and CostReport as the oracle's; rows, errors and
-    candidate pairs as a forced validation's.  The replans it made."""
-    got, stats, actions = run_keyed(db, sql, strategy)
+    candidate pairs as a forced validation's.  The build sides it chose."""
+    got, stats, builds = run_keyed(db, sql, strategy)
     legacy = LegacyInterpreter(db)
     want = outcome(
         lambda: legacy.select(parse_statement(sql), db.begin(), db.node_names[0])
@@ -690,7 +691,7 @@ def assert_keyed_like_oracle(db, sql, strategy):
         assert validated[1][0] == got[1][0], f"{sql}: the skip changed the rows"
     else:
         assert validated == got, sql
-    return stats, actions
+    return stats, builds
 
 
 class TestKeyDecidedJoins:
@@ -715,8 +716,9 @@ class TestKeyDecidedJoins:
         assert [decide for decide, __ in stats] == [decides]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_every_subtle_key_under_the_replans(self, strategy):
-        # rt grows 12x past its statistics: auto swaps the build to lt.
+    def test_every_subtle_key_under_either_build_side(self, strategy):
+        # rt grows 12x past its statistics; lt holds fewer rows: auto builds
+        # on lt, the side no estimate would have picked.
         values = [
             (i, f, b, x, None)
             for (i, f, b), x in zip(
@@ -727,9 +729,9 @@ class TestKeyDecidedJoins:
         db = keyed_db(values[:1] + values[6:11], values, stale=True)
         for pairs in [("i", "f")], [("f", "f")], [("b", "i")], [("i", "i"), ("f", "b")]:
             sql = keyed_sql(pairs, None)
-            stats, actions = assert_keyed_like_oracle(db, sql, strategy)
+            stats, builds = assert_keyed_like_oracle(db, sql, strategy)
             assert stats[0][0] == (strategy != "nested-loop")
-            assert actions == (["swap-build"] if strategy == "auto" else []), sql
+            assert builds == (["left"] if strategy == "auto" else []), sql
 
 
 # ------------------------------------------- absorbed hash-range conjuncts

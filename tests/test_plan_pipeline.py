@@ -381,9 +381,22 @@ class TestJoinStrategies:
         session.execute("ANALYZE t")
         session.execute("ANALYZE s")
         plan = plan_text(session, "EXPLAIN SELECT a, d FROM t JOIN s ON a = a2")
-        assert "[hash join, build: right, keys decide, co-located]" in plan
+        # the build side is observed at run time, so EXPLAIN names none
+        assert "[hash join, keys decide, co-located]" in plan
+        assert "build:" not in plan
         assert "(estimated rows:" in plan
         assert RULE_JOIN_STRATEGY in plan
+
+    @pytest.mark.parametrize("sql, build", [
+        ("SELECT a, d FROM t JOIN s ON a = a2", "right"),  # 40 x 10 rows
+        ("SELECT a, d FROM s JOIN t ON a2 = a", "left"),  # 10 x 40 rows
+    ])
+    def test_profile_shows_the_observed_build_side(self, join_db, sql, build):
+        session = join_db.connect()
+        session.execute("ANALYZE t")  # estimates play no part in the choice
+        report = session.execute(f"PROFILE {sql}")
+        (line,) = [r[0] for r in report.rows if r[0].startswith("  JOIN")]
+        assert f"[hash join, build: {build}, keys decide, co-located]" in line
 
     def test_profile_estimates_and_zero_shuffle_when_colocated(self, join_db):
         session = join_db.connect()

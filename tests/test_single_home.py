@@ -136,3 +136,94 @@ def test_only_the_front_door_reads_statement_text():
             f"{name}:{line}" for line in probes(tree) if line not in excused
         ]
     assert offenders == []
+
+
+def scoped(tree, scopes=()):
+    """(node, enclosing def/class names, parent) for every node under
+    ``tree``."""
+    for child in ast.iter_child_nodes(tree):
+        yield child, scopes, tree
+        inner = scopes
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = scopes + (child.name,)
+        yield from scoped(child, inner)
+
+
+def homed(name, scopes, homes):
+    """True when module ``name`` (within ``scopes``) is one of ``homes``:
+    a module, or a (module, def or class) pair."""
+    return name in homes or any((name, scope) in homes for scope in scopes)
+
+
+#: where a plan node's row estimate may be read: the optimizer that makes
+#: it, the node that holds it, and the renderers that print it
+ESTIMATE_HOMES = {
+    "repro/vertica/plan/optimizer.py", "repro/vertica/plan/logical.py",
+    ("repro/vertica/plan/pipeline.py", "explain_lines"),
+    ("repro/vertica/plan/pipeline.py", "_join_order_lines"),
+    ("repro/vertica/plan/pipeline.py", "PlanProfile"),
+}
+
+
+def test_execution_decides_from_rows_it_holds():
+    """An estimate plans; it never executes.  ``estimated_rows`` is read
+    (as an attribute or a ``getattr`` name) only by the optimizer, the
+    logical nodes and EXPLAIN/PROFILE: an operator that consulted it would
+    make its run depend on statistics the plan cache does not key on —
+    how a hash join once swapped its build side from an estimate, and how
+    executed queries once fed estimates back into later plans."""
+    offenders = []
+    for name, tree in modules():
+        for node, scopes, __ in scoped(tree):
+            reads = (
+                isinstance(node, ast.Attribute) and node.attr == "estimated_rows"
+            ) or (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+                and any(isinstance(arg, ast.Constant)
+                        and arg.value == "estimated_rows" for arg in node.args)
+            )
+            if reads and not homed(name, scopes, ESTIMATE_HOMES):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []
+
+
+#: who may write ``Catalog.statistics``: ANALYZE and the catalog's DDL
+STATISTICS_WRITERS = {
+    ("repro/vertica/engine.py", "analyze"), ("repro/vertica/catalog.py", "Catalog"),
+}
+#: and who may read it: those, the estimator and the system table
+STATISTICS_READERS = STATISTICS_WRITERS | {
+    ("repro/vertica/plan/optimizer.py", "_stats_for_scan"),
+    ("repro/vertica/catalog.py", "_column_statistics"),
+}
+MUTATORS = {"pop", "popitem", "update", "clear", "setdefault", "__setitem__"}
+
+
+def test_only_analyze_writes_statistics():
+    """Statistics change only at ANALYZE, which bumps the catalog version
+    the plan cache keys on; so a plan is a function of (statement, catalog
+    version, session settings), and nothing a session loads, rolls back,
+    merges out or executes moves another session's plans.  Every
+    ``.statistics`` access outside the readers, and every write (item
+    assignment or deletion, a mutating method, rebinding) outside the
+    writers, is an offender — as COPY's incremental update and the
+    mergeout re-collect were."""
+    offenders = []
+    for name, tree in modules():
+        nodes = list(scoped(tree))
+        parents = {id(node): parent for node, __, parent in nodes}
+        for node, scopes, parent in nodes:
+            if not (isinstance(node, ast.Attribute) and node.attr == "statistics"):
+                continue
+            writes = isinstance(node.ctx, (ast.Store, ast.Del)) or (
+                isinstance(parent, ast.Subscript)
+                and isinstance(parent.ctx, (ast.Store, ast.Del))
+            ) or (
+                isinstance(parent, ast.Attribute) and parent.attr in MUTATORS
+                and isinstance(parents.get(id(parent)), ast.Call)
+            )
+            homes = STATISTICS_WRITERS if writes else STATISTICS_READERS
+            if not homed(name, scopes, homes):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []

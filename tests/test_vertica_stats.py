@@ -2,9 +2,8 @@
 
 The stats subsystem is advisory — the differential suite proves plans
 never change answers — so these tests pin the numbers themselves: what a
-full collect computes, how COPY maintains them incrementally, when
-mergeout refreshes them, and how they surface through the
-``V_CATALOG.COLUMN_STATISTICS`` system table.
+full collect computes, that nothing but ANALYZE changes them, and how
+they surface through the ``V_CATALOG.COLUMN_STATISTICS`` system table.
 """
 
 import pytest
@@ -14,12 +13,10 @@ from repro.telemetry import MetricsRegistry
 from repro.vertica import VerticaDatabase
 from repro.vertica.errors import SqlError
 from repro.vertica.stats import (
-    DEFAULT_BUCKETS,
     ColumnStats,
     HistogramBucket,
     _build_histogram,
     collect_table_stats,
-    update_stats_for_load,
 )
 
 
@@ -122,41 +119,48 @@ class TestHistogram:
         assert stats.range_selectivity("<", "zz") == pytest.approx(1 / 3)
 
 
-class TestIncrementalMaintenance:
-    def test_copy_updates_analyzed_tables(self, db):
+def statistics_of(db):
+    """Every number the catalog's statistics hold, as comparable values."""
+    return {name: repr(stats) for name, stats in db.catalog.statistics.items()}
+
+
+class TestOnlyAnalyzeWrites:
+    """Statistics and the catalog version move at ANALYZE (and DDL) only:
+    a load, a rollback, a mergeout or a query leaves both where they were."""
+
+    def test_copy_and_rollback_leave_statistics_alone(self, db):
         session = db.connect()
         session.execute("ANALYZE m")
+        before, version = statistics_of(db), db.catalog.version
         session.execute(
             "COPY m FROM STDIN", copy_data="40,40.5,fresh\n41,41.5,fresh\n"
         )
-        stats = db.catalog.statistics["M"]
-        assert stats.row_count == 23
-        a = stats.column("a")
-        assert a.row_count == 23
-        assert a.max_value == 41  # min/max stay exact incrementally
-        assert a.ndv == 20  # NDV is stale until the next full collect
+        session.execute("BEGIN")
+        session.execute("COPY m FROM STDIN", copy_data="42,42.5,gone\n")
+        session.execute("ROLLBACK")
+        session.execute("SELECT a, c FROM m WHERE a > 3")
+        assert (statistics_of(db), db.catalog.version) == (before, version)
+        assert db.catalog.statistics["M"].row_count == 21  # stale until ANALYZE
+        session.execute("ANALYZE m")
+        assert db.catalog.statistics["M"].row_count == 23
+        assert db.catalog.version > version
 
     def test_copy_is_noop_before_first_analyze(self, db):
         session = db.connect()
         session.execute("COPY m FROM STDIN", copy_data="50,50.5,x\n")
         assert "M" not in db.catalog.statistics
 
-    def test_update_helper_ignores_unanalyzed_tables(self, db):
-        update_stats_for_load(db, "m", [[1], [1.0], ["x"]])
-        assert db.catalog.statistics == {}
-
-    def test_mergeout_refreshes_stale_ndv(self, db):
+    def test_mergeout_leaves_statistics_alone(self, db):
         session = db.connect()
         session.execute("ANALYZE m")
         session.execute(
             "COPY m FROM STDIN", copy_data="60,60.5,zed\n61,61.5,zed\n"
         )
-        assert db.catalog.statistics["M"].column("a").ndv == 20  # stale
+        before, version = statistics_of(db), db.catalog.version
         db.tuple_mover.advance_ahm(db.epochs.current)
-        db.tuple_mover.mergeout()
-        refreshed = db.catalog.statistics["M"]
-        assert refreshed.column("a").ndv == 22
-        assert refreshed.buckets == DEFAULT_BUCKETS
+        assert db.tuple_mover.mergeout() > 0
+        assert (statistics_of(db), db.catalog.version) == (before, version)
+        assert db.catalog.statistics["M"].column("a").ndv == 20
 
     def test_mergeout_skips_never_analyzed_tables(self, db):
         db.tuple_mover.advance_ahm(db.epochs.current)
