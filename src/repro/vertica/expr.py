@@ -45,6 +45,9 @@ class Expression:
     #: this node's batch kernel, compiled on first use and kept with the
     #: node (so with the cached plan) by ``repro.vertica.kernels.kernel_of``
     kernel: Optional[Callable[[Any], List[Any]]] = None
+    #: as a predicate, its one-pass row filter, kept likewise by
+    #: ``repro.vertica.kernels.selector_of`` (for the shapes that have one)
+    selector: Optional[Callable[[Any], List[int]]] = None
 
     def children(self) -> Sequence["Expression"]:
         """The operand expressions, in evaluation order (leaves: none)."""

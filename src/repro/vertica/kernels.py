@@ -32,7 +32,7 @@ construction.  The row dicts exist only on that path.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.vertica.batch import ColumnBatch, gather
 from repro.vertica.errors import SqlError
@@ -52,6 +52,8 @@ from repro.vertica.expr import (
 from repro.vertica.hashring import vertica_hash
 
 Kernel = Callable[[ColumnBatch], List[Any]]
+#: ``read(expression, rows)``: an expression's values at those rows
+Reader = Callable[[Expression, Sequence[int]], List[Any]]
 
 #: what sends a batch to the row evaluator: the evaluator's own errors
 #: (``SqlError``; the ``OverflowError`` / ``math`` ``ValueError`` that
@@ -101,13 +103,14 @@ def evaluate_columns(
 
 def column_reader(
     expressions: Sequence[Expression], batch: ColumnBatch
-) -> Callable[[Expression, Sequence[int]], List[Any]]:
-    """``read(expression, rows)``: one of ``expressions`` at those rows.
+) -> Tuple[Reader, Optional[Dict[Expression, List[Any]]]]:
+    """``(read, columns)``: ``read(expression, rows)`` is one of
+    ``expressions`` at those rows, ``columns`` each one's whole column.
 
     For a consumer that reads group by group (aggregation).  Every column
-    is computed up front; if a kernel raises, none is kept and ``read``
-    evaluates row by row on demand, so the consumer's reading order is
-    the order errors surface in.
+    is computed up front; if a kernel raises, none is kept (``columns`` is
+    None) and ``read`` evaluates row by row on demand, so the consumer's
+    reading order is the order errors surface in.
     """
     try:
         columns = {e: kernel_of(e)(batch) for e in expressions}
@@ -115,8 +118,47 @@ def column_reader(
         rows = batch_rows(batch)
         return lambda expression, members: [
             expression.evaluate(rows[i]) for i in members
-        ]
-    return lambda expression, members: gather(columns[expression], members)
+        ], None
+    return lambda expression, members: gather(columns[expression], members), columns
+
+
+def selector_of(
+    predicate: Expression,
+) -> Optional[Callable[[ColumnBatch], List[int]]]:
+    """``fn(batch) -> rows`` for ``column <op> non-NULL literal``, else None.
+
+    ``[i for i, v in enumerate(kernel(batch)) if v is True]`` in one pass,
+    with no TRUE/FALSE/NULL column in between; it raises a
+    :data:`KERNEL_ERRORS` member exactly when the kernel does (perhaps at
+    another row), and the kernel's path then decides what is reported.
+    Compiled on first use and kept on the node.
+    """
+    selector = predicate.selector
+    if (
+        selector is None
+        and isinstance(predicate, BinaryOp)
+        and predicate.op in _SELECTORS
+        and isinstance(predicate.left, ColumnRef)
+        and isinstance(predicate.right, Literal)
+        and predicate.right.value is not None
+    ):
+        select, column = _SELECTORS[predicate.op], _column(predicate.left.name)
+        value = predicate.right.value
+        selector = predicate.selector = lambda batch: select(column(batch), value)
+    return selector
+
+
+#: each comparison's one-pass row filter over a column ``c`` and a non-NULL
+#: value ``b``; NULL matches nothing (``None == b`` is already False)
+_SELECTORS: Dict[str, Callable[[List[Any], Any], List[int]]] = {
+    "=": lambda c, b: [i for i, a in enumerate(c) if a == b],
+    "<>": lambda c, b: [i for i, a in enumerate(c) if a is not None and a != b],
+    "<": lambda c, b: [i for i, a in enumerate(c) if a is not None and a < b],
+    "<=": lambda c, b: [i for i, a in enumerate(c) if a is not None and a <= b],
+    ">": lambda c, b: [i for i, a in enumerate(c) if a is not None and a > b],
+    ">=": lambda c, b: [i for i, a in enumerate(c) if a is not None and a >= b],
+}
+_SELECTORS["!="] = _SELECTORS["<>"]
 
 
 # ------------------------------------------------------------------ compiler

@@ -9,7 +9,8 @@ lists, an argsort), and filters compact by a keep-vector.  No operator
 builds a per-row dict or tuple — nor one per candidate pair of a join —
 and none walks an expression per row: predicates, join conditions,
 select items, group keys, aggregate arguments and sort keys are each one
-:mod:`~repro.vertica.kernels` call per batch.
+:mod:`~repro.vertica.kernels` call per batch (a ``column <op> literal``
+filter: one selector call, straight to its selection vector).
 
 Fidelity notes (the differential suite enforces these):
 
@@ -41,7 +42,6 @@ import time
 from collections import defaultdict
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -62,7 +62,13 @@ from repro.vertica.expr import (
     predicate_holds,
     reads_whole_row,
 )
-from repro.vertica.kernels import column_reader, evaluate_columns
+from repro.vertica.kernels import (
+    KERNEL_ERRORS,
+    Reader,
+    column_reader,
+    evaluate_columns,
+    selector_of,
+)
 from repro.vertica.plan import logical
 from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
@@ -163,7 +169,14 @@ def _concat(batches: List[ColumnBatch]) -> ColumnBatch:
 
 
 def _matching(batch: ColumnBatch, predicate: Expression) -> List[int]:
-    """Indices of the rows whose ``predicate`` is strictly True, in order."""
+    """Indices of the rows whose ``predicate`` is strictly True, in order:
+    its selector's if it has one that does not raise, else the kernel's."""
+    select = selector_of(predicate)
+    if select is not None:
+        try:
+            return select(batch)
+        except KERNEL_ERRORS:
+            pass  # the kernel, then the row evaluator, pick the error
     (values,) = evaluate_columns([predicate], batch)
     return [i for i, value in enumerate(values) if value is True]
 
@@ -448,9 +461,10 @@ class JoinOp(PhysicalOperator):
     materialization index per row.  A join below the chain root gathers
     only the columns its keys (and condition) read and hands up its kept
     pairs' provenance, not columns.  The root gathers each output column
-    once, from its relation, sorts its pairs back into the binder's order
-    and attributes each output row to the binder-leftmost relation's
-    node: rows *and* per-node costs stay those of the unreordered plan.
+    once, from its relation, puts its pairs in the binder's order (unless
+    they already are) and attributes each output row to the
+    binder-leftmost relation's node: rows *and* per-node costs stay those
+    of the unreordered plan.
     """
 
     kind = "join"
@@ -712,17 +726,18 @@ class HashJoinOp(JoinOp):
         picks = _hash_pairs(left_keys, right_keys, build_left)
         restore = self.logical.restore_order
         if restore is not None and picks[0]:
-            # Chain root: sort back into the binder's lexicographic order —
-            # exactly the (a, b, c, ...) enumeration the legacy nested loops
-            # over the original FROM order would have produced.  One gather
-            # per relation, then an argsort over the zipped index columns.
+            # Chain root: the binder's lexicographic order, the (a, b, c,
+            # ...) enumeration of the legacy nested loops over the FROM
+            # order.  Picks whose zipped index tuples already ascend are
+            # kept as they are; others are argsorted by them.
             order_keys = list(zip(*(
                 _through(column, picks[slot])
                 for slot, column, __ in (sources[alias] for alias in restore)
             )))
-            order = sorted(range(len(order_keys)), key=order_keys.__getitem__)
-            lefts, rights = picks
-            picks = [lefts[i] for i in order], [rights[i] for i in order]
+            if any(map(operator.gt, order_keys, order_keys[1:])):
+                order = sorted(range(len(order_keys)), key=order_keys.__getitem__)
+                lefts, rights = picks
+                picks = [lefts[i] for i in order], [rights[i] for i in order]
         return _batched(picks)
 
 
@@ -865,9 +880,11 @@ class AggregateOp(PhysicalOperator):
         #: each group's row indices in ``batch``, groups in first-seen order
         groups: Iterable[Sequence[int]] = [range(batch.num_rows)]
         if node.group_by:
-            members: Dict[Tuple[Any, ...], List[int]] = defaultdict(list)
-            keys = zip(*evaluate_columns(node.group_by, batch))
-            for i, key in enumerate(keys):
+            # a one-column key groups on its values: a dict matches them
+            # exactly as it matches the 1-tuples (``is``, then ``==``)
+            members: Dict[Any, List[int]] = defaultdict(list)
+            keys = evaluate_columns(node.group_by, batch)
+            for i, key in enumerate(keys[0] if len(keys) == 1 else zip(*keys)):
                 members[key].append(i)
             groups = members.values()
         # Read group by group, item by item: the legacy evaluation order.
@@ -875,15 +892,19 @@ class AggregateOp(PhysicalOperator):
             item.aggregate_arg if item.aggregate else item.expression
             for item in node.items
         )
-        read = column_reader([e for e in wanted if e is not None], batch)
+        read, evaluated = column_reader([e for e in wanted if e is not None], batch)
 
         columns = node.output_columns
         out: List[Tuple[Any, ...]] = []
         for group in groups:
             values: List[Any] = []
+            #: this group's non-NULL inputs, by their evaluated column's id
+            shared: Dict[int, List[Any]] = {}
             for item in node.items:
                 if item.aggregate:
-                    values.append(_aggregate_value(item, group, read))
+                    values.append(
+                        _aggregate_value(item, group, read, evaluated, shared)
+                    )
                 elif item.expression is not None:
                     first = read(item.expression, group[:1])
                     values.append(first[0] if first else None)
@@ -904,7 +925,8 @@ class AggregateOp(PhysicalOperator):
         if not node.group_by and not out:
             # Aggregates over an empty input still return one row.
             out.append(tuple(
-                _aggregate_value(item, (), read) if item.aggregate else None
+                _aggregate_value(item, (), read, evaluated, {})
+                if item.aggregate else None
                 for item in node.items
             ))
         if out:
@@ -917,28 +939,43 @@ class AggregateOp(PhysicalOperator):
 def _aggregate_value(
     item: ast.SelectItem,
     group: Sequence[int],
-    read: Callable[[Expression, Sequence[int]], List[Any]],
+    read: Reader,
+    evaluated: Optional[Dict[Expression, List[Any]]],
+    shared: Dict[int, List[Any]],
 ) -> Any:
     name = item.aggregate
-    if item.aggregate_arg is None:
+    arg = item.aggregate_arg
+    if arg is None:
         if name != "COUNT":
             raise SqlError(f"{name} requires an argument")
         return len(group)
-    values = [v for v in read(item.aggregate_arg, group) if v is not None]
+    # An evaluated column is gathered and NULL-filtered once per group for
+    # every aggregate reading it; the row evaluator (``evaluated`` None)
+    # reads afresh, item by item, so its errors surface in that order.
+    column = None if evaluated is None else id(evaluated[arg])
+    values = shared.get(column)
+    if values is None:
+        values = [v for v in read(arg, group) if v is not None]
+        if column is not None:
+            shared[column] = values
     if item.distinct:
         values = list(dict.fromkeys(values))
     if name == "COUNT":
         return len(values)
     if not values:
         return None
-    if name == "SUM":
-        return sum(values)
-    if name == "AVG":
-        return sum(values) / len(values)
-    if name == "MIN":
-        return min(values)
-    if name == "MAX":
-        return max(values)
+    try:
+        if name == "SUM":
+            return sum(values)
+        if name == "AVG":
+            return sum(values) / len(values)
+        if name == "MIN":
+            return min(values)
+        if name == "MAX":
+            return max(values)
+    except TypeError:  # VARCHAR summed, or values that do not order
+        kinds = " and ".join(dict.fromkeys(type(v).__name__ for v in values))
+        raise SqlError(f"cannot apply {name} to {kinds}") from None
     raise SqlError(f"unknown aggregate {name!r}")  # pragma: no cover
 
 

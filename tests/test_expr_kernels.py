@@ -15,6 +15,8 @@ when some row's ``evaluate`` does; the public entry points then report
 what the row-at-a-time interpreter would have reported first.
 """
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,7 @@ from repro.vertica.kernels import (
     column_reader,
     evaluate_columns,
     kernel_of,
+    selector_of,
 )
 from repro.vertica.plan.physical import _matching
 from repro.vertica.sql.parser import parse_expression
@@ -169,6 +172,41 @@ def test_matching_equals_the_is_true_row_filter(predicate, batch):
     assert outcome(lambda: [_matching(batch, predicate)]) == outcome(reference)
 
 
+#: what a one-pass selector compares: NULL, NaN, both zeros, ``True`` /
+#: ``1`` / ``1.0`` (equal, and hashed alike), ints past 2**53, strings
+selector_values = st.one_of(
+    st.none(),
+    st.sampled_from([math.nan, -0.0, 0.0, True, False, 1, 1.0, 0, 2**63,
+                     2**53 + 1, float(2**53), -7, 2.5, math.inf, "", "a", "1"]),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=2),
+)
+selector_literals = st.one_of(
+    st.integers(), st.floats(), st.text(max_size=2), st.booleans(),
+    st.sampled_from([-0.0, 0.0, 1, 1.0, True, 2**63, float(2**53), "a"]),
+)
+
+
+@given(op=st.sampled_from(COMPARISONS), literal=selector_literals,
+       column=st.lists(selector_values, max_size=8),
+       name=st.sampled_from(["A", "B"]))
+@example("<", "x", [1.5, None, "y"], "A")
+@settings(max_examples=500, **SETTINGS)
+def test_selector_is_the_kernels_true_rows(op, literal, column, name):
+    # `name` B is a column the batch lacks: both raise
+    predicate = BinaryOp(op, ColumnRef(name), Literal(literal))
+    batch = ColumnBatch(["A"], [column], ["n"] * len(column))
+    select = selector_of(predicate)
+    try:
+        want = [i for i, v in enumerate(kernel_of(predicate)(batch)) if v is True]
+    except KERNEL_ERRORS:
+        with pytest.raises(KERNEL_ERRORS):
+            select(batch)
+        return
+    assert select(batch) == want
+
+
 @given(items=st.lists(_expressions(2), min_size=1, max_size=3), batch=batches(),
        swallow=st.sampled_from([(), (SqlError,)]))
 @example([UdxCall(_picky, [ColumnRef("A")], {}), parse_expression("1 / B")],
@@ -193,7 +231,7 @@ def test_column_reader_fails_in_reading_order(items, batch, split):
         return [read(item, group) for group in groups for item in items]
 
     rows = batch_dicts(batch)
-    assert outcome(lambda: read_all(column_reader(items, batch))) == outcome(
+    assert outcome(lambda: read_all(column_reader(items, batch)[0])) == outcome(
         lambda: read_all(lambda item, group: [item.evaluate(rows[i]) for i in group])
     )
 
@@ -255,6 +293,17 @@ def test_kernel_is_compiled_once_per_expression_object():
     # a column is resolved per batch, so one kernel serves any layout
     assert first(ColumnBatch(["B", "A"], [[0], [3]], ["n"])) == [True]
     assert first(CLEAN) == [False, False, None, True]
+
+
+def test_a_selector_is_compiled_once_and_only_for_column_op_literal():
+    predicate = parse_expression("A > 2")
+    assert predicate.selector is None
+    select = selector_of(predicate)
+    assert selector_of(predicate) is select is predicate.selector
+    assert select(CLEAN) == [2, 3]
+    for text in ("2 < A", "A > NULL", "A > B", "A > 2 AND B < 1", "A + 1 > 2",
+                 "NOT A > 2", "A IN (1, 4)"):
+        assert selector_of(parse_expression(text)) is None, text
 
 
 def test_a_column_reference_is_the_batch_column_itself():

@@ -349,6 +349,33 @@ class TestLateMaterialization:
                 want[id(leaves[left_ref])] += join.left.stats.rows_out
         assert {i: spy.gathered[i] for i in want} == dict(want)
 
+    def test_a_root_whose_picks_are_in_order_keeps_them(self, monkeypatch):
+        # Unique dimension keys: each fact row survives at most once, so the
+        # reordered chain's pairs already come in the binder's order and the
+        # root emits the pair source's own lists, neither argsorted nor
+        # re-gathered.  (Out-of-order picks are still sorted back:
+        # test_adaptive_execution's duplicate-key case.)
+        db = make_star_db()
+        made, emitted = [], []
+        hash_pairs, batched = physical._hash_pairs, physical._batched
+        monkeypatch.setattr(
+            physical, "_hash_pairs", lambda *args: made.append(hash_pairs(*args))
+            or made[-1],
+        )
+        monkeypatch.setattr(
+            physical, "_batched", lambda picks: emitted.append(picks)
+            or batched(picks),
+        )
+        assert_identical(db, SELECTIVE_LAST)
+        plan = [row[0] for row in db.connect().execute(
+            f"EXPLAIN {SELECTIVE_LAST}"
+        ).rows]
+        assert any(line.startswith("JOIN ORDER: F x DIMD") for line in plan)
+        # the root pairs last
+        root_made, root_emitted = made[-1], emitted[-1]
+        assert root_emitted[0] is root_made[0]
+        assert root_emitted[1] is root_made[1]
+
 
 class TestValidation:
     """Which joins still validate, seen through a pair source that proposes

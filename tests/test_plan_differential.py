@@ -24,9 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.connector import SimVerticaCluster
+from repro.sim import Environment
 from repro.vertica import VerticaDatabase
 from repro.vertica.batch import BATCH_ROWS
 from repro.vertica.engine import COST_COUNTERS, CostReport
+from repro.vertica.errors import SqlError
 from repro.vertica.expr import split_and
 from repro.vertica.hashring import HASH_SPACE, vertica_hash
 from repro.vertica.plan import explain_lines, logical, physical
@@ -279,6 +282,197 @@ class TestErrorOrder:
             assert session.execute(
                 "SELECT SUM(a), SUM(b) FROM wide"
             ).rows == [(2499, 2499)]
+
+
+@pytest.fixture(scope="module")
+def typed_db():
+    """``t(id, g, c, v, name)``: NULLs ahead of the values, a zero ``c``
+    in group 2 only, names in both groups and one beside a NULL ``v``."""
+    database = VerticaDatabase(num_nodes=2)
+    session = database.connect()
+    session.execute(
+        "CREATE TABLE t (id INTEGER, g INTEGER, c INTEGER, v FLOAT, "
+        "name VARCHAR(10)) UNSEGMENTED ALL NODES"
+    )
+    session.execute(
+        "INSERT INTO t VALUES (0, 1, NULL, NULL, NULL), (1, 1, 1, NULL, 'ann'), "
+        "(2, 2, 0, 0.5, 'bob'), (3, 1, 2, 4.0, 'cho'), (4, 2, 1, -0.0, 'dee')"
+    )
+    return database
+
+
+class TestSelectorErrorOrder:
+    """A ``column <op> literal`` filter answers in one pass; where that pass
+    raises, the kernel and then the row evaluator pick the error."""
+
+    @pytest.mark.parametrize("sql,message", [
+        ("SELECT id, v FROM t WHERE v > 'x'", "cannot compare float with str"),
+        ("SELECT id, v FROM t WHERE name >= 1", "cannot compare str with int"),
+        ("SELECT id FROM t WHERE v = 'x'", None),
+        ("SELECT id FROM t WHERE v <> 0.0", None),
+        ("SELECT id, name FROM t WHERE name < 'c'", None),
+        ("SELECT id FROM t WHERE missing > 1", "unknown column 'MISSING'"),
+    ])
+    def test_first_error_is_the_oracles(self, typed_db, sql, message):
+        assert_identical(typed_db, sql)
+        if message is not None:
+            with typed_db.connect() as session:
+                assert outcome(lambda: session.execute(sql))[1:] == (
+                    "SqlError", message
+                )
+
+
+class TestAggregateTypeErrors:
+    """SUM / AVG over VARCHAR, and MIN / MAX over values Python cannot
+    order, raise a :class:`SqlError` naming the aggregate and the types —
+    group-major, item by item, where the bare ``TypeError`` used to
+    escape.  ``tests/reference_interpreter.py`` still raises that
+    ``TypeError``: it is frozen as the pre-pipeline interpreter was, so it
+    stays an independent oracle, and these cases are pinned here instead."""
+
+    @pytest.mark.parametrize("sql,message", [
+        ("SELECT SUM(name) FROM t", "cannot apply SUM to str"),
+        ("SELECT g, AVG(name) FROM t GROUP BY g", "cannot apply AVG to str"),
+        ("SELECT MIN(COALESCE(v, name)) FROM t",
+         "cannot apply MIN to str and float"),
+        ("SELECT g, MAX(COALESCE(name, id)) FROM t WHERE id < 2 GROUP BY g",
+         "cannot apply MAX to int and str"),
+        # group 1 reads first: its SUM(name) beats group 2's division
+        ("SELECT g, SUM(10 / c), SUM(name) FROM t GROUP BY g",
+         "cannot apply SUM to str"),
+        # within one group, item order decides
+        ("SELECT g, SUM(10 / c), SUM(name) FROM t WHERE g = 2 GROUP BY g",
+         "division by zero"),
+        ("SELECT g, SUM(name), SUM(10 / c) FROM t WHERE g = 2 GROUP BY g",
+         "cannot apply SUM to str"),
+    ])
+    def test_through_a_session(self, typed_db, sql, message):
+        with typed_db.connect() as session:
+            assert outcome(lambda: session.execute(sql))[1:] == ("SqlError", message)
+        # the frozen oracle: the same error where it raises a SqlError
+        statement = parse_statement(sql)
+        legacy = outcome(lambda: LegacyInterpreter(typed_db).select(
+            statement, typed_db.begin(), typed_db.node_names[0]
+        ))
+        assert legacy[1] == ("SqlError" if message == "division by zero"
+                             else "TypeError")
+
+    def test_through_a_jdbc_connection(self):
+        env = Environment()
+        cluster = SimVerticaCluster(env=env, num_nodes=2)
+        session = cluster.db.connect()
+        session.execute("CREATE TABLE t (id INTEGER, name VARCHAR(10))")
+        session.execute("INSERT INTO t VALUES (1, 'ann'), (2, NULL)")
+        session.close()
+        errors = []
+
+        def client():
+            with cluster.connect(cluster.db.node_names[0]) as conn:
+                for sql in ("SELECT SUM(name) FROM t",
+                            "SELECT MIN(COALESCE(name, id)) FROM t"):
+                    try:
+                        yield from conn.execute(sql)
+                    except SqlError as error:
+                        errors.append(str(error))
+                result = yield from conn.execute("SELECT COUNT(name) FROM t")
+                errors.append(result.rows)
+
+        env.process(client())
+        env.run()
+        assert errors == [
+            "cannot apply SUM to str", "cannot apply MIN to str and int", [(1,)],
+        ]
+
+
+# ------------------------------------------------- shared aggregate inputs
+#: a fresh NaN object per draw beside one shared NaN object: a dict groups
+#: a NaN with itself only (``is``), never with another NaN
+nans = st.one_of(st.just(math.nan), st.builds(float, st.just("nan")))
+shared_rows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(0, 2)),                     # k
+        st.one_of(st.none(), nans, st.sampled_from([-0.0, 0.0, 1.5])),  # f
+        st.one_of(st.none(), st.booleans()),                         # flag
+        st.one_of(st.none(), st.integers(-3, 3)),                    # v
+        st.one_of(st.none(), st.sampled_from([-1.5, 0.0, 2.25])),    # w
+        st.sampled_from([None, 1, 2, 2, 0]),                         # c
+    ),
+    max_size=14,
+)
+#: group keys: one column (NULL, NaN, -0.0 / 0.0; True / 1 through
+#: COALESCE), or two
+SHARED_KEYS = [None, "k", "f", "COALESCE(flag, k)", "k, f",
+               "f, COALESCE(flag, k)"]
+#: several aggregates over one column, plain and qualified, DISTINCT, two
+#: of one name over different columns, an expression over the column and
+#: one that raises (``10 / c`` with ``c`` 0: the row evaluator's path)
+SHARED_ITEMS = [
+    "COUNT(*)", "SUM(v)", "MIN(v)", "MAX(v)", "AVG(v)", "COUNT(v)",
+    "COUNT(DISTINCT v)", "SUM(DISTINCT v)", "MIN(t.v)", "SUM(t.v)",
+    "MAX(w)", "SUM(w)", "MIN(c)", "SUM(v + 1)", "MAX(v * c)", "SUM(10 / c)",
+]
+
+
+def shared_db(rows):
+    db = VerticaDatabase(num_nodes=2)
+    db.connect().execute(
+        "CREATE TABLE t (k INTEGER, f FLOAT, flag BOOLEAN, v INTEGER, "
+        "w FLOAT, c INTEGER) SEGMENTED BY HASH(k) ALL NODES"
+    )
+    if rows:  # SQL text has no NaN literal
+        txn = db.begin()
+        db.engine.insert_rows("T", [list(column) for column in zip(*rows)], txn)
+        txn.commit(db.storage)
+    return db
+
+
+class TestSharedAggregateInputs:
+    """Aggregates that read one evaluated column share its per-group
+    values; rows (by ``repr``: NaN, ``-0.0`` and ``True`` / ``1`` told
+    apart), order, errors and every cost field stay the oracle's."""
+
+    @given(
+        rows=shared_rows,
+        key=st.sampled_from(SHARED_KEYS),
+        items=st.lists(st.sampled_from(SHARED_ITEMS), min_size=2, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_shared_inputs_match_legacy(self, rows, key, items):
+        db = shared_db(rows)
+        sql = f"SELECT {', '.join(items)} FROM t"
+        if key is not None:
+            sql = f"SELECT {key}, {', '.join(items)} FROM t GROUP BY {key}"
+        legacy = LegacyInterpreter(db)
+        expected = outcome(lambda: legacy.select(
+            parse_statement(sql), db.begin(), db.node_names[0]
+        ))
+        with db.connect() as session:
+            actual = outcome(lambda: session.execute(sql))
+        if expected[0] == "err":
+            assert actual == expected, sql
+            return
+        assert actual[0] == "ok", f"{sql}: pipeline raised {actual[1:]}"
+        want, got = expected[1], actual[1]
+        assert got.columns == want.columns, sql
+        assert repr(got.rows) == repr(want.rows), sql
+        for field in COST_FIELDS:
+            assert getattr(got.cost, field) == getattr(want.cost, field), sql
+
+    @pytest.mark.parametrize("sql,message", [
+        ("SELECT g, SUM(c), MIN(wide.c), SUM(10 / c), MAX(c) FROM wide "
+         "GROUP BY g", "division by zero"),
+        ("SELECT g, SUM(d), COUNT(DISTINCT d), SUM(10 % d), SUM(10 / c) "
+         "FROM wide GROUP BY g", "modulo by zero"),
+        ("SELECT g, SUM(a), MIN(a), MAX(wide.a), AVG(a + 1) FROM wide "
+         "GROUP BY g", None),
+    ])
+    def test_beside_raising_arguments(self, order_db, sql, message):
+        assert_identical(order_db, sql)
+        if message is not None:
+            with order_db.connect() as session:
+                assert outcome(lambda: session.execute(sql))[1:] == (
+                    "SqlError", message
+                )
 
 
 # ----------------------------------------------------------- hypothesis layer
