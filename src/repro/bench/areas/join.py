@@ -1,12 +1,20 @@
 """Join strategies: the hash join vs the nested-loop floor, co-located or not.
 
-Wall-clock only (the sim clock cannot see join work yet — ROADMAP item 1),
-so nothing is banded; the shape checks are ratios within one run.
+The planner picks the algorithm from the condition alone: ``k = k2`` is
+an equi-join and hash-joins; ``k = k2 + 0`` has no equi key, so it runs
+the nested loop over every pair.  Wall-clock only (the sim clock cannot
+see join work yet — ROADMAP item 1), so nothing is banded; the shape
+checks are ratios within one run.
 """
 
 from repro.bench.area import BenchArea, GridCellError
 from repro.bench.fabric import best_of, insert_rows
 from repro.vertica import VerticaDatabase
+
+#: the equi-join condition, which hash-joins
+HASHED = "k = k2"
+#: the same match with no equi key, which nested-loops
+NESTED = "k = k2 + 0"
 
 
 def load_join_tables(session, probe_rows: int, build_rows: int,
@@ -39,9 +47,8 @@ def run_cell(params, config):
                      params["colocated"])
     session.execute("ANALYZE probe")
     session.execute("ANALYZE build")
-    session.execute(f"SET JOIN_STRATEGY = '{params['strategy']}'")
-    sql = "SELECT COUNT(*) FROM probe JOIN build ON k = k2"
-    repeats = 1 if params["strategy"] == "nested-loop" else config["repeats"]
+    sql = f"SELECT COUNT(*) FROM probe JOIN build ON {params['condition']}"
+    repeats = 1 if params["condition"] == NESTED else config["repeats"]
     best, rows_out = best_of(repeats, lambda: session.execute(sql).scalar())
     if rows_out != params["probe_rows"]:
         raise GridCellError(
@@ -57,30 +64,31 @@ def run_cell(params, config):
 
 
 def checks(cells):
-    by = {(c["params"]["strategy"], c["params"]["colocated"]): c["metrics"]
+    by = {(c["params"]["condition"], c["params"]["colocated"]): c["metrics"]
           for c in cells}
     out = []
     for colocated in (True, False):
-        auto = by["auto", colocated]
+        hashed = by[HASHED, colocated]
         out += [
-            (f"auto hash-joins: one candidate per match (colocated={colocated})",
-             auto["candidate_pairs"] == auto["rows_out"]),
+            (f"equi-join hash-joins: one candidate per match "
+             f"(colocated={colocated})",
+             hashed["candidate_pairs"] == hashed["rows_out"]),
             (f"hash join >=5x faster than nested loop (colocated={colocated})",
-             auto["join_seconds"] * 5.0
-             <= by["nested-loop", colocated]["join_seconds"]),
+             hashed["join_seconds"] * 5.0
+             <= by[NESTED, colocated]["join_seconds"]),
         ]
     return out + [
         ("co-located hash join moves 0 cross-node rows",
-         by["auto", True]["rows_shuffled"] == 0),
+         by[HASHED, True]["rows_shuffled"] == 0),
         ("non-co-located hash join moves build rows",
-         by["auto", False]["rows_shuffled"] > 0),
+         by[HASHED, False]["rows_shuffled"] > 0),
     ]
 
 
 AREA = BenchArea(
     "join",
     "Join strategies: the hash join vs nested loop, co-located vs shuffled",
-    axes={"strategy": ("nested-loop", "auto"),
+    axes={"condition": (NESTED, HASHED),
           "colocated": (True, False),
           "probe_rows": (4_000,),
           "build_rows": (200,)},

@@ -9,16 +9,15 @@ Two levels, both bounded LRU:
   token list and stamps the AST with that key (``cache_key``), which the
   plan and result tiers then key off.  A repeated statement skips the
   parser entirely.
-- **Plan cache** — (canonical text, catalog version, the issuing
-  session's ``PlanContext.fingerprint``) → optimized
+- **Plan cache** — (canonical text, catalog version) → optimized
   :class:`~repro.vertica.plan.logical.LogicalPlan`.
   A repeated SELECT skips bind → optimize.  The catalog version is
   bumped by DDL, TRUNCATE, and ANALYZE — the only writer of the
-  statistics estimation reads — so a cached plan is bit-identical to a
-  fresh optimize at the same key, whatever was loaded, rolled back,
-  merged out or executed since.  The fingerprint holds every
-  plan-relevant session setting, so a plan built under one session's
-  settings is never served to a session with different ones.
+  statistics estimation reads — and no session setting reaches the
+  optimizer, so a cached plan is what a fresh optimize at the same key
+  builds, with one known seam: an *unanalyzed* table's estimate reads
+  its container row counts, which loads change without moving the
+  version (docs/CACHING.md).
 
 Literals stay in the key on purpose: constant folding, predicate
 pushdown, and hash-range segment pruning bake them into the plan, so a
@@ -73,33 +72,26 @@ class PlanCache:
         return statement
 
     # -- plan level --------------------------------------------------------------
-    def lookup_plan(
-        self, statement: Any, version: Hashable, fingerprint: Hashable
-    ) -> Optional[Any]:
+    def lookup_plan(self, statement: Any, version: Hashable) -> Optional[Any]:
         """The cached optimized plan for ``statement``, or None.
 
-        ``version`` is the catalog version the plan was optimized against
-        and ``fingerprint`` the session's plan-relevant settings.  A
-        statement built in code (``cache_key`` None) is never cached.
+        ``version`` is the catalog version the plan was optimized
+        against.  A statement built in code (``cache_key`` None) is never
+        cached.
         """
         if statement.cache_key is None:
             return None
-        plan = self._plans.get((statement.cache_key, version, fingerprint))
+        plan = self._plans.get((statement.cache_key, version))
         if plan is None:
             telemetry.counter(f"{self.name}.misses").inc()
             return None
         telemetry.counter(f"{self.name}.hits").inc()
         return plan
 
-    def store_plan(
-        self, statement: Any, version: Hashable, fingerprint: Hashable,
-        plan: Any,
-    ) -> bool:
+    def store_plan(self, statement: Any, version: Hashable, plan: Any) -> bool:
         if statement.cache_key is None:
             return False
-        evicted = self._plans.put(
-            (statement.cache_key, version, fingerprint), plan
-        )
+        evicted = self._plans.put((statement.cache_key, version), plan)
         if evicted:
             telemetry.counter(f"{self.name}.evictions").inc(evicted)
         return True

@@ -317,28 +317,28 @@ class Engine:
         The single entry point the session layer dispatches through, so
         every statement's :class:`CostReport` is stamped with the resource
         pool it ran in (``copy_result`` is non-None only for COPY).
-        ``context`` is the issuing session's settings.  Only top-level
-        SELECT/EXPLAIN/PROFILE honour its RESULT_CACHE (never the inner
-        query of INSERT ... SELECT, which must see staged writes).
+        ``context`` is the issuing session's settings, read here and
+        nowhere below.  Only top-level SELECT/EXPLAIN/PROFILE honour its
+        RESULT_CACHE (never the inner query of INSERT ... SELECT, which
+        must see staged writes).
         """
         copy_result = None
         if isinstance(statement, ast.Select):
             result = self._run_select(
-                statement, txn, initiator, context,
-                use_cache=context.result_cache,
+                statement, txn, initiator, use_cache=context.result_cache
             )[0]
         elif isinstance(statement, ast.Explain):
-            result = self.explain(statement, txn, initiator, context)
+            result = self.explain(statement, txn, initiator, context.result_cache)
         elif isinstance(statement, ast.Profile):
-            result = self.profile(statement, txn, initiator, context)
+            result = self.profile(statement, txn, initiator, context.result_cache)
         elif isinstance(statement, ast.InsertValues):
             result = self.insert_values(statement, txn, initiator)
         elif isinstance(statement, ast.InsertSelect):
-            result = self.insert_select(statement, txn, initiator, context)
+            result = self.insert_select(statement, txn, initiator)
         elif isinstance(statement, ast.Update):
-            result = self.update(statement, txn, initiator, context)
+            result = self.update(statement, txn, initiator)
         elif isinstance(statement, ast.Delete):
-            result = self.delete(statement, txn, initiator, context)
+            result = self.delete(statement, txn, initiator)
         elif isinstance(statement, ast.Analyze):
             result = self.analyze(statement)
         elif isinstance(statement, ast.CopyStatement):
@@ -464,12 +464,11 @@ class Engine:
         statement: ast.Select,
         txn: Transaction,
         initiator: str,
-        context: PlanContext,
         cost: Optional[CostReport] = None,
     ) -> ResultSet:
         """Run one nested SELECT (a view body, INSERT ... SELECT's query)
         through bind → optimize → execute; never consults the result cache."""
-        return self._run_select(statement, txn, initiator, context, cost)[0]
+        return self._run_select(statement, txn, initiator, cost)[0]
 
     def _cache_bypass_reason(
         self, txn: Transaction, statement: ast.Select
@@ -498,12 +497,29 @@ class Engine:
             return "udx"
         return None
 
+    def _result_cache_key(
+        self, statement: ast.Select, txn: Transaction, snapshot: int
+    ) -> Tuple[Optional[Tuple[str, int, int]], Optional[str]]:
+        """(key, bypass reason) of a top-level SELECT read at ``snapshot``:
+        the one cache decision a SELECT and its EXPLAIN both take.
+
+        The key is (canonical statement, snapshot epoch, catalog version);
+        it is None for a statement without canonical text (reason None)
+        or one that must bypass the cache (the reason names why).
+        """
+        canonical = statement.cache_key
+        if canonical is None:
+            return None, None
+        reason = self._cache_bypass_reason(txn, statement)
+        if reason is not None:
+            return None, reason
+        return (canonical, snapshot, self.database.catalog.version), None
+
     def _run_select(
         self,
         statement: ast.Select,
         txn: Transaction,
         initiator: str,
-        context: PlanContext,
         cost: Optional[CostReport] = None,
         use_cache: bool = False,
     ):
@@ -531,17 +547,14 @@ class Engine:
             )
         snapshot = txn.snapshot_epoch(statement.at_epoch)
 
-        db = self.database
-        cache = db.result_cache
-        canonical = statement.cache_key
-        cacheable = use_cache and canonical is not None
-        if cacheable:
-            reason = self._cache_bypass_reason(txn, statement)
+        cache = self.database.result_cache
+        key = None
+        if use_cache:
+            key, reason = self._result_cache_key(statement, txn, snapshot)
             if reason is not None:
                 cache.bypass(reason)
-                cacheable = False
-        if cacheable:
-            entry = cache.lookup(canonical, snapshot, db.catalog.version)
+        if key is not None:
+            entry = cache.lookup(*key)
             if entry is not None:
                 cost.replay(entry.cost_snapshot)
                 cost.cache_hit = True
@@ -556,18 +569,11 @@ class Engine:
         from repro.vertica.plan import execute_select
 
         result, execution = execute_select(
-            self, statement, txn, initiator, snapshot, cost, context
+            self, statement, txn, initiator, snapshot, cost
         )
         result.snapshot_epoch = snapshot
-        if cacheable:
-            cache.store(
-                canonical,
-                snapshot,
-                db.catalog.version,
-                result.columns,
-                result.rows,
-                cost,
-            )
+        if key is not None:
+            cache.store(*key, result.columns, result.rows, cost)
         return result, execution
 
     def explain(
@@ -575,33 +581,36 @@ class Engine:
         statement: ast.Explain,
         txn: Transaction,
         initiator: str,
-        context: PlanContext,
+        result_cache: bool,
     ) -> ResultSet:
         """Render the optimized plan: access path, pruning, pushdowns.
 
         Binds and optimizes through the real pipeline but executes
-        nothing (row estimates count visible rows, reading no column).  When
-        the session has RESULT_CACHE on, a trailing line reports whether
-        the query would be served from the result cache at the current
-        snapshot (the probe neither stores nor touches LRU order).
+        nothing (row estimates count visible rows, reading no column).  With
+        ``result_cache`` (the session's RESULT_CACHE) a trailing line
+        reports what the SELECT would do in this transaction: a hit or a
+        miss at its snapshot, or the bypass and why.  The probe neither
+        stores, touches LRU order, nor pins the transaction's snapshot.
         """
         from repro.vertica.plan import explain_lines
 
-        lines = explain_lines(self, statement.query, initiator, context)
-        canonical = statement.query.cache_key
-        if context.result_cache and canonical is not None:
+        query = statement.query
+        lines = explain_lines(self, query, initiator)
+        if result_cache:
             from repro.cache.keys import statement_digest
 
-            db = self.database
-            query = statement.query
-            probe_epoch = (
-                query.at_epoch if query.at_epoch is not None else db.epochs.current
+            snapshot = (
+                query.at_epoch if query.at_epoch is not None else txn.read_epoch
             )
-            held = (canonical, probe_epoch, db.catalog.version) in db.result_cache
-            lines.append(
-                f"RESULT CACHE: {'hit' if held else 'miss'} "
-                f"(digest {statement_digest(canonical)}, epoch {probe_epoch})"
-            )
+            key, reason = self._result_cache_key(query, txn, snapshot)
+            if reason is not None:
+                lines.append(f"RESULT CACHE: bypass ({reason})")
+            elif key is not None:
+                held = key in self.database.result_cache
+                lines.append(
+                    f"RESULT CACHE: {'hit' if held else 'miss'} "
+                    f"(digest {statement_digest(key[0])}, epoch {snapshot})"
+                )
         return ResultSet(["QUERY_PLAN"], [(line,) for line in lines])
 
     def profile(
@@ -609,7 +618,7 @@ class Engine:
         statement: ast.Profile,
         txn: Transaction,
         initiator: str,
-        context: PlanContext,
+        result_cache: bool,
     ) -> ResultSet:
         """Execute the query and report per-operator execution stats.
 
@@ -621,22 +630,17 @@ class Engine:
         shows the hit and the replayed cost summary (``profile`` stays
         ``None``).
         """
-        from repro.vertica.plan.pipeline import PlanProfile
+        from repro.vertica.plan.pipeline import PlanProfile, cost_line
 
         telemetry.counter("vertica.queries.profile").inc()
         result, execution = self._run_select(
-            statement.query, txn, initiator, context,
-            use_cache=context.result_cache,
+            statement.query, txn, initiator, use_cache=result_cache
         )
         if execution is None:
             cost = result.cost
             lines = [
                 f"RESULT CACHE: hit (epoch {result.snapshot_epoch})",
-                "COST: "
-                f"rows scanned: {cost.rows_scanned}, "
-                f"rows aggregated: {cost.rows_aggregated}, "
-                f"rows output: {cost.rows_output}, "
-                f"bytes output: {int(cost.bytes_output)}",
+                cost_line(cost),
             ]
             report = ResultSet(["PROFILE"], [(line,) for line in lines], cost=cost)
             report.query_result = result
@@ -792,12 +796,11 @@ class Engine:
         statement: ast.InsertSelect,
         txn: Transaction,
         initiator: str,
-        context: PlanContext,
     ) -> ResultSet:
         table = self.database.catalog.table(statement.table)
         telemetry.counter("vertica.queries.insert").inc()
         cost = CostReport()
-        result = self.select(statement.query, txn, initiator, context, cost=cost)
+        result = self.select(statement.query, txn, initiator, cost=cost)
         target_columns = (
             [c.upper() for c in statement.columns]
             if statement.columns
@@ -820,7 +823,6 @@ class Engine:
         statement: ast.Update,
         txn: Transaction,
         initiator: str,
-        context: PlanContext,
     ) -> ResultSet:
         db = self.database
         table = db.catalog.table(statement.table)
@@ -832,7 +834,7 @@ class Engine:
             if not table.has_column(column):
                 raise SqlError(f"table {table.name!r} has no column {column!r}")
         batches, deletes = self._matched_once(
-            table, statement.where, txn, initiator, cost, context
+            table, statement.where, txn, initiator, cost
         )
         updated: List[List[Any]] = [[] for __ in table.columns]
         count = 0
@@ -863,7 +865,6 @@ class Engine:
         statement: ast.Delete,
         txn: Transaction,
         initiator: str,
-        context: PlanContext,
     ) -> ResultSet:
         db = self.database
         table = db.catalog.table(statement.table)
@@ -871,7 +872,7 @@ class Engine:
         telemetry.counter("vertica.queries.delete").inc()
         cost = CostReport()
         batches, deletes = self._matched_once(
-            table, statement.where, txn, initiator, cost, context
+            table, statement.where, txn, initiator, cost
         )
         for container, row_id in deletes:
             txn.stage_delete(container, row_id)
@@ -884,7 +885,6 @@ class Engine:
         txn: Transaction,
         initiator: str,
         cost: CostReport,
-        context: PlanContext,
     ) -> Tuple[List[ColumnBatch], List[Tuple[RosContainer, int]]]:
         """What an UPDATE/DELETE matches: (rows, delete-vector entries).
 
@@ -901,7 +901,7 @@ class Engine:
         counted_node: Optional[str] = None
         for batch in dml_matching_rows(
             self, table.name, where, txn, initiator,
-            self.database.epochs.current, cost, context,
+            self.database.epochs.current, cost,
         ):
             if batch.container is not None:
                 deletes.extend(

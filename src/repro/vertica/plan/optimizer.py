@@ -53,7 +53,6 @@ from repro.vertica.expr import (
 )
 from repro.vertica.plan import logical
 from repro.vertica.plan.logical import LogicalPlan, TableScan
-from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 
 RULE_CONSTANT_FOLDING = "constant folding"
@@ -64,11 +63,11 @@ RULE_JOIN_REORDER = "join reordering"
 RULE_JOIN_STRATEGY = "join-strategy selection"
 
 
-def optimize(plan: LogicalPlan, database, context: PlanContext) -> LogicalPlan:
+def optimize(plan: LogicalPlan, database) -> LogicalPlan:
     """Apply all rules in order, recording the ones that fired.
 
-    ``context`` is the issuing session's settings; ``database`` supplies
-    catalog statistics only.
+    ``database`` supplies catalog statistics only; no session setting
+    reaches the optimizer.
     """
     if _fold_plan(plan):
         plan.rules_applied.append(RULE_CONSTANT_FOLDING)
@@ -79,10 +78,10 @@ def optimize(plan: LogicalPlan, database, context: PlanContext) -> LogicalPlan:
     if _prune_columns(plan):
         plan.rules_applied.append(RULE_PROJECTION_PRUNING)
     _estimate_node(plan.root, database)
-    if _reorder_joins(plan, database, context.join_strategy):
+    if _reorder_joins(plan, database):
         plan.rules_applied.append(RULE_JOIN_REORDER)
         _estimate_node(plan.root, database)  # re-stamp the new shape
-    if _plan_joins(plan, context.join_strategy):
+    if _plan_joins(plan):
         plan.rules_applied.append(RULE_JOIN_STRATEGY)
     return plan
 
@@ -831,7 +830,7 @@ def _condition_safe(join: logical.Join) -> bool:
     return _never_raises(join.condition, _scan_type_classes(scans))
 
 
-def _plan_joins(plan: LogicalPlan, override: str) -> bool:
+def _plan_joins(plan: LogicalPlan) -> bool:
     """Annotate every Join with strategy, keys, co-location,
     and the names read above it (its output needs no other column).
 
@@ -849,7 +848,7 @@ def _plan_joins(plan: LogicalPlan, override: str) -> bool:
         pairs = _equi_key_pairs(node)
         node.equi_keys = pairs
         node.colocated = bool(pairs) and _is_colocated(node, pairs)
-        node.strategy = _join_strategy(node, pairs, override)
+        node.strategy = _join_strategy(node, pairs)
         node.keys_decide = (
             node.strategy == "hash"
             and len(split_and(node.condition)) == len(pairs)
@@ -858,18 +857,16 @@ def _plan_joins(plan: LogicalPlan, override: str) -> bool:
     return bool(joins)
 
 
-def _join_strategy(
-    node: logical.Join, pairs: List[Tuple[str, str]], override: str
-) -> str:
-    """A hash join, unless the session pins the nested loop or the join
-    needs it."""
-    if override == "nested-loop" or not pairs or not _condition_safe(node):
+def _join_strategy(node: logical.Join, pairs: List[Tuple[str, str]]) -> str:
+    """A hash join, unless the join has no equi key or its condition
+    might raise."""
+    if not pairs or not _condition_safe(node):
         return "nested-loop"
     return "hash"
 
 
 # ----------------------------------------------------- join reordering
-def _reorder_joins(plan: LogicalPlan, database, override: str) -> bool:
+def _reorder_joins(plan: LogicalPlan, database) -> bool:
     """Greedily reorder multi-way equi-join chains by estimated rows.
 
     The binder emits joins in FROM-list order (a left-deep "accident");
@@ -884,8 +881,6 @@ def _reorder_joins(plan: LogicalPlan, database, override: str) -> bool:
     pass leaves behind (``reorder_chain`` / ``restore_order``), keeping
     reordered plans byte-identical to the legacy oracle.
     """
-    if override == "nested-loop":
-        return False  # a forced nested loop cannot track provenance
     parent_ids: Set[int] = set()
     joins: List[logical.Join] = []
     for node in plan.nodes():

@@ -70,7 +70,6 @@ from repro.vertica.kernels import (
     selector_of,
 )
 from repro.vertica.plan import logical
-from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.txn import Transaction
 
@@ -342,7 +341,6 @@ class ViewScanOp(PhysicalOperator):
         initiator: str,
         snapshot: int,
         cost: CostReport,
-        context: PlanContext,
     ):
         super().__init__()
         self.engine = engine
@@ -351,7 +349,6 @@ class ViewScanOp(PhysicalOperator):
         self.initiator = initiator
         self.snapshot = snapshot
         self.cost = cost
-        self.context = context
 
     def _run(self) -> Iterator[ColumnBatch]:
         from repro.vertica.hashring import synthetic_ring, vertica_hash
@@ -361,9 +358,7 @@ class ViewScanOp(PhysicalOperator):
         query = view.query
         if query.at_epoch is None and self.snapshot is not None:
             query = dataclasses.replace(query, at_epoch=self.snapshot)
-        result = self.engine.select(
-            query, self.txn, self.initiator, self.context, cost=self.cost
-        )
+        result = self.engine.select(query, self.txn, self.initiator, cost=self.cost)
         ring = synthetic_ring(db.node_names)
         # A repeated result column keeps its last occurrence, like a dict.
         position = {name: i for i, name in enumerate(result.columns)}

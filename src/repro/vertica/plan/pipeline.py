@@ -25,7 +25,6 @@ from repro.vertica.plan import logical, physical
 from repro.vertica.plan.binder import bind_dml_scan, bind_select
 from repro.vertica.plan.logical import LogicalPlan
 from repro.vertica.plan.optimizer import optimize
-from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.txn import Transaction
 
@@ -37,14 +36,11 @@ def build_operator(
     initiator: str,
     snapshot: int,
     cost: CostReport,
-    context: PlanContext,
 ) -> physical.PhysicalOperator:
     """Translate one logical node (and its subtree) into operators."""
 
     def build(child: logical.LogicalNode) -> physical.PhysicalOperator:
-        return build_operator(
-            engine, child, txn, initiator, snapshot, cost, context
-        )
+        return build_operator(engine, child, txn, initiator, snapshot, cost)
 
     if isinstance(node, logical.ConstantRelation):
         return physical.ConstantOp(node, initiator)
@@ -53,9 +49,7 @@ def build_operator(
     if isinstance(node, logical.SystemTableScan):
         return physical.SystemScanOp(engine, node, initiator)
     if isinstance(node, logical.ViewScan):
-        return physical.ViewScanOp(
-            engine, node, txn, initiator, snapshot, cost, context
-        )
+        return physical.ViewScanOp(engine, node, txn, initiator, snapshot, cost)
     if isinstance(node, logical.Join):
         join_op = physical.HashJoinOp if node.strategy == "hash" else physical.JoinOp
         return join_op(node, build(node.left), build(node.right))
@@ -91,27 +85,25 @@ class PipelineExecution:
         return out
 
 
-def optimized_plan(
-    engine, statement: ast.Select, context: PlanContext
-) -> LogicalPlan:
+def optimized_plan(engine, statement: ast.Select) -> LogicalPlan:
     """Bind + optimize through the plan cache.
 
-    Cached plans are keyed by (canonical statement, catalog version,
-    ``context.fingerprint``).  Estimation reads only catalog statistics,
-    which only ANALYZE writes (and it bumps the version), and the
-    optimizer reads settings only from ``context``, so a cached plan is
-    identical to a fresh optimize at the same key; the statement just
-    skips bind → optimize.  Statements without a stamped ``cache_key``
+    Cached plans are keyed by (canonical statement, catalog version).
+    Estimation reads catalog statistics, which only ANALYZE writes (and
+    it bumps the version), and no session setting reaches the
+    optimizer, so a cached plan is what a fresh optimize at the same key
+    builds — except that an unanalyzed table's estimate reads container
+    row counts, which loads move without bumping the version
+    (docs/CACHING.md).  Statements without a stamped ``cache_key``
     (built programmatically, not through a session parse) take the cold
     path every time.
     """
     db = engine.database
     version = db.catalog.version
-    fingerprint = context.fingerprint
-    plan = db.plan_cache.lookup_plan(statement, version, fingerprint)
+    plan = db.plan_cache.lookup_plan(statement, version)
     if plan is None:
-        plan = optimize(bind_select(db, statement), db, context)
-        db.plan_cache.store_plan(statement, version, fingerprint, plan)
+        plan = optimize(bind_select(db, statement), db)
+        db.plan_cache.store_plan(statement, version, plan)
     return plan
 
 
@@ -122,13 +114,10 @@ def execute_select(
     initiator: str,
     snapshot: int,
     cost: CostReport,
-    context: PlanContext,
 ) -> Tuple[ResultSet, PipelineExecution]:
     """Bind, optimize and run one SELECT through physical operators."""
-    plan = optimized_plan(engine, statement, context)
-    root = build_operator(
-        engine, plan.root, txn, initiator, snapshot, cost, context
-    )
+    plan = optimized_plan(engine, statement)
+    root = build_operator(engine, plan.root, txn, initiator, snapshot, cost)
     rows: List[Tuple[Any, ...]] = []
     for batch in root.batches():
         rows.extend(batch.rows())
@@ -154,7 +143,6 @@ def dml_matching_rows(
     initiator: str,
     snapshot: int,
     cost: CostReport,
-    context: PlanContext,
 ) -> Iterator[ColumnBatch]:
     """Matching rows of an UPDATE/DELETE, through the same pipeline.
 
@@ -165,8 +153,7 @@ def dml_matching_rows(
     the predicate — pruning would change the statement's CostReport.
     """
     plan = optimize(
-        bind_dml_scan(engine.database, table_name, where), engine.database,
-        context,
+        bind_dml_scan(engine.database, table_name, where), engine.database
     )
     assert isinstance(plan.root, logical.TableScan)
     op = physical.DmlScanOp(engine, plan.root, txn, initiator, snapshot, cost)
@@ -174,12 +161,10 @@ def dml_matching_rows(
 
 
 # -------------------------------------------------------------------- EXPLAIN
-def explain_lines(
-    engine, query: ast.Select, initiator: str, context: PlanContext
-) -> List[str]:
+def explain_lines(engine, query: ast.Select, initiator: str) -> List[str]:
     """Render the optimized plan tree; binds but never executes."""
     db = engine.database
-    plan = optimized_plan(engine, query, context)
+    plan = optimized_plan(engine, query)
     snapshot = query.at_epoch if query.at_epoch is not None else db.epochs.current
     lines: List[str] = []
 
@@ -324,12 +309,16 @@ class PlanProfile:
         out.extend(_join_order_lines(plan))
         if plan.rules_applied:
             out.append("OPTIMIZER: " + ", ".join(plan.rules_applied))
-        cost = self.result.cost
-        out.append(
-            "COST: "
-            f"rows scanned: {cost.rows_scanned}, "
-            f"rows aggregated: {cost.rows_aggregated}, "
-            f"rows output: {cost.rows_output}, "
-            f"bytes output: {int(cost.bytes_output)}"
-        )
+        out.append(cost_line(self.result.cost))
         return out
+
+
+def cost_line(cost: CostReport) -> str:
+    """PROFILE's statement-total ``COST:`` line, executed or cache-served."""
+    return (
+        "COST: "
+        f"rows scanned: {cost.rows_scanned}, "
+        f"rows aggregated: {cost.rows_aggregated}, "
+        f"rows output: {cost.rows_output}, "
+        f"bytes output: {int(cost.bytes_output)}"
+    )

@@ -2,16 +2,17 @@
 
 Every ``SET <option>`` a session accepts is one row of :data:`SETTINGS`;
 the values live in an immutable :class:`PlanContext` owned by the session
-and passed explicitly through ``engine.execute`` → bind → optimize →
-execute.  Nothing below the session reads a setting from the shared
+and handed to ``Engine.execute``, the only reader.  No setting reaches
+bind, optimize or the operators: which plan runs depends only on the
+statement and the catalog.  Nothing reads a setting from the shared
 database object, so one connection's ``SET`` can never change another's
-plans, and ``Session.reset()`` restores every setting by rebuilding the
-context from :func:`defaults`.
+statements, and ``Session.reset()`` restores every setting by rebuilding
+the context from :func:`defaults`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.vertica.errors import SqlError
@@ -19,39 +20,18 @@ from repro.vertica.errors import SqlError
 
 @dataclass(frozen=True)
 class PlanContext:
-    """One session's settings.
+    """One session's settings."""
 
-    A field marked ``plan`` changes which plan the optimizer builds; the
-    values of those fields are the :attr:`fingerprint` the plan cache
-    keys on, so a new plan-relevant setting re-keys cached plans by
-    construction instead of by someone remembering to list it.
-    """
-
-    #: 'auto' hash-joins every equi-join whose condition cannot raise;
-    #: 'nested-loop' pins every join to the nested loop in the binder's
-    #: join order — the oracle's reference path
-    join_strategy: str = field(default="auto", metadata={"plan": True})
     #: whether top-level SELECTs consult the server-side result cache
-    result_cache: bool = field(default=False, metadata={"plan": False})
+    result_cache: bool = False
     #: the WLM pool the session's statements admit through
-    resource_pool: str = field(default="GENERAL", metadata={"plan": False})
+    resource_pool: str = "GENERAL"
 
-    @property
-    def fingerprint(self) -> Tuple[Any, ...]:
-        """The plan-relevant values, in field order (a plan-cache key part)."""
-        return tuple(getattr(self, name) for name in _PLAN_FIELDS)
-
-
-_PLAN_FIELDS = tuple(f.name for f in fields(PlanContext) if f.metadata["plan"])
 
 #: ``SET <option>`` → (PlanContext field, {accepted spelling: stored value});
 #: ``None`` accepts the name of any resource pool in the catalog
 SETTINGS: Dict[str, Tuple[str, Optional[Dict[str, Any]]]] = {
     "RESOURCE_POOL": ("resource_pool", None),
-    "JOIN_STRATEGY": (
-        "join_strategy",
-        {name: name for name in ("auto", "nested-loop")},
-    ),
     "RESULT_CACHE": ("result_cache", {"on": True, "off": False}),
 }
 

@@ -138,6 +138,12 @@ class Transaction:
             self._snapshot = self._epochs.current
         return self._snapshot
 
+    @property
+    def read_epoch(self) -> int:
+        """The epoch a read without ``AT EPOCH`` would see, without fixing
+        the snapshot (EXPLAIN reads no rows, so it must not pin one)."""
+        return self._snapshot if self._snapshot is not None else self._epochs.current
+
     # -- write staging ---------------------------------------------------------
     def require_active(self) -> None:
         if self.status != ACTIVE:

@@ -5,8 +5,8 @@ Two layers, matching the two decisions a multi-way equi-join makes:
 - **Reordering** — the optimizer re-sequences multi-way equi-join
   chains by estimated cardinality.  The differential matrix proves the
   answer (rows, order, per-node cost attribution) stays byte-identical
-  to the legacy oracle for 3–5-way joins under every ``JOIN_STRATEGY``
-  override, with stale and with fresh statistics.
+  to the legacy oracle for 3–5-way joins, with stale and with fresh
+  statistics.
 - **The build side** — no plan decision: a hash join has both inputs in
   hand before it builds, and builds on the one holding fewer rows
   (ties build right).  PROFILE prints the side; a hypothesis test over
@@ -105,6 +105,8 @@ THREE_WAY = (
 )
 FOUR_WAY = THREE_WAY + " JOIN dimc ON kc = c_id"
 FIVE_WAY = FOUR_WAY + " JOIN dimd ON kd = d_id"
+#: the same chain with no equi key: four nested loops in binder order
+FIVE_WAY_NO_KEYS = FIVE_WAY.replace("_id", "_id + 0")
 
 STAR_MATRIX = [
     THREE_WAY,
@@ -129,8 +131,11 @@ class TestAdaptiveDifferential:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("stale", [False, True])
     def test_five_way_under_strategy_override(self, stale, strategy):
-        # stale statistics misorder the estimates; the answer cannot move
-        assert_identical(make_star_db(stale=stale), FIVE_WAY, strategy=strategy)
+        # stale statistics misorder the estimates; the answer cannot move,
+        # neither when every condition loses its equi key (``+ 0``) and
+        # the chain runs as nested loops in binder order
+        sql = FIVE_WAY if strategy == "auto" else FIVE_WAY_NO_KEYS
+        assert_identical(make_star_db(stale=stale), sql)
 
     def test_fresh_stats_matrix(self):
         assert_identical(make_star_db(stale=False), THREE_WAY)
@@ -195,11 +200,14 @@ class TestJoinReorderPlan:
         assert order_line.index("DIMD") < order_line.index("DIMA")
 
     def test_nested_loop_keeps_binder_order(self, star_db):
+        # no condition has an equi key, so every join is a nested loop and
+        # no chain order is cheaper than another
         session = star_db.connect()
-        session.execute("SET JOIN_STRATEGY = 'nested-loop'")
-        plan = plan_text(session, f"EXPLAIN {FIVE_WAY}")
+        plan = plan_text(session, f"EXPLAIN {FIVE_WAY_NO_KEYS}")
+        assert plan.count("nested-loop join") == 4
         assert "JOIN ORDER:" not in plan
         assert RULE_JOIN_REORDER not in plan
+        assert_identical(star_db, FIVE_WAY_NO_KEYS)
 
     def test_two_way_join_never_reordered(self, star_db):
         session = star_db.connect()
@@ -279,6 +287,8 @@ def make_misestimated_db(analyzed=20, grown=400, dim_rows=30):
 
 
 JOIN_SQL = "SELECT fv, dv FROM fact JOIN dim ON fk = dk"
+#: the same match with no equi key: the planner nested-loops it
+NESTED_SQL = JOIN_SQL + " + 0"
 
 
 def hash_joins(report):
@@ -311,20 +321,16 @@ class TestObservedBuildSide:
         assert "REPLAN" not in text
 
     def test_rows_match_the_nested_loop_rows(self):
-        pinned = make_misestimated_db().connect()
-        pinned.execute("SET JOIN_STRATEGY 'nested-loop'")
-        frozen = pinned.execute(JOIN_SQL)
-        hashed = make_misestimated_db().connect().execute(JOIN_SQL)
+        session = make_misestimated_db().connect()
+        frozen = session.execute(NESTED_SQL)
+        hashed = session.execute(JOIN_SQL)
         assert hashed.rows == frozen.rows
         assert hashed.columns == frozen.columns
 
-    def test_strategy_override_pins_algorithm(self):
-        # A session pinned to the nested loop plans no hash join, so
-        # nothing builds a table and PROFILE names no build side.
-        db = make_misestimated_db()
-        session = db.connect()
-        session.execute("SET JOIN_STRATEGY 'nested-loop'")
-        report = session.execute(f"PROFILE {JOIN_SQL}")
+    def test_a_join_without_an_equi_key_builds_nothing(self):
+        # The nested loop builds no table, so PROFILE names no build side.
+        session = make_misestimated_db().connect()
+        report = session.execute(f"PROFILE {NESTED_SQL}")
         text = "\n".join(row[0] for row in report.rows)
         assert "nested-loop join" in text
         assert "build:" not in text
@@ -335,22 +341,20 @@ class TestObservedBuildSide:
         analyzed_rows=st.integers(min_value=1, max_value=40),
         stale=st.booleans(),
         sql=st.sampled_from(STAR_QUERIES),
-        strategy=st.sampled_from(STRATEGIES),
     )
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_star_schemas_answer_like_the_oracle_and_build_the_smaller_side(
-        self, fact_rows, analyzed_rows, stale, sql, strategy
+        self, fact_rows, analyzed_rows, stale, sql
     ):
         db = make_star_db(fact_rows, stale=stale, analyzed_rows=analyzed_rows)
         with db.connect() as session:
-            session.execute(f"SET JOIN_STRATEGY = '{strategy}'")
             assert_matches_oracle(session, sql)
             try:
                 report = session.execute(f"PROFILE {sql}")
             except SqlError:
                 return  # the oracle raised it too, with this message
         joins = hash_joins(report)
-        assert bool(joins) == (strategy == "auto")
+        assert joins  # every star join is an equi-join
         for build, left, right in joins:
             assert build == ("left" if left < right else "right"), sql
 
@@ -360,15 +364,14 @@ class TestSetOptionValidation:
     @pytest.mark.parametrize(
         "statement, fragments",
         [
-            ("SET JOIN_STRATEGY sideways",
-             ["invalid JOIN_STRATEGY", "SIDEWAYS", "auto", "nested-loop"]),
-            # one equi-join algorithm: there is nothing to pin but the loop
-            ("SET JOIN_STRATEGY = 'merge'",
-             ["invalid JOIN_STRATEGY 'merge' "
-              "(expected one of: auto, nested-loop)"]),
-            ("SET JOIN_STRATEGY = 'hash'",
-             ["invalid JOIN_STRATEGY 'hash' "
-              "(expected one of: auto, nested-loop)"]),
+            ("SET RESULT_CACHE sideways",
+             ["invalid RESULT_CACHE", "SIDEWAYS", "on", "off"]),
+            # the planner picks each join's algorithm: there is no hint
+            ("SET JOIN_STRATEGY = 'auto'",
+             ["unknown session option 'JOIN_STRATEGY' "
+              "(expected one of: RESOURCE_POOL, RESULT_CACHE)"]),
+            ("SET JOIN_STRATEGY = 'nested-loop'",
+             ["unknown session option", "JOIN_STRATEGY", *SETTINGS]),
             # reordering and the observed build side are the only path
             ("SET JOIN_REORDER on",
              ["unknown session option", "JOIN_REORDER", *SETTINGS]),
@@ -390,12 +393,9 @@ class TestRandomizedStaleStats:
         analyzed=st.integers(min_value=1, max_value=8),
         growth=st.integers(min_value=1, max_value=30),
         dims=st.integers(min_value=1, max_value=8),
-        strategy=st.sampled_from(STRATEGIES),
     )
     @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_stale_stats_never_change_answers(
-        self, analyzed, growth, dims, strategy
-    ):
+    def test_stale_stats_never_change_answers(self, analyzed, growth, dims):
         db = VerticaDatabase(num_nodes=3)
         session = db.connect()
         session.execute(
@@ -430,4 +430,4 @@ class TestRandomizedStaleStats:
                 + ", ".join(f"({i % 7}, {i})" for i in range(analyzed, total))
             )
         sql = "SELECT m, n, p FROM sf JOIN sd ON k = k2 JOIN se ON k = k3"
-        assert_identical(db, sql, strategy=strategy)
+        assert_identical(db, sql)

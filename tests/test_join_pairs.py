@@ -8,7 +8,7 @@ these tests hold the pieces to their own contracts:
 - the pair sources list exactly the key-equal pairs, in the nested
   loop's left-major order, whichever side builds (the observed-unique
   probe and the bucketed path included);
-- a NaN key matches nothing under any strategy (a dict would pair one NaN
+- a NaN key matches nothing in either join (a dict would pair one NaN
   object with itself) and ``ANALYZE`` survives a column holding one;
 - validation gathers the condition's columns only — a join that keeps no
   candidate never touches another column — unless the condition calls
@@ -50,7 +50,7 @@ from tests.test_adaptive_execution import (
     make_misestimated_db,
     make_star_db,
 )
-from tests.test_plan_differential import STRATEGIES, assert_identical
+from tests.test_plan_differential import assert_identical
 from tests.test_plan_differential import join_db  # noqa: F401 - fixture
 
 
@@ -168,25 +168,24 @@ def nan_db(seed):
 NAN_JOINS = [
     "SELECT t.id, u.id FROM t JOIN u ON f = g",
     "SELECT t.id, u.id FROM t JOIN u ON f = g AND t.id = u.id",
+    # the same matches with no equi key: the nested loop
+    "SELECT t.id, u.id FROM t JOIN u ON f = g + 0",
+    "SELECT t.id, u.id FROM t JOIN u ON f = g + 0 AND t.id = u.id + 0",
 ]
 
 
 class TestNanKeys:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("sql", NAN_JOINS)
-    def test_nan_matches_nothing_under_every_strategy(self, sql, seed, strategy):
-        assert_identical(nan_db(seed), sql, strategy=strategy)
+    def test_nan_matches_nothing_under_every_strategy(self, sql, seed):
+        assert_identical(nan_db(seed), sql)
 
     def test_hash_join_keeps_the_real_matches(self):
-        db = nan_db(0)
-        rows = {}
-        for strategy in STRATEGIES:
-            with db.connect() as session:
-                session.execute(f"SET JOIN_STRATEGY = '{strategy}'")
-                rows[strategy] = session.execute(NAN_JOINS[0]).rows
-        assert rows["auto"] == rows["nested-loop"]
-        assert len(rows["auto"]) == 20
+        with nan_db(0).connect() as session:
+            hashed = session.execute(NAN_JOINS[0]).rows
+            looped = session.execute(NAN_JOINS[2]).rows
+        assert hashed == looped
+        assert len(hashed) == 20
 
     def test_analyze_survives_nan(self):
         db = nan_db(0)
@@ -204,8 +203,8 @@ class TestNanKeys:
         assert stats.ndv == len(set(finite))
         assert sum(bucket.count for bucket in stats.histogram) == len(finite)
         # and what it feeds still plans, and answers like the oracle
-        for strategy in STRATEGIES:
-            assert_identical(db, NAN_JOINS[0], strategy=strategy)
+        assert_identical(db, NAN_JOINS[0])
+        assert_identical(db, NAN_JOINS[2])
         assert_identical(db, "SELECT id, f FROM t WHERE f > 1.0")
         assert_identical(db, "SELECT id FROM u WHERE g <= 2.0 ORDER BY id")
 
@@ -268,15 +267,14 @@ SELECTIVE_LAST = (
 
 
 class TestLateMaterialization:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("key", ["k2", "k2 + 0"], ids=["hash", "nested-loop"])
     def test_a_join_that_keeps_nothing_gathers_the_condition_only(
-        self, join_db, monkeypatch, strategy
+        self, join_db, monkeypatch, key
     ):
         spy = GatherSpy(monkeypatch)
         with join_db.connect() as session:
-            session.execute(f"SET JOIN_STRATEGY = '{strategy}'")
             result = session.execute(
-                "SELECT v, label FROM fact JOIN dim ON k = k2 AND v < 0.0"
+                f"SELECT v, label FROM fact JOIN dim ON k = {key} AND v < 0.0"
             )
         assert result.rows == []
         assert len(spy.inputs) == 2
@@ -291,9 +289,11 @@ class TestLateMaterialization:
         assert rows
         assert spy.untouched({"K", "K2", "V", "LABEL", "nodes"}) <= {"nodes"}
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize(
+        "key", ["d.k2", "d.k2 + 0"], ids=["hash", "nested-loop"]
+    )
     def test_synthetic_hash_in_the_condition_reads_the_whole_row(
-        self, join_db, strategy
+        self, join_db, key
     ):
         legacy = LegacyInterpreter(join_db)
         hashes = legacy.select(
@@ -307,24 +307,22 @@ class TestLateMaterialization:
         for (wanted,) in hashes[:2]:
             sql = (
                 "SELECT v, label FROM fact f JOIN dim d "
-                f"ON f.k = d.k2 AND SYNTHETIC_HASH() = {wanted}"
+                f"ON f.k = {key} AND SYNTHETIC_HASH() = {wanted}"
             )
-            assert_identical(join_db, sql, strategy=strategy)
+            assert_identical(join_db, sql)
             assert join_db.connect().execute(sql).rows
 
     def test_a_reordered_chain_gathers_each_column_once_at_its_root(
         self, monkeypatch
     ):
         db = make_star_db()
-        session = db.connect()
         plan = optimized_plan(
-            db.engine, db.plan_cache.parse(SELECTIVE_LAST, parse_statement),
-            session.context,
+            db.engine, db.plan_cache.parse(SELECTIVE_LAST, parse_statement)
         )
         spy = GatherSpy(monkeypatch)
         root = build_operator(
             db.engine, plan.root, db.begin(), db.node_names[0],
-            db.epochs.current, CostReport(), session.context,
+            db.epochs.current, CostReport(),
         )
         rows = [row for batch in root.batches() for row in batch.rows()]
         chain = []
@@ -383,9 +381,9 @@ class TestValidation:
     key-decided one trusts them all."""
 
     VALIDATING = [
-        ("SELECT v, label FROM fact JOIN dim ON k = k2 AND v < 2.0", "auto"),
-        ("SELECT v, label FROM fact JOIN dim ON k = label", "auto"),
-        ("SELECT v, label FROM fact JOIN dim ON k = k2", "nested-loop"),
+        "SELECT v, label FROM fact JOIN dim ON k = k2 AND v < 2.0",
+        "SELECT v, label FROM fact JOIN dim ON k = label",
+        "SELECT v, label FROM fact JOIN dim ON k = k2 + 0",
     ]
 
     @pytest.fixture
@@ -405,10 +403,10 @@ class TestValidation:
         return calls
 
     @pytest.mark.parametrize(
-        "sql, strategy", VALIDATING, ids=["residual", "int-varchar", "nested-loop"]
+        "sql", VALIDATING, ids=["residual", "int-varchar", "nested-loop"]
     )
-    def test_these_still_validate(self, join_db, spy, sql, strategy):
-        assert_identical(join_db, sql, strategy=strategy)
+    def test_these_still_validate(self, join_db, spy, sql):
+        assert_identical(join_db, sql)
         assert spy and sum(spy) == 35  # fact (7 rows) x dim (5 rows)
 
     def test_a_key_decided_join_does_not(self, join_db, spy):
@@ -442,12 +440,12 @@ def structure(plan):
     ]
 
 
-def run_plan(db, plan, context):
+def run_plan(db, plan):
     """Execute ``plan`` itself (not whatever the cache holds by now): its
     rows and whether any hash join built on its left input."""
     root = build_operator(
         db.engine, plan.root, db.begin(), db.node_names[0], db.epochs.current,
-        CostReport(), context,
+        CostReport(),
     )
     rows = [row for batch in root.batches() for row in batch.rows()]
     return rows, any(
@@ -470,17 +468,16 @@ class TestCachedPlansStayPristine:
         self, make_db, sql, reordered, builds_left
     ):
         db = make_db()
-        session = db.connect()
         statement = db.plan_cache.parse(sql, parse_statement)
-        plan = optimized_plan(db.engine, statement, session.context)
-        assert optimized_plan(db.engine, statement, session.context) is plan
+        plan = optimized_plan(db.engine, statement)
+        assert optimized_plan(db.engine, statement) is plan
         assert reordered == any(
             getattr(node, "reorder_chain", False) for node in plan.nodes()
         )
         before = structure(plan)
-        first, built_left = run_plan(db, plan, session.context)
+        first, built_left = run_plan(db, plan)
         assert built_left == builds_left
         assert structure(plan) == before
-        again, __ = run_plan(db, plan, session.context)
+        again, __ = run_plan(db, plan)
         assert again == first and first
         assert structure(plan) == before

@@ -2,13 +2,12 @@
 
 Two levels under test: the *parse* cache (canonical SQL text → shared
 AST: one lexing per statement text, no parse on repeats) and the *plan* cache
-(canonical statement + database versions + the session's PlanContext
-fingerprint → optimized plan, skipping bind/optimize).  Invalidation is
-by catalog version: DDL and ANALYZE bump it, so a cached plan can never
-outlive the schema or statistics it was optimized against.
+(canonical statement + catalog version → optimized plan, skipping
+bind/optimize; no session setting is part of the key, because none
+reaches the optimizer).  Invalidation is by catalog version: DDL and
+ANALYZE bump it, so a cached plan can never outlive the schema or
+statistics it was optimized against.
 """
-
-import dataclasses
 
 import pytest
 
@@ -16,8 +15,6 @@ from repro import telemetry
 from repro.cache import PlanCache, canonical_sql, statement_digest
 from repro.telemetry import MetricsRegistry
 from repro.vertica import VerticaDatabase
-from repro.vertica.plan import optimized_plan
-from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast, lexer
 from repro.vertica.sql.parser import parse_statement
 
@@ -144,23 +141,17 @@ class TestPlanCacheHits:
         session.execute(QUERY)
         assert registry.counter("vertica.cache.plan.misses").value > misses_before
 
-    def test_plan_context_fields_rekey_iff_plan_relevant(self, registry):
-        # A PlanContext field added without a flipped value here fails the
-        # lookup below: its author must declare whether it shapes plans.
-        flipped = {
-            "join_strategy": "nested-loop",
-            "result_cache": True,
-            "resource_pool": "PREMIUM",
-        }
-        db, __ = make_db()
-        statement = db.plan_cache.parse(QUERY, parse_statement)
-        optimized_plan(db.engine, statement, PlanContext())
-        misses = registry.counter("vertica.cache.plan.misses")
-        for field in dataclasses.fields(PlanContext):
-            context = PlanContext(**{field.name: flipped[field.name]})
-            before = misses.value
-            optimized_plan(db.engine, statement, context)
-            assert (misses.value > before) == field.metadata["plan"], field.name
+    def test_sessions_with_other_settings_share_the_plan(self, registry):
+        db, session = make_db()
+        session.execute(QUERY)
+        other = db.connect()
+        other.execute("SET RESULT_CACHE = 'on'")
+        other.execute("SET RESOURCE_POOL = 'general'")
+        misses = registry.counter("vertica.cache.plan.misses").value
+        hits = registry.counter("vertica.cache.plan.hits").value
+        other.execute(QUERY)
+        assert registry.counter("vertica.cache.plan.misses").value == misses
+        assert registry.counter("vertica.cache.plan.hits").value == hits + 1
 
     def test_cached_plan_answers_are_identical(self):
         db, session = make_db()
@@ -179,10 +170,11 @@ class TestPlanCacheUnit:
                 self.cache_key = key
 
         for n in range(3):
-            cache.store_plan(Stub(f"Q{n}"), 1, "auto", object())
+            cache.store_plan(Stub(f"Q{n}"), 1, object())
         assert cache.plan_count == 2
-        assert cache.lookup_plan(Stub("Q0"), 1, "auto") is None
-        assert cache.lookup_plan(Stub("Q2"), 1, "auto") is not None
+        assert cache.lookup_plan(Stub("Q0"), 1) is None
+        assert cache.lookup_plan(Stub("Q2"), 1) is not None
+        assert cache.lookup_plan(Stub("Q2"), 2) is None  # another version
         assert registry.counter("test.plan.evictions").value >= 1
 
     def test_unstamped_statement_is_never_cached(self):
@@ -191,8 +183,8 @@ class TestPlanCacheUnit:
         def bare():  # a node built in code, not parsed: ``cache_key`` None
             return ast.Select([ast.SelectItem(star=True)], ast.TableRef("events"))
 
-        assert cache.store_plan(bare(), 1, "auto", object()) is False
-        assert cache.lookup_plan(bare(), 1, "auto") is None
+        assert cache.store_plan(bare(), 1, object()) is False
+        assert cache.lookup_plan(bare(), 1) is None
         assert cache.plan_count == 0
 
     def test_explain_shares_the_inner_query_key(self):
@@ -288,7 +280,9 @@ class TestFrontDoor:
 class TestCachedPlanIsAFreshOptimize:
     """Statistics move only at ANALYZE, which bumps the catalog version, so
     whatever a session loads, rolls back, updates or merges out, the cached
-    plan is the plan a fresh optimize would build."""
+    plan of analyzed tables is the plan a fresh optimize would build.  An
+    unanalyzed table is the known seam: its estimate reads container row
+    counts, which a load moves without bumping the version."""
 
     QUERIES = [
         "SELECT sv, bv FROM small JOIN big ON sk = bk",
@@ -353,3 +347,33 @@ class TestCachedPlanIsAFreshOptimize:
             assert statistics == {
                 k: repr(v) for k, v in db.catalog.statistics.items()
             }, step
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="an unanalyzed table's estimate reads container row counts, "
+        "which loads move without bumping the catalog version (ROADMAP item 8)",
+    )
+    def test_a_load_into_an_unanalyzed_table(self):
+        db = VerticaDatabase(num_nodes=3)
+        session = db.connect()
+        for table, prefix, rows in (("small", "s", 10), ("big", "b", 50),
+                                    ("mid", "m", 20)):
+            session.execute(
+                f"CREATE TABLE {table} ({prefix}k INTEGER, {prefix}v INTEGER) "
+                f"SEGMENTED BY HASH({prefix}k) ALL NODES"
+            )
+            session.execute(
+                f"INSERT INTO {table} VALUES "
+                + ", ".join(f"({i}, {i * 3})" for i in range(rows))
+            )
+        session.execute("ANALYZE big")
+        session.execute("ANALYZE mid")  # small stays unanalyzed
+        sql = "SELECT sv, bv, mv FROM big JOIN mid ON bk = mk JOIN small ON sk = bk"
+        assert "JOIN ORDER: BIG x SMALL x MID" in "\n".join(self.explain(session, sql))
+        version = db.catalog.version
+        session.execute(
+            "INSERT INTO small VALUES "
+            + ", ".join(f"({i % 50}, {i})" for i in range(10, 400))
+        )
+        assert db.catalog.version == version
+        assert self.explain(session, sql) == self.fresh_explain(db, session, sql)

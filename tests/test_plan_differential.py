@@ -36,9 +36,10 @@ from repro.vertica.plan import explain_lines, logical, physical
 from repro.vertica.plan.binder import bind_dml_scan, bind_select
 from repro.vertica.plan.optimizer import optimize
 from repro.vertica.plan.pipeline import PipelineExecution, build_operator
-from repro.vertica.settings import SETTINGS, PlanContext
+from repro.vertica.settings import PlanContext
 from repro.vertica.sql import ast_nodes as ast
 from repro.vertica.sql.parser import parse_statement
+from repro.wlm import ResourcePool
 from tests.reference_interpreter import LegacyInterpreter
 
 COST_FIELDS = [name for pair in COST_COUNTERS for name in pair]
@@ -52,10 +53,9 @@ def outcome(run):
         return "err", type(error).__name__, str(error)
 
 
-def assert_identical(db, sql, initiator=None, strategy="auto"):
-    """The oracle's answer vs a fresh session's under ``SET JOIN_STRATEGY``."""
+def assert_identical(db, sql, initiator=None):
+    """The oracle's answer vs a fresh session's."""
     with db.connect(initiator or db.node_names[0]) as session:
-        session.execute(f"SET JOIN_STRATEGY = '{strategy}'")
         assert_matches_oracle(session, sql)
 
 
@@ -193,7 +193,7 @@ class TestDeterministicMatrix:
         )
         legacy = LegacyInterpreter(db)
         want = legacy.select(parse_statement("SELECT id, name FROM people ORDER BY id"), txn, initiator)
-        got = db.engine.select(statement, txn, initiator, PlanContext())
+        got = db.engine.select(statement, txn, initiator)
         assert got.rows == want.rows
         assert (99, "wos") in got.rows
         txn.abort()
@@ -608,12 +608,16 @@ def join_db():
     return database
 
 
-#: every value SET JOIN_STRATEGY accepts
-STRATEGIES = list(SETTINGS["JOIN_STRATEGY"][1])
+#: the planner's pick (a hash join on an equi key) and the nested loop
+#: a test forces on the same shape
+STRATEGIES = ["auto", "nested-loop"]
 
 JOIN_MATRIX = [
-    # co-located equi join on both segmentation keys (hash under auto)
+    # co-located equi join on both segmentation keys (a hash join)
     "SELECT v, label FROM fact JOIN dim ON k = k2",
+    # the same matches with no equi key: the nested loop
+    "SELECT v, label FROM fact JOIN dim ON k = k2 + 0",
+    "SELECT v, label, note FROM fact JOIN dim ON k = k2 + 0 JOIN lookup ON k = lk + 0",
     # pushdown-below-join: one-sided conjuncts move into each scan
     "SELECT v, label FROM fact JOIN dim ON k = k2 WHERE v > 1.0 AND label <> 'dup'",
     # qualified aliases with duplicate keys on both sides
@@ -647,22 +651,22 @@ JOIN_MATRIX = [
 
 
 class TestJoinMatrix:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("sql", JOIN_MATRIX)
-    def test_join_statement(self, join_db, sql, strategy):
-        assert_identical(join_db, sql, strategy=strategy)
+    def test_join_statement(self, join_db, sql):
+        assert_identical(join_db, sql)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_join_after_analyze(self, join_db, strategy):
-        # Statistics may steer the strategy/build side but never the rows.
+        # Statistics may steer the join order but never the rows;
+        # ``+ 0`` leaves no equi key, so the planner nested-loops it.
         session = join_db.connect()
         session.execute("ANALYZE fact")
         session.execute("ANALYZE dim")
-        assert_identical(
-            join_db,
-            "SELECT v, label FROM fact JOIN dim ON k = k2 WHERE v > 1.0",
-            strategy=strategy,
-        )
+        condition = "k = k2" if strategy == "auto" else "k = k2 + 0"
+        sql = f"SELECT v, label FROM fact JOIN dim ON {condition} WHERE v > 1.0"
+        plan = "\n".join(row[0] for row in session.execute(f"EXPLAIN {sql}").rows)
+        assert ("hash join" if strategy == "auto" else "nested-loop join") in plan
+        assert_identical(join_db, sql)
 
 
 # ------------------------------------------------- randomized join layer
@@ -688,14 +692,11 @@ class TestRandomizedJoinDifferential:
     @given(
         left_rows=join_rows,
         right_rows=join_rows,
-        strategy=st.sampled_from(STRATEGIES),
         where=join_where,
         analyze=st.booleans(),
     )
     @settings(max_examples=50, deadline=None, derandomize=True)
-    def test_random_join_matches_legacy(
-        self, left_rows, right_rows, strategy, where, analyze
-    ):
+    def test_random_join_matches_legacy(self, left_rows, right_rows, where, analyze):
         db = VerticaDatabase(num_nodes=3)
         session = db.connect()
         session.execute(
@@ -721,7 +722,7 @@ class TestRandomizedJoinDifferential:
         if where is not None:
             column, op, literal = where
             sql += f" WHERE {column} {op} {literal}"
-        assert_identical(db, sql, strategy=strategy)
+        assert_identical(db, sql)
 
 
 # --------------------------------------------- interleaved session settings
@@ -730,8 +731,8 @@ ISOLATION_QUERIES = [
     "SELECT v, label, note FROM fact JOIN dim ON k = k2 JOIN lookup ON k = lk",
 ]
 ISOLATION_STATEMENTS = (
-    [f"SET JOIN_STRATEGY = '{strategy}'" for strategy in STRATEGIES]
-    + ["SET RESULT_CACHE = 'on'", "SET RESULT_CACHE = 'off'"]
+    ["SET RESULT_CACHE = 'on'", "SET RESULT_CACHE = 'off'"]
+    + ["SET RESOURCE_POOL = 'general'", "SET RESOURCE_POOL = 'side'"]
     + ISOLATION_QUERIES
     + [f"EXPLAIN {query}" for query in ISOLATION_QUERIES]
 )
@@ -751,29 +752,35 @@ class TestSessionIsolation:
     def test_interleaved_sessions_see_only_their_own_settings(
         self, join_db, count, steps
     ):
+        join_db.create_resource_pool(ResourcePool("side"), or_replace=True)
         sessions = [join_db.connect() for __ in range(count)]
-        strategy = ["auto"] * count  # the model: what each session last SET
+        # the model: what each session last SET
+        cached, pool = [False] * count, ["GENERAL"] * count
         try:
             for index, sql in steps:
                 who = index % count
                 session = sessions[who]
-                if sql.startswith("SET"):
+                if sql.startswith("SET RESULT_CACHE"):
                     session.execute(sql)
-                    if "JOIN_STRATEGY" in sql:
-                        strategy[who] = sql.split("'")[1]
+                    cached[who] = "'on'" in sql
+                elif sql.startswith("SET RESOURCE_POOL"):
+                    session.execute(sql)
+                    pool[who] = sql.split("'")[1].upper()
                 elif sql.startswith("EXPLAIN"):
                     shown = [row[0] for row in session.execute(sql).rows]
                     # unstamped, so never plan-cached: a fresh optimize
-                    # under this session's own strategy
                     fresh = explain_lines(
                         join_db.engine, parse_statement(sql[len("EXPLAIN "):]),
-                        session.node, PlanContext(join_strategy=strategy[who]),
+                        session.node,
                     )
-                    # (RESULT_CACHE on appends one trailing RESULT CACHE line)
+                    # this session's RESULT_CACHE on appends one trailing line
                     assert shown[:len(fresh)] == fresh
+                    assert len(shown) == len(fresh) + cached[who]
                 else:
                     # shared caches, per-session SETs: still the oracle's answer
                     assert_matches_oracle(session, sql)
+                    assert session.last_result.cost.resource_pool == pool[who]
+                assert session.context == PlanContext(cached[who], pool[who])
         finally:
             for session in sessions:
                 session.close()
@@ -834,19 +841,21 @@ def keyed_sql(pairs, residual):
     return "SELECT lx, rx, li, rf, lb FROM lt JOIN rt ON " + " AND ".join(conjuncts)
 
 
-def run_keyed(db, sql, strategy, validate=False):
-    """``sql`` executed under ``strategy``: ("ok", rows, cost) or ("err",
-    class, message), each join's (keys_decide, candidate pairs) — every
-    join forced to validate if asked — and each hash join's build side."""
-    context = PlanContext(join_strategy=strategy)
-    plan = optimize(bind_select(db, parse_statement(sql)), db, context)
+def run_keyed(db, sql, strategy="auto", validate=False):
+    """``sql`` executed: ("ok", rows, cost) or ("err", class, message),
+    each join's (keys_decide, candidate pairs) — every join forced to
+    the nested loop under ``strategy="nested-loop"`` and to validate if
+    asked — and each hash join's build side."""
+    plan = optimize(bind_select(db, parse_statement(sql)), db)
     joins = [node for node in plan.nodes() if isinstance(node, logical.Join)]
+    for join in joins if strategy == "nested-loop" else ():
+        join.strategy, join.keys_decide = "nested-loop", False
     for join in joins if validate else ():
         join.keys_decide = False
     cost = CostReport()
     root = build_operator(
         db.engine, plan.root, db.begin(), db.node_names[0], db.epochs.current,
-        cost, context,
+        cost,
     )
     result = outcome(
         lambda: ([row for batch in root.batches() for row in batch.rows()], cost)
@@ -862,7 +871,7 @@ def run_keyed(db, sql, strategy, validate=False):
     return result, stats, builds
 
 
-def assert_keyed_like_oracle(db, sql, strategy):
+def assert_keyed_like_oracle(db, sql, strategy="auto"):
     """Rows, order, errors and CostReport as the oracle's; rows, errors and
     candidate pairs as a forced validation's.  The build sides it chose."""
     got, stats, builds = run_keyed(db, sql, strategy)
@@ -894,25 +903,22 @@ class TestKeyDecidedJoins:
         right_rows=keyed_rows,
         pairs=st.lists(key_pair, min_size=1, max_size=2),
         residual=st.sampled_from(RESIDUALS),
-        strategy=st.sampled_from(STRATEGIES),
         stale=st.booleans(),
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_a_key_decided_join_answers_like_the_oracle(
-        self, left_rows, right_rows, pairs, residual, strategy, stale
+        self, left_rows, right_rows, pairs, residual, stale
     ):
         db = keyed_db(left_rows, right_rows, stale)
-        stats, __ = assert_keyed_like_oracle(
-            db, keyed_sql(pairs, residual), strategy
-        )
+        stats, __ = assert_keyed_like_oracle(db, keyed_sql(pairs, residual))
         # the proof's conditions, and nothing else, decide the skip
-        decides = strategy != "nested-loop" and residual is None
-        assert [decide for decide, __ in stats] == [decides]
+        assert [decide for decide, __ in stats] == [residual is None]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_every_subtle_key_under_either_build_side(self, strategy):
         # rt grows 12x past its statistics; lt holds fewer rows: auto builds
-        # on lt, the side no estimate would have picked.
+        # on lt, the side no estimate would have picked.  The forced nested
+        # loop evaluates ``=`` per pair, as the oracle does.
         values = [
             (i, f, b, x, None)
             for (i, f, b), x in zip(
@@ -924,7 +930,7 @@ class TestKeyDecidedJoins:
         for pairs in [("i", "f")], [("f", "f")], [("b", "i")], [("i", "i"), ("f", "b")]:
             sql = keyed_sql(pairs, None)
             stats, builds = assert_keyed_like_oracle(db, sql, strategy)
-            assert stats[0][0] == (strategy != "nested-loop")
+            assert stats[0][0] == (strategy == "auto")
             assert builds == (["left"] if strategy == "auto" else []), sql
 
 
@@ -1062,7 +1068,7 @@ HASH_JOINS = [
 
 
 def _plan(db, sql):
-    return optimize(bind_select(db, parse_statement(sql)), db, PlanContext())
+    return optimize(bind_select(db, parse_statement(sql)), db)
 
 
 def _scan_of(plan):
@@ -1076,10 +1082,9 @@ class TestAbsorbedHashRange:
         assert_identical(hash_db, sql)
         assert_identical(hash_db, sql, initiator=hash_db.node_names[2])
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("sql", HASH_JOINS)
-    def test_join_under_a_ranged_from_scan(self, hash_db, sql, strategy):
-        assert_identical(hash_db, sql, strategy=strategy)
+    def test_join_under_a_ranged_from_scan(self, hash_db, sql):
+        assert_identical(hash_db, sql)
 
     def test_a_folded_bound_is_still_checked(self, hash_db):
         """``2000000000 + 1`` becomes a literal only in the folded copy; the
@@ -1166,7 +1171,7 @@ class TestAbsorbedHashRange:
             ):
                 statement = parse_statement(sql)
                 want = LegacyInterpreter(hash_db).select(statement, txn, initiator)
-                got = hash_db.engine.select(statement, txn, initiator, PlanContext())
+                got = hash_db.engine.select(statement, txn, initiator)
                 assert got.rows == want.rows
                 assert (inside,) in [row[:1] for row in got.rows]
                 assert (outside,) not in [row[:1] for row in got.rows]
@@ -1197,7 +1202,7 @@ class TestAbsorbedHashRange:
         where = parse_statement(
             f"SELECT a FROM h WHERE HASH(a) >= {LO} AND HASH(a) < {HI}"
         ).where
-        plan = optimize(bind_dml_scan(db, "H", where), db, PlanContext())
+        plan = optimize(bind_dml_scan(db, "H", where), db)
         assert plan.root.hash_range is None and plan.root.predicate is where
         matching = sum(LO <= vertica_hash(i) < HI for i in range(HASH_ROWS))
         updated = session.execute(

@@ -24,7 +24,6 @@ from repro.vertica.plan.optimizer import (
     RULE_PROJECTION_PRUNING,
     fold_expression,
 )
-from repro.vertica.settings import PlanContext
 from repro.vertica.sql.parser import parse_statement
 
 
@@ -46,7 +45,7 @@ def db():
 
 def bound_plan(db, sql):
     statement = parse_statement(sql)
-    return optimize(bind_select(db, statement), db, PlanContext())
+    return optimize(bind_select(db, statement), db)
 
 
 def plan_text(session, sql):
@@ -368,8 +367,7 @@ class TestJoinStrategies:
 
     def test_profile_nested_loop_join_counts_both_inputs(self, join_db):
         session = join_db.connect()
-        session.execute("SET JOIN_STRATEGY = 'nested-loop'")
-        report = session.execute("PROFILE SELECT a, d FROM t JOIN s ON a = a2")
+        report = session.execute("PROFILE SELECT a, d FROM t JOIN s ON a = a2 + 0")
         kind, (rows_in, __) = self._join_stats(report)
         assert kind == "join"
         assert rows_in == 40 + 10
@@ -438,17 +436,10 @@ class TestJoinStrategies:
         self, join_db, algorithm, condition, pairs, label
     ):
         session = join_db.connect()
-        if algorithm == "nested-loop":  # auto hash-joins an equi-join
-            session.execute("SET JOIN_STRATEGY = 'nested-loop'")
+        if algorithm == "nested-loop":  # no equi key: the planner nested-loops
+            condition += " + 0"
         report = session.execute(f"PROFILE SELECT a, d FROM t JOIN s ON {condition}")
         (line,) = [r[0] for r in report.rows if r[0].startswith("  JOIN")]
         assert label in line
         assert ("keys decide" in line) == (label == "keys decide")
         assert f"candidate pairs: {pairs}," in line
-
-    def test_join_strategy_option_validation(self, db):
-        session = db.connect()
-        session.execute("SET JOIN_STRATEGY = 'nested-loop'")
-        assert session.context.join_strategy == "nested-loop"
-        session.execute("SET JOIN_STRATEGY = 'auto'")
-        assert session.context.join_strategy == "auto"

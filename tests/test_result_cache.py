@@ -421,6 +421,74 @@ class TestExplainAndProfile:
         for field in COST_FIELDS:
             assert getattr(report.cost, field) == getattr(cold.cost, field)
 
+    def test_hit_and_miss_profiles_print_one_cost_line(self):
+        db, session = make_db()
+        miss = [row[0] for row in session.execute(f"PROFILE {QUERY}").rows]
+        hit = [row[0] for row in session.execute(f"PROFILE {QUERY}").rows]
+        assert hit[0].startswith("RESULT CACHE: hit")
+        assert not any(line.startswith("RESULT CACHE") for line in miss)
+        (cost_line,) = [line for line in miss if line.startswith("COST: ")]
+        assert [line for line in hit if line.startswith("COST: ")] == [cost_line]
+        assert cost_line == (
+            "COST: rows scanned: 40, rows aggregated: 40, rows output: 5, "
+            "bytes output: 120"
+        )
+
+
+class TestExplainAgreesWithTheSelect:
+    """EXPLAIN's RESULT CACHE line is the decision the SELECT it describes
+    would take in the same transaction: at the transaction's snapshot, and
+    bypassed when the transaction has staged writes."""
+
+    @staticmethod
+    def cache_line(session):
+        plan = session.execute(f"EXPLAIN {QUERY}")
+        (line,) = [r[0] for r in plan.rows if r[0].startswith("RESULT CACHE")]
+        return line
+
+    def test_staged_writes_bypass_in_explain_too(self):
+        db, session = make_db()
+        cached = session.execute(QUERY)
+        session.execute("BEGIN")
+        session.execute("INSERT INTO metrics VALUES (100, 1, 50.0)")
+        assert self.cache_line(session) == "RESULT CACHE: bypass (txn_writes)"
+        staged = session.execute(QUERY)
+        assert staged.cost.cache_hit is False
+        assert staged.rows != cached.rows
+        session.execute("ROLLBACK")
+
+    def test_a_pinned_snapshot_is_probed_at_its_epoch(self):
+        db, session = make_db()
+        other = db.connect()
+        session.execute("BEGIN")
+        session.execute(QUERY)  # pins the snapshot and caches at it
+        pinned = db.epochs.current
+        other.execute("INSERT INTO metrics VALUES (100, 1, 50.0)")
+        assert db.epochs.current > pinned
+        line = self.cache_line(session)
+        assert line.startswith("RESULT CACHE: hit")
+        assert line.endswith(f"epoch {pinned})")
+        assert session.execute(QUERY).cost.cache_hit is True
+        session.execute("COMMIT")
+
+    def test_explain_pins_no_snapshot(self):
+        db, session = make_db()
+        other = db.connect()
+        session.execute("BEGIN")
+        before = db.epochs.current
+        assert self.cache_line(session).endswith(f"epoch {before})")
+        other.execute("INSERT INTO metrics VALUES (100, 1, 50.0)")
+        # the transaction's first read fixes the snapshot, after the insert
+        rows = session.execute("SELECT COUNT(*) FROM metrics").rows
+        assert rows == [(41,)]
+        session.execute("COMMIT")
+
+    def test_an_uncacheable_statement_says_why(self):
+        db, session = make_db()
+        plan = session.execute("EXPLAIN SELECT * FROM v_catalog.nodes")
+        lines = [row[0] for row in plan.rows]
+        assert lines[-1] == "RESULT CACHE: bypass (system_table)"
+
 
 # ----------------------------------------------------------------- hypothesis
 READS = (

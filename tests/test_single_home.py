@@ -58,6 +58,33 @@ def test_core_packages_import_neither_baselines_nor_bench():
     assert offenders == []
 
 
+#: the session that holds the settings and the one engine entry that reads them
+SETTINGS_IMPORTERS = {"repro/vertica/session.py", "repro/vertica/engine.py"}
+
+
+def test_settings_stop_at_the_engine():
+    """A session's settings are read by ``Engine.execute`` and nowhere
+    below it: bind, optimize, the plan cache and the operators never see
+    them, so which plan runs depends only on the statement and the
+    catalog, and the plan cache keys on nothing else.  Every other import
+    of ``repro.vertica.settings`` is an offender — as the optimizer, the
+    pipeline and the view scan were while ``JOIN_STRATEGY`` existed."""
+    offenders = []
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            elif isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            else:
+                continue
+            if "repro.vertica.settings" in imported and name not in SETTINGS_IMPORTERS:
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_no_operator_evaluates_an_expression_per_row():
     """Operators run expressions as kernels (``repro.vertica.kernels``), one
     call per batch; the per-row walk lives on only as the kernels' error
@@ -203,7 +230,7 @@ MUTATORS = {"pop", "popitem", "update", "clear", "setdefault", "__setitem__"}
 def test_only_analyze_writes_statistics():
     """Statistics change only at ANALYZE, which bumps the catalog version
     the plan cache keys on; so a plan is a function of (statement, catalog
-    version, session settings), and nothing a session loads, rolls back,
+    version), and nothing a session loads, rolls back,
     merges out or executes moves another session's plans.  Every
     ``.statistics`` access outside the readers, and every write (item
     assignment or deletion, a mutating method, rebinding) outside the

@@ -15,7 +15,7 @@ from repro.vertica.engine import (
 from repro.vertica.errors import CatalogError, SqlError
 from repro.vertica.sql.parser import parse_expression
 from repro.vertica.storage import RosContainer
-from tests.test_plan_differential import JOIN_MATRIX, MATRIX, STRATEGIES, join_db
+from tests.test_plan_differential import JOIN_MATRIX, MATRIX, join_db
 from tests.test_plan_differential import db as matrix_db  # noqa: F401 - fixtures
 
 
@@ -534,18 +534,13 @@ def test_operators_never_mutate_storage_lists(matrix_db, join_db):  # noqa: F811
 
     before = storage_lists(matrix_db) + storage_lists(join_db)
     assert before
-    for db, statements, strategies in (
-        (matrix_db, MATRIX, ["auto"]),
-        (join_db, JOIN_MATRIX, STRATEGIES),
-    ):
-        for strategy in strategies:
-            session = db.connect()
-            session.execute(f"SET JOIN_STRATEGY = '{strategy}'")
-            for sql in statements:
-                try:
-                    session.execute(sql)
-                except SqlError:
-                    pass  # the matrices include error-path statements
+    for db, statements in ((matrix_db, MATRIX), (join_db, JOIN_MATRIX)):
+        session = db.connect()
+        for sql in statements:
+            try:
+                session.execute(sql)
+            except SqlError:
+                pass  # the matrices include error-path statements
     for container, columns in before:
         assert len(container.columns) == len(columns)
         for (column, contents), now in zip(columns, container.columns):

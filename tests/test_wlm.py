@@ -308,9 +308,8 @@ class TestSessionPool:
         db.create_resource_pool(ResourcePool("premium"))
         pool = SessionPool(db, max_idle_per_node=2)
         session, __ = pool.checkout("node0001", resource_pool="premium")
-        session.execute("SET JOIN_STRATEGY = 'nested-loop'")
         session.execute("SET RESULT_CACHE = 'on'")
-        assert session.context == PlanContext("nested-loop", True, "PREMIUM")
+        assert session.context == PlanContext(True, "PREMIUM")
         pool.checkin(session)
         again, reused = pool.checkout("node0001")
         # the next tenant gets the same connection with every setting reset
