@@ -54,11 +54,11 @@ def run_cell(params, config):
         raise GridCellError(
             f"join returned {rows_out} rows, wanted {params['probe_rows']}"
         )
-    profile = session.execute("PROFILE " + sql).profile
-    operators = [op for __, op in profile.operators()]
+    report = session.execute("PROFILE " + sql)
+    operators = [op for __, op in report.profile.operators()]
     return {"sim_seconds": None,
             "join_seconds": round(best, 4),
-            "rows_shuffled": sum(op.stats.rows_shuffled for op in operators),
+            "rows_shuffled": report.cost.rows_shuffled,
             "candidate_pairs": sum(op.stats.candidate_pairs for op in operators),
             "rows_out": rows_out}
 

@@ -93,9 +93,6 @@ def run_cell(params, config):
     sql, expected = star_join_sql(params["relations"], sizes)
     report = session.execute("PROFILE " + sql)
     reordered = any("JOIN ORDER:" in row[0] for row in report.rows)
-    shuffled = sum(
-        op.stats.rows_shuffled for __, op in report.profile.operators()
-    )
     best, rows_out = best_of(config["repeats"],
                              lambda: session.execute(sql).scalar())
     if rows_out != expected:
@@ -105,7 +102,7 @@ def run_cell(params, config):
     return {"sim_seconds": None,
             "join_seconds": round(best, 4),
             "reordered": reordered,
-            "rows_shuffled": shuffled,
+            "rows_shuffled": report.cost.rows_shuffled,
             "rows_out": rows_out}
 
 

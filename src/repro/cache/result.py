@@ -15,7 +15,7 @@ query admission grants.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro import telemetry
 from repro.cache.blocks import rows_nbytes
@@ -46,19 +46,15 @@ class MemoryAccount:
 
 
 class CachedResult:
-    """One memoised SELECT: columns, rows, and its cost attribution."""
+    """One memoised SELECT: columns, rows, and its cost report (a copy no
+    statement charges; a hit adds it into its own report)."""
 
-    __slots__ = ("columns", "rows", "cost_snapshot", "nbytes")
+    __slots__ = ("columns", "rows", "cost", "nbytes")
 
-    def __init__(
-        self,
-        columns: List[str],
-        rows: List[Tuple[Any, ...]],
-        cost_snapshot: Dict[str, Any],
-    ):
+    def __init__(self, columns: List[str], rows: List[Tuple[Any, ...]], cost: Any):
         self.columns = list(columns)
         self.rows = list(rows)
-        self.cost_snapshot = cost_snapshot
+        self.cost = cost
         self.nbytes = rows_nbytes(self.rows) + rows_nbytes([tuple(self.columns)])
 
 
@@ -127,11 +123,12 @@ class ResultCache:
         rows: List[Tuple[Any, ...]],
         cost: Any,
     ) -> bool:
-        """Memoise one completed SELECT; False when it cannot be held."""
+        """Memoise one completed SELECT with ``cost``, a copy of its report
+        that no statement charges; False when it cannot be held."""
         key = (digest, epoch, catalog_version)
         entries = self._entries
         entries.pop(key)
-        entry = CachedResult(columns, rows, cost.snapshot())
+        entry = CachedResult(columns, rows, cost)
         fits = entry.nbytes <= self.budget_bytes
         if fits:
             evicted = entries.make_room(entry.nbytes)

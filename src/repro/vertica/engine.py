@@ -50,9 +50,9 @@ from repro.vertica.txn import Transaction
 
 
 #: every additive counter a statement charges, as ``(total, per-node
-#: map)`` attribute names: the one list the result cache's snapshot/replay
-#: and the differential suites' field lists are built from.  A counter
-#: added to ``CostReport.__init__`` but not here fails
+#: map)`` attribute names: the one list :meth:`CostReport.add`, PROFILE's
+#: labels and the differential suites' field lists are built from.  A
+#: counter added to ``CostReport.__init__`` but not here fails
 #: ``test_cost_report_fields_are_declared``.
 COST_COUNTERS: Tuple[Tuple[str, str], ...] = (
     ("rows_scanned", "node_rows_scanned"),
@@ -60,6 +60,7 @@ COST_COUNTERS: Tuple[Tuple[str, str], ...] = (
     ("rows_output", "node_rows_output"),
     ("bytes_output", "node_output_bytes"),
     ("rows_written", "node_rows_written"),
+    ("rows_shuffled", "node_rows_shuffled"),
 )
 
 
@@ -77,15 +78,17 @@ class CostReport:
         self.node_rows_written: Dict[str, int] = {}
         self.rows_aggregated = 0
         self.node_rows_aggregated: Dict[str, int] = {}
+        self.rows_shuffled = 0
+        self.node_rows_shuffled: Dict[str, int] = {}
         #: seconds spent queued in WLM admission before execution began
         self.queue_wait_seconds = 0.0
         #: name of the resource pool the statement executed in (None when
         #: the cluster runs without WLM admission)
         self.resource_pool: Optional[str] = None
         #: True when the result cache served this statement.  The other
-        #: fields are replayed from the memoised execution, so a hit's
-        #: report is byte-identical to its cold replay modulo this flag —
-        #: the JDBC bridge uses it to skip scan/aggregate CPU charges.
+        #: fields are added from the memoised execution's report, so a
+        #: hit's report is byte-identical to its cold run modulo this flag
+        #: — the JDBC bridge uses it to skip scan/aggregate CPU charges.
         self.cache_hit = False
 
     def scanned(self, node: str, rows: int = 1) -> None:
@@ -109,22 +112,24 @@ class CostReport:
         self.rows_written += rows
         self.node_rows_written[node] = self.node_rows_written.get(node, 0) + rows
 
-    def snapshot(self) -> Dict[str, Any]:
-        """The counters as plain data (what the result cache memoises)."""
-        data: Dict[str, Any] = {}
-        for total, per_node in COST_COUNTERS:
-            data[total] = getattr(self, total)
-            data[per_node] = dict(getattr(self, per_node))
-        return data
+    def shuffled(self, node: str, rows: int = 1) -> None:
+        """Build-row copies a join sends from ``node`` to the other nodes
+        holding probe rows (a co-located join sends none)."""
+        self.rows_shuffled += rows
+        self.node_rows_shuffled[node] = self.node_rows_shuffled.get(node, 0) + rows
 
-    def replay(self, snapshot: Dict[str, Any]) -> None:
-        """Add a :meth:`snapshot` back, so a cache hit's report matches the
-        cold execution it memoised (modulo ``cache_hit``)."""
+    def add(self, other: "CostReport") -> "CostReport":
+        """Add every counter of ``other`` into this report, and return it;
+        each per-node map gains ``other``'s new nodes in its key order."""
         for total, per_node in COST_COUNTERS:
-            setattr(self, total, getattr(self, total) + snapshot[total])
+            counts = getattr(other, per_node)
+            if not counts:  # never charged: every charge names its node
+                continue
+            setattr(self, total, getattr(self, total) + getattr(other, total))
             target = getattr(self, per_node)
-            for node, amount in snapshot[per_node].items():
-                target[node] = target.get(node, type(amount)()) + amount
+            for node, amount in counts.items():
+                target[node] = target.get(node, 0) + amount
+        return self
 
 
 class ResultSet:
@@ -527,8 +532,8 @@ class Engine:
 
         With ``use_cache`` the result cache is consulted under
         (canonical statement, snapshot epoch, catalog version); a hit
-        replays the memoised rows and cost attribution without running
-        any operator (the returned execution is ``None``).
+        serves the memoised rows and adds the memoised cost report without
+        running any operator (the returned execution is ``None``).
         """
         cost = cost if cost is not None else CostReport()
         telemetry.counter("vertica.queries.select").inc()
@@ -556,7 +561,7 @@ class Engine:
         if key is not None:
             entry = cache.lookup(*key)
             if entry is not None:
-                cost.replay(entry.cost_snapshot)
+                cost.add(entry.cost)
                 cost.cache_hit = True
                 result = ResultSet(
                     list(entry.columns), list(entry.rows), cost=cost
@@ -573,7 +578,7 @@ class Engine:
         )
         result.snapshot_epoch = snapshot
         if key is not None:
-            cache.store(*key, result.columns, result.rows, cost)
+            cache.store(*key, result.columns, result.rows, CostReport().add(cost))
         return result, execution
 
     def explain(
@@ -627,7 +632,7 @@ class Engine:
         off ``profile``.  The report carries the real query's
         CostReport, so WLM accounting charges PROFILE like the query it
         ran.  A result-cache hit has no operator tree: the report then
-        shows the hit and the replayed cost summary (``profile`` stays
+        shows the hit and the memoised cost summary (``profile`` stays
         ``None``).
         """
         from repro.vertica.plan.pipeline import PlanProfile, cost_line

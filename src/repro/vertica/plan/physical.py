@@ -28,9 +28,11 @@ Fidelity notes (the differential suite enforces these):
   collisions and right winning its qualified names — the legacy dict
   merge, decided once per output *column* in ``JoinOp._emit``.
 
-Every operator records :class:`OperatorStats` (rows in/out, bytes out,
-inclusive wall time); the pipeline feeds them to ``PROFILE``,
-``CostReport`` reconciliation, and ``telemetry``.
+Every operator charges what it scans, aggregates, outputs and shuffles
+to a :class:`~repro.vertica.engine.CostReport` of its own, and records
+:class:`OperatorStats` (rows in/out, batches, inclusive wall time,
+candidate pairs); the pipeline sums the reports into the statement's and
+feeds both to ``PROFILE`` and ``telemetry``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import dataclasses
 import itertools
 import operator
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import (
     Any,
     Dict,
@@ -77,22 +79,14 @@ from repro.vertica.txn import Transaction
 class OperatorStats:
     """Per-operator execution counters, feeding PROFILE and telemetry."""
 
-    __slots__ = ("rows_in", "rows_out", "rows_scanned", "batches", "bytes_out",
-                 "elapsed_s", "rows_shuffled", "candidate_pairs")
+    __slots__ = ("rows_in", "rows_out", "batches", "elapsed_s", "candidate_pairs")
 
     def __init__(self) -> None:
         self.rows_in = 0
         self.rows_out = 0
-        #: rows visited by the storage scan (pre hash-range filtering);
-        #: mirrors what the scan charged into ``CostReport.rows_scanned``
-        self.rows_scanned = 0
         self.batches = 0
-        self.bytes_out = 0.0
         #: inclusive wall time (this operator plus everything below it)
         self.elapsed_s = 0.0
-        #: build-side rows a distributed join would copy across nodes
-        #: (0 for co-located joins — both sides identically segmented)
-        self.rows_shuffled = 0
         #: pairs a join's pair source proposed, validated or key-decided
         self.candidate_pairs = 0
 
@@ -106,6 +100,8 @@ class PhysicalOperator:
 
     def __init__(self) -> None:
         self.stats = OperatorStats()
+        #: what this operator itself charged (a view: its whole query)
+        self.cost = CostReport()
         self.children: List["PhysicalOperator"] = []
 
     def label(self) -> str:
@@ -225,7 +221,6 @@ class TableScanOp(PhysicalOperator):
         txn: Optional[Transaction],
         initiator: str,
         snapshot: int,
-        cost: CostReport,
     ):
         super().__init__()
         self.engine = engine
@@ -233,12 +228,10 @@ class TableScanOp(PhysicalOperator):
         self.txn = txn
         self.initiator = initiator
         self.snapshot = snapshot
-        self.cost = cost
 
     def _slices(self, columns: Optional[Sequence[str]]) -> Iterator[ColumnBatch]:
-        """The engine's scan of this table, accounted into ``stats``."""
+        """The engine's scan of this table, charged to this operator."""
         node = self.logical
-        scanned_before = self.cost.rows_scanned
         for chunk in self.engine.scan(
             node.key,
             self.snapshot,
@@ -249,11 +242,8 @@ class TableScanOp(PhysicalOperator):
             for_update=node.for_update,
             columns=columns,
         ):
-            self.stats.rows_scanned += self.cost.rows_scanned - scanned_before
             self.stats.rows_in += chunk.num_rows
             yield chunk
-            scanned_before = self.cost.rows_scanned
-        self.stats.rows_scanned += self.cost.rows_scanned - scanned_before
 
     def _run(self) -> Iterator[ColumnBatch]:
         predicate = self.logical.predicate
@@ -325,10 +315,10 @@ class SystemScanOp(PhysicalOperator):
 class ViewScanOp(PhysicalOperator):
     """Expand a view through the full pipeline, synthetic-ring attributed.
 
-    The inner SELECT runs through ``engine.select`` recursively — same
-    CostReport, same epoch-read telemetry — exactly as the legacy
-    ``_view_rows`` did; each output row is then attributed to the node
-    owning its ``SYNTHETIC_HASH`` range.
+    The inner SELECT runs through ``engine.select`` recursively — charged
+    to this operator's CostReport, same epoch-read telemetry — exactly as
+    the legacy ``_view_rows`` did; each output row is then attributed to
+    the node owning its ``SYNTHETIC_HASH`` range.
     """
 
     kind = "scan-view"
@@ -340,7 +330,6 @@ class ViewScanOp(PhysicalOperator):
         txn: Transaction,
         initiator: str,
         snapshot: int,
-        cost: CostReport,
     ):
         super().__init__()
         self.engine = engine
@@ -348,7 +337,6 @@ class ViewScanOp(PhysicalOperator):
         self.txn = txn
         self.initiator = initiator
         self.snapshot = snapshot
-        self.cost = cost
 
     def _run(self) -> Iterator[ColumnBatch]:
         from repro.vertica.hashring import synthetic_ring, vertica_hash
@@ -499,12 +487,15 @@ class JoinOp(PhysicalOperator):
         self, build_nodes: List[str], probe_nodes: List[str]
     ) -> None:
         """Broadcast-build cost: each build row is copied to every other
-        node holding probe rows; a co-located join moves nothing."""
+        node holding probe rows, charged on its own node; a co-located
+        join moves nothing."""
         if self.logical.colocated:
             return
         probe_set = set(probe_nodes)
-        for node in build_nodes:
-            self.stats.rows_shuffled += len(probe_set - {node})
+        for node, rows in Counter(build_nodes).items():
+            moved = rows * len(probe_set - {node})
+            if moved:
+                self.cost.shuffled(node, moved)
 
     def _pairs(
         self, left: List[str], right: List[str], sources: Sources
@@ -766,19 +757,12 @@ class ProjectOp(PhysicalOperator):
 
     kind = "project"
 
-    def __init__(
-        self,
-        node: logical.Project,
-        child: PhysicalOperator,
-        db,
-        cost: CostReport,
-    ):
+    def __init__(self, node: logical.Project, child: PhysicalOperator, db):
         super().__init__()
         self.logical = node
         self.child = child
         self.children = [child]
         self.db = db
-        self.cost = cost
 
     def _run(self) -> Iterator[ColumnBatch]:
         node = self.logical
@@ -833,7 +817,6 @@ class ProjectOp(PhysicalOperator):
                 sum(widths[start:stop]) for widths in varying
             )
             self.cost.output(node, nbytes, stop - start)
-            self.stats.bytes_out += nbytes
             start = stop
 
 
@@ -854,14 +837,12 @@ class AggregateOp(PhysicalOperator):
         node: logical.Aggregate,
         child: PhysicalOperator,
         initiator: str,
-        cost: CostReport,
     ):
         super().__init__()
         self.logical = node
         self.child = child
         self.children = [child]
         self.initiator = initiator
-        self.cost = cost
 
     def _run(self) -> Iterator[ColumnBatch]:
         node = self.logical
@@ -915,7 +896,6 @@ class AggregateOp(PhysicalOperator):
                 widths * len(row_tuple) if isinstance(widths, int) else sum(widths)
             )
             self.cost.output(self.initiator, nbytes)
-            self.stats.bytes_out += nbytes
             out.append(row_tuple)
         if not node.group_by and not out:
             # Aggregates over an empty input still return one row.

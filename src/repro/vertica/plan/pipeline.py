@@ -19,7 +19,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro import telemetry
 from repro.vertica.batch import ColumnBatch
-from repro.vertica.engine import CostReport, HashRange, ResultSet
+from repro.vertica.engine import COST_COUNTERS, CostReport, HashRange, ResultSet
 from repro.vertica.expr import Expression
 from repro.vertica.plan import logical, physical
 from repro.vertica.plan.binder import bind_dml_scan, bind_select
@@ -35,30 +35,29 @@ def build_operator(
     txn: Transaction,
     initiator: str,
     snapshot: int,
-    cost: CostReport,
 ) -> physical.PhysicalOperator:
     """Translate one logical node (and its subtree) into operators."""
 
     def build(child: logical.LogicalNode) -> physical.PhysicalOperator:
-        return build_operator(engine, child, txn, initiator, snapshot, cost)
+        return build_operator(engine, child, txn, initiator, snapshot)
 
     if isinstance(node, logical.ConstantRelation):
         return physical.ConstantOp(node, initiator)
     if isinstance(node, logical.TableScan):
-        return physical.TableScanOp(engine, node, txn, initiator, snapshot, cost)
+        return physical.TableScanOp(engine, node, txn, initiator, snapshot)
     if isinstance(node, logical.SystemTableScan):
         return physical.SystemScanOp(engine, node, initiator)
     if isinstance(node, logical.ViewScan):
-        return physical.ViewScanOp(engine, node, txn, initiator, snapshot, cost)
+        return physical.ViewScanOp(engine, node, txn, initiator, snapshot)
     if isinstance(node, logical.Join):
         join_op = physical.HashJoinOp if node.strategy == "hash" else physical.JoinOp
         return join_op(node, build(node.left), build(node.right))
     if isinstance(node, logical.Filter):
         return physical.FilterOp(node, build(node.child))
     if isinstance(node, logical.Project):
-        return physical.ProjectOp(node, build(node.child), engine.database, cost)
+        return physical.ProjectOp(node, build(node.child), engine.database)
     if isinstance(node, logical.Aggregate):
-        return physical.AggregateOp(node, build(node.child), initiator, cost)
+        return physical.AggregateOp(node, build(node.child), initiator)
     if isinstance(node, logical.Sort):
         return physical.SortOp(node, build(node.child))
     if isinstance(node, logical.Limit):
@@ -83,6 +82,16 @@ class PipelineExecution:
             for child in reversed(op.children):
                 stack.append((depth + 1, child))
         return out
+
+    def post_order(self) -> List[physical.PhysicalOperator]:
+        """Children before parents, left before right: the order the pull
+        pipeline first charges each operator's report."""
+        out: List[physical.PhysicalOperator] = []
+        stack = [self.root]
+        while stack:  # root, then children right to left: reversed, post-order
+            out.append(stack.pop())
+            stack.extend(out[-1].children)
+        return out[::-1]
 
 
 def optimized_plan(engine, statement: ast.Select) -> LogicalPlan:
@@ -115,21 +124,24 @@ def execute_select(
     snapshot: int,
     cost: CostReport,
 ) -> Tuple[ResultSet, PipelineExecution]:
-    """Bind, optimize and run one SELECT through physical operators."""
+    """Bind, optimize and run one SELECT through physical operators; add
+    each operator's report into ``cost``."""
     plan = optimized_plan(engine, statement)
-    root = build_operator(engine, plan.root, txn, initiator, snapshot, cost)
+    root = build_operator(engine, plan.root, txn, initiator, snapshot)
     rows: List[Tuple[Any, ...]] = []
     for batch in root.batches():
         rows.extend(batch.rows())
     execution = PipelineExecution(plan, root)
-    for __, op in execution.operators():
+    for op in execution.post_order():
+        cost.add(op.cost)
         if op.stats.rows_out:
             telemetry.counter(f"vertica.plan.{op.kind}.rows_out").inc(
                 op.stats.rows_out
             )
-        if op.stats.rows_shuffled:
+        # a join's own shuffle: a view's report holds its query's joins too
+        if isinstance(op, physical.JoinOp) and op.cost.rows_shuffled:
             telemetry.counter("vertica.plan.join.rows_shuffled").inc(
-                op.stats.rows_shuffled
+                op.cost.rows_shuffled
             )
     return ResultSet(plan.output_columns, rows, cost=cost), execution
 
@@ -151,13 +163,15 @@ def dml_matching_rows(
     ``row_ids`` (the caller stages delete vectors against them).  The
     scan visits every replica copy; the optimizer only constant-folds
     the predicate — pruning would change the statement's CostReport.
+    The scan's report is added into ``cost`` once it is drained.
     """
     plan = optimize(
         bind_dml_scan(engine.database, table_name, where), engine.database
     )
     assert isinstance(plan.root, logical.TableScan)
-    op = physical.DmlScanOp(engine, plan.root, txn, initiator, snapshot, cost)
+    op = physical.DmlScanOp(engine, plan.root, txn, initiator, snapshot)
     yield from op.batches()
+    cost.add(op.cost)
 
 
 # -------------------------------------------------------------------- EXPLAIN
@@ -294,14 +308,9 @@ class PlanProfile:
             )
             if estimated is not None:
                 parts.append(f"est rows: {estimated}")
-            if stats.rows_scanned:
-                parts.append(f"rows scanned: {stats.rows_scanned}")
-            if stats.rows_shuffled:
-                parts.append(f"rows shuffled: {stats.rows_shuffled}")
+            parts += _counters(op.cost, zeros=False)
             if isinstance(op, physical.JoinOp):
                 parts.append(f"candidate pairs: {stats.candidate_pairs}")
-            if stats.bytes_out:
-                parts.append(f"bytes out: {int(stats.bytes_out)}")
             parts.append(f"batches: {stats.batches}")
             parts.append(f"time: {stats.elapsed_s * 1000.0:.3f} ms")
             out.append("  " * depth + f"{op.label()}  ({', '.join(parts)})")
@@ -313,12 +322,15 @@ class PlanProfile:
         return out
 
 
+def _counters(cost: CostReport, zeros: bool) -> List[str]:
+    """A ``rows scanned: 40`` part per ``COST_COUNTERS`` total (not zero)."""
+    return [
+        f"{total.replace('_', ' ')}: {int(getattr(cost, total))}"
+        for total, __ in COST_COUNTERS
+        if zeros or getattr(cost, total)
+    ]
+
+
 def cost_line(cost: CostReport) -> str:
     """PROFILE's statement-total ``COST:`` line, executed or cache-served."""
-    return (
-        "COST: "
-        f"rows scanned: {cost.rows_scanned}, "
-        f"rows aggregated: {cost.rows_aggregated}, "
-        f"rows output: {cost.rows_output}, "
-        f"bytes output: {int(cost.bytes_output)}"
-    )
+    return "COST: " + ", ".join(_counters(cost, zeros=True))

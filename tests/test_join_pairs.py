@@ -33,7 +33,6 @@ from hypothesis import strategies as st
 
 from repro.vertica import VerticaDatabase
 from repro.vertica.batch import ColumnBatch
-from repro.vertica.engine import CostReport
 from repro.vertica.expr import Expression
 from repro.vertica.plan import physical
 from repro.vertica.plan.logical import LogicalNode
@@ -321,8 +320,7 @@ class TestLateMaterialization:
         )
         spy = GatherSpy(monkeypatch)
         root = build_operator(
-            db.engine, plan.root, db.begin(), db.node_names[0],
-            db.epochs.current, CostReport(),
+            db.engine, plan.root, db.begin(), db.node_names[0], db.epochs.current
         )
         rows = [row for batch in root.batches() for row in batch.rows()]
         chain = []
@@ -444,8 +442,7 @@ def run_plan(db, plan):
     """Execute ``plan`` itself (not whatever the cache holds by now): its
     rows and whether any hash join built on its left input."""
     root = build_operator(
-        db.engine, plan.root, db.begin(), db.node_names[0], db.epochs.current,
-        CostReport(),
+        db.engine, plan.root, db.begin(), db.node_names[0], db.epochs.current
     )
     rows = [row for batch in root.batches() for row in batch.rows()]
     return rows, any(

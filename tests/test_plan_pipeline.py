@@ -401,10 +401,12 @@ class TestJoinStrategies:
         session.execute("ANALYZE t")
         session.execute("ANALYZE s")
         report = session.execute("PROFILE SELECT a, d FROM t JOIN s ON a = a2")
-        text = "\n".join(r[0] for r in report.rows)
-        assert "est rows:" in text
+        lines = [r[0] for r in report.rows]
+        assert any("est rows:" in line for line in lines)
         # Co-located join moves no build rows across nodes.
-        assert "rows shuffled" not in text
+        (join_line,) = [line for line in lines if line.startswith("  JOIN")]
+        assert "rows shuffled" not in join_line
+        assert lines[-1].endswith(", rows shuffled: 0")
 
     def test_profile_shuffle_nonzero_when_not_colocated(self, join_db):
         # Same ring but segmented on a non-key column: every build row
@@ -423,6 +425,35 @@ class TestJoinStrategies:
         assert "hash join" in text
         assert "co-located" not in text
         assert "rows shuffled: " in text
+
+    def test_profile_over_a_join_view_shows_what_the_view_did(self, join_db):
+        session = join_db.connect()
+        session.execute(
+            "CREATE TABLE u (a2 INTEGER, z INTEGER) SEGMENTED BY HASH(z) ALL NODES"
+        )
+        session.execute(
+            "INSERT INTO u VALUES "
+            + ", ".join(f"({i}, {100 - i})" for i in range(10))
+        )
+        session.execute("CREATE VIEW jv AS SELECT a, z FROM t JOIN u ON a = a2")
+        telemetry.install(MetricsRegistry(enabled=True))
+        try:
+            report = session.execute("PROFILE SELECT * FROM jv")
+            shuffled = telemetry.counter("vertica.plan.join.rows_shuffled")
+            assert shuffled.value == 30  # once, by the view's join
+        finally:
+            telemetry.reset()
+        lines = [r[0] for r in report.rows]
+        (view_line,) = [line for line in lines if "SCAN VIEW JV" in line]
+        assert "rows scanned: 50," in view_line
+        assert "rows shuffled: 30," in view_line
+        assert lines[-1].endswith(
+            "rows output: 20, bytes output: 320, rows written: 0, "
+            "rows shuffled: 30"
+        )
+        # the view's own query charges the same shuffle
+        alone = session.execute("PROFILE SELECT a, z FROM t JOIN u ON a = a2")
+        assert alone.cost.rows_shuffled == report.cost.rows_shuffled == 30
 
     @pytest.mark.parametrize(
         "algorithm, condition, pairs, label",

@@ -27,7 +27,7 @@ from repro.wlm import AdmissionController, ResourcePool
 # Identical to the plan-differential matrix: any drift in these fields
 # would silently change every benchmark via the JDBC cost bridge.
 COST_FIELDS = [name for pair in COST_COUNTERS for name in pair]
-#: CostReport attributes a cache hit does not replay, and why
+#: CostReport attributes a cache hit does not add, and why
 NOT_REPLAYED = {
     "queue_wait_seconds": "this execution's own admission wait",
     "resource_pool": "this execution's own pool",
@@ -67,17 +67,23 @@ def assert_same_result(warm, cold):
 def test_cost_report_fields_are_declared():
     """A counter added to CostReport but not to COST_COUNTERS would be
     charged cold and silently dropped warm; its author must declare it
-    (replayed on a hit) or exempt it here with the reason."""
+    (added on a hit) or exempt it here with the reason."""
     assert set(vars(CostReport())) == set(COST_FIELDS) | set(NOT_REPLAYED)
     report = CostReport()
     report.output("n1", 8.0, rows=2)
     report.scanned("n1", 3)
     report.aggregated("n2", 3)
     report.wrote("n2")
-    replayed = CostReport()
-    replayed.replay(report.snapshot())
-    assert {f: getattr(replayed, f) for f in COST_FIELDS} == {
+    report.shuffled("n2", 4)
+    report.shuffled("n1")
+    added = CostReport().add(report)
+    assert {f: getattr(added, f) for f in COST_FIELDS} == {
         f: getattr(report, f) for f in COST_FIELDS}
+    assert list(added.node_rows_shuffled) == ["n2", "n1"]
+    added.add(report)
+    assert added.rows_shuffled == 10
+    assert added.node_rows_shuffled == {"n2": 8, "n1": 2}
+    assert report.rows_shuffled == 5  # the added report is left as it was
 
 
 class TestHitPath:
@@ -431,8 +437,34 @@ class TestExplainAndProfile:
         assert [line for line in hit if line.startswith("COST: ")] == [cost_line]
         assert cost_line == (
             "COST: rows scanned: 40, rows aggregated: 40, rows output: 5, "
-            "bytes output: 120"
+            "bytes output: 120, rows written: 0, rows shuffled: 0"
         )
+
+    def test_a_hit_keeps_the_joins_shuffle(self):
+        db, session = make_db(num_nodes=4)
+        session.execute(
+            "CREATE TABLE t (a INTEGER) SEGMENTED BY HASH(a) ALL NODES"
+        )
+        session.execute(
+            "INSERT INTO t VALUES " + ", ".join(f"({i})" for i in range(40))
+        )
+        session.execute(
+            "CREATE TABLE u (a2 INTEGER, z INTEGER) SEGMENTED BY HASH(z) ALL NODES"
+        )
+        session.execute(
+            "INSERT INTO u VALUES "
+            + ", ".join(f"({i}, {100 - i})" for i in range(10))
+        )
+        sql = "PROFILE SELECT a, z FROM t JOIN u ON a = a2"
+        miss = [row[0] for row in session.execute(sql).rows]
+        hit_report = session.execute(sql)
+        hit = [row[0] for row in hit_report.rows]
+        assert hit[0].startswith("RESULT CACHE: hit")
+        (cost_line,) = [line for line in miss if line.startswith("COST: ")]
+        assert [line for line in hit if line.startswith("COST: ")] == [cost_line]
+        assert cost_line.endswith(", rows shuffled: 30")
+        assert hit_report.cost.rows_shuffled == 30
+        assert sum(hit_report.cost.node_rows_shuffled.values()) == 30
 
 
 class TestExplainAgreesWithTheSelect:
