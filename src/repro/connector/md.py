@@ -6,7 +6,7 @@ Vertica's internal DFS and its metadata (name, type, size, feature count)
 into the ``PMML_MODELS`` table.  :func:`install_pmml_udx` registers the
 ``PMMLPredict`` scalar UDx — a generic evaluator for models whose input
 is a numeric vector and whose output is a number — so predictions run
-in-database::
+in-database, a block of rows per call::
 
     SELECT PMMLPredict(sepal_length, sepal_width, petal_length, petal_width
                        USING PARAMETERS model_name='regression')
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro import telemetry
-from repro.pmml import ModelEvaluator, parse_pmml
+from repro.pmml import ModelEvaluator, PmmlError, parse_pmml
 from repro.vertica import VerticaDatabase
 from repro.vertica.errors import CatalogError, SqlError
 
@@ -93,23 +93,39 @@ def list_models(db: VerticaDatabase) -> List[Dict[str, Any]]:
 def install_pmml_udx(db: VerticaDatabase, cache_size: int = 32) -> None:
     """Register the ``PMMLPredict`` scalar UDx on the database.
 
-    The UDx reads the named model from the DFS via GetPMML, builds the
-    generic evaluator, and scores the argument vector; evaluators are
-    cached per model name so per-row scoring does not re-parse XML.
+    Once per block the UDx checks its parameters and reads the named
+    model's document from the DFS (GetPMML), so a redeployed model scores
+    with its new document and a deleted one fails as an unknown model
+    does; evaluators are cached by document, so XML is parsed once.  The
+    block is scored column-wise and ``md.predictions`` rises by its length
+    once it has been.  If it fails, its rows are scored one by one as a
+    row-at-a-time UDx would, counting each row before scoring it, and the
+    first row's error is raised.
     """
-    cache: Dict[str, ModelEvaluator] = {}
+    cache: Dict[bytes, ModelEvaluator] = {}
 
-    def pmml_predict(args: List[Any], parameters: Dict[str, Any]) -> float:
+    def pmml_predict(
+        columns: List[List[Any]], parameters: Dict[str, Any], num_rows: int
+    ) -> List[float]:
         model_name = parameters.get("model_name")
         if not model_name:
             raise SqlError("PMMLPredict requires USING PARAMETERS model_name='...'")
-        evaluator = cache.get(model_name)
+        document = db.dfs.read(_DFS_PREFIX + model_name)
+        evaluator = cache.get(document)
         if evaluator is None:
-            evaluator = ModelEvaluator.from_xml(get_pmml(db, model_name))
+            evaluator = ModelEvaluator.from_xml(document.decode("utf-8"))
             if len(cache) >= cache_size:
                 cache.pop(next(iter(cache)))
-            cache[model_name] = evaluator
-        telemetry.counter("md.predictions").inc()
-        return evaluator.evaluate(args)
+            cache[document] = evaluator
+        predictions = telemetry.counter("md.predictions")
+        try:
+            scores = evaluator.evaluate_block(columns)
+        except (PmmlError, ArithmeticError):
+            for row in zip(*columns) if columns else [()] * num_rows:
+                predictions.inc()
+                evaluator.evaluate(list(row))
+            raise
+        predictions.inc(len(scores))
+        return scores
 
     db.udx.register("PMMLPredict", pmml_predict, replace=True)

@@ -10,12 +10,18 @@ whose input is a numeric vector and whose output is a number:
 - :class:`ClusteringModel` — k-means (squared-Euclidean nearest centre);
 - :class:`SupportVectorMachineModel` — linear SVM classification by the
   sign of the margin.
+
+Every model scores one row (``predict``, a vector) or a block of rows
+(``predict_block``, one list per feature).  A block's scores are the row
+scores, bit for bit, and a block raises exactly what ``predict`` raises
+at its first failing row.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+import operator
+from typing import Any, List, Optional, Sequence
 
 
 class PmmlError(Exception):
@@ -60,19 +66,59 @@ class _Model:
     def num_features(self) -> int:
         return len(self.feature_names)
 
-    def _check_vector(self, vector: Sequence[float]) -> List[float]:
-        if len(vector) != self.num_features:
+    def _check_arity(self, count: int) -> None:
+        if count != self.num_features:
             raise PmmlError(
                 f"model {self.model_name!r} expects {self.num_features} "
-                f"features, got {len(vector)}"
+                f"features, got {count}"
             )
+
+    def _check_vector(self, vector: Sequence[float]) -> List[float]:
+        self._check_arity(len(vector))
         try:
             return [float(v) for v in vector]
         except (TypeError, ValueError) as exc:
             raise PmmlError(f"non-numeric feature value: {exc}") from exc
 
+    def _check_block(self, columns: Sequence[Sequence[Any]]) -> List[List[float]]:
+        """``_check_vector`` over a block of feature columns: the arity
+        once, then ``float()`` of every value; on a failure, the error
+        ``_check_vector`` raises at the first failing row."""
+        self._check_arity(len(columns))
+        try:
+            return [list(map(float, column)) for column in columns]
+        except (TypeError, ValueError, ArithmeticError):
+            for row in zip(*columns):
+                self._check_vector(row)
+            raise
+
     def predict(self, vector: Sequence[float]) -> float:
         raise NotImplementedError
+
+    def predict_block(self, columns: Sequence[Sequence[Any]]) -> List[float]:
+        """``predict`` of every row of a block of feature columns (the
+        arity is checked first, so a block of no columns raises too)."""
+        self._check_arity(len(columns))
+        return [self.predict(row) for row in zip(*columns)]
+
+
+def _linear_block(
+    intercept: float, weights: Sequence[float], columns: List[List[float]]
+) -> List[float]:
+    """``intercept + sum(w * v for w, v in zip(weights, row))`` per row,
+    one feature column at a time.  The running sum starts at 0, as
+    ``sum`` does, so a ``-0.0`` first product becomes ``0.0`` here too."""
+    totals: List[Any] = [0] * len(columns[0])
+    for weight, column in zip(weights, columns):
+        totals = list(map(operator.add, totals, map(weight.__mul__, column)))
+    return list(map(intercept.__add__, totals))
+
+
+def _logit(score: float) -> float:
+    if score >= 0:
+        return 1.0 / (1.0 + math.exp(-score))
+    expx = math.exp(score)
+    return expx / (1.0 + expx)
 
 
 class RegressionModel(_Model):
@@ -115,12 +161,13 @@ class RegressionModel(_Model):
 
     def predict(self, vector: Sequence[float]) -> float:
         score = self.score(vector)
-        if self.normalization == "logit":
-            if score >= 0:
-                return 1.0 / (1.0 + math.exp(-score))
-            expx = math.exp(score)
-            return expx / (1.0 + expx)
-        return score
+        return _logit(score) if self.normalization == "logit" else score
+
+    def predict_block(self, columns: Sequence[Sequence[Any]]) -> List[float]:
+        scores = _linear_block(
+            self.intercept, self.coefficients, self._check_block(columns)
+        )
+        return list(map(_logit, scores)) if self.normalization == "logit" else scores
 
 
 class ClusteringModel(_Model):
@@ -188,6 +235,12 @@ class SupportVectorMachineModel(_Model):
         """Class label: 1.0 for non-negative margin, else 0.0."""
         return 1.0 if self.margin(vector) >= 0 else 0.0
 
+    def predict_block(self, columns: Sequence[Sequence[Any]]) -> List[float]:
+        margins = _linear_block(
+            self.intercept, self.weights, self._check_block(columns)
+        )
+        return [1.0 if margin >= 0 else 0.0 for margin in margins]
+
 
 class PmmlDocument:
     """A complete PMML document: data dictionary + one model."""
@@ -224,3 +277,6 @@ class PmmlDocument:
 
     def predict(self, vector: Sequence[float]) -> float:
         return self.model.predict(vector)
+
+    def predict_block(self, columns: Sequence[Sequence[Any]]) -> List[float]:
+        return self.model.predict_block(columns)

@@ -4,13 +4,14 @@ The paper (§3.3) describes "a generic model evaluator for models whose
 input is a numeric vector and the output is a number (e.g., logistic
 regression, k-means, etc)."  :class:`ModelEvaluator` is that component: it
 wraps a parsed :class:`~repro.pmml.document.PmmlDocument`, validates the
-argument arity against the model's mining schema, and scores one row at a
-time — exactly what the ``PMMLPredict`` UDF calls per tuple.
+argument arity against the model's mining schema, and scores one row
+(``evaluate``) or a block of rows given column by column
+(``evaluate_block``, what the ``PMMLPredict`` UDx calls once per batch).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.pmml.document import PmmlDocument, PmmlError
 from repro.pmml.xmlio import parse_pmml
@@ -46,6 +47,9 @@ class ModelEvaluator:
             raise PmmlError(f"input row missing feature {exc}") from None
         return self.document.predict(vector)
 
-    def evaluate_batch(self, rows: Sequence[Sequence[float]]) -> List[float]:
-        """Score many rows; used by the in-database scoring UDF."""
-        return [self.document.predict(row) for row in rows]
+    def evaluate_block(self, columns: Sequence[Sequence[Any]]) -> List[float]:
+        """Score a block given as one list per feature: ``evaluate`` of
+        every row, bit for bit, and on a failure the error ``evaluate``
+        raises at the first failing row.  Regression and SVM models score
+        column-wise; k-means loops over the rows."""
+        return self.document.predict_block(columns)

@@ -34,6 +34,7 @@ from typing import (
 
 from repro.vertica.errors import SqlError
 from repro.vertica.hashring import vertica_hash
+from repro.vertica.udx import UdxCallable
 
 #: what an expression evaluates against
 Row = Mapping[str, Any]
@@ -464,11 +465,19 @@ class UdxCall(Expression):
 
     Built by the projection at run time (the registry lookup is part of
     execution), never by the parser.  A UDx is foreign code: it may raise
-    anything.
+    anything.  It scores a block (see :mod:`repro.vertica.udx`); ``apply``
+    calls it on one-row columns, so the row evaluator raises the UDx's
+    own exception.
     """
 
-    def __init__(self, function: Callable[[List[Any], Dict[str, Any]], Any],
-                 args: Sequence[Expression], parameters: Dict[str, Any]):
+    def __init__(
+        self,
+        name: str,
+        function: UdxCallable,
+        args: Sequence[Expression],
+        parameters: Dict[str, Any],
+    ):
+        self.name = name
         self.function = function
         self.args = list(args)
         self.parameters = parameters
@@ -477,10 +486,22 @@ class UdxCall(Expression):
         return self.args
 
     def with_children(self, children: Sequence[Expression]) -> Expression:
-        return UdxCall(self.function, children, self.parameters)
+        return UdxCall(self.name, self.function, children, self.parameters)
+
+    def block(self, columns: List[List[Any]], num_rows: int) -> List[Any]:
+        """The UDx over its arguments' columns: one value per row, or a
+        ``SqlError`` naming the UDx when it returns anything else."""
+        values = self.function(columns, self.parameters, num_rows)
+        if type(values) is not list:
+            got = f"a {type(values).__name__}"
+        elif len(values) != num_rows:
+            got = f"{len(values)} values"
+        else:
+            return values
+        raise SqlError(f"UDx {self.name!r} returned {got} for a batch of {num_rows}")
 
     def apply(self, *values: Any) -> Any:
-        return self.function(list(values), self.parameters)
+        return self.block([[value] for value in values], 1)[0]
 
 
 def predicate_holds(expression: Optional[Expression], row: Row) -> bool:

@@ -197,7 +197,7 @@ def _compile(expression: Expression) -> Kernel:
     elif isinstance(expression, FunctionCall):
         return _row_loop(BUILTINS[expression.name], children)
     elif isinstance(expression, UdxCall):
-        return _row_loop(expression.apply, children, foreign=(Exception,))
+        return _udx(expression, children)
     return _row_loop(expression.apply, children)
 
 
@@ -223,28 +223,34 @@ def _synthetic_hash(batch: ColumnBatch) -> List[Any]:
     return hashes
 
 
-def _row_loop(
-    apply: Callable[..., Any],
-    children: Sequence[Kernel],
-    foreign: Tuple[Type[BaseException], ...] = (),
-) -> Kernel:
-    """``apply`` over the children's columns zipped, one call per row.
-
-    ``foreign`` is what code outside the engine (a UDx) may raise —
-    anything: it is re-raised as a kernel error, so the batch is
-    re-evaluated and the call raises it again in the evaluator's order.
-    """
+def _row_loop(apply: Callable[..., Any], children: Sequence[Kernel]) -> Kernel:
+    """``apply`` over the children's columns zipped, one call per row."""
 
     def loop(batch: ColumnBatch) -> List[Any]:
         columns = [child(batch) for child in children]
-        try:
-            if not columns:
-                return [apply() for __ in range(batch.num_rows)]
-            return list(map(apply, *columns))
-        except foreign as error:
-            raise SqlError(f"UDx failed: {error}") from error
+        if not columns:
+            return [apply() for __ in range(batch.num_rows)]
+        return list(map(apply, *columns))
 
     return loop
+
+
+def _udx(call: UdxCall, children: Sequence[Kernel]) -> Kernel:
+    """One call of the UDx per batch, over its arguments' columns (none
+    on an empty batch).  A UDx is foreign code and may raise anything: it
+    is re-raised as a kernel error, so the batch is re-evaluated row by
+    row and ``UdxCall.apply`` raises it again in the evaluator's order."""
+
+    def block(batch: ColumnBatch) -> List[Any]:
+        columns = [child(batch) for child in children]
+        if not batch.num_rows:
+            return []
+        try:
+            return call.block(columns, batch.num_rows)
+        except Exception as error:
+            raise SqlError(f"UDx failed: {error}") from error
+
+    return block
 
 
 def _binary(

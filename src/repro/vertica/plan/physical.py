@@ -714,16 +714,23 @@ class HashJoinOp(JoinOp):
         if restore is not None and picks[0]:
             # Chain root: the binder's lexicographic order, the (a, b, c,
             # ...) enumeration of the legacy nested loops over the FROM
-            # order.  Picks whose zipped index tuples already ascend are
-            # kept as they are; others are argsorted by them.
-            order_keys = list(zip(*(
-                _through(column, picks[slot])
-                for slot, column, __ in (sources[alias] for alias in restore)
-            )))
-            if any(map(operator.gt, order_keys, order_keys[1:])):
-                order = sorted(range(len(order_keys)), key=order_keys.__getitem__)
-                lefts, rights = picks
-                picks = [lefts[i] for i in order], [rights[i] for i in order]
+            # order.  Picks whose binder-leftmost relation's indices
+            # strictly ascend are in it whatever the others hold, and so
+            # are picks whose zipped index tuples ascend: both are kept as
+            # they are; others are argsorted by the tuples.
+            def indices(alias: str) -> Rows:
+                slot, column, __ = sources[alias]
+                return _through(column, picks[slot])
+
+            lead = indices(restore[0])
+            if not all(map(operator.lt, lead, itertools.islice(lead, 1, None))):
+                order_keys = list(zip(lead, *map(indices, restore[1:])))
+                if any(map(operator.gt, order_keys, order_keys[1:])):
+                    order = sorted(
+                        range(len(order_keys)), key=order_keys.__getitem__
+                    )
+                    lefts, rights = picks
+                    picks = [lefts[i] for i in order], [rights[i] for i in order]
         return _batched(picks)
 
 
@@ -777,7 +784,8 @@ class ProjectOp(PhysicalOperator):
                 plan.extend(node.source_columns)
             elif item.udf:
                 plan.append(UdxCall(
-                    self.db.udx.lookup(item.udf), item.udf_args, item.parameters
+                    item.udf, self.db.udx.lookup(item.udf), item.udf_args,
+                    item.parameters,
                 ))
             elif item.expression is not None:
                 plan.append(item.expression)

@@ -7,8 +7,14 @@ in Spark can score rows inside the database via plain SQL::
     SELECT PMMLPredict(sepal_length, ..., USING PARAMETERS
                        model_name='regression') FROM IrisTable
 
-A scalar UDx is a Python callable ``(args: list, parameters: dict) ->
-value`` invoked once per row.
+A scalar UDx is block-oriented, like Vertica's SDK (``processBlock`` over
+a ``BlockReader``): a Python callable ``(columns, parameters, num_rows) ->
+list`` called once per batch, with one list per argument and ``num_rows``
+(a UDx of no arguments has no column to measure), returning one value
+per row.  The engine calls it only from the block kernel
+(:mod:`repro.vertica.kernels`) and, on one-row columns, from
+``UdxCall.apply`` — the row evaluator, which reports whatever the UDx
+raises.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Any, Callable, Dict, List
 
 from repro.vertica.errors import SqlError
 
-UdxCallable = Callable[[List[Any], Dict[str, Any]], Any]
+UdxCallable = Callable[[List[List[Any]], Dict[str, Any], int], List[Any]]
 
 
 class UdxRegistry:

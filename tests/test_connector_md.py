@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.connector import (
     SimVerticaCluster,
     deploy_pmml_model,
@@ -10,7 +11,7 @@ from repro.connector import (
     list_models,
 )
 from repro.connector.md import delete_model
-from repro.pmml import PmmlError
+from repro.pmml import PmmlDocument, PmmlError, RegressionModel, to_xml
 from repro.sim import Environment
 from repro.spark import SparkSession
 from repro.spark.mllib import (
@@ -19,6 +20,7 @@ from repro.spark.mllib import (
     train_linear_regression,
     train_logistic_regression,
 )
+from repro.telemetry import MetricsRegistry
 from repro.vertica.errors import CatalogError
 
 
@@ -165,6 +167,76 @@ class TestInDatabaseScoring:
                 "SELECT PMMLPredict(sepal_length USING PARAMETERS "
                 "model_name='ghost') FROM iristable"
             )
+
+
+def one_weight_model(weight):
+    return to_xml(PmmlDocument(RegressionModel(["x"], [weight])))
+
+
+@pytest.fixture
+def registry():
+    reg = telemetry.install(MetricsRegistry(enabled=True))
+    yield reg
+    telemetry.reset()
+
+
+class TestBlockScoring:
+    """``PMMLPredict`` scores a batch per call and reads the model's
+    document from the DFS once per call."""
+
+    def scored(self, session, where=""):
+        return session.execute(
+            "SELECT id, PMMLPredict(x USING PARAMETERS model_name='m') "
+            f"FROM t {where} ORDER BY id"
+        ).rows
+
+    @pytest.fixture
+    def session(self, fabric):
+        vc, __ = fabric
+        session = vc.db.connect()
+        session.execute(
+            "CREATE TABLE t (id INTEGER, x VARCHAR(10)) UNSEGMENTED ALL NODES"
+        )
+        session.execute(
+            "INSERT INTO t VALUES (0, '1'), (1, '2'), (2, '3'), (3, 'bad'), "
+            "(4, '5'), (5, '6')"
+        )
+        deploy_pmml_model(vc.db, "m", one_weight_model(2))
+        install_pmml_udx(vc.db)
+        return session
+
+    def test_a_redeployed_model_scores_with_its_new_document(self, fabric, session):
+        vc, __ = fabric
+        assert self.scored(session, "WHERE id < 2") == [(0, 2.0), (1, 4.0)]
+        deploy_pmml_model(vc.db, "m", one_weight_model(5), overwrite=True)
+        assert self.scored(session, "WHERE id < 2") == [(0, 5.0), (1, 10.0)]
+
+    def test_a_deleted_model_fails_as_an_unknown_one(self, fabric, session):
+        vc, __ = fabric
+        assert self.scored(session, "WHERE id < 2") == [(0, 2.0), (1, 4.0)]
+        delete_model(vc.db, "m")
+        with pytest.raises(CatalogError) as deleted:
+            self.scored(session, "WHERE id < 2")
+        with pytest.raises(CatalogError) as unknown:
+            session.execute(
+                "SELECT PMMLPredict(x USING PARAMETERS model_name='ghost') FROM t"
+            )
+        assert str(deleted.value) == str(unknown.value).replace("ghost", "m")
+
+    def test_predictions_count_the_scored_rows(self, registry, session):
+        assert len(self.scored(session, "WHERE id < 3")) == 3
+        assert registry.snapshot().counter("md.predictions") == 3
+
+    def test_a_failing_row_counts_as_a_row_at_a_time_udx_did(
+        self, registry, session
+    ):
+        # Row 3 fails.  A row-at-a-time UDx counted rows 0-3 on the batch's
+        # pass, then again when the row evaluator re-ran the batch to
+        # report the error; the failed block scores its rows one by one
+        # the same way, so the count stays 2 * (3 + 1).
+        with pytest.raises(PmmlError, match="'bad'"):
+            self.scored(session)
+        assert registry.snapshot().counter("md.predictions") == 8
 
 
 class TestFullAnalyticsPipeline:

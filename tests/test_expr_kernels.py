@@ -46,6 +46,7 @@ from repro.vertica.kernels import (
 )
 from repro.vertica.plan.physical import _matching
 from repro.vertica.sql.parser import parse_expression
+from tests.udx_adapter import per_row
 
 SETTINGS = dict(deadline=None, derandomize=True)
 
@@ -72,6 +73,7 @@ def batches(draw):
 
 
 # ------------------------------------------------------------- expressions
+@per_row
 def _picky(args, parameters):
     """A UDx that fails the way foreign code does: not with a SqlError."""
     if args and args[0] == 2:
@@ -101,7 +103,7 @@ def _interior(sub):
                   st.booleans()),
         st.builds(FunctionCall, st.sampled_from(sorted(BUILTINS)), some),
         st.just(FunctionCall("SYNTHETIC_HASH", [])),
-        st.builds(UdxCall, st.just(_picky), some,
+        st.builds(UdxCall, st.just("PICKY"), st.just(_picky), some,
                   st.sampled_from([{}, {"bias": 1}])),
     )
 
@@ -209,7 +211,7 @@ def test_selector_is_the_kernels_true_rows(op, literal, column, name):
 
 @given(items=st.lists(_expressions(2), min_size=1, max_size=3), batch=batches(),
        swallow=st.sampled_from([(), (SqlError,)]))
-@example([UdxCall(_picky, [ColumnRef("A")], {}), parse_expression("1 / B")],
+@example([UdxCall("PICKY", _picky, [ColumnRef("A")], {}), parse_expression("1 / B")],
          ColumnBatch(["A", "B"], [[0, 2], [0, 1]], ["n"] * 2), ())
 @settings(max_examples=200, **SETTINGS)
 def test_several_expressions_fail_in_row_major_order(items, batch, swallow):

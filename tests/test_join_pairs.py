@@ -373,6 +373,54 @@ class TestLateMaterialization:
         assert root_emitted[1] is root_made[1]
 
 
+    def test_a_root_whose_lead_ascends_keeps_its_picks(self, monkeypatch):
+        # The fact (binder-leftmost) row i meets dima row n-1-i, so at the
+        # root the lead relation's indices strictly ascend while dima's
+        # descend: the lead alone shows the binder's order, and the root
+        # emits the pair source's own lists.
+        n = 12
+        db = VerticaDatabase(num_nodes=2)
+        session = db.connect()
+        for ddl in (
+            "CREATE TABLE f (ka INTEGER, kd INTEGER, v INTEGER)",
+            "CREATE TABLE dima (a_id INTEGER, a_val INTEGER)",
+            "CREATE TABLE dimd (d_id INTEGER, d_val INTEGER)",
+        ):
+            session.execute(ddl + " UNSEGMENTED ALL NODES")
+        session.execute("INSERT INTO f VALUES " + ", ".join(
+            f"({n - 1 - i}, {i % 5}, {i})" for i in range(n)
+        ))
+        session.execute("INSERT INTO dima VALUES " + ", ".join(
+            f"({i}, {i * 10})" for i in range(n)
+        ))
+        session.execute("INSERT INTO dimd VALUES (0, 1), (1, 2)")
+        for table in ("f", "dima", "dimd"):
+            session.execute(f"ANALYZE {table}")
+        sql = (
+            "SELECT v, a_val, d_val FROM f JOIN dima ON ka = a_id "
+            "JOIN dimd ON kd = d_id WHERE d_val > 1"
+        )
+        made, emitted = [], []
+        hash_pairs, batched = physical._hash_pairs, physical._batched
+        monkeypatch.setattr(
+            physical, "_hash_pairs", lambda *args: made.append(hash_pairs(*args))
+            or made[-1],
+        )
+        monkeypatch.setattr(
+            physical, "_batched", lambda picks: emitted.append(picks)
+            or batched(picks),
+        )
+        assert_identical(db, sql)
+        plan = [row[0] for row in session.execute(f"EXPLAIN {sql}").rows]
+        assert any(line.startswith("JOIN ORDER: F x DIMD") for line in plan)
+        rows = session.execute(sql).rows
+        assert [v for v, __, __ in rows] == [1, 6, 11]
+        assert [a for __, a, __ in rows] == [100, 50, 0]
+        root_made, root_emitted = made[-1], emitted[-1]
+        assert root_emitted[0] is root_made[0]
+        assert root_emitted[1] is root_made[1]
+
+
 class TestValidation:
     """Which joins still validate, seen through a pair source that proposes
     every pair: a validating join filters them down to the oracle's rows, a

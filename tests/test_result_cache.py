@@ -23,6 +23,7 @@ from repro.vertica import VerticaDatabase
 from repro.vertica.engine import COST_COUNTERS, CostReport
 from repro.vertica.errors import SqlError
 from repro.wlm import AdmissionController, ResourcePool
+from tests.udx_adapter import per_row
 
 # Identical to the plan-differential matrix: any drift in these fields
 # would silently change every benchmark via the JDBC cost bridge.
@@ -266,7 +267,7 @@ class TestBypass:
     def test_udx_bypasses_directly_and_under_a_view(self, registry):
         db, session = make_db()
         factor = [2.0]
-        db.udx.register("scaled", lambda args, params: args[0] * factor[0])
+        db.udx.register("scaled", per_row(lambda args, params: args[0] * factor[0]))
         session.execute(
             "CREATE VIEW scaled_v AS SELECT id, scaled(v) AS s FROM metrics"
         )
@@ -290,7 +291,7 @@ class TestBypass:
         """A literal or a user table merely containing ``V_CATALOG``, or a
         column named like a registered UDx, is an ordinary statement."""
         db, session = make_db()
-        db.udx.register("grp", lambda args, params: None)
+        db.udx.register("grp", per_row(lambda args, params: None))
         session.execute(
             "CREATE TABLE my_v_catalog_copy (id INTEGER, note VARCHAR(40))"
         )

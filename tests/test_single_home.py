@@ -254,3 +254,44 @@ def test_only_analyze_writes_statistics():
             if not homed(name, scopes, homes):
                 offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
+
+
+#: where a UDx's function is called, and who calls that: the block kernel
+#: and the row evaluator's ``apply``
+UDX_CALL_HOMES = {("repro/vertica/expr.py", "block")}
+UDX_BLOCK_CALLERS = {
+    ("repro/vertica/kernels.py", "_udx"), ("repro/vertica/expr.py", "apply"),
+}
+#: where the registry is asked for a function: the projection that runs it
+UDX_LOOKUP_HOMES = {("repro/vertica/plan/physical.py", "ProjectOp")}
+
+
+def test_a_udx_is_called_by_the_block_kernel_and_apply_only():
+    """A registered UDx is block-oriented (``fn(columns, parameters,
+    num_rows) -> list``): ``UdxCall.block`` calls it and checks it returned
+    one value per row, and only the block kernel (once per batch) and
+    ``UdxCall.apply`` (on one-row columns, the row evaluator) call that.
+    ``ProjectOp`` is the one place the registry is asked for a function,
+    and the generic row loop no longer carries a foreign-error escape:
+    a per-row UDx path beside the block one is how a second calling
+    convention would creep back."""
+    offenders = []
+    for name, tree in modules():
+        for node, scopes, __ in scoped(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_row_loop":
+                if [arg.arg for arg in node.args.args] != ["apply", "children"]:
+                    offenders.append(f"{name}:{node.lineno} _row_loop")
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            attribute, owner = node.func.attr, node.func.value
+            homes = (
+                UDX_CALL_HOMES if attribute == "function"
+                else UDX_BLOCK_CALLERS if attribute == "block"
+                else UDX_LOOKUP_HOMES if attribute == "lookup"
+                and isinstance(owner, ast.Attribute) and owner.attr == "udx"
+                else None
+            )
+            if homes is not None and not homed(name, scopes, homes):
+                offenders.append(f"{name}:{node.lineno} .{attribute}()")
+    assert offenders == []

@@ -6,6 +6,7 @@ from repro.vertica import VerticaDatabase
 from repro.vertica.dfs import DistributedFileSystem
 from repro.vertica.errors import CatalogError, SqlError
 from repro.vertica.udx import UdxRegistry
+from tests.udx_adapter import per_row
 
 
 class TestDfs:
@@ -84,7 +85,7 @@ class TestUdxInSql:
     def test_udf_invocation_with_parameters(self):
         db = VerticaDatabase(num_nodes=2)
         db.udx.register(
-            "scale", lambda args, params: args[0] * params.get("factor", 1)
+            "scale", per_row(lambda args, params: args[0] * params.get("factor", 1))
         )
         s = db.connect()
         s.execute("CREATE TABLE t (x INTEGER)")
@@ -96,7 +97,7 @@ class TestUdxInSql:
 
     def test_udf_multiple_args(self):
         db = VerticaDatabase(num_nodes=1)
-        db.udx.register("addup", lambda args, params: sum(args))
+        db.udx.register("addup", per_row(lambda args, params: sum(args)))
         s = db.connect()
         s.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
         s.execute("INSERT INTO t VALUES (1, 2)")
@@ -109,3 +110,45 @@ class TestUdxInSql:
         s.execute("INSERT INTO t VALUES (1)")
         with pytest.raises(SqlError):
             s.execute("SELECT NOPE(a USING PARAMETERS x=1) FROM t")
+
+    @pytest.mark.parametrize(
+        "result, got",
+        [
+            (lambda columns: columns[0][1:], "0 values"),
+            (lambda columns: columns[0] + [0], "2 values"),
+            (lambda columns: 7, "a int"),
+        ],
+        ids=["short", "long", "scalar"],
+    )
+    def test_a_udx_returning_another_row_count_is_named(self, result, got):
+        # a block UDx owes one value per row; anything else would shift
+        # every later row's value onto the wrong row
+        db = VerticaDatabase(num_nodes=1)
+        db.udx.register("shifty", lambda columns, params, rows: result(columns))
+        s = db.connect()
+        s.execute("CREATE TABLE t (a INTEGER)")
+        s.execute("INSERT INTO t VALUES (1), (2), (3)")
+        message = f"UDx 'SHIFTY' returned {got} for a batch of 1$"
+        with pytest.raises(SqlError, match=message):
+            s.execute("SELECT a, SHIFTY(a USING PARAMETERS p=1) FROM t")
+
+    def test_a_udx_is_called_once_per_batch_and_never_on_an_empty_one(self):
+        db = VerticaDatabase(num_nodes=1)
+        calls = []
+
+        def doubled(columns, params, rows):
+            calls.append(rows)
+            return [2 * value for value in columns[0]]
+
+        db.udx.register("doubled", doubled)
+        s = db.connect()
+        s.execute("CREATE TABLE t (a INTEGER)")
+        s.execute("INSERT INTO t VALUES (1), (2), (3)")
+        assert s.execute(
+            "SELECT DOUBLED(a USING PARAMETERS p=1) FROM t ORDER BY a"
+        ).rows == [(2,), (4,), (6,)]
+        assert calls == [3]
+        assert s.execute(
+            "SELECT DOUBLED(a USING PARAMETERS p=1) FROM t WHERE a > 9"
+        ).rows == []
+        assert calls == [3]

@@ -11,6 +11,7 @@ from repro.vertica.errors import (
     TransactionError,
     TypeMismatchError,
 )
+from tests.udx_adapter import per_row
 
 
 @pytest.fixture
@@ -45,7 +46,7 @@ class TestAutocommit:
         def broken(args, params):
             raise RuntimeError("udx failed")
 
-        db.udx.register("broken", broken)
+        db.udx.register("broken", per_row(broken))
         session.execute("INSERT INTO t VALUES (1, 'x')")
         with pytest.raises(RuntimeError, match="udx failed"):
             session.execute("SELECT BROKEN(a USING PARAMETERS p=1) FROM t")
