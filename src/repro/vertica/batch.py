@@ -21,12 +21,24 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 #: most rows an operator puts in one batch
 BATCH_ROWS = 1024
 
+#: per column, the one Python type all its values have (``None``: unknown,
+#: or several); the whole list is ``None`` where no column's is known
+Kinds = Optional[List[Optional[type]]]
+
 
 def gather(values: List[Any], indices: Iterable[int]) -> List[Any]:
     """``values`` at ``indices`` as a new list (a unit range is one slice)."""
     if isinstance(indices, range) and indices.step == 1:
         return values[indices.start:indices.stop]
     return [values[i] for i in indices]
+
+
+def agreed_kinds(first: Kinds, second: Kinds) -> Kinds:
+    """The kinds of two batches' rows together: a column keeps its kind
+    only where both batches give it the same one."""
+    if first is None or second is None:
+        return None
+    return [a if a is b else None for a, b in zip(first, second)]
 
 
 def transpose(rows: Sequence[Sequence[Any]], width: int) -> List[Sequence[Any]]:
@@ -42,10 +54,14 @@ class ColumnBatch:
     their ``row_ids`` in the ROS ``container`` that UPDATE and DELETE
     stage delete vectors against (``None``: uncommitted WOS rows).  Both
     are ``None`` for every batch an operator builds from several slices.
+
+    ``kinds`` says which Python type every value of a column has, where
+    storage knows it (``RosContainer.kind``), so that an operator sizing
+    the column need not look at each value's type.
     """
 
     __slots__ = ("names", "columns", "nodes", "index", "container", "row_ids",
-                 "synthetic_hashes")
+                 "synthetic_hashes", "kinds")
 
     def __init__(
         self,
@@ -54,12 +70,14 @@ class ColumnBatch:
         nodes: List[str],
         container: Optional[Any] = None,
         row_ids: Optional[Sequence[int]] = None,
+        kinds: Kinds = None,
     ):
         self.names = names
         self.columns = columns
         self.nodes = nodes
         self.container = container
         self.row_ids = row_ids
+        self.kinds = kinds
         #: a repeated name keeps its last occurrence, like dict(zip(...))
         self.index: Dict[str, int] = {name: i for i, name in enumerate(names)}
         #: ``SYNTHETIC_HASH()`` of every row, kept by its kernel on first

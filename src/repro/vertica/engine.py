@@ -27,7 +27,17 @@ Notable behaviours:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro import telemetry
 from repro.vertica.batch import ColumnBatch, gather, transpose
@@ -200,6 +210,12 @@ class HashRange:
         return self.lo <= 0 and self.hi >= HASH_SPACE
 
 
+#: a pushed filter on one stored column, for ``Engine.scan``: the column's
+#: name and ``fn(values) -> indices of the values kept``, or None to keep
+#: them all; it reads ``values`` (perhaps the stored list) and never writes
+RowSelector = Tuple[str, Callable[[List[Any]], Optional[List[int]]]]
+
+
 def _value_bytes(value: Any) -> int:
     if value is None:
         return 1
@@ -366,6 +382,7 @@ class Engine:
         cost: Optional[CostReport] = None,
         for_update: bool = False,
         columns: Optional[Sequence[str]] = None,
+        select: Optional[RowSelector] = None,
     ) -> Iterator[ColumnBatch]:
         """Yield the visible rows of a table at a snapshot, as column slices.
 
@@ -373,9 +390,10 @@ class Engine:
         one per matching WOS buffer of the reading transaction, each with
         the requested ``columns`` (default: all) gathered by a selection
         vector: the container's visible rows, minus the transaction's own
-        staged deletes, narrowed to the hash range.  ``cost`` is charged
-        once per slice for the rows visible *before* the hash-range
-        filter.  ROS slices also name their ``container``.
+        staged deletes, narrowed to the hash range, then to the rows
+        ``select`` keeps.  ``cost`` is charged once per slice for the rows
+        visible *before* the hash-range filter.  ROS slices also name their
+        ``container`` and carry each column's stored kind.
 
         ``for_update`` scans every physical copy (so DML can touch each
         replica of an unsegmented table); plain reads scan the initiator's
@@ -400,6 +418,8 @@ class Engine:
         # Every row hash lies inside the ring, so a full range filters nothing.
         filtered = not table.unsegmented and not hash_range.is_full
         lo, hi = hash_range.lo, hash_range.hi
+        if select is not None:
+            selected, pick = stored.index(select[0]), select[1]
 
         def slice_of(
             node: str,
@@ -412,6 +432,13 @@ class Engine:
             if filtered:
                 hashes = source.row_hashes
                 rows = [i for i in rows if lo <= hashes[i] < hi]
+            if rows and select is not None:
+                # ascending distinct row ids: all of them are the stored list
+                values = source.columns[selected]
+                whole = len(rows) == len(values)
+                hits = pick(values if whole else gather(values, rows))
+                if hits is not None:
+                    rows = hits if whole else [rows[i] for i in hits]
             if not rows:
                 return None
             return ColumnBatch(
@@ -420,6 +447,7 @@ class Engine:
                 [node] * len(rows),
                 container,
                 rows,
+                None if container is None else [container.kind(s) for s in slots],
             )
 
         self_deleted = (

@@ -134,18 +134,30 @@ def selector_of(
     Compiled on first use and kept on the node.
     """
     selector = predicate.selector
+    if selector is None:
+        found = column_selector_of(predicate)
+        if found is not None:
+            column, select = _column(found[0]), found[1]
+            selector = predicate.selector = lambda batch: select(column(batch))
+    return selector
+
+
+def column_selector_of(
+    predicate: Expression,
+) -> Optional[Tuple[str, Callable[[List[Any]], List[int]]]]:
+    """``(column name, fn(values) -> rows)``: :func:`selector_of` over the
+    named column's values alone (a scan selects on a stored column before
+    it gathers a batch), or None where that is None."""
     if (
-        selector is None
-        and isinstance(predicate, BinaryOp)
+        isinstance(predicate, BinaryOp)
         and predicate.op in _SELECTORS
         and isinstance(predicate.left, ColumnRef)
         and isinstance(predicate.right, Literal)
         and predicate.right.value is not None
     ):
-        select, column = _SELECTORS[predicate.op], _column(predicate.left.name)
-        value = predicate.right.value
-        selector = predicate.selector = lambda batch: select(column(batch), value)
-    return selector
+        select, value = _SELECTORS[predicate.op], predicate.right.value
+        return predicate.left.name, lambda values: select(values, value)
+    return None
 
 
 #: each comparison's one-pass row filter over a column ``c`` and a non-NULL

@@ -10,7 +10,8 @@ builds a per-row dict or tuple — nor one per candidate pair of a join —
 and none walks an expression per row: predicates, join conditions,
 select items, group keys, aggregate arguments and sort keys are each one
 :mod:`~repro.vertica.kernels` call per batch (a ``column <op> literal``
-filter: one selector call, straight to its selection vector).
+filter: one selector call, straight to its selection vector — pushed
+into a scan, on the stored column before the batch is gathered).
 
 Fidelity notes (the differential suite enforces these):
 
@@ -55,8 +56,8 @@ from typing import (
 )
 
 from repro.ordering import null_last_key
-from repro.vertica.batch import BATCH_ROWS, ColumnBatch, gather
-from repro.vertica.engine import CostReport, _value_widths
+from repro.vertica.batch import BATCH_ROWS, ColumnBatch, Kinds, agreed_kinds, gather
+from repro.vertica.engine import CostReport, RowSelector, _value_widths
 from repro.vertica.errors import SqlError
 from repro.vertica.expr import (
     Expression,
@@ -68,6 +69,7 @@ from repro.vertica.kernels import (
     KERNEL_ERRORS,
     Reader,
     column_reader,
+    column_selector_of,
     evaluate_columns,
     selector_of,
 )
@@ -138,7 +140,8 @@ def _compact(batch: ColumnBatch, keep: Sequence[int]) -> ColumnBatch:
     if row_ids is not None:
         row_ids = [row_ids[i] for i in keep]
     return ColumnBatch(
-        batch.names, columns, gather(batch.nodes, keep), batch.container, row_ids
+        batch.names, columns, gather(batch.nodes, keep), batch.container, row_ids,
+        batch.kinds,
     )
 
 
@@ -160,7 +163,10 @@ def _concat(batches: List[ColumnBatch]) -> ColumnBatch:
             ))
         columns.append(joined)
     nodes = list(itertools.chain.from_iterable(b.nodes for b in batches))
-    return ColumnBatch(batches[0].names, columns, nodes)
+    kinds = batches[0].kinds
+    for batch in batches[1:]:
+        kinds = agreed_kinds(kinds, batch.kinds)
+    return ColumnBatch(batches[0].names, columns, nodes, kinds=kinds)
 
 
 def _matching(batch: ColumnBatch, predicate: Expression) -> List[int]:
@@ -210,6 +216,13 @@ class TableScanOp(PhysicalOperator):
     storage truth; this operator only copies the requested columns of
     its slices into full batches — storage lists are never handed
     downstream — and applies any pushed-down predicate.
+
+    A pushed ``column <op> literal`` on one of the scanned columns is
+    answered by the engine instead, on the stored column before anything
+    is gathered (:meth:`_selection`).  If that selector raises, the slice
+    comes through unfiltered and the predicate is applied to every batch
+    from then on, so the kernel and the row evaluator pick the error.
+    ``rows in`` counts the rows before the predicate either way.
     """
 
     kind = "scan"
@@ -228,10 +241,43 @@ class TableScanOp(PhysicalOperator):
         self.txn = txn
         self.initiator = initiator
         self.snapshot = snapshot
+        #: the engine still answers the pushed predicate (:meth:`_selection`)
+        self.selecting = False
+
+    def _selection(self, columns: Sequence[str]) -> Optional[RowSelector]:
+        """The pushed predicate as the engine's selector on one of the
+        stored ``columns`` this scan reads (plain, or qualified by its own
+        alias); None unless it is a :func:`kernels.column_selector_of`."""
+        node = self.logical
+        found = None if node.predicate is None else column_selector_of(
+            node.predicate
+        )
+        if found is None:
+            return None
+        name, pick = found
+        if node.qualify and name.startswith(f"{node.alias}."):
+            name = name[len(node.alias) + 1:]
+        if name not in columns:
+            return None
+
+        def select(values: List[Any]) -> Optional[List[int]]:
+            self.stats.rows_in += len(values)
+            if self.selecting:
+                try:
+                    return pick(values)
+                except KERNEL_ERRORS:
+                    self.selecting = False  # the row evaluator picks the error
+            return None
+
+        self.selecting = True
+        return name, select
 
     def _slices(self, columns: Optional[Sequence[str]]) -> Iterator[ColumnBatch]:
         """The engine's scan of this table, charged to this operator."""
         node = self.logical
+        select = self._selection(
+            columns if columns is not None else node.table.column_names()
+        )
         for chunk in self.engine.scan(
             node.key,
             self.snapshot,
@@ -241,15 +287,18 @@ class TableScanOp(PhysicalOperator):
             cost=self.cost,
             for_update=node.for_update,
             columns=columns,
+            select=select,
         ):
-            self.stats.rows_in += chunk.num_rows
+            if select is None:
+                self.stats.rows_in += chunk.num_rows
             yield chunk
 
     def _run(self) -> Iterator[ColumnBatch]:
         predicate = self.logical.predicate
         for batch in self._unfiltered():
             matched = (
-                batch if predicate is None else _apply_predicate(batch, predicate)
+                batch if predicate is None or self.selecting
+                else _apply_predicate(batch, predicate)
             )
             if matched is not None:
                 yield matched
@@ -269,6 +318,7 @@ class TableScanOp(PhysicalOperator):
             copies = 2
         columns: List[List[Any]] = [[] for __ in plain]
         nodes: List[str] = []
+        kinds: Kinds = None
         for chunk in self._slices(plain):
             start, size = 0, chunk.num_rows
             while start < size:
@@ -276,14 +326,19 @@ class TableScanOp(PhysicalOperator):
                 whole = start == 0 and stop >= size
                 for column, source in zip(columns, chunk.columns):
                     column.extend(source if whole else source[start:stop])
+                kinds = agreed_kinds(kinds, chunk.kinds) if nodes else chunk.kinds
                 nodes.extend(chunk.nodes if whole else chunk.nodes[start:stop])
                 start = stop
                 if len(nodes) >= BATCH_ROWS:
-                    yield ColumnBatch(names, columns * copies, nodes)
+                    yield ColumnBatch(
+                        names, columns * copies, nodes, kinds=kinds and kinds * copies
+                    )
                     columns = [[] for __ in plain]
                     nodes = []
         if nodes:
-            yield ColumnBatch(names, columns * copies, nodes)
+            yield ColumnBatch(
+                names, columns * copies, nodes, kinds=kinds and kinds * copies
+            )
 
 
 class SystemScanOp(PhysicalOperator):
@@ -616,6 +671,10 @@ def _nan_as_null(column: List[Any]) -> List[Any]:
     return column
 
 
+#: stored kinds that hold no NaN, so a key column of one is taken as it is
+_NAN_FREE = (int, str, bool)
+
+
 def _join_keys(sources: Sources, slot: int, refs: List[str]) -> Keys:
     """Input ``slot``'s equi key per row; ``None`` where it can match nothing.
 
@@ -628,7 +687,12 @@ def _join_keys(sources: Sources, slot: int, refs: List[str]) -> Keys:
     columns = []
     for ref in refs:
         key, column = where[ref]
-        columns.append(_nan_as_null(_at(column, sources[key][1])))
+        __, rows, batch = sources[key]
+        values = _at(column, rows)
+        kinds = batch.kinds
+        if kinds is None or kinds[batch.index[ref]] not in _NAN_FREE:
+            values = _nan_as_null(values)
+        columns.append(values)
     if len(columns) == 1:
         return columns[0]
     return [None if None in key else key for key in zip(*columns)]
@@ -801,31 +865,69 @@ class ProjectOp(PhysicalOperator):
                 else absent
                 for entry in plan
             ]
-            self._charge_output(out_columns, batch.nodes)
+            # a column reference's kernel hands on the batch's own list
+            kind_of = dict(zip(map(id, batch.columns), batch.kinds or ()))
+            kinds = [kind_of.get(id(column)) for column in out_columns]
+            self._charge_output(out_columns, kinds, batch.nodes)
             yield ColumnBatch(names, out_columns, batch.nodes)
 
     def _charge_output(
-        self, out_columns: List[List[Any]], nodes: List[str]
+        self,
+        out_columns: List[List[Any]],
+        kinds: List[Optional[type]],
+        nodes: List[str],
     ) -> None:
-        # One width per column (or per value where they differ), one
-        # CostReport call per run of same-node rows; all increments are
-        # integer-valued, so totals stay byte-identical.
-        fixed = 0
-        varying: List[List[int]] = []
-        for column in out_columns:
-            widths = _value_widths(column)
-            if isinstance(widths, int):
-                fixed += widths
-            else:
-                varying.append(widths)
+        # One width per column, or one byte count per run of same-node rows
+        # (a ``str`` column's: its run's strings joined), or one per value;
+        # one CostReport call per run.  All are integers, so totals stay
+        # byte-identical, and every column is sized before any is charged.
+        runs: List[str] = []
+        spans: List[Tuple[int, int]] = []
         start = 0
         for node, run in itertools.groupby(nodes):
             stop = start + len(list(run))
-            nbytes = fixed * (stop - start) + sum(
-                sum(widths[start:stop]) for widths in varying
-            )
-            self.cost.output(node, nbytes, stop - start)
+            runs.append(node)
+            spans.append((start, stop))
             start = stop
+        fixed = 0
+        per_run = [0] * len(runs)
+        for column, kind in zip(out_columns, kinds):
+            width = _KIND_WIDTHS.get(kind)
+            if width is not None:
+                fixed += width
+                continue
+            sizes = _str_run_bytes(column, spans) if kind is str else None
+            if sizes is None:
+                widths = _value_widths(column)
+                if isinstance(widths, int):
+                    fixed += widths
+                    continue
+                sizes = [sum(widths[start:stop]) for start, stop in spans]
+            per_run = list(map(operator.add, per_run, sizes))
+        for node, (start, stop), nbytes in zip(runs, spans, per_run):
+            self.cost.output(node, fixed * (stop - start) + nbytes, stop - start)
+
+
+#: the one width every value of a stored kind has (``_value_bytes``)
+_KIND_WIDTHS: Dict[Optional[type], int] = {int: 8, float: 8, bool: 1}
+
+
+def _str_run_bytes(
+    column: List[str], spans: List[Tuple[int, int]]
+) -> Optional[List[int]]:
+    """The UTF-8 bytes of each span's strings; None if one cannot encode
+    (``_value_widths`` then raises what sizing them one by one raises)."""
+    sizes = []
+    for start, stop in spans:
+        joined = "".join(column[start:stop])
+        if joined.isascii():
+            sizes.append(len(joined))
+            continue
+        try:
+            sizes.append(len(joined.encode("utf-8")))
+        except UnicodeEncodeError:
+            return None
+    return sizes
 
 
 class AggregateOp(PhysicalOperator):

@@ -20,7 +20,7 @@ them exactly as it slices a container's.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.vertica.errors import CatalogError
 
@@ -29,7 +29,7 @@ class RosContainer:
     """One immutable committed batch of rows on one node."""
 
     __slots__ = ("column_names", "columns", "commit_epoch", "delete_epochs",
-                 "row_hashes")
+                 "row_hashes", "_kinds")
 
     def __init__(
         self,
@@ -56,10 +56,26 @@ class RosContainer:
         #: evaluating ``HASH(...)``, so every writer supplies it:
         #: ``Engine.insert_rows`` computes it, mergeout gathers it.
         self.row_hashes = list(row_hashes)
+        #: slot -> :meth:`kind` of that column, filled as they are asked for
+        self._kinds: Dict[int, Optional[type]] = {}
 
     @property
     def nrows(self) -> int:
         return len(self.delete_epochs)
+
+    def kind(self, slot: int) -> Optional[type]:
+        """The one Python type every value of column ``slot`` has (a NULL's
+        is ``NoneType``); None when it holds several, or no value at all.
+
+        Computed on first ask and kept: a container's columns never change
+        (a delete only hides rows; mergeout builds a new container), and
+        every row subset of a column has the column's kind.
+        """
+        kinds = self._kinds
+        if slot not in kinds:
+            types = set(map(type, self.columns[slot]))
+            kinds[slot] = types.pop() if len(types) == 1 else None
+        return kinds[slot]
 
     def visible(self, snapshot_epoch: int) -> Sequence[int]:
         """Indices of the rows visible at ``snapshot_epoch``, ascending.

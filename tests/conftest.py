@@ -14,13 +14,15 @@ profile.
   tests.
 
 Also the ``hash_calls`` fixture: a count of ``vertica_hash`` calls, for the
-tests that pin where the engine may (and may not) hash a row.
+tests that pin where the engine may (and may not) hash a row; and
+``selector_reads``, the values a scan's pushed selector read.
 """
 
 import pytest
 from hypothesis import settings
 
 from repro.vertica import hashring
+from repro.vertica.plan import physical
 
 settings.register_profile("ci", max_examples=100)
 settings.register_profile("dev", max_examples=25)
@@ -44,3 +46,27 @@ def hash_calls(monkeypatch):
 
     monkeypatch.setattr(hashring, "_fnv1a", counting)
     return calls
+
+
+@pytest.fixture
+def selector_reads(monkeypatch):
+    """Every list of values a scan's selector read (``Engine.scan``'s
+    ``select``), in order: a ROS column list itself where the slice was
+    its whole container, else a gathered copy."""
+    read = []
+    real = physical.column_selector_of
+
+    def spying(predicate):
+        found = real(predicate)
+        if found is None:
+            return None
+        name, pick = found
+
+        def select(values):
+            read.append(values)
+            return pick(values)
+
+        return name, select
+
+    monkeypatch.setattr(physical, "column_selector_of", spying)
+    return read

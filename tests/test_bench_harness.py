@@ -1,6 +1,8 @@
 """Tests for the benchmark harness itself (artifact tables, fabric, datasets)."""
 
+import importlib.util
 import os
+import time
 
 import pytest
 
@@ -270,3 +272,24 @@ class TestAbPairsArguments:
         assert out.count("| op_ms_norm |") == 2
         assert "w, seed 11, 2 alternating pairs" in out
         assert "w, seed 12, 2 alternating pairs" in out
+
+
+def _busy(seconds):
+    """Pure-Python work for ``seconds`` of CPU."""
+    end, spins = time.process_time() + seconds, 0
+    while time.process_time() < end:
+        spins += 1
+    return spins
+
+
+class TestSampleProfile:
+    def test_a_busy_function_is_the_top_self_entry(self):
+        path = os.path.join(REPO, "benchmarks", "sample_profile.py")
+        spec = importlib.util.spec_from_file_location("sample_profile", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        with module.Sampler() as sampler:
+            _busy(0.2)
+        (__, name), samples = sampler.self_fn.most_common(1)[0]
+        assert name == "_busy" and samples >= 10
+        assert "_busy" in sampler.report(top=1).splitlines()[2]

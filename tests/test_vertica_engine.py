@@ -13,6 +13,7 @@ from repro.vertica.engine import (
     extract_hash_range,
 )
 from repro.vertica.errors import CatalogError, SqlError
+from repro.vertica.plan.physical import ProjectOp
 from repro.vertica.sql.parser import parse_expression
 from repro.vertica.storage import RosContainer
 from tests.test_plan_differential import JOIN_MATRIX, MATRIX, join_db
@@ -451,6 +452,72 @@ class TestValueWidths:
         assert widths == [_value_bytes(value) for value in values]
 
 
+#: values of each kind a stored column can hold: huge ints, NaN and
+#: infinities, ASCII, non-ASCII and unencodable (lone surrogate) strings
+KIND_VALUES = {
+    int: st.integers(-(2**70), 2**70),
+    float: st.floats(),
+    bool: st.booleans(),
+    type(None): st.none(),
+    str: st.one_of(
+        st.text(alphabet="abc", max_size=4), st.text(max_size=4),
+        st.sampled_from(["h\u00e9\u2603", "\ud800", "a\udfffb"]),
+    ),
+}
+
+
+def charged(out_columns, kinds, nodes):
+    """``ProjectOp._charge_output``'s per-node charges, or what it raised."""
+    project = ProjectOp(None, None, None)
+    try:
+        project._charge_output(out_columns, kinds, nodes)
+    except Exception as error:  # noqa: BLE001 - compared structurally
+        return type(error), str(error)
+    cost = project.cost
+    return (cost.rows_output, cost.bytes_output, list(cost.node_rows_output.items()),
+            list(cost.node_output_bytes.items()))
+
+
+class TestChargedBytesByKind:
+    """A column's stored kind sizes it without looking at each value; the
+    bytes charged are those of sizing every value (``_value_widths``)."""
+
+    @given(
+        data=st.data(),
+        runs=st.lists(st.tuples(st.sampled_from("abc"), st.integers(1, 4)),
+                      max_size=5),
+        width=st.integers(0, 4),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_kinds_never_change_a_charged_byte(self, data, runs, width):
+        nodes = [node for node, size in runs for __ in range(size)]
+        columns = []
+        for __ in range(width):
+            if data.draw(st.booleans()):  # one kind throughout
+                values = KIND_VALUES[data.draw(st.sampled_from(list(KIND_VALUES)))]
+            else:
+                values = st.one_of(*KIND_VALUES.values())
+            columns.append(data.draw(st.lists(
+                values, min_size=len(nodes), max_size=len(nodes)
+            )))
+        kinds = []
+        for column in columns:
+            types = set(map(type, column))
+            kinds.append(types.pop() if len(types) == 1 else None)
+        assert charged(columns, kinds, nodes) == charged(
+            columns, [None] * width, nodes
+        )
+
+    def test_an_unencodable_string_raises_what_sizing_it_raised(self):
+        nodes = ["a", "a", "b"]
+        columns = [[1, 2, 3], ["ok", "h\u00e9", "\ud800"], ["\ud800x", "", ""]]
+        with pytest.raises(UnicodeEncodeError) as raised:
+            _value_widths(columns[1])
+        assert charged(columns, [int, str, str], nodes) == (
+            UnicodeEncodeError, str(raised.value)
+        )
+
+
 class TestScanSlices:
     """``Engine.scan``'s column slices against the per-row definition."""
 
@@ -520,7 +587,18 @@ class TestScanSlices:
                     assert located == batch.rows()[position]
 
 
-def test_operators_never_mutate_storage_lists(matrix_db, join_db):  # noqa: F811
+#: pushed ``column <op> literal`` filters over containers without deletes:
+#: the scan's selector reads the stored lists themselves
+SELECTED_MATRIX = [
+    "SELECT id, name FROM people WHERE age >= 18",
+    "SELECT p.id, p.score FROM people p WHERE p.score < 50.0",
+    "SELECT * FROM people WHERE name <> 'bob' ORDER BY id",
+]
+
+
+def test_operators_never_mutate_storage_lists(
+    matrix_db, join_db, selector_reads  # noqa: F811
+):
     """No operator aliased a ROS column list and then wrote through it."""
 
     def storage_lists(db):
@@ -534,13 +612,17 @@ def test_operators_never_mutate_storage_lists(matrix_db, join_db):  # noqa: F811
 
     before = storage_lists(matrix_db) + storage_lists(join_db)
     assert before
-    for db, statements in ((matrix_db, MATRIX), (join_db, JOIN_MATRIX)):
+    for db, statements in (
+        (matrix_db, MATRIX + SELECTED_MATRIX), (join_db, JOIN_MATRIX)
+    ):
         session = db.connect()
         for sql in statements:
             try:
                 session.execute(sql)
             except SqlError:
                 pass  # the matrices include error-path statements
+    read = set(map(id, selector_reads))
+    assert read & {id(column) for __, columns in before for column, __ in columns}
     for container, columns in before:
         assert len(container.columns) == len(columns)
         for (column, contents), now in zip(columns, container.columns):
