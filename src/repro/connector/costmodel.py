@@ -4,7 +4,9 @@ The database substrate executes statements instantaneously and reports
 *what it touched* (rows scanned/produced/written per node, bytes
 produced).  A :class:`VerticaCostModel` translates those counts into
 CPU-seconds and network bytes, which the JDBC bridge turns into core
-occupancy and fair-share network flows.
+occupancy and fair-share network flows.  ``price``, ``price_copy``,
+``encode_seconds`` and ``load_seconds`` are the only places a count meets
+a knob; latencies, rate caps and NIC names apply as-is where they are used.
 
 ``NULL_COST_MODEL`` (every parameter zero) is used by unit tests: the
 protocol code runs identically but the clock never moves.
@@ -17,7 +19,21 @@ reproduce the Figure 9 dimensionality effect.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.vertica.engine import CostReport
+
+
+class Charge(NamedTuple):
+    """The simulated resources one statement costs, before scheduling."""
+
+    #: (node, CPU seconds): scan on each node, then aggregate on each node
+    cpu: List[Tuple[str, float]]
+    #: (node, CPU seconds, bytes): a query's marshal CPU and bytes shipped to
+    #: the contacted node, or a COPY's parse CPU and bytes shipped from it
+    nodes: List[Tuple[str, float, float]]
+    client_bytes: float
 
 
 class VerticaCostModel:
@@ -137,6 +153,44 @@ class VerticaCostModel:
             virtual_rows * self.load_cpu_per_row * factor
             + virtual_bytes * self.load_cpu_per_byte
         )
+
+    # -- a statement's charge -------------------------------------------------------
+    def price(self, report: CostReport, rows: Sequence[Sequence[Any]],
+              w: float, w_out: float) -> Charge:
+        """What a query that touched ``report`` and returned ``rows`` costs;
+        ``w`` scales the scan and aggregate, ``w_out`` the output side.  A
+        result-cache hit re-scans and re-aggregates nothing, so it is charged
+        no CPU for either; its client gets the same bytes, charged as cold.
+        """
+        cpu: List[Tuple[str, float]] = []
+        if not report.cache_hit:
+            for counts, knob in ((report.node_rows_scanned, self.scan_cpu_per_row),
+                                 (report.node_rows_aggregated, self.agg_cpu_per_row)):
+                cpu += [(node, n * w * knob) for node, n in counts.items()]
+        # textual JDBC bytes, attributed to nodes by their binary output
+        wire = float(sum(self.jdbc_row_bytes(row) for row in rows))
+        total_binary = sum(report.node_output_bytes.values()) or 1.0
+        nodes: List[Tuple[str, float, float]] = []
+        for node, binary_bytes in report.node_output_bytes.items():
+            share = wire * (binary_bytes / total_binary)
+            seconds = (
+                report.node_rows_output.get(node, 0) * w_out * self.output_cpu_per_row
+                + share * w_out * self.output_cpu_per_byte
+            )
+            nodes.append((node, seconds, share * w_out))
+        return Charge(cpu, nodes, wire * w_out)
+
+    def price_copy(self, report: CostReport, payload_bytes: int, w: float,
+                   columnar: bool) -> Charge:
+        """What a COPY of ``payload_bytes`` costs: each node that owns
+        written rows receives its share of the payload and parses it."""
+        payload = payload_bytes * w
+        total_rows = report.rows_written or 1
+        nodes: List[Tuple[str, float, float]] = []
+        for node, rows in report.node_rows_written.items():
+            share = payload * (rows / total_rows)
+            nodes.append((node, self.load_seconds(rows * w, share, columnar), share))
+        return Charge([], nodes, payload)
 
 
 #: zero-cost model for functional tests — the clock never moves

@@ -2,12 +2,12 @@
 
 A :class:`SimVerticaConnection` wraps one database session bound to one
 Vertica node.  ``execute`` is a *generator* (run inside a simulation
-process — e.g. a Spark task): the statement itself executes synchronously
-against the database, then the connection charges the simulated resources
-it implies:
+process — e.g. a Spark task): the statement executes synchronously against
+the database, the cost model prices what it touched (``price`` /
+``price_copy``), and the connection only schedules the charges:
 
 - round-trip latency and query planning CPU on the contacted node;
-- scan/marshal CPU on every node that produced rows;
+- scan/aggregate/marshal CPU on every node that did the work;
 - result bytes flowing node-locally to the contacted node over the
   *internal* network (the shuffle the paper's locality-aware queries
   eliminate), then out to the client over the *external* network, capped
@@ -89,7 +89,7 @@ class SimVerticaConnection:
         next checkout instead of tearing down; severed connections always
         close for real.
         """
-        pool = getattr(self.cluster, "session_pool", None)
+        pool = self.cluster.session_pool
         if pool is not None and not self._severed:
             pool.checkin(self.session)
         else:
@@ -138,7 +138,7 @@ class SimVerticaConnection:
         model = self.cost_model
         env = self.env
         contact = self.cluster.sim_nodes[self.node_name]
-        chaos = getattr(self.cluster, "chaos", None)
+        chaos = self.cluster.chaos
         if self._severed:
             raise ConnectionSevered(self.node_name, sql, acked=False)
         # The one parse: everything below asks the statement, never its
@@ -159,7 +159,7 @@ class SimVerticaConnection:
         # memory grant) is held for the statement's whole execution and
         # its queue wait is charged into the statement's CostReport.
         ticket = None
-        admission = getattr(self.cluster, "wlm", None)
+        admission = self.cluster.wlm
         if admission is not None and planned:
             ticket = yield from admission.admit(self.session.resource_pool)
         try:
@@ -248,59 +248,37 @@ class SimVerticaConnection:
         )
 
     # -- cost charging ------------------------------------------------------------
+    def _await_charges(self, pending: list, slot) -> Generator:
+        """Wait out a statement's charges, then free its stream slot."""
+        try:
+            if pending:
+                yield self.env.all_of(pending)
+        finally:
+            if slot is not None:
+                self.cluster.sim_nodes[self.node_name].streams.release(slot)
+
     def _charge_query(self, result: ResultSet, w: float, w_out: float) -> Generator:
         model = self.cost_model
         env = self.env
         cluster = self.cluster
         contact = cluster.sim_nodes[self.node_name]
-        cost = result.cost
-
-        pending = []
-        # A result-cache hit replays the memoised cost *attribution* (so
-        # the report matches its cold replay byte for byte) but the rows
-        # were never re-scanned or re-aggregated: serving from memory
-        # skips that CPU entirely.  The wire/marshal side below is still
-        # charged — the client receives the same bytes either way.
-        if not getattr(cost, "cache_hit", False):
-            # CPU: scanning on every node that read rows.
-            for node_name, rows in cost.node_rows_scanned.items():
-                seconds = rows * w * model.scan_cpu_per_row
-                if seconds > 0:
-                    node = cluster.sim_nodes[node_name]
-                    pending.append(env.process(node.compute(seconds)))
-
-            # CPU: aggregation (group hashing + accumulator updates) on
-            # every node whose rows fed a GROUP BY — the compute a
-            # pushed-down aggregate spends server-side instead of
-            # shipping raw rows.
-            for node_name, rows in cost.node_rows_aggregated.items():
-                seconds = rows * w * model.agg_cpu_per_row
-                if seconds > 0:
-                    node = cluster.sim_nodes[node_name]
-                    pending.append(env.process(node.compute(seconds)))
-
-        # Wire bytes: textual JDBC encoding of the actual result rows,
-        # attributed to producing nodes proportionally.
-        total_wire = float(sum(model.jdbc_row_bytes(row) for row in result.rows))
-        total_binary = sum(cost.node_output_bytes.values()) or 1.0
-        for node_name, binary_bytes in cost.node_output_bytes.items():
-            share = total_wire * (binary_bytes / total_binary)
-            rows = cost.node_rows_output.get(node_name, 0)
-            seconds = (
-                rows * w_out * model.output_cpu_per_row
-                + share * w_out * model.output_cpu_per_byte
-            )
+        charge = model.price(result.cost, result.rows, w, w_out)
+        pending = [
+            env.process(cluster.sim_nodes[node_name].compute(seconds))
+            for node_name, seconds in charge.cpu if seconds > 0
+        ]
+        for node_name, seconds, shuffled in charge.nodes:
             node = cluster.sim_nodes[node_name]
             if seconds > 0:
                 pending.append(env.process(node.compute(seconds)))
-            if node_name != self.node_name and share * w_out > 0:
+            if node_name != self.node_name and shuffled > 0:
                 # Shuffle: the row lives elsewhere; it crosses the internal
                 # network to reach the contacted node first.
                 pending.append(
                     cluster.sim_cluster.transfer(
                         node,
                         contact,
-                        share * w_out,
+                        shuffled,
                         nic=model.internal_nic,
                         name=f"shuffle:{node_name}->{self.node_name}",
                     )
@@ -312,25 +290,20 @@ class SimVerticaConnection:
         # slots, streams queue — part of the "too much parallelism"
         # overhead in Figure 6.
         slot = None
-        if self.client_node is not None and total_wire * w_out > 0:
+        if self.client_node is not None and charge.client_bytes > 0:
             slot = contact.streams.request()
             yield slot
             pending.append(
                 cluster.sim_cluster.transfer(
                     contact,
                     self.client_node,
-                    total_wire * w_out,
+                    charge.client_bytes,
                     nic=model.external_nic,
                     cap=model.per_connection_rate_cap,
                     name=f"jdbc:{self.node_name}->{self.client_node.name}",
                 )
             )
-        try:
-            if pending:
-                yield env.all_of(pending)
-        finally:
-            if slot is not None:
-                contact.streams.release(slot)
+        yield from self._await_charges(pending, slot)
 
     def _charge_copy(
         self,
@@ -344,21 +317,16 @@ class SimVerticaConnection:
         env = self.env
         cluster = self.cluster
         contact = cluster.sim_nodes[self.node_name]
-        payload = (
-            len(copy_data)
-            if isinstance(copy_data, (bytes, bytearray))
-            else len(copy_data.encode("utf-8"))
-        )
-        payload_w = payload * w
+        if isinstance(copy_data, str):
+            copy_data = copy_data.encode("utf-8")
+        charge = model.price_copy(result.cost, len(copy_data), w, columnar)
         # COPY pipelines: while the client streams the payload in over the
         # external network (holding one ingest slot on the receiving node),
         # that node parses and redistributes rows to their segment owners
         # over the internal network; all of it proceeds concurrently.
-        cost = result.cost
-        total_rows = cost.rows_written or 1
         pending = []
         slot = None
-        if self.client_node is not None and payload_w > 0:
+        if self.client_node is not None and charge.client_bytes > 0:
             slot = contact.streams.request()
             yield slot
             route = [
@@ -371,14 +339,13 @@ class SimVerticaConnection:
             pending.append(
                 cluster.sim_cluster.network.transfer(
                     route,
-                    payload_w,
+                    charge.client_bytes,
                     cap=model.copy_rate_cap,
                     name=f"copy:{self.client_node.name}->{self.node_name}",
                 )
             )
-        for node_name, rows in cost.node_rows_written.items():
+        for node_name, seconds, share in charge.nodes:
             node = cluster.sim_nodes[node_name]
-            share = payload_w * (rows / total_rows)
             if node_name != self.node_name and share > 0:
                 pending.append(
                     cluster.sim_cluster.transfer(
@@ -389,12 +356,6 @@ class SimVerticaConnection:
                         name=f"segment:{self.node_name}->{node_name}",
                     )
                 )
-            seconds = model.load_seconds(rows * w, share, columnar)
             if seconds > 0:
                 pending.append(env.process(node.compute(seconds)))
-        try:
-            if pending:
-                yield env.all_of(pending)
-        finally:
-            if slot is not None:
-                contact.streams.release(slot)
+        yield from self._await_charges(pending, slot)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.connector import SimVerticaCluster, VerticaCostModel
 from repro.sim import Environment
+from repro.vertica.engine import CostReport
 
 
 def make_cluster(**model_kwargs):
@@ -197,3 +198,116 @@ class TestDataCharges:
         count = run(env, driver())
         assert count == 1
         assert env.now >= 1.0  # had to wait for the lock holder
+
+
+def report(scanned=(), aggregated=(), output=(), written=()):
+    """A hand-built CostReport; each argument is (node, count...) tuples
+    charged in the order given."""
+    cost = CostReport()
+    for node, rows in scanned:
+        cost.scanned(node, rows)
+    for node, rows in aggregated:
+        cost.aggregated(node, rows)
+    for node, nbytes, rows in output:
+        cost.output(node, nbytes, rows)
+    for node, rows in written:
+        cost.wrote(node, rows)
+    return cost
+
+
+class TestPrice:
+    MODEL = VerticaCostModel(
+        scan_cpu_per_row=2.0, agg_cpu_per_row=3.0,
+        output_cpu_per_row=5.0, output_cpu_per_byte=7.0, jdbc_int_bytes=10,
+    )
+    #: two rows of 10 wire bytes each: 20 wire bytes in all
+    ROWS = [(1,), (2,)]
+
+    def cold(self):
+        return report(
+            scanned=[("n2", 4), ("n1", 6)], aggregated=[("n1", 6)],
+            output=[("n2", 30.0, 1), ("n1", 10.0, 1)],
+        )
+
+    def test_two_nodes_in_map_key_order(self):
+        charge = self.MODEL.price(self.cold(), self.ROWS, w=2.0, w_out=0.5)
+        # scan 4 and 6 rows, then aggregate 6, at w = 2
+        assert charge.cpu == [("n2", 16.0), ("n1", 24.0), ("n1", 36.0)]
+        # wire 20 B split 30:10 -> 15 and 5 B; at w_out = 0.5 each node
+        # marshals 1 row (2.5 s) plus its bytes at 7 s/B, and ships half
+        assert charge.nodes == [("n2", 2.5 + 52.5, 7.5), ("n1", 2.5 + 17.5, 2.5)]
+        assert charge.client_bytes == 10.0
+
+    def test_a_cache_hit_is_charged_no_scan_or_aggregate(self):
+        hit = self.cold()
+        hit.cache_hit = True
+        cold = self.MODEL.price(self.cold(), self.ROWS, w=2.0, w_out=0.5)
+        warm = self.MODEL.price(hit, self.ROWS, w=2.0, w_out=0.5)
+        assert warm.cpu == []
+        assert (warm.nodes, warm.client_bytes) == (cold.nodes, cold.client_bytes)
+
+    def test_no_output_bytes_divides_by_one(self):
+        # rows produced with no binary bytes: no share, marshal CPU only
+        cost = report(output=[("n1", 0.0, 3)])
+        charge = self.MODEL.price(cost, self.ROWS, w=1.0, w_out=1.0)
+        assert charge.nodes == [("n1", 15.0, 0.0)]
+        assert charge.client_bytes == 20.0
+
+    def test_zero_output_weight_ships_nothing(self):
+        # the staged export: rows go to files, not over the JDBC stream
+        charge = self.MODEL.price(self.cold(), self.ROWS, w=2.0, w_out=0.0)
+        assert [shipped for __, __, shipped in charge.nodes] == [0.0, 0.0]
+        assert charge.client_bytes == 0.0
+        assert charge.cpu == [("n2", 16.0), ("n1", 24.0), ("n1", 36.0)]
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_copy_shares_the_payload_and_parses_it(self, columnar):
+        model = VerticaCostModel(
+            load_cpu_per_row=5.0, load_cpu_per_byte=0.25,
+            columnar_load_cpu_factor=0.5,
+        )
+        cost = report(written=[("n1", 3), ("n2", 1)])
+        charge = model.price_copy(cost, payload_bytes=1000, w=2.0, columnar=columnar)
+        assert charge.cpu == []
+        assert charge.client_bytes == 2000.0
+        # 2000 B split 3:1 over the owners, in map key order
+        assert [(node, share) for node, __, share in charge.nodes] == [
+            ("n1", 1500.0), ("n2", 500.0)
+        ]
+        assert sum(share for __, __, share in charge.nodes) == charge.client_bytes
+        for (__, seconds, share), rows in zip(charge.nodes, (3, 1)):
+            assert seconds == model.load_seconds(rows * 2.0, share, columnar)
+
+
+def test_a_result_cache_hit_advances_the_clock_by_no_cpu():
+    """Scan and aggregate CPU on one single-core node serialise, so a cold
+    GROUP BY moves the clock by exactly its charged CPU; the same statement
+    served from the result cache moves it by nothing."""
+    env = Environment()
+    cluster = SimVerticaCluster(
+        env=env, num_nodes=1, node_cores=1,
+        cost_model=VerticaCostModel(scan_cpu_per_row=1.0, agg_cpu_per_row=2.0),
+    )
+    cluster.db.result_cache_default = True
+    session = cluster.db.connect()
+    session.execute("CREATE TABLE t (g INTEGER, v INTEGER)")
+    session.execute(
+        "INSERT INTO t VALUES " + ", ".join(f"({i % 3}, {i})" for i in range(10))
+    )
+    session.close()
+    query = "SELECT g, SUM(v) FROM t GROUP BY g"
+
+    def driver():
+        conn = cluster.connect()
+        elapsed = []
+        for __ in range(2):
+            start = env.now
+            result = yield from conn.execute(query)
+            elapsed.append((env.now - start, result.cost))
+        conn.close()
+        return elapsed
+
+    (cold_s, cold), (warm_s, warm) = run(env, driver())
+    assert not cold.cache_hit and warm.cache_hit
+    assert cold_s == cold.rows_scanned * 1.0 + cold.rows_aggregated * 2.0 > 0
+    assert warm_s == 0.0

@@ -6,10 +6,12 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-#: the knobs behind VerticaCostModel.encode_seconds / load_seconds
-ENCODE_LOAD_KNOBS = {
+#: every knob that turns a statement's counts into seconds or bytes
+PRICED_KNOBS = {
+    "scan_cpu_per_row", "agg_cpu_per_row", "output_cpu_per_row", "output_cpu_per_byte",
     "encode_cpu_per_row", "encode_cpu_per_byte", "columnar_encode_cpu_factor",
     "load_cpu_per_row", "load_cpu_per_byte", "columnar_load_cpu_factor",
+    "jdbc_float_bytes", "jdbc_int_bytes", "jdbc_bool_bytes",
 }
 #: the system proper; baselines and the bench harness sit on top of it
 CORE_PACKAGES = ("sim", "hdfs", "vertica", "spark", "connector", "cache", "wlm")
@@ -22,16 +24,20 @@ def modules(*packages):
             yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
 
 
-def test_encode_and_load_knobs_are_read_only_by_the_cost_model():
-    """Every transport prices encode and COPY-parse CPU through the cost
-    model's methods; a second copy of either formula is how the two-stage
-    writer came to charge no encode CPU at all.  (Constructor keywords,
-    as in ``bench/fabric.py``, are writes and do not count.)"""
+def test_priced_knobs_are_read_only_by_the_cost_model():
+    """Every count meets its knob inside the cost model: the JDBC bridge
+    schedules what ``price`` / ``price_copy`` return, and every transport
+    prices encode and COPY-parse CPU through ``encode_seconds`` /
+    ``load_seconds``.  A second copy of a formula is how the two-stage
+    writer came to charge no encode CPU at all.  Latencies, the two rate
+    caps and the NIC names are not in the set: each is applied as-is at its
+    one call site, with no count to meet.  (Constructor keywords, as in
+    ``bench/fabric.py``, are writes and do not count.)"""
     readers = {
         f"{name}:{node.lineno}"
         for name, tree in modules()
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ENCODE_LOAD_KNOBS
+        if isinstance(node, ast.Attribute) and node.attr in PRICED_KNOBS
         and isinstance(node.ctx, ast.Load)
         and name != "repro/connector/costmodel.py"
     }
