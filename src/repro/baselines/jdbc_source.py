@@ -29,6 +29,7 @@ from repro.spark.datasource import (
     RelationProvider,
     filters_to_sql,
     register_source,
+    unpushable,
 )
 from repro.spark.errors import AnalysisError
 from repro.spark.rdd import RDD, materialize
@@ -81,7 +82,7 @@ class JdbcRelation(BaseRelation):
         return self._schema
 
     def unhandled_filters(self, filters: Sequence[Filter]) -> List[Filter]:
-        return []
+        return unpushable(filters)
 
     def _bounds(self) -> List[Tuple[Optional[int], Optional[int]]]:
         """Value-range bounds per partition (None = unbounded side)."""

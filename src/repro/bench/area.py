@@ -76,7 +76,10 @@ class BenchArea:
     ``axes`` is the area's one grid: every run, CI's included, executes
     all of it.  ``checks`` is only called once every cell is DONE — the
     harness itself records "all cells DONE" — so it may index cells
-    without guarding.  ``paper`` maps a ``cell_id`` to the seconds the
+    without guarding.  The runner returns a metrics dict: its
+    ``sim_seconds`` is the cell's simulated duration, and its ``wall``, a
+    zero-argument statement, is what the grid times into the
+    ``wall_norm`` metric.  ``paper`` maps a ``cell_id`` to the seconds the
     paper states for that cell (the report's "paper (s)" column);
     ``notes`` are printed under the table.
     """
@@ -114,6 +117,10 @@ class BenchArea:
 #: differences (zlib builds deflate to different sizes, and charged bytes
 #: follow) — a cost-model change commits a new baseline instead
 SIM_GATE = {"sim_tolerance": 0.02}
+
+#: the two-sided band every ``wall_norm`` is gated with: calibration takes
+#: out the box's speed, the band absorbs its noise (cache, neighbours)
+WALL_GATE = {"wall_tolerance": 0.25}
 
 
 def keyed(cells: Sequence[Cell], metric: Optional[str] = None) -> Dict[Any, Any]:

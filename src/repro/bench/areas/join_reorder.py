@@ -1,13 +1,15 @@
 """Star joins over stale statistics: reordering, and builds on held rows.
 
-Wall-clock only (the sim clock cannot see join work yet — ROADMAP item 1),
-so nothing is banded; the check is that every plan shows its JOIN ORDER.
+The sim clock cannot see join work yet (ROADMAP item 2), so each cell
+hands its statement to the grid, which times it as ``wall_norm`` and
+bands it against the baseline (``WALL_GATE``); the check is that every
+plan shows its JOIN ORDER, and a wrong count fails the cell.
 """
 
 from typing import Dict, Tuple
 
-from repro.bench.area import BenchArea, GridCellError
-from repro.bench.fabric import best_of, insert_rows
+from repro.bench.area import WALL_GATE, BenchArea, GridCellError
+from repro.bench.fabric import insert_rows
 from repro.vertica import VerticaDatabase
 
 STAR_WIDE_KEYS = ("ka", "kb", "kc")
@@ -93,17 +95,16 @@ def run_cell(params, config):
     sql, expected = star_join_sql(params["relations"], sizes)
     report = session.execute("PROFILE " + sql)
     reordered = any("JOIN ORDER:" in row[0] for row in report.rows)
-    best, rows_out = best_of(config["repeats"],
-                             lambda: session.execute(sql).scalar())
+    rows_out = session.execute(sql).scalar()
     if rows_out != expected:
         raise GridCellError(
             f"star join returned {rows_out} rows, wanted {expected}"
         )
     return {"sim_seconds": None,
-            "join_seconds": round(best, 4),
             "reordered": reordered,
             "rows_shuffled": report.cost.rows_shuffled,
-            "rows_out": rows_out}
+            "rows_out": rows_out,
+            "wall": lambda: session.execute(sql).scalar()}
 
 
 def checks(cells):
@@ -122,6 +123,7 @@ AREA = BenchArea(
     "Star joins over stale statistics: reordered, built on held rows",
     axes={"relations": (3, 5), "fact_rows": (4_000,)},
     runner=run_cell,
-    config={"num_nodes": 4, "repeats": 3},
+    config={"num_nodes": 4},
     checks=checks,
+    gate=WALL_GATE,
 )

@@ -1,15 +1,15 @@
 """Plan-pipeline scan throughput: full scan, filtered scan, grouped agg.
 
-Wall-clock rows/sec over a 20,000-row table, best of N.  Machine-dependent,
-so never banded against the baseline: the only bar is the 20k rows/s
-smoke floor — an order of magnitude under the deleted legacy interpreter
-(see docs/ENGINE.md) — which the gate enforces as a shape check.
+Each cell loads a 20,000-row table and hands its statement to the grid,
+which times it as ``wall_norm``, banded by ``WALL_GATE``.  The checks
+are the deterministic half: what each statement scans and returns.
 """
 
-from repro.bench.area import BenchArea, GridCellError
-from repro.bench.fabric import best_of, insert_rows
+from repro.bench.area import WALL_GATE, BenchArea, keyed
+from repro.bench.fabric import insert_rows
 from repro.vertica import VerticaDatabase
 
+ROWS = 20_000
 QUERIES = {
     "full_scan": "SELECT id, grp, v, name FROM big",
     "filtered_scan": "SELECT id, v FROM big WHERE v > 50.0",
@@ -17,7 +17,9 @@ QUERIES = {
         "SELECT grp, COUNT(*), SUM(v), MIN(v), MAX(v) FROM big GROUP BY grp"
     ),
 }
-FLOOR_ROWS_PER_SEC = 20_000
+#: each statement's answer size over ``ROWS`` rows: ``v`` is ``i % 101``,
+#: of which 50 values exceed 50, and ``grp`` is ``i % 37``
+ROWS_OUT = {"full_scan": ROWS, "filtered_scan": 9_900, "grouped_agg": 37}
 
 
 def load_scan_table(session, rows: int) -> None:
@@ -35,28 +37,25 @@ def run_cell(params, config):
     session = db.connect()
     load_scan_table(session, config["rows"])
     sql = QUERIES[params["workload"]]
-    best, result = best_of(config["repeats"], lambda: session.execute(sql))
-    if result.cost.rows_scanned != config["rows"]:
-        raise GridCellError(
-            f"scanned {result.cost.rows_scanned} rows, wanted {config['rows']}"
-        )
+    result = session.execute(sql)
     return {"sim_seconds": None,
-            "rows_per_sec": round(config["rows"] / best)}
+            "rows_scanned": result.cost.rows_scanned,
+            "rows_out": len(result.rows),
+            "wall": lambda: session.execute(sql)}
 
 
 def checks(cells):
-    return [
-        (f"{cell['params']['workload']} above the 20k rows/s smoke floor",
-         cell["metrics"]["rows_per_sec"] > FLOOR_ROWS_PER_SEC)
-        for cell in cells
-    ]
+    scanned, out = keyed(cells, "rows_scanned"), keyed(cells, "rows_out")
+    return ([(f"{w} scans all {ROWS} rows", scanned[w] == ROWS) for w in QUERIES]
+            + [(f"{w} returns {n} rows", out[w] == n) for w, n in ROWS_OUT.items()])
 
 
 AREA = BenchArea(
     "scan_throughput",
-    "Plan-pipeline scan throughput vs the legacy interpreter floor",
+    "Plan-pipeline scan throughput: full, filtered and grouped scans",
     axes={"workload": tuple(QUERIES)},
     runner=run_cell,
-    config={"rows": 20_000, "num_nodes": 4, "repeats": 3},
+    config={"rows": ROWS, "num_nodes": 4},
     checks=checks,
+    gate=WALL_GATE,
 )

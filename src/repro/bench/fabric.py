@@ -10,8 +10,7 @@ start at zero.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import telemetry as _telemetry
 from repro.bench.area import GridCellError
@@ -47,8 +46,8 @@ HDFS_DISK_BANDWIDTH = 150e6
 JOB_LAUNCH_OVERHEAD = 1.2
 #: per task-attempt scheduling latency
 TASK_LAUNCH_OVERHEAD = 0.005
-
-T = TypeVar("T")
+#: entries each link's rate log keeps (roughly) when telemetry records it
+RATE_LOG_LIMIT = 65536
 
 
 def insert_rows(session, table: str, rows: Sequence[Sequence],
@@ -65,17 +64,6 @@ def insert_rows(session, table: str, rows: Sequence[Sequence],
         session.execute(f"INSERT INTO {table} VALUES {values}")
 
 
-def best_of(repeats: int, fn: Callable[[], T]) -> Tuple[float, T]:
-    """Fewest wall seconds of ``repeats`` calls of ``fn``, and the last
-    call's result."""
-    best = float("inf")
-    for __ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - started)
-    return best, result
-
-
 class Fabric:
     """A fresh Vertica + Spark (+ optional HDFS) testbed on one sim clock."""
 
@@ -90,7 +78,6 @@ class Fabric:
         hdfs_block_size: int = 64 * 1024 * 1024,
         telemetry: bool = False,
         failover_connect: bool = False,
-        rate_log_limit: Optional[int] = 65536,
         wlm: bool = False,
         session_pool_size: int = 0,
     ):
@@ -133,9 +120,9 @@ class Fabric:
             )
         # Bound every link's rate log when telemetry records it: long soak
         # runs otherwise grow the piecewise-rate history without limit.
-        if telemetry and rate_log_limit:
+        if telemetry:
             for link in self.all_links().values():
-                link.rate_log_limit = rate_log_limit
+                link.rate_log_limit = RATE_LOG_LIMIT
         self.chaos = None
 
     # -- chaos ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Experiment-grid harness with a persisted perf trajectory.
+"""Experiment-grid harness: run, report and gate every benchmark area.
 
 The paper's evidence is a parameter grid — Figures 6-12 sweep partitions
 × cluster size × data scale × transport, Tables 2-4 are two- and
@@ -14,6 +14,8 @@ machinery that runs them:
   short or whose code changed is simply run again — and keeps one record
   per cell (``DONE`` with its sim and wall seconds and metrics, or
   ``FAILED`` with the exception; a failed cell never stops the sweep);
+- :func:`wall_norm` is the one wall clock: it times the statement a
+  runner returns under ``"wall"``, in calibration-kernel runs;
 - each area emits a schema-versioned ``BENCH_<area>.json`` artifact
   (:func:`build_artifact`) carrying the cost-model fingerprint plus the
   cell records, next to the paper-vs-measured ``BENCH_<area>.txt`` table
@@ -25,24 +27,27 @@ machinery that runs them:
 - :func:`compare_artifacts` is the CI perf gate: a fresh artifact is
   compared against the committed baseline with tolerance bands, and any
   regression (or stale grid/cost-model fingerprint) fails the job;
+- :func:`diff_areas` (``--against DIR``) compares two runs cell by cell,
+  wall fields aside: the check that a change is neutral;
 - ``--update-baselines`` promotes a passing run's artifact to the
-  baseline and appends one record per area to ``trajectory.jsonl``,
-  which ``--trajectory`` renders across PRs.
+  baseline; the baselines' git history is the perf history.
 
 Command line::
 
     python -m repro.bench.grid                  # every area (CI runs this)
     python -m repro.bench.grid fig06 staging    # selected areas
     python -m repro.bench.grid --gate           # compare vs baselines
+    python -m repro.bench.grid --against DIR    # same cells as DIR's run?
     python -m repro.bench.grid --list           # show areas and axes
-    python -m repro.bench.grid --trajectory     # render the perf history
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import statistics
 import sys
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -77,13 +82,82 @@ def cost_model_fingerprint(cost_model=PAPER_COST_MODEL) -> str:
     return config_fingerprint(vars(cost_model))
 
 
+# ----------------------------------------------------------------- wall clock
+#: repeats per timed statement; ``wall_norm`` is their lower quartile
+WALL_REPEATS = 15
+#: each repeat runs the statement back to back for at least this long
+WALL_WINDOW_SECONDS = 0.15
+#: the fields that measure this machine, not the cell: never compared
+#: between two runs (``--against``)
+WALL_FIELDS = ("wall_seconds", "wall_norm")
+
+
+def calibration_kernel() -> int:
+    """Fixed work shaped like the engine's: build, filter and gather
+    columns of Python objects, group them in a dict, zip rows.
+
+    ``wall_norm`` is measured in runs of this kernel, so editing it
+    rescales every committed ``wall_norm`` and needs new baselines.
+    """
+    ids = list(range(8_000))
+    values = [i * 0.25 for i in ids]
+    names = [f"n{i % 50}" for i in ids]
+    kept = [i for i in ids if values[i] > 500.0]
+    groups: Dict[str, List[float]] = {}
+    for name, value in zip([names[i] for i in kept],
+                           [values[i] for i in kept]):
+        groups.setdefault(name, []).append(value)
+    rows = list(zip(ids, values, names))
+    return len(rows) + len(groups)
+
+
+def _seconds(fn: Callable[[], Any]) -> float:
+    started = time.perf_counter()
+    fn()
+    return time.perf_counter() - started
+
+
+def wall_norm(statement: Callable[[], Any]) -> float:
+    """One statement's wall time in calibration-kernel runs.
+
+    One warm call, then a second sizes *n*, the executions per repeat
+    that fill :data:`WALL_WINDOW_SECONDS`.  A repeat starts from a
+    collected heap and runs with the cyclic collector off (``timeit``'s
+    convention), and is divided by the mean of two calibration samples
+    (each the faster of two kernel runs) taken just before and after it;
+    the lower quartile of :data:`WALL_REPEATS` ratios drops the repeats
+    something else interrupted.
+    """
+    def sample() -> float:
+        return min(_seconds(calibration_kernel) for __ in range(2))
+
+    def repeat() -> None:
+        for __ in range(n):
+            statement()
+
+    statement()
+    n = int(WALL_WINDOW_SECONDS / max(_seconds(statement), 1e-9)) + 1
+    ratios = []
+    for __ in range(WALL_REPEATS):
+        gc.collect()
+        gc.disable()
+        try:
+            before, elapsed, after = sample(), _seconds(repeat), sample()
+        finally:
+            gc.enable()
+        ratios.append(elapsed / n / ((before + after) / 2))
+    return round(statistics.quantiles(ratios, n=4)[0], 4)
+
+
 # ---------------------------------------------------------------------- cells
 def run_cells(area: BenchArea,
               log: Callable[[str], None] = print) -> List[Cell]:
     """Run every cell of the area's grid, in order; one record per cell.
 
     A cell that raises is recorded ``FAILED`` with its error and the
-    sweep goes on to the next one.
+    sweep goes on to the next one.  A runner's ``"wall"`` statement is
+    timed here, after the runner returns, and reported as the
+    ``wall_norm`` metric: the runner's own set-up is never timed.
     """
     grid = area.grid()
     cells: List[Cell] = []
@@ -94,8 +168,11 @@ def run_cells(area: BenchArea,
         started = time.perf_counter()
         try:
             metrics = dict(area.run_cell(dict(params)))
+            statement = metrics.pop("wall", None)
+            if statement is not None:
+                metrics["wall_norm"] = wall_norm(statement)
         except Exception as exc:  # noqa: BLE001 - recorded, not hidden
-            error = repr(exc)
+            metrics, error = {}, repr(exc)
         wall = round(time.perf_counter() - started, 4)
         sim = metrics.pop("sim_seconds", None)
         if error is None:
@@ -157,7 +234,7 @@ def publish_results(cells_by_area: Mapping[str, Sequence[Cell]],
 
 
 def read_results(fabric: Fabric) -> List[Tuple]:
-    """Read the published trajectory back through the V2S connector."""
+    """Read the published cell records back through the V2S connector."""
     df = fabric.spark.read.format("vertica").options(
         db=fabric.vertica, table=RESULTS_TABLE, numpartitions=2,
         scale_factor=1.0,
@@ -295,10 +372,12 @@ def compare_artifacts(fresh: Dict[str, Any],
     - sim seconds must stay within baseline × (1 ± ``sim_tolerance``):
       a run is a function of its inputs, so any move — slower *or*
       faster — is a cost-model change that has to say so by committing
-      a new baseline; and a banded cell may not stop reporting sim time;
-    - every check recorded in the fresh artifact must have passed
-      (wall-clock metrics are machine-dependent, so they are never
-      banded: an area bounds them with a check against a static floor).
+      a new baseline;
+    - the ``wall_norm`` metric must stay within baseline × (1 ±
+      ``wall_tolerance``), two-sided for the same reason: an unexplained
+      speed-up is a change the baseline does not describe;
+    - a banded cell may not stop reporting what its band bounds;
+    - every check recorded in the fresh artifact must have passed.
     """
     failures: List[str] = []
     area = baseline.get("area", "?")
@@ -323,7 +402,10 @@ def compare_artifacts(fresh: Dict[str, Any],
         )
         return failures
     gate = baseline.get("gate", {})
-    tolerance = gate.get("sim_tolerance")
+    bands = (("sim time", "sim_tolerance", "s sim",
+              lambda cell: cell.get("sim_seconds")),
+             ("wall_norm", "wall_tolerance", " wall_norm",
+              lambda cell: cell.get("metrics", {}).get("wall_norm")))
     fresh_cells = {c["cell_id"]: c for c in fresh.get("cells", [])}
     for base in baseline.get("cells", []):
         cell_id = base["cell_id"]
@@ -337,21 +419,22 @@ def compare_artifacts(fresh: Dict[str, Any],
                 + (f" ({cell.get('error')})" if cell.get("error") else "")
             )
             continue
-        base_sim = base.get("sim_seconds")
-        fresh_sim = cell.get("sim_seconds")
-        if tolerance is not None and base_sim:
-            if fresh_sim is None:
+        for name, key, unit, read in bands:
+            tolerance, was, now = gate.get(key), read(base), read(cell)
+            if tolerance is None or not was:
+                continue
+            if now is None:
                 failures.append(
-                    f"{area}: cell {cell_id} stopped reporting sim time "
-                    f"(baseline {base_sim:.3f}s)"
+                    f"{area}: cell {cell_id} stopped reporting {name} "
+                    f"(baseline {was:.3f}{unit})"
                 )
-            elif abs(fresh_sim - base_sim) > base_sim * tolerance:
-                verdict = ("regressed" if fresh_sim > base_sim
+            elif abs(now - was) > was * tolerance:
+                verdict = ("regressed" if now > was
                            else "improved without a new baseline")
                 failures.append(
-                    f"{area}: cell {cell_id} {verdict}: {fresh_sim:.3f}s sim "
-                    f"vs baseline {base_sim:.3f}s "
-                    f"({100 * (fresh_sim / base_sim - 1):+.1f}%, band "
+                    f"{area}: cell {cell_id} {verdict}: {now:.3f}{unit} "
+                    f"vs baseline {was:.3f}{unit} "
+                    f"({100 * (now / was - 1):+.1f}%, band "
                     f"±{100 * tolerance:.0f}%)"
                 )
     for check in fresh.get("checks", []):
@@ -387,122 +470,41 @@ def gate_areas(area_names: Sequence[str], results_dir: str,
     return failures
 
 
-# ------------------------------------------------------------ trajectory view
-SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
-
-#: the perf-history journal ``--update-baselines`` appends to (committed:
-#: one record per area per PR is what ``--trajectory`` trends)
-TRAJECTORY_BASENAME = "trajectory.jsonl"
-
-#: sparklines show at most this many trailing runs per experiment
-TRAJECTORY_WINDOW = 24
+def _without_wall(cell: Cell) -> Cell:
+    metrics = {k: v for k, v in cell.get("metrics", {}).items()
+               if k not in WALL_FIELDS}
+    return dict({k: v for k, v in cell.items() if k not in WALL_FIELDS},
+                metrics=metrics)
 
 
-def sparkline(values: Sequence[Optional[float]]) -> str:
-    """Render a series as unicode block glyphs (blank for missing points)."""
-    present = [v for v in values if v is not None]
-    if not present:
-        return ""
-    low, high = min(present), max(present)
-    span = high - low
-    glyphs = []
-    for value in values:
-        if value is None:
-            glyphs.append(" ")
-        elif span == 0:
-            glyphs.append(SPARK_GLYPHS[0])
-        else:
-            index = int((value - low) / span * (len(SPARK_GLYPHS) - 1))
-            glyphs.append(SPARK_GLYPHS[index])
-    return "".join(glyphs)
+def diff_areas(area_names: Sequence[str], results_dir: str, other_dir: str,
+               log: Callable[[str], None] = print) -> int:
+    """``--against``: the cells of two result directories that differ.
 
-
-def trajectory_lines(records: Sequence[Mapping[str, Any]],
-                     source: str) -> List[str]:
-    """Fold trajectory records into a markdown table with sparklines."""
-    by_experiment: Dict[str, List[Mapping[str, Any]]] = {}
-    for record in records:
-        if record.get("kind") != "experiment":
+    Every field of a cell (status, params, error, sim seconds, every
+    metric) counts except the :data:`WALL_FIELDS`.  Logs, per area, the
+    cells compared and the ids of those that differ; a cell on one side
+    only, or a missing artifact, counts as a difference.
+    """
+    differing = 0
+    for name in area_names:
+        paths = [artifact_path(d, name) for d in (results_dir, other_dir)]
+        missing = [path for path in paths if not os.path.exists(path)]
+        if missing:
+            log(f"[against] {name}: no artifact at {missing[0]}")
+            differing += 1
             continue
-        by_experiment.setdefault(str(record.get("experiment")), []).append(record)
-    lines = [
-        "# Performance trajectory",
-        "",
-        f"Rendered from `{source}`; one row per experiment, sparkline over "
-        f"the last {TRAJECTORY_WINDOW} recorded wall times (low → high).",
-        "",
-        "| experiment | runs | last wall (s) | best wall (s) | last sim (s) "
-        "| last checks | wall trend |",
-        "|---|---:|---:|---:|---:|---|---|",
-    ]
-    for name in sorted(by_experiment):
-        runs = by_experiment[name]
-        walls = [r.get("wall_seconds") for r in runs]
-        present = [w for w in walls if w is not None]
-        latest = runs[-1]
-        sim = latest.get("sim_seconds")
-        lines.append(
-            "| {name} | {count} | {last} | {best} | {sim} | {checks} "
-            "| `{trend}` |".format(
-                name=name,
-                count=len(runs),
-                last=f"{walls[-1]:.2f}" if walls[-1] is not None else "-",
-                best=f"{min(present):.2f}" if present else "-",
-                sim=f"{sim:.1f}" if sim is not None else "-",
-                checks="pass" if latest.get("checks_passed") else "FAIL",
-                trend=sparkline(walls[-TRAJECTORY_WINDOW:]),
-            )
-        )
-    if not by_experiment:
-        lines.append("| (no experiment records yet) | | | | | | |")
-    return lines
-
-
-def record_trajectory(results_dir: str, artifact: Artifact) -> None:
-    """Append one area run's ``experiment`` record to the trajectory."""
-    failed = failed_checks(artifact)
-    record = {
-        "kind": "experiment",
-        "experiment": artifact["area"],
-        "wall_seconds": artifact["wall_seconds"],
-        "sim_seconds": artifact["sim_seconds"],
-        "grid_fingerprint": artifact["grid"]["fingerprint"],
-        "cost_model_fingerprint": artifact["cost_model_fingerprint"],
-        "checks_passed": not failed,
-        "failed_checks": failed,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    os.makedirs(results_dir, exist_ok=True)
-    with open(os.path.join(results_dir, TRAJECTORY_BASENAME), "a",
-              encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-
-
-def render_trajectory(results_dir: str,
-                      log: Callable[[str], None] = print) -> int:
-    """``--trajectory``: write and print ``TRAJECTORY.md`` from the journal."""
-    path = os.path.join(results_dir, TRAJECTORY_BASENAME)
-    if not os.path.exists(path):
-        log(f"no trajectory journal at {path}")
-        return 1
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                continue  # a torn write never blocks the report
-    lines = trajectory_lines(records, path)
-    out_path = os.path.join(results_dir, "TRAJECTORY.md")
-    with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-    for line in lines:
-        log(line)
-    log(f"\nwrote {out_path}")
-    return 0
+        ours, theirs = ({cell["cell_id"]: _without_wall(cell)
+                         for cell in load_artifact(path)["cells"]}
+                        for path in paths)
+        ids = list(ours) + [cell_id for cell_id in theirs
+                            if cell_id not in ours]
+        differ = [cell_id for cell_id in ids
+                  if ours.get(cell_id) != theirs.get(cell_id)]
+        log(f"[against] {name}: {len(ids)} cells compared, "
+            f"{len(differ)} differ" + "".join(f"\n  {d}" for d in differ))
+        differing += len(differ)
+    return differing
 
 
 # ------------------------------------------------------------------------ CLI
@@ -536,18 +538,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "baselines instead of running")
     parser.add_argument("--update-baselines", action="store_true",
                         help="after running, copy each passing area's fresh "
-                             "artifact into the baseline directory and "
-                             "append one record per area to trajectory.jsonl")
+                             "artifact into the baseline directory")
+    parser.add_argument("--against", metavar="DIR",
+                        help="compare existing artifacts with DIR's cell by "
+                             "cell, wall fields aside, instead of running; "
+                             "exit 1 on any difference")
     parser.add_argument("--no-publish", action="store_true",
-                        help="skip publishing the trajectory into the "
+                        help="skip publishing the cell records into the "
                              "dogfood Vertica results table")
-    parser.add_argument("--trajectory", action="store_true",
-                        help="render the perf-history journal "
-                             "(trajectory.jsonl) into TRAJECTORY.md")
     args = parser.parse_args(argv)
-
-    if args.trajectory:
-        return render_trajectory(args.results_dir)
 
     if args.list:
         for name, area in sorted(AREAS.items()):
@@ -573,6 +572,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"perf gate passed for {len(selected)} area(s)")
         return 0
 
+    if args.against:
+        return 1 if diff_areas(selected, args.results_dir, args.against) else 0
+
     cells_by_area: Dict[str, List[Cell]] = {}
     bad = False
     for name in selected:
@@ -589,7 +591,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       file=sys.stderr)
         elif args.update_baselines:
             save_json(artifact_path(args.baseline_dir, name), artifact)
-            record_trajectory(args.results_dir, artifact)
             print(f"[{name}] baseline updated: "
                   f"{artifact_path(args.baseline_dir, name)}")
 

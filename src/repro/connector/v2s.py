@@ -39,6 +39,7 @@ from repro.spark.datasource import (
     BaseRelation,
     Filter,
     filters_to_sql,
+    unpushable,
 )
 from repro.spark.rdd import RDD
 from repro.spark.row import StructType
@@ -133,7 +134,7 @@ class VerticaRelation(BaseRelation):
         return self._schema
 
     def unhandled_filters(self, filters: Sequence[Filter]) -> List[Filter]:
-        return []  # Vertica evaluates every pushdown filter shape
+        return unpushable(filters)  # Vertica evaluates every other shape
 
     def pin_epoch(self) -> int:
         """The snapshot epoch all of a job's task queries will read at."""

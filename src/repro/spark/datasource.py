@@ -17,6 +17,7 @@ anything else is evaluated Spark-side as a residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -134,12 +135,30 @@ def _sql_literal(value: Any) -> str:
         return "TRUE" if value else "FALSE"
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
+    if isinstance(value, float) and math.isinf(value):
+        # an overflowing literal: the engine's lexer reads it back as ±inf
+        return "1e999" if value > 0 else "-1e999"
     return repr(value)
 
 
+def _pushable(f: Filter) -> bool:
+    values = f.values if isinstance(f, In) else (getattr(f, "value", None),)
+    return not any(isinstance(v, float) and math.isnan(v) for v in values)
+
+
+def unpushable(filters: Sequence[Filter]) -> List[Filter]:
+    """The filters SQL cannot state: NaN has no literal.  A SQL source
+    returns them from ``unhandled_filters`` and Spark evaluates them."""
+    return [f for f in filters if not _pushable(f)]
+
+
 def filters_to_sql(filters: Sequence[Filter]) -> str:
-    """AND-join filters into a SQL predicate ('' when empty)."""
-    return " AND ".join(f.to_sql() for f in filters)
+    """AND-join the pushable filters into a SQL predicate ('' when none).
+
+    The :func:`unpushable` ones are left out: the source reports them as
+    unhandled, so Spark applies them to what the scan returns.
+    """
+    return " AND ".join(f.to_sql() for f in filters if _pushable(f))
 
 
 def apply_filters(filters: Sequence[Filter], schema: StructType,

@@ -16,7 +16,8 @@ import re
 
 import pytest
 
-from repro.bench.area import SIM_GATE, GridError, ParameterGrid
+from repro.bench import grid
+from repro.bench.area import SIM_GATE, WALL_GATE, GridError, ParameterGrid
 from repro.bench.grid import (
     AREAS,
     DONE,
@@ -25,8 +26,10 @@ from repro.bench.grid import (
     BenchArea,
     artifact_path,
     build_artifact,
+    calibration_kernel,
     compare_artifacts,
     cost_model_fingerprint,
+    diff_areas,
     failed_checks,
     load_artifact,
     main,
@@ -34,6 +37,7 @@ from repro.bench.grid import (
     read_results,
     run_area,
     run_cells,
+    save_artifact,
 )
 
 
@@ -46,7 +50,7 @@ def deterministic_runner(params):
     """sim seconds derived from the cell's own parameters."""
     base = 100.0 if params["direction"] == "v2s" else 80.0
     return {"sim_seconds": base / params["partitions"],
-            "rows_per_sec": 1000 * params["partitions"]}
+            "rows_out": 1000 * params["partitions"]}
 
 
 def flaky_runner(params):
@@ -87,10 +91,9 @@ def tiny_area(runner=deterministic_runner):
         "tiny", "synthetic area for gate tests",
         axes={"direction": ("v2s", "s2v"), "partitions": (2, 4, 8)},
         runner=lambda params, config: runner(params),
-        # wall-clock metrics are never banded: a static floor is a check
         checks=lambda cells: [(
-            "rows_per_sec above the 1500 floor",
-            all(c["metrics"]["rows_per_sec"] > 1500 for c in cells),
+            "rows_out above the 1500 floor",
+            all(c["metrics"]["rows_out"] > 1500 for c in cells),
         )],
         gate={"sim_tolerance": 0.2},
         paper={"direction=v2s,partitions=2": 48.0},
@@ -136,6 +139,51 @@ class TestRunArea:
             "BENCH_tiny.json", "BENCH_tiny.txt"]
 
 
+@pytest.fixture
+def quick_wall(monkeypatch):
+    """Three short repeats: the timer's logic, not its precision."""
+    monkeypatch.setattr(grid, "WALL_REPEATS", 3)
+    monkeypatch.setattr(grid, "WALL_WINDOW_SECONDS", 0.005)
+
+
+class TestWallClock:
+    def test_only_the_statement_is_timed(self, quick_wall):
+        calls = {"setup": 0, "statement": 0}
+
+        def runner(params):
+            calls["setup"] += 1
+
+            def statement():
+                calls["statement"] += 1
+            return {"sim_seconds": None, "wall": statement}
+
+        area = BenchArea("w", "timed", axes={"n": (1,)},
+                         runner=lambda params, config: runner(params))
+        [cell] = run_cells(area, quiet)
+        assert calls["setup"] == 1
+        # a warm call, a sizing call, then three repeats of n calls each
+        assert calls["statement"] >= 5
+        assert set(cell["metrics"]) == {"wall_norm"}
+        assert cell["sim_seconds"] is None and cell["metrics"]["wall_norm"] >= 0
+
+    def test_wall_norm_is_in_calibration_kernel_runs(self, quick_wall):
+        # the kernel timed against itself reads about one kernel run, not
+        # milliseconds or seconds; the bounds leave room for a noisy box
+        norm = grid.wall_norm(calibration_kernel)
+        assert 0.25 < norm < 4.0, norm
+
+    def test_a_raising_statement_fails_the_cell(self, quick_wall):
+        def statement():
+            raise RuntimeError("timed boom")
+
+        area = BenchArea("w", "timed", axes={"n": (1,)},
+                         runner=lambda params, config: {"sim_seconds": 3.0,
+                                                        "wall": statement})
+        [cell] = run_cells(area, quiet)
+        assert cell["status"] == FAILED and "timed boom" in cell["error"]
+        assert cell["sim_seconds"] is None and cell["metrics"] == {}
+
+
 class TestArtifact:
     def test_schema_and_fingerprints(self):
         doc = tiny_artifact()
@@ -149,7 +197,7 @@ class TestArtifact:
         assert cell["status"] == DONE
         assert cell["sim_seconds"] == 50.0
         assert cell["wall_seconds"] is not None
-        assert cell["metrics"] == {"rows_per_sec": 2000}
+        assert cell["metrics"] == {"rows_out": 2000}
         assert doc["wall_seconds"] is not None
         assert doc["sim_seconds"] > 0
         # the paper's stated value rides next to the measured one
@@ -158,7 +206,7 @@ class TestArtifact:
         assert doc["rows"][0][3] == 48.0 and doc["rows"][1][3] is None
         assert doc["notes"] == ["a note"]
         assert [c["description"] for c in doc["checks"]] == [
-            "all cells DONE", "rows_per_sec above the 1500 floor"]
+            "all cells DONE", "rows_out above the 1500 floor"]
 
     def test_shape_checks_wait_for_every_cell(self):
         doc = tiny_artifact(flaky_runner)
@@ -207,12 +255,12 @@ class TestGate:
         baseline = tiny_artifact()
 
         def slow(params):
-            return dict(deterministic_runner(params), rows_per_sec=100)
+            return dict(deterministic_runner(params), rows_out=100)
 
         failures = compare_artifacts(
             tiny_artifact(slow), baseline)
         assert failures == [
-            "tiny: check failed: rows_per_sec above the 1500 floor"]
+            "tiny: check failed: rows_out above the 1500 floor"]
 
     def test_banded_cell_that_stops_reporting_sim_time_fails(self):
         baseline = tiny_artifact()
@@ -224,6 +272,32 @@ class TestGate:
         # an unbanded area (wall-clock only) never had a sim time to lose
         baseline["gate"] = {}
         assert compare_artifacts(fresh, baseline) == []
+
+    def test_the_wall_band_is_two_sided_and_a_quarter(self):
+        """``wall_norm`` is banded like sim time: a slow-down or an
+        unexplained speed-up beyond 25 % fails until a baseline says so."""
+        assert WALL_GATE == {"wall_tolerance": 0.25}
+        baseline = tiny_artifact()
+        baseline["gate"] = dict(WALL_GATE)
+        for cell in baseline["cells"]:
+            cell["metrics"]["wall_norm"] = 2.0
+        fresh = copy.deepcopy(baseline)
+        for factor, verdict in ((1.3, "regressed"),
+                                (0.7, "improved without a new baseline")):
+            fresh["cells"][4]["metrics"]["wall_norm"] = 2.0 * factor
+            failures = compare_artifacts(fresh, baseline)
+            assert len(failures) == 1 and verdict in failures[0], failures
+            assert "direction=s2v,partitions=4" in failures[0]
+        for factor in (1.2, 0.8):
+            fresh["cells"][4]["metrics"]["wall_norm"] = 2.0 * factor
+            assert compare_artifacts(fresh, baseline) == []
+        # sim seconds are not banded by this gate, however far they move
+        fresh["cells"][4]["sim_seconds"] *= 3
+        assert compare_artifacts(fresh, baseline) == []
+        del fresh["cells"][4]["metrics"]["wall_norm"]
+        failures = compare_artifacts(fresh, baseline)
+        assert len(failures) == 1
+        assert "stopped reporting wall_norm" in failures[0]
 
     def test_unfinished_or_missing_cells_fail(self):
         baseline = tiny_artifact()
@@ -313,29 +387,22 @@ class TestRealAreas:
         assert doc["cost_model_fingerprint"] == cost_model_fingerprint()
 
 
-class TestTrajectory:
-    def test_update_baselines_appends_one_record_per_area(self, tmp_path,
-                                                          capsys):
+class TestUpdateBaselines:
+    def test_a_passing_run_becomes_the_baseline(self, tmp_path):
         results, baselines = str(tmp_path / "r"), str(tmp_path / "b")
         args = ["tab02", "avro", "--results-dir", results,
                 "--baseline-dir", baselines, "--no-publish"]
-        assert main(args) == 0  # a plain run records nothing
-        assert not os.path.exists(os.path.join(results, "trajectory.jsonl"))
+        assert main(args) == 0  # a plain run writes no baseline
+        assert not os.path.exists(baselines)
         assert main(args + ["--update-baselines"]) == 0
-        assert main(args + ["--update-baselines"]) == 0
-        capsys.readouterr()
-        assert main(["--trajectory", "--results-dir", results]) == 0
-        rows = [line.split("|") for line in capsys.readouterr().out.splitlines()
-                if line.startswith(("| tab02", "| avro"))]
-        assert [(r[1].strip(), r[2].strip(), r[6].strip()) for r in rows] == [
-            ("avro", "2", "pass"), ("tab02", "2", "pass")]
-        with open(os.path.join(results, "trajectory.jsonl")) as handle:
-            record = json.loads(handle.readline())
-        baseline = load_artifact(artifact_path(baselines, "tab02"))
-        assert record["experiment"] == "tab02"
-        assert record["grid_fingerprint"] == baseline["grid"]["fingerprint"]
-        assert record["cost_model_fingerprint"] == cost_model_fingerprint()
-        assert record["sim_seconds"] == baseline["sim_seconds"]
+        for name in ("tab02", "avro"):
+            baseline = load_artifact(artifact_path(baselines, name))
+            fresh = load_artifact(artifact_path(results, name))
+            assert baseline["cells"] == fresh["cells"]
+            assert baseline["grid"]["fingerprint"] == \
+                AREAS[name].grid().fingerprint()
+            assert baseline["cost_model_fingerprint"] == \
+                cost_model_fingerprint()
 
     def test_a_failed_run_never_becomes_the_baseline(self, tmp_path,
                                                      monkeypatch, capsys):
@@ -356,10 +423,61 @@ class TestTrajectory:
                      "--update-baselines"]) == 1
         assert "baseline NOT updated" in capsys.readouterr().err
         assert (baselines / "BENCH_tab02.json").read_bytes() == before
-        assert not (results / "trajectory.jsonl").exists()
         # the fresh (failed) artifact is still written for inspection
         assert load_artifact(artifact_path(str(results), "tab02"))[
             "cells"][0]["status"] == FAILED
+
+
+class TestAgainst:
+    """``--against DIR``: two runs' cells compared, wall fields aside."""
+
+    def two_runs(self, tmp_path, edit=None):
+        ours, theirs = str(tmp_path / "a"), str(tmp_path / "b")
+        artifact = tiny_artifact()
+        save_artifact(ours, artifact)
+        other = copy.deepcopy(artifact)
+        if edit:
+            edit(other["cells"])
+        save_artifact(theirs, other)
+        lines = []
+        return diff_areas(["tiny"], ours, theirs, log=lines.append), lines
+
+    def test_identical_runs_pass(self, tmp_path):
+        differing, lines = self.two_runs(tmp_path)
+        assert differing == 0
+        assert lines == ["[against] tiny: 6 cells compared, 0 differ"]
+
+    def test_one_metric_change_fails_and_names_its_cell(self, tmp_path):
+        def edit(cells):
+            cells[4]["metrics"]["rows_out"] += 1
+
+        differing, lines = self.two_runs(tmp_path, edit)
+        assert differing == 1
+        assert lines == ["[against] tiny: 6 cells compared, 1 differ\n"
+                         "  direction=s2v,partitions=4"]
+
+    def test_a_difference_in_wall_fields_only_passes(self, tmp_path):
+        def edit(cells):
+            for cell in cells:
+                cell["wall_seconds"] += 1.0
+                cell["metrics"]["wall_norm"] = 9.9
+
+        assert self.two_runs(tmp_path, edit)[0] == 0
+
+    def test_command_line(self, tmp_path, capsys):
+        committed = artifact_path(
+            os.path.join(REPO, "benchmarks", "baselines"), "tab02")
+        ours, theirs = tmp_path / "a", tmp_path / "b"
+        for directory in (ours, theirs):
+            directory.mkdir()
+            save_artifact(str(directory), load_artifact(committed))
+        args = ["tab02", "--results-dir", str(ours), "--against", str(theirs)]
+        assert main(args) == 0
+        doc = load_artifact(artifact_path(str(theirs), "tab02"))
+        doc["cells"][0]["sim_seconds"] += 0.001
+        save_artifact(str(theirs), doc)
+        assert main(args) == 1
+        assert doc["cells"][0]["cell_id"] in capsys.readouterr().out
 
 
 REPO = os.path.join(os.path.dirname(__file__), "..")

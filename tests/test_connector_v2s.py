@@ -1,11 +1,23 @@
 """Tests for V2S: locality-aware parallel loads with snapshot consistency."""
 
+import math
+from collections import Counter
+
 import pytest
 
 from repro.connector import SimVerticaCluster
 from repro.connector.options import OptionsError
 from repro.sim import Environment
-from repro.spark import GreaterThan, LessThan, SparkSession
+from repro.spark import (
+    EqualTo,
+    GreaterThan,
+    GreaterThanOrEqual,
+    In,
+    LessThan,
+    LessThanOrEqual,
+    SparkSession,
+)
+from repro.spark.datasource import apply_filters
 
 
 @pytest.fixture
@@ -114,6 +126,63 @@ class TestPushdown:
         read_src(vc, spark).collect()
         full_bytes = vc.external_bytes() - before_full
         assert selective_bytes < full_bytes / 10
+
+
+#: a FLOAT column's edge values, each stored on several rows
+EDGE_VALUES = (0.0, -0.0, 1.5, -2.5, 1e300, 1e-320, math.inf, -math.inf,
+               math.nan, None)
+
+COMPARISONS = {
+    "EqualTo": EqualTo,
+    "GreaterThan": GreaterThan,
+    "GreaterThanOrEqual": GreaterThanOrEqual,
+    "LessThan": LessThan,
+    "LessThanOrEqual": LessThanOrEqual,
+    "In": lambda attribute, value: In(attribute, (1.5, value)),
+}
+
+
+def multiset(rows):
+    """Rows as a multiset that tells NaN, ``-0.0`` and ``0.0`` apart."""
+    return Counter(map(repr, rows))
+
+
+class TestNonFiniteFilterLiterals:
+    """A filter on ±inf or NaN returns what Spark's own evaluation of it
+    returns: ±inf is pushed as a literal the engine reads back to the
+    same float, and NaN, which SQL cannot spell, stays Spark-side."""
+
+    @pytest.fixture
+    def edges(self, fabric):
+        vc, spark = fabric
+        vc.db.connect().execute(
+            "CREATE TABLE edges (id INTEGER, val FLOAT) "
+            "SEGMENTED BY HASH(id) ALL NODES"
+        )
+        values = list(EDGE_VALUES) * 3
+        txn = vc.db.begin()
+        vc.db.engine.insert_rows(
+            "EDGES", [list(range(len(values))), values], txn)
+        txn.commit(vc.db.storage)
+        return vc, spark
+
+    @pytest.mark.parametrize("partitions", (1, 3))
+    @pytest.mark.parametrize("literal", (math.inf, -math.inf, math.nan),
+                             ids=("inf", "-inf", "nan"))
+    @pytest.mark.parametrize("comparison", sorted(COMPARISONS))
+    def test_pushed_load_equals_spark_side_filter(self, edges, comparison,
+                                                  literal, partitions):
+        vc, spark = edges
+        where = COMPARISONS[comparison]("VAL", literal)
+        df = spark.read.format("vertica").options(
+            db=vc, table="edges", numpartitions=partitions).load()
+        want = apply_filters([where], df.schema, df.collect())
+        pushed = df.filter(where)
+        assert multiset(pushed.collect()) == multiset(want)
+        # count and partial-aggregate pushdown agree, or decline
+        assert pushed.count() == len(want)
+        assert multiset(pushed.group_by("ID").count().collect()) == multiset(
+            (row[0], 1) for row in want)
 
 
 class TestStoredHashAnswersTheRange:

@@ -351,7 +351,7 @@ class TestCachedPlanIsAFreshOptimize:
     @pytest.mark.xfail(
         strict=True,
         reason="an unanalyzed table's estimate reads container row counts, "
-        "which loads move without bumping the catalog version (ROADMAP item 8)",
+        "which loads move without bumping the catalog version (ROADMAP item 7)",
     )
     def test_a_load_into_an_unanalyzed_table(self):
         db = VerticaDatabase(num_nodes=3)
