@@ -2,7 +2,7 @@
 """Sampling profiler for fabricbench workloads (stdlib only).
 
     python3 benchmarks/sample_profile.py WORKLOAD [--kind KIND] [--rounds 10]
-                                         [--seed 11] [--top 15]
+                                         [--seed 11] [--top 15] [--memory]
 
 Sets the workload up, then samples the Python stack every millisecond of
 CPU (``ITIMER_PROF``; the kernel may tick coarser) while ``--rounds``
@@ -10,15 +10,25 @@ rounds run, or that many rounds of one op kind, and prints self time by
 function and by line, then cumulative time.  A handler runs between
 bytecodes, so a builtin's time lands on the line that called it, and no
 call pays a hook, unlike under cProfile (docs/BENCH.md).
+
+``--memory`` traces allocations instead: it starts ``tracemalloc`` after
+set-up, prints the bytes still traced after each round (after
+``gc.collect()``), then the ``--top`` allocation sites whose memory was
+retained since set-up, grouped by traceback.  Memory that grows round
+after round is state one round leaves to the next.
 """
 
 import argparse
 import collections
+import gc
 import signal
 import sys
+import tracemalloc
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+#: frames kept per traced allocation (``--memory`` groups by traceback)
+MEMORY_FRAMES = 6
 
 
 class Sampler:
@@ -62,29 +72,70 @@ class Sampler:
         return "\n".join(lines)
 
 
-def main(argv=None):
+def memory_report(run_round, rounds, top=15):
+    """Run ``rounds`` rounds under ``tracemalloc``; returns the report."""
+    gc.collect()
+    tracemalloc.start(MEMORY_FRAMES)
+    start = tracemalloc.take_snapshot()
+    lines = []
+    for number in range(1, rounds + 1):
+        run_round()
+        gc.collect()
+        traced, peak = tracemalloc.get_traced_memory()
+        lines.append(f"round {number}: {traced / 1e6:.2f} MB traced "
+                     f"(peak {peak / 1e6:.2f} MB)")
+    end = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    ignore = [tracemalloc.Filter(False, tracemalloc.__file__)]
+    retained = end.filter_traces(ignore).compare_to(
+        start.filter_traces(ignore), "traceback")
+    lines.append(f"-- retained since set-up, top {top} sites by traceback")
+    for stat in retained[:top]:
+        lines.append(f"{stat.size_diff / 1e6:+9.3f} MB  {stat.count_diff:+d} blocks")
+        lines.extend(f"    {line}" for line in
+                     stat.traceback.format(most_recent_first=True))
+    return "\n".join(lines)
+
+
+def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload")
-    parser.add_argument("--kind", help="sample only this op kind's calls")
+    parser.add_argument("--kind", help="run only this op kind's calls")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--top", type=int, default=15)
-    args = parser.parse_args(argv)
+    parser.add_argument(
+        "--memory", action="store_true",
+        help="trace allocations (tracemalloc) instead of sampling CPU: "
+             "traced bytes after each round, then the sites retained since "
+             "set-up; not a timer, since tracing slows every allocation")
+    return parser.parse_args(argv)
+
+
+def main(argv=None):
+    args = parse_args(argv)
     sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "fabricbench")]
     from layertrace import Tracer
     from workloads import WORKLOADS
 
     workload = WORKLOADS[args.workload](args.seed)
     workload.setup()
+
+    def run_round():
+        if args.kind is None:
+            workload.run_round(Tracer(time_op_generators=False), lambda: None)
+            return
+        workload.before_round()
+        for op in workload.round_ops():
+            if op.kind == args.kind:
+                op.run()
+
+    if args.memory:
+        print(memory_report(run_round, args.rounds, args.top))
+        return
     with Sampler() as sampler:
         for __ in range(args.rounds):
-            if args.kind is None:
-                workload.run_round(Tracer(time_op_generators=False), lambda: None)
-                continue
-            workload.before_round()
-            for op in workload.round_ops():
-                if op.kind == args.kind:
-                    op.run()
+            run_round()
     print(sampler.report(args.top))
 
 

@@ -46,8 +46,6 @@ HDFS_DISK_BANDWIDTH = 150e6
 JOB_LAUNCH_OVERHEAD = 1.2
 #: per task-attempt scheduling latency
 TASK_LAUNCH_OVERHEAD = 0.005
-#: entries each link's rate log keeps (roughly) when telemetry records it
-RATE_LOG_LIMIT = 65536
 
 
 def insert_rows(session, table: str, rows: Sequence[Sequence],
@@ -118,11 +116,6 @@ class Fabric:
                 block_size=hdfs_block_size,
                 disk_bandwidth=HDFS_DISK_BANDWIDTH,
             )
-        # Bound every link's rate log when telemetry records it: long soak
-        # runs otherwise grow the piecewise-rate history without limit.
-        if telemetry:
-            for link in self.all_links().values():
-                link.rate_log_limit = RATE_LOG_LIMIT
         self.chaos = None
 
     # -- chaos ------------------------------------------------------------------

@@ -20,6 +20,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import Environment, Event, SimulationError
+from repro.sim.trace import append_bounded
 
 _EPS = 1e-9
 
@@ -27,13 +28,7 @@ _EPS = 1e-9
 class Link:
     """A unidirectional, capacity-limited channel (e.g. one NIC direction)."""
 
-    def __init__(
-        self,
-        env: Environment,
-        name: str,
-        capacity: float,
-        rate_log_limit: Optional[int] = None,
-    ):
+    def __init__(self, env: Environment, name: str, capacity: float):
         if capacity <= 0:
             raise SimulationError(f"link capacity must be positive: {capacity}")
         self.env = env
@@ -45,10 +40,8 @@ class Link:
         #: total bytes that have crossed this link
         self.bytes_total = 0.0
         #: piecewise-constant (time, aggregate rate) samples for tracing;
-        #: bounded to roughly ``rate_log_limit`` entries when set (oldest
-        #: samples are compacted away), so long chaos soaks stay in memory
+        #: bounded by :func:`repro.sim.trace.append_bounded`
         self.rate_log: List[Tuple[float, float]] = [(env.now, 0.0)]
-        self.rate_log_limit = rate_log_limit
 
     def __repr__(self) -> str:
         return f"Link({self.name!r}, {self.capacity:.0f} B/s)"
@@ -70,12 +63,7 @@ class Link:
         if last_time == self.env.now:
             self.rate_log[-1] = (last_time, rate)
         else:
-            self.rate_log.append((self.env.now, rate))
-            limit = self.rate_log_limit
-            if limit and len(self.rate_log) > 2 * limit:
-                # Amortised O(1): halve in one slice, keeping the newest
-                # ``limit`` samples.
-                del self.rate_log[: len(self.rate_log) - limit]
+            append_bounded(self.rate_log, (self.env.now, rate))
 
 
 class Flow:

@@ -19,6 +19,7 @@ from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
 from repro.sim.kernel import Environment, Event, SimulationError
+from repro.sim.trace import append_bounded
 
 
 class Request(Event):
@@ -57,7 +58,8 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiting: Deque[Request] = deque()
-        #: (time, units-in-use) change log for utilisation tracing
+        #: (time, units-in-use) change log for utilisation tracing; bounded
+        #: by :func:`repro.sim.trace.append_bounded`
         self.usage_log: List[Tuple[float, int]] = [(env.now, 0)]
 
     @property
@@ -108,7 +110,7 @@ class Resource:
         if last_time == self.env.now:
             self.usage_log[-1] = (last_time, self._in_use)
         else:
-            self.usage_log.append((self.env.now, self._in_use))
+            append_bounded(self.usage_log, (self.env.now, self._in_use))
 
 
 class PriorityRequest(Request):

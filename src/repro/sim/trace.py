@@ -1,14 +1,32 @@
 """Utilisation tracing over piecewise-constant resource logs.
 
-Links and core pools record ``(time, value)`` change points.  This module
-turns those logs into fixed-width time-bucketed series (time-weighted
-averages), which is how we regenerate the paper's Table 2 — per-node CPU%
-and network MB/s over the first 300 seconds of a V2S run.
+Links and core pools record ``(time, value)`` change points, each log
+bounded by :func:`append_bounded`.  This module turns those logs into
+fixed-width time-bucketed series (time-weighted averages), which is how
+we regenerate the paper's Table 2 — per-node CPU% and network MB/s over
+the first 300 seconds of a V2S run.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
+
+#: entries a change log keeps: past twice this many, the oldest are
+#: compacted away, so a long-lived fabric's logs stay in memory
+LOG_LIMIT = 65536
+
+
+def append_bounded(log: List[Tuple[float, float]],
+                   point: Tuple[float, float]) -> None:
+    """Append a change point, keeping the newest ``LOG_LIMIT`` past the bound.
+
+    Amortised O(1): the log is halved in one slice once it holds twice
+    ``LOG_LIMIT`` points.  Every ``(time, value)`` change log in the sim
+    (``Link.rate_log``, ``Resource.usage_log``) appends through here.
+    """
+    log.append(point)
+    if len(log) > 2 * LOG_LIMIT:
+        del log[: len(log) - LOG_LIMIT]
 
 
 def bucket_series(

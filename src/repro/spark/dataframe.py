@@ -140,16 +140,27 @@ class DataFrame:
         if self._rdd is not None:
             return self._rdd
         assert self._relation is not None
-        scan = self._relation.build_scan(
-            required_columns=self._projected, filters=self._pushed_filters
-        )
         residual = self._relation.unhandled_filters(self._pushed_filters)
+        source = self._relation.schema
+        read = self._projected
+        if residual and read is not None:
+            # A residual filter reads its column even where the projection
+            # drops it: scan that column too, filter, then project.
+            read = tuple(dict.fromkeys(
+                read + tuple(source.field(f.attribute).name for f in residual)
+            ))
+        scan = self._relation.build_scan(
+            required_columns=read, filters=self._pushed_filters
+        )
         if residual:
-            schema = self.schema
+            schema = self.schema if read is None else source.select(list(read))
             rows_filter = lambda row: bool(  # noqa: E731
                 apply_filters(residual, schema, [row])
             )
             scan = scan.filter(rows_filter)
+            if read != self._projected:
+                width = len(self._projected)
+                scan = scan.map(lambda row: row[:width])
         return scan
 
     @property

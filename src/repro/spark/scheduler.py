@@ -203,7 +203,9 @@ class TaskScheduler:
         #: per-attempt scheduling/serialisation latency
         self.task_launch_overhead = task_launch_overhead
         self._round_robin = 0
-        #: every job ever submitted (chaos walks this to find live attempts)
+        #: the jobs whose driver is still running (chaos walks this to find
+        #: live attempts); a finished job and its results belong only to
+        #: whoever holds the ``Job`` or the returned results
         self.jobs: List[Job] = []
         #: attempt ids name staged files (whose bytes are charged), so they
         #: and job ids count per scheduler, not per process
@@ -236,8 +238,6 @@ class TaskScheduler:
         lost = ExecutorLost(executor.node.name, reason)
         killed = 0
         for job in self.jobs:
-            if job.done is not None and job.done.triggered:
-                continue
             for task in job.tasks:
                 for ctx, process in list(task.live_attempts.values()):
                     if ctx.executor is executor:
@@ -317,6 +317,12 @@ class TaskScheduler:
             executor.slots.release(request)
 
     def _driver(self, job: Job) -> Generator:
+        try:
+            return (yield from self._drive(job))
+        finally:
+            self.jobs.remove(job)
+
+    def _drive(self, job: Job) -> Generator:
         if self.job_launch_overhead:
             yield self.env.timeout(self.job_launch_overhead)
         for task in job.tasks:

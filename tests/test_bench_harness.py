@@ -283,13 +283,45 @@ def _busy(seconds):
 
 
 class TestSampleProfile:
-    def test_a_busy_function_is_the_top_self_entry(self):
+    @pytest.fixture(scope="class")
+    def sample_profile(self):
         path = os.path.join(REPO, "benchmarks", "sample_profile.py")
         spec = importlib.util.spec_from_file_location("sample_profile", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        with module.Sampler() as sampler:
+        return module
+
+    def test_a_busy_function_is_the_top_self_entry(self, sample_profile):
+        with sample_profile.Sampler() as sampler:
             _busy(0.2)
         (__, name), samples = sampler.self_fn.most_common(1)[0]
         assert name == "_busy" and samples >= 10
         assert "_busy" in sampler.report(top=1).splitlines()[2]
+
+    def test_memory_is_a_flag_beside_kind_and_rounds(self, sample_profile,
+                                                     capsys):
+        args = sample_profile.parse_args(["v2s_load"])
+        assert (args.workload, args.memory, args.kind, args.rounds,
+                args.seed, args.top) == ("v2s_load", False, None, 10, 11, 15)
+        args = sample_profile.parse_args([
+            "sql_analytic", "--memory", "--kind", "point", "--rounds", "3",
+            "--top", "5",
+        ])
+        assert (args.workload, args.memory, args.kind, args.rounds,
+                args.top) == ("sql_analytic", True, "point", 3, 5)
+        with pytest.raises(SystemExit):
+            sample_profile.parse_args(["--help"])
+        assert "not a timer" in " ".join(capsys.readouterr().out.split())
+
+    def test_memory_report_names_what_each_round_retains(self, sample_profile):
+        kept = []
+        report = sample_profile.memory_report(
+            lambda: kept.append(bytearray(200_000)), rounds=3, top=1)
+        lines = report.splitlines()
+        traced = [float(line.split()[2]) for line in lines[:3]]
+        assert [line.split(":")[0] for line in lines[:3]] == [
+            "round 1", "round 2", "round 3"]
+        assert traced[2] - traced[0] >= 0.39  # two more 0.2 MB buffers
+        assert lines[3].startswith("-- retained since set-up")
+        assert lines[4].split()[0] == "+0.600"
+        assert "kept.append(bytearray(200_000))" in report

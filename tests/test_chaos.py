@@ -21,7 +21,7 @@ from repro.chaos import (
 from repro.connector import SimVerticaCluster
 from repro.connector.jobs import temp_tables_of
 from repro.connector.s2v import FINAL_STATUS_TABLE, S2VWriter
-from repro.sim import Environment
+from repro.sim import Environment, trace
 from repro.sim.network import Link, Network
 from repro.spark import SparkSession
 from repro.spark.errors import JobFailedError
@@ -154,10 +154,46 @@ class TestExecutorCrash:
         env.process(crash())
         # With max_failures=1 a counted failure would cancel the job, so
         # completion proves ExecutorLost relaunches are free.
-        results = spark.scheduler.run([thunk, thunk, thunk], name="crashy")
+        job = spark.scheduler.submit([thunk, thunk, thunk], name="crashy")
+        results = env.run(job.done)
         assert sorted(results) == [0, 1, 2]
-        assert all(task.failures == 0
-                   for job in spark.scheduler.jobs for task in job.tasks)
+        assert [task.failures for task in job.tasks] == [0, 0, 0]
+        assert sum(task.attempts_started for task in job.tasks) > 3
+
+    def test_a_crash_interrupts_only_live_jobs_attempts(self):
+        """Three concurrent jobs; the crash lands after job 1 finished,
+        while jobs 2 and 3 run: only their attempts on the crashed
+        executor are lost, and job 1's results are intact."""
+        env = Environment()
+        spark = SparkSession(env=env, num_workers=2, max_failures=1)
+        scheduler = spark.scheduler
+        executor = scheduler.executors[0]
+
+        def task(duration):
+            def thunk(ctx):
+                yield env.timeout(duration)
+                return (ctx.job.name, ctx.partition_id)
+            return thunk
+
+        jobs = [scheduler.submit([task(duration)] * 2, name=f"job{number}")
+                for number, duration in ((1, 1.0), (2, 5.0), (3, 9.0))]
+        killed = []
+
+        def crash():
+            yield env.timeout(2.0)
+            assert scheduler.jobs == jobs[1:]
+            killed.append(scheduler.crash_executor(executor))
+
+        env.process(crash())
+        results = [env.run(job.done) for job in jobs]
+        assert killed == [2]  # one attempt each of jobs 2 and 3
+        assert results == [[(f"job{n}", 0), (f"job{n}", 1)] for n in (1, 2, 3)]
+        assert [task.attempts_started for task in jobs[0].tasks] == [1, 1]
+        assert jobs[0].tasks[0].finish_time == pytest.approx(1.0)
+        for job in jobs[1:]:
+            assert sum(task.attempts_started for task in job.tasks) == 3
+            assert [task.failures for task in job.tasks] == [0, 0]
+        assert scheduler.jobs == []
 
     def test_down_executor_excluded_from_placement(self):
         env = Environment()
@@ -300,10 +336,11 @@ class TestLinkDegrade:
         assert report.ok, report.describe()
         assert controller.summary().get("link_degrade") == 1
 
-    def test_rate_log_is_bounded(self):
+    def test_rate_log_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(trace, "LOG_LIMIT", 4)
         env = Environment()
         network = Network(env)
-        link = Link(env, "wire", 100.0, rate_log_limit=4)
+        link = Link(env, "wire", 100.0)
         for __ in range(60):
             network.transfer([link], 10.0)
             env.run()

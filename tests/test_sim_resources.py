@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Mutex, Resource, SimulationError, Store
+from repro.sim import Environment, Mutex, Resource, SimulationError, Store, trace
 
 
 @pytest.fixture
@@ -105,6 +105,24 @@ def test_usage_log_tracks_in_use(env):
     env.run()
     assert res.usage_log[0] == (0, 2)
     assert res.usage_log[-1] == (5, 0)
+
+
+def test_usage_log_is_bounded(env, monkeypatch):
+    monkeypatch.setattr(trace, "LOG_LIMIT", 4)
+    res = Resource(env, capacity=1)
+
+    def worker():
+        for __ in range(30):
+            req = res.request()
+            yield req
+            yield env.timeout(1)
+            res.release(req)
+            yield env.timeout(1)
+
+    env.process(worker())
+    env.run()
+    assert 4 <= len(res.usage_log) <= 8
+    assert res.usage_log[-1] == (59, 0)
 
 
 def test_mutex_is_single_slot(env):

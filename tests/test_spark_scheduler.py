@@ -1,5 +1,8 @@
 """Tests for the task scheduler: retries, speculation, cancellation."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Environment, SimCluster
@@ -292,6 +295,89 @@ class TestCancellation:
         assert env.now == pytest.approx(5.0)  # job failed at cancellation time
         env.run()  # drain any orphan timers
         assert completed == []  # killed tasks never ran their effects
+
+
+class Payload:
+    """A task result that can be weakly referenced."""
+
+
+class TestFinishedJobsAreForgotten:
+    """``scheduler.jobs`` holds live jobs only: a finished job, and the rows
+    its tasks returned, belong to whoever holds the ``Job`` or the results,
+    so a long-lived session does not keep every job it ever ran."""
+
+    def test_a_successful_job_leaves_the_list(self):
+        env, scheduler = make_scheduler()
+        job = scheduler.submit([simple_task(i) for i in range(3)])
+        assert scheduler.jobs == [job]
+        assert env.run(job.done) == [0, 1, 2]
+        assert scheduler.jobs == []
+
+    def test_a_job_cancelled_by_max_failures_leaves_the_list(self):
+        env, scheduler = make_scheduler(max_failures=2)
+
+        def broken(ctx):
+            raise ValueError("always")
+
+        job = scheduler.submit([broken, simple_task(1, duration=50.0)])
+        with pytest.raises(JobFailedError, match="failed 2 times"):
+            env.run(job.done)
+        assert scheduler.jobs == []
+
+    def test_a_cancelled_job_leaves_the_list(self):
+        env, scheduler = make_scheduler()
+        job = scheduler.submit([simple_task(0, duration=100.0)])
+
+        def canceller():
+            yield env.timeout(5.0)
+            job.cancel("total Spark failure")
+
+        env.process(canceller())
+        with pytest.raises(JobFailedError):
+            env.run(job.done)
+        assert scheduler.jobs == []
+
+    def test_a_speculative_loser_outlives_its_job_off_the_list(self):
+        env, scheduler = make_scheduler(cores=8, workers=2, speculation=True)
+        finished = []
+
+        def straggler(ctx):
+            yield ctx.env.timeout(2.0 if ctx.speculative else 8.0)
+            finished.append(ctx.speculative)
+            return "slow"
+
+        job = scheduler.submit([simple_task(i) for i in range(7)] + [straggler])
+        assert env.run(job.done)[-1] == "slow"
+        assert job.tasks[7].live_attempts  # the original is still running
+        assert scheduler.jobs == []
+        env.run()
+        assert finished == [True, False]
+        assert scheduler.jobs == []
+
+    @pytest.mark.parametrize("entry", ["run", "submit"])
+    def test_results_are_freed_once_the_caller_drops_them(self, entry):
+        env, scheduler = make_scheduler()
+        refs = []
+
+        def thunk(ctx):
+            yield ctx.env.timeout(1.0)
+            payload = Payload()
+            refs.append(weakref.ref(payload))
+            return payload
+
+        if entry == "run":
+            results = scheduler.run([thunk, thunk])
+        else:
+            job = scheduler.submit([thunk, thunk])
+            results = env.run(job.done)
+            assert job.tasks[0].result is results[0]
+            del job
+        assert len(refs) == 2 and all(ref() is not None for ref in refs)
+        del results
+        # The next job steps the kernel past the finished driver's event.
+        assert scheduler.run([simple_task("next")]) == ["next"]
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestSparkSessionIntegration:
