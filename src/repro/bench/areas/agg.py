@@ -9,22 +9,22 @@ The wire carries one partial row per group per range, not the table.
 from repro import telemetry
 from repro.bench.area import SIM_GATE, BenchArea, keyed
 from repro.bench.fabric import Fabric
-from repro.workloads import make_d1_with_int_column
+from repro.workloads import load_direct, make_d1_with_int_column
 
 AGGREGATES = [("*", "count"), ("c000", "sum"), ("c001", "avg"),
               ("c002", "min"), ("c003", "max")]
 
 
 def run_cell(params, config):
-    # A fresh telemetry-enabled fabric installs a fresh global registry,
-    # so the wire-row counters below start at zero for this cell.
-    fabric = Fabric(telemetry=True)
+    # A fresh fabric installs a fresh global registry, so the wire-row
+    # counters below start at zero for this cell.
+    fabric = Fabric()
     dataset = make_d1_with_int_column(real_rows=config["real_rows"])
-    fabric.populate(dataset, "d1int")
+    load_direct(fabric.vertica, dataset, "d1int")
     pushdown = params["mode"] == "pushdown"
-    elapsed, groups = fabric.v2s_aggregate(
-        "d1int", config["partitions"], dataset.scale, ["ikey"],
-        AGGREGATES, agg_pushdown=pushdown,
+    elapsed, groups = fabric.load(
+        "vertica", "d1int", dataset.scale, group_by=(["ikey"], AGGREGATES),
+        numpartitions=config["partitions"], agg_pushdown=pushdown,
     )
     wire_rows = telemetry.counter(
         "v2s.agg_pushdown.partial_rows" if pushdown else "v2s.rows_fetched"

@@ -85,8 +85,6 @@ class Trial:
     #: the save mode the trial runs (``"-"``: not a save); ``None`` = the
     #: caller's, which rotates with the seed index
     mode: Optional[str] = "-"
-    #: whether the cell reports S2V's swallowed-teardown-error count
-    counts_cleanup: bool = False
 
 
 def run_trial(workload: str, seed: int, mode: str = "overwrite",
@@ -102,8 +100,7 @@ def run_trial(workload: str, seed: int, mode: str = "overwrite",
     trial = TRIALS[workload]
     fabric = Fabric(
         num_vertica=3, num_spark=4, cost_model=LIGHT_COST_MODEL,
-        speculation=speculation, telemetry=True, failover_connect=True,
-        hdfs_nodes=3, **trial.fabric,
+        speculation=speculation, hdfs_nodes=3, **trial.fabric,
     )
     run = SimpleNamespace(fabric=fabric, seed=seed, mode=trial.mode or mode)
     trial.prepare(run)
@@ -135,10 +132,9 @@ def run_trial(workload: str, seed: int, mode: str = "overwrite",
     metrics = {
         "injections": len(controller.injections),
         "outcome": "succeeded" if raised is None else repr(raised),
-        "cleanup_failures": (
-            int(telemetry.counter("s2v.cleanup_failures").value)
-            if trial.counts_cleanup else 0
-        ),
+        # the fabric's own registry: 0 for a trial that runs no S2V save
+        "cleanup_failures": int(
+            telemetry.counter("s2v.cleanup_failures").value),
     }
     if not report.ok:
         raise GridCellError("\n".join([
@@ -311,7 +307,7 @@ def _audit_agg(run, checker, raised, report) -> None:
     report.merge(checker.check_no_leaks())
 
 
-# -- profile / adaptive: EXPLAIN + PROFILE over a data-plane connection --------
+# -- profile / star: EXPLAIN + PROFILE over a data-plane connection ------------
 def _start_explain_profile(select: str, name: str) -> Callable:
     """EXPLAIN then PROFILE ``select`` from a client node, so statement
     severs apply while restarts and link faults fire."""
@@ -379,64 +375,67 @@ def _audit_profile(run, checker, raised, report) -> None:
     report.merge(checker.check_no_leaks())
 
 
-#: the adaptive-join trial's star schema: fact stats are deliberately
-#: stale (ANALYZEd at ADAPTIVE_ANALYZED rows, then grown 15x), so the
-#: join order is chosen on estimates the rows then contradict
-ADAPTIVE_FACT = "chaos_adaptive_fact"
-ADAPTIVE_DIM_A = "chaos_adaptive_da"
-ADAPTIVE_DIM_B = "chaos_adaptive_db"
-ADAPTIVE_FACT_ROWS = 360
-ADAPTIVE_ANALYZED = 24
+#: the star-join trial's schema: fact stats are deliberately stale
+#: (ANALYZEd at STAR_ANALYZED rows, then grown 15x), so the join order is
+#: chosen on estimates the rows then contradict.  The table names keep an
+#: older prefix because renaming them changes cells: a severed statement's
+#: text is part of the ``outcome``, and the EXPLAIN / PROFILE output that
+#: names the tables is charged by its bytes, which moves when faults land.
+STAR_FACT = "chaos_adaptive_fact"
+STAR_DIM_A = "chaos_adaptive_da"
+STAR_DIM_B = "chaos_adaptive_db"
+STAR_FACT_ROWS = 360
+STAR_ANALYZED = 24
 #: sized above the stale intermediate estimate (~15 rows) but below its
 #: observed size (~225 rows): an estimate would build the second join on
 #: the intermediate; the join builds on the dim, the smaller input it holds
-ADAPTIVE_A_KEYS = 60
-ADAPTIVE_B_KEYS = 8
-ADAPTIVE_B_CUTOFF = 10  # b_val < 10 keeps b_id 0..4 (5 of 8 keys)
+STAR_A_KEYS = 60
+STAR_B_KEYS = 8
+STAR_B_CUTOFF = 10  # b_val < 10 keeps b_id 0..4 (5 of 8 keys)
 
-ADAPTIVE_SELECT = (
-    f"SELECT a_val, COUNT(*), SUM(fv) FROM {ADAPTIVE_FACT} "
-    f"JOIN {ADAPTIVE_DIM_A} ON fk1 = a_id "
-    f"JOIN {ADAPTIVE_DIM_B} ON fk2 = b_id "
-    f"WHERE b_val < {ADAPTIVE_B_CUTOFF} GROUP BY a_val ORDER BY a_val"
+STAR_SELECT = (
+    f"SELECT a_val, COUNT(*), SUM(fv) FROM {STAR_FACT} "
+    f"JOIN {STAR_DIM_A} ON fk1 = a_id "
+    f"JOIN {STAR_DIM_B} ON fk2 = b_id "
+    f"WHERE b_val < {STAR_B_CUTOFF} GROUP BY a_val ORDER BY a_val"
 )
 
 
 def _load_star(run) -> None:
     fabric = run.fabric
     fabric.create_table(
-        f"{ADAPTIVE_FACT} (fk1 INTEGER, fk2 INTEGER, fv FLOAT) "
+        f"{STAR_FACT} (fk1 INTEGER, fk2 INTEGER, fv FLOAT) "
         f"SEGMENTED BY HASH(fk1)"
     )
     fabric.create_table(
-        f"{ADAPTIVE_DIM_A} (a_id INTEGER, a_val INTEGER) SEGMENTED BY HASH(a_id)",
-        [(i, i * 2) for i in range(ADAPTIVE_A_KEYS)],
+        f"{STAR_DIM_A} (a_id INTEGER, a_val INTEGER) SEGMENTED BY HASH(a_id)",
+        [(i, i * 2) for i in range(STAR_A_KEYS)],
     )
     fabric.create_table(
-        f"{ADAPTIVE_DIM_B} (b_id INTEGER, b_val INTEGER) UNSEGMENTED ALL NODES",
-        [(i, i * 2) for i in range(ADAPTIVE_B_KEYS)],
+        f"{STAR_DIM_B} (b_id INTEGER, b_val INTEGER) UNSEGMENTED ALL NODES",
+        [(i, i * 2) for i in range(STAR_B_KEYS)],
     )
 
-    fact = [(i % ADAPTIVE_A_KEYS, i % ADAPTIVE_B_KEYS, float(i))
-            for i in range(ADAPTIVE_FACT_ROWS)]
+    fact = [(i % STAR_A_KEYS, i % STAR_B_KEYS, float(i))
+            for i in range(STAR_FACT_ROWS)]
     with fabric.vertica.db.connect() as session:
-        insert_rows(session, ADAPTIVE_FACT, fact[:ADAPTIVE_ANALYZED])
-        for table in (ADAPTIVE_FACT, ADAPTIVE_DIM_A, ADAPTIVE_DIM_B):
+        insert_rows(session, STAR_FACT, fact[:STAR_ANALYZED])
+        for table in (STAR_FACT, STAR_DIM_A, STAR_DIM_B):
             session.execute(f"ANALYZE {table}")
-        insert_rows(session, ADAPTIVE_FACT, fact[ADAPTIVE_ANALYZED:])
+        insert_rows(session, STAR_FACT, fact[STAR_ANALYZED:])
 
 
-def _audit_adaptive(run, checker, raised, report) -> None:
+def _audit_star(run, checker, raised, report) -> None:
     # Reordering and the observed build side may never change an answer;
     # EXPLAIN must show the order.
     if raised is None:
         groups: Dict[int, List[float]] = {}
-        for i in range(ADAPTIVE_FACT_ROWS):
-            if (i % ADAPTIVE_B_KEYS) * 2 < ADAPTIVE_B_CUTOFF:
-                groups.setdefault((i % ADAPTIVE_A_KEYS) * 2, []).append(float(i))
+        for i in range(STAR_FACT_ROWS):
+            if (i % STAR_B_KEYS) * 2 < STAR_B_CUTOFF:
+                groups.setdefault((i % STAR_A_KEYS) * 2, []).append(float(i))
         expected = [(a_val, len(vals), sum(vals))
                     for a_val, vals in sorted(groups.items())]
-        _audit_answer(report, "adaptive-exact-answer", "adaptive join",
+        _audit_answer(report, "star-exact-answer", "star join",
                       list(run.profiled.query_result.rows), expected)
         report.expect("explain-join-order",
                       any("JOIN ORDER:" in line for line in run.plan),
@@ -522,7 +521,7 @@ S2V_TABLES = dict(tables=(FINAL_STATUS_TABLE, TARGET.upper()))
 TRIALS: Dict[str, Trial] = {
     # exactly-once S2V save (overwrite/append x speculation)
     "s2v": Trial(_load_prior, _start_save(), _audit_save, 0,
-                 schedule=S2V_TABLES, mode=None, counts_cleanup=True),
+                 schedule=S2V_TABLES, mode=None),
     # V2S scan: a successful scan must equal its AT EPOCH snapshot
     "v2s": Trial(_load_source, _start_scan(), _audit_scan, 7919,
                  schedule=SCAN_CHAOS),
@@ -536,7 +535,7 @@ TRIALS: Dict[str, Trial] = {
                  fabric=dict(wlm=True, session_pool_size=2),
                  schedule=dict(S2V_TABLES, events=5, families=ALL_FAMILIES,
                                pools=(INGEST_POOL, GENERAL)),
-                 mode="overwrite", counts_cleanup=True),
+                 mode="overwrite"),
     # EXPLAIN + PROFILE: exact answer, operator stats == CostReport
     "profile": Trial(_load_source,
                      _start_explain_profile(PROFILE_SELECT, "profile"),
@@ -546,7 +545,7 @@ TRIALS: Dict[str, Trial] = {
     # staging transport: crashes mid-file-write, severs around the manifest
     "staged-s2v": Trial(_load_prior, _start_save(**STAGING), _audit_save,
                         32452843, fabric=dict(with_hdfs=True),
-                        schedule=S2V_TABLES, mode=None, counts_cleanup=True),
+                        schedule=S2V_TABLES, mode=None),
     "staged-v2s": Trial(_load_source, _start_scan(**STAGING), _audit_scan,
                         49979687, fabric=dict(with_hdfs=True),
                         schedule=SCAN_CHAOS),
@@ -554,12 +553,10 @@ TRIALS: Dict[str, Trial] = {
                    schedule=dict(families=STATEMENT_FAMILIES,
                                  sever_keywords=("SELECT", "INSERT"))),
     # 3-way star join over stale statistics: reordered, never mis-answered
-    # (the key predates the join's observed build side; it names grid cells)
-    "adaptive": Trial(_load_star,
-                      _start_explain_profile(ADAPTIVE_SELECT, "adaptive"),
-                      _audit_adaptive, 179424673,
-                      schedule=dict(families=STATEMENT_FAMILIES,
-                                    sever_keywords=("PROFILE", "SELECT"))),
+    "star": Trial(_load_star, _start_explain_profile(STAR_SELECT, "star"),
+                  _audit_star, 179424673,
+                  schedule=dict(families=STATEMENT_FAMILIES,
+                                sever_keywords=("PROFILE", "SELECT"))),
 }
 
 #: the S2V configuration rotation: both commit paths × speculation

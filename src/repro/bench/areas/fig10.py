@@ -3,23 +3,21 @@
 from repro.bench.area import SIM_GATE, BenchArea, keyed
 from repro.bench.fabric import Fabric
 from repro.spark.datasource import GreaterThanOrEqual, LessThan
-from repro.workloads import make_d1_with_int_column
+from repro.workloads import load_direct, make_d1_with_int_column
 
 
 def run_cell(params, config):
     dataset = make_d1_with_int_column(real_rows=config["real_rows"])
     fabric = Fabric()
-    fabric.populate(dataset, "d1int")
+    load_direct(fabric.vertica, dataset, "d1int")
     # ikey is uniform over 0..99, so [0, 5) selects 5% of the rows
     filters = ([GreaterThanOrEqual("ikey", 0), LessThan("ikey", 5)]
                if params["pushdown"] else [])
-    if params["source"] == "v2s":
-        elapsed, __ = fabric.v2s_load("d1int", config["partitions"],
-                                      dataset.scale, filters=filters)
-    else:
-        elapsed, __ = fabric.jdbc_load(
-            "d1int", config["partitions"], dataset.scale,
-            partition_column="ikey", lower=0, upper=100, filters=filters)
+    options = ({} if params["source"] == "v2s" else
+               {"partitioncolumn": "ikey", "lowerbound": 0, "upperbound": 100})
+    elapsed, __ = fabric.load(
+        "vertica" if params["source"] == "v2s" else "jdbc", "d1int",
+        dataset.scale, filters, numpartitions=config["partitions"], **options)
     return {"sim_seconds": elapsed}
 
 

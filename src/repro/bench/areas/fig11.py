@@ -9,11 +9,12 @@ def run_cell(params, config):
     rows = params["rows"]
     dataset = make_d1(
         real_rows=min(rows, config["real_rows"])).with_virtual_rows(rows)
-    fabric = Fabric()
     if params["method"] == "jdbc":
-        return {"sim_seconds": fabric.jdbc_save(dataset, "dest", 4)}
-    partitions = 4 if rows <= 10_000 else 128
-    return {"sim_seconds": fabric.s2v_save(dataset, "dest", partitions)}
+        source, partitions = "jdbc", 4
+    else:
+        source, partitions = "vertica", 4 if rows <= 10_000 else 128
+    return {"sim_seconds": Fabric().save(source, dataset, "dest", partitions,
+                                         numpartitions=partitions)}
 
 
 def checks(cells):

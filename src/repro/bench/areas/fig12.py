@@ -22,14 +22,14 @@ def run_cell(params, config):
         return {"sim_seconds": transfer(
             direction, dataset, config["partitions"][direction], fabric)}
     if params["operation"] == "write":
-        return {"sim_seconds": fabric.hdfs_write(dataset, "/out", 128)}
+        return {"sim_seconds": fabric.save("hdfs", dataset, "/out", 128)}
     # Write once (unmeasured) to have something to read; drain the
     # background replication flows so they do not contend with the read.
-    fabric.hdfs_write(dataset, "/warm", 8)
+    fabric.save("hdfs", dataset, "/warm", 8)
     fabric.env.run()
     parts = fabric.hdfs.fs.list("/warm/part-")
     stored = sum(fabric.hdfs.fs.file_size(p) for p in parts)
-    elapsed, __ = fabric.hdfs_read("/warm", config["virtual_bytes"] / stored)
+    elapsed, __ = fabric.load("hdfs", "/warm", config["virtual_bytes"] / stored)
     return {"sim_seconds": elapsed,
             "blocks": sum(fabric.hdfs.fs.total_blocks(p) for p in parts)}
 

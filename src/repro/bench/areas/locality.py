@@ -6,20 +6,18 @@ eliminate: JDBC value ranges hit one host, which gathers from the rest.
 
 from repro.bench.area import SIM_GATE, BenchArea, keyed
 from repro.bench.fabric import Fabric
-from repro.workloads import make_d1_with_int_column
+from repro.workloads import load_direct, make_d1_with_int_column
 
 
 def run_cell(params, config):
     dataset = make_d1_with_int_column(real_rows=config["real_rows"])
     fabric = Fabric()
-    fabric.populate(dataset, "d1int")
-    if params["method"] == "v2s":
-        elapsed, __ = fabric.v2s_load("d1int", config["partitions"],
-                                      dataset.scale)
-    else:
-        elapsed, __ = fabric.jdbc_load(
-            "d1int", config["partitions"], dataset.scale,
-            partition_column="ikey", lower=0, upper=100)
+    load_direct(fabric.vertica, dataset, "d1int")
+    options = ({} if params["method"] == "v2s" else
+               {"partitioncolumn": "ikey", "lowerbound": 0, "upperbound": 100})
+    elapsed, __ = fabric.load(
+        "vertica" if params["method"] == "v2s" else "jdbc", "d1int",
+        dataset.scale, numpartitions=config["partitions"], **options)
     return {"sim_seconds": elapsed,
             "internal_gb": round(fabric.vertica.internal_bytes() / 1e9, 3),
             "external_gb": round(fabric.vertica.external_bytes() / 1e9, 3)}

@@ -7,8 +7,10 @@ from repro.workloads import make_d1
 
 def run_cell(params, config):
     fabric = Fabric()
-    elapsed = fabric.s2v_save(
-        make_d1(real_rows=config["real_rows"]), "dest", config["partitions"],
+    partitions = config["partitions"]
+    elapsed = fabric.save(
+        "vertica", make_d1(real_rows=config["real_rows"]), "dest", partitions,
+        numpartitions=partitions,
         prehash_partitioning=params["mode"] == "prehash")
     return {"sim_seconds": elapsed,
             "internal_gb": round(fabric.vertica.internal_bytes() / 1e9, 3)}

@@ -69,7 +69,7 @@ def run_zipf_serve(clients: int = 6, ops: int = 60, skew: float = 1.2,
     charged into the GENERAL pool's WLM memory ledger.
     """
     fabric = Fabric(num_vertica=3, num_spark=2, cost_model=LIGHT_COST_MODEL,
-                    telemetry=True, wlm=True)
+                    wlm=True)
     db = fabric.vertica.db
     fabric.create_table(
         f"{ZIPF_TABLE} (id INTEGER, grp INTEGER, v FLOAT) "

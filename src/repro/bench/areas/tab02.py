@@ -7,14 +7,15 @@ outbound rate of one Vertica node, both over the first 300 s.
 from repro.bench.area import SIM_GATE, BenchArea, keyed
 from repro.bench.fabric import Fabric
 from repro.sim.trace import UsageTrace
-from repro.workloads import make_d1
+from repro.workloads import load_direct, make_d1
 
 
 def run_cell(params, config):
     dataset = make_d1(real_rows=config["real_rows"])
     fabric = Fabric()
-    fabric.populate(dataset, "d1")
-    elapsed, __ = fabric.v2s_load("d1", params["partitions"], dataset.scale)
+    load_direct(fabric.vertica, dataset, "d1")
+    elapsed, __ = fabric.load("vertica", "d1", dataset.scale,
+                              numpartitions=params["partitions"])
     node = fabric.vertica.sim_nodes["node0001"]
     nic = node.nics[fabric.vertica.cost_model.external_nic].tx
     net = UsageTrace.from_log(

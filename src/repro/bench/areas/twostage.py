@@ -13,10 +13,11 @@ def run_cell(params, config):
     dataset = make_d1(real_rows=config["real_rows"])
     partitions = config["partitions"]
     if params["approach"] == "single":
-        return {"sim_seconds": Fabric().s2v_save(dataset, "dest", partitions)}
+        return {"sim_seconds": Fabric().save(
+            "vertica", dataset, "dest", partitions, numpartitions=partitions)}
     fabric = Fabric(with_hdfs=True)
-    return {"sim_seconds": fabric.s2v_save(
-        dataset, "dest", partitions,
+    return {"sim_seconds": fabric.save(
+        "vertica", dataset, "dest", partitions, numpartitions=partitions,
         transport="staging", staging_fs=fabric.hdfs)}
 
 

@@ -105,8 +105,7 @@ def run_serve(tenants: int = 4, ops: int = 6, premium: bool = False,
     """One multi-tenant serving round; with ``premium`` tenant 0 runs in
     the PREMIUM pool while everyone else stays in congested GENERAL."""
     fabric = Fabric(num_vertica=3, num_spark=4, cost_model=LIGHT_COST_MODEL,
-                    telemetry=True, failover_connect=True, wlm=True,
-                    session_pool_size=session_pool_size)
+                    wlm=True, session_pool_size=session_pool_size)
     _prepare(fabric, premium)
     stats = [ClientStats(t, PREMIUM if premium and t == 0 else GENERAL)
              for t in range(tenants)]

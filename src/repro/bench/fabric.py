@@ -74,28 +74,22 @@ class Fabric:
         with_hdfs: bool = False,
         hdfs_nodes: int = 4,
         hdfs_block_size: int = 64 * 1024 * 1024,
-        telemetry: bool = False,
-        failover_connect: bool = False,
         wlm: bool = False,
         session_pool_size: int = 0,
     ):
         self.env = Environment()
-        # Each fabric owns the global registry for its lifetime: enabled
-        # fabrics install a fresh registry bound to their clock; disabled
-        # fabrics reset it so stale instruments never leak across runs.
-        if telemetry:
-            _telemetry.install(
-                _telemetry.MetricsRegistry(enabled=True).bind(self.env)
-            )
-        else:
-            _telemetry.reset()
+        # Each fabric owns the global registry for its lifetime: a fresh
+        # one bound to its clock, so no instrument leaks across runs.
+        _telemetry.install(
+            _telemetry.MetricsRegistry(enabled=True).bind(self.env)
+        )
         self.sim_cluster = SimCluster(self.env)
         self.vertica = SimVerticaCluster(
             env=self.env,
             sim_cluster=self.sim_cluster,
             num_nodes=num_vertica,
             cost_model=cost_model,
-            failover_connect=failover_connect,
+            failover_connect=True,
             wlm=wlm,
             session_pool_size=session_pool_size,
         )
@@ -151,11 +145,11 @@ class Fabric:
     def metrics_snapshot(self, trace_buckets: int = 60):
         """Freeze the telemetry recorded on this fabric so far.
 
-        Returns an empty snapshot when the fabric was built with
-        ``telemetry=False``.  When enabled, each Vertica node's external
-        NIC transmit rate-log is folded in as a bucketed
-        :class:`~repro.sim.UsageTrace`, so counters and utilisation series
-        share the snapshot's one reporting path.
+        Reads the global registry, which this fabric installed unless
+        something replaced it since; an empty snapshot if that registry is
+        disabled.  Each Vertica node's external NIC transmit rate-log is
+        folded in as a bucketed :class:`~repro.sim.UsageTrace`, so counters
+        and utilisation series share the snapshot's one reporting path.
         """
         registry = _telemetry.get_registry()
         snapshot = registry.snapshot()
@@ -185,144 +179,46 @@ class Fabric:
             if rows:
                 insert_rows(session, ddl.split()[0], rows, chunk=len(rows))
 
-    def populate(self, dataset: Dataset, table: str) -> None:
-        load_direct(self.vertica, dataset, table)
-
-    def dataframe_of(self, dataset: Dataset, num_partitions: int):
-        return self.spark.create_dataframe(
-            dataset.rows, dataset.schema, num_partitions=num_partitions
-        )
-
     # -- measured operations ----------------------------------------------------
-    def v2s_load(
-        self,
-        table: str,
-        partitions: int,
-        scale: float,
-        filters: Sequence = (),
-        columns: Optional[Sequence[str]] = None,
-        **options,
-    ) -> Tuple[float, int]:
-        """Time a V2S load; returns (elapsed seconds, rows loaded)."""
-        opts = {
-            "db": self.vertica,
-            "table": table,
-            "numpartitions": partitions,
-            "scale_factor": scale,
-        }
-        opts.update(options)
-        df = self.spark.read.format("vertica").options(opts).load()
-        for pushdown in filters:
-            df = df.filter(pushdown)
-        if columns:
-            df = df.select(*columns)
-        start = self.env.now
-        rows = df.collect()
-        return self.env.now - start, len(rows)
+    def _location(self, source: str, name: str, scale: float) -> Dict:
+        """Where ``source`` keeps ``name``: an HDFS path or a Vertica table."""
+        if source == "hdfs":
+            assert self.hdfs is not None, "fabric built without HDFS"
+            return {"fs": self.hdfs, "path": name, "scale_factor": scale}
+        return {"db": self.vertica, "table": name, "scale_factor": scale}
 
-    def v2s_aggregate(
-        self,
-        table: str,
-        partitions: int,
-        scale: float,
-        keys: Sequence[str],
-        aggregates: Sequence[Tuple[str, str]],
-        agg_pushdown: bool = True,
-    ) -> Tuple[float, int]:
-        """Time a V2S ``group_by().agg()``; returns (seconds, groups).
+    def load(self, source: str, name: str, scale: float, filters: Sequence = (),
+             group_by: Optional[Tuple[Sequence[str], Sequence]] = None,
+             **options) -> Tuple[float, int]:
+        """Time ``read.format(source).load()`` of ``name`` to the driver.
 
-        With ``agg_pushdown=False`` the planner falls back to the
-        driver-side path (collect every raw row, aggregate in Spark) —
-        the ablation baseline.
+        ``filters`` go through ``DataFrame.filter``; ``group_by`` is a
+        ``(keys, aggregates)`` pair for ``group_by(*keys).agg(*aggregates)``.
+        ``options`` are the source's own.  Returns (sim seconds, rows).
         """
-        df = self.spark.read.format("vertica").options(
-            db=self.vertica,
-            table=table,
-            numpartitions=partitions,
-            scale_factor=scale,
-            agg_pushdown=agg_pushdown,
-        ).load()
-        start = self.env.now
-        rows = df.group_by(*keys).agg(*aggregates).collect()
-        return self.env.now - start, len(rows)
-
-    def s2v_save(
-        self,
-        dataset: Dataset,
-        table: str,
-        partitions: int,
-        mode: str = "overwrite",
-        source_partitions: Optional[int] = None,
-        **options,
-    ) -> float:
-        """Time an S2V save of a dataset's DataFrame; returns seconds."""
-        df = self.dataframe_of(dataset, source_partitions or partitions)
-        opts = {
-            "db": self.vertica,
-            "table": table,
-            "numpartitions": partitions,
-            "scale_factor": dataset.scale,
-        }
-        opts.update(options)
-        start = self.env.now
-        df.write.format("vertica").options(opts).mode(mode).save()
-        return self.env.now - start
-
-    def jdbc_load(
-        self,
-        table: str,
-        partitions: int,
-        scale: float,
-        partition_column: str = "",
-        lower: Optional[int] = None,
-        upper: Optional[int] = None,
-        filters: Sequence = (),
-    ) -> Tuple[float, int]:
-        options: Dict = {
-            "db": self.vertica,
-            "table": table,
-            "numpartitions": partitions,
-            "scale_factor": scale,
-        }
-        if partition_column:
-            options.update(
-                partitioncolumn=partition_column, lowerbound=lower, upperbound=upper
-            )
-        df = self.spark.read.format("jdbc").options(options).load()
+        df = self.spark.read.format(source).options(
+            self._location(source, name, scale), **options).load()
         for pushdown in filters:
             df = df.filter(pushdown)
         start = self.env.now
+        if group_by is not None:
+            keys, aggregates = group_by
+            df = df.group_by(*keys).agg(*aggregates)  # runs its job: timed
         rows = df.collect()
         return self.env.now - start, len(rows)
 
-    def jdbc_save(self, dataset: Dataset, table: str, partitions: int) -> float:
-        df = self.dataframe_of(dataset, partitions)
+    def save(self, source: str, dataset: Dataset, name: str, partitions: int,
+             **options) -> float:
+        """Time ``write.format(source).mode("overwrite").save()`` of
+        ``dataset`` as a DataFrame of ``partitions`` partitions; ``options``
+        are the source's own.  Returns sim seconds."""
+        df = self.spark.create_dataframe(dataset.rows, dataset.schema,
+                                         num_partitions=partitions)
         start = self.env.now
-        df.write.format("jdbc").options(
-            db=self.vertica,
-            table=table,
-            numpartitions=partitions,
-            scale_factor=dataset.scale,
+        df.write.format(source).options(
+            self._location(source, name, dataset.scale), **options
         ).mode("overwrite").save()
         return self.env.now - start
-
-    def hdfs_write(self, dataset: Dataset, path: str, partitions: int) -> float:
-        assert self.hdfs is not None, "fabric built without HDFS"
-        df = self.dataframe_of(dataset, partitions)
-        start = self.env.now
-        df.write.format("hdfs").options(
-            fs=self.hdfs, path=path, scale_factor=dataset.scale
-        ).mode("overwrite").save()
-        return self.env.now - start
-
-    def hdfs_read(self, path: str, scale: float) -> Tuple[float, int]:
-        assert self.hdfs is not None, "fabric built without HDFS"
-        df = self.spark.read.format("hdfs").options(
-            fs=self.hdfs, path=path, scale_factor=scale
-        ).load()
-        start = self.env.now
-        rows = df.collect()
-        return self.env.now - start, len(rows)
 
 
 def transfer(direction: str, dataset: Dataset, partitions: int,
@@ -335,9 +231,11 @@ def transfer(direction: str, dataset: Dataset, partitions: int,
     """
     fabric = fabric or Fabric()
     if direction != "v2s":
-        return fabric.s2v_save(dataset, "d1_out", partitions, **options)
-    fabric.populate(dataset, "d1")
-    elapsed, rows = fabric.v2s_load("d1", partitions, dataset.scale, **options)
+        return fabric.save("vertica", dataset, "d1_out", partitions,
+                           numpartitions=partitions, **options)
+    load_direct(fabric.vertica, dataset, "d1")
+    elapsed, rows = fabric.load("vertica", "d1", dataset.scale,
+                                numpartitions=partitions, **options)
     if rows != dataset.real_rows:
         raise GridCellError(
             f"V2S returned {rows} rows, wanted {dataset.real_rows}")

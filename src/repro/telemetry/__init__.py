@@ -1,4 +1,4 @@
-"""Fabric telemetry: counters, gauges, histograms, timers and spans.
+"""Fabric telemetry: counters, gauges, histograms and spans.
 
 The paper's claims are quantitative — Table 2's resource utilisation,
 Figures 6–12's runtime curves, §3.2's exactly-once behaviour under
@@ -15,8 +15,8 @@ Design:
   shared no-op instrument, so instrumented code pays only a couple of
   attribute lookups per event and allocates nothing.
 - **Sim-time aware.**  A registry is *bound* to a simulation
-  :class:`~repro.sim.Environment`; timers and spans read the simulated
-  clock, so durations are simulated seconds, not wall time.
+  :class:`~repro.sim.Environment`; spans read the simulated clock,
+  so durations are simulated seconds, not wall time.
 - **Hierarchical spans.**  ``with telemetry.span("s2v.phase1", task=i):``
   records a timed interval; nesting is tracked per simulation process, so
   interleaved task attempts do not corrupt each other's ancestry.
@@ -27,7 +27,7 @@ Design:
   section and ``Fabric.metrics_snapshot()`` the way a bench fabric
   produces one (no harness renders it by default).
 
-Typical use (the bench harness does this via ``Fabric(telemetry=True)``)::
+Typical use (every bench ``Fabric`` does this when it is built)::
 
     from repro import telemetry
 
@@ -50,7 +50,6 @@ from repro.telemetry.registry import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_SPAN,
-    NULL_TIMER,
 )
 from repro.telemetry.snapshot import MetricsSnapshot
 from repro.telemetry.spans import Span, SpanRecord
@@ -95,10 +94,6 @@ def histogram(name: str) -> Histogram:
     return _REGISTRY.histogram(name)
 
 
-def timer(name: str):
-    return _REGISTRY.timer(name)
-
-
 def span(name: str, **tags):
     return _REGISTRY.span(name, **tags)
 
@@ -117,7 +112,6 @@ __all__ = [
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
     "NULL_SPAN",
-    "NULL_TIMER",
     "Span",
     "SpanRecord",
     "counter",
@@ -129,5 +123,4 @@ __all__ = [
     "now",
     "reset",
     "span",
-    "timer",
 ]

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms, timers, spans.
+"""The metrics registry: counters, gauges, histograms and spans.
 
 Instruments are created lazily by name.  A *disabled* registry returns
 shared null instruments whose mutators do nothing, so instrumentation
@@ -7,7 +7,7 @@ repo's "disabled-by-default, near-zero overhead" requirement.
 
 Time comes from :meth:`MetricsRegistry.now`: a registry bound to a
 simulation :class:`~repro.sim.Environment` reads the simulated clock, so
-timers and spans measure simulated seconds.  An unbound registry reads a
+spans measure simulated seconds.  An unbound registry reads a
 monotonically increasing call counter (useful for plain unit tests, where
 ordering matters but durations do not).
 """
@@ -98,29 +98,11 @@ class Histogram:
         return f"Histogram({self.name!r}, n={self.count}, mean={self.mean:.4g})"
 
 
-class Timer:
-    """Context manager recording an elapsed duration into a histogram."""
-
-    __slots__ = ("_registry", "_histogram", "_start")
-
-    def __init__(self, registry: "MetricsRegistry", histogram: Histogram):
-        self._registry = registry
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = self._registry.now()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._histogram.observe(self._registry.now() - self._start)
-
-
 class _NullInstrument:
     """Shared do-nothing stand-in for every instrument while disabled.
 
-    Reentrant as a context manager, so it can serve as the null timer and
-    the null span simultaneously (including nested uses).
+    Reentrant as a context manager, so it can serve as the null span
+    (including nested uses).
     """
 
     __slots__ = ()
@@ -157,7 +139,6 @@ class _NullInstrument:
 NULL_COUNTER = _NullInstrument()
 NULL_GAUGE = _NullInstrument()
 NULL_HISTOGRAM = _NullInstrument()
-NULL_TIMER = _NullInstrument()
 NULL_SPAN = _NullInstrument()
 
 
@@ -218,11 +199,6 @@ class MetricsRegistry:
         if instrument is None:
             instrument = self._histograms[name] = Histogram(name)
         return instrument
-
-    def timer(self, name: str) -> Timer:
-        if not self.enabled:
-            return NULL_TIMER
-        return Timer(self, self.histogram(name))
 
     # -- spans ---------------------------------------------------------------
     def span(self, name: str, **tags: Any) -> Span:

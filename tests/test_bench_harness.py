@@ -17,7 +17,7 @@ from repro.bench.grid import (
 )
 from repro.connector.costmodel import NULL_COST_MODEL
 from repro.workloads import make_d1, make_d1_reshaped, make_d1_with_int_column, make_d2
-from repro.workloads.datasets import Dataset
+from repro.workloads.datasets import Dataset, load_direct
 
 REPO = os.path.join(os.path.dirname(__file__), "..")
 
@@ -149,6 +149,8 @@ class TestDatasets:
 
 
 class TestFabric:
+    """Every measured transfer is one ``Fabric.load`` or ``Fabric.save``."""
+
     def test_fabric_wires_one_clock(self):
         fabric = Fabric(num_vertica=2, num_spark=2, cost_model=NULL_COST_MODEL)
         assert fabric.spark.env is fabric.vertica.env is fabric.env
@@ -157,25 +159,51 @@ class TestFabric:
     def test_fabric_round_trip_with_null_costs(self):
         fabric = Fabric(num_vertica=2, num_spark=2, cost_model=NULL_COST_MODEL)
         dataset = make_d1(real_rows=30, num_cols=3)
-        elapsed = fabric.s2v_save(dataset, "t", 4)
+        elapsed = fabric.save("vertica", dataset, "t", 4, numpartitions=4)
         assert elapsed >= 0
-        load_elapsed, count = fabric.v2s_load("t", 4, 1.0)
+        __, count = fabric.load("vertica", "t", 1.0, numpartitions=4)
+        assert count == 30
+
+    def test_jdbc_round_trip(self):
+        fabric = Fabric(num_vertica=2, num_spark=2, cost_model=NULL_COST_MODEL)
+        dataset = make_d1_with_int_column(real_rows=30, virtual_rows=30,
+                                          num_cols=3)
+        fabric.save("jdbc", dataset, "t", 2, numpartitions=2)
+        __, count = fabric.load("jdbc", "t", 1.0, numpartitions=4,
+                                partitioncolumn="ikey", lowerbound=0,
+                                upperbound=100)
         assert count == 30
 
     def test_populate_then_load(self):
         fabric = Fabric(num_vertica=2, num_spark=2, cost_model=NULL_COST_MODEL)
         dataset = make_d1(real_rows=25, num_cols=2)
-        fabric.populate(dataset, "d")
-        __, count = fabric.v2s_load("d", 4, 1.0)
+        load_direct(fabric.vertica, dataset, "d")
+        __, count = fabric.load("vertica", "d", 1.0, numpartitions=4)
         assert count == 25
 
     def test_hdfs_fabric(self):
         fabric = Fabric(num_vertica=2, num_spark=2, with_hdfs=True,
                         cost_model=NULL_COST_MODEL, hdfs_block_size=4096)
         dataset = make_d1(real_rows=20, num_cols=2)
-        fabric.hdfs_write(dataset, "/x", 2)
-        __, count = fabric.hdfs_read("/x", 1.0)
+        fabric.save("hdfs", dataset, "/x", 2)
+        __, count = fabric.load("hdfs", "/x", 1.0)
         assert count == 20
+
+    def test_grouped_load_times_the_aggregation(self):
+        """``group_by(...).agg(...)`` runs its job, so ``load`` must call it
+        inside the timed region: hoisted out, both modes read only the
+        collect of the finished groups and cost the same."""
+        dataset = make_d1_with_int_column(real_rows=200, num_cols=3)
+        seconds = {}
+        for pushdown in (True, False):
+            fabric = Fabric(num_vertica=2, num_spark=4)
+            load_direct(fabric.vertica, dataset, "d")
+            seconds[pushdown], groups = fabric.load(
+                "vertica", "d", dataset.scale,
+                group_by=(["ikey"], [("*", "count"), ("c000", "sum")]),
+                numpartitions=4, agg_pushdown=pushdown)
+            assert groups == len({row[0] for row in dataset.rows})
+        assert 0 < seconds[True] < seconds[False]
 
 
 class TestAbPairsArguments:

@@ -45,8 +45,6 @@ def chaos_fabric(speculation=False):
         num_spark=4,
         cost_model=LIGHT_COST_MODEL,
         speculation=speculation,
-        telemetry=True,
-        failover_connect=True,
     )
 
 

@@ -31,11 +31,11 @@ class TestSoakSmoke:
         area = narrowed((100, 101, 102))
         cells = run_cells(area, quiet)
         # one S2V + V2S + agg + wlm + profile + staged-s2v + staged-v2s
-        # + cache + adaptive per seed
+        # + cache + star per seed
         assert len(cells) == 27
         assert [c["params"]["workload"] for c in cells[:9]] == list(TRIALS) == [
             "s2v", "v2s", "agg", "wlm", "profile", "staged-s2v",
-            "staged-v2s", "cache", "adaptive"]
+            "staged-v2s", "cache", "star"]
         bad = [c for c in cells if c["status"] != DONE]
         assert not bad, "\n".join(c["error"] for c in bad)
         # The soak must actually exercise faults and still complete work.

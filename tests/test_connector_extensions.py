@@ -174,13 +174,14 @@ class TestTwoStage:
         """
         d1 = make_d1(real_rows=500)
         volume = d1.virtual_rows * len(d1.schema.fields) * 8  # random doubles
-        staged = Fabric(with_hdfs=True, telemetry=True)
-        staged_time = staged.s2v_save(
-            d1, "ts", 128, transport="staging", staging_fs=staged.hdfs
+        staged = Fabric(with_hdfs=True)
+        staged_time = staged.save(
+            "vertica", d1, "ts", 128, numpartitions=128,
+            transport="staging", staging_fs=staged.hdfs,
         )
         counters = staged.metrics_snapshot().counters
         direct = Fabric()
-        direct_time = direct.s2v_save(d1, "ss", 128)
+        direct_time = direct.save("vertica", d1, "ss", 128, numpartitions=128)
         one_copy = sum(
             node.nics["external"].bytes_received
             for node in direct.vertica.sim_nodes.values()

@@ -151,6 +151,7 @@ class TestValidation:
         fabric = Fabric(num_vertica=2, num_spark=2)
         d1 = make_d1(real_rows=40, num_cols=4)
         with pytest.raises(OptionsError, match="snappy"):
-            fabric.s2v_save(d1, "dest", partitions=4, avro_codec="snappy")
+            fabric.save("vertica", d1, "dest", 4, numpartitions=4,
+                        avro_codec="snappy")
         assert fabric.env.now == 0.0
         assert fabric.vertica.db.catalog.tables == {}  # no temp or status table

@@ -11,7 +11,6 @@ from repro.telemetry import (
     MetricsRegistry,
     NULL_COUNTER,
     NULL_SPAN,
-    NULL_TIMER,
 )
 
 
@@ -30,7 +29,6 @@ class TestDisabledRegistry:
     def test_disabled_instruments_are_shared_nulls(self):
         telemetry.reset()
         assert telemetry.counter("x") is NULL_COUNTER
-        assert telemetry.timer("x") is NULL_TIMER
         assert telemetry.span("x") is NULL_SPAN
 
     def test_null_instruments_are_inert(self):
@@ -87,20 +85,6 @@ class TestInstruments:
         first = telemetry.now()
         second = telemetry.now()
         assert second > first
-
-    def test_timer_records_sim_time(self, registry):
-        env = Environment()
-        registry.bind(env)
-
-        def proc():
-            with telemetry.timer("op"):
-                yield env.timeout(2.5)
-
-        env.process(proc())
-        env.run()
-        hist = registry.histogram("op")
-        assert hist.count == 1
-        assert hist.total == pytest.approx(2.5)
 
 
 class TestSpans:
@@ -223,17 +207,25 @@ class TestSnapshot:
 
 
 class TestFabricIntegration:
-    def test_fabric_telemetry_off_by_default(self):
+    def test_each_fabric_installs_a_fresh_registry(self):
         from repro.bench.fabric import Fabric
 
-        Fabric()
-        assert not telemetry.enabled()
-        telemetry.reset()
+        try:
+            first = Fabric()
+            telemetry.counter("c").inc()
+            assert telemetry.counter("c").value == 1
+            second = Fabric()
+            assert telemetry.enabled()
+            assert telemetry.get_registry().env is second.env
+            assert second.env is not first.env
+            assert telemetry.counter("c").value == 0
+        finally:
+            telemetry.reset()
 
     def test_fabric_installs_bound_registry(self):
         from repro.bench.fabric import Fabric
 
-        fabric = Fabric(telemetry=True)
+        fabric = Fabric()
         try:
             assert telemetry.enabled()
             assert telemetry.get_registry().env is fabric.env
@@ -242,13 +234,14 @@ class TestFabricIntegration:
 
     def test_fabric_snapshot_includes_nic_traces(self):
         from repro.bench.fabric import Fabric
-        from repro.workloads.datasets import make_d1
+        from repro.workloads.datasets import load_direct, make_d1
 
-        fabric = Fabric(telemetry=True)
+        fabric = Fabric()
         try:
             dataset = make_d1(real_rows=500, virtual_rows=500)
-            fabric.populate(dataset, "src")
-            elapsed, rows = fabric.v2s_load("src", 4, dataset.scale)
+            load_direct(fabric.vertica, dataset, "src")
+            elapsed, rows = fabric.load("vertica", "src", dataset.scale,
+                                        numpartitions=4)
             assert rows == 500
             snapshot = fabric.metrics_snapshot(trace_buckets=20)
             assert snapshot.counter("v2s.rows_fetched") == 500
