@@ -13,7 +13,8 @@ claim belong beside it as must-not-move rows).  Per end-to-end metric of
 ``BENCHMARK.json``: both medians with quartiles, the pairs the change won
 (ties count for neither),
 whether the medians are further apart than the parent's inter-quartile
-distance and, for the sim-second metrics, whether every run of both sides
+distance, whether the change's median is within the metric's bound of the
+parent's and, for the sim-second metrics, whether every run of both sides
 printed the same digits.  A run that exits non-zero takes its pair out of
 the table; the exit status is 1, after the table, if one did or any run
 reports a failed op or ``correct: false``.  See docs/BENCH.md.
@@ -39,6 +40,15 @@ def run_once(tree, workload, seed):
     if result["failed"] or not result["correct"]:
         sys.stderr.write(done.stderr)  # which op failed, and its traceback
     return result
+
+
+def within_bound(parent, change, bound, better):
+    """Whether ``change`` is worse than ``parent`` by no more than the
+    fraction ``bound`` (a ``BENCHMARK.json`` end-to-end bound); worse is
+    higher, or lower where ``better`` is ``"higher"``."""
+    if better == "higher":
+        return change >= parent * (1 - bound)
+    return change <= parent * (1 + bound)
 
 
 def seed_list(text):
@@ -95,7 +105,8 @@ def run_pairs(args, workload, seed):
     print(f"{workload}, seed {seed}, {len(pairs)} alternating pairs"
           f"{f', {bad} failed runs' if bad else ''}\n"
           "| metric | parent median [q1, q3] | change median [q1, q3] "
-          "| change/parent | pairs won | > parent IQR | == |\n" + "|---" * 7 + "|")
+          "| change/parent | pairs won | > parent IQR | within bound | == |\n"
+          + "|---" * 8 + "|")
     for metric in spec["end_to_end"] if len(pairs) >= 2 else []:
         name, sign = metric["name"], -1 if metric["better"] == "higher" else 1
         parent, change = ([pair[side]["metrics"][name]["value"] for pair in pairs]
@@ -108,7 +119,9 @@ def run_pairs(args, workload, seed):
         print(f"| {name} | {p2:.6g} [{p1:.6g}, {p3:.6g}] "
               f"| {c2:.6g} [{c1:.6g}, {c3:.6g}] | {c2 / (p2 or math.nan):.3f} "
               f"| {won} won, {lost} lost of {len(pairs)} "
-              f"| {abs(c2 - p2) > p3 - p1} | {same} |")
+              f"| {abs(c2 - p2) > p3 - p1} "
+              f"| {within_bound(p2, c2, metric['bound'], metric['better'])} "
+              f"| {same} |")
     sys.stdout.flush()  # a table is out before the next one starts
     return bad
 

@@ -19,7 +19,11 @@ reproduce the Figure 9 dimensionality effect.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Sequence, Tuple
+import functools
+import math
+from typing import (
+    TYPE_CHECKING, Any, Callable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 if TYPE_CHECKING:
     from repro.vertica.engine import CostReport
@@ -34,6 +38,33 @@ class Charge(NamedTuple):
     #: the contacted node, or a COPY's parse CPU and bytes shipped from it
     nodes: List[Tuple[str, float, float]]
     client_bytes: float
+
+
+#: values from which one C-level pass over a row's types beats the
+#: per-value comprehension (CPython 3.11: even up to 6 values, 12 % cheaper
+#: at 21); a narrower row pays more for its two iterators than it saves,
+#: and a row holding a string pays for both ways
+WIDE_ROW = 8
+
+
+class _Measured(dict):
+    """Wire widths by type; NaN for a string or foreign type (measured)."""
+
+    def __missing__(self, kind: type) -> float:
+        return math.nan
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _fixed_widths(
+    bool_bytes: int, float_bytes: int, int_bytes: int
+) -> Tuple[Callable[[type], Optional[int]], Callable[[type], float]]:
+    """The wire width of each fixed-width type as two lookups by type,
+    built once per set of widths in use: the first gives ``None`` for any
+    other type, the second NaN (so a row's sum is NaN when it holds a
+    string or a foreign type)."""
+    fixed = {type(None): 1, bool: bool_bytes, float: float_bytes,
+             int: int_bytes}
+    return fixed.get, _Measured({**fixed, str: math.nan}).__getitem__
 
 
 class VerticaCostModel:
@@ -99,6 +130,8 @@ class VerticaCostModel:
     # -- wire sizes -----------------------------------------------------------
     def jdbc_value_bytes(self, value: Any) -> int:
         """Textual JDBC wire width of one value (plus field delimiter)."""
+        if isinstance(value, str):
+            return len(value.encode("utf-8")) + 1
         if value is None:
             return 1
         if isinstance(value, bool):
@@ -107,20 +140,22 @@ class VerticaCostModel:
             return self.jdbc_float_bytes
         if isinstance(value, int):
             return self.jdbc_int_bytes
-        if isinstance(value, str):
-            return len(value.encode("utf-8")) + 1
         return 9
 
     def jdbc_row_bytes(self, row: Sequence[Any]) -> int:
         """:meth:`jdbc_value_bytes` summed over one result row.
 
-        The fixed widths are one type-keyed lookup per value; only
-        strings (measured) and foreign types are asked one by one.
+        A wide row's fixed widths are summed in one C-level pass over its
+        values' types; a narrow row, or one holding a string (measured) or
+        a foreign type, is one type-keyed lookup per value, and only its
+        strings and foreign types are asked one by one.
         """
-        fixed = {
-            type(None): 1, bool: self.jdbc_bool_bytes,
-            float: self.jdbc_float_bytes, int: self.jdbc_int_bytes,
-        }.get
+        fixed, or_nan = _fixed_widths(
+            self.jdbc_bool_bytes, self.jdbc_float_bytes, self.jdbc_int_bytes)
+        if len(row) >= WIDE_ROW:
+            total = sum(map(or_nan, map(type, row)))
+            if total == total:  # not NaN: every width was fixed
+                return total
         value_bytes = self.jdbc_value_bytes
         return sum([fixed(type(v)) or value_bytes(v) for v in row])
 
@@ -167,8 +202,10 @@ class VerticaCostModel:
             for counts, knob in ((report.node_rows_scanned, self.scan_cpu_per_row),
                                  (report.node_rows_aggregated, self.agg_cpu_per_row)):
                 cpu += [(node, n * w * knob) for node, n in counts.items()]
-        # textual JDBC bytes, attributed to nodes by their binary output
-        wire = float(sum(self.jdbc_row_bytes(row) for row in rows))
+        # textual JDBC bytes, attributed to nodes by their binary output;
+        # a zero output weight (a staged export) zeroes every term they
+        # enter, so its rows are not sized
+        wire = float(sum(map(self.jdbc_row_bytes, rows))) if w_out else 0.0
         total_binary = sum(report.node_output_bytes.values()) or 1.0
         nodes: List[Tuple[str, float, float]] = []
         for node, binary_bytes in report.node_output_bytes.items():

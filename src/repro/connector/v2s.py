@@ -99,24 +99,33 @@ class VerticaRelation(BaseRelation):
                 )
 
     def _discover_view_schema(self, session) -> StructType:
-        """Infer a view's schema from a one-row sample.
+        """Infer a view's schema from sampled values.
 
-        Views have no catalog column types here, so types come from a
-        sampled row (strings for NULL-only columns) — a documented
-        limitation of the reproduction, not of the design.  The sample
-        is pinned to the current epoch: without ``AT EPOCH`` a writer
-        committing between discovery and the scan could make schema
-        inference observe a row the scan's snapshot never contains.
+        Views have no catalog column types here, so each column is typed
+        by its value in a one-row sample or, where that is NULL, by its
+        first non-NULL value (one more statement per such column; strings
+        for NULL-only columns) — a documented limitation of the
+        reproduction, not of the design.  Every sample is pinned to the
+        current epoch: without ``AT EPOCH`` a writer committing between
+        discovery and the scan could make schema inference observe a row
+        the scan's snapshot never contains.
         """
         from repro.spark.row import StructField
 
         epoch = session.scalar("SELECT current_epoch FROM v_catalog.epochs")
-        sample = session.execute(
-            f"AT EPOCH {epoch} SELECT * FROM {self.opts.table} LIMIT 1"
-        )
+        at = f"AT EPOCH {epoch} SELECT"
+        sample = session.execute(f"{at} * FROM {self.opts.table} LIMIT 1")
         fields = []
         first = sample.rows[0] if sample.rows else [None] * len(sample.columns)
         for name, value in zip(sample.columns, first):
+            # a quoted identifier cannot hold '"', so such a column keeps
+            # its sampled NULL
+            if value is None and sample.rows and '"' not in name:
+                found = session.execute(
+                    f'{at} "{name}" FROM {self.opts.table} '
+                    f'WHERE "{name}" IS NOT NULL LIMIT 1'
+                ).rows
+                value = found[0][0] if found else None
             if isinstance(value, bool):
                 data_type = "boolean"
             elif isinstance(value, int):

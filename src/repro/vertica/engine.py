@@ -40,7 +40,7 @@ from typing import (
 )
 
 from repro import telemetry
-from repro.vertica.batch import ColumnBatch, gather, transpose
+from repro.vertica.batch import ColumnBatch, gather, gather_columns, transpose
 from repro.vertica.errors import CatalogError, SqlError, TypeMismatchError
 from repro.vertica.expr import (
     Between,
@@ -443,7 +443,7 @@ class Engine:
                 return None
             return ColumnBatch(
                 names,
-                [gather(source.columns[slot], rows) for slot in slots],
+                gather_columns([source.columns[slot] for slot in slots], rows),
                 [node] * len(rows),
                 container,
                 rows,
@@ -774,7 +774,7 @@ class Engine:
             node_columns: Sequence[Sequence[Any]] = columns
             node_hashes = hashes
             if len(rows) < count:
-                node_columns = [[values[i] for i in rows] for values in columns]
+                node_columns = gather_columns(columns, rows)
                 node_hashes = [hashes[i] for i in rows]
             txn.wos_for(table.name, node, names).extend(node_columns, node_hashes)
             cost.wrote(node, len(rows))

@@ -206,19 +206,61 @@ class TestFabric:
         assert 0 < seconds[True] < seconds[False]
 
 
+@pytest.fixture(scope="module")
+def ab_pairs():
+    path = os.path.join(REPO, "benchmarks", "ab_pairs.py")
+    spec = importlib.util.spec_from_file_location("ab_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAbPairs:
+    """The must-not-move column: a median may be worse than the parent's
+    by its ``BENCHMARK.json`` bound and no more, in the metric's own
+    direction."""
+
+    @pytest.mark.parametrize("change, within", [
+        (8.0, True), (10.0, True), (12.0, True), (12.01, False), (30.0, False),
+    ])
+    def test_lower_is_better(self, ab_pairs, change, within):
+        assert ab_pairs.within_bound(10.0, change, 0.2, "lower") is within
+
+    @pytest.mark.parametrize("change, within", [
+        (1.0, True), (0.5, True), (0.45, True), (0.449, False), (0.0, False),
+    ])
+    def test_higher_is_better_mirrors_the_bound(self, ab_pairs, change, within):
+        assert ab_pairs.within_bound(0.5, change, 0.1, "higher") is within
+
+    def test_the_table_prints_it_per_metric(self, ab_pairs, monkeypatch, capsys,
+                                            tmp_path):
+        (tmp_path / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "op_ms_norm", "better": "lower", '
+            '"bound": 0.2}, {"name": "hit_rate", "better": "higher", '
+            '"bound": 0.1}]}'
+        )
+
+        def fake_run(tree, workload, seed):
+            parent = tree.name == "parent"
+            return {"failed": 0, "correct": True, "metrics": {
+                "op_ms_norm": {"value": 10.0 if parent else 11.0},
+                "hit_rate": {"value": 0.9 if parent else 0.7}}}
+
+        monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+        ab_pairs.main([str(tmp_path / "parent"), str(tmp_path), "--workload",
+                       "w", "--pairs", "2"])
+        out = capsys.readouterr().out
+        assert "| > parent IQR | within bound | == |" in out
+        cells = [[cell.strip() for cell in line.strip("|").split("|")]
+                 for line in out.splitlines() if line.startswith("| ")]
+        within = {row[0]: row[-2] for row in cells}
+        # 10 % slower is inside 20 %; a hit rate 22 % lower is outside 10 %
+        assert within == {"metric": "within bound", "op_ms_norm": "True",
+                          "hit_rate": "False"}
+
+
 class TestAbPairsArguments:
     """``benchmarks/ab_pairs.py``: one table per seed from one command."""
-
-    @pytest.fixture(scope="class")
-    def ab_pairs(self):
-        import importlib.util
-        import pathlib
-
-        path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks/ab_pairs.py"
-        spec = importlib.util.spec_from_file_location("ab_pairs", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
 
     def test_seed_is_a_comma_separated_list(self, ab_pairs):
         base = ["parent", "change", "--workload", "v2s_load"]
@@ -248,7 +290,8 @@ class TestAbPairsArguments:
     def test_one_table_per_workload_and_seed(self, ab_pairs, monkeypatch, capsys,
                                              tmp_path):
         (tmp_path / "BENCHMARK.json").write_text(
-            '{"end_to_end": [{"name": "op_ms_norm", "better": "lower"}]}'
+            '{"end_to_end": [{"name": "op_ms_norm", "better": "lower", '
+            '"bound": 0.2}]}'
         )
         runs = []
 
@@ -278,7 +321,8 @@ class TestAbPairsArguments:
 
     def test_one_table_per_seed(self, ab_pairs, monkeypatch, capsys, tmp_path):
         (tmp_path / "BENCHMARK.json").write_text(
-            '{"end_to_end": [{"name": "op_ms_norm", "better": "lower"}]}'
+            '{"end_to_end": [{"name": "op_ms_norm", "better": "lower", '
+            '"bound": 0.2}]}'
         )
         runs = []
 

@@ -6,8 +6,11 @@ observable in isolation on the simulated clock.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.connector import SimVerticaCluster, VerticaCostModel
+from repro.connector.costmodel import WIDE_ROW, Charge
 from repro.sim import Environment
 from repro.vertica.engine import CostReport
 
@@ -278,6 +281,96 @@ class TestPrice:
         for (__, seconds, share), rows in zip(charge.nodes, (3, 1)):
             assert seconds == model.load_seconds(rows * 2.0, share, columnar)
 
+
+class PerValue(VerticaCostModel):
+    """The wire rule as written: a row is the sum of its values' widths,
+    and ``price`` sizes every returned row whatever its output weight."""
+
+    def jdbc_row_bytes(self, row):
+        return sum(self.jdbc_value_bytes(value) for value in row)
+
+    def price(self, report, rows, w, w_out):
+        cpu = []
+        if not report.cache_hit:
+            for counts, knob in ((report.node_rows_scanned, self.scan_cpu_per_row),
+                                 (report.node_rows_aggregated, self.agg_cpu_per_row)):
+                cpu += [(node, n * w * knob) for node, n in counts.items()]
+        wire = float(sum(self.jdbc_row_bytes(row) for row in rows))
+        total_binary = sum(report.node_output_bytes.values()) or 1.0
+        nodes = []
+        for node, binary_bytes in report.node_output_bytes.items():
+            share = wire * (binary_bytes / total_binary)
+            seconds = (
+                report.node_rows_output.get(node, 0) * w_out * self.output_cpu_per_row
+                + share * w_out * self.output_cpu_per_byte
+            )
+            nodes.append((node, seconds, share * w_out))
+        return Charge(cpu, nodes, wire * w_out)
+
+
+class Counting(VerticaCostModel):
+    """Counts the rows ``price`` asks to be sized."""
+
+    def jdbc_row_bytes(self, row):
+        self.sized.append(row)
+        return super().jdbc_row_bytes(row)
+
+
+#: every kind of value a result row can hold, and two it should not
+WIRE_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2 ** 70), 2 ** 70),
+    st.floats(allow_nan=True), st.text(), st.sampled_from(("", "\U0001f600x")),
+    st.binary(max_size=8), st.builds(object),
+)
+#: the values whose width is fixed by their type
+FIXED_VALUES = st.sampled_from((None, True, False, 0, -3, 2.5, -0.0))
+NODES = ("n1", "n2", "n3")
+
+
+class TestWireContract:
+    """``jdbc_row_bytes`` is the per-value rule summed, and ``price``
+    charges what sizing every row by that rule charges: it sizes each
+    returned row once when its output weight counts, and none when it is
+    zero (a staged export), with the same ``Charge`` either way."""
+
+    KNOBS = dict(scan_cpu_per_row=2.0, agg_cpu_per_row=3.0,
+                 output_cpu_per_row=5.0, output_cpu_per_byte=7.0,
+                 jdbc_float_bytes=22)
+
+    @given(rows=st.lists(st.one_of(
+               st.lists(WIRE_VALUES, max_size=2 * WIDE_ROW),
+               *(st.lists(values, min_size=WIDE_ROW, max_size=2 * WIDE_ROW)
+                 for values in (FIXED_VALUES, FIXED_VALUES | st.text()))),
+               max_size=5),
+           widths=st.tuples(st.integers(0, 30), st.integers(0, 30),
+                            st.integers(0, 30)))
+    def test_a_row_is_the_sum_of_its_values(self, rows, widths):
+        bool_bytes, float_bytes, int_bytes = widths
+        model = VerticaCostModel(jdbc_bool_bytes=bool_bytes,
+                                 jdbc_float_bytes=float_bytes,
+                                 jdbc_int_bytes=int_bytes)
+        for row in rows:
+            assert model.jdbc_row_bytes(row) == sum(
+                model.jdbc_value_bytes(value) for value in row)
+
+    @given(rows=st.lists(st.lists(WIRE_VALUES, max_size=2 * WIDE_ROW).map(tuple),
+                         max_size=6),
+           scanned=st.dictionaries(st.sampled_from(NODES), st.integers(0, 9)),
+           output=st.dictionaries(st.sampled_from(NODES),
+                                  st.tuples(st.integers(0, 99), st.integers(0, 9))),
+           w=st.sampled_from((0.0, 0.5, 2.0)),
+           w_out=st.sampled_from((0.0, 0.25, 1.0, 3.0)),
+           cache_hit=st.booleans())
+    def test_price_sizes_each_row_once_or_not_at_all(
+            self, rows, scanned, output, w, w_out, cache_hit):
+        cost = report(scanned=scanned.items(), aggregated=scanned.items(),
+                      output=[(n, float(b), r) for n, (b, r) in output.items()])
+        cost.cache_hit = cache_hit
+        model = Counting(**self.KNOBS)
+        model.sized = []
+        charge = model.price(cost, rows, w=w, w_out=w_out)
+        assert charge == PerValue(**self.KNOBS).price(cost, rows, w, w_out)
+        assert model.sized == (rows if w_out else [])
 
 def test_a_result_cache_hit_advances_the_clock_by_no_cpu():
     """Scan and aggregate CPU on one single-core node serialise, so a cold

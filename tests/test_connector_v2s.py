@@ -365,6 +365,35 @@ class TestViewsAndUnsegmented:
         ).load()
         assert sorted(df.collect()) == [(1, "a"), (2, "b"), (3, "a")]
 
+    def test_a_null_first_row_types_a_view_column_by_its_first_value(
+            self, fabric):
+        vc, spark = fabric
+        session = vc.db.connect()
+        session.execute(
+            "CREATE TABLE t (k INTEGER, i INTEGER, f FLOAT, b BOOLEAN, "
+            "s VARCHAR(8), n INTEGER) UNSEGMENTED ALL NODES")
+        session.execute("INSERT INTO t VALUES (1, NULL, NULL, NULL, 'x', NULL)")
+        session.execute(
+            "INSERT INTO t VALUES (2, 5, 2.5, true, 'y', NULL), "
+            "(3, -1, 0.5, false, NULL, NULL), (4, NULL, -3.0, NULL, 'z', NULL)")
+        session.execute("CREATE VIEW v AS SELECT i, f, b, s, n, k FROM t")
+        # the row a one-row sample sees holds the NULLs
+        assert session.execute("SELECT * FROM v LIMIT 1").rows == [
+            (None, None, None, "x", None, 1)]
+        df = spark.read.format("vertica").options(
+            db=vc, table="v", numpartitions=3).load()
+        # an all-NULL column stays a string
+        assert [(f.name, f.data_type) for f in df.schema] == [
+            ("I", "long"), ("F", "double"), ("B", "boolean"), ("S", "string"),
+            ("N", "string"), ("K", "long")]
+        literal = {"long": 0, "double": 1.0, "boolean": False, "string": "y"}
+        rows = df.collect()
+        for field in df.schema:
+            for kind in (EqualTo, GreaterThan, LessThanOrEqual):
+                where = kind(field.name, literal[field.data_type])
+                assert multiset(df.filter(where).collect()) == multiset(
+                    apply_filters([where], df.schema, rows))
+
     def test_unsegmented_table_load(self, fabric):
         vc, spark = fabric
         session = vc.db.connect()
@@ -485,8 +514,8 @@ class TestDataSourceContract:
     @settings(max_examples=4 * settings.default.max_examples, deadline=None)
     def test_pushed_load_equals_spark_side_filters(self, case, partitions,
                                                    segmented):
-        # Filter literals follow the stored types: a view's schema is
-        # sampled from one row, so a NULL-only column reads as a string.
+        # Filter literals follow the stored types: a view's column that is
+        # NULL in every row reads as a string.
         schema, rows, filters, required, view = case
         env = Environment()
         vc = SimVerticaCluster(env=env, num_nodes=4)
