@@ -5,28 +5,26 @@
                                    [--seed N[,N...]] [--pairs 10]
 
 Each tree runs its *own* ``benchmarks/fabricbench/run.py``; which side goes
-first swaps every pair.  ``--seed 11,12`` runs the pairs once per seed and
-``--workload sql_analytic,v2s_load`` once per workload: one table per
-(workload, seed), workloads outermost (a claim needs the seed the change
-was written against and one it never saw, and the workloads it does not
-claim belong beside it as must-not-move rows).  Per end-to-end metric of
-``BENCHMARK.json``: both medians with quartiles, the pairs the change won
-(ties count for neither),
-whether the medians are further apart than the parent's inter-quartile
-distance, whether the change's median is within the metric's bound of the
-parent's and, for the sim-second metrics, whether every run of both sides
-printed the same digits.  A run that exits non-zero takes its pair out of
-the table; the exit status is 1, after the table, if one did or any run
-reports a failed op or ``correct: false``.  See docs/BENCH.md.
+first swaps every pair.  One table per (workload, seed), workloads
+outermost; per end-to-end metric of ``BENCHMARK.json``: both medians with
+quartiles, pairs won and lost, whether the medians are further apart than
+the parent's inter-quartile distance, whether the change is within the
+metric's bound and, for sim seconds, whether every run printed the same
+digits.  A run that exits non-zero takes its pair out of the table, and
+the exit status is then 1, as it is when a run reports a failed op or
+``correct: false``.  See docs/BENCH.md.
 """
 
 import argparse
 import json
 import math
-import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from repro.bench.pairs import (  # noqa: E402
+    alternate, quartiles, sign_test, within_bound)
 
 
 def run_once(tree, workload, seed):
@@ -40,15 +38,6 @@ def run_once(tree, workload, seed):
     if result["failed"] or not result["correct"]:
         sys.stderr.write(done.stderr)  # which op failed, and its traceback
     return result
-
-
-def within_bound(parent, change, bound, better):
-    """Whether ``change`` is worse than ``parent`` by no more than the
-    fraction ``bound`` (a ``BENCHMARK.json`` end-to-end bound); worse is
-    higher, or lower where ``better`` is ``"higher"``."""
-    if better == "higher":
-        return change >= parent * (1 - bound)
-    return change <= parent * (1 + bound)
 
 
 def seed_list(text):
@@ -92,14 +81,15 @@ def run_pairs(args, workload, seed):
     went bad."""
     spec = json.loads((args.change_tree / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent_tree, "change": args.change_tree}
-    pairs = []
-    for number in range(1, args.pairs + 1):
-        pairs.append({})
-        for side in list(sides)[::1 if number % 2 else -1]:
-            run = pairs[-1][side] = run_once(sides[side], workload, seed)
-            took = run["metrics"] and run["metrics"]["op_ms_norm"]["value"]
-            print(f"{workload} seed {seed} pair {number} {side}: "
-                  f"op_ms_norm {took}", file=sys.stderr)
+
+    def measure(side, number):
+        run = run_once(sides[side], workload, seed)
+        took = run["metrics"] and run["metrics"]["op_ms_norm"]["value"]
+        print(f"{workload} seed {seed} pair {number + 1} {side}: "
+              f"op_ms_norm {took}", file=sys.stderr)
+        return run
+
+    pairs = alternate(args.pairs, measure)
     bad = sum(bool(r["failed"]) or not r["correct"] for p in pairs for r in p.values())
     pairs = [pair for pair in pairs if all(r["metrics"] for r in pair.values())]
     print(f"{workload}, seed {seed}, {len(pairs)} alternating pairs"
@@ -111,10 +101,9 @@ def run_pairs(args, workload, seed):
         name, sign = metric["name"], -1 if metric["better"] == "higher" else 1
         parent, change = ([pair[side]["metrics"][name]["value"] for pair in pairs]
                           for side in sides)
-        won = sum(sign * c < sign * p for p, c in zip(parent, change))
-        lost = sum(sign * c > sign * p for p, c in zip(parent, change))
-        p1, p2, p3 = statistics.quantiles(parent, n=4, method="inclusive")
-        c1, c2, c3 = statistics.quantiles(change, n=4, method="inclusive")
+        won, lost = sign_test([sign * p for p in parent],
+                              [sign * c for c in change])
+        (p1, p2, p3), (c1, c2, c3) = quartiles(parent), quartiles(change)
         same = len(set(parent + change)) == 1 if name.startswith("sim_s") else ""
         print(f"| {name} | {p2:.6g} [{p1:.6g}, {p3:.6g}] "
               f"| {c2:.6g} [{c1:.6g}, {c3:.6g}] | {c2 / (p2 or math.nan):.3f} "

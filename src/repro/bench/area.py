@@ -78,10 +78,12 @@ class BenchArea:
     harness itself records "all cells DONE" — so it may index cells
     without guarding.  The runner returns a metrics dict: its
     ``sim_seconds`` is the cell's simulated duration, and its ``wall``, a
-    zero-argument statement, is what the grid times into the
-    ``wall_norm`` metric.  ``paper`` maps a ``cell_id`` to the seconds the
-    paper states for that cell (the report's "paper (s)" column);
-    ``notes`` are printed under the table.
+    zero-argument statement, is what the grid times into the ``wall_ms``
+    metric.  An area whose cells return one says ``wall=True``, and
+    ``grid --pairs`` judges it against the parent tree by default.
+    ``paper`` maps a ``cell_id`` to the seconds the paper states for that
+    cell (the report's "paper (s)" column); ``notes`` are printed under
+    the table.
     """
 
     def __init__(self, name: str, title: str,
@@ -92,7 +94,7 @@ class BenchArea:
                  checks: Optional[Callable[[List[Cell]], Checks]] = None,
                  gate: Optional[Dict[str, Any]] = None,
                  paper: Optional[Mapping[str, float]] = None,
-                 notes: Sequence[str] = ()):
+                 notes: Sequence[str] = (), wall: bool = False):
         self.name = name
         self.title = title
         self.axes = dict(axes)
@@ -104,6 +106,7 @@ class BenchArea:
         self.gate = dict(gate or {})
         self.paper = dict(paper or {})
         self.notes = list(notes)
+        self.wall = wall
 
     def grid(self) -> ParameterGrid:
         return ParameterGrid(self.name, self.axes)
@@ -117,10 +120,6 @@ class BenchArea:
 #: differences (zlib builds deflate to different sizes, and charged bytes
 #: follow) — a cost-model change commits a new baseline instead
 SIM_GATE = {"sim_tolerance": 0.02}
-
-#: the two-sided band every ``wall_norm`` is gated with: calibration takes
-#: out the box's speed, the band absorbs its noise (cache, neighbours)
-WALL_GATE = {"wall_tolerance": 0.25}
 
 
 def keyed(cells: Sequence[Cell], metric: Optional[str] = None) -> Dict[Any, Any]:

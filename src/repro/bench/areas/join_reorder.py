@@ -1,14 +1,14 @@
 """Star joins over stale statistics: reordering, and builds on held rows.
 
 The sim clock cannot see join work yet (ROADMAP item 2), so each cell
-hands its statement to the grid, which times it as ``wall_norm`` and
-bands it against the baseline (``WALL_GATE``); the check is that every
-plan shows its JOIN ORDER, and a wrong count fails the cell.
+hands its statement to the grid, and ``grid --pairs`` judges its wall
+time against the parent tree; the check is that every plan shows its
+JOIN ORDER, and a wrong count fails the cell.
 """
 
 from typing import Dict, Tuple
 
-from repro.bench.area import WALL_GATE, BenchArea, GridCellError
+from repro.bench.area import BenchArea, GridCellError
 from repro.bench.fabric import insert_rows
 from repro.vertica import VerticaDatabase
 
@@ -125,5 +125,5 @@ AREA = BenchArea(
     runner=run_cell,
     config={"num_nodes": 4},
     checks=checks,
-    gate=WALL_GATE,
+    wall=True,
 )

@@ -1,34 +1,26 @@
 """Experiment-grid harness: run, report and gate every benchmark area.
 
-The paper's evidence is a parameter grid — Figures 6-12 sweep partitions
-× cluster size × data scale × transport, Tables 2-4 are two- and
-three-cell grids — so this harness is the one way a paper figure, table
-or ablation is produced.  What an area *is* (its
-:class:`~repro.bench.area.ParameterGrid`, cell runner, shape checks,
-paper values) lives in :mod:`repro.bench.area`; the areas themselves are
-one module each under :mod:`repro.bench.areas`.  This module is the
-machinery that runs them:
+The paper's evidence is a parameter grid (Figures 6-12 sweep partitions
+× cluster size × data scale × transport; Tables 2-4 are small grids), so
+this harness is the one way a paper figure, table or ablation is
+produced.  What an area *is* lives in :mod:`repro.bench.area`, the areas
+in :mod:`repro.bench.areas`; this module runs them:
 
 - :func:`run_area` runs every cell of an area's grid, in order, every
-  time — a cell is a function of its inputs, so a sweep that was cut
-  short or whose code changed is simply run again — and keeps one record
-  per cell (``DONE`` with its sim and wall seconds and metrics, or
-  ``FAILED`` with the exception; a failed cell never stops the sweep);
-- :func:`wall_norm` is the one wall clock: it times the statement a
-  runner returns under ``"wall"``, in calibration-kernel runs;
-- each area emits a schema-versioned ``BENCH_<area>.json`` artifact
-  (:func:`build_artifact`) carrying the cost-model fingerprint plus the
-  cell records, next to the paper-vs-measured ``BENCH_<area>.txt`` table
-  rendered from it (:func:`render_artifact`);
-- :func:`publish_results` writes the cell records into the repro's own
-  Vertica tables (``bench_results``, written via the S2V connector, read
-  back via V2S: the measurement store dogfoods the system under
-  measurement);
-- :func:`compare_artifacts` is the CI perf gate: a fresh artifact is
-  compared against the committed baseline with tolerance bands, and any
-  regression (or stale grid/cost-model fingerprint) fails the job;
+  time (a cell is a function of its inputs), keeps one ``DONE`` or
+  ``FAILED`` record per cell, and writes the schema-versioned
+  ``BENCH_<area>.json`` artifact (:func:`build_artifact`) next to its
+  paper-vs-measured ``BENCH_<area>.txt`` table (:func:`render_artifact`);
+- :func:`publish_results` writes the records into the repro's own
+  Vertica tables via S2V, read back via V2S: the store dogfoods the
+  system under measurement;
+- :func:`compare_artifacts` is the CI perf gate against the committed
+  baseline: fingerprints, the sim band and the checks;
 - :func:`diff_areas` (``--against DIR``) compares two runs cell by cell,
   wall fields aside: the check that a change is neutral;
+- :func:`repro.bench.pairs.judge` (``--pairs TREE``) is the one judge
+  of wall time: every statement a runner returns under ``"wall"``, in
+  alternating pairs against the tree at ``TREE``;
 - ``--update-baselines`` promotes a passing run's artifact to the
   baseline; the baselines' git history is the perf history.
 
@@ -38,20 +30,20 @@ Command line::
     python -m repro.bench.grid fig06 staging    # selected areas
     python -m repro.bench.grid --gate           # compare vs baselines
     python -m repro.bench.grid --against DIR    # same cells as DIR's run?
+    python -m repro.bench.grid --pairs TREE     # wall cells vs TREE's
     python -m repro.bench.grid --list           # show areas and axes
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
-import statistics
 import sys
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.bench import pairs
 from repro.bench.area import DONE, FAILED, BenchArea, Cell, config_fingerprint
 from repro.bench.areas import AREAS
 from repro.bench.fabric import Fabric
@@ -82,73 +74,6 @@ def cost_model_fingerprint(cost_model=PAPER_COST_MODEL) -> str:
     return config_fingerprint(vars(cost_model))
 
 
-# ----------------------------------------------------------------- wall clock
-#: repeats per timed statement; ``wall_norm`` is their lower quartile
-WALL_REPEATS = 15
-#: each repeat runs the statement back to back for at least this long
-WALL_WINDOW_SECONDS = 0.15
-#: the fields that measure this machine, not the cell: never compared
-#: between two runs (``--against``)
-WALL_FIELDS = ("wall_seconds", "wall_norm")
-
-
-def calibration_kernel() -> int:
-    """Fixed work shaped like the engine's: build, filter and gather
-    columns of Python objects, group them in a dict, zip rows.
-
-    ``wall_norm`` is measured in runs of this kernel, so editing it
-    rescales every committed ``wall_norm`` and needs new baselines.
-    """
-    ids = list(range(8_000))
-    values = [i * 0.25 for i in ids]
-    names = [f"n{i % 50}" for i in ids]
-    kept = [i for i in ids if values[i] > 500.0]
-    groups: Dict[str, List[float]] = {}
-    for name, value in zip([names[i] for i in kept],
-                           [values[i] for i in kept]):
-        groups.setdefault(name, []).append(value)
-    rows = list(zip(ids, values, names))
-    return len(rows) + len(groups)
-
-
-def _seconds(fn: Callable[[], Any]) -> float:
-    started = time.perf_counter()
-    fn()
-    return time.perf_counter() - started
-
-
-def wall_norm(statement: Callable[[], Any]) -> float:
-    """One statement's wall time in calibration-kernel runs.
-
-    One warm call, then a second sizes *n*, the executions per repeat
-    that fill :data:`WALL_WINDOW_SECONDS`.  A repeat starts from a
-    collected heap and runs with the cyclic collector off (``timeit``'s
-    convention), and is divided by the mean of two calibration samples
-    (each the faster of two kernel runs) taken just before and after it;
-    the lower quartile of :data:`WALL_REPEATS` ratios drops the repeats
-    something else interrupted.
-    """
-    def sample() -> float:
-        return min(_seconds(calibration_kernel) for __ in range(2))
-
-    def repeat() -> None:
-        for __ in range(n):
-            statement()
-
-    statement()
-    n = int(WALL_WINDOW_SECONDS / max(_seconds(statement), 1e-9)) + 1
-    ratios = []
-    for __ in range(WALL_REPEATS):
-        gc.collect()
-        gc.disable()
-        try:
-            before, elapsed, after = sample(), _seconds(repeat), sample()
-        finally:
-            gc.enable()
-        ratios.append(elapsed / n / ((before + after) / 2))
-    return round(statistics.quantiles(ratios, n=4)[0], 4)
-
-
 # ---------------------------------------------------------------------- cells
 def run_cells(area: BenchArea,
               log: Callable[[str], None] = print) -> List[Cell]:
@@ -156,8 +81,11 @@ def run_cells(area: BenchArea,
 
     A cell that raises is recorded ``FAILED`` with its error and the
     sweep goes on to the next one.  A runner's ``"wall"`` statement is
-    timed here, after the runner returns, and reported as the
-    ``wall_norm`` metric: the runner's own set-up is never timed.
+    timed here, after the runner returns, over one window of
+    :mod:`repro.bench.pairs`' timer, and reported as the ``wall_ms``
+    metric (milliseconds per execution on this machine): the runner's own
+    set-up is never timed.  Only checks within one run read it;
+    ``--pairs`` judges wall time.
     """
     grid = area.grid()
     cells: List[Cell] = []
@@ -170,7 +98,8 @@ def run_cells(area: BenchArea,
             metrics = dict(area.run_cell(dict(params)))
             statement = metrics.pop("wall", None)
             if statement is not None:
-                metrics["wall_norm"] = wall_norm(statement)
+                n = pairs.calls_per_window(statement, pairs.WINDOW_SECONDS)
+                metrics["wall_ms"] = round(1e3 * pairs.seconds(statement, n) / n, 3)
         except Exception as exc:  # noqa: BLE001 - recorded, not hidden
             metrics, error = {}, repr(exc)
         wall = round(time.perf_counter() - started, 4)
@@ -372,11 +301,7 @@ def compare_artifacts(fresh: Dict[str, Any],
     - sim seconds must stay within baseline × (1 ± ``sim_tolerance``):
       a run is a function of its inputs, so any move — slower *or*
       faster — is a cost-model change that has to say so by committing
-      a new baseline;
-    - the ``wall_norm`` metric must stay within baseline × (1 ±
-      ``wall_tolerance``), two-sided for the same reason: an unexplained
-      speed-up is a change the baseline does not describe;
-    - a banded cell may not stop reporting what its band bounds;
+      a new baseline, and a banded cell may not stop reporting them;
     - every check recorded in the fresh artifact must have passed.
     """
     failures: List[str] = []
@@ -401,11 +326,7 @@ def compare_artifacts(fresh: Dict[str, Any],
             f"baseline alongside the cost model"
         )
         return failures
-    gate = baseline.get("gate", {})
-    bands = (("sim time", "sim_tolerance", "s sim",
-              lambda cell: cell.get("sim_seconds")),
-             ("wall_norm", "wall_tolerance", " wall_norm",
-              lambda cell: cell.get("metrics", {}).get("wall_norm")))
+    tolerance = baseline.get("gate", {}).get("sim_tolerance")
     fresh_cells = {c["cell_id"]: c for c in fresh.get("cells", [])}
     for base in baseline.get("cells", []):
         cell_id = base["cell_id"]
@@ -419,24 +340,20 @@ def compare_artifacts(fresh: Dict[str, Any],
                 + (f" ({cell.get('error')})" if cell.get("error") else "")
             )
             continue
-        for name, key, unit, read in bands:
-            tolerance, was, now = gate.get(key), read(base), read(cell)
-            if tolerance is None or not was:
-                continue
-            if now is None:
-                failures.append(
-                    f"{area}: cell {cell_id} stopped reporting {name} "
-                    f"(baseline {was:.3f}{unit})"
-                )
-            elif abs(now - was) > was * tolerance:
-                verdict = ("regressed" if now > was
-                           else "improved without a new baseline")
-                failures.append(
-                    f"{area}: cell {cell_id} {verdict}: {now:.3f}{unit} "
-                    f"vs baseline {was:.3f}{unit} "
-                    f"({100 * (now / was - 1):+.1f}%, band "
-                    f"±{100 * tolerance:.0f}%)"
-                )
+        was, now = base.get("sim_seconds"), cell.get("sim_seconds")
+        if tolerance is None or not was:
+            continue
+        if now is None:
+            failures.append(f"{area}: cell {cell_id} stopped reporting sim "
+                            f"time (baseline {was:.3f}s sim)")
+        elif abs(now - was) > was * tolerance:
+            verdict = ("regressed" if now > was
+                       else "improved without a new baseline")
+            failures.append(
+                f"{area}: cell {cell_id} {verdict}: {now:.3f}s sim "
+                f"vs baseline {was:.3f}s sim ({100 * (now / was - 1):+.1f}%, "
+                f"band ±{100 * tolerance:.0f}%)"
+            )
     for check in fresh.get("checks", []):
         if not check.get("passed"):
             failures.append(
@@ -471,9 +388,11 @@ def gate_areas(area_names: Sequence[str], results_dir: str,
 
 
 def _without_wall(cell: Cell) -> Cell:
+    """A cell without the fields that measure this machine, not the cell:
+    every key, or metric, whose name starts with ``wall``."""
     metrics = {k: v for k, v in cell.get("metrics", {}).items()
-               if k not in WALL_FIELDS}
-    return dict({k: v for k, v in cell.items() if k not in WALL_FIELDS},
+               if not k.startswith("wall")}
+    return dict({k: v for k, v in cell.items() if not k.startswith("wall")},
                 metrics=metrics)
 
 
@@ -482,7 +401,7 @@ def diff_areas(area_names: Sequence[str], results_dir: str, other_dir: str,
     """``--against``: the cells of two result directories that differ.
 
     Every field of a cell (status, params, error, sim seconds, every
-    metric) counts except the :data:`WALL_FIELDS`.  Logs, per area, the
+    metric) counts except its wall fields.  Logs, per area, the
     cells compared and the ids of those that differ; a cell on one side
     only, or a missing artifact, counts as a difference.
     """
@@ -543,6 +462,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="compare existing artifacts with DIR's cell by "
                              "cell, wall fields aside, instead of running; "
                              "exit 1 on any difference")
+    parser.add_argument("--pairs", metavar="TREE",
+                        help="judge every wall cell of the areas named (by "
+                             "default those declared wall=True) against the "
+                             "checkout at TREE in alternating pairs, instead "
+                             "of running; exit 1 on a failed cell")
     parser.add_argument("--no-publish", action="store_true",
                         help="skip publishing the cell records into the "
                              "dogfood Vertica results table")
@@ -574,6 +498,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.against:
         return 1 if diff_areas(selected, args.results_dir, args.against) else 0
+
+    if args.pairs:
+        return pairs.judge(args.pairs, args.areas or [
+            name for name in selected if AREAS[name].wall])
 
     cells_by_area: Dict[str, List[Cell]] = {}
     bad = False

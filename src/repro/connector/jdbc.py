@@ -74,7 +74,6 @@ class SimVerticaConnection:
         self.session = session
         self.node_name = node_name
         self.client_node = client_node
-        self.weight = 1.0
         self._connected = False
         self._severed = False
         #: per-connection salt decorrelating retry backoff across tasks
@@ -133,7 +132,7 @@ class SimVerticaConnection:
         few output rows ship at real weight while the scan they
         aggregate is still charged at the virtual scale.
         """
-        w = self.weight if weight is None else weight
+        w = 1.0 if weight is None else weight
         w_out = w if output_weight is None else output_weight
         model = self.cost_model
         env = self.env

@@ -47,9 +47,6 @@ class RDD:
             self, lambda split, rows: [o for r in rows for o in fn(r)]
         )
 
-    def map_partitions(self, fn: Callable[[List[Any]], Iterable[Any]]) -> "RDD":
-        return MapPartitionsRDD(self, lambda split, rows: list(fn(rows)))
-
     def map_partitions_with_index(
         self, fn: Callable[[int, List[Any]], Iterable[Any]]
     ) -> "RDD":
@@ -107,9 +104,6 @@ class RDD:
 
     def collect_partitions(self) -> List[List[Any]]:
         return self.context.run_job(self)
-
-    def glom(self) -> List[List[Any]]:
-        return self.collect_partitions()
 
     def cache(self) -> "RDD":
         """Persist computed partitions (like ``RDD.cache()``).

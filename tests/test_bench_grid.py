@@ -16,8 +16,8 @@ import re
 
 import pytest
 
-from repro.bench import grid
-from repro.bench.area import SIM_GATE, WALL_GATE, GridError, ParameterGrid
+from repro.bench import pairs
+from repro.bench.area import SIM_GATE, GridError, ParameterGrid
 from repro.bench.grid import (
     AREAS,
     DONE,
@@ -26,7 +26,6 @@ from repro.bench.grid import (
     BenchArea,
     artifact_path,
     build_artifact,
-    calibration_kernel,
     compare_artifacts,
     cost_model_fingerprint,
     diff_areas,
@@ -141,9 +140,8 @@ class TestRunArea:
 
 @pytest.fixture
 def quick_wall(monkeypatch):
-    """Three short repeats: the timer's logic, not its precision."""
-    monkeypatch.setattr(grid, "WALL_REPEATS", 3)
-    monkeypatch.setattr(grid, "WALL_WINDOW_SECONDS", 0.005)
+    """A short window: the timer's logic, not its precision."""
+    monkeypatch.setattr(pairs, "WINDOW_SECONDS", 0.005)
 
 
 class TestWallClock:
@@ -161,16 +159,10 @@ class TestWallClock:
                          runner=lambda params, config: runner(params))
         [cell] = run_cells(area, quiet)
         assert calls["setup"] == 1
-        # a warm call, a sizing call, then three repeats of n calls each
-        assert calls["statement"] >= 5
-        assert set(cell["metrics"]) == {"wall_norm"}
-        assert cell["sim_seconds"] is None and cell["metrics"]["wall_norm"] >= 0
-
-    def test_wall_norm_is_in_calibration_kernel_runs(self, quick_wall):
-        # the kernel timed against itself reads about one kernel run, not
-        # milliseconds or seconds; the bounds leave room for a noisy box
-        norm = grid.wall_norm(calibration_kernel)
-        assert 0.25 < norm < 4.0, norm
+        # a warm call, a sizing call, then one window of n calls
+        assert calls["statement"] >= 3
+        assert set(cell["metrics"]) == {"wall_ms"}
+        assert cell["sim_seconds"] is None and cell["metrics"]["wall_ms"] >= 0
 
     def test_a_raising_statement_fails_the_cell(self, quick_wall):
         def statement():
@@ -272,32 +264,6 @@ class TestGate:
         # an unbanded area (wall-clock only) never had a sim time to lose
         baseline["gate"] = {}
         assert compare_artifacts(fresh, baseline) == []
-
-    def test_the_wall_band_is_two_sided_and_a_quarter(self):
-        """``wall_norm`` is banded like sim time: a slow-down or an
-        unexplained speed-up beyond 25 % fails until a baseline says so."""
-        assert WALL_GATE == {"wall_tolerance": 0.25}
-        baseline = tiny_artifact()
-        baseline["gate"] = dict(WALL_GATE)
-        for cell in baseline["cells"]:
-            cell["metrics"]["wall_norm"] = 2.0
-        fresh = copy.deepcopy(baseline)
-        for factor, verdict in ((1.3, "regressed"),
-                                (0.7, "improved without a new baseline")):
-            fresh["cells"][4]["metrics"]["wall_norm"] = 2.0 * factor
-            failures = compare_artifacts(fresh, baseline)
-            assert len(failures) == 1 and verdict in failures[0], failures
-            assert "direction=s2v,partitions=4" in failures[0]
-        for factor in (1.2, 0.8):
-            fresh["cells"][4]["metrics"]["wall_norm"] = 2.0 * factor
-            assert compare_artifacts(fresh, baseline) == []
-        # sim seconds are not banded by this gate, however far they move
-        fresh["cells"][4]["sim_seconds"] *= 3
-        assert compare_artifacts(fresh, baseline) == []
-        del fresh["cells"][4]["metrics"]["wall_norm"]
-        failures = compare_artifacts(fresh, baseline)
-        assert len(failures) == 1
-        assert "stopped reporting wall_norm" in failures[0]
 
     def test_unfinished_or_missing_cells_fail(self):
         baseline = tiny_artifact()
@@ -460,7 +426,7 @@ class TestAgainst:
         def edit(cells):
             for cell in cells:
                 cell["wall_seconds"] += 1.0
-                cell["metrics"]["wall_norm"] = 9.9
+                cell["metrics"]["wall_ms"] = 9.9
 
         assert self.two_runs(tmp_path, edit)[0] == 0
 
