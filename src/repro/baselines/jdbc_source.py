@@ -202,7 +202,7 @@ class JdbcDefaultSource(RelationProvider, CreatableRelationProvider):
                         )
                         ctx.probe("jdbc:before_insert_batch")
                         result = yield from connection.execute(
-                            f"INSERT INTO {table} VALUES {values}", weight=scale
+                            f"INSERT INTO {table} VALUES {values}"
                         )
                         # Each batch is a separate round trip; at virtual
                         # scale every real row stands for `scale` statements'

@@ -318,9 +318,7 @@ def _start_explain_profile(select: str, name: str) -> Callable:
             with fabric.vertica.connect(
                 client_node=fabric.spark.workers[0]
             ) as connection:
-                plan = yield from connection.execute(
-                    "EXPLAIN " + select, weight=SCALE
-                )
+                plan = yield from connection.execute("EXPLAIN " + select)
                 run.plan = [row[0] for row in plan.rows]
                 run.profiled = yield from connection.execute(
                     "PROFILE " + select, weight=SCALE
@@ -377,13 +375,10 @@ def _audit_profile(run, checker, raised, report) -> None:
 
 #: the star-join trial's schema: fact stats are deliberately stale
 #: (ANALYZEd at STAR_ANALYZED rows, then grown 15x), so the join order is
-#: chosen on estimates the rows then contradict.  The table names keep an
-#: older prefix because renaming them changes cells: a severed statement's
-#: text is part of the ``outcome``, and the EXPLAIN / PROFILE output that
-#: names the tables is charged by its bytes, which moves when faults land.
-STAR_FACT = "chaos_adaptive_fact"
-STAR_DIM_A = "chaos_adaptive_da"
-STAR_DIM_B = "chaos_adaptive_db"
+#: chosen on estimates the rows then contradict.
+STAR_FACT = "chaos_star_fact"
+STAR_DIM_A = "chaos_star_da"
+STAR_DIM_B = "chaos_star_db"
 STAR_FACT_ROWS = 360
 STAR_ANALYZED = 24
 #: sized above the stale intermediate estimate (~15 rows) but below its

@@ -46,7 +46,7 @@ def _zipf_ops(fabric: Fabric, client: int, ops: int, cdf: List[float],
                     conn.execute,
                     f"SELECT COUNT(*), SUM(v) FROM {ZIPF_TABLE} "
                     f"WHERE grp = {grp}",
-                    weight=ZIPF_READ_WEIGHT, output_weight=1.0,
+                    weight=ZIPF_READ_WEIGHT,
                 )
             else:
                 row_id = next(row_ids)

@@ -90,7 +90,7 @@ def _tenant_ops(fabric: Fabric, stats: ClientStats, ops: int) -> Iterator[Op]:
             result = yield from conn.execute(
                 f"SELECT PMMLPredict(v USING PARAMETERS "
                 f"model_name='{MODEL_NAME}') FROM {SOURCE}",
-                weight=SCALE, output_weight=1.0,
+                weight=SCALE,
             )
             stats.queue_wait += result.cost.queue_wait_seconds
 

@@ -388,12 +388,18 @@ def gate_areas(area_names: Sequence[str], results_dir: str,
 
 
 def _without_wall(cell: Cell) -> Cell:
-    """A cell without the fields that measure this machine, not the cell:
-    every key, or metric, whose name starts with ``wall``."""
-    metrics = {k: v for k, v in cell.get("metrics", {}).items()
-               if not k.startswith("wall")}
-    return dict({k: v for k, v in cell.items() if not k.startswith("wall")},
-                metrics=metrics)
+    """A cell's fields, each metric as ``metrics.<name>``, without those
+    that measure this machine, not the cell: every one named ``wall…``."""
+    fields = dict(cell, **{f"metrics.{k}": v
+                           for k, v in cell.get("metrics", {}).items()})
+    return {k: v for k, v in fields.items() if k != "metrics"
+            and not k.removeprefix("metrics.").startswith("wall")}
+
+
+def _changes(old: Cell, new: Cell) -> List[str]:
+    """``field: old → new`` per differing field (``None``: a side lacks it)."""
+    return [f"{k}: {old.get(k)!r} → {new.get(k)!r}"
+            for k in dict.fromkeys([*old, *new]) if old.get(k) != new.get(k)]
 
 
 def diff_areas(area_names: Sequence[str], results_dir: str, other_dir: str,
@@ -401,9 +407,9 @@ def diff_areas(area_names: Sequence[str], results_dir: str, other_dir: str,
     """``--against``: the cells of two result directories that differ.
 
     Every field of a cell (status, params, error, sim seconds, every
-    metric) counts except its wall fields.  Logs, per area, the
-    cells compared and the ids of those that differ; a cell on one side
-    only, or a missing artifact, counts as a difference.
+    metric) counts except its wall fields.  Logs, per area, the cells
+    compared and each differing cell's id and fields, ``other_dir``'s
+    value first; a cell on one side only, or a missing artifact, counts.
     """
     differing = 0
     for name in area_names:
@@ -416,12 +422,12 @@ def diff_areas(area_names: Sequence[str], results_dir: str, other_dir: str,
         ours, theirs = ({cell["cell_id"]: _without_wall(cell)
                          for cell in load_artifact(path)["cells"]}
                         for path in paths)
-        ids = list(ours) + [cell_id for cell_id in theirs
-                            if cell_id not in ours]
-        differ = [cell_id for cell_id in ids
-                  if ours.get(cell_id) != theirs.get(cell_id)]
-        log(f"[against] {name}: {len(ids)} cells compared, "
-            f"{len(differ)} differ" + "".join(f"\n  {d}" for d in differ))
+        ids = dict.fromkeys([*ours, *theirs])
+        differ = {i: changes for i in ids
+                  if (changes := _changes(theirs.get(i, {}), ours.get(i, {})))}
+        log(f"[against] {name}: {len(ids)} cells compared, {len(differ)} "
+            "differ" + "".join(f"\n  {i}" + "".join(f"\n    {c}" for c in cs)
+                               for i, cs in differ.items()))
         differing += len(differ)
     return differing
 

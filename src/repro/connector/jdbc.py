@@ -25,6 +25,7 @@ from typing import Callable, Generator, Optional, Union
 
 from repro import telemetry
 from repro.sim.cluster import SimNode
+from repro.vertica.catalog import SYSTEM_TABLES
 from repro.vertica.engine import ResultSet
 from repro.vertica.errors import LockContention, RetriesExhausted, VerticaError
 from repro.vertica.hashring import vertica_hash
@@ -38,6 +39,20 @@ PLANNED_NODES = (
     ast.Select, ast.InsertValues, ast.InsertSelect, ast.Update, ast.Delete,
     ast.CopyStatement, ast.Profile,
 )
+
+
+def shipped_weight(statement: ast.Statement, weight: float) -> float:
+    """The scale ``statement``'s result ships at: ``weight`` for data, the
+    rows a SELECT (alone or in INSERT … SELECT) reads from a table or view
+    without aggregating; else 1 — an aggregate or GROUP BY, a SELECT
+    without FROM, a system table, EXPLAIN's plan, PROFILE's report."""
+    query = statement.query if isinstance(statement, ast.InsertSelect) else statement
+    data = (isinstance(query, ast.Select) and not query.group_by
+            and not any(item.aggregate for item in query.items)
+            and any(name.upper() not in SYSTEM_TABLES for name in query.relations))
+    return weight if data else 1.0
+
+
 #: attempts before a lock-retry loop gives up (on the job, for S2V's
 #: task-side loops)
 MAX_LOCK_RETRIES = 50
@@ -118,22 +133,15 @@ class SimVerticaConnection:
         self,
         sql: str,
         copy_data: Union[bytes, str, None] = None,
-        weight: Optional[float] = None,
+        weight: float = 1.0,
         output_weight: Optional[float] = None,
     ) -> Generator:
         """Generator: run one statement, charging simulated time.
 
         Use as ``result = yield from conn.execute(...)`` inside a task.
-
-        ``output_weight`` scales the result-side charges (marshal CPU and
-        wire bytes) independently of ``weight`` (which scales the
-        input-side scan/aggregate work).  Aggregate queries use this:
-        group cardinality does not grow with virtual volume, so their
-        few output rows ship at real weight while the scan they
-        aggregate is still charged at the virtual scale.
+        ``output_weight``, when given, replaces :func:`shipped_weight` as
+        the scale of the result-side charges (marshal CPU and wire bytes).
         """
-        w = 1.0 if weight is None else weight
-        w_out = w if output_weight is None else output_weight
         model = self.cost_model
         env = self.env
         contact = self.cluster.sim_nodes[self.node_name]
@@ -174,9 +182,11 @@ class SimVerticaConnection:
                 result.cost.queue_wait_seconds += ticket.queue_wait
                 result.cost.resource_pool = ticket.pool_name
             if isinstance(statement, ast.CopyStatement):
-                yield from self._charge_copy(result, copy_data, w, statement)
+                yield from self._charge_copy(result, copy_data, weight, statement)
             else:
-                yield from self._charge_query(result, w, w_out)
+                w_out = (shipped_weight(statement, weight) if output_weight is None
+                         else output_weight)
+                yield from self._charge_query(result, weight, w_out)
             if chaos is not None:
                 chaos.on_statement(self, statement, sql, point="after")
         finally:
@@ -237,13 +247,12 @@ class SimVerticaConnection:
     def execute_with_retry(
         self,
         sql: str,
-        weight: Optional[float] = None,
         max_retries: int = MAX_LOCK_RETRIES,
         backoff: float = 0.01,
     ) -> Generator:
         """One statement through :meth:`retry_on_contention`."""
         return self.retry_on_contention(
-            lambda: self.execute(sql, weight=weight), sql, max_retries, backoff
+            lambda: self.execute(sql), sql, max_retries, backoff
         )
 
     # -- cost charging ------------------------------------------------------------

@@ -344,16 +344,13 @@ class VerticaRelation(BaseRelation):
         pushed = filters_to_sql(filters)
         where = f" WHERE {pushed}" if pushed else ""
         sql = f"AT EPOCH {epoch} SELECT COUNT(*) FROM {self.opts.table}{where}"
-        relation = self
 
         def thunk(ctx) -> Generator:
-            with relation.cluster.connect(
-                relation.opts.host, ctx.node,
-                resource_pool=relation.opts.resource_pool,
+            with self.cluster.connect(
+                self.opts.host, ctx.node, resource_pool=self.opts.resource_pool,
             ) as connection:
                 result = yield from connection.execute(
-                    sql, weight=relation.opts.scale_factor, output_weight=1.0
-                )
+                    sql, weight=self.opts.scale_factor)
                 return result.scalar()
 
         return self.spark.run_thunks([thunk], name=f"count:{self.opts.table}")[0]
@@ -370,8 +367,6 @@ class _HashRangeRDD(RDD):
 
     #: telemetry span around each range's query
     span = ""
-    #: weight of the result-side charges; ``None`` = the scan's own weight
-    output_weight: Optional[float] = None
 
     def __init__(
         self,
@@ -401,9 +396,7 @@ class _HashRangeRDD(RDD):
                 sql = self.range_sql(lo, hi)
                 with telemetry.span(self.span, task=split, node=node):
                     result = yield from connection.execute(
-                        sql,
-                        weight=relation.opts.scale_factor,
-                        output_weight=self.output_weight,
+                        sql, weight=relation.opts.scale_factor
                     )
                 self.observe(result)
                 rows.extend(result.rows)
@@ -524,9 +517,6 @@ class VerticaAggregateScanRDD(_HashRangeRDD):
     """
 
     span = "v2s.agg_query"
-    #: input-side work scales with virtual volume; the few partial group
-    #: rows do not (cardinality is fixed), so they ship at real weight
-    output_weight = 1.0
 
     def __init__(
         self,

@@ -419,8 +419,34 @@ class TestAgainst:
 
         differing, lines = self.two_runs(tmp_path, edit)
         assert differing == 1
+        rows_out = tiny_artifact()["cells"][4]["metrics"]["rows_out"]
         assert lines == ["[against] tiny: 6 cells compared, 1 differ\n"
-                         "  direction=s2v,partitions=4"]
+                         "  direction=s2v,partitions=4\n"
+                         f"    metrics.rows_out: {rows_out + 1!r} → {rows_out!r}"]
+
+    def test_each_differing_field_is_printed_old_to_new(self, tmp_path):
+        def edit(cells):
+            cells[0]["status"] = FAILED
+            cells[0]["sim_seconds"] = 0.5
+            del cells[0]["metrics"]["rows_out"]
+            del cells[5]
+
+        differing, lines = self.two_runs(tmp_path, edit)
+        cells = tiny_artifact()["cells"]
+        first, last = cells[0], cells[5]
+        assert differing == 2
+        assert lines == [
+            "[against] tiny: 6 cells compared, 2 differ\n"
+            f"  {first['cell_id']}\n"
+            f"    sim_seconds: 0.5 → {first['sim_seconds']!r}\n"
+            f"    status: {FAILED!r} → {first['status']!r}\n"
+            f"    metrics.rows_out: None → {first['metrics']['rows_out']!r}\n"
+            f"  {last['cell_id']}\n"
+            f"    cell_id: None → {last['cell_id']!r}\n"
+            f"    params: None → {last['params']!r}\n"
+            f"    sim_seconds: None → {last['sim_seconds']!r}\n"
+            f"    status: None → {last['status']!r}\n"
+            f"    metrics.rows_out: None → {last['metrics']['rows_out']!r}"]
 
     def test_a_difference_in_wall_fields_only_passes(self, tmp_path):
         def edit(cells):

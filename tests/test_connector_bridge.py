@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.connector import SimVerticaCluster, VerticaCostModel
-from repro.connector.costmodel import WIDE_ROW, Charge
+from repro.connector.costmodel import PAPER_COST_MODEL, WIDE_ROW, Charge
 from repro.sim import Environment
 from repro.vertica.engine import CostReport
 
@@ -201,6 +201,68 @@ class TestDataCharges:
         count = run(env, driver())
         assert count == 1
         assert env.now >= 1.0  # had to wait for the lock holder
+
+
+class TestShippedWeight:
+    """A result ships at its statement's weight only when it is data: the
+    rows a SELECT reads from a table without aggregating.  Group rows,
+    EXPLAIN's plan, PROFILE's report, a FROM-less SELECT and a system
+    table have the size the statement gives them, at any weight."""
+
+    WEIGHT = 50.0
+
+    def client_bytes(self, sql, weight, output_weight=None):
+        """External-NIC bytes one statement ships to a client."""
+        env = Environment()
+        cluster = SimVerticaCluster(
+            env=env, num_nodes=2, cost_model=PAPER_COST_MODEL
+        )
+        client = cluster.sim_cluster.add_node(
+            "client", nics={PAPER_COST_MODEL.external_nic: 125e6}
+        )
+        session = cluster.db.connect()
+        session.execute(
+            "CREATE TABLE t (g INTEGER, a INTEGER) SEGMENTED BY HASH(a) ALL NODES"
+        )
+        session.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({i % 3}, {i})" for i in range(40)))
+        session.close()
+
+        def driver():
+            with cluster.connect(client_node=client) as conn:
+                yield from conn.execute(
+                    sql, weight=weight, output_weight=output_weight
+                )
+
+        run(env, driver())
+        return cluster.external_bytes()
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT COUNT(*) FROM t",
+        "SELECT g, SUM(a) FROM t GROUP BY g",
+        "EXPLAIN SELECT a FROM t",
+        "PROFILE SELECT a FROM t",
+        "SELECT 1",
+        "SELECT node_name FROM v_catalog.nodes",
+    ])
+    def test_a_result_that_is_not_data_ships_at_one(self, sql):
+        shipped = self.client_bytes(sql, 1.0)
+        assert shipped > 0
+        assert self.client_bytes(sql, self.WEIGHT) == shipped
+
+    def test_a_scan_ships_at_its_weight(self):
+        shipped = self.client_bytes("SELECT a FROM t", 1.0)
+        assert shipped > 0
+        assert self.client_bytes("SELECT a FROM t", self.WEIGHT) == (
+            pytest.approx(self.WEIGHT * shipped))
+
+    def test_an_explicit_output_weight_overrides_the_rule(self):
+        count = "SELECT COUNT(*) FROM t"
+        assert self.client_bytes(count, self.WEIGHT, output_weight=3.0) == (
+            pytest.approx(3.0 * self.client_bytes(count, 1.0)))
+        scan = "SELECT a FROM t"
+        assert self.client_bytes(scan, self.WEIGHT, output_weight=1.0) == (
+            self.client_bytes(scan, 1.0))
 
 
 def report(scanned=(), aggregated=(), output=(), written=()):

@@ -64,6 +64,21 @@ def test_core_packages_import_neither_baselines_nor_bench():
     assert offenders == []
 
 
+def test_a_result_is_sized_by_the_bridge_alone():
+    """The scale a result ships at is read off its statement by one rule,
+    ``jdbc.shipped_weight``; the staged export's ``output_weight=0.0`` —
+    its rows leave as file bytes, not as a result stream — is the one
+    call that overrides it.  Callers that chose their own output weight
+    disagreed: EXPLAIN and PROFILE text shipped as if it were data."""
+    callers = [
+        name
+        for name, tree in modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.keyword) and node.arg == "output_weight"
+    ]
+    assert callers == ["repro/connector/v2s.py"]
+
+
 #: the session that holds the settings and the one engine entry that reads them
 SETTINGS_IMPORTERS = {"repro/vertica/session.py", "repro/vertica/engine.py"}
 
