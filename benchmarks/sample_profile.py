@@ -15,12 +15,16 @@ call pays a hook, unlike under cProfile (docs/BENCH.md).
 set-up, prints the bytes still traced after each round (after
 ``gc.collect()``), then the ``--top`` allocation sites whose memory was
 retained since set-up, grouped by traceback.  Memory that grows round
-after round is state one round leaves to the next.
+after round is state one round leaves to the next.  Each line also
+prints the peak RSS so far (``ru_maxrss``, as fabricbench's
+``peak_rss_mb`` reads it): tracemalloc cannot see allocator slack, and
+from the first round on that figure includes tracemalloc's own books.
 """
 
 import argparse
 import collections
 import gc
+import resource
 import signal
 import sys
 import tracemalloc
@@ -72,6 +76,11 @@ class Sampler:
         return "\n".join(lines)
 
 
+def peak_rss_mb():
+    """The process's peak resident set so far, as fabricbench reads it."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def memory_report(run_round, rounds, top=15):
     """Run ``rounds`` rounds under ``tracemalloc``; returns the report."""
     gc.collect()
@@ -83,7 +92,8 @@ def memory_report(run_round, rounds, top=15):
         gc.collect()
         traced, peak = tracemalloc.get_traced_memory()
         lines.append(f"round {number}: {traced / 1e6:.2f} MB traced "
-                     f"(peak {peak / 1e6:.2f} MB)")
+                     f"(peak {peak / 1e6:.2f} MB), "
+                     f"peak RSS {peak_rss_mb():.2f} MB")
     end = tracemalloc.take_snapshot()
     tracemalloc.stop()
     ignore = [tracemalloc.Filter(False, tracemalloc.__file__)]
@@ -131,6 +141,7 @@ def main(argv=None):
                 op.run()
 
     if args.memory:
+        print(f"set-up: peak RSS {peak_rss_mb():.2f} MB")
         print(memory_report(run_round, args.rounds, args.top))
         return
     with Sampler() as sampler:

@@ -30,6 +30,11 @@ class BoundedLru:
         self._entries.move_to_end(key)
         return entry[0]
 
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """The value under ``key``, leaving LRU order alone; or None."""
+        entry = self._entries.get(key)
+        return None if entry is None else entry[0]
+
     def put(self, key: Hashable, value: Any, weight: float = 1) -> int:
         """Insert (or replace) as most recently used; returns evictions."""
         self.pop(key)

@@ -1,11 +1,20 @@
 """The server-side query result cache.
 
-Completed SELECT results are stored under ``(statement digest, snapshot
-epoch, catalog version)``.  Epochs only move forward, so a cached entry
-can never be served to a reader at a different snapshot — invalidation
-is free and exactness is structural, not advisory.  The catalog version
-covers the one mutation class that does *not* advance an epoch (DDL,
-TRUNCATE, ANALYZE).
+A completed SELECT is stored under its canonical statement together
+with the snapshot it read: (snapshot epoch, catalog version).  The cache
+holds one entry per statement, the newest snapshot's answer stored for
+it, and a lookup hits only when the reader's snapshot equals that
+entry's.  Epochs only move forward and every write moves one, so each
+store at the current snapshot replaces an answer no new reader asks for
+again: invalidation is free and exactness is structural, not advisory.
+The catalog version covers the one mutation class that does *not*
+advance an epoch (DDL, TRUNCATE, ANALYZE); every reader reads at the
+current version, so "newest" orders by version first, then epoch.  A
+reader pinned to an older snapshot (a transaction that read before a
+later write) hits its answer only until a newer snapshot's answer is
+stored, and its own store never displaces a newer entry.  ``AT EPOCH n``
+is part of a statement's canonical text, so a statement pinned that way
+is an entry of its own.
 
 The cache is bounded by a byte budget with LRU eviction and can be
 charged into a WLM pool's memory ledger through a
@@ -46,20 +55,29 @@ class MemoryAccount:
 
 
 class CachedResult:
-    """One memoised SELECT: columns, rows, and its cost report (a copy no
-    statement charges; a hit adds it into its own report)."""
+    """One memoised SELECT: columns, rows, its cost report (a copy no
+    statement charges; a hit adds it into its own report) and the
+    snapshot it read, as ``(catalog version, epoch)`` so that a newer
+    snapshot compares greater."""
 
-    __slots__ = ("columns", "rows", "cost", "nbytes")
+    __slots__ = ("columns", "rows", "cost", "nbytes", "snapshot")
 
-    def __init__(self, columns: List[str], rows: List[Tuple[Any, ...]], cost: Any):
+    def __init__(
+        self,
+        columns: List[str],
+        rows: List[Tuple[Any, ...]],
+        cost: Any,
+        snapshot: Tuple[int, int],
+    ):
         self.columns = list(columns)
         self.rows = list(rows)
         self.cost = cost
         self.nbytes = rows_nbytes(self.rows) + rows_nbytes([tuple(self.columns)])
+        self.snapshot = snapshot
 
 
 class ResultCache:
-    """Byte-bounded LRU of completed SELECT results, epoch-keyed."""
+    """Byte-bounded LRU of completed SELECT results, one per statement."""
 
     def __init__(
         self,
@@ -107,10 +125,13 @@ class ResultCache:
     def lookup(
         self, digest: str, epoch: int, catalog_version: int
     ) -> Optional[CachedResult]:
-        entry = self._entries.get((digest, epoch, catalog_version))
-        if entry is None:
+        """The answer read at exactly this snapshot, now the most recently
+        used entry; or None (a miss leaves LRU order alone)."""
+        entry = self._entries.peek(digest)
+        if entry is None or entry.snapshot != (catalog_version, epoch):
             telemetry.counter(f"{self.name}.misses").inc()
             return None
+        self._entries.get(digest)
         telemetry.counter(f"{self.name}.hits").inc()
         return entry
 
@@ -124,11 +145,16 @@ class ResultCache:
         cost: Any,
     ) -> bool:
         """Memoise one completed SELECT with ``cost``, a copy of its report
-        that no statement charges; False when it cannot be held."""
-        key = (digest, epoch, catalog_version)
+        that no statement charges, in place of the statement's older entry;
+        False when it is not held (it cannot be, or a newer snapshot's
+        answer is)."""
         entries = self._entries
-        entries.pop(key)
-        entry = CachedResult(columns, rows, cost)
+        snapshot = (catalog_version, epoch)
+        held = entries.peek(digest)
+        if held is not None and held.snapshot > snapshot:
+            return False
+        entries.pop(digest)
+        entry = CachedResult(columns, rows, cost, snapshot)
         fits = entry.nbytes <= self.budget_bytes
         if fits:
             evicted = entries.make_room(entry.nbytes)
@@ -143,7 +169,7 @@ class ResultCache:
             if evicted:
                 telemetry.counter(f"{self.name}.evictions").inc(evicted)
         if fits:
-            entries.put(key, entry, entry.nbytes)
+            entries.put(digest, entry, entry.nbytes)
             telemetry.counter(f"{self.name}.stores").inc()
         else:
             telemetry.counter(f"{self.name}.rejected").inc()
@@ -170,5 +196,9 @@ class ResultCache:
         return len(self._entries)
 
     def __contains__(self, key: CacheKey) -> bool:
-        return key in self._entries
+        """Whether ``(digest, epoch, catalog version)`` would hit; LRU
+        order and counters are left alone."""
+        digest, epoch, catalog_version = key
+        entry = self._entries.peek(digest)
+        return entry is not None and entry.snapshot == (catalog_version, epoch)
 

@@ -21,7 +21,7 @@ interleavings while keeping each one replayable.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 #: fault families :meth:`ChaosSchedule.random` can draw from by default.
 #: ``pool_storm`` is deliberately NOT in this tuple: adding it would shift

@@ -20,7 +20,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import Environment, Event, SimulationError
-from repro.sim.trace import append_bounded
+from repro.sim.trace import ChangeLog
 
 _EPS = 1e-9
 
@@ -40,8 +40,8 @@ class Link:
         #: total bytes that have crossed this link
         self.bytes_total = 0.0
         #: piecewise-constant (time, aggregate rate) samples for tracing;
-        #: bounded by :func:`repro.sim.trace.append_bounded`
-        self.rate_log: List[Tuple[float, float]] = [(env.now, 0.0)]
+        #: a rate within ``_EPS`` of the last one is not a change
+        self.rate_log = ChangeLog(env.now, 0.0, eps=_EPS)
 
     def __repr__(self) -> str:
         return f"Link({self.name!r}, {self.capacity:.0f} B/s)"
@@ -55,15 +55,6 @@ class Link:
         if capacity < 0:
             raise SimulationError(f"link capacity cannot be negative: {capacity}")
         self.capacity = float(capacity)
-
-    def _log_rate(self, rate: float) -> None:
-        last_time, last_rate = self.rate_log[-1]
-        if abs(last_rate - rate) < _EPS:
-            return
-        if last_time == self.env.now:
-            self.rate_log[-1] = (last_time, rate)
-        else:
-            append_bounded(self.rate_log, (self.env.now, rate))
 
 
 class Flow:
@@ -153,13 +144,14 @@ class Network:
         """Recompute fair-share rates and arm the next completion timer."""
         # also returned: each busy link's summed rate, the earliest finish
         loads, next_finish = self._assign_rates()
+        now = self.env.now
         for link, rate in loads.items():
-            link._log_rate(rate)
+            link.rate_log.record(now, rate)
         # Links that just went idle need an explicit zero sample so traces
         # show the drop to zero rather than a dangling nonzero segment.
         for link in self._prev_busy:
             if link not in loads:
-                link._log_rate(0.0)
+                link.rate_log.record(now, 0.0)
         self._prev_busy = list(loads)
         self._timer_seq += 1
         seq = self._timer_seq

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Optional, Tuple
 
 from repro.sim.kernel import Environment, Event, SimulationError
-from repro.sim.trace import append_bounded
+from repro.sim.trace import ChangeLog
 
 
 class Request(Event):
@@ -58,9 +58,8 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiting: Deque[Request] = deque()
-        #: (time, units-in-use) change log for utilisation tracing; bounded
-        #: by :func:`repro.sim.trace.append_bounded`
-        self.usage_log: List[Tuple[float, int]] = [(env.now, 0)]
+        #: (time, units-in-use) change log for utilisation tracing
+        self.usage_log = ChangeLog(env.now, 0)
 
     @property
     def in_use(self) -> int:
@@ -93,7 +92,7 @@ class Resource:
             self._waiting.remove(request)
             return
         self._in_use -= request.amount
-        self._log()
+        self.usage_log.record(self.env.now, self._in_use)
         self._grant()
 
     def _grant(self) -> None:
@@ -101,16 +100,7 @@ class Resource:
             req = self._waiting.popleft()
             self._in_use += req.amount
             req.succeed(req)
-        self._log()
-
-    def _log(self) -> None:
-        last_time, last_use = self.usage_log[-1]
-        if last_use == self._in_use:
-            return
-        if last_time == self.env.now:
-            self.usage_log[-1] = (last_time, self._in_use)
-        else:
-            append_bounded(self.usage_log, (self.env.now, self._in_use))
+        self.usage_log.record(self.env.now, self._in_use)
 
 
 class PriorityRequest(Request):

@@ -1,36 +1,69 @@
 """Utilisation tracing over piecewise-constant resource logs.
 
-Links and core pools record ``(time, value)`` change points, each log
-bounded by :func:`append_bounded`.  This module turns those logs into
-fixed-width time-bucketed series (time-weighted averages), which is how
-we regenerate the paper's Table 2 — per-node CPU% and network MB/s over
-the first 300 seconds of a V2S run.
+Links and core pools record ``(time, value)`` change points in a
+:class:`ChangeLog`.  This module turns those logs into fixed-width
+time-bucketed series (time-weighted averages), which is how we
+regenerate the paper's Table 2 — per-node CPU% and network MB/s over the
+first 300 seconds of a V2S run.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from array import array
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 #: entries a change log keeps: past twice this many, the oldest are
 #: compacted away, so a long-lived fabric's logs stay in memory
 LOG_LIMIT = 65536
 
 
-def append_bounded(log: List[Tuple[float, float]],
-                   point: Tuple[float, float]) -> None:
-    """Append a change point, keeping the newest ``LOG_LIMIT`` past the bound.
+class ChangeLog:
+    """A bounded ``(time, value)`` change log held in two ``array('d')``.
 
-    Amortised O(1): the log is halved in one slice once it holds twice
-    ``LOG_LIMIT`` points.  Every ``(time, value)`` change log in the sim
-    (``Link.rate_log``, ``Resource.usage_log``) appends through here.
+    Every change log in the sim (``Link.rate_log``, ``Resource.usage_log``)
+    is one: 16 bytes a point, no tuple or float object per value.  It
+    reads as ``(time, value)`` pairs — iteration, ``len`` and indexing.
+    :meth:`record` skips a value equal to the last one (within ``eps``
+    when ``eps`` is set, else by ``==``), overwrites a point recorded at
+    the same instant, and otherwise appends; once the log holds twice
+    ``LOG_LIMIT`` points it keeps the newest ``LOG_LIMIT`` (amortised
+    O(1)).
     """
-    log.append(point)
-    if len(log) > 2 * LOG_LIMIT:
-        del log[: len(log) - LOG_LIMIT]
+
+    __slots__ = ("times", "values", "eps")
+
+    def __init__(self, time: float, value: float, eps: float = 0.0):
+        self.times = array("d", (time,))
+        self.values = array("d", (value,))
+        self.eps = eps
+
+    def record(self, time: float, value: float) -> None:
+        values = self.values
+        last = values[-1]
+        if abs(last - value) < self.eps if self.eps else last == value:
+            return
+        times = self.times
+        if times[-1] == time:
+            values[-1] = value
+            return
+        times.append(time)
+        values.append(value)
+        if len(times) > 2 * LOG_LIMIT:
+            del times[: len(times) - LOG_LIMIT]
+            del values[: len(values) - LOG_LIMIT]
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self) -> Iterator[Tuple[float, float]]:
+        return zip(self.times, self.values)
+
+    def __getitem__(self, index: int) -> Tuple[float, float]:
+        return self.times[index], self.values[index]
 
 
 def bucket_series(
-    log: Sequence[Tuple[float, float]],
+    log: Iterable[Tuple[float, float]],
     start: float,
     end: float,
     step: float,
@@ -95,7 +128,7 @@ class UsageTrace:
     def from_log(
         cls,
         name: str,
-        log: Sequence[Tuple[float, float]],
+        log: Iterable[Tuple[float, float]],
         start: float,
         end: float,
         step: float,

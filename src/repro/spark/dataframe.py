@@ -22,7 +22,7 @@ from repro.spark.datasource import (
     lookup_source,
 )
 from repro.ordering import null_last_key
-from repro.spark.errors import AnalysisError, SparkError
+from repro.spark.errors import AnalysisError
 from repro.spark.rdd import RDD
 from repro.spark.row import StructField, StructType
 

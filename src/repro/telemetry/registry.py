@@ -15,7 +15,7 @@ ordering matters but durations do not).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.telemetry.spans import Span, SpanRecord
 

@@ -9,7 +9,7 @@ is reset or the simulation torn down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.telemetry.spans import SpanRecord
 

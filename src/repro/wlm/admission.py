@@ -18,7 +18,7 @@ chaos ``InvariantChecker`` audits for.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro import telemetry
 from repro.cache.result import MemoryAccount

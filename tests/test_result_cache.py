@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.cache import ResultCache
+from repro.cache import ResultCache, canonical_sql
 from repro.sim import Environment
 from repro.telemetry import MetricsRegistry
 from repro.vertica import VerticaDatabase
@@ -210,6 +210,80 @@ class TestInvalidation:
         session.execute("ANALYZE metrics")
         assert db.catalog.version > version
         assert session.execute(QUERY).cost.cache_hit is False
+
+
+class TestOneEntryPerStatement:
+    """The cache holds each statement's newest snapshot only: a write moves
+    the epoch, so the next reader's store replaces the answer no new
+    reader would ask for again."""
+
+    def test_interleaved_writes_leave_one_entry_per_statement(self):
+        db, session = make_db()
+        for k in range(6):
+            for sql in READS:
+                session.execute(sql)
+            session.execute(f"INSERT INTO metrics VALUES ({1000 + k}, {k % 5}, 1.0)")
+        for sql in READS:
+            session.execute(sql)
+        assert len(db.result_cache) == len(READS)
+
+    def test_a_newer_snapshot_displaces_the_older_entry(self):
+        db, session = make_db()
+        old = session.execute(QUERY)
+        session.execute("INSERT INTO metrics VALUES (1000, 0, 1.0)")
+        new = session.execute(QUERY)
+        assert new.cost.cache_hit is False
+        assert new.snapshot_epoch > old.snapshot_epoch
+        key, version = canonical_sql(QUERY), db.catalog.version
+        assert (key, new.snapshot_epoch, version) in db.result_cache
+        assert (key, old.snapshot_epoch, version) not in db.result_cache
+        assert len(db.result_cache) == 1
+
+        pinned = session.execute(f"AT EPOCH {old.snapshot_epoch} {QUERY}")
+        assert pinned.cost.cache_hit is False
+        assert pinned.rows == old.rows
+        assert (key, new.snapshot_epoch, version) in db.result_cache
+        assert session.execute(QUERY).cost.cache_hit is True
+
+    def test_an_older_snapshot_never_displaces_a_newer_entry(self):
+        db, pinned = make_db()
+        other = db.connect()
+        pinned.execute("BEGIN")
+        old = pinned.execute(QUERY)  # pins the snapshot and caches at it
+        other.execute("INSERT INTO metrics VALUES (1000, 0, 1.0)")
+        new = other.execute(QUERY)  # a newer snapshot's answer displaces it
+        assert new.cost.cache_hit is False
+        assert new.rows != old.rows
+        digest = canonical_sql(QUERY)
+        line = TestExplainAgreesWithTheSelect.cache_line
+        assert line(pinned).startswith("RESULT CACHE: miss")
+        assert line(pinned).endswith(f"epoch {old.snapshot_epoch})")
+        assert line(other).startswith("RESULT CACHE: hit")
+        assert line(other).endswith(f"epoch {new.snapshot_epoch})")
+
+        again = pinned.execute(QUERY)
+        assert again.cost.cache_hit is False
+        assert again.rows == old.rows
+        # the pinned reader's store is refused; the newer entry stays
+        version = db.catalog.version
+        assert (digest, new.snapshot_epoch, version) in db.result_cache
+        assert (digest, old.snapshot_epoch, version) not in db.result_cache
+        assert line(pinned).startswith("RESULT CACHE: miss")
+        assert other.execute(QUERY).cost.cache_hit is True
+        pinned.execute("COMMIT")
+
+    def test_newest_orders_by_catalog_version_then_epoch(self):
+        cache = ResultCache()
+        assert cache.store("q", 5, 1, ["x"], [(1,)], None) is True
+        assert cache.store("q", 4, 1, ["x"], [(2,)], None) is False
+        assert cache.lookup("q", 5, 1).rows == [(1,)]
+        assert cache.lookup("q", 4, 1) is None
+        # a later catalog version is newer whatever its epoch
+        assert cache.store("q", 3, 2, ["x"], [(3,)], None) is True
+        assert cache.lookup("q", 5, 1) is None
+        assert cache.lookup("q", 3, 2).rows == [(3,)]
+        assert len(cache) == 1
+        assert cache.used_bytes == cache.lookup("q", 3, 2).nbytes
 
 
 class TestBypass:

@@ -223,7 +223,7 @@ def run_script(network_class, link_class, specs, capacities, outages):
     return (
         finishes,
         [link.bytes_total for link in links],
-        [link.rate_log for link in links],
+        [list(link.rate_log) for link in links],
         (env.now, env.stats.events_processed),
     )
 

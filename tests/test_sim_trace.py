@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.sim import UsageTrace, bucket_series
+from repro.sim import Environment, Link, Resource, UsageTrace, bucket_series
+from repro.sim import trace
+from repro.sim.network import _EPS
+from repro.sim.trace import ChangeLog
 
 
 def test_constant_log_averages_to_value():
@@ -107,3 +110,53 @@ class TestUsageTrace:
         trace = UsageTrace("x", [0, 1], [0.0, 100.0])
         line = trace.sparkline(width=60)
         assert line == " @"
+
+
+class TestChangeLog:
+    def test_same_instant_overwrites_and_unchanged_is_skipped(self):
+        log = ChangeLog(0.0, 0.0)
+        log.record(0.0, 5.0)
+        assert list(log) == [(0.0, 5.0)]
+        log.record(1.0, 5.0)
+        assert list(log) == [(0.0, 5.0)]
+        log.record(2.0, 7.0)
+        log.record(2.0, 8.0)
+        assert list(log) == [(0.0, 5.0), (2.0, 8.0)]
+        assert len(log) == 2
+        assert log[0] == (0.0, 5.0)
+        assert log[-1] == (2.0, 8.0)
+
+    def test_the_network_keeps_a_strict_eps_band(self):
+        link = Link(Environment(), "wire", 100.0)
+        link.rate_log.record(1.0, _EPS / 2)
+        assert list(link.rate_log) == [(0.0, 0.0)]
+        link.rate_log.record(2.0, _EPS)
+        assert list(link.rate_log) == [(0.0, 0.0), (2.0, _EPS)]
+
+    def test_without_eps_any_difference_is_a_change(self):
+        log = ChangeLog(0.0, 0.0)
+        log.record(1.0, 1e-300)
+        assert list(log) == [(0.0, 0.0), (1.0, 1e-300)]
+
+    def test_an_int_usage_value_reads_back_equal(self):
+        log = Resource(Environment(), capacity=8).usage_log
+        log.record(3, 7)
+        log.record(4, 2**40)
+        assert list(log) == [(0, 0), (3, 7), (4, 2**40)]
+        assert log[-1] == (4, 2**40)
+
+    def test_the_bound_keeps_the_newest_points(self, monkeypatch):
+        monkeypatch.setattr(trace, "LOG_LIMIT", 4)
+        log = ChangeLog(0.0, 0.0)
+        for step in range(1, 100):
+            log.record(float(step), float(step))
+            assert len(log) <= 8
+            assert len(log.times) == len(log.values)
+        assert len(log) >= 4
+        assert list(log)[-4:] == [(float(t), float(t)) for t in range(96, 100)]
+
+    def test_a_point_costs_sixteen_bytes(self):
+        env = Environment()
+        for log in (ChangeLog(0.0, 0.0), Link(env, "wire", 1.0).rate_log,
+                    Resource(env, capacity=1).usage_log):
+            assert log.times.itemsize + log.values.itemsize == 16
