@@ -8,11 +8,12 @@ Each tree runs its *own* ``benchmarks/fabricbench/run.py``; which side goes
 first swaps every pair.  One table per (workload, seed), workloads
 outermost; per end-to-end metric of ``BENCHMARK.json``: both medians with
 quartiles, pairs won and lost, whether the medians are further apart than
-the parent's inter-quartile distance, whether the change is within the
-metric's bound and, for sim seconds, whether every run printed the same
-digits.  A run that exits non-zero takes its pair out of the table, and
-the exit status is then 1, as it is when a run reports a failed op or
-``correct: false``.  See docs/BENCH.md.
+the parent's inter-quartile distance, whether that makes a claimable
+``gain``, whether the change is within the metric's bound and, for sim
+seconds, whether every run printed the same digits.  A run that exits
+non-zero takes its pair out of the table, and the exit status is then 1,
+as it is when a run reports a failed op or ``correct: false``.  See
+docs/BENCH.md.
 """
 
 import argparse
@@ -25,6 +26,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.bench.pairs import (  # noqa: E402
     alternate, quartiles, sign_test, within_bound)
+
+
+def gain(won, count, parent, change, better):
+    """The rule a claimed gain must meet: the change won at least 9 in 10
+    of the ``count`` pairs run, and its median is better than the parent's
+    by more than the parent's inter-quartile distance, in the metric's
+    ``better`` direction.  ``parent`` is the parent's ``(q1, median, q3)``,
+    ``change`` the change's median."""
+    q1, median, q3 = parent
+    ahead = change - median if better == "higher" else median - change
+    return 10 * won >= 9 * count and ahead > q3 - q1
 
 
 def run_once(tree, workload, seed):
@@ -95,8 +107,8 @@ def run_pairs(args, workload, seed):
     print(f"{workload}, seed {seed}, {len(pairs)} alternating pairs"
           f"{f', {bad} failed runs' if bad else ''}\n"
           "| metric | parent median [q1, q3] | change median [q1, q3] "
-          "| change/parent | pairs won | > parent IQR | within bound | == |\n"
-          + "|---" * 8 + "|")
+          "| change/parent | pairs won | > parent IQR | gain | within bound "
+          "| == |\n" + "|---" * 9 + "|")
     for metric in spec["end_to_end"] if len(pairs) >= 2 else []:
         name, sign = metric["name"], -1 if metric["better"] == "higher" else 1
         parent, change = ([pair[side]["metrics"][name]["value"] for pair in pairs]
@@ -109,6 +121,7 @@ def run_pairs(args, workload, seed):
               f"| {c2:.6g} [{c1:.6g}, {c3:.6g}] | {c2 / (p2 or math.nan):.3f} "
               f"| {won} won, {lost} lost of {len(pairs)} "
               f"| {abs(c2 - p2) > p3 - p1} "
+              f"| {gain(won, len(pairs), (p1, p2, p3), c2, metric['better'])} "
               f"| {within_bound(p2, c2, metric['bound'], metric['better'])} "
               f"| {same} |")
     sys.stdout.flush()  # a table is out before the next one starts

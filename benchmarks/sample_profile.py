@@ -7,7 +7,11 @@
 Sets the workload up, then samples the Python stack every millisecond of
 CPU (``ITIMER_PROF``; the kernel may tick coarser) while ``--rounds``
 rounds run, or that many rounds of one op kind, and prints self time by
-function and by line, then cumulative time.  A handler runs between
+function and by line, then cumulative time.  Beside the samples it prints
+the simulated events per op (``env.stats.events_processed``, the count
+fabricbench's ``sim.kernel.events_per_op`` reads) and the host time per
+simulated event: what a change that only speeds the simulator must lower
+while the events stay exactly the same.  A handler runs between
 bytecodes, so a builtin's time lands on the line that called it, and no
 call pays a hook, unlike under cProfile (docs/BENCH.md).
 
@@ -27,6 +31,7 @@ import gc
 import resource
 import signal
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -107,6 +112,20 @@ def memory_report(run_round, rounds, top=15):
     return "\n".join(lines)
 
 
+def sim_events(workload):
+    """Simulated events processed so far; 0 for a workload with no sim."""
+    return workload.env.stats.events_processed if workload.env else 0
+
+
+def event_report(events, ops, seconds):
+    """Events per op and host microseconds per event over ``ops`` ops."""
+    if not events:
+        return f"{ops} ops, no simulated events"
+    return (f"{events / ops:.6f} simulated events/op, "
+            f"{1e6 * seconds / events:.3f} host us/event "
+            f"({events} events, {ops} ops, {seconds:.3f} s)")
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload")
@@ -130,24 +149,33 @@ def main(argv=None):
 
     workload = WORKLOADS[args.workload](args.seed)
     workload.setup()
+    ops = 0
 
     def run_round():
+        nonlocal ops
         if args.kind is None:
-            workload.run_round(Tracer(time_op_generators=False), lambda: None)
+            __, records = workload.run_round(
+                Tracer(time_op_generators=False), lambda: None)
+            ops += len(records)
             return
         workload.before_round()
         for op in workload.round_ops():
             if op.kind == args.kind:
                 op.run()
+                ops += 1
 
     if args.memory:
         print(f"set-up: peak RSS {peak_rss_mb():.2f} MB")
         print(memory_report(run_round, args.rounds, args.top))
         return
+    events = sim_events(workload)
+    started = time.perf_counter()
     with Sampler() as sampler:
         for __ in range(args.rounds):
             run_round()
+    seconds = time.perf_counter() - started
     print(sampler.report(args.top))
+    print(event_report(sim_events(workload) - events, ops, seconds))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Sequence
 
+from repro.sim.cluster import Compute
 from repro.sim.network import Link
 
 #: one dedicated data HDD per machine in the paper's testbed
@@ -62,7 +63,7 @@ def parallel_copy(
             scale_factor * cost.rows_written, nbytes
         )
         if parse_seconds > 0:
-            pending.append(env.process(node.compute(parse_seconds)))
+            pending.append(Compute(node, parse_seconds))
         total_rows = cost.rows_written or 1
         for owner_name, rows in cost.node_rows_written.items():
             if owner_name == node_name:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional, Union
 
 from repro import telemetry
-from repro.sim.cluster import SimNode
+from repro.sim.cluster import Compute, SimNode
 from repro.vertica.catalog import SYSTEM_TABLES
 from repro.vertica.engine import ResultSet
 from repro.vertica.errors import LockContention, RetriesExhausted, VerticaError
@@ -267,18 +267,17 @@ class SimVerticaConnection:
 
     def _charge_query(self, result: ResultSet, w: float, w_out: float) -> Generator:
         model = self.cost_model
-        env = self.env
         cluster = self.cluster
         contact = cluster.sim_nodes[self.node_name]
         charge = model.price(result.cost, result.rows, w, w_out)
         pending = [
-            env.process(cluster.sim_nodes[node_name].compute(seconds))
+            Compute(cluster.sim_nodes[node_name], seconds)
             for node_name, seconds in charge.cpu if seconds > 0
         ]
         for node_name, seconds, shuffled in charge.nodes:
             node = cluster.sim_nodes[node_name]
             if seconds > 0:
-                pending.append(env.process(node.compute(seconds)))
+                pending.append(Compute(node, seconds))
             if node_name != self.node_name and shuffled > 0:
                 # Shuffle: the row lives elsewhere; it crosses the internal
                 # network to reach the contacted node first.
@@ -322,7 +321,6 @@ class SimVerticaConnection:
     ) -> Generator:
         model = self.cost_model
         columnar = statement.file_format == "COLUMNAR"
-        env = self.env
         cluster = self.cluster
         contact = cluster.sim_nodes[self.node_name]
         if isinstance(copy_data, str):
@@ -365,5 +363,5 @@ class SimVerticaConnection:
                     )
                 )
             if seconds > 0:
-                pending.append(env.process(node.compute(seconds)))
+                pending.append(Compute(node, seconds))
         yield from self._await_charges(pending, slot)

@@ -27,12 +27,13 @@ from repro.sim.kernel import (
 )
 from repro.sim.resources import Mutex, Resource, Store
 from repro.sim.network import Link, Network
-from repro.sim.cluster import Nic, SimCluster, SimNode
+from repro.sim.cluster import Compute, Nic, SimCluster, SimNode
 from repro.sim.trace import UsageTrace, bucket_series
 
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Compute",
     "Environment",
     "Event",
     "Interrupt",

@@ -96,6 +96,48 @@ class SimNode:
             self.cores.release(request)
 
 
+class Compute(Event):
+    """A one-core CPU charge run beside its caller:
+    ``env.process(node.compute(s))`` as one event, with no generator,
+    process or timeout behind it.
+
+    It queues the entries that process queued, in the same order: a
+    bootstrap entry; at bootstrap, the core request (whose grant is the
+    second entry); when the grant is processed, a timer ``seconds`` later;
+    when the timer fires, the release and then this event's own success.
+    So every sim-second and ``events_processed`` read as they did
+    (docs/TRANSPORT.md, "The kernel's contract").  A zero charge succeeds
+    at bootstrap, as the generator returned there.  Unlike the process, a
+    negative charge raises here, and ``processes_started`` does not count
+    it.  Inside a process's own body, ``yield from node.compute(...)`` is
+    the charge that queues no entries of its own.
+    """
+
+    __slots__ = ("_cores", "_seconds", "_request")
+
+    def __init__(self, node: SimNode, seconds: float):
+        if seconds < 0:
+            raise SimulationError(f"negative compute time: {seconds}")
+        Event.__init__(self, node.env)
+        self._cores = node.cores
+        self._seconds = seconds
+        node.env._call(self._start)
+
+    def _start(self, _entry) -> None:
+        if not self._seconds:
+            self.succeed()
+            return
+        self._request = request = self._cores.request()
+        request.callbacks.append(self._granted)
+
+    def _granted(self, _request) -> None:
+        self.env._call(self._done, self._seconds)
+
+    def _done(self, _entry) -> None:
+        self._cores.release(self._request)
+        self.succeed()
+
+
 class SimCluster:
     """A set of nodes sharing one flow network."""
 

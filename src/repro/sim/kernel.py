@@ -12,7 +12,7 @@ top of this file.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 
@@ -41,6 +41,8 @@ class Event:
     environment processes it.  Failed events re-raise their exception inside
     every waiting process, so errors never pass silently.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -75,7 +77,9 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        self.env._enqueue(self)
+        env = self.env
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env.now, 1, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -114,25 +118,52 @@ class Timeout(Event):
 
     The timeout only *triggers* when the clock reaches it (not at
     construction), so condition events treat pending timeouts correctly.
+    The value is held from construction on; ``value`` reads it only once
+    the timeout has triggered.
     """
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._pending_value = value
-        env._enqueue(self, delay)
+        Event.__init__(self, env)
+        self._value = value
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env.now + delay, 1, seq, self))
 
     def _process(self) -> None:
         if self._ok is None:
             self._ok = True
-            self._value = self._pending_value
         super()._process()
+
+
+class _Call:
+    """A queue entry that calls ``fn(entry)`` when the clock reaches it.
+
+    The one entry that wakes code rather than waiters: a process's
+    bootstrap, a :class:`~repro.sim.cluster.Compute`'s steps and the
+    network's recompute timer.  It holds its ``(time, priority, seq)`` slot
+    like any event, and is counted in ``events_processed`` like one, but
+    carries no callback list.  It reads as an event that succeeded with no
+    value, so a process resumes from its bootstrap entry as from any event.
+    """
+
+    __slots__ = ("fn",)
+    _ok = True
+    _value = None
+
+    def __init__(self, fn: Callable[["_Call"], None]):
+        self.fn = fn
+
+    def _process(self) -> None:
+        self.fn(self)
 
 
 class _ConditionMixin(Event):
     """Shared machinery for AllOf/AnyOf condition events."""
+
+    __slots__ = ("events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -155,12 +186,24 @@ class _ConditionMixin(Event):
 
     def _finish(self) -> None:
         if self._ok is None:
-            values = [e.value for e in self.events if e.triggered and e.ok]
-            self.succeed(values)
+            self.succeed([e._value for e in self.events if e._ok])
 
 
 class AllOf(_ConditionMixin):
-    """Succeeds when all child events have succeeded; fails on first failure."""
+    """Succeeds when all child events have succeeded; fails on first failure.
+
+    It finishes at the first :meth:`_check` at which every child has
+    *triggered* ok — not once every child has been *processed*, which
+    would finish later and move the queue entry it makes.  A child's
+    ``_ok`` never goes back, so each scan resumes where the previous one
+    stopped (``_scan``) instead of starting over.
+    """
+
+    __slots__ = ("_scan",)
+
+    def __init__(self, env: "Environment", events: Iterable[Event]):
+        self._scan = 0  # before the base class checks triggered children
+        super().__init__(env, events)
 
     def _evaluate_initial(self) -> None:
         if self._ok is None and all(e.triggered for e in self.events):
@@ -169,16 +212,23 @@ class AllOf(_ConditionMixin):
     def _check(self, event: Event) -> None:
         if self._ok is not None:
             return
-        if not event.ok:
+        if not event._ok:
             event._defused = True
-            self.fail(event.value)
+            self.fail(event._value)
             return
-        if all(e.triggered and e.ok for e in self.events):
+        events = self.events
+        scan, count = self._scan, len(events)
+        while scan < count and events[scan]._ok:
+            scan += 1
+        self._scan = scan
+        if scan == count:
             self._finish()
 
 
 class AnyOf(_ConditionMixin):
     """Succeeds as soon as any child event succeeds; fails on first failure."""
+
+    __slots__ = ()
 
     def _evaluate_initial(self) -> None:
         if self._ok is None and any(e.triggered and e.ok for e in self.events):
@@ -209,21 +259,18 @@ class Process(Event):
     time.
     """
 
+    __slots__ = ("name", "_generator", "_target")
+
     def __init__(self, env: "Environment", generator: ProcessGenerator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"process requires a generator, got {generator!r}")
-        super().__init__(env)
+        Event.__init__(self, env)
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._target: Optional[Event] = None
         env.stats.processes_started += 1
         # Bootstrap: resume the process at the current time.
-        bootstrap = Event(env)
-        bootstrap._ok = True
-        bootstrap._value = None
-        bootstrap.callbacks = []
-        bootstrap.add_callback(self._resume)
-        env._enqueue(bootstrap)
+        env._call(self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -245,10 +292,14 @@ class Process(Event):
         self.env._enqueue(interrupt_event, priority=0)
 
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:
+        if self._ok is not None:
             return  # e.g. an interrupt delivered after normal termination
-        if self._target is not None:
-            self._target.remove_callback(self._resume)
+        target = self._target
+        if target is not None:
+            # The event resuming us has handed out its callbacks already;
+            # any other (an interrupt) leaves us waiting on the target.
+            if target is not event:
+                target.remove_callback(self._resume)
             self._target = None
         self.env._active_process = self
         try:
@@ -275,7 +326,11 @@ class Process(Event):
             self.fail(exc)
             return
         self._target = result
-        result.add_callback(self._resume)
+        callbacks = result.callbacks
+        if callbacks is None:
+            result.add_callback(self._resume)  # processed: resumes at once
+        else:
+            callbacks.append(self._resume)
 
 
 class KernelStats:
@@ -308,20 +363,21 @@ class KernelStats:
 
 
 class Environment:
-    """The simulation environment: the clock and the event queue."""
+    """The simulation environment: the clock and the event queue.
+
+    ``now`` is a plain attribute: read it, never assign it.
+    """
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
-        #: a heap of ``(time, priority, seq, event)``; ``seq`` is unique, so
-        #: the tuple comparison is settled in C before it reaches the event
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self.now = float(initial_time)
+        #: a heap of ``(time, priority, seq, entry)``; ``seq`` is unique, so
+        #: the tuple comparison is settled in C before it reaches the entry
+        #: (an :class:`Event` or a :class:`_Call`).  ``Timeout``,
+        #: ``Event.succeed`` and :meth:`_call` push onto it directly.
+        self._queue: List[Tuple[float, int, int, Any]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         self.stats = KernelStats()
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -350,26 +406,33 @@ class Environment:
         that need no process of their own.  Returns the underlying
         timeout event so callers may still wait on it.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"call_at({time}) is in the past (now {self._now})"
+                f"call_at({time}) is in the past (now {self.now})"
             )
-        event = self.timeout(time - self._now)
+        event = self.timeout(time - self.now)
         event.add_callback(lambda _event: fn())
         return event
 
     # -- scheduling ---------------------------------------------------------
     def _enqueue(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (self.now + delay, priority, seq, event))
+
+    def _call(self, fn: Callable[[_Call], None], delay: float = 0.0) -> _Call:
+        """Queue a :class:`_Call` of ``fn`` ``delay`` from now; returns it."""
+        entry = _Call(fn)
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (self.now + delay, 1, seq, entry))
+        return entry
 
     def step(self) -> None:
-        """Process the next scheduled event."""
+        """Process the next scheduled entry (one loop turn of :meth:`run`)."""
         if not self._queue:
             raise SimulationError("attempt to step an exhausted simulation")
-        self._now, _, _, event = heapq.heappop(self._queue)
+        self.now, _, _, entry = heappop(self._queue)
         self.stats.events_processed += 1
-        event._process()
+        entry._process()
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when exhausted."""
@@ -388,19 +451,21 @@ class Environment:
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if stop_time < self.now:
                 raise SimulationError("cannot run backwards in time")
 
-        # ``step()`` is the one dispatch body; the two tests before it read
-        # ``triggered`` and ``peek()`` in place, once per event.
-        queue, step = self._queue, self.step
+        # ``step()`` and ``peek()`` written out in place: each turn tests
+        # ``triggered`` and the next entry's time, pops, counts, processes.
+        queue, stats = self._queue, self.stats
         while queue:
             if stop_event is not None and stop_event._ok is not None:
                 break
             if queue[0][0] > stop_time:
-                self._now = stop_time
+                self.now = stop_time
                 return None
-            step()
+            self.now, _, _, entry = heappop(queue)
+            stats.events_processed += 1
+            entry._process()
 
         if stop_event is not None:
             if not stop_event.triggered:
@@ -412,5 +477,5 @@ class Environment:
                 raise stop_event.value
             return stop_event.value
         if until is not None and stop_time < float("inf"):
-            self._now = max(self._now, stop_time) if self._queue else stop_time
+            self.now = max(self.now, stop_time) if self._queue else stop_time
         return None

@@ -89,7 +89,9 @@ class Network:
         #: iterate it, so they must not follow ``id()``/memory layout
         self._flows: Dict[Flow, None] = {}
         self._last_update = env.now
-        self._timer_seq = 0
+        #: the one live recompute timer; a superseded one finds itself
+        #: replaced here when it fires, and does nothing
+        self._timer = None
         self._prev_busy: List[Link] = []
 
     def transfer(
@@ -153,16 +155,14 @@ class Network:
             if link not in loads:
                 link.rate_log.record(now, 0.0)
         self._prev_busy = list(loads)
-        self._timer_seq += 1
-        seq = self._timer_seq
         if next_finish == math.inf:
+            self._timer = None
             return
         delay = max(0.0, next_finish - self.env.now)
-        timeout = self.env.timeout(delay)
-        timeout.add_callback(lambda _event: self._on_timer(seq))
+        self._timer = self.env._call(self._on_timer, delay)
 
-    def _on_timer(self, seq: int) -> None:
-        if seq != self._timer_seq:
+    def _on_timer(self, timer) -> None:
+        if timer is not self._timer:
             return  # a newer recompute superseded this timer
         self._sync_progress()
         now = self.env.now

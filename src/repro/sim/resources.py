@@ -30,8 +30,10 @@ class Request(Event):
     :meth:`Resource.release`.
     """
 
+    __slots__ = ("resource", "amount")
+
     def __init__(self, resource: "Resource", amount: int):
-        super().__init__(resource.env)
+        Event.__init__(self, resource.env)
         self.resource = resource
         self.amount = amount
 
@@ -80,8 +82,14 @@ class Resource:
                 f"(capacity {self.capacity})"
             )
         req = Request(self, amount)
-        self._waiting.append(req)
-        self._grant()
+        if not self._waiting and amount <= self.capacity - self._in_use:
+            # The grant ``_grant`` would make: nobody is ahead of us.
+            self._in_use += amount
+            req.succeed(req)
+            self.usage_log.record(self.env.now, self._in_use)
+        else:
+            self._waiting.append(req)
+            self._grant()
         return req
 
     def release(self, request: Request) -> None:
@@ -96,8 +104,9 @@ class Resource:
         self._grant()
 
     def _grant(self) -> None:
-        while self._waiting and self._waiting[0].amount <= self.available:
-            req = self._waiting.popleft()
+        waiting = self._waiting
+        while waiting and waiting[0].amount <= self.capacity - self._in_use:
+            req = waiting.popleft()
             self._in_use += req.amount
             req.succeed(req)
         self.usage_log.record(self.env.now, self._in_use)
@@ -110,6 +119,8 @@ class PriorityRequest(Request):
     priority keep strict FIFO order via a monotonic sequence number, so
     grants stay deterministic.
     """
+
+    __slots__ = ("priority", "seq")
 
     def __init__(self, resource: "PriorityResource", amount: int,
                  priority: int = 0):

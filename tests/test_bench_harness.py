@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import sys
 import time
 
 import pytest
@@ -237,6 +238,8 @@ class TestAbPairs:
         (tmp_path / "BENCHMARK.json").write_text(
             '{"end_to_end": [{"name": "op_ms_norm", "better": "lower", '
             '"bound": 0.2}, {"name": "hit_rate", "better": "higher", '
+            '"bound": 0.1}, {"name": "setup_s", "better": "lower", '
+            '"bound": 0.25}, {"name": "ops_per_s", "better": "higher", '
             '"bound": 0.1}]}'
         )
 
@@ -244,19 +247,40 @@ class TestAbPairs:
             parent = tree.name == "parent"
             return {"failed": 0, "correct": True, "metrics": {
                 "op_ms_norm": {"value": 10.0 if parent else 11.0},
-                "hit_rate": {"value": 0.9 if parent else 0.7}}}
+                "hit_rate": {"value": 0.9 if parent else 0.7},
+                "setup_s": {"value": 1.0 if parent else 0.5},
+                "ops_per_s": {"value": 100.0 if parent else 120.0}}}
 
         monkeypatch.setattr(ab_pairs, "run_once", fake_run)
         ab_pairs.main([str(tmp_path / "parent"), str(tmp_path), "--workload",
                        "w", "--pairs", "2"])
         out = capsys.readouterr().out
-        assert "| > parent IQR | within bound | == |" in out
+        assert "| > parent IQR | gain | within bound | == |" in out
         cells = [[cell.strip() for cell in line.strip("|").split("|")]
                  for line in out.splitlines() if line.startswith("| ")]
         within = {row[0]: row[-2] for row in cells}
         # 10 % slower is inside 20 %; a hit rate 22 % lower is outside 10 %
         assert within == {"metric": "within bound", "op_ms_norm": "True",
-                          "hit_rate": "False"}
+                          "hit_rate": "False", "setup_s": "True",
+                          "ops_per_s": "True"}
+        # a gain is a win in the metric's own direction, lower or higher
+        gains = {row[0]: row[-3] for row in cells}
+        assert gains == {"metric": "gain", "op_ms_norm": "False",
+                         "hit_rate": "False", "setup_s": "True",
+                         "ops_per_s": "True"}
+
+    @pytest.mark.parametrize("won, parent, change, better, claimed", [
+        (9, (0.36, 0.37, 0.38), 0.33, "lower", True),
+        (10, (0.36, 0.37, 0.38), 0.33, "lower", True),
+        (8, (0.36, 0.37, 0.38), 0.33, "lower", False),  # 8 of 10 won
+        (10, (0.30, 0.37, 0.38), 0.33, "lower", False),  # 0.04 <= IQR 0.08
+        (10, (0.36, 0.37, 0.38), 0.40, "lower", False),  # worse by > IQR
+        (9, (0.80, 0.85, 0.90), 0.96, "higher", True),
+        (9, (0.80, 0.85, 0.90), 0.74, "higher", False),
+    ])
+    def test_gain_is_the_claim_rule(self, ab_pairs, won, parent, change,
+                                    better, claimed):
+        assert ab_pairs.gain(won, 10, parent, change, better) is claimed
 
 
 class TestAbPairsArguments:
@@ -397,3 +421,21 @@ class TestSampleProfile:
         assert lines[3].startswith("-- retained since set-up")
         assert lines[4].split()[0] == "+0.600"
         assert "kept.append(bytearray(200_000))" in report
+
+    def test_a_workload_runs_sampled_and_traced(self, sample_profile,
+                                                monkeypatch, capsys):
+        """The entry point end to end, on the workload whose per-event
+        host time it sizes: samples, then events per op beside them."""
+        monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends
+        sample_profile.main(["serve_zipf", "--rounds", "1"])
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith(" samples")
+        events = out[-1].split()
+        assert events[1:3] == ["simulated", "events/op,"]
+        assert float(events[0]) > 1 and float(events[3]) > 0
+        assert events[4:6] == ["host", "us/event"]
+        sample_profile.main(["serve_zipf", "--memory", "--rounds", "1"])
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("set-up: peak RSS")
+        assert out[1].startswith("round 1: ")
+        assert out[2].startswith("-- retained since set-up")

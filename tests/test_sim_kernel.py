@@ -1,8 +1,9 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Compute, Environment, Interrupt, SimNode, SimulationError
 
 
 @pytest.fixture
@@ -338,3 +339,105 @@ def test_run_until_time_stops_where_peek_says(env):
     assert (env.now, env.peek()) == (4.0, 10.0)
     env.run()
     assert (env.now, env.peek()) == (10.0, float("inf"))
+
+
+# -- Compute: the process it replaces, without the generator -----------------
+
+#: durations drawn from a small set, so zero, equal and repeated charges tie
+#: at the same instant
+DURATIONS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 1.5, 3.0])
+
+charge_scripts = st.integers(1, 3).flatmap(lambda cores: st.tuples(
+    st.just(cores),
+    st.lists(st.tuples(
+        st.sampled_from(["charge", "charge", "inline", "timeout"]),
+        st.sampled_from([0.0, 0.0, 0.5, 1.0]),  # wait before starting it
+        DURATIONS,
+        st.integers(1, cores),
+    ), min_size=1, max_size=12),
+))
+
+
+def run_charges(cores, script, charge):
+    """Run ``script`` on a node with ``cores`` cores, each one-core CPU charge
+    made by ``charge(node, seconds)``; returns what the two must agree on.
+    Inline holders claim ``ncores`` cores, so they and the charges contend."""
+    env = Environment()
+    node = SimNode(env, "n", cores=cores)
+    log = []
+
+    def done(label):
+        return lambda _event: log.append((env.now, label))
+
+    def holder(label, seconds, ncores):
+        yield from node.compute(seconds, ncores)
+        log.append((env.now, label))
+
+    def launcher():
+        charges = []
+        for index, (kind, wait, seconds, ncores) in enumerate(script):
+            if wait:
+                yield env.timeout(wait)
+            label = f"{kind}{index}"
+            if kind == "charge":
+                event = charge(node, seconds)
+                charges.append(event)
+                event.callbacks.append(done(label))
+            elif kind == "inline":
+                env.process(holder(label, seconds, ncores))
+            else:
+                env.timeout(seconds).callbacks.append(done(label))
+        yield env.all_of(charges)
+        log.append((env.now, "all charges"))
+
+    env.run(env.process(launcher()))
+    env.run()
+    return log, list(node.cores.usage_log), env.stats.events_processed
+
+
+@settings(max_examples=200, deadline=None)
+@given(charge_scripts)
+def test_compute_queues_what_its_process_queued(cores_and_script):
+    """``Compute(node, s)`` against ``env.process(node.compute(s))``: the same
+    completions at the same times in the same order, the same core usage
+    log and the same number of processed queue entries."""
+    cores, script = cores_and_script
+    as_events = run_charges(cores, script, Compute)
+    as_processes = run_charges(
+        cores, script, lambda node, seconds: node.env.process(node.compute(seconds)))
+    assert as_events == as_processes
+
+
+def test_compute_is_counted_as_no_process():
+    env = Environment()
+    node = SimNode(env, "n", cores=1)
+    charges = [Compute(node, 1.0), Compute(node, 0.0)]
+    env.run()
+    assert [c.value for c in charges] == [None, None]
+    assert env.now == 1.0
+    assert env.stats.processes_started == 0
+    with pytest.raises(SimulationError):
+        Compute(node, -1.0)
+
+
+def test_all_of_finishes_when_its_children_trigger_not_when_processed(env):
+    """Two children triggered in one step; the second carries an earlier
+    callback that triggers ``y``.  The condition finishes while the first
+    child is processed (both have triggered by then), so its entry is
+    queued, and processed, before ``y``'s."""
+    a, b, y = env.event(), env.event(), env.event()
+    order = []
+    b.callbacks.append(lambda _event: y.succeed())
+    y.callbacks.append(lambda _event: order.append("y"))
+    both = env.all_of([a, b])
+    both.callbacks.append(lambda _event: order.append("all"))
+
+    def trigger():
+        yield env.timeout(1)
+        a.succeed("a")
+        b.succeed("b")
+
+    env.process(trigger())
+    env.run()
+    assert order == ["all", "y"]
+    assert both.value == ["a", "b"]
