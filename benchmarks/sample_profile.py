@@ -15,10 +15,13 @@ while the events stay exactly the same.  A handler runs between
 bytecodes, so a builtin's time lands on the line that called it, and no
 call pays a hook, unlike under cProfile (docs/BENCH.md).
 
-``--memory`` traces allocations instead: it starts ``tracemalloc`` after
-set-up, prints the bytes still traced after each round (after
-``gc.collect()``), then the ``--top`` allocation sites whose memory was
-retained since set-up, grouped by traceback.  Memory that grows round
+``--memory`` traces allocations instead.  It first prints the peak RSS
+and the count of gc-tracked objects once the workload's modules are
+imported, before set-up, so import weight shows apart from the data and
+from per-round growth.  Then it starts ``tracemalloc`` after set-up,
+prints the bytes still traced after each round (after ``gc.collect()``),
+then the ``--top`` allocation sites whose memory was retained since
+set-up, grouped by traceback.  Memory that grows round
 after round is state one round leaves to the next.  Each line also
 prints the peak RSS so far (``ru_maxrss``, as fabricbench's
 ``peak_rss_mb`` reads it): tracemalloc cannot see allocator slack, and
@@ -86,6 +89,13 @@ def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def import_report():
+    """Peak RSS and gc-tracked objects: the weight of what is imported."""
+    gc.collect()
+    return (f"imports: peak RSS {peak_rss_mb():.2f} MB, "
+            f"{len(gc.get_objects())} gc-tracked objects")
+
+
 def memory_report(run_round, rounds, top=15):
     """Run ``rounds`` rounds under ``tracemalloc``; returns the report."""
     gc.collect()
@@ -147,6 +157,8 @@ def main(argv=None):
     from layertrace import Tracer
     from workloads import WORKLOADS
 
+    if args.memory:
+        print(import_report())
     workload = WORKLOADS[args.workload](args.seed)
     workload.setup()
     ops = 0

@@ -16,7 +16,6 @@ from repro.connector.s2v import S2VResult, S2VWriter
 from repro.connector.v2s import VerticaRelation
 from repro.spark.dataframe import DataFrame
 from repro.spark.errors import AnalysisError
-from repro.spark.mllib.base import LabeledPoint
 from repro.spark.rdd import RDD
 from repro.spark.row import StructType
 
@@ -46,6 +45,9 @@ def vertica_to_labeled_points(
     The label and features are pruned server-side, so only the training
     columns cross the wire — the V2S + MLlib hand-off of Figure 1.
     """
+    # MLlib, and numpy with it, loads only when something trains
+    from repro.spark.mllib.base import LabeledPoint
+
     if not feature_columns:
         raise AnalysisError("at least one feature column is required")
     relation = VerticaRelation(spark, options)

@@ -10,13 +10,18 @@ seeded) plus the paper's *virtual* row count; ``scale`` is the ratio.
 Protocols move the real rows; the simulation charges real bytes × scale,
 so a 2,000-row laptop dataset exercises the exact code path the paper ran
 over 140 GB while the simulated clock sees 140 GB.
+
+The rows are drawn from numpy's legacy ``RandomState(seed)`` stream —
+MT19937 seeded by ``init_genrand`` — reproduced bit for bit by the
+stdlib's own MT19937 (:class:`_LegacyRandom`), so the datasets need no
+numpy and every value, and every byte charged for it, is the one numpy
+would draw.
 """
 
 from __future__ import annotations
 
+import random
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from repro.spark.row import StructField, StructType
 from repro.vertica.batch import transpose
@@ -29,6 +34,44 @@ _WORDS = (
     "stream table row column analytics model train predict fabric big "
     "enterprise pipeline connector shuffle network segment commit"
 ).split()
+
+
+class _LegacyRandom:
+    """numpy's legacy ``RandomState(seed)`` draws, bit for bit, on the stdlib.
+
+    Both generators are MT19937: seeded with numpy's ``init_genrand(seed)``
+    state, ``random.Random.random`` is numpy's ``random_sample`` (both are
+    ``genrand_res53``), and :meth:`randint` is numpy's legacy masked
+    rejection over 32-bit words.
+    """
+
+    def __init__(self, seed: int):
+        if not 0 <= seed <= 0xFFFFFFFF:
+            raise ValueError("Seed must be between 0 and 2**32 - 1")
+        key = [seed]
+        for i in range(1, 624):
+            prev = key[-1]
+            key.append((1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF)
+        self._rng = random.Random(0)
+        self._rng.setstate((3, tuple(key) + (624,), None))
+        self.random_sample = self._rng.random
+
+    def randint(self, low: int, high: int) -> int:
+        """A uniform int in ``[low, high)``, as ``RandomState.randint``."""
+        if high <= low:
+            raise ValueError("low >= high")
+        span = high - 1 - low
+        if span == 0:
+            return low
+        mask = (1 << span.bit_length()) - 1
+        word = self._rng.getrandbits
+        while True:
+            if span <= 0xFFFFFFFF:
+                value = word(32) & mask
+            else:  # numpy's next_uint64: the high word is drawn first
+                value = (word(32) << 32 | word(32)) & mask
+            if value <= span:
+                return low + value
 
 
 class Dataset:
@@ -103,9 +146,9 @@ def make_d1(
     seed: int = 11,
 ) -> Dataset:
     """Dataset D1: ``num_cols`` float64 columns uniform in [0, 1)."""
-    rng = np.random.RandomState(seed)
-    matrix = rng.random_sample((real_rows, num_cols))
-    rows = [tuple(float(v) for v in matrix[i]) for i in range(real_rows)]
+    draw = _LegacyRandom(seed).random_sample
+    columns = range(num_cols)
+    rows = [tuple([draw() for _ in columns]) for _ in range(real_rows)]
     schema = StructType(
         [StructField(f"c{i:03d}", "double") for i in range(num_cols)]
     )
@@ -135,9 +178,8 @@ def make_d1_with_int_column(
     on this column.
     """
     base = make_d1(real_rows, virtual_rows, num_cols, seed)
-    rng = np.random.RandomState(seed + 1)
-    keys = rng.randint(0, 100, size=real_rows)
-    rows = [(int(keys[i]),) + row for i, row in enumerate(base.rows)]
+    rng = _LegacyRandom(seed + 1)
+    rows = [(rng.randint(0, 100),) + row for row in base.rows]
     schema = StructType(
         [StructField("ikey", "long")] + list(base.schema.fields)
     )
@@ -150,13 +192,13 @@ def make_d2(
     seed: int = 23,
 ) -> Dataset:
     """Dataset D2: (tweet_id, tweet_text) rows, ~96 CSV bytes per row."""
-    rng = np.random.RandomState(seed)
+    rng = _LegacyRandom(seed)
     rows: List[Tuple] = []
-    for i in range(real_rows):
-        tweet_id = int(rng.randint(1, 2**62))
+    for _ in range(real_rows):
+        tweet_id = rng.randint(1, 2**62)
         length = 0
         words = []
-        target = 70 + int(rng.randint(0, 20))
+        target = 70 + rng.randint(0, 20)
         while length < target:
             word = _WORDS[rng.randint(0, len(_WORDS))]
             # sprinkle in unique tokens so the text is only mildly

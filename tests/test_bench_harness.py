@@ -436,6 +436,8 @@ class TestSampleProfile:
         assert events[4:6] == ["host", "us/event"]
         sample_profile.main(["serve_zipf", "--memory", "--rounds", "1"])
         out = capsys.readouterr().out.splitlines()
-        assert out[0].startswith("set-up: peak RSS")
-        assert out[1].startswith("round 1: ")
-        assert out[2].startswith("-- retained since set-up")
+        assert out[0].startswith("imports: peak RSS")
+        assert out[0].endswith(" gc-tracked objects")
+        assert out[1].startswith("set-up: peak RSS")
+        assert out[2].startswith("round 1: ")
+        assert out[3].startswith("-- retained since set-up")
