@@ -13,17 +13,22 @@ fabricbench's ``sim.kernel.events_per_op`` reads) and the host time per
 simulated event: what a change that only speeds the simulator must lower
 while the events stay exactly the same.  A handler runs between
 bytecodes, so a builtin's time lands on the line that called it, and no
-call pays a hook, unlike under cProfile (docs/BENCH.md).
+call pays a hook, unlike under cProfile (docs/BENCH.md).  It also prints
+the garbage collector's time inside each round, by generation, from
+``gc.callbacks``: each round starts after a ``gc.collect()``, as
+fabricbench's harness runs one between rounds, and that collection is
+left out of the count.
 
-``--memory`` traces allocations instead.  It first prints the peak RSS
-and the count of gc-tracked objects once the workload's modules are
-imported, before set-up, so import weight shows apart from the data and
-from per-round growth.  Then it starts ``tracemalloc`` after set-up,
-prints the bytes still traced after each round (after ``gc.collect()``),
-then the ``--top`` allocation sites whose memory was retained since
-set-up, grouped by traceback.  Memory that grows round
-after round is state one round leaves to the next.  Each line also
-prints the peak RSS so far (``ru_maxrss``, as fabricbench's
+``--memory`` traces allocations instead.  It first prints the peak RSS,
+the count of gc-tracked objects and the C extension modules loaded once
+the workload's modules are imported, before set-up, so import weight
+shows apart from the data and from per-round growth (a shared library
+such as OpenSSL's, behind ``_hashlib``, shows by name).  Then it starts
+``tracemalloc`` after set-up, prints the bytes still traced after each
+round (after ``gc.collect()``), then the ``--top`` allocation sites
+whose memory was retained since set-up, grouped by traceback.  Memory
+that grows round after round is state one round leaves to the next.
+Each line also prints the peak RSS so far (``ru_maxrss``, as fabricbench's
 ``peak_rss_mb`` reads it): tracemalloc cannot see allocator slack, and
 from the first round on that figure includes tracemalloc's own books.
 """
@@ -31,6 +36,7 @@ from the first round on that figure includes tracemalloc's own books.
 import argparse
 import collections
 import gc
+import importlib.machinery
 import resource
 import signal
 import sys
@@ -41,6 +47,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 #: frames kept per traced allocation (``--memory`` groups by traceback)
 MEMORY_FRAMES = 6
+#: generations of CPython's collector
+GENERATIONS = 3
 
 
 class Sampler:
@@ -84,16 +92,63 @@ class Sampler:
         return "\n".join(lines)
 
 
+class GcTimer:
+    """``with GcTimer() as timer: ...`` counts and times, by generation,
+    the collections that run inside (``gc.callbacks``)."""
+
+    def __init__(self):
+        self.collections = [0] * GENERATIONS
+        self.ms = [0.0] * GENERATIONS
+        self._started = 0.0
+
+    def _callback(self, phase, info):
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.collections[generation] += 1
+        self.ms[generation] += (time.perf_counter() - self._started) * 1e3
+
+    def __enter__(self):
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self._callback)
+
+
+def gc_report(label, timers, wall_ms):
+    """One line: collection time inside ``wall_ms`` of timed work, by
+    generation, summed over ``timers``."""
+    counts = [sum(t.collections[g] for t in timers) for g in range(GENERATIONS)]
+    spent = [sum(t.ms[g] for t in timers) for g in range(GENERATIONS)]
+    share = 100 * sum(spent) / wall_ms if wall_ms else 0.0
+    return (f"{label}: gc {sum(spent):.2f} ms of {wall_ms:.2f} ms "
+            f"({share:.1f} %); " + ", ".join(
+                f"gen{g} {counts[g]} in {spent[g]:.2f} ms"
+                for g in range(GENERATIONS)))
+
+
 def peak_rss_mb():
     """The process's peak resident set so far, as fabricbench reads it."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def extension_modules():
+    """Names of the loaded modules that are C extensions (shared objects)."""
+    suffixes = tuple(importlib.machinery.EXTENSION_SUFFIXES)
+    return sorted(
+        name for name, module in list(sys.modules.items())
+        if (getattr(module, "__file__", None) or "").endswith(suffixes))
+
+
 def import_report():
-    """Peak RSS and gc-tracked objects: the weight of what is imported."""
+    """Peak RSS, gc-tracked objects and C extensions: the weight of what
+    is imported."""
     gc.collect()
     return (f"imports: peak RSS {peak_rss_mb():.2f} MB, "
-            f"{len(gc.get_objects())} gc-tracked objects")
+            f"{len(gc.get_objects())} gc-tracked objects; "
+            f"C extensions: {', '.join(extension_modules())}")
 
 
 def memory_report(run_round, rounds, top=15):
@@ -181,12 +236,20 @@ def main(argv=None):
         print(memory_report(run_round, args.rounds, args.top))
         return
     events = sim_events(workload)
-    started = time.perf_counter()
-    with Sampler() as sampler:
-        for __ in range(args.rounds):
+    sampler = Sampler()
+    timers, lines, seconds = [], [], 0.0
+    for number in range(1, args.rounds + 1):
+        gc.collect()  # the harness collects between rounds, untimed
+        with GcTimer() as timer, sampler:
+            started = time.perf_counter()
             run_round()
-    seconds = time.perf_counter() - started
+            wall = time.perf_counter() - started
+        timers.append(timer)
+        seconds += wall
+        lines.append(gc_report(f"round {number}", [timer], wall * 1e3))
     print(sampler.report(args.top))
+    print("\n".join(lines))
+    print(gc_report("all rounds", timers, seconds * 1e3))
     print(event_report(sim_events(workload) - events, ops, seconds))
 
 

@@ -12,7 +12,6 @@ connector and the COPY parser use.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 from repro.avrolite.codec import compress_block, decompress_block
@@ -24,6 +23,10 @@ DEFAULT_BLOCK_ROWS = 4096
 
 
 def _sync_marker(schema: Schema, codec: str) -> bytes:
+    # Imported here: hashlib maps OpenSSL's libcrypto (~3.5 MB of RSS), and
+    # a process that never writes a container file need not carry it.
+    import hashlib
+
     digest = hashlib.sha256(schema.dumps().encode() + codec.encode()).digest()
     return digest[:16]
 

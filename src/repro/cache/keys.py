@@ -16,8 +16,6 @@ trade-off).
 
 from __future__ import annotations
 
-import hashlib
-
 
 def canonical_sql(sql: str) -> str:
     """Whitespace/case/comment-insensitive canonical form of ``sql``."""
@@ -31,4 +29,8 @@ def canonical_sql(sql: str) -> str:
 
 def statement_digest(canonical: str) -> str:
     """Short stable digest of a canonical statement (EXPLAIN-friendly)."""
+    # Imported here: hashlib maps OpenSSL's libcrypto (~3.5 MB of RSS), and
+    # only EXPLAIN's result-cache line takes this digest.
+    import hashlib
+
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

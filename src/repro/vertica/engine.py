@@ -430,8 +430,11 @@ class Engine:
             if cost is not None and rows:
                 cost.scanned(node, len(rows))
             if filtered:
-                hashes = source.row_hashes
-                rows = [i for i in rows if lo <= hashes[i] < hi]
+                if container is not None and len(rows) == container.nrows:
+                    rows = container.rows_in_hash_range(lo, hi)
+                else:  # a WOS buffer, or a container with hidden rows
+                    hashes = source.row_hashes
+                    rows = [i for i in rows if lo <= hashes[i] < hi]
             if rows and select is not None:
                 # ascending distinct row ids: all of them are the stored list
                 values = source.columns[selected]

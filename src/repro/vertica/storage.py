@@ -16,11 +16,22 @@ commit.  The buffer is column-major like the container it turns into:
 ``Engine.insert_rows`` extends it a column slice at a time, commit hands
 its column lists to the container, and a read-your-writes scan slices
 them exactly as it slices a container's.
+
+Beside its columns, a container keeps each row's segmentation hash, which
+a ranged scan reads instead of evaluating ``HASH(...)``.  Every hash lies
+in ``[0, 2**32)``, so the container packs them into an ``array('I')``
+built in its constructor, which every writer passes through (WOS commit,
+k-safety replicas, mergeout): 4 bytes a row, not a list slot and an int
+object.  Reading a packed hash builds an int, so a ranged scan of a
+container with no hidden rows bisects the rows sorted by hash
+(:meth:`RosContainer.rows_in_hash_range`) instead of reading them all.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from array import array
+from bisect import bisect_left
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.vertica.errors import CatalogError
 
@@ -29,7 +40,7 @@ class RosContainer:
     """One immutable committed batch of rows on one node."""
 
     __slots__ = ("column_names", "columns", "commit_epoch", "delete_epochs",
-                 "row_hashes", "_kinds")
+                 "row_hashes", "_kinds", "_by_hash")
 
     def __init__(
         self,
@@ -54,14 +65,33 @@ class RosContainer:
         #: ``vertica_hash`` of each row's segmentation values (0 throughout
         #: an unsegmented table).  A ranged scan reads this *instead of*
         #: evaluating ``HASH(...)``, so every writer supplies it:
-        #: ``Engine.insert_rows`` computes it, mergeout gathers it.
-        self.row_hashes = list(row_hashes)
+        #: ``Engine.insert_rows`` computes it, mergeout gathers it.  Packed:
+        #: a hash off the ring ``[0, HASH_SPACE)`` raises OverflowError.
+        self.row_hashes = array("I", row_hashes)
         #: slot -> :meth:`kind` of that column, filled as they are asked for
         self._kinds: Dict[int, Optional[type]] = {}
+        #: (row indices sorted by hash, their hashes), built on the first
+        #: :meth:`rows_in_hash_range`
+        self._by_hash: Optional[Tuple[array[int], array[int]]] = None
 
     @property
     def nrows(self) -> int:
         return len(self.delete_epochs)
+
+    def rows_in_hash_range(self, lo: int, hi: int) -> List[int]:
+        """Ascending indices of the rows whose hash lies in ``[lo, hi)``.
+
+        The rows sorted by hash are computed on first ask and kept (8 bytes
+        a row): the hashes never change, a V2S load asks once per
+        partition, and each ask then bisects instead of reading every
+        row's hash.
+        """
+        if self._by_hash is None:
+            hashes = self.row_hashes
+            order = array("I", sorted(range(len(hashes)), key=hashes.__getitem__))
+            self._by_hash = order, array("I", map(hashes.__getitem__, order))
+        order, ordered = self._by_hash
+        return sorted(order[bisect_left(ordered, lo):bisect_left(ordered, hi)])
 
     def kind(self, slot: int) -> Optional[type]:
         """The one Python type every value of column ``slot`` has (a NULL's

@@ -16,6 +16,7 @@ the result of any query at any still-queryable epoch.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Tuple
 
 from repro.vertica.batch import gather
@@ -104,7 +105,7 @@ class TupleMover:
         column_names = containers[0].column_names
         columns: List[List] = [[] for __ in column_names]
         delete_epochs: List[int] = []
-        row_hashes: List[int] = []
+        row_hashes = array("I")
         purged = 0
         for container in containers:
             # Eligible containers committed at or below the AHM, so what
@@ -116,7 +117,8 @@ class TupleMover:
             for column, source in zip(columns, container.columns):
                 column.extend(gather(source, keep))
             delete_epochs.extend(gather(container.delete_epochs, keep))
-            row_hashes.extend(gather(container.row_hashes, keep))
+            hashes = container.row_hashes  # gather slices an array as a list
+            row_hashes.extend(gather(hashes, keep))  # type: ignore[arg-type]
         self.rows_purged += purged
         if not delete_epochs and purged:
             # Everything was purged: no container needed at all.

@@ -1,5 +1,6 @@
 """Tests for the benchmark harness itself (artifact tables, fabric, datasets)."""
 
+import gc
 import importlib.util
 import os
 import sys
@@ -422,6 +423,30 @@ class TestSampleProfile:
         assert lines[4].split()[0] == "+0.600"
         assert "kept.append(bytearray(200_000))" in report
 
+    def test_gc_time_is_counted_by_generation(self, sample_profile):
+        with sample_profile.GcTimer() as timer:
+            gc.collect(1)
+            gc.collect(2)
+        gc.collect()  # outside: not counted
+        assert timer.collections == [0, 1, 1]
+        assert timer.ms[0] == 0.0 and timer.ms[1] > 0 and timer.ms[2] > 0
+        line = sample_profile.gc_report("round 1", [timer, timer], 1000.0)
+        spent = 2 * (timer.ms[1] + timer.ms[2])
+        assert line == (
+            f"round 1: gc {spent:.2f} ms of 1000.00 ms "
+            f"({spent / 10:.1f} %); gen0 0 in 0.00 ms, "
+            f"gen1 2 in {2 * timer.ms[1]:.2f} ms, "
+            f"gen2 2 in {2 * timer.ms[2]:.2f} ms")
+        assert timer._callback not in gc.callbacks
+
+    def test_loaded_c_extensions_are_named(self, sample_profile):
+        import _hashlib  # noqa: F401 - OpenSSL's, a shared object
+
+        names = sample_profile.extension_modules()
+        assert "_hashlib" in names
+        assert "sys" not in names and "gc" not in names  # built in
+        assert "json" not in names  # pure Python
+
     def test_a_workload_runs_sampled_and_traced(self, sample_profile,
                                                 monkeypatch, capsys):
         """The entry point end to end, on the workload whose per-event
@@ -430,6 +455,9 @@ class TestSampleProfile:
         sample_profile.main(["serve_zipf", "--rounds", "1"])
         out = capsys.readouterr().out.splitlines()
         assert out[0].endswith(" samples")
+        assert out[-3].startswith("round 1: gc ")
+        assert out[-2].startswith("all rounds: gc ")
+        assert out[-3].split(" ms of ")[1] == out[-2].split(" ms of ")[1]
         events = out[-1].split()
         assert events[1:3] == ["simulated", "events/op,"]
         assert float(events[0]) > 1 and float(events[3]) > 0
@@ -437,7 +465,11 @@ class TestSampleProfile:
         sample_profile.main(["serve_zipf", "--memory", "--rounds", "1"])
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("imports: peak RSS")
-        assert out[0].endswith(" gc-tracked objects")
+        objects, extensions = out[0].split("; C extensions: ")
+        assert objects.endswith(" gc-tracked objects")
+        assert set(extensions.split(", ")) <= set(
+            sample_profile.extension_modules())
+        assert "zlib" in extensions.split(", ")
         assert out[1].startswith("set-up: peak RSS")
         assert out[2].startswith("round 1: ")
         assert out[3].startswith("-- retained since set-up")

@@ -6,7 +6,10 @@ it.  The digests below were taken from the ``np.random.RandomState``
 generator the module used before, so a drift in any value fails here before
 it moves a sim-second.  numpy stays MLlib-lite's dependency alone: the
 import guard runs the four fabricbench set-ups in a process where importing
-numpy fails.
+numpy fails.  It also holds OpenSSL to the code that digests: ``hashlib``
+maps libcrypto, so it loads only when EXPLAIN prints a result-cache digest
+or an Avro container takes its sync marker, never in a round of
+``sql_analytic``, ``v2s_load`` or ``serve_zipf``.
 """
 
 from __future__ import annotations
@@ -110,22 +113,65 @@ sys.path.insert(0, "benchmarks/fabricbench")
 import repro.connector, repro.pmml, repro.spark, repro.vertica
 import repro.wlm, repro.workloads
 import workloads
+from layertrace import Tracer
 for name, cls in workloads.WORKLOADS.items():
-    cls(11).setup()
+    workload = cls(11)
+    workload.setup()
+    if name != "s2v_save":  # its Avro writes take the sync-marker digest
+        workload.run_round(Tracer(time_op_generators=False), lambda: None)
+if "_hashlib" in sys.modules:
+    raise SystemExit("OpenSSL loaded before anything took a digest")
 try:
     import repro.spark.mllib
 except ImportError:
     print("mllib needs numpy")
 else:
     raise SystemExit("repro.spark.mllib imported without numpy")
+session = repro.vertica.VerticaDatabase(num_nodes=1).connect()
+session.execute("SET RESULT_CACHE = 'on'")
+session.execute("CREATE TABLE t (a INTEGER)")
+for (line,) in session.execute("EXPLAIN SELECT a FROM t WHERE a > 1").rows:
+    if line.startswith("RESULT CACHE:"):
+        print(line)
+print("_hashlib" in sys.modules)
+"""
+
+#: a fresh process whose one digest is an Avro container's sync marker
+_AVRO = """
+import sys
+from repro.avrolite import Schema, encode_rows
+if "_hashlib" in sys.modules:
+    raise SystemExit("OpenSSL loaded by importing repro.avrolite")
+schema = Schema.record("r", [("a", Schema.primitive("long"))])
+print(encode_rows(schema, [(1,), (2,)], codec="null").hex())
+print(schema.dumps())
+print("_hashlib" in sys.modules)
 """
 
 
-def test_fabric_runs_without_numpy():
+def _run(script):
     env = dict(os.environ, PYTHONPATH="src")
     result = subprocess.run(
-        [sys.executable, "-c", _GUARD], cwd=REPO, env=env,
+        [sys.executable, "-c", script], cwd=REPO, env=env,
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "mllib needs numpy"
+    return result.stdout.splitlines()
+
+
+def test_fabric_runs_without_numpy():
+    from repro.cache.keys import canonical_sql
+
+    mllib, explained, loaded = _run(_GUARD)
+    assert mllib == "mllib needs numpy"
+    canonical = canonical_sql("SELECT a FROM t WHERE a > 1")
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    assert explained.startswith(f"RESULT CACHE: miss (digest {digest}, epoch ")
+    assert loaded == "True"
+
+
+def test_an_avro_container_loads_openssl_for_its_sync_marker():
+    encoded, schema_json, loaded = _run(_AVRO)
+    marker = hashlib.sha256(schema_json.encode() + b"null").digest()[:16]
+    assert bytes.fromhex(encoded).count(marker) == 2  # header and one block
+    assert loaded == "True"

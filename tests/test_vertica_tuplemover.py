@@ -1,5 +1,7 @@
 """Tests for the Tuple Mover: mergeout, purge, and the AHM contract."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 from repro.avrolite import encode_rows
 from repro.chaos.invariants import stored_hash_violations
 from repro.hdfs.columnar import write_columnar
-from repro.vertica import VerticaDatabase
+from repro.vertica import HASH_SPACE, VerticaDatabase, vertica_hash
 from repro.vertica.copyload import avro_schema_for_table
 from repro.vertica.errors import TransactionError
 from repro.vertica.settings import PlanContext
 from repro.vertica.sql.parser import parse_statement
+from repro.vertica.storage import RosContainer
 from repro.vertica.tuplemover import storage_container_stats
+from repro.workloads.datasets import load_direct, make_d1
 
 
 @pytest.fixture
@@ -223,6 +227,21 @@ storage_ops = st.one_of(
 )
 
 
+def unpacked_hashes(db):
+    """Containers (ROS and replica) whose ``row_hashes`` are not packed
+    4-byte unsigned ints; empty when every one is."""
+    return [
+        (node, held)
+        for node, storage in db.storage.items()
+        for store in (storage.containers, storage.replicas)
+        for containers in store.values()
+        for held in containers
+        if not (isinstance(held.row_hashes, array)
+                and held.row_hashes.typecode == "I"
+                and held.row_hashes.itemsize == 4)
+    ]
+
+
 class TestStoredHashInvariantProperty:
     """A ranged scan answers ``HASH(seg) ⋚ literal`` from ``row_hashes``
     alone, so every writer must leave every stored hash equal to
@@ -267,6 +286,7 @@ class TestStoredHashInvariantProperty:
                 db.tuple_mover.advance_ahm()
                 db.tuple_mover.mergeout()
                 assert stored_hash_violations(db) == []
+                assert unpacked_hashes(db) == []
                 continue
             txn = db.begin()
             db.engine.execute(
@@ -276,6 +296,72 @@ class TestStoredHashInvariantProperty:
             assert stored_hash_violations(db, [txn]) == []  # its WOS buffers
             txn.commit(db.storage)
             assert stored_hash_violations(db) == []
+            assert unpacked_hashes(db) == []
+
+    def test_a_direct_load_and_its_replicas_store_packed_hashes(self):
+        db = VerticaDatabase(num_nodes=3, k_safety=1)
+        dataset = make_d1(real_rows=300, virtual_rows=300, seed=5)
+        load_direct(db, dataset, "d")
+        slot = [f.name for f in dataset.schema.fields].index(
+            dataset.segmentation[0])
+        stored = sorted(
+            (row_hash, column_values)
+            for storage in db.storage.values()
+            for held in storage.table_containers("D")
+            for row_hash, column_values in zip(held.row_hashes,
+                                               held.columns[slot])
+        )
+        assert stored == sorted(
+            (vertica_hash(row[slot]), row[slot]) for row in dataset.rows)
+        assert sum(len(storage.replica_containers("D"))
+                   for storage in db.storage.values()) == 3
+        assert stored_hash_violations(db) == []
+        assert unpacked_hashes(db) == []
+
+    @pytest.mark.parametrize("delete", [False, True], ids=["sliced", "gathered"])
+    def test_the_top_of_the_ring_survives_mergeout(self, delete):
+        """A hash of ``HASH_SPACE - 1`` fills all 32 bits; mergeout's slice
+        (nothing deleted) and its gather (a purged row) both keep it."""
+        db = VerticaDatabase(num_nodes=1)
+        session = db.connect()
+        session.execute("CREATE TABLE t (a INTEGER) SEGMENTED BY HASH(a) ALL NODES")
+        session.execute("INSERT INTO t VALUES (1), (2), (3)")
+        (first,) = db.storage[db.node_names[0]].table_containers("T")
+        first.row_hashes[2] = HASH_SPACE - 1  # planted on the row a = 3
+        if delete:
+            session.execute("DELETE FROM t WHERE a = 1")
+        session.execute("INSERT INTO t VALUES (4)")
+        db.tuple_mover.advance_ahm()
+        assert db.tuple_mover.mergeout() == 1
+        (merged,) = db.storage[db.node_names[0]].table_containers("T")
+        assert list(zip(merged.columns[0], merged.row_hashes)) == [
+            (a, HASH_SPACE - 1 if a == 3 else vertica_hash(a))
+            for a in ([2, 3, 4] if delete else [1, 2, 3, 4])
+        ]
+        assert unpacked_hashes(db) == []
+
+    @given(
+        hashes=st.lists(
+            st.sampled_from([0, 1, HASH_SPACE // 2, HASH_SPACE - 1])
+            | st.integers(min_value=0, max_value=HASH_SPACE - 1),
+            max_size=30,
+        ),
+        lo=st.integers(min_value=0, max_value=HASH_SPACE),
+        hi=st.integers(min_value=0, max_value=HASH_SPACE),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_hash_range_is_the_rows_a_full_read_keeps(self, hashes, lo, hi):
+        container = RosContainer(["a"], [list(range(len(hashes)))], 1,
+                                 row_hashes=hashes)
+        expected = [i for i, h in enumerate(hashes) if lo <= h < hi]
+        assert container.rows_in_hash_range(lo, hi) == expected  # builds
+        assert container.rows_in_hash_range(lo, hi) == expected  # reuses
+
+    def test_a_hash_off_the_ring_cannot_be_stored(self):
+        RosContainer(["a"], [[1]], 1, row_hashes=[HASH_SPACE - 1])
+        for outside in (HASH_SPACE, -1):
+            with pytest.raises(OverflowError):
+                RosContainer(["a"], [[1]], 1, row_hashes=[outside])
 
     def test_the_check_sees_a_wrong_hash_and_a_wrong_node(self):
         db = VerticaDatabase(num_nodes=3, k_safety=1)
